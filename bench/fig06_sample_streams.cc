@@ -24,7 +24,9 @@ main()
                   "result) and shows as exposed communication");
 
     ModelDesc model = model_zoo::dlrmATransformer();
-    PerfModel madmax(hw_zoo::dlrmTrainingSystem());
+    PerfModelOptions opts;
+    opts.keepTimeline = true; // The stream view reads the timeline.
+    PerfModel madmax(hw_zoo::dlrmTrainingSystem(), opts);
     ParallelPlan plan;
     plan.set(LayerClass::SparseEmbedding, HierStrategy{Strategy::MP});
     plan.set(LayerClass::BaseDense, HierStrategy{Strategy::DDP});

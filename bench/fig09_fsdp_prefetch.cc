@@ -25,7 +25,9 @@ main()
                   "98% measured vs 93% predicted communication overlap "
                   "with prefetching enabled");
 
-    PerfModel madmax(hw_zoo::llmTrainingSystem());
+    PerfModelOptions opts;
+    opts.keepTimeline = true; // The stream prefix reads the timeline.
+    PerfModel madmax(hw_zoo::llmTrainingSystem(), opts);
     ModelDesc model = model_zoo::llama65b();
 
     AsciiTable table({"FSDP variant", "iteration", "comm overlap",

@@ -26,7 +26,9 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "dlrm_transformer_trace.json";
 
     ModelDesc model = model_zoo::dlrmATransformer();
-    PerfModel madmax(hw_zoo::dlrmTrainingSystem());
+    PerfModelOptions opts;
+    opts.keepTimeline = true; // Trace export reads the timeline.
+    PerfModel madmax(hw_zoo::dlrmTrainingSystem(), opts);
 
     ParallelPlan plan;
     plan.set(LayerClass::SparseEmbedding, HierStrategy{Strategy::MP});

@@ -219,8 +219,7 @@ std::unique_ptr<const CollectiveCostModel> makeCollectiveModel(
  * non-empty (a registry name, e.g. PerfModelOptions::collectiveModel),
  * else "topology" when the cluster carries a TopologySpec, else the
  * flat default. This is the single selection point every evaluation
- * path (EvalContext, self-contained StreamBuilder callers) goes
- * through. Defined in topology_model.cc so the topology model's
+ * goes through (EvalContext). Defined in topology_model.cc so the topology model's
  * registration always links.
  */
 std::unique_ptr<const CollectiveCostModel> makeCollectiveModelFor(

@@ -1,6 +1,7 @@
 #include "core/eval_context.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "core/layer_processor.hh"
 #include "core/overlap_simulator.hh"
@@ -48,6 +49,35 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
         lc.fwdName = &layer.name();
         lc.bwdName = layer.name() + "'";
         lc.cls = layer.layerClass();
+    }
+
+    // Consumer lists, flattened in two counting passes: layer d's
+    // consumers are the later layers listing d as a dependency, each
+    // once, ascending. `last` dedups a layer listing d twice.
+    const size_t n = static_cast<size_t>(num_layers);
+    std::vector<uint32_t> begin(n + 1, 0);
+    std::vector<int> last(n, -1);
+    for (int i = 0; i < num_layers; ++i) {
+        for (int d : desc.graph.deps(i)) {
+            if (std::exchange(last[static_cast<size_t>(d)], i) != i)
+                ++begin[static_cast<size_t>(d) + 1];
+        }
+    }
+    for (size_t d = 0; d < n; ++d)
+        begin[d + 1] += begin[d];
+    consumerIds_.resize(begin[n]);
+    std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+    last.assign(n, -1);
+    for (int i = 0; i < num_layers; ++i) {
+        for (int d : desc.graph.deps(i)) {
+            const size_t s = static_cast<size_t>(d);
+            if (std::exchange(last[s], i) != i)
+                consumerIds_[fill[s]++] = i;
+        }
+    }
+    for (size_t i = 0; i < n; ++i) {
+        costs_[i].consumers = consumerIds_.data() + begin[i];
+        costs_[i].numConsumers = begin[i + 1] - begin[i];
     }
 }
 
@@ -126,19 +156,6 @@ EvalContext::buildStrategyTable(size_t slot, HierStrategy hs) const
         per_layer[static_cast<size_t>(i)] = std::move(resolved);
     }
     table.perLayer = std::move(per_layer);
-
-    // The delta path's segment templates ride along: symbolic
-    // per-layer event subgraphs for both prefetch variants, generated
-    // by the same emission code buildGraph() runs (see
-    // stream_builder.hh) so they cannot drift from the full path.
-    for (int pf = 0; pf < 2; ++pf) {
-        buildSegmentSet(*desc_, costs_, table.perLayer, false,
-                        pf == 1, table.fwdSegs[pf]);
-        if (task_->needsBackward()) {
-            buildSegmentSet(*desc_, costs_, table.perLayer, true,
-                            pf == 1, table.bwdSegs[pf]);
-        }
-    }
     table.ready.store(true, std::memory_order_release);
 }
 
@@ -150,6 +167,26 @@ EvalContext::strategyTable(HierStrategy hs) const
     if (!table.ready.load(std::memory_order_acquire))
         buildStrategyTable(slot, hs);
     return table;
+}
+
+const EvalContext::Segments &
+EvalContext::segments(HierStrategy hs, bool prefetch) const
+{
+    const StrategyTable &table = strategyTable(hs);
+    Segments &segs = strategies_[encode(hs)].segs[prefetch ? 1 : 0];
+    if (!segs.ready.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(buildMutex_);
+        if (!segs.ready.load(std::memory_order_acquire)) {
+            buildSegmentSet(*desc_, costs_, table.perLayer, false,
+                            prefetch, segs.fwd);
+            if (task_->needsBackward()) {
+                buildSegmentSet(*desc_, costs_, table.perLayer, true,
+                                prefetch, segs.bwd);
+            }
+            segs.ready.store(true, std::memory_order_release);
+        }
+    }
+    return segs;
 }
 
 const std::vector<ResolvedCommOp> &
@@ -167,8 +204,8 @@ EvalContext::verdict(const ParallelPlan &plan) const
 namespace
 {
 
-/** The schedule-to-report assembly shared by the full and delta
- *  evaluation paths (everything but the optional Timeline). */
+/** The schedule-to-report assembly (everything but the optional
+ *  Timeline). */
 void
 fillScheduleReport(PerfReport &report, const EventGraph &graph,
                    const FlatSchedule &sched)
@@ -224,6 +261,17 @@ fillScheduleReport(PerfReport &report, const EventGraph &graph,
 
 } // namespace
 
+struct EvalContext::Scratch
+{
+    EventGraph graph;
+    FlatSchedule sched;
+    SweepScratch sweep;
+    std::vector<SpliceRun> runs;
+    std::vector<int32_t> fwdOut;
+    std::vector<int32_t> bwdOut;
+    std::vector<int32_t> computeIds;
+};
+
 PerfReport
 EvalContext::evaluate(const ParallelPlan &plan) const
 {
@@ -231,11 +279,16 @@ EvalContext::evaluate(const ParallelPlan &plan) const
     if (!report.memory.fits() && !options().ignoreMemory)
         return report;
 
-    StreamBuilder builder(*this, plan);
-    EventGraph graph = builder.buildGraph();
-    OverlapSimulator simulator(options().backgroundCommChannel);
-    FlatSchedule sched = simulator.scheduleGraph(graph);
-
+    // Constructed on a thread's first evaluation only, so threads that
+    // never evaluate carry no buffers. Every call overwrites what it
+    // reads, so state left by another context (or by a throw midway)
+    // is harmless.
+    static thread_local Scratch scratch;
+    spliceGraph(scratch, plan);
+    OverlapSimulator(options().backgroundCommChannel)
+        .scheduleGraphInto(scratch.graph, scratch.sched, scratch.sweep);
+    const EventGraph &graph = scratch.graph;
+    const FlatSchedule &sched = scratch.sched;
     fillScheduleReport(report, graph, sched);
 
     if (options().keepTimeline) {
@@ -256,24 +309,23 @@ EvalContext::evaluate(const ParallelPlan &plan) const
 }
 
 void
-EvalContext::spliceGraph(DeltaState &state, const ParallelPlan &plan) const
+EvalContext::spliceGraph(Scratch &s, const ParallelPlan &plan) const
 {
     const int num_layers = desc_->graph.numLayers();
     const bool backward = task_->needsBackward();
-    const size_t pf = plan.fsdpPrefetch ? 1 : 0;
 
-    // Resolve each present class's strategy table once. This is where
-    // the incremental reuse lives: a plan differing from the previous
-    // one in K classes hits K possibly-cold table lookups (template
+    // Resolve each present class's segment arenas once (template
     // construction only for strategies this context has never seen);
-    // every other layer's segment splices straight from cache.
+    // every layer's segment then splices straight from cache.
     const LayerClass all_classes[] = {
         LayerClass::SparseEmbedding, LayerClass::DenseEmbedding,
         LayerClass::BaseDense, LayerClass::Transformer, LayerClass::MoE};
-    const StrategyTable *tables[5];
+    const Segments *by_class[5] = {};
     for (LayerClass cls : all_classes) {
-        tables[static_cast<size_t>(cls)] =
-            &strategyTable(plan.strategyFor(cls));
+        if (desc_->graph.hasClass(cls)) {
+            by_class[static_cast<size_t>(cls)] =
+                &segments(plan.strategyFor(cls), plan.fsdpPrefetch);
+        }
     }
 
     // Maximal same-class layer runs, then one fused splice: every
@@ -283,7 +335,7 @@ EvalContext::spliceGraph(DeltaState &state, const ParallelPlan &plan) const
     // layer count. Backward sets are stored in emission order (layer
     // N-1..0), so a descending layer run maps to an ascending set
     // range starting at N-1-i.
-    std::vector<SpliceRun> &runs = state.runs;
+    std::vector<SpliceRun> &runs = s.runs;
     runs.clear();
     for (int i = 0; i < num_layers;) {
         const LayerClass cls = costs_[static_cast<size_t>(i)].cls;
@@ -292,7 +344,7 @@ EvalContext::spliceGraph(DeltaState &state, const ParallelPlan &plan) const
                costs_[static_cast<size_t>(j)].cls == cls)
             ++j;
         runs.push_back(
-            SpliceRun{&tables[static_cast<size_t>(cls)]->fwdSegs[pf],
+            SpliceRun{&by_class[static_cast<size_t>(cls)]->fwd,
                       static_cast<uint32_t>(i),
                       static_cast<uint32_t>(j - i), false});
         i = j;
@@ -304,54 +356,14 @@ EvalContext::spliceGraph(DeltaState &state, const ParallelPlan &plan) const
             while (j >= 0 && costs_[static_cast<size_t>(j)].cls == cls)
                 --j;
             runs.push_back(SpliceRun{
-                &tables[static_cast<size_t>(cls)]->bwdSegs[pf],
+                &by_class[static_cast<size_t>(cls)]->bwd,
                 static_cast<uint32_t>(num_layers - 1 - i),
                 static_cast<uint32_t>(i - j), true});
             i = j;
         }
     }
     spliceSegmentRuns(runs.data(), runs.size(), num_layers, backward,
-                      state.graph, state.fwdOut, state.bwdOut,
-                      state.computeIds);
-}
-
-PerfReport
-EvalContext::evaluateDelta(DeltaState &state,
-                           const ParallelPlan &plan) const
-{
-    // Fall-back: retained timelines need materialized events, which
-    // only the full path produces. The state's splice buffers are
-    // left untouched (and stay consistent with prevPlan).
-    if (options().keepTimeline) {
-        state.lastUsedDelta = false;
-        return evaluate(plan);
-    }
-    if (state.context != this) {
-        // Structural change — another (model, task, cluster) triple,
-        // including a different present-class set via another
-        // ModelDesc: rebind and start from scratch.
-        state.context = this;
-        state.hasPlan = false;
-    }
-
-    PerfReport report = verdict(plan);
-    if (!report.memory.fits() && !options().ignoreMemory) {
-        // OOM verdict: no streams built, nothing advanced — exactly
-        // evaluate()'s short-circuit.
-        state.lastUsedDelta = false;
-        return report;
-    }
-
-    const bool incremental = state.hasPlan;
-    spliceGraph(state, plan);
-    OverlapSimulator simulator(options().backgroundCommChannel);
-    simulator.scheduleGraphInto(state.graph, state.sched, state.scratch);
-    fillScheduleReport(report, state.graph, state.sched);
-
-    state.prevPlan = plan;
-    state.hasPlan = true;
-    state.lastUsedDelta = incremental;
-    return report;
+                      s.graph, s.fwdOut, s.bwdOut, s.computeIds);
 }
 
 } // namespace madmax

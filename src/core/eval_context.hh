@@ -22,6 +22,10 @@
  *    the layer's class to that strategy, with a memoized
  *    collective-time table keyed on (model identity, kind, scope,
  *    bytes) deduplicating the underlying cost-model estimate calls;
+ *  - per-(strategy, prefetch) segment arenas
+ *    (core/segment_template.hh) are built on first use, so a plan's
+ *    event graph is spliced from cached segments instead of
+ *    re-emitted layer by layer;
  *  - trace-event names are owned here (stable storage), so the flat
  *    event graph only carries pointers and plans that do not retain a
  *    Timeline never copy a string.
@@ -51,7 +55,6 @@
 #include <vector>
 
 #include "collective/collective.hh"
-#include "core/overlap_simulator.hh"
 #include "core/perf_model.hh"
 #include "core/segment_template.hh"
 #include "parallel/comm_planner.hh"
@@ -114,70 +117,20 @@ class EvalContext
     const CollectiveCostModel &collectives() const { return *collectives_; }
 
     /**
-     * Evaluate one plan. Produces a report bit-identical to
-     * PerfModel::evaluate(desc, task, plan) on the bound model.
+     * Evaluate one plan: splice its event graph from the cached
+     * per-(layer-class strategy, prefetch) segment arenas (template
+     * construction is paid only the first time a strategy is seen),
+     * run the linear overlap sweep, and fill the report. Graph,
+     * schedule, and sweep buffers are per-thread and reused across
+     * calls. The scheduled Timeline is materialized only when the
+     * model retains timelines (PerfModelOptions::keepTimeline). OOM
+     * plans short-circuit to the memory verdict unless the model
+     * ignores memory.
      */
     PerfReport evaluate(const ParallelPlan &plan) const;
 
     /** Memory-only evaluation, identical to PerfModel::verdict. */
     PerfReport verdict(const ParallelPlan &plan) const;
-
-    /**
-     * Caller-owned state for incremental (delta) re-evaluation —
-     * default-construct one, keep it alive across a sequence of
-     * evaluateDelta calls, and the event graph, schedule, and sweep
-     * buffers stop being per-evaluation allocations. The state binds
-     * itself to the first context that evaluates through it and
-     * resets automatically when a different context (other model,
-     * task, or cluster — the structural fall-back) takes over.
-     */
-    struct DeltaState
-    {
-        /** Context this state is bound to (managed by evaluateDelta). */
-        const EvalContext *context = nullptr;
-
-        /** prevPlan holds the previously spliced plan. */
-        bool hasPlan = false;
-        ParallelPlan prevPlan;
-
-        /** Did the last evaluateDelta take the incremental path (a
-         *  prior splice to diff against, streams actually built)?
-         *  False after fall-backs, first-time splices, and OOM
-         *  verdicts — the EvalEngine's deltaEvals/fullEvals split
-         *  reads this. */
-        bool lastUsedDelta = false;
-
-        /// @name Persistent splice / schedule buffers
-        /// @{
-        EventGraph graph;
-        FlatSchedule sched;
-        SweepScratch scratch;
-        std::vector<SpliceRun> runs;
-        std::vector<int32_t> fwdOut;
-        std::vector<int32_t> bwdOut;
-        std::vector<int32_t> computeIds;
-        /// @}
-    };
-
-    /**
-     * Evaluate one plan incrementally: splice the event graph from
-     * per-(layer-class strategy, prefetch) segment templates cached in
-     * this context's strategy tables — a candidate differing from the
-     * previous plan in K classes only pays template construction for
-     * strategies never seen before; everything else is resolved by
-     * splicing — then re-run the linear overlap sweep in @p state's
-     * persistent buffers. The report is bit-identical to evaluate().
-     *
-     * Falls back to the full path (leaving @p state's splice buffers
-     * untouched) when the model retains timelines
-     * (PerfModelOptions::keepTimeline — spliced graphs never
-     * materialize events) and short-circuits on OOM verdicts exactly
-     * like evaluate(). A context switch (different model / task /
-     * cluster, including a different present-class set via another
-     * ModelDesc) rebinds the state and starts from scratch.
-     */
-    PerfReport evaluateDelta(DeltaState &state,
-                             const ParallelPlan &plan) const;
 
     /** Plan-invariant per-layer costs and trace labels. */
     struct LayerCosts
@@ -188,6 +141,10 @@ class EvalContext
         const std::string *fwdName = nullptr; ///< &layer.name().
         std::string bwdName; ///< layer.name() + "'" (backward label).
         LayerClass cls = LayerClass::BaseDense; ///< layer.layerClass().
+        /** Layers consuming this layer's output, ascending (points
+         *  into context-owned storage). */
+        const int *consumers = nullptr;
+        uint32_t numConsumers = 0;
     };
 
     const LayerCosts &layerCosts(int idx) const
@@ -210,18 +167,24 @@ class EvalContext
     size_t collectiveTableSize() const;
 
   private:
+    /** The packed per-layer segment arenas evaluate() splices from,
+     *  for one (strategy, fsdpPrefetch) pair; bwd stays empty for
+     *  forward-only tasks. Built on first use, published once. */
+    struct Segments
+    {
+        std::atomic<bool> ready{false};
+        SegmentSet fwd;
+        SegmentSet bwd;
+    };
+
     /** Per-layer resolved ops for one (intra, inter) strategy pair,
-     *  plus the symbolic segment templates the delta path splices
-     *  from — both built together, published once. */
+     *  published once, plus its segment arenas per prefetch value
+     *  (one-off evaluations build only the variant they splice). */
     struct StrategyTable
     {
         std::atomic<bool> ready{false};
         std::vector<std::vector<ResolvedCommOp>> perLayer;
-
-        /** Packed per-layer segment arenas, indexed [fsdpPrefetch];
-         *  bwdSegs stays empty for forward-only tasks. */
-        std::array<SegmentSet, 2> fwdSegs;
-        std::array<SegmentSet, 2> bwdSegs;
+        std::array<Segments, 2> segs; ///< Indexed by fsdpPrefetch.
     };
 
     static size_t encode(HierStrategy hs);
@@ -231,8 +194,14 @@ class EvalContext
     /** The (lazily built) table for @p hs. */
     const StrategyTable &strategyTable(HierStrategy hs) const;
 
-    /** Rebuild @p state's graph for @p plan from cached templates. */
-    void spliceGraph(DeltaState &state, const ParallelPlan &plan) const;
+    /** The (lazily built) segment arenas for @p hs and @p prefetch. */
+    const Segments &segments(HierStrategy hs, bool prefetch) const;
+
+    /** Per-thread graph / schedule buffers (defined in the .cc). */
+    struct Scratch;
+
+    /** Build @p plan's graph into @p s from cached templates. */
+    void spliceGraph(Scratch &s, const ParallelPlan &plan) const;
 
     /** Memoized CollectiveCostModel::estimate (only called while
      *  holding buildMutex_). */
@@ -246,6 +215,7 @@ class EvalContext
     std::unique_ptr<const CollectiveCostModel> collectives_;
     uint64_t collectiveIdentity_; ///< collectives_->identity(), cached.
     std::vector<LayerCosts> costs_;
+    std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.
 
     /** Indexed by encode(hs); Strategy has 5 values per level. */
     mutable std::array<StrategyTable, 25> strategies_;

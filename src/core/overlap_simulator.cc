@@ -1,23 +1,11 @@
 #include "core/overlap_simulator.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/interval_sweep.hh"
-#include "util/logging.hh"
-#include "util/strfmt.hh"
 
 namespace madmax
 {
-
-FlatSchedule
-OverlapSimulator::scheduleGraph(const EventGraph &graph) const
-{
-    FlatSchedule sched;
-    SweepScratch scratch;
-    scheduleGraphInto(graph, sched, scratch);
-    return sched;
-}
 
 void
 OverlapSimulator::scheduleGraphInto(const EventGraph &graph,
@@ -160,59 +148,6 @@ OverlapSimulator::scheduleGraphInto(const EventGraph &graph,
             (queries[q].hi - queries[q].lo) - scratch.mergedCov[q];
         sched.rawOverlap[query_node[q]] = scratch.rawCov[q];
     }
-}
-
-Timeline
-OverlapSimulator::schedule(const std::vector<TraceEvent> &events) const
-{
-    // Convert to the flat form, validating the id contract the
-    // graph-building hot path guarantees by construction.
-    EventGraph graph;
-    graph.nodes.reserve(events.size());
-    std::unordered_map<int, int32_t> index_by_id;
-    index_by_id.reserve(events.size());
-
-    for (const TraceEvent &ev : events) {
-        if (index_by_id.count(ev.id))
-            panic(strfmt("OverlapSimulator: duplicate event id %d", ev.id));
-
-        EventNode node;
-        node.name = &ev.name;
-        node.stream = ev.stream;
-        node.category = ev.category;
-        node.blocking = ev.blocking;
-        node.backward = ev.backward;
-        node.layerIdx = ev.layerIdx;
-        node.duration = ev.duration;
-        node.depsBegin = static_cast<uint32_t>(graph.deps.size());
-        node.depsCount = static_cast<uint32_t>(ev.deps.size());
-        for (int dep : ev.deps) {
-            auto it = index_by_id.find(dep);
-            if (it == index_by_id.end()) {
-                panic(strfmt("OverlapSimulator: event %d depends on "
-                             "unscheduled event %d",
-                             ev.id, dep));
-            }
-            graph.deps.push_back(it->second);
-        }
-        index_by_id.emplace(ev.id,
-                            static_cast<int32_t>(graph.nodes.size()));
-        graph.nodes.push_back(node);
-    }
-
-    FlatSchedule sched = scheduleGraph(graph);
-
-    Timeline tl;
-    tl.events.reserve(events.size());
-    for (size_t i = 0; i < events.size(); ++i) {
-        tl.events.push_back(
-            ScheduledEvent{events[i], sched.start[i], sched.finish[i]});
-    }
-    tl.makespan = sched.makespan;
-    tl.computeBusy = sched.computeBusy;
-    tl.commBusy = sched.commBusy;
-    tl.exposedComm = sched.exposedComm;
-    return tl;
 }
 
 } // namespace madmax

@@ -7,19 +7,12 @@
  * dependencies are resolved"). Events on different streams with no
  * dependency between them overlap freely.
  *
- * Two entry points share one implementation:
- *
- *  - scheduleGraph(EventGraph) is the hot path: dense event ids index
- *    flat start/finish vectors (no hash map), dependencies come from
- *    the graph's shared arena, and exposed-communication accounting
- *    is a linear interval sweep (core/interval_sweep.hh) instead of
- *    the old O(comm x compute) double loop. The per-event
- *    raw-interval overlaps are returned so PerfModel's per-category
- *    exposed breakdown reuses this sweep instead of re-running its
- *    own quadratic pass.
- *  - schedule(vector<TraceEvent>) is the self-contained form (tests,
- *    trace tooling): it validates ids, converts to a flat graph, and
- *    returns a fully materialized Timeline.
+ * Dense event ids index flat start/finish vectors (no hash map),
+ * dependencies come from the graph's shared arena, and
+ * exposed-communication accounting is a linear interval sweep
+ * (core/interval_sweep.hh) instead of an O(comm x compute) double
+ * loop. The per-event raw-interval overlaps are returned so the
+ * per-category exposed breakdown reuses this sweep.
  */
 
 #ifndef MADMAX_CORE_OVERLAP_SIMULATOR_HH
@@ -66,9 +59,10 @@ struct FlatSchedule
 
 /**
  * Reusable working buffers for the exposed-communication sweep.
- * Callers that schedule many graphs of similar size (the delta
- * re-evaluation loop) keep one of these alive so the per-schedule
- * interval/order/coverage vectors stop being fresh allocations.
+ * Callers that schedule many graphs of similar size (the evaluation
+ * loop's per-thread buffers) keep one of these alive so the
+ * per-schedule interval/order/coverage vectors stop being fresh
+ * allocations.
  */
 struct SweepScratch
 {
@@ -111,30 +105,15 @@ class OverlapSimulator
     {}
 
     /**
-     * Schedule a flat graph (hot path). Node indices are trusted to
-     * satisfy the issue-order contract — StreamBuilder::buildGraph
-     * guarantees it by construction.
-     */
-    FlatSchedule scheduleGraph(const EventGraph &graph) const;
-
-    /**
-     * scheduleGraph into caller-owned result and scratch buffers —
-     * the allocation-reusing form the delta re-evaluation loop calls
-     * per candidate. @p sched is fully overwritten (stale contents
-     * from a previous, differently-sized graph are fine); scratch
-     * vectors are cleared and refilled. Bit-identical to
-     * scheduleGraph.
+     * Schedule @p graph into caller-owned result and scratch buffers.
+     * Node indices are trusted to satisfy the issue-order contract
+     * (spliceSegmentRuns guarantees it by construction). @p sched is
+     * fully overwritten (stale contents from a previous,
+     * differently-sized graph are fine); scratch vectors are cleared
+     * and refilled.
      */
     void scheduleGraphInto(const EventGraph &graph, FlatSchedule &sched,
                            SweepScratch &scratch) const;
-
-    /**
-     * Schedule @p events and return the Timeline with per-event
-     * start/finish times, makespan, and exposed-communication
-     * accounting. Ids may be arbitrary (they are remapped internally)
-     * and are validated: duplicates and forward dependencies panic.
-     */
-    Timeline schedule(const std::vector<TraceEvent> &events) const;
 
   private:
     bool backgroundChannel_;

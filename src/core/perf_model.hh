@@ -52,8 +52,10 @@ struct PerfModelOptions
      *  (disable only for the ablation study). */
     bool backgroundCommChannel = true;
 
-    /** Retain the full scheduled Timeline in reports. */
-    bool keepTimeline = true;
+    /** Retain the full scheduled Timeline in reports. Off by default:
+     *  no JSON output contains it. Trace export (`madmax evaluate
+     *  --trace`, the stream figures) turns it on. */
+    bool keepTimeline = false;
 
     /** Evaluate plans even when they exceed device memory (the
      *  paper's "without memory constraints" bars in Fig. 10). */

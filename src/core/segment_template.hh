@@ -1,7 +1,7 @@
 /**
  * @file
- * Symbolic per-layer event-segment arenas — the cache unit of
- * incremental (delta) re-evaluation.
+ * Symbolic per-layer event-segment arenas — the cache unit every
+ * evaluation's event graph is spliced from.
  *
  * One iteration's event graph is a concatenation of per-layer
  * *segments* (the layer's pre-phase collectives, its compute event,
@@ -25,8 +25,8 @@
  * dependency-resolution sweep — not a pointer chase across hundreds
  * of per-layer objects.
  *
- * The symbolic dependency kinds mirror the only ways StreamBuilder
- * ever wires an edge:
+ * The symbolic dependency kinds are the only ways the stream builder
+ * (core/stream_builder.hh) ever wires an edge:
  *
  *  - Local:     an earlier event of the same segment (pre-comm ->
  *               compute, compute -> post-comm chains);

@@ -1,10 +1,5 @@
 #include "core/stream_builder.hh"
 
-#include <cstring>
-
-#include "parallel/comm_planner.hh"
-#include "util/logging.hh"
-
 namespace madmax
 {
 
@@ -14,216 +9,21 @@ namespace
 /**
  * What one per-layer segment emission reads: the layer's compute cost
  * and label, its resolved collectives, and the graph topology for
- * data / gradient dependencies. Built from a StreamBuilder::LayerView
- * (concrete build) or from EvalContext tables (template build).
+ * data / gradient dependencies (consumer lists precomputed by the
+ * EvalContext).
  */
 struct SegmentSpec
 {
     const ModelGraph *graph = nullptr;
     int idx = 0;
+    const int *consumers = nullptr;
+    uint32_t numConsumers = 0;
     const std::string *computeName = nullptr;
     double computeTime = 0.0;
     EventCategory category = EventCategory::Other;
     const std::vector<ResolvedCommOp> *ops = nullptr;
     bool prefetch = false;
     bool backward = false;
-};
-
-/**
- * The one shared per-layer emission: decides event order and
- * dependency wiring once, for both the concrete graph build
- * (GraphEmitter) and the symbolic template build (TemplateEmitter).
- *
- * The emitter interface, duck-typed:
- *   beginSegment(idx, backward)      start a segment;
- *   computeCountBefore()             compute events emitted so far;
- *   clearDeps()                      start staging a dependency list;
- *   depLocal(local)                  stage an earlier segment event;
- *   depComputeBack(k)                stage the k-th most recent
- *                                    compute event (param gathers);
- *   depFwdOut(layer) -> staged?      stage a layer's forward output
- *                                    if that layer is already built;
- *   depBwdOut(layer) -> staged?      same for backward outputs;
- *   addEvent(...) -> local id        emit with the staged deps;
- *   markCompute(local)               record the segment's compute;
- *   finishSegment(outLocal)          record the visible output.
- */
-template <class Emitter>
-void
-emitLayerSegment(const SegmentSpec &s, Emitter &em)
-{
-    em.beginSegment(s.idx, s.backward);
-    const Phase phase = s.backward ? Phase::Backward : Phase::Forward;
-
-    // Parameter AllGathers have no data dependency; what limits them
-    // is issue time. Without prefetching the gather is issued when the
-    // consuming layer starts (i.e. after the preceding compute event
-    // finishes); with prefetching it is issued one layer earlier and
-    // can hide behind the preceding layer's compute (Fig. 9).
-    auto stageParamGatherDeps = [&] {
-        const size_t n = em.computeCountBefore();
-        if (s.prefetch) {
-            if (n >= 2)
-                em.depComputeBack(2);
-            return;
-        }
-        if (n >= 1)
-            em.depComputeBack(1);
-    };
-    // Forward data dependencies: the producers' visible outputs.
-    auto stageDataDeps = [&] {
-        for (int d : s.graph->deps(s.idx))
-            em.depFwdOut(d);
-    };
-    // Incoming gradients: the backward outputs of this layer's
-    // consumers (or the end of forward for the final layer).
-    auto stageGradDeps = [&] {
-        bool any = false;
-        for (int c : s.graph->consumers(s.idx)) {
-            if (em.depBwdOut(c))
-                any = true;
-        }
-        if (!any)
-            em.depFwdOut(s.idx);
-    };
-
-    std::vector<int32_t> pre_ids;
-    for (const ResolvedCommOp &op : *s.ops) {
-        if (op.phase != phase || op.position != CommPosition::Pre)
-            continue;
-        em.clearDeps();
-        if (op.kind == Collective::AllGather)
-            stageParamGatherDeps();
-        else if (s.backward)
-            stageGradDeps();
-        else
-            stageDataDeps();
-        pre_ids.push_back(em.addEvent(&op.tag,
-                                      StreamKind::Communication,
-                                      op.category, op.duration,
-                                      op.blocking, op.algo));
-    }
-
-    // The layer's compute block.
-    em.clearDeps();
-    if (s.backward) {
-        stageGradDeps();
-        for (int32_t p : pre_ids)
-            em.depLocal(p);
-    } else {
-        for (int32_t p : pre_ids)
-            em.depLocal(p);
-        stageDataDeps();
-    }
-    int32_t cid = em.addEvent(s.computeName, StreamKind::Compute,
-                              s.category, s.computeTime, true,
-                              CollAlgo::None);
-    em.markCompute(cid);
-
-    // Post comms; blocking ones become the layer's visible output.
-    int32_t out = cid;
-    for (const ResolvedCommOp &op : *s.ops) {
-        if (op.phase != phase || op.position != CommPosition::Post)
-            continue;
-        em.clearDeps();
-        em.depLocal(out);
-        int32_t eid = em.addEvent(&op.tag, StreamKind::Communication,
-                                  op.category, op.duration,
-                                  op.blocking, op.algo);
-        if (op.blocking)
-            out = eid;
-    }
-    em.finishSegment(out);
-}
-
-/** Emits segments into a concrete flat EventGraph (buildGraph). */
-class GraphEmitter
-{
-  public:
-    GraphEmitter(EventGraph &graph, std::vector<int32_t> &fwdOut,
-                 std::vector<int32_t> &bwdOut,
-                 std::vector<int32_t> &computeEvents,
-                 std::vector<int32_t> &scratchDeps)
-        : graph_(graph), fwdOut_(fwdOut), bwdOut_(bwdOut),
-          computeEvents_(computeEvents), deps_(scratchDeps)
-    {}
-
-    void beginSegment(int idx, bool backward)
-    {
-        idx_ = idx;
-        backward_ = backward;
-        base_ = static_cast<int32_t>(graph_.nodes.size());
-    }
-
-    size_t computeCountBefore() const { return computeEvents_.size(); }
-
-    void clearDeps() { deps_.clear(); }
-    void depLocal(int32_t local) { deps_.push_back(base_ + local); }
-
-    void depComputeBack(size_t k)
-    {
-        deps_.push_back(computeEvents_[computeEvents_.size() - k]);
-    }
-
-    bool depFwdOut(int layer)
-    {
-        int32_t id = fwdOut_[static_cast<size_t>(layer)];
-        if (id < 0)
-            return false;
-        deps_.push_back(id);
-        return true;
-    }
-
-    bool depBwdOut(int layer)
-    {
-        int32_t id = bwdOut_[static_cast<size_t>(layer)];
-        if (id < 0)
-            return false;
-        deps_.push_back(id);
-        return true;
-    }
-
-    int32_t addEvent(const std::string *name, StreamKind stream,
-                     EventCategory category, double duration,
-                     bool blocking, CollAlgo algo)
-    {
-        EventNode node;
-        node.name = name;
-        node.stream = stream;
-        node.category = category;
-        node.algo = algo;
-        node.blocking = blocking;
-        node.backward = backward_;
-        node.layerIdx = idx_;
-        node.duration = duration;
-        node.depsBegin = static_cast<uint32_t>(graph_.deps.size());
-        node.depsCount = static_cast<uint32_t>(deps_.size());
-        graph_.deps.insert(graph_.deps.end(), deps_.begin(),
-                           deps_.end());
-        graph_.nodes.push_back(node);
-        return static_cast<int32_t>(graph_.nodes.size()) - 1 - base_;
-    }
-
-    void markCompute(int32_t local)
-    {
-        computeEvents_.push_back(base_ + local);
-    }
-
-    void finishSegment(int32_t outLocal)
-    {
-        (backward_ ? bwdOut_ : fwdOut_)[static_cast<size_t>(idx_)] =
-            base_ + outLocal;
-    }
-
-  private:
-    EventGraph &graph_;
-    std::vector<int32_t> &fwdOut_;
-    std::vector<int32_t> &bwdOut_;
-    std::vector<int32_t> &computeEvents_;
-    std::vector<int32_t> &deps_;
-    int idx_ = 0;
-    bool backward_ = false;
-    int32_t base_ = 0;
 };
 
 /**
@@ -345,8 +145,102 @@ class TemplateEmitter
     bool backward_ = false;
 };
 
-} // namespace
+/**
+ * Emit one layer's segment — its pre-phase collectives, its compute
+ * event, and its post-phase collectives — deciding event order and
+ * dependency wiring (blocking collectives gate downstream compute,
+ * non-blocking ones only the iteration-end barrier, FSDP gathers
+ * anchor on earlier compute events per Fig. 9).
+ */
+void
+emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
+{
+    em.beginSegment(s.idx, s.backward);
+    const Phase phase = s.backward ? Phase::Backward : Phase::Forward;
 
+    // Parameter AllGathers have no data dependency; what limits them
+    // is issue time. Without prefetching the gather is issued when the
+    // consuming layer starts (i.e. after the preceding compute event
+    // finishes); with prefetching it is issued one layer earlier and
+    // can hide behind the preceding layer's compute (Fig. 9).
+    auto stageParamGatherDeps = [&] {
+        const size_t n = em.computeCountBefore();
+        if (s.prefetch) {
+            if (n >= 2)
+                em.depComputeBack(2);
+            return;
+        }
+        if (n >= 1)
+            em.depComputeBack(1);
+    };
+    // Forward data dependencies: the producers' visible outputs.
+    auto stageDataDeps = [&] {
+        for (int d : s.graph->deps(s.idx))
+            em.depFwdOut(d);
+    };
+    // Incoming gradients: the backward outputs of this layer's
+    // consumers (or the end of forward for the final layer).
+    auto stageGradDeps = [&] {
+        bool any = false;
+        for (uint32_t k = 0; k < s.numConsumers; ++k) {
+            if (em.depBwdOut(s.consumers[k]))
+                any = true;
+        }
+        if (!any)
+            em.depFwdOut(s.idx);
+    };
+
+    std::vector<int32_t> pre_ids;
+    for (const ResolvedCommOp &op : *s.ops) {
+        if (op.phase != phase || op.position != CommPosition::Pre)
+            continue;
+        em.clearDeps();
+        if (op.kind == Collective::AllGather)
+            stageParamGatherDeps();
+        else if (s.backward)
+            stageGradDeps();
+        else
+            stageDataDeps();
+        pre_ids.push_back(em.addEvent(&op.tag,
+                                      StreamKind::Communication,
+                                      op.category, op.duration,
+                                      op.blocking, op.algo));
+    }
+
+    // The layer's compute block.
+    em.clearDeps();
+    if (s.backward) {
+        stageGradDeps();
+        for (int32_t p : pre_ids)
+            em.depLocal(p);
+    } else {
+        for (int32_t p : pre_ids)
+            em.depLocal(p);
+        stageDataDeps();
+    }
+    int32_t cid = em.addEvent(s.computeName, StreamKind::Compute,
+                              s.category, s.computeTime, true,
+                              CollAlgo::None);
+    em.markCompute(cid);
+
+    // Post comms; blocking ones become the layer's visible output.
+    int32_t out = cid;
+    for (const ResolvedCommOp &op : *s.ops) {
+        if (op.phase != phase || op.position != CommPosition::Post)
+            continue;
+        em.clearDeps();
+        em.depLocal(out);
+        int32_t eid = em.addEvent(&op.tag, StreamKind::Communication,
+                                  op.category, op.duration,
+                                  op.blocking, op.algo);
+        if (op.blocking)
+            out = eid;
+    }
+    em.finishSegment(out);
+}
+
+/** The iteration-end barrier's trace label, in stable storage so
+ *  spliced nodes can borrow it. */
 const std::string &
 iterEndEventName()
 {
@@ -354,26 +248,7 @@ iterEndEventName()
     return name;
 }
 
-void
-appendIterEnd(EventGraph &graph, bool backward)
-{
-    // Iteration-end barrier: waits for everything, including
-    // non-blocking gradient collectives.
-    EventNode node;
-    node.name = &iterEndEventName();
-    node.stream = StreamKind::Compute;
-    node.category = EventCategory::Other;
-    node.blocking = true;
-    node.backward = backward;
-    node.layerIdx = -1;
-    node.duration = 0.0;
-    const size_t n = graph.nodes.size();
-    node.depsBegin = static_cast<uint32_t>(graph.deps.size());
-    node.depsCount = static_cast<uint32_t>(n);
-    for (size_t i = 0; i < n; ++i)
-        graph.deps.push_back(static_cast<int32_t>(i));
-    graph.nodes.push_back(node);
-}
+} // namespace
 
 void
 buildSegmentSet(
@@ -402,6 +277,8 @@ buildSegmentSet(
         SegmentSpec spec;
         spec.graph = &desc.graph;
         spec.idx = i;
+        spec.consumers = lc.consumers;
+        spec.numConsumers = lc.numConsumers;
         spec.computeName = backwardPass ? &lc.bwdName : lc.fwdName;
         spec.computeTime = backwardPass ? lc.bwdTime : lc.fwdTime;
         spec.category = lc.category;
@@ -523,7 +400,9 @@ spliceSegmentRuns(const SpliceRun *runs, size_t numRuns, int numLayers,
         dep_pos += run_deps;
     }
 
-    // Iteration-end barrier, wired exactly as appendIterEnd does.
+    // Iteration-end barrier: a zero-duration compute event depending
+    // on every other node, so non-blocking gradient collectives still
+    // bound the makespan.
     EventNode &end = nodes[total_nodes];
     end.name = &iterEndEventName();
     end.stream = StreamKind::Compute;
@@ -537,132 +416,6 @@ spliceSegmentRuns(const SpliceRun *runs, size_t numRuns, int numLayers,
     end.depsCount = static_cast<uint32_t>(total_nodes);
     for (size_t i = 0; i < total_nodes; ++i)
         deps[dep_pos + i] = static_cast<int32_t>(i);
-}
-
-StreamBuilder::StreamBuilder(const EvalContext &context,
-                             const ParallelPlan &plan)
-    : desc_(context.desc()),
-      needsBackward_(context.task().needsBackward()),
-      fsdpPrefetch_(plan.fsdpPrefetch)
-{
-    // Resolve each class's strategy once; layers index the result.
-    const LayerClass all_classes[] = {
-        LayerClass::SparseEmbedding, LayerClass::DenseEmbedding,
-        LayerClass::BaseDense, LayerClass::Transformer, LayerClass::MoE};
-    HierStrategy by_class[5];
-    for (LayerClass cls : all_classes)
-        by_class[static_cast<size_t>(cls)] = plan.strategyFor(cls);
-
-    const int num_layers = desc_.graph.numLayers();
-    layers_.resize(static_cast<size_t>(num_layers));
-    for (int i = 0; i < num_layers; ++i) {
-        const EvalContext::LayerCosts &lc = context.layerCosts(i);
-        const LayerClass cls = desc_.graph.layer(i).layerClass();
-        LayerView &lv = layers_[static_cast<size_t>(i)];
-        lv.fwdTime = lc.fwdTime;
-        lv.bwdTime = lc.bwdTime;
-        lv.category = lc.category;
-        lv.fwdName = lc.fwdName;
-        lv.bwdName = &lc.bwdName;
-        lv.ops =
-            &context.plannedOps(i, by_class[static_cast<size_t>(cls)]);
-    }
-}
-
-StreamBuilder::StreamBuilder(const ModelDesc &desc, const TaskSpec &task,
-                             const ParallelPlan &plan,
-                             const ClusterSpec &cluster,
-                             const LayerProcessor &processor,
-                             const CollectiveCostModel &collectives)
-    : desc_(desc), needsBackward_(task.needsBackward()),
-      fsdpPrefetch_(plan.fsdpPrefetch)
-{
-    CommPlanner planner(desc, task, plan, cluster);
-    const int num_layers = desc.graph.numLayers();
-
-    ownedBwdNames_.resize(static_cast<size_t>(num_layers));
-    ownedOps_.resize(static_cast<size_t>(num_layers));
-    for (int i = 0; i < num_layers; ++i) {
-        const Layer &layer = desc.graph.layer(i);
-        ownedBwdNames_[static_cast<size_t>(i)] = layer.name() + "'";
-        std::vector<ResolvedCommOp> resolved;
-        for (CommOp &op : planner.planLayer(i)) {
-            CollectiveEstimate est =
-                collectives.estimate(op.kind, op.scope, op.bytes);
-            if (est.seconds <= 0.0)
-                continue;
-            resolved.push_back(ResolvedCommOp{
-                op.phase, op.position, op.kind, commCategoryOf(op.kind),
-                op.blocking, est.seconds, std::move(op.tag), est.algo});
-        }
-        ownedOps_[static_cast<size_t>(i)] = std::move(resolved);
-    }
-
-    // Views are taken in a second pass: the backing vectors are fully
-    // sized above, so element addresses are stable from here on.
-    layers_.resize(static_cast<size_t>(num_layers));
-    for (int i = 0; i < num_layers; ++i) {
-        const size_t s = static_cast<size_t>(i);
-        const Layer &layer = desc.graph.layer(i);
-        LayerView &lv = layers_[s];
-        lv.fwdTime = processor.forwardTime(layer);
-        lv.bwdTime = processor.backwardTime(layer, task);
-        lv.category = processor.categoryOf(layer);
-        lv.fwdName = &layer.name();
-        lv.bwdName = &ownedBwdNames_[s];
-        lv.ops = &ownedOps_[s];
-    }
-}
-
-EventGraph
-StreamBuilder::buildGraph() const
-{
-    const int num_layers = desc_.graph.numLayers();
-    EventGraph graph;
-    std::vector<int32_t> fwd_out(static_cast<size_t>(num_layers), -1);
-    std::vector<int32_t> bwd_out(static_cast<size_t>(num_layers), -1);
-    std::vector<int32_t> compute_events;
-    std::vector<int32_t> scratch_deps;
-    GraphEmitter em(graph, fwd_out, bwd_out, compute_events,
-                    scratch_deps);
-
-    auto specFor = [&](int i, bool backward) {
-        const LayerView &lv = layers_[static_cast<size_t>(i)];
-        SegmentSpec spec;
-        spec.graph = &desc_.graph;
-        spec.idx = i;
-        spec.computeName = backward ? lv.bwdName : lv.fwdName;
-        spec.computeTime = backward ? lv.bwdTime : lv.fwdTime;
-        spec.category = lv.category;
-        spec.ops = lv.ops;
-        spec.prefetch = fsdpPrefetch_;
-        spec.backward = backward;
-        return spec;
-    };
-
-    for (int i = 0; i < num_layers; ++i) {
-        SegmentSpec spec = specFor(i, false);
-        emitLayerSegment(spec, em);
-    }
-    if (needsBackward_) {
-        for (int i = num_layers - 1; i >= 0; --i) {
-            SegmentSpec spec = specFor(i, true);
-            emitLayerSegment(spec, em);
-        }
-    }
-    appendIterEnd(graph, needsBackward_);
-    return graph;
-}
-
-std::vector<TraceEvent>
-StreamBuilder::build() const
-{
-    EventGraph graph = buildGraph();
-    std::vector<TraceEvent> events;
-    events.reserve(graph.nodes.size());
-    for (size_t i = 0; i < graph.nodes.size(); ++i)
-        events.push_back(graph.materialize(i));
-    return events;
 }
 
 } // namespace madmax

@@ -1,10 +1,11 @@
 /**
  * @file
  * Stream builder (§IV-C "Piecing Together Computation and Comm.
- * Streams"): walks the layer graph in explicit execution order
- * (reversed for the backward pass), emits per-layer compute events and
- * the planner's collective events, and wires the dependencies that
- * make communication blocking or non-blocking:
+ * Streams"): lays out one iteration's per-device event graph in
+ * explicit execution order (layers 0..N-1 forward, then N-1..0
+ * backward), with each layer's compute event and the planner's
+ * collectives wired so that communication is blocking or
+ * non-blocking:
  *
  *  - blocking collectives (embedding All2All, TP partial-sum
  *    AllReduce, FSDP parameter AllGather, MoE dispatch/combine) gate
@@ -14,115 +15,32 @@
  *  - FSDP AllGathers optionally prefetch one layer ahead (Fig. 9),
  *    letting them hide behind the preceding layer's compute.
  *
- * The builder consumes pre-resolved per-layer costs: either borrowed
- * from a shared EvalContext (the sweep hot path — per-layer compute
- * times and per-strategy collective ops are computed once per
- * (cluster, model, task) and reused across every plan) or computed
- * locally from a LayerProcessor/CollectiveModel pair (the
- * self-contained form tests and one-off callers use). Both paths
- * produce the same flat EventGraph; buildGraph() allocates no
- * per-event strings — names are borrowed pointers, materialized only
- * when a caller keeps the Timeline.
- *
- * The per-layer emission logic is shared, via a compile-time emitter
- * parameter, with the symbolic segment-template generator behind
- * incremental re-evaluation (core/segment_template.hh): one
- * implementation decides event order and dependency wiring for both
- * the concrete build and the template build, so the delta path cannot
- * drift from the full path. buildSegmentSet / spliceSegmentRuns
- * / appendIterEnd below are that generator and its splicing
- * counterparts, used by EvalContext::evaluateDelta.
+ * It works in two steps. buildSegmentSet emits every layer's segment
+ * symbolically (core/segment_template.hh) once per (strategy,
+ * prefetch, pass direction) — the EvalContext caches the arenas with
+ * its strategy tables. spliceSegmentRuns then assembles any plan's
+ * concrete flat EventGraph from those arenas in one pass. Nodes carry
+ * borrowed name pointers; strings are copied only when a caller
+ * retains the Timeline.
  */
 
 #ifndef MADMAX_CORE_STREAM_BUILDER_HH
 #define MADMAX_CORE_STREAM_BUILDER_HH
 
-#include <string>
 #include <vector>
 
-#include "collective/collective.hh"
 #include "core/eval_context.hh"
-#include "core/layer_processor.hh"
 #include "core/segment_template.hh"
 #include "trace/event_graph.hh"
-#include "trace/trace_event.hh"
 
 namespace madmax
 {
 
 /**
- * Builds the per-device event DAG for one iteration of (model, task,
- * plan) on a cluster. The produced graph is in issue order and ready
- * for OverlapSimulator::scheduleGraph().
- */
-class StreamBuilder
-{
-  public:
-    /**
-     * Hot path: borrow the plan-invariant tables from @p context
-     * (which must outlive this builder) and bind them to @p plan.
-     */
-    StreamBuilder(const EvalContext &context, const ParallelPlan &plan);
-
-    /**
-     * Self-contained form: resolve per-layer costs and collectives
-     * locally from the given components (validated by the
-     * LayerProcessor the caller built). @p desc must outlive the
-     * builder; the other arguments are only read during construction.
-     */
-    StreamBuilder(const ModelDesc &desc, const TaskSpec &task,
-                  const ParallelPlan &plan, const ClusterSpec &cluster,
-                  const LayerProcessor &processor,
-                  const CollectiveCostModel &collectives);
-
-    /** Build the iteration's flat event graph. */
-    EventGraph buildGraph() const;
-
-    /** buildGraph() materialized into standalone TraceEvents (names
-     *  and dependency lists copied out) for trace tooling and tests. */
-    std::vector<TraceEvent> build() const;
-
-  private:
-    /** Per-layer view over either the context's tables or the locally
-     *  resolved ones. */
-    struct LayerView
-    {
-        double fwdTime = 0.0;
-        double bwdTime = 0.0;
-        EventCategory category = EventCategory::Other;
-        const std::string *fwdName = nullptr;
-        const std::string *bwdName = nullptr;
-        const std::vector<ResolvedCommOp> *ops = nullptr;
-    };
-
-    const ModelDesc &desc_;
-    bool needsBackward_;
-    bool fsdpPrefetch_;
-    std::vector<LayerView> layers_;
-
-    /// Backing storage for the self-contained form (unused when the
-    /// views borrow from an EvalContext).
-    std::vector<std::string> ownedBwdNames_;
-    std::vector<std::vector<ResolvedCommOp>> ownedOps_;
-};
-
-/** The iteration-end barrier's trace label ("iter_end"), in stable
- *  storage so spliced graphs can borrow it like built ones do. */
-const std::string &iterEndEventName();
-
-/**
- * Append the iteration-end barrier to @p graph: a zero-duration
- * compute event depending on every event emitted so far, so
- * non-blocking gradient collectives still bound the makespan.
- */
-void appendIterEnd(EventGraph &graph, bool backward);
-
-/**
  * Generate the packed segment arena for one pass direction under one
- * (strategy-uniform ops table, prefetch) binding — the symbolic twin
- * of buildGraph()'s per-layer emission, produced by the same code
- * path. Segments land in emission order (forward layer 0..N-1,
- * backward layer N-1..0); name pointers borrow from @p costs and
+ * (strategy-uniform ops table, prefetch) binding. Segments land in
+ * emission order (forward layer 0..N-1, backward layer N-1..0); name
+ * pointers borrow from @p costs and
  * @p perLayerOps, so the set is valid exactly as long as its owning
  * EvalContext strategy table.
  */
@@ -139,10 +57,11 @@ void buildSegmentSet(
  * runs covering layers N-1..0 — and the graph is rebuilt in one pass:
  * a single sizing of the node/dep arrays, one bulk contiguous node
  * copy per run, a flat symbolic-dependency resolution sweep, and the
- * iteration-end barrier, producing exactly the graph buildGraph()
- * emits for the plan the runs were resolved from. @p fwdOut /
- * @p bwdOut / @p computeIds are caller-owned state reused across
- * splices (resized/cleared here).
+ * iteration-end barrier (a zero-duration compute event depending on
+ * every other node). The result is ready for
+ * OverlapSimulator::scheduleGraphInto. @p fwdOut / @p bwdOut /
+ * @p computeIds are caller-owned state reused across splices
+ * (resized/cleared here).
  */
 void spliceSegmentRuns(const SpliceRun *runs, size_t numRuns,
                        int numLayers, bool withBackward,

@@ -91,16 +91,8 @@ ParetoEngine::ParetoEngine(std::vector<HardwarePoint> hardware,
     for (HardwarePoint &point : hw_) {
         if (point.name.empty())
             point.name = point.cluster.name;
-        // PerfModel construction validates the cluster spec. DSE
-        // never consumes scheduled timelines, so they are disabled:
-        // evaluations carry ~100 KB less state each, and the guided
-        // strategies' DeltaSessions take the incremental splice path
-        // instead of the keepTimeline fall-back (reports are
-        // otherwise identical — nothing the frontier renders reads
-        // the timeline).
-        PerfModelOptions opts;
-        opts.keepTimeline = false;
-        models_.emplace_back(point.cluster, opts);
+        // PerfModel construction validates the cluster spec.
+        models_.emplace_back(point.cluster);
     }
     if (!shared_)
         owned_ = std::make_unique<EvalEngine>();
@@ -315,8 +307,6 @@ exploreInferencePlacements(const ModelDesc &desc,
         InferenceModel::prefillTask(desc, workload);
     const TaskSpec decode_task =
         InferenceModel::decodeTask(desc, workload);
-    PerfModelOptions model_opts;
-    model_opts.keepTimeline = false;
     ExplorerOptions explorer_opts;
     explorer_opts.keepInvalid = false;
     for (size_t i = 0; i < islands.size(); ++i) {
@@ -327,7 +317,7 @@ exploreInferencePlacements(const ModelDesc &desc,
             pin_d < 0 || i == static_cast<size_t>(pin_d);
         if (!runs_prefill && !runs_decode)
             continue; // Pinned out of every placement.
-        PerfModel model(island.cluster, model_opts);
+        PerfModel model(island.cluster);
         StrategyExplorer explorer(model, engine);
         if (runs_prefill) {
             island.prefill =
@@ -341,7 +331,7 @@ exploreInferencePlacements(const ModelDesc &desc,
         }
     }
 
-    const InferenceModel inference(model_opts);
+    const InferenceModel inference;
 
     // Enumerate placements. Colocated (p == d) deployments run both
     // phases with ONE plan — the weights cannot be resharded between

@@ -6,6 +6,7 @@
 #include <random>
 #include <set>
 
+#include "core/eval_context.hh"
 #include "core/strategy_explorer.hh"
 #include "util/logging.hh"
 
@@ -35,16 +36,52 @@ drawUnit(std::mt19937_64 &rng)
     return static_cast<double>(rng() >> 11) * 0x1p-53;
 }
 
+/**
+ * One EvalContext per hardware point of a search run, built on the
+ * point's first evaluation and shared by every later batch. Guided
+ * searches submit many small batches (annealing: one point per
+ * proposal); without this, each batch would rebuild its context's
+ * strategy tables and segment arenas.
+ */
+class RunContexts
+{
+  public:
+    explicit RunContexts(const SearchSpace &space)
+        : space_(space), contexts_(space.models.size())
+    {}
+
+    /** The context for hardware point @p hw, or null when building it
+     *  throws: the engine then builds its own and reports the error in
+     *  each request's failure report. */
+    const EvalContext *at(size_t hw)
+    {
+        std::unique_ptr<EvalContext> &ctx = contexts_[hw];
+        if (!ctx) {
+            try {
+                ctx = std::make_unique<EvalContext>(
+                    *space_.models[hw], *space_.desc, *space_.task);
+            } catch (...) {
+                return nullptr;
+            }
+        }
+        return ctx.get();
+    }
+
+  private:
+    const SearchSpace &space_;
+    std::vector<std::unique_ptr<EvalContext>> contexts_;
+};
+
 /** Evaluate a batch of (hwIndex, plan) points through the engine and
  *  append every result (including cache hits and pruned OOM verdicts)
  *  to @p out in request order. The batch is one evaluateAll call, so
- *  it rides the engine's context grouping and thread pool — or, when
- *  the strategy passes its DeltaSession, the incremental splice path
- *  (see SearchOptions::deltaEval). */
+ *  it rides the engine's thread pool. Without @p contexts (one-batch
+ *  searches) the engine builds a context per hardware point. */
 void
 evaluateInto(const SearchSpace &space, EvalEngine &engine,
+             RunContexts *contexts,
              std::vector<std::pair<size_t, ParallelPlan>> points,
-             SearchOutcome &out, DeltaSession *session = nullptr)
+             SearchOutcome &out)
 {
     if (points.empty())
         return;
@@ -56,11 +93,13 @@ evaluateInto(const SearchSpace &space, EvalEngine &engine,
         req.desc = space.desc;
         req.task = space.task;
         req.plan = std::move(plan);
+        if (contexts)
+            req.context = contexts->at(hw);
         requests.push_back(std::move(req));
     }
     EvalStats stats;
     std::vector<PerfReport> reports =
-        engine.evaluateAll(requests, &stats, session);
+        engine.evaluateAll(requests, &stats);
     out.stats += stats;
     out.evaluated.reserve(out.evaluated.size() + requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -168,7 +207,7 @@ class ExhaustiveSearch : public SearchStrategy
             for (const ParallelPlan &plan : plans)
                 points.emplace_back(hw, plan);
         SearchOutcome out;
-        evaluateInto(space, engine, std::move(points), out);
+        evaluateInto(space, engine, nullptr, std::move(points), out);
         return out;
     }
 };
@@ -190,11 +229,7 @@ class CoordinateDescentSearch : public SearchStrategy
             ? std::numeric_limits<long>::max()
             : std::max<long>(0, options.maxEvaluations);
         SearchOutcome out;
-        // Per-run incremental-evaluation session: each sweep's trials
-        // differ from the incumbent in one coordinate, the delta
-        // path's best case.
-        DeltaSession session;
-        DeltaSession *ds = options.deltaEval ? &session : nullptr;
+        RunContexts contexts(space);
 
         // Seed: the baseline plan — on the warm start's best hardware
         // point when the caller provided one, otherwise on every
@@ -209,7 +244,7 @@ class CoordinateDescentSearch : public SearchStrategy
                 seeds.emplace_back(hw, plan);
         }
         trimToBudget(seeds, budget, out.stats);
-        evaluateInto(space, engine, std::move(seeds), out, ds);
+        evaluateInto(space, engine, &contexts, std::move(seeds), out);
 
         size_t hwCur = 0;
         PerfReport best;
@@ -243,7 +278,8 @@ class CoordinateDescentSearch : public SearchStrategy
                 }
                 trimToBudget(trials, budget, out.stats);
                 size_t first = out.evaluated.size();
-                evaluateInto(space, engine, std::move(trials), out, ds);
+                evaluateInto(space, engine, &contexts, std::move(trials),
+                             out);
                 for (size_t i = first; i < out.evaluated.size(); ++i) {
                     const SearchCandidate &c = out.evaluated[i];
                     if (c.report.valid &&
@@ -264,7 +300,8 @@ class CoordinateDescentSearch : public SearchStrategy
             }
             trimToBudget(hwTrials, budget, out.stats);
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, std::move(hwTrials), out, ds);
+            evaluateInto(space, engine, &contexts, std::move(hwTrials),
+                         out);
             for (size_t i = first; i < out.evaluated.size(); ++i) {
                 const SearchCandidate &c = out.evaluated[i];
                 if (c.report.valid &&
@@ -294,11 +331,7 @@ class SimulatedAnnealingSearch : public SearchStrategy
         const long budget = effectiveBudget(space, options);
         std::mt19937_64 rng(options.seed);
         SearchOutcome out;
-        // Per-run incremental-evaluation session: the random walk's
-        // single-point proposals mutate one coordinate at a time, so
-        // nearly every evaluation takes the splice path.
-        DeltaSession session;
-        DeltaSession *ds = options.deltaEval ? &session : nullptr;
+        RunContexts contexts(space);
 
         // Seed on the most promising hardware point: the warm start's
         // best when the caller provided one (ParetoEngine passes its
@@ -327,7 +360,7 @@ class SimulatedAnnealingSearch : public SearchStrategy
             }
         }
         trimToBudget(seeds, budget, out.stats);
-        evaluateInto(space, engine, std::move(seeds), out, ds);
+        evaluateInto(space, engine, &contexts, std::move(seeds), out);
 
         size_t hwCur = hwBest;
         ParallelPlan planCur = seedPlan(space);
@@ -398,7 +431,8 @@ class SimulatedAnnealingSearch : public SearchStrategy
                 continue; // Already visited; propose something new.
 
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, {{hwNext, planNext}}, out, ds);
+            evaluateInto(space, engine, &contexts, {{hwNext, planNext}},
+                         out);
             const PerfReport &next = out.evaluated[first].report;
             temperature *= options.coolingRate;
             if (!next.valid)
@@ -436,11 +470,7 @@ class GeneticSearch : public SearchStrategy
         const long budget = effectiveBudget(space, options);
         std::mt19937_64 rng(options.seed);
         SearchOutcome out;
-        // Per-run incremental-evaluation session: generations are
-        // small batches of near-duplicate genomes, well inside the
-        // splice path's sweet spot.
-        DeltaSession session;
-        DeltaSession *ds = options.deltaEval ? &session : nullptr;
+        RunContexts contexts(space);
 
         // Genome: hardware index + one candidate index per class.
         struct Individual
@@ -501,7 +531,7 @@ class GeneticSearch : public SearchStrategy
             trimToBudget(sweep, budget, out.stats);
             size_t swept = sweep.size();
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, std::move(sweep), out, ds);
+            evaluateInto(space, engine, &contexts, std::move(sweep), out);
             double bestFit = -1.0;
             for (size_t i = first; i < first + swept; ++i) {
                 double fit = fitnessOf(out.evaluated[i].report);
@@ -544,7 +574,7 @@ class GeneticSearch : public SearchStrategy
             for (const Individual &ind : fresh)
                 points.emplace_back(ind.hw, toPlan(ind));
             size_t first = out.evaluated.size();
-            evaluateInto(space, engine, std::move(points), out, ds);
+            evaluateInto(space, engine, &contexts, std::move(points), out);
             for (size_t i = 0; i < fresh.size(); ++i) {
                 fresh[i].fitness =
                     fitnessOf(out.evaluated[first + i].report);

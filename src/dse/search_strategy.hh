@@ -62,18 +62,6 @@ struct SearchOptions
      */
     long maxEvaluations = 0;
 
-    /**
-     * Evaluate the guided searches (coordinate descent, annealing,
-     * genetic) through a per-run DeltaSession: their mutate-and-retry
-     * loops re-evaluate near-identical plans, which the incremental
-     * splice path serves several times faster than full stream builds
-     * (bit-identical reports — the outcome does not change, only its
-     * cost; EvalStats::deltaEvals records how often the fast path
-     * ran). Exhaustive ignores this: its one wide batch belongs on
-     * the engine pool.
-     */
-    bool deltaEval = true;
-
     /** @name Simulated annealing */
     /// @{
     /** Initial temperature as a fraction of current throughput. */

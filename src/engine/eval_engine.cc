@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <tuple>
 #include <unordered_map>
@@ -220,35 +219,8 @@ keySuffix(const ModelDesc &desc, const ParallelPlan &plan)
 
 } // namespace
 
-/**
- * One persistent (context, splice buffers) pair per (model, desc,
- * task) triple, keyed by pointer identity like engine batch grouping.
- * std::map keeps slot addresses stable across inserts — evaluateAll
- * holds DeltaState pointers while later requests may add slots.
- */
-struct DeltaSession::Impl
-{
-    struct Slot
-    {
-        std::shared_ptr<EvalContext> ctx;
-        EvalContext::DeltaState state;
-    };
-    std::map<std::tuple<const void *, const void *, const void *>, Slot>
-        slots;
-};
-
-DeltaSession::DeltaSession() : impl_(std::make_unique<Impl>()) {}
-
-DeltaSession::~DeltaSession() = default;
-
-size_t
-DeltaSession::slots() const
-{
-    return impl_->slots.size();
-}
-
 EvalEngine::EvalEngine(EvalEngineOptions options)
-    : options_(options)
+    : options_(options), cache_(options.cacheCapacity)
 {
     if (options_.jobs < 0)
         fatal("EvalEngine: jobs must be >= 0");
@@ -279,38 +251,25 @@ std::shared_ptr<const PerfReport>
 EvalEngine::cacheGet(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    auto it = cache_.find(key);
-    if (it == cache_.end())
-        return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    return it->second.report;
+    const std::shared_ptr<const PerfReport> *hit = cache_.get(key);
+    return hit ? *hit : nullptr;
 }
 
 void
 EvalEngine::cachePut(const std::string &key, PerfReport report)
 {
-    // Cached copies drop the scheduled Timeline (the one
-    // heavyweight report member — ~100 KB for a GPT-3 plan); see the
-    // class comment. Consumers that need timelines (trace export)
-    // evaluate through PerfModel directly.
+    // Only models that opt into timelines carry one; the cache never
+    // stores it (~100 KB for a GPT-3 plan). See the class comment.
     report.timeline = Timeline{};
     auto stored = std::make_shared<const PerfReport>(std::move(report));
 
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-        // Another thread raced us to the same point; keep theirs (the
-        // reports are identical by construction).
+    // Another thread raced us to the same point: keep theirs (the
+    // reports are identical by construction).
+    if (cache_.peek(key))
         return;
-    }
-    lru_.push_front(key);
-    cache_.emplace(key, CacheEntry{std::move(stored), lru_.begin()});
+    evictions_ += static_cast<long>(cache_.put(key, std::move(stored)));
     ++insertions_;
-    while (cache_.size() > options_.cacheCapacity) {
-        cache_.erase(lru_.back());
-        lru_.pop_back();
-        ++evictions_;
-    }
 }
 
 bool
@@ -331,7 +290,7 @@ bool
 EvalEngine::isCached(const std::string &key) const
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_.find(key) != cache_.end();
+    return cache_.peek(key) != nullptr;
 }
 
 size_t
@@ -350,7 +309,6 @@ EvalEngine::clearCache()
     // survives an explicit clear.
     evictions_ += static_cast<long>(cache_.size());
     cache_.clear();
-    lru_.clear();
 }
 
 EngineCounters
@@ -371,7 +329,7 @@ EvalEngine::counters() const
 
 std::vector<PerfReport>
 EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
-                        EvalStats *stats, DeltaSession *session)
+                        EvalStats *stats)
 {
     auto t0 = std::chrono::steady_clock::now();
     EvalStats local;
@@ -389,7 +347,8 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         const TaskSpec *task;
         std::string prefix;               ///< Built on first key need.
         bool prefixBuilt = false;
-        std::shared_ptr<EvalContext> ctx; ///< Built on first evaluation.
+        const EvalContext *ctx = nullptr; ///< Set on first evaluation.
+        std::unique_ptr<EvalContext> owned; ///< ctx when engine-built.
     };
     struct TripleHash
     {
@@ -419,7 +378,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         auto [it, inserted] = groupIndex.emplace(key, groups.size());
         if (inserted)
             groups.push_back(Group{req.model, req.desc, req.task, {},
-                                   false, nullptr});
+                                   false, nullptr, nullptr});
         return groups[it->second];
     };
 
@@ -431,10 +390,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         size_t firstIdx;          ///< Owns the evaluation.
         std::vector<size_t> dups; ///< Served from firstIdx's report.
         std::string key;
-        std::shared_ptr<EvalContext> ctx; ///< The group's context.
-        /// Session splice buffers (null without a session); non-null
-        /// routes the evaluation through EvalContext::evaluateDelta.
-        EvalContext::DeltaState *delta = nullptr;
+        const EvalContext *ctx; ///< The group's context.
     };
     std::vector<Pending> pending;
     std::unordered_map<std::string, size_t> keyToPending;
@@ -444,6 +400,11 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         const PlanRequest &req = requests[i];
         if (!req.model || !req.desc || !req.task)
             fatal("EvalEngine: PlanRequest with null model/desc/task");
+        if (req.context && (&req.context->model() != req.model ||
+                            &req.context->desc() != req.desc ||
+                            &req.context->task() != req.task))
+            fatal("EvalEngine: PlanRequest context was built for another "
+                  "model/desc/task");
         Group &group = groupOf(req);
         if (options_.memoize) {
             if (!group.prefixBuilt) {
@@ -469,8 +430,6 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         // context construction evaluate the request's own input, so a
         // throw (or an injected fault) fails this slot only instead of
         // propagating out of the batch.
-        EvalContext::DeltaState *delta = nullptr;
-        std::shared_ptr<EvalContext> ctx;
         try {
             if (options_.pruneInfeasible &&
                 !req.model->options().ignoreMemory) {
@@ -489,26 +448,13 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
                 // footprint is recomputed there; MemoryModel is a
                 // per-layer sum, noise next to stream building.)
             }
-            if (session) {
-                // The session owns the context and its splice buffers:
-                // reusing the slot across evaluateAll calls is what
-                // keeps the delta path incremental over a whole search
-                // run.
-                auto &slot = session->impl_->slots[std::make_tuple(
-                    static_cast<const void *>(req.model),
-                    static_cast<const void *>(req.desc),
-                    static_cast<const void *>(req.task))];
-                if (!slot.ctx) {
-                    slot.ctx = std::make_shared<EvalContext>(
-                        *req.model, *req.desc, *req.task);
-                }
-                group.ctx = slot.ctx;
-                delta = &slot.state;
+            if (!group.ctx && req.context) {
+                group.ctx = req.context;
             } else if (!group.ctx) {
-                group.ctx = std::make_shared<EvalContext>(
+                group.owned = std::make_unique<EvalContext>(
                     *req.model, *req.desc, *req.task);
+                group.ctx = group.owned.get();
             }
-            ctx = group.ctx;
         } catch (...) {
             ++local.evaluations;
             ++local.failed;
@@ -518,21 +464,15 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         ++local.evaluations;
         if (options_.memoize)
             keyToPending.emplace(keys[i], pending.size());
-        pending.push_back(Pending{i, {}, keys[i], std::move(ctx), delta});
+        pending.push_back(Pending{i, {}, keys[i], group.ctx});
     }
 
     auto evaluateAt = [&](size_t p) {
         const PlanRequest &req = requests[pending[p].firstIdx];
         try {
             faultPointThrow("engine.eval");
-            if (pending[p].delta) {
-                results[pending[p].firstIdx] =
-                    pending[p].ctx->evaluateDelta(*pending[p].delta,
-                                                  req.plan);
-            } else {
-                results[pending[p].firstIdx] =
-                    pending[p].ctx->evaluate(req.plan);
-            }
+            results[pending[p].firstIdx] =
+                pending[p].ctx->evaluate(req.plan);
         } catch (...) {
             // One throwing evaluation (bad_alloc, a model bug, an
             // injected fault) fails its own slot only — the rest of
@@ -540,53 +480,29 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
             // its other riders.
             results[pending[p].firstIdx] =
                 failureFromCurrentException(req);
-            if (pending[p].delta) {
-                // A throw mid-splice leaves the DeltaState's buffers
-                // unspecified; unbind so the next evaluation through
-                // this slot rebinds and takes the full-build path.
-                pending[p].delta->context = nullptr;
-                pending[p].delta->hasPlan = false;
-                pending[p].delta->lastUsedDelta = false;
-            }
         }
     };
-    if (!session && pool_ && pending.size() > 1) {
+    if (pool_ && pending.size() > 1) {
         pool_->parallelFor(pending.size(), evaluateAt);
     } else {
-        // Session evaluations mutate their slot's DeltaState, so they
-        // run serially on the caller's thread (see DeltaSession).
-        for (size_t p = 0; p < pending.size(); ++p) {
+        for (size_t p = 0; p < pending.size(); ++p)
             evaluateAt(p);
-            if (pending[p].delta && pending[p].delta->lastUsedDelta)
-                ++local.deltaEvals;
-        }
     }
 
     for (const Pending &p : pending) {
         const bool bad = results[p.firstIdx].failed();
         if (bad)
             ++local.failed;
-        if (options_.memoize && !bad) {
-            // The cache stores reports timeline-stripped; park the
-            // (potentially ~100 KB) timeline in a local so the copy
-            // passed to cachePut never duplicates it. Failed reports
-            // are never cached: the failure may be transient and must
-            // not poison the memo for the plan's lifetime.
-            Timeline parked;
-            std::swap(results[p.firstIdx].timeline, parked);
+        // Failed reports are never cached: the failure may be
+        // transient and must not poison the memo for the plan's
+        // lifetime.
+        if (options_.memoize && !bad)
             cachePut(p.key, results[p.firstIdx]);
-            std::swap(results[p.firstIdx].timeline, parked);
-        }
         for (size_t dup : p.dups) {
             results[dup] = results[p.firstIdx];
             results[dup].plan = requests[dup].plan;
         }
     }
-    // Failed attempts count as full evals: deltaEvals + fullEvals ==
-    // evaluations stays invariant (failed is a subset, not a third
-    // bucket).
-    local.fullEvals = local.evaluations - local.deltaEvals;
-
     local.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -612,15 +528,8 @@ toJson(const EvalStats &stats)
     out.set("cache_hits", stats.cacheHits);
     out.set("pruned", stats.pruned);
     out.set("wall_seconds", stats.wallSeconds);
-    // Only sessions produce a nonzero delta split; keep the historical
-    // four-field schema byte-identical for everything else (goldens
-    // embed it).
-    if (stats.deltaEvals != 0) {
-        out.set("delta_evals", stats.deltaEvals);
-        out.set("full_evals", stats.fullEvals);
-    }
-    // Same pattern for failures: only chaos makes this nonzero, and
-    // healthy consumers keep the historical schema.
+    // Only chaos makes this nonzero; healthy consumers keep the
+    // four-field schema (goldens embed it).
     if (stats.failed != 0)
         out.set("failed", stats.failed);
     return out;

@@ -27,19 +27,19 @@
 #ifndef MADMAX_ENGINE_EVAL_ENGINE_HH
 #define MADMAX_ENGINE_EVAL_ENGINE_HH
 
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "config/json.hh"
 #include "core/perf_model.hh"
+#include "util/lru_cache.hh"
 
 namespace madmax
 {
 
+class EvalContext;
 class ThreadPool;
 
 /**
@@ -55,19 +55,6 @@ struct EvalStats
     long cacheHits = 0;   ///< Requests served from the memo cache.
     long pruned = 0;      ///< OOM plans resolved by the memory pre-pass.
     double wallSeconds = 0.0; ///< Wall-clock time inside the engine.
-
-    /**
-     * Split of `evaluations` by evaluation path:
-     * deltaEvals + fullEvals == evaluations, always. deltaEvals counts
-     * evaluations that took the incremental splice path of a
-     * DeltaSession (EvalContext::evaluateDelta with a prior plan to
-     * reuse); fullEvals counts complete stream builds — including a
-     * session's first evaluation per context and every fall-back
-     * (keepTimeline, context switch, OOM verdict). Both stay 0 /
-     * equal to `evaluations` respectively when no session is passed.
-     */
-    long deltaEvals = 0;
-    long fullEvals = 0;
 
     /**
      * Evaluations that threw instead of completing (per-request
@@ -86,8 +73,6 @@ struct EvalStats
         cacheHits += o.cacheHits;
         pruned += o.pruned;
         wallSeconds += o.wallSeconds;
-        deltaEvals += o.deltaEvals;
-        fullEvals += o.fullEvals;
         failed += o.failed;
         return *this;
     }
@@ -96,52 +81,9 @@ struct EvalStats
 /**
  * Search-cost JSON rendering shared by the CLI's `"search"` object
  * and the serving API (`/v1/explore`, `/v1/stats`), keeping their
- * schemas in lockstep. The delta split (`delta_evals` / `full_evals`)
- * is emitted only when incremental evaluation actually happened
- * (deltaEvals != 0), so consumers of the historical four-field schema
- * see it unchanged.
+ * schemas in lockstep.
  */
 JsonValue toJson(const EvalStats &stats);
-
-/**
- * Caller-owned incremental-evaluation session. Pass one to
- * evaluateAll and the engine evaluates through
- * EvalContext::evaluateDelta instead of EvalContext::evaluate: the
- * session keeps one (context, DeltaState) slot per (model, desc,
- * task) triple it has seen, so across calls — a guided search's
- * mutation loop — context construction is paid once per triple and
- * every subsequent plan splices its event graph from cached segment
- * templates (reports stay bit-identical; see
- * EvalContext::evaluateDelta).
- *
- * Trade-off: a DeltaState is inherently sequential, so session
- * evaluations run serially on the caller's thread instead of the
- * engine pool. That is the right trade for incremental single-point /
- * small-batch loops (annealing proposals, genetic generations);
- * wide independent batches (exhaustive sweeps) should keep passing no
- * session and ride the pool.
- *
- * Not thread-safe: use from one thread at a time. The referenced
- * model/desc/task objects must outlive the session (slots are keyed
- * and bound by pointer identity, like engine batch grouping).
- */
-class DeltaSession
-{
-  public:
-    DeltaSession();
-    ~DeltaSession();
-
-    DeltaSession(const DeltaSession &) = delete;
-    DeltaSession &operator=(const DeltaSession &) = delete;
-
-    /** Distinct (model, desc, task) triples bound so far. */
-    size_t slots() const;
-
-  private:
-    friend class EvalEngine;
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
 
 /**
  * Cumulative engine-lifetime observability counters, the backing data
@@ -178,6 +120,16 @@ struct PlanRequest
     const ModelDesc *desc = nullptr;
     const TaskSpec *task = nullptr;
     ParallelPlan plan;
+
+    /**
+     * Optional context built from exactly this request's model, desc,
+     * and task (the same objects; must outlive the call). Callers that
+     * submit many small batches against one triple — the guided
+     * searches — keep one alive across calls, so strategy tables and
+     * segment arenas are built once instead of per batch. Null: the
+     * engine builds one per (model, desc, task) group of the batch.
+     */
+    const EvalContext *context = nullptr;
 };
 
 /** Engine construction knobs. */
@@ -226,17 +178,12 @@ class EvalEngine
      * reports are bitwise-identical to a serial run. @p stats, when
      * given, is overwritten with this call's counters.
      *
-     * Memory note: cached copies are stored *without* their scheduled
-     * Timeline, so a request served from the cache (a later call, or
-     * a duplicate of an earlier call's point) carries an empty
-     * timeline even when the model keeps them. Callers that consume
-     * timelines (trace export, stream plots) evaluate through
+     * Memory note: for models that retain timelines
+     * (PerfModelOptions::keepTimeline), cached copies are stored
+     * *without* the scheduled Timeline, so a request served from the
+     * cache by a later call carries an empty timeline. Callers that
+     * consume timelines (trace export, stream plots) evaluate through
      * PerfModel directly.
-     *
-     * @p session, when given, switches fresh evaluations to the
-     * incremental delta path (serial, session-resident contexts — see
-     * DeltaSession); results are bit-identical either way, and
-     * EvalStats::deltaEvals / fullEvals record the split.
      *
      * Exception isolation: a throwing evaluation (ConfigError,
      * std::bad_alloc, a model bug) fails only its own request — the
@@ -248,8 +195,7 @@ class EvalEngine
      */
     std::vector<PerfReport>
     evaluateAll(const std::vector<PlanRequest> &requests,
-                EvalStats *stats = nullptr,
-                DeltaSession *session = nullptr);
+                EvalStats *stats = nullptr);
 
     /** Single-point convenience wrapper over evaluateAll. @p stats,
      *  when given, is *accumulated* into (callers tally loops). */
@@ -293,12 +239,6 @@ class EvalEngine
     EngineCounters counters() const;
 
   private:
-    struct CacheEntry
-    {
-        std::shared_ptr<const PerfReport> report;
-        std::list<std::string>::iterator lruIt;
-    };
-
     std::shared_ptr<const PerfReport> cacheGet(const std::string &key);
 
     /** Stores a copy of @p report with its Timeline stripped. */
@@ -308,8 +248,7 @@ class EvalEngine
     std::unique_ptr<ThreadPool> pool_; ///< Null when jobs == 1.
 
     mutable std::mutex cacheMutex_;
-    std::unordered_map<std::string, CacheEntry> cache_;
-    std::list<std::string> lru_; ///< Front = most recently used.
+    LruCache<std::string, std::shared_ptr<const PerfReport>> cache_;
 
     /// Lifetime accounting (guarded by cacheMutex_): every
     /// evaluateAll's EvalStats folded together, plus total cache

@@ -27,17 +27,14 @@ FleetSimulator::run(EvalEngine *engine) const
         engine = owned.get();
     }
 
-    // One cluster-bound model per job (timelines are not needed for
-    // the aggregate views), evaluated as a single engine batch.
+    // One cluster-bound model per job, evaluated as a single engine
+    // batch.
     std::vector<PerfModel> models;
     models.reserve(jobs_.size());
     std::vector<PlanRequest> requests;
     requests.reserve(jobs_.size());
-    for (const FleetJob &job : jobs_) {
-        PerfModelOptions opts;
-        opts.keepTimeline = false;
-        models.emplace_back(job.cluster, opts);
-    }
+    for (const FleetJob &job : jobs_)
+        models.emplace_back(job.cluster);
     for (size_t i = 0; i < jobs_.size(); ++i) {
         PlanRequest req;
         req.model = &models[i];

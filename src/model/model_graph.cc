@@ -1,5 +1,7 @@
 #include "model/model_graph.hh"
 
+#include <utility>
+
 #include "util/logging.hh"
 #include "util/strfmt.hh"
 
@@ -7,6 +9,7 @@ namespace madmax
 {
 
 ModelGraph::ModelGraph(const ModelGraph &other)
+    : classMask_(other.classMask_)
 {
     nodes_.reserve(other.nodes_.size());
     for (const Node &n : other.nodes_)
@@ -22,6 +25,22 @@ ModelGraph::operator=(const ModelGraph &other)
     nodes_.reserve(other.nodes_.size());
     for (const Node &n : other.nodes_)
         nodes_.push_back(Node{n.layer->clone(), n.deps});
+    classMask_ = other.classMask_;
+    return *this;
+}
+
+ModelGraph::ModelGraph(ModelGraph &&other) noexcept
+    : nodes_(std::move(other.nodes_)),
+      classMask_(std::exchange(other.classMask_, 0))
+{}
+
+ModelGraph &
+ModelGraph::operator=(ModelGraph &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    nodes_ = std::move(other.nodes_);
+    classMask_ = std::exchange(other.classMask_, 0);
     return *this;
 }
 
@@ -37,6 +56,7 @@ ModelGraph::addLayer(std::unique_ptr<Layer> layer, std::vector<int> deps)
                          layer->name().c_str(), d, idx));
         }
     }
+    classMask_ |= classBit(layer->layerClass());
     nodes_.push_back(Node{std::move(layer), std::move(deps)});
     return idx;
 }
@@ -55,21 +75,6 @@ ModelGraph::deps(int idx) const
     if (idx < 0 || idx >= numLayers())
         panic(strfmt("ModelGraph::deps: index %d out of range", idx));
     return nodes_[static_cast<size_t>(idx)].deps;
-}
-
-std::vector<int>
-ModelGraph::consumers(int idx) const
-{
-    std::vector<int> out;
-    for (int i = idx + 1; i < numLayers(); ++i) {
-        for (int d : nodes_[static_cast<size_t>(i)].deps) {
-            if (d == idx) {
-                out.push_back(i);
-                break;
-            }
-        }
-    }
-    return out;
 }
 
 ModelTotals
@@ -95,12 +100,6 @@ ModelGraph::layersOfClass(LayerClass cls) const
             out.push_back(i);
     }
     return out;
-}
-
-bool
-ModelGraph::hasClass(LayerClass cls) const
-{
-    return !layersOfClass(cls).empty();
 }
 
 } // namespace madmax

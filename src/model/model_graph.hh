@@ -11,6 +11,7 @@
 #ifndef MADMAX_MODEL_MODEL_GRAPH_HH
 #define MADMAX_MODEL_MODEL_GRAPH_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -41,8 +42,8 @@ class ModelGraph
     // Graphs own their layers; deep-copy on copy.
     ModelGraph(const ModelGraph &other);
     ModelGraph &operator=(const ModelGraph &other);
-    ModelGraph(ModelGraph &&) noexcept = default;
-    ModelGraph &operator=(ModelGraph &&) noexcept = default;
+    ModelGraph(ModelGraph &&other) noexcept;
+    ModelGraph &operator=(ModelGraph &&other) noexcept;
 
     /**
      * Append a layer.
@@ -62,17 +63,18 @@ class ModelGraph
     const Layer &layer(int idx) const;
     const std::vector<int> &deps(int idx) const;
 
-    /** Indices of layers consuming layer @p idx's output. */
-    std::vector<int> consumers(int idx) const;
-
     /** Sum up model-level characteristics across all layers. */
     ModelTotals totals() const;
 
     /** All layers of a given strategy class. */
     std::vector<int> layersOfClass(LayerClass cls) const;
 
-    /** True if any layer belongs to @p cls. */
-    bool hasClass(LayerClass cls) const;
+    /** True if any layer belongs to @p cls. O(1): canonical keys and
+     *  the memory model ask this for every plan of a sweep. */
+    bool hasClass(LayerClass cls) const
+    {
+        return (classMask_ & classBit(cls)) != 0;
+    }
 
   private:
     struct Node
@@ -81,7 +83,13 @@ class ModelGraph
         std::vector<int> deps;
     };
 
+    static uint32_t classBit(LayerClass cls)
+    {
+        return 1u << static_cast<unsigned>(cls);
+    }
+
     std::vector<Node> nodes_;
+    uint32_t classMask_ = 0; ///< classBit() of every present class.
 };
 
 } // namespace madmax

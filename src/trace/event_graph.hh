@@ -20,7 +20,7 @@
  * Input contract (same as the TraceEvent form): nodes are in issue
  * order per stream and every dependency index is smaller than the
  * depending node's index — guaranteed by construction in
- * StreamBuilder.
+ * spliceSegmentRuns.
  */
 
 #ifndef MADMAX_TRACE_EVENT_GRAPH_HH

@@ -1,11 +1,9 @@
 /**
  * @file
  * Small header-only LRU map, the bookkeeping half of the serving
- * layer's parsed-config caches (EvalEngine has its own inlined copy
- * of this structure predating it — the memo cache's entry type and
- * locking are entangled with evaluation accounting, so it stays
- * as-is). Not thread-safe; callers hold their own mutex, which they
- * need anyway to make lookup-then-insert atomic.
+ * layer's parsed-config caches and the EvalEngine memo. Not
+ * thread-safe; callers hold their own mutex, which they need anyway
+ * to make lookup-then-insert atomic.
  */
 
 #ifndef MADMAX_UTIL_LRU_CACHE_HH
@@ -62,6 +60,13 @@ template <typename Key, typename Value> class LruCache
             ++evicted;
         }
         return evicted;
+    }
+
+    /** Drop every entry. */
+    void clear()
+    {
+        map_.clear();
+        order_.clear();
     }
 
     size_t size() const { return map_.size(); }

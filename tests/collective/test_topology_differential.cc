@@ -5,9 +5,9 @@
  * (kind, scope, bytes) must price bitwise identically to the flat
  * CollectiveModel — across the hardware zoo, fixed corner sizes, and
  * seeded randomized log-uniform sweeps — and whole evaluation
- * pipelines (explore sweeps, delta re-evaluation) must produce
- * bit-identical PerfReports when a flat-equivalent topology is
- * attached to the cluster.
+ * pipelines (explore sweeps, spliced evaluation against the reference
+ * builder) must produce bit-identical PerfReports when a
+ * flat-equivalent topology is attached to the cluster.
  *
  * Also holds the topology golden: a GPT-3 explore sweep on the
  * dc-pod-fleet preset, snapshotted in tests/golden/ and covered by
@@ -30,6 +30,7 @@
 #include "hw/hw_zoo.hh"
 #include "hw/topology.hh"
 #include "model/model_zoo.hh"
+#include "reference/reference_builder.hh"
 #include "util/logging.hh"
 #include "util/strfmt.hh"
 
@@ -188,8 +189,10 @@ TEST(TopologyDifferential, ExploreSweepBitIdenticalToFlat)
     ClusterSpec topo_cluster = hw_zoo::withTopology(
         flat_cluster, TopologySpec::flatEquivalent(flat_cluster));
 
-    PerfModel flat_model(flat_cluster);
-    PerfModel topo_model(topo_cluster);
+    PerfModelOptions keep;
+    keep.keepTimeline = true; // Compare the schedules too.
+    PerfModel flat_model(flat_cluster, keep);
+    PerfModel topo_model(topo_cluster, keep);
     Exploration flat_ex =
         StrategyExplorer(flat_model).explore(desc, task, opts);
     Exploration topo_ex =
@@ -205,23 +208,22 @@ TEST(TopologyDifferential, ExploreSweepBitIdenticalToFlat)
     }
 }
 
-// The delta-evaluation path prices through the same identity-keyed
-// memo: full and incremental evaluation stay bit-identical on a
-// topology-carrying cluster.
+// Spliced evaluation prices through the context's identity-keyed
+// memo and stays bit-identical to the reference builder, which prices
+// every op afresh, on a topology-carrying cluster.
 TEST(TopologyDifferential, DeltaEvalBitIdenticalOnTopologyCluster)
 {
     ClusterSpec cluster = hw_zoo::withTopology(
         hw_zoo::dlrmTrainingSystem(),
         hw_zoo::dcRailTopology(hw_zoo::dlrmTrainingSystem()));
     PerfModelOptions opts;
-    opts.keepTimeline = false; // Delta path requirement.
+    opts.keepTimeline = true;
     PerfModel model(cluster, opts);
     ModelDesc desc = model_zoo::dlrmA();
     TaskSpec task = TaskSpec::preTraining();
     EvalContext ctx(model, desc, task);
     EXPECT_EQ(ctx.collectives().name(), "topology");
 
-    EvalContext::DeltaState state;
     std::vector<ParallelPlan> plans;
     {
         ParallelPlan p;
@@ -237,9 +239,10 @@ TEST(TopologyDifferential, DeltaEvalBitIdenticalOnTopologyCluster)
         plans.push_back(ParallelPlan::fsdpBaseline());
     }
     for (size_t i = 0; i < plans.size(); ++i) {
-        PerfReport full = ctx.evaluate(plans[i]);
-        PerfReport delta = ctx.evaluateDelta(state, plans[i]);
-        expectBitIdentical(full, delta, "plan " + std::to_string(i));
+        PerfReport spliced = ctx.evaluate(plans[i]);
+        PerfReport want =
+            reference::evaluate(model, desc, task, plans[i]);
+        expectBitIdentical(spliced, want, "plan " + std::to_string(i));
     }
 }
 

@@ -3,9 +3,9 @@
  * EvalContext tests: the shared hot-path context must be a pure
  * optimization — every report it produces is bit-identical to a
  * fresh PerfModel::evaluate, across context reuse, lazily-built
- * strategy tables, mixed-context engine batches, and both settings
- * of keepTimeline (names are only materialized when timelines are
- * retained).
+ * strategy tables, mixed-context engine batches, caller-held contexts,
+ * and both settings of keepTimeline (names are only materialized when
+ * timelines are retained).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "engine/eval_engine.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
+#include "util/logging.hh"
 
 namespace madmax
 {
@@ -101,10 +102,19 @@ samplePlans()
 
 } // namespace
 
+/** A model that retains timelines, so comparisons cover them too. */
+PerfModel
+timelineModel(const ClusterSpec &cluster)
+{
+    PerfModelOptions opts;
+    opts.keepTimeline = true;
+    return PerfModel(cluster, opts);
+}
+
 TEST(EvalContext, ReusedContextMatchesFreshEvaluateBitwise)
 {
     ModelDesc desc = model_zoo::gpt3();
-    PerfModel perf(hw_zoo::llmTrainingSystem());
+    PerfModel perf = timelineModel(hw_zoo::llmTrainingSystem());
     TaskSpec task = TaskSpec::preTraining();
 
     EvalContext context(perf, desc, task);
@@ -131,7 +141,7 @@ TEST(EvalContext, VerdictMatchesPerfModelVerdict)
 TEST(EvalContext, InferenceContextBuildsForwardOnly)
 {
     ModelDesc desc = model_zoo::gpt3();
-    PerfModel perf(hw_zoo::llmTrainingSystem());
+    PerfModel perf = timelineModel(hw_zoo::llmTrainingSystem());
     TaskSpec task = TaskSpec::inference();
 
     EvalContext context(perf, desc, task);
@@ -142,6 +152,7 @@ TEST(EvalContext, InferenceContextBuildsForwardOnly)
     expectBitIdentical(
         report,
         perf.evaluate(desc, task, ParallelPlan::fsdpBaseline()));
+    ASSERT_FALSE(report.timeline.events.empty());
     for (const ScheduledEvent &se : report.timeline.events) {
         if (se.event.layerIdx >= 0) {
             EXPECT_FALSE(se.event.backward);
@@ -183,7 +194,7 @@ TEST(EvalContext, KeepTimelineControlsNameMaterialization)
     ClusterSpec cluster = hw_zoo::dlrmTrainingSystem();
     TaskSpec task = TaskSpec::preTraining();
 
-    PerfModel keep(cluster);
+    PerfModel keep = timelineModel(cluster);
     EvalContext keepCtx(keep, desc, task);
     PerfReport with = keepCtx.evaluate(ParallelPlan::fsdpBaseline());
     ASSERT_FALSE(with.timeline.events.empty());
@@ -202,9 +213,7 @@ TEST(EvalContext, KeepTimelineControlsNameMaterialization)
     }
     EXPECT_TRUE(saw_backward_label);
 
-    PerfModelOptions opts;
-    opts.keepTimeline = false;
-    PerfModel drop(cluster, opts);
+    PerfModel drop(cluster); // Timelines are off by default.
     EvalContext dropCtx(drop, desc, task);
     PerfReport without = dropCtx.evaluate(ParallelPlan::fsdpBaseline());
     EXPECT_TRUE(without.timeline.events.empty());
@@ -243,6 +252,70 @@ TEST(EvalContext, MixedContextEngineBatchMatchesDirectEvaluation)
         PerfReport direct =
             req.model->evaluate(*req.desc, *req.task, req.plan);
         expectBitIdentical(reports[i], direct);
+    }
+}
+
+TEST(EvalContext, CallerContextServesEngineBatches)
+{
+    ModelDesc desc = model_zoo::dlrmA();
+    PerfModel perf(hw_zoo::dlrmTrainingSystem());
+    TaskSpec task = TaskSpec::preTraining();
+    EvalContext context(perf, desc, task);
+    ASSERT_EQ(context.collectiveTableSize(), 0u);
+
+    std::vector<PlanRequest> requests;
+    for (const ParallelPlan &plan : samplePlans()) {
+        PlanRequest req{&perf, &desc, &task, plan};
+        req.context = &context;
+        requests.push_back(req);
+    }
+    EvalEngineOptions eo;
+    eo.jobs = 4;
+    EvalEngine engine(eo);
+    std::vector<PerfReport> reports = engine.evaluateAll(requests);
+    // The engine priced through the caller's context, not its own.
+    EXPECT_GT(context.collectiveTableSize(), 0u);
+    for (size_t i = 0; i < requests.size(); ++i) {
+        expectBitIdentical(reports[i],
+                           perf.evaluate(desc, task, requests[i].plan));
+    }
+
+    // A context built for another triple is a caller bug.
+    TaskSpec inference = TaskSpec::inference();
+    PlanRequest wrong{&perf, &desc, &inference,
+                      ParallelPlan::fsdpBaseline()};
+    wrong.context = &context;
+    EXPECT_THROW(engine.evaluateAll({wrong}), ConfigError);
+}
+
+TEST(EvalContext, LayerCostsListConsumers)
+{
+    // Every layer's consumers are the later layers listing it as a
+    // dependency, each once, ascending — across the zoo's shapes.
+    for (const ModelDesc &desc :
+         {model_zoo::dlrmA(), model_zoo::dlrmAMoe(), model_zoo::gpt3()}) {
+        PerfModel perf(desc.isRecommendation
+                           ? hw_zoo::dlrmTrainingSystem()
+                           : hw_zoo::llmTrainingSystem());
+        TaskSpec task = TaskSpec::preTraining();
+        EvalContext context(perf, desc, task);
+        const int n = desc.graph.numLayers();
+        for (int i = 0; i < n; ++i) {
+            std::vector<int> want;
+            for (int j = i + 1; j < n; ++j) {
+                for (int d : desc.graph.deps(j)) {
+                    if (d == i) {
+                        want.push_back(j);
+                        break;
+                    }
+                }
+            }
+            const EvalContext::LayerCosts &lc = context.layerCosts(i);
+            EXPECT_EQ(std::vector<int>(lc.consumers,
+                                       lc.consumers + lc.numConsumers),
+                      want)
+                << desc.name << " layer " << i;
+        }
     }
 }
 

@@ -127,7 +127,10 @@ dumpExploration(const ModelDesc &desc, const TaskSpec &task,
     EvalEngineOptions eo;
     eo.jobs = jobs;
     EvalEngine engine(eo);
-    PerfModel perf(cluster);
+    // Timelines are opt-in; the goldens digest them, so opt in.
+    PerfModelOptions po;
+    po.keepTimeline = true;
+    PerfModel perf(cluster, po);
     StrategyExplorer explorer(perf, &engine);
     Exploration ex = explorer.explore(desc, task, opts);
 

@@ -1,6 +1,13 @@
+/**
+ * @file
+ * OverlapSimulator semantics on hand-built event lists, scheduled
+ * through the reference front end (tests/reference), which validates
+ * arbitrary ids before handing the flat graph to the simulator.
+ */
+
 #include <gtest/gtest.h>
 
-#include "core/overlap_simulator.hh"
+#include "reference/reference_builder.hh"
 #include "util/logging.hh"
 
 namespace madmax
@@ -30,9 +37,8 @@ constexpr StreamKind N = StreamKind::Communication;
 
 TEST(OverlapSimulator, SequentialComputeChain)
 {
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({ev(0, C, 1.0), ev(1, C, 2.0, {0}),
-                                ev(2, C, 3.0, {1})});
+    Timeline tl = reference::schedule(
+        {ev(0, C, 1.0), ev(1, C, 2.0, {0}), ev(2, C, 3.0, {1})});
     EXPECT_DOUBLE_EQ(tl.makespan, 6.0);
     EXPECT_DOUBLE_EQ(tl.computeBusy, 6.0);
     EXPECT_DOUBLE_EQ(tl.commBusy, 0.0);
@@ -43,16 +49,14 @@ TEST(OverlapSimulator, StreamOrderSerializesWithoutDeps)
 {
     // Two independent compute events still execute in issue order on
     // the single compute stream.
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({ev(0, C, 1.0), ev(1, C, 1.0)});
+    Timeline tl = reference::schedule({ev(0, C, 1.0), ev(1, C, 1.0)});
     EXPECT_DOUBLE_EQ(tl.makespan, 2.0);
     EXPECT_DOUBLE_EQ(tl.events[1].start, 1.0);
 }
 
 TEST(OverlapSimulator, IndependentCommOverlapsCompute)
 {
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({ev(0, C, 4.0), ev(1, N, 3.0)});
+    Timeline tl = reference::schedule({ev(0, C, 4.0), ev(1, N, 3.0)});
     EXPECT_DOUBLE_EQ(tl.makespan, 4.0);
     EXPECT_DOUBLE_EQ(tl.commBusy, 3.0);
     // Fully hidden behind the concurrent compute.
@@ -63,8 +67,7 @@ TEST(OverlapSimulator, IndependentCommOverlapsCompute)
 TEST(OverlapSimulator, BlockingCommGatesDependentCompute)
 {
     // EMB -> A2A -> MLP: the Fig. 6 exposed-communication pattern.
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({
+    Timeline tl = reference::schedule({
         ev(0, C, 2.0),           // EMB lookup.
         ev(1, N, 3.0, {0}),      // Blocking A2A.
         ev(2, C, 1.0, {1}),      // MLP needs the A2A result.
@@ -77,8 +80,7 @@ TEST(OverlapSimulator, BlockingCommGatesDependentCompute)
 
 TEST(OverlapSimulator, PartialOverlapAccounting)
 {
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({
+    Timeline tl = reference::schedule({
         ev(0, C, 2.0),
         ev(1, N, 4.0, {0}),      // Starts at 2, ends at 6.
         ev(2, C, 2.0, {0}),      // Runs 2..4, overlapping half the comm.
@@ -93,8 +95,7 @@ TEST(OverlapSimulator, NonBlockingCommRidesBackgroundChannel)
 {
     // A long non-blocking gradient AllReduce must not head-of-line
     // block a later blocking collective.
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({
+    Timeline tl = reference::schedule({
         ev(0, C, 1.0),
         ev(1, N, 10.0, {0}, false), // Gradient AR in background.
         ev(2, N, 2.0, {0}, true),   // Blocking A2A issued after it.
@@ -108,8 +109,7 @@ TEST(OverlapSimulator, NonBlockingCommRidesBackgroundChannel)
 
 TEST(OverlapSimulator, BlockingCommQueuesInOrder)
 {
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({
+    Timeline tl = reference::schedule({
         ev(0, N, 2.0),
         ev(1, N, 2.0), // Same stream: starts at 2 even with no dep.
     });
@@ -119,8 +119,7 @@ TEST(OverlapSimulator, BlockingCommQueuesInOrder)
 
 TEST(OverlapSimulator, ZeroDurationBarrier)
 {
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({
+    Timeline tl = reference::schedule({
         ev(0, C, 1.0),
         ev(1, N, 5.0, {}, false),
         ev(2, C, 0.0, {0, 1}), // Barrier waits for the background AR.
@@ -131,21 +130,19 @@ TEST(OverlapSimulator, ZeroDurationBarrier)
 
 TEST(OverlapSimulator, DuplicateIdsPanic)
 {
-    OverlapSimulator sim;
-    EXPECT_THROW(sim.schedule({ev(0, C, 1.0), ev(0, C, 1.0)}),
+    EXPECT_THROW(reference::schedule({ev(0, C, 1.0), ev(0, C, 1.0)}),
                  InternalError);
 }
 
 TEST(OverlapSimulator, ForwardDependencyPanics)
 {
-    OverlapSimulator sim;
-    EXPECT_THROW(sim.schedule({ev(0, C, 1.0, {5})}), InternalError);
+    EXPECT_THROW(reference::schedule({ev(0, C, 1.0, {5})}),
+                 InternalError);
 }
 
 TEST(OverlapSimulator, EmptyScheduleIsEmptyTimeline)
 {
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule({});
+    Timeline tl = reference::schedule({});
     EXPECT_DOUBLE_EQ(tl.makespan, 0.0);
     EXPECT_TRUE(tl.events.empty());
 }
@@ -178,8 +175,7 @@ TEST_P(OverlapInvariants, BoundsHold)
         events.push_back(ev(i, s, dur, std::move(deps), blocking));
     }
 
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule(events);
+    Timeline tl = reference::schedule(events);
     EXPECT_LE(tl.makespan, tl.serialized() + 1e-9);
     EXPECT_GE(tl.makespan, tl.computeBusy - 1e-9);
     EXPECT_GE(tl.exposedComm, -1e-9);

@@ -154,15 +154,17 @@ TEST(PerfModel, DeviceHoursNormalization)
 
 TEST(PerfModel, KeepTimelineToggle)
 {
-    PerfModelOptions no_tl;
-    no_tl.keepTimeline = false;
-    PerfModel slim(hw_zoo::dlrmTrainingSystem(), no_tl);
+    // Timelines are opt-in: the default model keeps none.
+    PerfModel slim(hw_zoo::dlrmTrainingSystem());
+    EXPECT_FALSE(slim.options().keepTimeline);
     PerfReport r = slim.evaluate(model_zoo::dlrmA(),
                                  TaskSpec::preTraining(),
                                  dlrmDeployedPlan());
     EXPECT_TRUE(r.timeline.events.empty());
 
-    PerfModel fat(hw_zoo::dlrmTrainingSystem());
+    PerfModelOptions with_tl;
+    with_tl.keepTimeline = true;
+    PerfModel fat(hw_zoo::dlrmTrainingSystem(), with_tl);
     PerfReport r2 = fat.evaluate(model_zoo::dlrmA(),
                                  TaskSpec::preTraining(),
                                  dlrmDeployedPlan());

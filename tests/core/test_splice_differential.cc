@@ -1,0 +1,481 @@
+/**
+ * @file
+ * Differential pin for the one evaluation path. EvalContext::evaluate
+ * splices every plan's event graph from cached per-strategy segment
+ * arenas into per-thread buffers; these suites compare its reports —
+ * and, with keepTimeline on, its timelines, event for event — bitwise
+ * against the plain layer-by-layer reference builder in
+ * tests/reference.
+ *
+ *  - SpliceDifferential walks the zoo (DLRM-A, DLRM-A-MoE, GPT-3,
+ *    LLM-MoE, ViT) x {pre-training, inference, fine-tuning} x {flat,
+ *    dc-pod-fleet topology} with timelines on;
+ *  - DeltaEval runs long timeline-free walks (the default
+ *    configuration), plus the cases where one thread's buffers move
+ *    between contexts or an OOM verdict interrupts a walk;
+ *  - GuidedPooled checks that guided searches, whose batches ride the
+ *    engine's thread pool, visit and report exactly what a serial
+ *    engine does.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "core/eval_context.hh"
+#include "core/strategy_explorer.hh"
+#include "dse/pareto_engine.hh"
+#include "dse/search_strategy.hh"
+#include "hw/hw_zoo.hh"
+#include "model/model_zoo.hh"
+#include "reference/reference_builder.hh"
+
+namespace madmax
+{
+
+namespace
+{
+
+/**
+ * Exact equality on every PerfReport field, timeline included: each
+ * event's id, name, dependencies, and scheduled interval (plus its
+ * remaining attributes). EXPECT_EQ on double compares representations
+ * exactly — splicing is a pure optimization of the reference build.
+ */
+void
+expectBitIdentical(const PerfReport &a, const PerfReport &b,
+                   const std::string &what)
+{
+    EXPECT_EQ(a.modelName, b.modelName) << what;
+    EXPECT_EQ(a.clusterName, b.clusterName) << what;
+    EXPECT_EQ(a.taskName, b.taskName) << what;
+    EXPECT_EQ(a.plan.toString(), b.plan.toString()) << what;
+    EXPECT_EQ(a.plan.fsdpPrefetch, b.plan.fsdpPrefetch) << what;
+    EXPECT_EQ(a.valid, b.valid) << what;
+    EXPECT_EQ(a.memory.paramBytes, b.memory.paramBytes) << what;
+    EXPECT_EQ(a.memory.gradBytes, b.memory.gradBytes) << what;
+    EXPECT_EQ(a.memory.optimizerBytes, b.memory.optimizerBytes) << what;
+    EXPECT_EQ(a.memory.activationBytes, b.memory.activationBytes)
+        << what;
+    EXPECT_EQ(a.memory.transientBytes, b.memory.transientBytes) << what;
+    EXPECT_EQ(a.memory.usableCapacity, b.memory.usableCapacity) << what;
+    EXPECT_EQ(a.iterationTime, b.iterationTime) << what;
+    EXPECT_EQ(a.serializedTime, b.serializedTime) << what;
+    EXPECT_EQ(a.computeTime, b.computeTime) << what;
+    EXPECT_EQ(a.commTime, b.commTime) << what;
+    EXPECT_EQ(a.exposedCommTime, b.exposedCommTime) << what;
+    EXPECT_EQ(a.globalBatchSize, b.globalBatchSize) << what;
+    EXPECT_EQ(a.contextLength, b.contextLength) << what;
+    EXPECT_EQ(a.serializedBreakdown, b.serializedBreakdown) << what;
+    EXPECT_EQ(a.exposedBreakdown, b.exposedBreakdown) << what;
+
+    const Timeline &ta = a.timeline;
+    const Timeline &tb = b.timeline;
+    ASSERT_EQ(ta.events.size(), tb.events.size()) << what;
+    for (size_t i = 0; i < ta.events.size(); ++i) {
+        const ScheduledEvent &x = ta.events[i];
+        const ScheduledEvent &y = tb.events[i];
+        const std::string at = what + " event " + std::to_string(i);
+        ASSERT_EQ(x.event.id, y.event.id) << at;
+        ASSERT_EQ(x.event.name, y.event.name) << at;
+        ASSERT_EQ(x.event.deps, y.event.deps) << at;
+        ASSERT_EQ(x.start, y.start) << at;
+        ASSERT_EQ(x.finish, y.finish) << at;
+        ASSERT_EQ(x.event.stream, y.event.stream) << at;
+        ASSERT_EQ(x.event.category, y.event.category) << at;
+        ASSERT_EQ(x.event.duration, y.event.duration) << at;
+        ASSERT_EQ(x.event.blocking, y.event.blocking) << at;
+        ASSERT_EQ(x.event.layerIdx, y.event.layerIdx) << at;
+        ASSERT_EQ(x.event.backward, y.event.backward) << at;
+        ASSERT_EQ(x.event.algo, y.event.algo) << at;
+    }
+    EXPECT_EQ(ta.makespan, tb.makespan) << what;
+    EXPECT_EQ(ta.computeBusy, tb.computeBusy) << what;
+    EXPECT_EQ(ta.commBusy, tb.commBusy) << what;
+    EXPECT_EQ(ta.exposedComm, tb.exposedComm) << what;
+}
+
+/** The reference report, with its timeline dropped unless @p model
+ *  retains timelines (the oracle always materializes one). */
+PerfReport
+referenceFor(const PerfModel &model, const ModelDesc &desc,
+             const TaskSpec &task, const ParallelPlan &plan)
+{
+    PerfReport want = reference::evaluate(model, desc, task, plan);
+    if (!model.options().keepTimeline)
+        want.timeline = Timeline{};
+    return want;
+}
+
+/** The layer classes @p desc contains, in enum order. */
+std::vector<LayerClass>
+presentClasses(const ModelDesc &desc)
+{
+    std::vector<LayerClass> out;
+    for (LayerClass cls : {LayerClass::SparseEmbedding,
+                           LayerClass::DenseEmbedding,
+                           LayerClass::BaseDense, LayerClass::Transformer,
+                           LayerClass::MoE}) {
+        if (desc.graph.hasClass(cls))
+            out.push_back(cls);
+    }
+    return out;
+}
+
+/**
+ * Seeded randomized differential walk: start from the FSDP baseline
+ * and mutate one knob per step — one present class's strategy, or the
+ * prefetch flag — comparing the spliced evaluation with the reference
+ * at every step. Infeasible (OOM) candidates are evaluated too: both
+ * must short-circuit identically.
+ */
+void
+runDifferentialWalk(const ModelDesc &desc, const ClusterSpec &cluster,
+                    const TaskSpec &task, uint64_t seed, int steps,
+                    bool keepTimeline)
+{
+    PerfModelOptions opts;
+    opts.keepTimeline = keepTimeline;
+    PerfModel perf(cluster, opts);
+    EvalContext context(perf, desc, task);
+
+    const std::vector<LayerClass> classes = presentClasses(desc);
+    ASSERT_FALSE(classes.empty());
+
+    std::mt19937_64 rng(seed);
+    ParallelPlan plan = ParallelPlan::fsdpBaseline();
+    int scheduled = 0; // Steps that got past the memory verdict.
+    for (int step = 0; step < steps; ++step) {
+        if (rng() % 8 == 0) {
+            plan.fsdpPrefetch = !plan.fsdpPrefetch;
+        } else {
+            const LayerClass cls = classes[rng() % classes.size()];
+            const std::vector<HierStrategy> cands =
+                StrategyExplorer::candidates(cls);
+            ASSERT_FALSE(cands.empty());
+            plan.set(cls, cands[rng() % cands.size()]);
+        }
+
+        const PerfReport got = context.evaluate(plan);
+        scheduled += got.valid ? 1 : 0;
+        expectBitIdentical(got, referenceFor(perf, desc, task, plan),
+                           "step " + std::to_string(step) + " plan " +
+                               plan.toString());
+        if (::testing::Test::HasFailure())
+            break; // One mismatch is enough signal.
+    }
+    // A walk of OOM verdicts alone would compare no schedules.
+    EXPECT_GE(scheduled, steps / 10);
+}
+
+// --- Zoo x task x cluster walks, timelines on -------------------------
+
+struct ZooCase
+{
+    std::string name;
+    ModelDesc (*model)();
+    ClusterSpec (*cluster)();
+};
+
+ModelDesc
+vitG()
+{
+    return model_zoo::vit(model_zoo::VitSize::G, 4096);
+}
+
+const std::vector<ZooCase> &
+zooCases()
+{
+    static const std::vector<ZooCase> cases = {
+        {"DlrmA", model_zoo::dlrmA, hw_zoo::dlrmTrainingSystem},
+        {"DlrmAMoe", model_zoo::dlrmAMoe, hw_zoo::dlrmTrainingSystem},
+        {"Gpt3", model_zoo::gpt3, hw_zoo::llmTrainingSystem},
+        {"LlmMoe", model_zoo::llmMoe, hw_zoo::llmTrainingSystem},
+        {"VitG", vitG, hw_zoo::llmTrainingSystem},
+    };
+    return cases;
+}
+
+struct TaskCase
+{
+    std::string name;
+    TaskSpec task;
+};
+
+const std::vector<TaskCase> &
+taskCases()
+{
+    static const std::vector<TaskCase> cases = {
+        {"PreTraining", TaskSpec::preTraining()},
+        {"Inference", TaskSpec::inference()},
+        {"FineTuning", TaskSpec::fineTuning(FineTuneScope::DenseOnly)},
+    };
+    return cases;
+}
+
+/** (zoo case, task case, with dc-pod-fleet topology). */
+using WalkParam = std::tuple<size_t, size_t, bool>;
+
+class SpliceDifferential : public ::testing::TestWithParam<WalkParam>
+{
+};
+
+TEST_P(SpliceDifferential, WalkMatchesReference)
+{
+    const auto [zoo, task, podFleet] = GetParam();
+    const ZooCase &z = zooCases()[zoo];
+    ClusterSpec cluster = z.cluster();
+    if (podFleet) {
+        cluster = hw_zoo::withTopology(
+            cluster, hw_zoo::dcPodFleetTopology(cluster));
+    }
+    const uint64_t seed = 0x5b11ceull + zoo * 16 + task * 2 +
+                          (podFleet ? 1 : 0);
+    runDifferentialWalk(z.model(), cluster, taskCases()[task].task, seed,
+                        40, /*keepTimeline=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, SpliceDifferential,
+    ::testing::Combine(::testing::Range<size_t>(0, 5),
+                       ::testing::Range<size_t>(0, 3),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<WalkParam> &info) {
+        return zooCases()[std::get<0>(info.param)].name + "_" +
+               taskCases()[std::get<1>(info.param)].name +
+               (std::get<2>(info.param) ? "_PodFleet" : "_Flat");
+    });
+
+} // namespace
+
+// --- Long timeline-free walks (the default configuration) -------------
+
+TEST(DeltaEval, WalkBitwiseIdenticalDlrmAPretrain)
+{
+    runDifferentialWalk(model_zoo::dlrmA(), hw_zoo::dlrmTrainingSystem(),
+                        TaskSpec::preTraining(), 0xd11a, 500, false);
+}
+
+TEST(DeltaEval, WalkBitwiseIdenticalDlrmAInference)
+{
+    runDifferentialWalk(model_zoo::dlrmA(), hw_zoo::dlrmTrainingSystem(),
+                        TaskSpec::inference(), 0xd11b, 500, false);
+}
+
+TEST(DeltaEval, WalkBitwiseIdenticalGpt3Pretrain)
+{
+    runDifferentialWalk(model_zoo::gpt3(), hw_zoo::llmTrainingSystem(),
+                        TaskSpec::preTraining(), 0x69e7, 500, false);
+}
+
+TEST(DeltaEval, WalkBitwiseIdenticalGpt3Inference)
+{
+    runDifferentialWalk(model_zoo::gpt3(), hw_zoo::llmTrainingSystem(),
+                        TaskSpec::inference(), 0x69e8, 500, false);
+}
+
+TEST(DeltaEval, WalkBitwiseIdenticalMoePretrain)
+{
+    runDifferentialWalk(model_zoo::llmMoe(), hw_zoo::llmTrainingSystem(),
+                        TaskSpec::preTraining(), 0x30e1, 500, false);
+}
+
+TEST(DeltaEval, WalkBitwiseIdenticalMoeInference)
+{
+    runDifferentialWalk(model_zoo::llmMoe(), hw_zoo::llmTrainingSystem(),
+                        TaskSpec::inference(), 0x30e2, 500, false);
+}
+
+/**
+ * A task switch (same model, other task — a different event-graph
+ * shape) on one thread: the per-thread splice buffers sized for the
+ * training graph are reused for the forward-only one and back, and
+ * every evaluation stays bitwise equal to the reference.
+ */
+TEST(DeltaEval, TaskSwitchRebindsStateAndStaysBitwise)
+{
+    ModelDesc desc = model_zoo::gpt3();
+    PerfModelOptions opts;
+    opts.keepTimeline = true;
+    PerfModel perf(hw_zoo::llmTrainingSystem(), opts);
+    TaskSpec pretrain = TaskSpec::preTraining();
+    TaskSpec inference = TaskSpec::inference();
+    EvalContext trainCtx(perf, desc, pretrain);
+    EvalContext inferCtx(perf, desc, inference);
+
+    const ParallelPlan plan = ParallelPlan::fsdpBaseline();
+    const PerfReport wantTrain = referenceFor(perf, desc, pretrain, plan);
+    const PerfReport wantInfer = referenceFor(perf, desc, inference, plan);
+    expectBitIdentical(trainCtx.evaluate(plan), wantTrain, "train");
+    expectBitIdentical(inferCtx.evaluate(plan), wantInfer, "infer");
+    expectBitIdentical(trainCtx.evaluate(plan), wantTrain, "train again");
+}
+
+/**
+ * A present-class-set change (another ModelDesc) on one thread: the
+ * buffers carry the previous model's graph, and the first evaluation
+ * under the new model is still bitwise equal to the reference.
+ */
+TEST(DeltaEval, ClassSetChangeRebindsStateAndStaysBitwise)
+{
+    PerfModelOptions opts;
+    opts.keepTimeline = true;
+    PerfModel perf(hw_zoo::dlrmTrainingSystem(), opts);
+    TaskSpec task = TaskSpec::preTraining();
+
+    // DLRM-A has sparse embeddings + dense classes; the transformer
+    // variant adds the Transformer class — a different class set.
+    ModelDesc mlp = model_zoo::dlrmA();
+    ModelDesc trans = model_zoo::dlrmATransformer();
+    EvalContext mlpCtx(perf, mlp, task);
+    EvalContext transCtx(perf, trans, task);
+
+    const ParallelPlan plan = ParallelPlan::fsdpBaseline();
+    expectBitIdentical(mlpCtx.evaluate(plan),
+                       referenceFor(perf, mlp, task, plan), "mlp");
+    expectBitIdentical(transCtx.evaluate(plan),
+                       referenceFor(perf, trans, task, plan),
+                       "class-set change");
+}
+
+/**
+ * OOM verdicts short-circuit to the memory verdict exactly like the
+ * reference, and a feasible plan right after still matches.
+ */
+TEST(DeltaEval, OomShortCircuitMatchesFullAndPreservesState)
+{
+    ModelDesc desc = model_zoo::gpt3();
+    PerfModel perf(hw_zoo::llmTrainingSystem());
+    TaskSpec task = TaskSpec::preTraining();
+    EvalContext context(perf, desc, task);
+
+    // Fully replicated GPT-3 training state cannot fit one device.
+    ParallelPlan oom;
+    oom.set(LayerClass::Transformer, HierStrategy{Strategy::DDP});
+    oom.set(LayerClass::DenseEmbedding, HierStrategy{Strategy::DDP});
+    oom.set(LayerClass::BaseDense, HierStrategy{Strategy::DDP});
+    const ParallelPlan feasible = ParallelPlan::fsdpBaseline();
+
+    context.evaluate(feasible);
+    const PerfReport gotOom = context.evaluate(oom);
+    ASSERT_FALSE(gotOom.valid);
+    expectBitIdentical(gotOom, referenceFor(perf, desc, task, oom),
+                       "OOM short-circuit");
+    expectBitIdentical(context.evaluate(feasible),
+                       referenceFor(perf, desc, task, feasible),
+                       "post-OOM resume");
+}
+
+// --- Guided searches on the engine pool -------------------------------
+
+namespace
+{
+
+/** A two-point joint space over DLRM-A. */
+struct GuidedFixture
+{
+    ModelDesc desc = model_zoo::dlrmA();
+    TaskSpec task = TaskSpec::preTraining();
+    PerfModel small{hw_zoo::dlrmTrainingSystem().withNumNodes(8)};
+    PerfModel large{hw_zoo::dlrmTrainingSystem()};
+    SearchSpace space = makeSearchSpace({&small, &large}, desc, task);
+};
+
+EvalEngineOptions
+pooled()
+{
+    EvalEngineOptions eo;
+    eo.jobs = 4;
+    return eo;
+}
+
+/** Byte-exact fingerprint of one visited candidate. */
+std::string
+candidateKey(size_t hwIndex, const ParallelPlan &plan,
+             const PerfReport &report)
+{
+    std::string key = std::to_string(hwIndex) + '|' + plan.toString() +
+                      (plan.fsdpPrefetch ? "+p" : "-p") + '|';
+    key += std::to_string(report.valid) + '|';
+    // Hex-exact doubles: any drift in the evaluation path shows here.
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a|%a|%a", report.iterationTime,
+                  report.exposedCommTime, report.memory.total());
+    return key + buf;
+}
+
+std::vector<std::string>
+outcomeTrace(const SearchOutcome &outcome)
+{
+    std::vector<std::string> trace;
+    for (const SearchCandidate &c : outcome.evaluated)
+        trace.push_back(candidateKey(c.hwIndex, c.plan, c.report));
+    return trace;
+}
+
+std::vector<std::string>
+paretoTrace(const std::vector<ParetoCandidate> &candidates)
+{
+    std::vector<std::string> trace;
+    for (const ParetoCandidate &c : candidates)
+        trace.push_back(candidateKey(c.hwIndex, c.plan, c.report));
+    return trace;
+}
+
+} // namespace
+
+TEST(GuidedPooled, SearchOutcomesMatchSerial)
+{
+    GuidedFixture cfg;
+    for (const std::string &name :
+         {std::string("coordinate-descent"), std::string("annealing"),
+          std::string("genetic")}) {
+        std::unique_ptr<SearchStrategy> strategy =
+            makeSearchStrategy(name);
+        SearchOptions opts;
+        opts.maxEvaluations = 60;
+
+        EvalEngine serial;
+        EvalEngine pool(pooled());
+        const SearchOutcome a = strategy->run(cfg.space, serial, opts);
+        const SearchOutcome b = strategy->run(cfg.space, pool, opts);
+
+        EXPECT_EQ(outcomeTrace(a), outcomeTrace(b)) << name;
+        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations) << name;
+        EXPECT_EQ(a.stats.cacheHits, b.stats.cacheHits) << name;
+        EXPECT_EQ(a.stats.pruned, b.stats.pruned) << name;
+    }
+}
+
+TEST(GuidedPooled, ParetoFrontiersMatchSerial)
+{
+    std::vector<HardwarePoint> hw = nodeCountSweep(
+        hw_zoo::dlrmTrainingSystem(), {8, 16});
+    ModelDesc desc = model_zoo::dlrmA();
+    TaskSpec task = TaskSpec::preTraining();
+
+    for (const std::string &name :
+         {std::string("annealing"), std::string("genetic")}) {
+        ParetoOptions opts;
+        opts.strategy = name;
+        opts.search.maxEvaluations = 60;
+
+        EvalEngine pool(pooled());
+        ParetoEngine serialEngine(hw);
+        ParetoEngine pooledEngine(hw, &pool);
+        const ParetoFrontier a = serialEngine.explore(desc, task, opts);
+        const ParetoFrontier b = pooledEngine.explore(desc, task, opts);
+
+        EXPECT_EQ(paretoTrace(a.points), paretoTrace(b.points)) << name;
+        EXPECT_EQ(paretoTrace(a.bestPerHw), paretoTrace(b.bestPerHw))
+            << name;
+        EXPECT_EQ(paretoTrace(a.candidates), paretoTrace(b.candidates))
+            << name;
+        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations) << name;
+    }
+}
+
+} // namespace madmax

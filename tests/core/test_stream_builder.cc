@@ -1,12 +1,19 @@
+/**
+ * @file
+ * Stream-wiring semantics (§IV-C), pinned on the reference builder in
+ * tests/reference. The spliced production graphs are compared against
+ * that builder event for event in test_splice_differential.cc, so
+ * these properties carry over to every evaluation.
+ */
+
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "core/layer_processor.hh"
-#include "core/overlap_simulator.hh"
-#include "core/stream_builder.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
+#include "reference/reference_builder.hh"
 
 namespace madmax
 {
@@ -20,9 +27,8 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
 {
     LayerProcessor processor(cluster, desc);
     CollectiveModel collectives(cluster);
-    StreamBuilder builder(desc, task, plan, cluster, processor,
-                          collectives);
-    return builder.build();
+    return reference::buildEvents(desc, task, plan, cluster, processor,
+                                  collectives);
 }
 
 const TraceEvent *
@@ -152,13 +158,10 @@ TEST(StreamBuilder, FsdpPrefetchMovesGatherEarlier)
     ParallelPlan on = ParallelPlan::fsdpBaseline();
     on.fsdpPrefetch = true;
 
-    OverlapSimulator sim;
-    Timeline t_off =
-        sim.schedule(buildEvents(desc, TaskSpec::preTraining(), off,
-                                 cluster));
-    Timeline t_on =
-        sim.schedule(buildEvents(desc, TaskSpec::preTraining(), on,
-                                 cluster));
+    Timeline t_off = reference::schedule(
+        buildEvents(desc, TaskSpec::preTraining(), off, cluster));
+    Timeline t_on = reference::schedule(
+        buildEvents(desc, TaskSpec::preTraining(), on, cluster));
     EXPECT_LT(t_on.makespan, t_off.makespan);
     EXPECT_GT(t_on.overlapFraction(), t_off.overlapFraction());
     // Total communication volume is unchanged.
@@ -213,14 +216,10 @@ TEST(StreamBuilder, ScheduledStreamsRespectStreamExclusivity)
     // (blocking comm and compute are single-stream; background ops
     // are exempt).
     ModelDesc desc = model_zoo::dlrmATransformer();
-    ClusterSpec cluster = hw_zoo::dlrmTrainingSystem();
-    LayerProcessor processor(cluster, desc);
-    CollectiveModel collectives(cluster);
-    StreamBuilder builder(desc, TaskSpec::preTraining(),
-                          ParallelPlan::fsdpBaseline(), cluster,
-                          processor, collectives);
-    OverlapSimulator sim;
-    Timeline tl = sim.schedule(builder.build());
+    Timeline tl = reference::schedule(
+        buildEvents(desc, TaskSpec::preTraining(),
+                    ParallelPlan::fsdpBaseline(),
+                    hw_zoo::dlrmTrainingSystem()));
 
     std::vector<const ScheduledEvent *> compute, blocking_comm;
     for (const ScheduledEvent &se : tl.events) {

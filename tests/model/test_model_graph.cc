@@ -47,15 +47,6 @@ TEST(ModelGraph, AddAndQuery)
     EXPECT_EQ(g.deps(3), (std::vector<int>{2}));
 }
 
-TEST(ModelGraph, Consumers)
-{
-    ModelGraph g = dlrmShape();
-    EXPECT_EQ(g.consumers(0), (std::vector<int>{2}));
-    EXPECT_EQ(g.consumers(1), (std::vector<int>{2}));
-    EXPECT_EQ(g.consumers(2), (std::vector<int>{3}));
-    EXPECT_TRUE(g.consumers(3).empty());
-}
-
 TEST(ModelGraph, ForwardOnlyDependencies)
 {
     ModelGraph g;
@@ -102,10 +93,21 @@ TEST(ModelGraph, CopyIsDeep)
     // Addresses differ: layers were cloned, not shared.
     EXPECT_NE(&copy.layer(0), &g.layer(0));
 
+    EXPECT_TRUE(copy.hasClass(LayerClass::SparseEmbedding));
+    EXPECT_FALSE(copy.hasClass(LayerClass::Transformer));
+
     ModelGraph assigned;
     assigned = g;
     EXPECT_EQ(assigned.numLayers(), 4);
     EXPECT_NE(&assigned.layer(2), &g.layer(2));
+    EXPECT_TRUE(assigned.hasClass(LayerClass::BaseDense));
+
+    // Moves carry the present-class set along and leave the source
+    // empty of classes as well as layers.
+    ModelGraph moved = std::move(copy);
+    EXPECT_TRUE(moved.hasClass(LayerClass::SparseEmbedding));
+    EXPECT_TRUE(copy.empty()); // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(copy.hasClass(LayerClass::SparseEmbedding));
 }
 
 TEST(ModelGraph, OutOfRangeAccessPanics)

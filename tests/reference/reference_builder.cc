@@ -1,0 +1,280 @@
+#include "reference/reference_builder.hh"
+
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
+
+#include "core/eval_context.hh"
+#include "core/overlap_simulator.hh"
+#include "parallel/comm_planner.hh"
+#include "trace/event_graph.hh"
+#include "util/logging.hh"
+#include "util/strfmt.hh"
+
+namespace madmax
+{
+namespace reference
+{
+
+namespace
+{
+
+/** One priced collective of one layer. */
+struct PricedOp
+{
+    CommOp op;
+    CollectiveEstimate est;
+};
+
+/** Convert @p events to a flat graph (validating ids) and schedule it
+ *  into @p sched. */
+void
+scheduleInto(const std::vector<TraceEvent> &events, bool backgroundChannel,
+             FlatSchedule &sched)
+{
+    EventGraph graph;
+    std::unordered_map<int, int32_t> index_by_id;
+    for (const TraceEvent &ev : events) {
+        if (index_by_id.count(ev.id))
+            panic(strfmt("reference::schedule: duplicate event id %d",
+                         ev.id));
+        EventNode node;
+        node.name = &ev.name;
+        node.stream = ev.stream;
+        node.category = ev.category;
+        node.algo = ev.algo;
+        node.blocking = ev.blocking;
+        node.backward = ev.backward;
+        node.layerIdx = ev.layerIdx;
+        node.duration = ev.duration;
+        node.depsBegin = static_cast<uint32_t>(graph.deps.size());
+        node.depsCount = static_cast<uint32_t>(ev.deps.size());
+        for (int dep : ev.deps) {
+            auto it = index_by_id.find(dep);
+            if (it == index_by_id.end()) {
+                panic(strfmt("reference::schedule: event %d depends on "
+                             "unscheduled event %d",
+                             ev.id, dep));
+            }
+            graph.deps.push_back(it->second);
+        }
+        index_by_id.emplace(ev.id,
+                            static_cast<int32_t>(graph.nodes.size()));
+        graph.nodes.push_back(node);
+    }
+    SweepScratch scratch;
+    OverlapSimulator(backgroundChannel)
+        .scheduleGraphInto(graph, sched, scratch);
+}
+
+Timeline
+toTimeline(const std::vector<TraceEvent> &events, const FlatSchedule &sched)
+{
+    Timeline tl;
+    for (size_t i = 0; i < events.size(); ++i) {
+        tl.events.push_back(
+            ScheduledEvent{events[i], sched.start[i], sched.finish[i]});
+    }
+    tl.makespan = sched.makespan;
+    tl.computeBusy = sched.computeBusy;
+    tl.commBusy = sched.commBusy;
+    tl.exposedComm = sched.exposedComm;
+    return tl;
+}
+
+} // namespace
+
+std::vector<TraceEvent>
+buildEvents(const ModelDesc &desc, const TaskSpec &task,
+            const ParallelPlan &plan, const ClusterSpec &cluster,
+            const LayerProcessor &processor,
+            const CollectiveCostModel &collectives)
+{
+    const ModelGraph &graph = desc.graph;
+    const int num_layers = graph.numLayers();
+    const size_t n = static_cast<size_t>(num_layers);
+
+    CommPlanner planner(desc, task, plan, cluster);
+    std::vector<std::vector<PricedOp>> ops(n);
+    std::vector<std::vector<int>> consumers(n);
+    for (int i = 0; i < num_layers; ++i) {
+        for (CommOp &op : planner.planLayer(i)) {
+            CollectiveEstimate est =
+                collectives.estimate(op.kind, op.scope, op.bytes);
+            if (est.seconds > 0.0)
+                ops[static_cast<size_t>(i)].push_back({std::move(op), est});
+        }
+        for (int d : graph.deps(i)) {
+            std::vector<int> &c = consumers[static_cast<size_t>(d)];
+            if (c.empty() || c.back() != i)
+                c.push_back(i);
+        }
+    }
+
+    std::vector<TraceEvent> events;
+    std::vector<int> fwd_out(n, -1);
+    std::vector<int> bwd_out(n, -1);
+    std::vector<int> compute_ids;
+    auto add = [&](std::string name, StreamKind stream,
+                   EventCategory category, double duration, bool blocking,
+                   CollAlgo algo, bool backward, int layer,
+                   std::vector<int> deps) {
+        TraceEvent ev;
+        ev.id = static_cast<int>(events.size());
+        ev.name = std::move(name);
+        ev.stream = stream;
+        ev.category = category;
+        ev.duration = duration;
+        ev.deps = std::move(deps);
+        ev.blocking = blocking;
+        ev.layerIdx = layer;
+        ev.backward = backward;
+        ev.algo = algo;
+        events.push_back(std::move(ev));
+        return events.back().id;
+    };
+
+    auto emit = [&](int i, bool backward) {
+        const size_t s = static_cast<size_t>(i);
+        const Layer &layer = graph.layer(i);
+        const Phase phase = backward ? Phase::Backward : Phase::Forward;
+
+        // Forward data: the producers' visible outputs.
+        auto data_deps = [&] {
+            std::vector<int> deps;
+            for (int d : graph.deps(i))
+                deps.push_back(fwd_out[static_cast<size_t>(d)]);
+            return deps;
+        };
+        // Incoming gradients: the consumers' backward outputs, or the
+        // layer's own forward output when no consumer has one.
+        auto grad_deps = [&] {
+            std::vector<int> deps;
+            for (int c : consumers[s]) {
+                if (bwd_out[static_cast<size_t>(c)] >= 0)
+                    deps.push_back(bwd_out[static_cast<size_t>(c)]);
+            }
+            if (deps.empty())
+                deps.push_back(fwd_out[s]);
+            return deps;
+        };
+        // Parameter gathers are issued when the previous compute event
+        // ends — one compute earlier with prefetching (Fig. 9).
+        auto gather_deps = [&] {
+            const size_t back = plan.fsdpPrefetch ? 2 : 1;
+            std::vector<int> deps;
+            if (compute_ids.size() >= back)
+                deps.push_back(compute_ids[compute_ids.size() - back]);
+            return deps;
+        };
+
+        std::vector<int> pre;
+        for (const PricedOp &p : ops[s]) {
+            if (p.op.phase != phase || p.op.position != CommPosition::Pre)
+                continue;
+            std::vector<int> deps = p.op.kind == Collective::AllGather
+                ? gather_deps()
+                : (backward ? grad_deps() : data_deps());
+            pre.push_back(add(p.op.tag, StreamKind::Communication,
+                              commCategoryOf(p.op.kind), p.est.seconds,
+                              p.op.blocking, p.est.algo, backward, i,
+                              std::move(deps)));
+        }
+
+        std::vector<int> deps;
+        if (backward) {
+            deps = grad_deps();
+            deps.insert(deps.end(), pre.begin(), pre.end());
+        } else {
+            deps = pre;
+            for (int d : data_deps())
+                deps.push_back(d);
+        }
+        int out = add(backward ? layer.name() + "'" : layer.name(),
+                      StreamKind::Compute, processor.categoryOf(layer),
+                      backward ? processor.backwardTime(layer, task)
+                               : processor.forwardTime(layer, task),
+                      true, CollAlgo::None, backward, i, std::move(deps));
+        compute_ids.push_back(out);
+
+        // Post collectives chain after the compute; blocking ones
+        // become the layer's visible output.
+        for (const PricedOp &p : ops[s]) {
+            if (p.op.phase != phase || p.op.position != CommPosition::Post)
+                continue;
+            int id = add(p.op.tag, StreamKind::Communication,
+                         commCategoryOf(p.op.kind), p.est.seconds,
+                         p.op.blocking, p.est.algo, backward, i, {out});
+            if (p.op.blocking)
+                out = id;
+        }
+        (backward ? bwd_out : fwd_out)[s] = out;
+    };
+
+    for (int i = 0; i < num_layers; ++i)
+        emit(i, false);
+    const bool backward = task.needsBackward();
+    if (backward) {
+        for (int i = num_layers - 1; i >= 0; --i)
+            emit(i, true);
+    }
+
+    // The iteration-end barrier waits for everything, including
+    // non-blocking gradient collectives.
+    std::vector<int> all(events.size());
+    for (size_t i = 0; i < all.size(); ++i)
+        all[i] = static_cast<int>(i);
+    add("iter_end", StreamKind::Compute, EventCategory::Other, 0.0, true,
+        CollAlgo::None, backward, -1, std::move(all));
+    return events;
+}
+
+Timeline
+schedule(const std::vector<TraceEvent> &events, bool backgroundChannel)
+{
+    FlatSchedule sched;
+    scheduleInto(events, backgroundChannel, sched);
+    return toTimeline(events, sched);
+}
+
+PerfReport
+evaluate(const PerfModel &model, const ModelDesc &desc,
+         const TaskSpec &task, const ParallelPlan &plan)
+{
+    const PerfModelOptions &opts = model.options();
+    PerfReport report = model.verdict(desc, task, plan);
+    if (!report.memory.fits() && !opts.ignoreMemory)
+        return report;
+
+    LayerProcessor processor(model.cluster(), desc, opts.smModel);
+    std::unique_ptr<const CollectiveCostModel> collectives =
+        makeCollectiveModelFor(model.cluster(), opts.latency,
+                               opts.allReduceAlgorithm,
+                               opts.collectiveModel);
+    const std::vector<TraceEvent> events = buildEvents(
+        desc, task, plan, model.cluster(), processor, *collectives);
+    FlatSchedule sched;
+    scheduleInto(events, opts.backgroundCommChannel, sched);
+
+    report.iterationTime = sched.makespan;
+    report.serializedTime = sched.computeBusy + sched.commBusy;
+    report.computeTime = sched.computeBusy;
+    report.commTime = sched.commBusy;
+    report.exposedCommTime = sched.exposedComm;
+    for (size_t i = 0; i < events.size(); ++i) {
+        const TraceEvent &ev = events[i];
+        if (ev.duration > 0.0)
+            report.serializedBreakdown[ev.category] += ev.duration;
+        if (ev.stream == StreamKind::Communication &&
+            sched.finish[i] > sched.start[i]) {
+            report.exposedBreakdown[ev.category] +=
+                (sched.finish[i] - sched.start[i]) - sched.rawOverlap[i];
+        }
+    }
+    report.timeline = toTimeline(events, sched);
+    return report;
+}
+
+} // namespace reference
+} // namespace madmax

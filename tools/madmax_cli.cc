@@ -186,7 +186,10 @@ cmdEvaluate(const std::map<std::string, std::string> &flags)
     ClusterSpec cluster = loadClusterFile(require(flags, "system"));
     TaskConfig task = loadTaskFile(require(flags, "task"));
 
-    PerfModel madmax(cluster);
+    // Only --trace consumes the scheduled timeline.
+    PerfModelOptions opts;
+    opts.keepTimeline = flags.count("trace") > 0;
+    PerfModel madmax(cluster, opts);
     PerfReport report = madmax.evaluate(model, task.task, task.plan);
 
     if (flags.count("trace") && report.valid) {
