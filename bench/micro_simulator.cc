@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "collective/topology_model.hh"
 #include "config/json.hh"
 #include "core/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
@@ -99,7 +100,7 @@ BENCHMARK(BM_ExploreDlrmStrategySpaceUncached);
 void
 BM_CollectiveModel(benchmark::State &state)
 {
-    CollectiveModel collectives(hw_zoo::llmTrainingSystem());
+    TopologyCollectiveModel collectives(hw_zoo::llmTrainingSystem());
     double bytes = 1.0e9;
     for (auto _ : state) {
         double t = collectives.time(Collective::AllReduce,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <utility>
 
 #include "util/logging.hh"
 #include "util/strfmt.hh"
@@ -22,24 +22,22 @@ ringFactor(int group)
         : static_cast<double>(group - 1) / static_cast<double>(group);
 }
 
-const TopologySpec &
-requireTopology(const ClusterSpec &cluster)
+/** The stack @p cluster is priced on: its attached topology, or the
+ *  flat-equivalent two-tier stack. */
+TopologySpec
+stackFor(const ClusterSpec &cluster)
 {
-    if (!cluster.topology) {
-        fatal(strfmt("cluster '%s' carries no TopologySpec; attach one "
-                     "or use the flat collective model",
-                     cluster.name.c_str()));
-    }
     cluster.validate(); // Includes topology shape consistency.
-    return *cluster.topology;
+    return cluster.topology ? *cluster.topology
+                            : TopologySpec::flatEquivalent(cluster);
 }
 
 } // namespace
 
 TopologyCollectiveModel::TopologyCollectiveModel(
-    const TopologySpec &spec, CollectiveLatency latency,
+    TopologySpec spec, CollectiveLatency latency,
     AllReduceAlgorithm algorithm)
-    : spec_(spec), algorithm_(algorithm)
+    : spec_(std::move(spec)), algorithm_(algorithm)
 {
     spec_.validate();
     bw_.reserve(spec_.levels.size());
@@ -60,8 +58,7 @@ TopologyCollectiveModel::TopologyCollectiveModel(
 TopologyCollectiveModel::TopologyCollectiveModel(
     const ClusterSpec &cluster, CollectiveLatency latency,
     AllReduceAlgorithm algorithm)
-    : TopologyCollectiveModel(requireTopology(cluster), latency,
-                              algorithm)
+    : TopologyCollectiveModel(stackFor(cluster), latency, algorithm)
 {}
 
 TopologyCollectiveModel::Span
@@ -73,14 +70,6 @@ TopologyCollectiveModel::spanOf(CommScope scope) const
       case CommScope::Global: return Span{0, spec_.levels.size()};
     }
     panic("spanOf: unknown CommScope");
-}
-
-double
-TopologyCollectiveModel::bwAt(size_t level, double congestion) const
-{
-    // congestion == 1.0 divides exactly, preserving flat-equivalence
-    // bit for bit.
-    return bw_[level] / congestion;
 }
 
 double
@@ -110,12 +99,11 @@ TopologyCollectiveModel::maxFan(size_t lo, size_t hi) const
 }
 
 double
-TopologyCollectiveModel::minBw(size_t lo, size_t hi,
-                               double congestion) const
+TopologyCollectiveModel::minBw(size_t lo, size_t hi) const
 {
-    double bw = bwAt(lo, congestion);
+    double bw = bw_[lo];
     for (size_t k = lo + 1; k < hi; ++k)
-        bw = std::min(bw, bwAt(k, congestion));
+        bw = std::min(bw, bw_[k]);
     return bw;
 }
 
@@ -127,30 +115,27 @@ TopologyCollectiveModel::topAlphaLevel(size_t lo, size_t hi) const
             return k;
     }
     // No populated tier above lo: still charge the first scale-out
-    // tier's alpha (the flat model's Global-scope behavior).
+    // tier's alpha (the flat closed forms' Global-scope behavior).
     return lo + 1;
 }
 
 double
-TopologyCollectiveModel::agLevel(size_t level, double bytes,
-                                 double congestion) const
+TopologyCollectiveModel::agLevel(size_t level, double bytes) const
 {
     const int g = spec_.levels[level].fan;
     if (g <= 1)
         return 0.0;
-    return bytes * ringFactor(g) / bwAt(level, congestion) +
-        alphaSteps(level, g - 1);
+    return bytes * ringFactor(g) / bw_[level] + alphaSteps(level, g - 1);
 }
 
 double
 TopologyCollectiveModel::arLevel(size_t level, double bytes,
-                                 double congestion,
                                  CollAlgo *chosen) const
 {
     const int g = spec_.levels[level].fan;
     if (g <= 1)
         return 0.0;
-    const double bandwidth = bwAt(level, congestion);
+    const double bandwidth = bw_[level];
     // Ring: bandwidth-optimal volume, (g-1)-step latency.
     double ring = 2.0 * bytes * ringFactor(g) / bandwidth +
         alphaSteps(level, 2 * (g - 1));
@@ -158,8 +143,9 @@ TopologyCollectiveModel::arLevel(size_t level, double bytes,
         *chosen = CollAlgo::Ring;
         return ring;
     }
-    // Tree: logarithmic latency at ~90% of the ring's bus bandwidth
-    // (same constants as the flat model).
+    // Tree (reduce + broadcast down a pipelined binary tree):
+    // logarithmic latency steps, but the tree sustains only ~90% of
+    // the ring's bus bandwidth on large messages (NCCL behavior).
     int log_steps = static_cast<int>(
         std::ceil(std::log2(static_cast<double>(g))));
     double tree = 2.0 * bytes / (bandwidth * 0.9) +
@@ -175,82 +161,76 @@ TopologyCollectiveModel::arLevel(size_t level, double bytes,
 }
 
 double
-TopologyCollectiveModel::agSpan(size_t lo, size_t hi, double bytes,
-                                double congestion) const
+TopologyCollectiveModel::agSpan(size_t lo, size_t hi, double bytes) const
 {
     if (hi - lo == 1)
-        return agLevel(lo, bytes, congestion);
+        return agLevel(lo, bytes);
     // Bandwidth-optimal multi-tier shape: the fan parallel rails of a
     // tier each gather a 1/fan stripe across the outer tiers, then
     // children exchange stripes within the tier.
     double t = 0.0;
     const int fan = spec_.levels[lo].fan;
     if (spanSize(lo + 1, hi) > 1)
-        t += agSpan(lo + 1, hi, bytes / fan, congestion);
-    t += agLevel(lo, bytes, congestion);
+        t += agSpan(lo + 1, hi, bytes / fan);
+    t += agLevel(lo, bytes);
     return t;
 }
 
 double
-TopologyCollectiveModel::rsSpan(size_t lo, size_t hi, double bytes,
-                                double congestion) const
+TopologyCollectiveModel::rsSpan(size_t lo, size_t hi, double bytes) const
 {
     // Ring ReduceScatter moves the same volume as AllGather; the
     // multi-tier shape mirrors agSpan with the tier order reversed
     // (scatter inward first, then rail-parallel across outer tiers).
     if (hi - lo == 1)
-        return agLevel(lo, bytes, congestion);
-    double t = agLevel(lo, bytes, congestion);
+        return agLevel(lo, bytes);
+    double t = agLevel(lo, bytes);
     const int fan = spec_.levels[lo].fan;
     if (spanSize(lo + 1, hi) > 1)
-        t += rsSpan(lo + 1, hi, bytes / fan, congestion);
+        t += rsSpan(lo + 1, hi, bytes / fan);
     return t;
 }
 
 double
 TopologyCollectiveModel::arSpan(size_t lo, size_t hi, double bytes,
-                                double congestion,
                                 CollAlgo *chosen) const
 {
     if (hi - lo == 1)
-        return arLevel(lo, bytes, congestion, chosen);
+        return arLevel(lo, bytes, chosen);
     // Hierarchical: ReduceScatter on the innermost tier, AllReduce
     // across the outer tiers on the 1/fan-sized shard, AllGather back
     // on the innermost tier.
     *chosen = CollAlgo::Hierarchical;
     const int fan = spec_.levels[lo].fan;
-    double t = agLevel(lo, bytes, congestion);
+    double t = agLevel(lo, bytes);
     CollAlgo sub = CollAlgo::None;
-    t += arSpan(lo + 1, hi, fan > 1 ? bytes / fan : bytes, congestion,
-                &sub);
-    t += agLevel(lo, bytes, congestion);
+    t += arSpan(lo + 1, hi, fan > 1 ? bytes / fan : bytes, &sub);
+    t += agLevel(lo, bytes);
     return t;
 }
 
 double
-TopologyCollectiveModel::a2aSpan(size_t lo, size_t hi, double bytes,
-                                 double congestion) const
+TopologyCollectiveModel::a2aSpan(size_t lo, size_t hi,
+                                 double bytes) const
 {
     const int n = spanSize(lo, hi);
     if (n <= 1)
         return 0.0;
     if (hi - lo == 1) {
-        return bytes * ringFactor(n) / bwAt(lo, congestion) +
-            alphaSteps(lo, n - 1);
+        return bytes * ringFactor(n) / bw_[lo] + alphaSteps(lo, n - 1);
     }
     // Point-to-point Send/Recv pairs: bound by the slowest fabric
     // spanned; spans confined to one node ride the scale-up tier.
     const int upper = spanSize(lo + 1, hi);
-    const double bw = upper > 1 ? minBw(lo, hi, congestion)
-                                : bwAt(lo, congestion);
+    const double bw = upper > 1 ? minBw(lo, hi) : bw_[lo];
     const size_t alpha_level = upper > 1 ? topAlphaLevel(lo, hi) : lo;
     return bytes * ringFactor(n) / bw +
         alphaSteps(alpha_level, maxFan(lo, hi) - 1);
 }
 
 double
-TopologyCollectiveModel::bcastSpan(size_t lo, size_t hi, double bytes,
-                                   double congestion) const
+TopologyCollectiveModel::bcastSpan(size_t lo, size_t hi,
+                                   double bytes) const
 {
     const int g = spanSize(lo, hi);
     if (g <= 1)
@@ -258,15 +238,14 @@ TopologyCollectiveModel::bcastSpan(size_t lo, size_t hi, double bytes,
     double bw;
     size_t alpha_level;
     if (hi - lo == 1) {
-        bw = bwAt(lo, congestion);
+        bw = bw_[lo];
         alpha_level = lo;
     } else {
         const int upper = spanSize(lo + 1, hi);
-        bw = upper > 1 ? minBw(lo, hi, congestion)
-                       : bwAt(lo, congestion);
+        bw = upper > 1 ? minBw(lo, hi) : bw_[lo];
         // Multi-tier spans always pay a scale-out alpha, even when
-        // the outer tiers are unpopulated (the flat model's Global
-        // broadcast behavior).
+        // the outer tiers are unpopulated (the flat closed forms'
+        // Global broadcast behavior).
         alpha_level = topAlphaLevel(lo, hi);
     }
     int steps = static_cast<int>(
@@ -281,25 +260,24 @@ TopologyCollectiveModel::time(Collective kind, CommScope scope,
     return estimate(kind, scope, bytes).seconds;
 }
 
+double
+TopologyCollectiveModel::effectiveBandwidth(Collective kind,
+                                            CommScope scope,
+                                            double bytes) const
+{
+    double t = time(kind, scope, bytes);
+    if (t <= 0.0)
+        return 0.0;
+    return bytes / t;
+}
+
 CollectiveEstimate
 TopologyCollectiveModel::estimate(Collective kind, CommScope scope,
                                   double bytes) const
 {
-    return estimateCongested(kind, scope, bytes, 1.0);
-}
-
-CollectiveEstimate
-TopologyCollectiveModel::estimateCongested(Collective kind,
-                                           CommScope scope, double bytes,
-                                           double concurrent) const
-{
     if (bytes < 0.0) {
         fatal(strfmt("collective %s: negative byte count",
                      madmax::toString(kind).c_str()));
-    }
-    if (!(concurrent >= 1.0)) {
-        fatal(strfmt("collective %s: concurrent sharers %.3f < 1",
-                     madmax::toString(kind).c_str(), concurrent));
     }
     CollectiveEstimate est;
     if (bytes == 0.0 || groupSize(scope) <= 1)
@@ -307,28 +285,28 @@ TopologyCollectiveModel::estimateCongested(Collective kind,
     const Span sp = spanOf(scope);
     switch (kind) {
       case Collective::AllReduce:
-        est.seconds = arSpan(sp.lo, sp.hi, bytes, concurrent, &est.algo);
+        est.seconds = arSpan(sp.lo, sp.hi, bytes, &est.algo);
         return est;
       case Collective::AllGather:
-        est.seconds = agSpan(sp.lo, sp.hi, bytes, concurrent);
+        est.seconds = agSpan(sp.lo, sp.hi, bytes);
         est.algo = sp.hi - sp.lo == 1 ? CollAlgo::Ring
                                       : CollAlgo::Hierarchical;
         return est;
       case Collective::ReduceScatter:
-        est.seconds = rsSpan(sp.lo, sp.hi, bytes, concurrent);
+        est.seconds = rsSpan(sp.lo, sp.hi, bytes);
         est.algo = sp.hi - sp.lo == 1 ? CollAlgo::Ring
                                       : CollAlgo::Hierarchical;
         return est;
       case Collective::All2All:
-        est.seconds = a2aSpan(sp.lo, sp.hi, bytes, concurrent);
+        est.seconds = a2aSpan(sp.lo, sp.hi, bytes);
         est.algo = CollAlgo::PointToPoint;
         return est;
       case Collective::Broadcast:
-        est.seconds = bcastSpan(sp.lo, sp.hi, bytes, concurrent);
+        est.seconds = bcastSpan(sp.lo, sp.hi, bytes);
         est.algo = CollAlgo::Tree;
         return est;
     }
-    panic("estimateCongested: unknown Collective");
+    panic("estimate: unknown Collective");
 }
 
 int
@@ -340,65 +318,6 @@ TopologyCollectiveModel::groupSize(CommScope scope) const
       case CommScope::Global: return spec_.totalDevices();
     }
     panic("groupSize: unknown CommScope");
-}
-
-uint64_t
-TopologyCollectiveModel::identity() const
-{
-    uint64_t h = 1469598103934665603ull;
-    auto mixU64 = [&h](uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    auto mixDouble = [&](double v) {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-        std::memcpy(&bits, &v, sizeof(bits));
-        mixU64(bits);
-    };
-    mixU64(0x70b0ull); // "topology" salt — never collides with flat.
-    mixU64(static_cast<uint64_t>(algorithm_));
-    mixU64(spec_.fingerprint());
-    // The resolved per-level rates and alphas (the fingerprint alone
-    // cannot see which CollectiveLatency inherit-levels resolved to).
-    for (size_t i = 0; i < bw_.size(); ++i) {
-        mixDouble(bw_[i]);
-        mixDouble(alpha_[i]);
-    }
-    return h;
-}
-
-namespace
-{
-
-std::unique_ptr<const CollectiveCostModel>
-makeTopologyModel(const ClusterSpec &cluster, CollectiveLatency latency,
-                  AllReduceAlgorithm algorithm)
-{
-    return std::make_unique<TopologyCollectiveModel>(cluster, latency,
-                                                     algorithm);
-}
-
-const bool topology_registered [[maybe_unused]] =
-    registerCollectiveModel("topology", &makeTopologyModel);
-
-} // namespace
-
-std::unique_ptr<const CollectiveCostModel>
-makeCollectiveModelFor(const ClusterSpec &cluster,
-                       CollectiveLatency latency,
-                       AllReduceAlgorithm algorithm,
-                       const std::string &override)
-{
-    if (!override.empty())
-        return makeCollectiveModel(override, cluster, latency, algorithm);
-    if (cluster.topology) {
-        return std::make_unique<TopologyCollectiveModel>(cluster, latency,
-                                                         algorithm);
-    }
-    return std::make_unique<CollectiveModel>(cluster, latency, algorithm);
 }
 
 } // namespace madmax

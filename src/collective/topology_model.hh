@@ -1,17 +1,18 @@
 /**
  * @file
- * Topology-aware collective cost model: prices collectives on an
- * explicit hierarchical tier stack (hw/topology.hh) instead of the
- * flat two-scope closed forms.
+ * The collective cost model: prices collectives on a hierarchical
+ * tier stack (hw/topology.hh). Every cluster is priced here — on its
+ * attached stack, or on TopologySpec::flatEquivalent when it carries
+ * none.
  *
  * Scope mapping: CommScope::Intra spans level 0 (the scale-up tier),
  * CommScope::Inter spans levels 1.. (one device per node, across the
  * scale-out tiers), CommScope::Global spans the whole stack.
  *
  * Per-collective algorithm choice:
- *  - AllReduce within one tier: ring vs tree by message size (the
- *    flat model's NCCL-tuner behavior, AllReduceAlgorithm::Auto) —
- *    the estimate reports which one won.
+ *  - AllReduce within one tier: ring vs tree by message size
+ *    (AllReduceAlgorithm::Auto, NCCL's tuner behavior) — the estimate
+ *    reports which one won.
  *  - AllReduce / AllGather / ReduceScatter across tiers: hierarchical
  *    decomposition (reduce-scatter up, all-gather down), shard sizes
  *    shrinking by each tier's fan.
@@ -19,66 +20,69 @@
  *    tier.
  *  - Broadcast: pipelined tree over the spanned tiers.
  *
- * Congestion: each tier's `sharers` statically derates its links, and
- * estimateCongested() additionally prices a collective under N
- * concurrent collectives sharing every spanned link (completion time
- * is non-decreasing in N — pinned by the property suite).
+ * Congestion: each tier's `sharers` statically derates its links.
  *
  * Flat equivalence: on TopologySpec::flatEquivalent(cluster) every
  * recursion below reduces term-for-term — same expression shapes,
- * same accumulation order — to the flat CollectiveModel's closed
- * forms, so the price of every (kind, scope, bytes) is bitwise
- * identical to the flat model. tests/collective/
- * test_topology_differential.cc enforces this across the model zoo.
+ * same accumulation order — to the flat two-scope closed forms of
+ * §IV-C, so the price of every (kind, scope, bytes) is bitwise
+ * identical to them. tests/collective/test_topology_differential.cc
+ * enforces this across the model zoo against the closed forms kept
+ * in tests/reference/flat_collective.hh.
  */
 
 #ifndef MADMAX_COLLECTIVE_TOPOLOGY_MODEL_HH
 #define MADMAX_COLLECTIVE_TOPOLOGY_MODEL_HH
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "collective/collective.hh"
+#include "hw/cluster.hh"
 #include "hw/topology.hh"
 
 namespace madmax
 {
 
-class TopologyCollectiveModel : public CollectiveCostModel
+/**
+ * Maps (collective, scope, tensor bytes) to seconds on one tier
+ * stack. Immutable after construction and safe for concurrent
+ * time()/estimate() calls.
+ */
+class TopologyCollectiveModel
 {
   public:
     /** Price against @p spec directly (validated here). Inherit-
      *  latency levels (linkLatency < 0) resolve from @p latency. */
-    explicit TopologyCollectiveModel(const TopologySpec &spec,
+    explicit TopologyCollectiveModel(TopologySpec spec,
                                      CollectiveLatency latency = {},
                                      AllReduceAlgorithm algorithm =
                                          AllReduceAlgorithm::Auto);
 
-    /** Price @p cluster's attached topology (fatal when none). */
-    TopologyCollectiveModel(const ClusterSpec &cluster,
-                            CollectiveLatency latency,
-                            AllReduceAlgorithm algorithm);
+    /** Price @p cluster (validated here): its attached topology, or
+     *  TopologySpec::flatEquivalent(cluster) when none is attached. */
+    explicit TopologyCollectiveModel(const ClusterSpec &cluster,
+                                     CollectiveLatency latency = {},
+                                     AllReduceAlgorithm algorithm =
+                                         AllReduceAlgorithm::Auto);
 
-    double time(Collective kind, CommScope scope,
-                double bytes) const override;
+    /** Execution time in seconds for the collective. */
+    double time(Collective kind, CommScope scope, double bytes) const;
 
+    /** time() plus the algorithm chosen. */
     CollectiveEstimate estimate(Collective kind, CommScope scope,
-                                double bytes) const override;
+                                double bytes) const;
+
+    /** Group size at @p scope (d, m, or n). */
+    int groupSize(CommScope scope) const;
 
     /**
-     * estimate() under @p concurrent collectives sharing every link
-     * of the spanned tiers (>= 1; 1 is estimate() exactly, bit for
-     * bit). Completion time never decreases in @p concurrent.
+     * Effective ring bandwidth the collective sees, bytes/s — the
+     * paper's "Effective AllReduce BW" / "Effective All2All BW"
+     * diagnostic: tensor bytes divided by modeled time.
      */
-    CollectiveEstimate estimateCongested(Collective kind, CommScope scope,
-                                         double bytes,
-                                         double concurrent) const;
-
-    int groupSize(CommScope scope) const override;
-
-    uint64_t identity() const override;
-
-    std::string name() const override { return "topology"; }
+    double effectiveBandwidth(Collective kind, CommScope scope,
+                              double bytes) const;
 
     const TopologySpec &spec() const { return spec_; }
 
@@ -92,33 +96,27 @@ class TopologyCollectiveModel : public CollectiveCostModel
 
     Span spanOf(CommScope scope) const;
 
-    double bwAt(size_t level, double congestion) const;
     double alphaSteps(size_t level, int steps) const;
     int spanSize(size_t lo, size_t hi) const;
     int maxFan(size_t lo, size_t hi) const;
-    double minBw(size_t lo, size_t hi, double congestion) const;
+    double minBw(size_t lo, size_t hi) const;
 
     /** Topmost level in (lo, hi) with fan > 1, else lo + 1 — the tier
      *  whose alpha a span-wide step pays. */
     size_t topAlphaLevel(size_t lo, size_t hi) const;
 
     /** Ring AllGather / ReduceScatter confined to one tier. */
-    double agLevel(size_t level, double bytes, double congestion) const;
+    double agLevel(size_t level, double bytes) const;
 
     /** One-tier AllReduce under the configured algorithm. */
-    double arLevel(size_t level, double bytes, double congestion,
-                   CollAlgo *chosen) const;
+    double arLevel(size_t level, double bytes, CollAlgo *chosen) const;
 
-    double agSpan(size_t lo, size_t hi, double bytes,
-                  double congestion) const;
-    double rsSpan(size_t lo, size_t hi, double bytes,
-                  double congestion) const;
-    double arSpan(size_t lo, size_t hi, double bytes, double congestion,
+    double agSpan(size_t lo, size_t hi, double bytes) const;
+    double rsSpan(size_t lo, size_t hi, double bytes) const;
+    double arSpan(size_t lo, size_t hi, double bytes,
                   CollAlgo *chosen) const;
-    double a2aSpan(size_t lo, size_t hi, double bytes,
-                   double congestion) const;
-    double bcastSpan(size_t lo, size_t hi, double bytes,
-                     double congestion) const;
+    double a2aSpan(size_t lo, size_t hi, double bytes) const;
+    double bcastSpan(size_t lo, size_t hi, double bytes) const;
 
     TopologySpec spec_;
     AllReduceAlgorithm algorithm_;

@@ -28,11 +28,8 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
                          const TaskSpec &task)
     : model_(&model), desc_(&desc), task_(&task),
       taskName_(task.toString()),
-      collectives_(makeCollectiveModelFor(
-          model.cluster(), model.options().latency,
-          model.options().allReduceAlgorithm,
-          model.options().collectiveModel)),
-      collectiveIdentity_(collectives_->identity())
+      collectives_(model.cluster(), model.options().latency,
+                   model.options().allReduceAlgorithm)
 {
     // LayerProcessor validates the cluster and the model once; every
     // plan evaluated through this context reuses that validation.
@@ -100,13 +97,12 @@ EvalContext::collectiveEstimate(Collective kind, CommScope scope,
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(bytes), "double is 64-bit");
     std::memcpy(&bits, &bytes, sizeof(bits));
-    auto key = std::make_tuple(collectiveIdentity_,
-                               static_cast<int>(kind),
+    auto key = std::make_tuple(static_cast<int>(kind),
                                static_cast<int>(scope), bits);
     auto it = collectiveTable_.find(key);
     if (it != collectiveTable_.end())
         return it->second;
-    CollectiveEstimate est = collectives_->estimate(kind, scope, bytes);
+    CollectiveEstimate est = collectives_.estimate(kind, scope, bytes);
     collectiveTable_.emplace(key, est);
     return est;
 }

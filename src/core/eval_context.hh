@@ -8,7 +8,7 @@
  * fleet studies) evaluates hundreds to thousands of plans against one
  * triple. Before this context existed, every PerfModel::evaluate call
  * re-validated the cluster and model, rebuilt LayerProcessor /
- * CollectiveModel / CommPlanner, and re-derived per-layer compute
+ * the collective model / CommPlanner, and re-derived per-layer compute
  * times and collective timings that do not depend on the plan at all.
  * EvalContext hoists all of that out of the per-plan hot path:
  *
@@ -20,8 +20,8 @@
  *    HierStrategy — including their modeled durations — are resolved
  *    once per (layer, strategy) and shared by every plan that maps
  *    the layer's class to that strategy, with a memoized
- *    collective-time table keyed on (model identity, kind, scope,
- *    bytes) deduplicating the underlying cost-model estimate calls;
+ *    collective-time table keyed on (kind, scope, bytes)
+ *    deduplicating the underlying cost-model estimate calls;
  *  - per-(strategy, prefetch) segment arenas
  *    (core/segment_template.hh) are built on first use, so a plan's
  *    event graph is spliced from cached segments instead of
@@ -48,13 +48,13 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "collective/collective.hh"
+#include "collective/topology_model.hh"
 #include "core/perf_model.hh"
 #include "core/segment_template.hh"
 #include "parallel/comm_planner.hh"
@@ -69,10 +69,10 @@ EventCategory commCategoryOf(Collective kind);
 
 /**
  * One collective call of one layer with its cost already resolved
- * against the cluster — a CommOp whose CollectiveModel::time lookup
- * has been paid. Ops that model to a non-positive duration are
- * dropped at resolution time (the stream builder never emitted events
- * for them).
+ * against the cluster — a CommOp whose TopologyCollectiveModel
+ * estimate has been paid. Ops that model to a non-positive duration
+ * are dropped at resolution time (the stream builder never emitted
+ * events for them).
  */
 struct ResolvedCommOp
 {
@@ -110,11 +110,14 @@ class EvalContext
     const std::string &taskName() const { return taskName_; }
 
     /**
-     * The collective cost model this context prices with — selected by
-     * makeCollectiveModelFor from the cluster's topology and
-     * PerfModelOptions::collectiveModel. Immutable; safe to share.
+     * The collective cost model this context prices with: the
+     * cluster's topology stack, or its flat-equivalent stack when
+     * none is attached. Immutable; safe to share.
      */
-    const CollectiveCostModel &collectives() const { return *collectives_; }
+    const TopologyCollectiveModel &collectives() const
+    {
+        return collectives_;
+    }
 
     /**
      * Evaluate one plan: splice its event graph from the cached
@@ -203,7 +206,7 @@ class EvalContext
     /** Build @p plan's graph into @p s from cached templates. */
     void spliceGraph(Scratch &s, const ParallelPlan &plan) const;
 
-    /** Memoized CollectiveCostModel::estimate (only called while
+    /** Memoized TopologyCollectiveModel::estimate (only called while
      *  holding buildMutex_). */
     CollectiveEstimate collectiveEstimate(Collective kind, CommScope scope,
                                           double bytes) const;
@@ -212,8 +215,7 @@ class EvalContext
     const ModelDesc *desc_;
     const TaskSpec *task_;
     std::string taskName_;
-    std::unique_ptr<const CollectiveCostModel> collectives_;
-    uint64_t collectiveIdentity_; ///< collectives_->identity(), cached.
+    TopologyCollectiveModel collectives_;
     std::vector<LayerCosts> costs_;
     std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.
 
@@ -221,13 +223,8 @@ class EvalContext
     mutable std::array<StrategyTable, 25> strategies_;
     mutable std::mutex buildMutex_;
 
-    /** Keyed (model identity, kind, scope, bytes-bits): the identity
-     *  component keeps entries from aliasing if two cost models ever
-     *  price through one table (e.g. a future per-phase override) —
-     *  distinct models may legitimately disagree on the same
-     *  (kind, scope, bytes). */
-    mutable std::map<std::tuple<uint64_t, int, int, uint64_t>,
-                     CollectiveEstimate>
+    /** Keyed (kind, scope, bytes-bits); the context has one model. */
+    mutable std::map<std::tuple<int, int, uint64_t>, CollectiveEstimate>
         collectiveTable_;
 };
 

@@ -40,14 +40,6 @@ struct PerfModelOptions
     /** AllReduce algorithm (ring / tree / NCCL-style auto). */
     AllReduceAlgorithm allReduceAlgorithm = AllReduceAlgorithm::Auto;
 
-    /**
-     * Collective cost-model registry name ("flat", "topology", or a
-     * custom registration). Empty picks automatically: "topology" when
-     * the cluster carries a TopologySpec, else the flat default — see
-     * makeCollectiveModelFor().
-     */
-    std::string collectiveModel;
-
     /** Schedule non-blocking collectives on a separate channel
      *  (disable only for the ablation study). */
     bool backgroundCommChannel = true;

@@ -57,9 +57,9 @@ appendCluster(std::string &out, const ClusterSpec &c)
     appendDouble(out, d.hbmBandwidth);
     appendDouble(out, d.intraNodeBandwidth);
     appendDouble(out, d.interNodeBandwidth);
-    // Topology-carrying clusters price through a different collective
-    // model; the spec fingerprint keeps them from sharing entries with
-    // the flat shape (or with a differently-tiered topology).
+    // Topology-carrying clusters price on their own tier stack; the
+    // spec fingerprint keeps them from sharing entries with the flat
+    // shape (or with a differently-tiered topology).
     if (c.topology)
         out += strfmt("T%016llx,",
                       static_cast<unsigned long long>(
@@ -75,8 +75,6 @@ appendOptions(std::string &out, const PerfModelOptions &o)
     out += o.backgroundCommChannel ? '1' : '0';
     out += o.keepTimeline ? '1' : '0';
     out += std::to_string(static_cast<int>(o.allReduceAlgorithm));
-    out += ',';
-    out += o.collectiveModel; // Registry name; empty = auto-select.
     out += ',';
     appendDouble(out, o.latency.intraAlpha);
     appendDouble(out, o.latency.interAlpha);

@@ -202,7 +202,7 @@ ClusterSpec::withNumNodes(int nodes) const
     c.numNodes = nodes;
     // A tier stack sized for the old node count cannot describe the
     // resized cluster; drop it rather than fail validation (node-count
-    // sweeps fall back to flat pricing).
+    // sweeps fall back to the flat-equivalent stack).
     if (c.topology && nodes != numNodes)
         c.topology = nullptr;
     return c;

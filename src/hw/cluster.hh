@@ -83,12 +83,12 @@ struct ClusterSpec
 
     /**
      * Optional hierarchical topology (hw/topology.hh). When set, the
-     * collective layer prices communication on the explicit tier
-     * stack (TopologyCollectiveModel) instead of the flat two-scope
-     * model, and validate() additionally checks shape consistency
-     * (scale-up fan == devicesPerNode, scale-out fan product ==
-     * numNodes). Null means the flat default — every existing
-     * cluster, report, and golden is unchanged.
+     * collective model (TopologyCollectiveModel) prices communication
+     * on this explicit tier stack, and validate() additionally checks
+     * shape consistency (scale-up fan == devicesPerNode, scale-out
+     * fan product == numNodes). Null prices the cluster on
+     * TopologySpec::flatEquivalent, the two-tier stack built from the
+     * flat fields above.
      *
      * Topology levels carry absolute link rates: the Fig. 19 scaling
      * builders below derate only the flat device fields, never an
@@ -160,7 +160,8 @@ struct ClusterSpec
 
     /** Copy with a different node count (e.g. 8- vs 128-GPU
      *  validation). An attached topology cannot describe the resized
-     *  cluster, so the copy drops it and falls back to flat pricing. */
+     *  cluster, so the copy drops it and is priced on the
+     *  flat-equivalent stack. */
     ClusterSpec withNumNodes(int nodes) const;
 };
 

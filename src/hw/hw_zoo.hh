@@ -100,8 +100,9 @@ ClusterSpec awsP4d(int num_nodes);
  */
 /// @{
 
-/** The two-tier stack that reproduces the flat model bit-for-bit
- *  (TopologySpec::flatEquivalent under a zoo-friendly name). */
+/** The two-tier stack that reproduces the flat closed forms
+ *  bit-for-bit (TopologySpec::flatEquivalent under a zoo-friendly
+ *  name). */
 TopologySpec flatTopologyPreset(const ClusterSpec &cluster);
 
 /**

@@ -89,16 +89,17 @@ struct TopologySpec
     void validateAgainst(const ClusterSpec &cluster) const;
 
     /** Order-sensitive FNV-1a digest over every field — the identity
-     *  collective-time memo keys and engine cache keys embed. */
+     *  engine cache keys embed. */
     uint64_t fingerprint() const;
 
     /**
-     * The two-tier stack that mirrors the flat model exactly: level 0
-     * carries the cluster's effective intra-node bandwidth with fan
-     * devicesPerNode, level 1 the effective inter-node bandwidth with
-     * fan numNodes; latencies inherit. The topology cost model prices
-     * every (collective, scope, bytes) on this spec bit-identically
-     * to the flat CollectiveModel (proven by
+     * The two-tier stack every cluster without an attached topology
+     * is priced on: level 0 carries the cluster's effective
+     * intra-node bandwidth with fan devicesPerNode, level 1 the
+     * effective inter-node bandwidth with fan numNodes; latencies
+     * inherit. The collective model prices every (collective, scope,
+     * bytes) on this spec bit-identically to the flat two-scope
+     * closed forms of §IV-C (checked by
      * tests/collective/test_topology_differential.cc).
      */
     static TopologySpec flatEquivalent(const ClusterSpec &cluster);

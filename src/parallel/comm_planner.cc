@@ -29,12 +29,11 @@ CommPlanner::CommPlanner(const ModelDesc &desc, const TaskSpec &task,
 std::vector<CommPlanner::Level>
 CommPlanner::levels(HierStrategy hs, double param_bytes) const
 {
-    // Group sizes come from scopeSpan so topology-carrying clusters
-    // plan against their tier fans; validateAgainst pins those to the
-    // flat d/m/n shape, so today the volumes are identical either way.
-    const int d = scopeSpan(cluster_, CommScope::Intra);
-    const int m = scopeSpan(cluster_, CommScope::Inter);
-    const int n = scopeSpan(cluster_, CommScope::Global);
+    // The constructor's cluster_.validate() pins an attached
+    // topology's tier fans to this d/m/n shape (validateAgainst).
+    const int d = cluster_.devicesPerNode;
+    const int m = cluster_.numNodes;
+    const int n = cluster_.numDevices();
 
     if (hs.intra == Strategy::None)
         fatal("CommPlanner: strategy has no intra level");
@@ -174,7 +173,7 @@ CommPlanner::planLayer(int idx) const
     const HierStrategy hs = plan_.strategyFor(cls);
     const bool trainable = task_.isTrainable(cls);
     const double param_bytes = layer.paramCount() * desc_.paramBytes();
-    const int n = scopeSpan(cluster_, CommScope::Global);
+    const int n = cluster_.numDevices();
 
     const ShardingInfo sharding = shardingFor(hs, cluster_);
     const double batch = static_cast<double>(desc_.globalBatchSize);

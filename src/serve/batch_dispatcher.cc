@@ -42,10 +42,10 @@ BatchDispatcher::runBatch(std::unique_lock<std::mutex> &lock)
     points.reserve(batch.size());
     for (const auto &p : batch) {
         PlanRequest point;
-        point.model = &p->request->triple->perf;
-        point.desc = &p->request->triple->model;
-        point.task = &p->request->triple->task;
-        point.plan = p->request->plan;
+        point.model = &p->triple->perf;
+        point.desc = &p->triple->model;
+        point.task = &p->triple->task;
+        point.plan = p->plan;
         points.push_back(std::move(point));
     }
     // Per-request failures come back as failure reports (engine
@@ -93,7 +93,8 @@ BatchDispatcher::evaluate(const CachedRequest &request,
         std::chrono::microseconds(options_.watchdogMicros);
 
     auto mine = std::make_shared<Pending>();
-    mine->request = &request;
+    mine->triple = request.triple;
+    mine->plan = request.plan;
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(mine);
     ++stats_.requests;

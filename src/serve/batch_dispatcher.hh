@@ -125,10 +125,13 @@ class BatchDispatcher
 
     /** One waiting request. Shared ownership: a deadline-abandoned
      *  request's slot must stay writable for the leader that took it
-     *  into a batch after the submitter has thrown out. */
+     *  into a batch after the submitter has thrown out. The slot owns
+     *  its triple and plan for the same reason — the submitter's
+     *  CachedRequest (possibly the triple's last owner) dies with it. */
     struct Pending
     {
-        const CachedRequest *request = nullptr;
+        std::shared_ptr<const ParsedTriple> triple;
+        ParallelPlan plan;
         PerfReport report;
         std::exception_ptr error;
         bool done = false;

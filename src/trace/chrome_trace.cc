@@ -44,9 +44,8 @@ writeChromeTrace(const Timeline &timeline, std::ostream &os)
         first = false;
         // tid 0 = compute stream, tid 1 = communication stream.
         int tid = se.event.stream == StreamKind::Compute ? 0 : 1;
-        // The chosen collective algorithm rides along only when a cost
-        // model annotated one (the topology-aware model); flat-default
-        // traces keep their exact historical byte shape.
+        // Collective events carry the algorithm the cost model chose;
+        // compute events carry none.
         std::string algo;
         if (se.event.algo != CollAlgo::None) {
             algo = strfmt(",\"algo\":\"%s\"",

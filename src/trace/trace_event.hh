@@ -41,15 +41,13 @@ enum class EventCategory
 };
 
 /**
- * Which algorithm a collective cost model chose for a communication
- * event. The flat model reports None (it commits to no shape in its
- * closed forms), so flat-default traces are unchanged; the
- * topology-aware model annotates each priced collective and
- * keepTimeline traces / Chrome traces surface the choice per comm op.
+ * Which algorithm the collective cost model chose for a communication
+ * event. Every priced collective is annotated, and keepTimeline
+ * traces / Chrome traces surface the choice per comm op.
  */
 enum class CollAlgo
 {
-    None,          ///< No algorithm annotation (flat model, compute).
+    None,          ///< No algorithm annotation (compute, barriers).
     Ring,          ///< Bandwidth-optimal ring within one tier.
     Tree,          ///< Pipelined binary tree (latency-optimal).
     Hierarchical,  ///< Multi-tier decomposition across fabric levels.
@@ -81,7 +79,7 @@ struct TraceEvent
     bool backward = false;     ///< Phase tag for reporting.
 
     /** Collective algorithm the cost model chose (None for compute
-     *  events and for the flat model's collectives). */
+     *  events). */
     CollAlgo algo = CollAlgo::None;
 };
 

@@ -1,6 +1,13 @@
+/**
+ * @file
+ * The §IV-C closed forms, checked on the production collective model
+ * (TopologyCollectiveModel) for flat clusters, which it prices on
+ * their flat-equivalent tier stack.
+ */
+
 #include <gtest/gtest.h>
 
-#include "collective/collective.hh"
+#include "collective/topology_model.hh"
 #include "hw/hw_zoo.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
@@ -14,7 +21,7 @@ namespace
 {
 
 /** 16 nodes x 8 devices, clean bandwidths, zero latency. */
-CollectiveModel
+TopologyCollectiveModel
 idealModel(int nodes = 16, int devs = 8)
 {
     ClusterSpec c = hw_zoo::dlrmTrainingSystem();
@@ -24,14 +31,14 @@ idealModel(int nodes = 16, int devs = 8)
     c.util.interLink = 1.0;
     c.device.intraNodeBandwidth = gBps(300);
     c.device.interNodeBandwidth = gBps(25);
-    return CollectiveModel(c, CollectiveLatency{0.0, 0.0});
+    return TopologyCollectiveModel(c, CollectiveLatency{0.0, 0.0});
 }
 
 } // namespace
 
 TEST(CollectiveModel, GroupSizes)
 {
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     EXPECT_EQ(m.groupSize(CommScope::Intra), 8);
     EXPECT_EQ(m.groupSize(CommScope::Inter), 16);
     EXPECT_EQ(m.groupSize(CommScope::Global), 128);
@@ -39,7 +46,7 @@ TEST(CollectiveModel, GroupSizes)
 
 TEST(CollectiveModel, IntraRingClosedForms)
 {
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     const double T = gb(1);
     // AllGather/ReduceScatter: T*(g-1)/g / bw.
     EXPECT_NEAR(m.time(Collective::AllGather, CommScope::Intra, T),
@@ -53,7 +60,7 @@ TEST(CollectiveModel, IntraRingClosedForms)
 
 TEST(CollectiveModel, InterRingClosedForms)
 {
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     const double T = gb(1);
     EXPECT_NEAR(m.time(Collective::AllGather, CommScope::Inter, T),
                 T * 15.0 / 16.0 / gBps(25), 1e-9);
@@ -65,7 +72,7 @@ TEST(CollectiveModel, GlobalAllReduceIsHierarchical)
 {
     // RS intra + AR inter on the 1/d shard + AG intra (§IV-C:
     // effective bandwidth is a ratio of the two fabrics).
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     const double T = gb(1);
     double expected = T * 7.0 / 8.0 / gBps(300)             // RS intra
         + 2.0 * (T / 8.0) * 15.0 / 16.0 / gBps(25)          // AR inter
@@ -78,7 +85,7 @@ TEST(CollectiveModel, GlobalAllGatherUsesRailParallelism)
 {
     // The d rails each carry a 1/d stripe across nodes; NIC traffic
     // is T/d per device, not T.
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     const double T = gb(1);
     double expected = (T / 8.0) * 15.0 / 16.0 / gBps(25)
         + T * 7.0 / 8.0 / gBps(300);
@@ -92,43 +99,43 @@ TEST(CollectiveModel, All2AllBoundBySlowestFabric)
 {
     // §IV-C: NCCL All2All is point-to-point Send/Recv, bound by the
     // slowest interconnect spanned.
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     const double T = gb(1);
     double t = m.time(Collective::All2All, CommScope::Global, T);
     EXPECT_NEAR(t, T * 127.0 / 128.0 / gBps(25), 1e-9);
 
     // On a single-node system the same collective rides NVLink.
-    CollectiveModel single = idealModel(1, 8);
+    TopologyCollectiveModel single = idealModel(1, 8);
     double t1 = single.time(Collective::All2All, CommScope::Global, T);
     EXPECT_NEAR(t1, T * 7.0 / 8.0 / gBps(300), 1e-9);
 }
 
 TEST(CollectiveModel, DegenerateGroupsAreFree)
 {
-    CollectiveModel single = idealModel(1, 8);
+    TopologyCollectiveModel single = idealModel(1, 8);
     // One node: inter collectives cost nothing.
     EXPECT_DOUBLE_EQ(
         single.time(Collective::AllReduce, CommScope::Inter, gb(1)), 0.0);
 
-    CollectiveModel one_dev = idealModel(16, 1);
+    TopologyCollectiveModel one_dev = idealModel(16, 1);
     EXPECT_DOUBLE_EQ(
         one_dev.time(Collective::AllGather, CommScope::Intra, gb(1)), 0.0);
 
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     EXPECT_DOUBLE_EQ(
         m.time(Collective::AllReduce, CommScope::Global, 0.0), 0.0);
 }
 
 TEST(CollectiveModel, NegativeBytesAreFatal)
 {
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     EXPECT_THROW(m.time(Collective::AllReduce, CommScope::Global, -1.0),
                  ConfigError);
 }
 
 TEST(CollectiveModel, TimeScalesLinearlyInBytes)
 {
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     for (Collective kind :
          {Collective::AllReduce, Collective::AllGather,
           Collective::ReduceScatter, Collective::All2All}) {
@@ -141,9 +148,9 @@ TEST(CollectiveModel, TimeScalesLinearlyInBytes)
 TEST(CollectiveModel, MoreBandwidthNeverHurts)
 {
     ClusterSpec base = hw_zoo::dlrmTrainingSystem();
-    CollectiveModel slow(base);
-    CollectiveModel fast_inter(base.withInterBandwidthScale(4.0));
-    CollectiveModel fast_intra(base.withIntraBandwidthScale(4.0));
+    TopologyCollectiveModel slow(base);
+    TopologyCollectiveModel fast_inter(base.withInterBandwidthScale(4.0));
+    TopologyCollectiveModel fast_intra(base.withIntraBandwidthScale(4.0));
     for (Collective kind :
          {Collective::AllReduce, Collective::AllGather,
           Collective::ReduceScatter, Collective::All2All,
@@ -162,10 +169,10 @@ TEST(CollectiveModel, MoreBandwidthNeverHurts)
 TEST(CollectiveModel, LatencyTermAddsPerStepCost)
 {
     ClusterSpec c = hw_zoo::dlrmTrainingSystem();
-    CollectiveModel zero(c, CollectiveLatency{0.0, 0.0},
-                         AllReduceAlgorithm::Ring);
-    CollectiveModel lat(c, CollectiveLatency{1e-6, 10e-6},
-                        AllReduceAlgorithm::Ring);
+    TopologyCollectiveModel zero(c, CollectiveLatency{0.0, 0.0},
+                                 AllReduceAlgorithm::Ring);
+    TopologyCollectiveModel lat(c, CollectiveLatency{1e-6, 10e-6},
+                                AllReduceAlgorithm::Ring);
     // Tiny message: latency dominates.
     double t0 = zero.time(Collective::AllReduce, CommScope::Inter, 8.0);
     double t1 = lat.time(Collective::AllReduce, CommScope::Inter, 8.0);
@@ -180,10 +187,12 @@ TEST(CollectiveModel, TreeBeatsRingOnLatencyLosesOnBandwidth)
     // (ring vs tree). Tree wins for tiny messages on big groups;
     // ring wins for bulk transfers.
     ClusterSpec c = hw_zoo::llmTrainingSystem(); // 256 nodes.
-    CollectiveModel ring(c, CollectiveLatency{}, AllReduceAlgorithm::Ring);
-    CollectiveModel tree(c, CollectiveLatency{}, AllReduceAlgorithm::Tree);
-    CollectiveModel autosel(c, CollectiveLatency{},
-                            AllReduceAlgorithm::Auto);
+    TopologyCollectiveModel ring(c, CollectiveLatency{},
+                                 AllReduceAlgorithm::Ring);
+    TopologyCollectiveModel tree(c, CollectiveLatency{},
+                                 AllReduceAlgorithm::Tree);
+    TopologyCollectiveModel autosel(c, CollectiveLatency{},
+                                    AllReduceAlgorithm::Auto);
 
     // 1 KB across 256 nodes: ring pays 2*255 alpha steps.
     double small_ring =
@@ -218,7 +227,7 @@ TEST(CollectiveModel, TreeBeatsRingOnLatencyLosesOnBandwidth)
 
 TEST(CollectiveModel, EffectiveBandwidthDiagnostic)
 {
-    CollectiveModel m = idealModel();
+    TopologyCollectiveModel m = idealModel();
     const double T = gb(1);
     double bw =
         m.effectiveBandwidth(Collective::AllGather, CommScope::Inter, T);
@@ -245,8 +254,8 @@ class CollectiveScaling : public ::testing::TestWithParam<int>
 TEST_P(CollectiveScaling, MonotoneInNodeCount)
 {
     int nodes = GetParam();
-    CollectiveModel small = idealModel(nodes);
-    CollectiveModel large = idealModel(nodes * 2);
+    TopologyCollectiveModel small = idealModel(nodes);
+    TopologyCollectiveModel large = idealModel(nodes * 2);
     const double T = gb(1);
     for (Collective kind :
          {Collective::AllReduce, Collective::AllGather,

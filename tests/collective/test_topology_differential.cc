@@ -1,13 +1,15 @@
 /**
  * @file
- * Differential suite pinning the topology-aware collective model to
- * the flat model byte-for-byte: on TopologySpec::flatEquivalent every
- * (kind, scope, bytes) must price bitwise identically to the flat
- * CollectiveModel — across the hardware zoo, fixed corner sizes, and
- * seeded randomized log-uniform sweeps — and whole evaluation
- * pipelines (explore sweeps, spliced evaluation against the reference
- * builder) must produce bit-identical PerfReports when a
- * flat-equivalent topology is attached to the cluster.
+ * Differential suite pinning the collective model to the flat
+ * two-scope closed forms byte-for-byte: a flat cluster, which the
+ * model prices on TopologySpec::flatEquivalent, must price every
+ * (kind, scope, bytes) bitwise identically to the closed forms kept
+ * in tests/reference/flat_collective.hh — across the hardware zoo,
+ * fixed corner sizes, and seeded randomized log-uniform sweeps — and
+ * whole evaluation pipelines (explore sweeps, spliced evaluation
+ * against the reference builder) must produce bit-identical
+ * PerfReports when a flat-equivalent topology is attached to the
+ * cluster.
  *
  * Also holds the topology golden: a GPT-3 explore sweep on the
  * dc-pod-fleet preset, snapshotted in tests/golden/ and covered by
@@ -16,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <random>
 #include <string>
@@ -30,8 +31,8 @@
 #include "hw/hw_zoo.hh"
 #include "hw/topology.hh"
 #include "model/model_zoo.hh"
+#include "reference/flat_collective.hh"
 #include "reference/reference_builder.hh"
-#include "util/logging.hh"
 #include "util/strfmt.hh"
 
 namespace madmax
@@ -115,18 +116,19 @@ expectBitIdentical(const PerfReport &a, const PerfReport &b,
 
 } // namespace
 
-// The heart of the tentpole contract: on the flat-equivalent topology
-// every (kind, scope, bytes, algorithm) prices bitwise identical to
-// the flat closed forms, across the model zoo.
+// The contract that lets one model price every cluster: a flat
+// cluster (priced on its flat-equivalent stack) prices every
+// (kind, scope, bytes, algorithm) bitwise identical to the flat
+// closed forms, across the model zoo.
 TEST(TopologyDifferential, FlatEquivalentIsBitwiseIdenticalAcrossZoo)
 {
     const std::vector<double> sizes = sweepSizes();
     for (const ClusterSpec &cluster : zooClusters()) {
         for (AllReduceAlgorithm algo : kAlgos) {
-            CollectiveModel flat(cluster, CollectiveLatency{}, algo);
-            TopologyCollectiveModel topo(
-                TopologySpec::flatEquivalent(cluster),
-                CollectiveLatency{}, algo);
+            reference::CollectiveModel flat(cluster, CollectiveLatency{},
+                                            algo);
+            TopologyCollectiveModel topo(cluster, CollectiveLatency{},
+                                         algo);
             for (CommScope scope : kScopes) {
                 ASSERT_EQ(flat.groupSize(scope), topo.groupSize(scope))
                     << cluster.name;
@@ -161,9 +163,8 @@ TEST(TopologyDifferential, FlatEquivalentHonorsCustomLatency)
 {
     ClusterSpec cluster = hw_zoo::dlrmTrainingSystem();
     CollectiveLatency lat{3.3e-6, 1.1e-5};
-    CollectiveModel flat(cluster, lat);
-    TopologyCollectiveModel topo(TopologySpec::flatEquivalent(cluster),
-                                 lat);
+    reference::CollectiveModel flat(cluster, lat);
+    TopologyCollectiveModel topo(cluster, lat);
     for (Collective kind : kKinds) {
         for (CommScope scope : kScopes) {
             for (double bytes : {1.0, 4096.0, 1e7, 3e9}) {
@@ -176,8 +177,8 @@ TEST(TopologyDifferential, FlatEquivalentHonorsCustomLatency)
 }
 
 // End-to-end: a full explore() sweep on a cluster carrying the
-// flat-equivalent topology (which auto-selects the topology model)
-// produces reports bit-identical to the flat default, rank by rank.
+// flat-equivalent topology produces reports bit-identical to the bare
+// flat cluster, rank by rank.
 TEST(TopologyDifferential, ExploreSweepBitIdenticalToFlat)
 {
     ModelDesc desc = model_zoo::dlrmA();
@@ -208,9 +209,9 @@ TEST(TopologyDifferential, ExploreSweepBitIdenticalToFlat)
     }
 }
 
-// Spliced evaluation prices through the context's identity-keyed
-// memo and stays bit-identical to the reference builder, which prices
-// every op afresh, on a topology-carrying cluster.
+// Spliced evaluation prices through the context's memo and stays
+// bit-identical to the reference builder, which prices every op
+// afresh, on a topology-carrying cluster.
 TEST(TopologyDifferential, DeltaEvalBitIdenticalOnTopologyCluster)
 {
     ClusterSpec cluster = hw_zoo::withTopology(
@@ -222,7 +223,8 @@ TEST(TopologyDifferential, DeltaEvalBitIdenticalOnTopologyCluster)
     ModelDesc desc = model_zoo::dlrmA();
     TaskSpec task = TaskSpec::preTraining();
     EvalContext ctx(model, desc, task);
-    EXPECT_EQ(ctx.collectives().name(), "topology");
+    EXPECT_EQ(ctx.collectives().spec().fingerprint(),
+              cluster.topology->fingerprint());
 
     std::vector<ParallelPlan> plans;
     {
@@ -246,65 +248,29 @@ TEST(TopologyDifferential, DeltaEvalBitIdenticalOnTopologyCluster)
     }
 }
 
-// Regression for the memo-aliasing latent issue: models that can
-// disagree on a (kind, scope, bytes) triple must never share an
-// identity — including the flat model vs its bit-identical topology
-// twin (same prices today, different formulas tomorrow).
+// The fingerprint engine cache keys embed sees every field of the
+// stack: a bandwidth tweak anywhere changes it.
 TEST(TopologyDifferential, ModelIdentitiesNeverAlias)
 {
     ClusterSpec cluster = hw_zoo::dlrmTrainingSystem();
-    CollectiveModel flat(cluster);
-    TopologyCollectiveModel flat_topo(
-        TopologySpec::flatEquivalent(cluster));
-    TopologyCollectiveModel rail(hw_zoo::dcRailTopology(cluster));
-    TopologyCollectiveModel podfleet(
-        hw_zoo::dcPodFleetTopology(cluster));
-
-    EXPECT_NE(flat.identity(), flat_topo.identity());
-    EXPECT_NE(flat_topo.identity(), rail.identity());
-    EXPECT_NE(rail.identity(), podfleet.identity());
-
-    // Deterministic: same spec, same identity.
-    TopologyCollectiveModel flat_topo2(
-        TopologySpec::flatEquivalent(cluster));
-    EXPECT_EQ(flat_topo.identity(), flat_topo2.identity());
-
-    // Different algorithm choice can change prices -> new identity.
-    CollectiveModel flat_ring(cluster, CollectiveLatency{},
-                              AllReduceAlgorithm::Ring);
-    EXPECT_NE(flat.identity(), flat_ring.identity());
-
-    // A bandwidth tweak anywhere in the stack changes the fingerprint.
     TopologySpec tweaked = TopologySpec::flatEquivalent(cluster);
     tweaked.levels[1].linkBandwidth *= 1.0000000001;
     EXPECT_NE(TopologySpec::flatEquivalent(cluster).fingerprint(),
               tweaked.fingerprint());
 }
 
-TEST(TopologyDifferential, RegistryAndSelection)
+// A cluster is priced on its attached stack, or on its flat-equivalent
+// stack when it carries none.
+TEST(TopologyDifferential, ClusterPricesItsOwnStack)
 {
-    std::vector<std::string> names = collectiveModelNames();
-    EXPECT_NE(std::find(names.begin(), names.end(), "flat"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "topology"),
-              names.end());
-
     ClusterSpec flat_cluster = hw_zoo::dlrmTrainingSystem();
     ClusterSpec topo_cluster = hw_zoo::withTopology(
         flat_cluster, hw_zoo::dcRailTopology(flat_cluster));
 
-    EXPECT_EQ(makeCollectiveModelFor(flat_cluster)->name(), "flat");
-    EXPECT_EQ(makeCollectiveModelFor(topo_cluster)->name(), "topology");
-    // Explicit override beats auto-selection.
-    EXPECT_EQ(makeCollectiveModelFor(topo_cluster, CollectiveLatency{},
-                                     AllReduceAlgorithm::Auto, "flat")
-                  ->name(),
-              "flat");
-    EXPECT_THROW(makeCollectiveModel("no-such-model", flat_cluster),
-                 ConfigError);
-    // The topology factory needs a topology to price.
-    EXPECT_THROW(makeCollectiveModel("topology", flat_cluster),
-                 ConfigError);
+    EXPECT_EQ(TopologyCollectiveModel(flat_cluster).spec().fingerprint(),
+              TopologySpec::flatEquivalent(flat_cluster).fingerprint());
+    EXPECT_EQ(TopologyCollectiveModel(topo_cluster).spec().fingerprint(),
+              topo_cluster.topology->fingerprint());
 }
 
 namespace

@@ -10,8 +10,6 @@
  *  - hierarchical AllReduce at Global scope never loses to a flat
  *    single-ring (or tree) reference built from the stack's slowest
  *    effective link and largest alpha;
- *  - congestion (estimateCongested) never decreases completion time,
- *    and concurrent == 1 is estimate() bit for bit;
  *  - the reported algorithm matches the documented selection rules;
  *  - malformed specs and arguments fail loudly with ConfigError.
  */
@@ -220,44 +218,6 @@ TEST(TopologyProperties, HierarchicalBeatsFlatReference)
     }
 }
 
-// estimateCongested: completion time is non-decreasing in the number
-// of concurrent collectives, and concurrent == 1 is estimate() bit
-// for bit (so the congested path cannot drift from the memoized one).
-TEST(TopologyProperties, CongestionNeverDecreasesTime)
-{
-    std::mt19937_64 rng(0xC0146ull);
-    for (int trial = 0; trial < 25; ++trial) {
-        const TopologySpec spec = randomSpec(rng);
-        const TopologyCollectiveModel model(spec);
-        const std::vector<double> sizes = randomBytes(rng, 6);
-        for (Collective kind : kKinds) {
-            for (CommScope scope : kScopes) {
-                for (double bytes : sizes) {
-                    const CollectiveEstimate uncongested =
-                        model.estimate(kind, scope, bytes);
-                    const CollectiveEstimate unit =
-                        model.estimateCongested(kind, scope, bytes, 1.0);
-                    EXPECT_EQ(unit.seconds, uncongested.seconds);
-                    EXPECT_EQ(unit.algo, uncongested.algo);
-                    double prev = unit.seconds;
-                    for (double concurrent : {1.5, 2.0, 8.0}) {
-                        const double t =
-                            model
-                                .estimateCongested(kind, scope, bytes,
-                                                   concurrent)
-                                .seconds;
-                        EXPECT_GE(t, prev)
-                            << toString(kind) << "/" << toString(scope)
-                            << " at " << bytes << "B, " << concurrent
-                            << " concurrent";
-                        prev = t;
-                    }
-                }
-            }
-        }
-    }
-}
-
 // The reported algorithm follows the documented selection rules on
 // the flat-equivalent two-tier stack (d = 8, m = 16).
 TEST(TopologyProperties, AlgorithmSelectionRules)
@@ -378,14 +338,6 @@ TEST(TopologyProperties, ValidationErrors)
         TopologySpec::flatEquivalent(cluster));
     EXPECT_THROW(
         model.time(Collective::AllReduce, CommScope::Global, -1.0),
-        ConfigError);
-    EXPECT_THROW(model.estimateCongested(Collective::AllReduce,
-                                         CommScope::Global, mb(1), 0.5),
-                 ConfigError);
-    EXPECT_THROW(
-        model.estimateCongested(
-            Collective::AllReduce, CommScope::Global, mb(1),
-            std::numeric_limits<double>::quiet_NaN()),
         ConfigError);
 }
 

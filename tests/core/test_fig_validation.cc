@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "collective/collective.hh"
+#include "collective/topology_model.hh"
 #include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -72,8 +72,8 @@ TEST(FigValidation, Fig7_NetworkScalingAcrossNodeCounts)
     const ClusterSpec one_node =
         hw_zoo::dlrmTrainingSystem().withNumNodes(1);
     const ClusterSpec full = hw_zoo::dlrmTrainingSystem();
-    const CollectiveModel nvlink(one_node);
-    const CollectiveModel roce(full);
+    const TopologyCollectiveModel nvlink(one_node);
+    const TopologyCollectiveModel roce(full);
 
     const double bytes = 1e9;
     const double bw8 = nvlink.effectiveBandwidth(

@@ -26,7 +26,7 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
             const ParallelPlan &plan, const ClusterSpec &cluster)
 {
     LayerProcessor processor(cluster, desc);
-    CollectiveModel collectives(cluster);
+    TopologyCollectiveModel collectives(cluster);
     return reference::buildEvents(desc, task, plan, cluster, processor,
                                   collectives);
 }

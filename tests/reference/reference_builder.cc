@@ -1,6 +1,5 @@
 #include "reference/reference_builder.hh"
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -89,7 +88,7 @@ std::vector<TraceEvent>
 buildEvents(const ModelDesc &desc, const TaskSpec &task,
             const ParallelPlan &plan, const ClusterSpec &cluster,
             const LayerProcessor &processor,
-            const CollectiveCostModel &collectives)
+            const TopologyCollectiveModel &collectives)
 {
     const ModelGraph &graph = desc.graph;
     const int num_layers = graph.numLayers();
@@ -248,12 +247,10 @@ evaluate(const PerfModel &model, const ModelDesc &desc,
         return report;
 
     LayerProcessor processor(model.cluster(), desc, opts.smModel);
-    std::unique_ptr<const CollectiveCostModel> collectives =
-        makeCollectiveModelFor(model.cluster(), opts.latency,
-                               opts.allReduceAlgorithm,
-                               opts.collectiveModel);
+    const TopologyCollectiveModel collectives(
+        model.cluster(), opts.latency, opts.allReduceAlgorithm);
     const std::vector<TraceEvent> events = buildEvents(
-        desc, task, plan, model.cluster(), processor, *collectives);
+        desc, task, plan, model.cluster(), processor, collectives);
     FlatSchedule sched;
     scheduleInto(events, opts.backgroundCommChannel, sched);
 

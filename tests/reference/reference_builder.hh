@@ -19,7 +19,7 @@
 
 #include <vector>
 
-#include "collective/collective.hh"
+#include "collective/topology_model.hh"
 #include "core/layer_processor.hh"
 #include "core/perf_model.hh"
 #include "trace/trace_event.hh"
@@ -37,12 +37,11 @@ namespace reference
  * collective durations from @p collectives; collectives that price to
  * zero or less are dropped.
  */
-std::vector<TraceEvent> buildEvents(const ModelDesc &desc,
-                                    const TaskSpec &task,
-                                    const ParallelPlan &plan,
-                                    const ClusterSpec &cluster,
-                                    const LayerProcessor &processor,
-                                    const CollectiveCostModel &collectives);
+std::vector<TraceEvent>
+buildEvents(const ModelDesc &desc, const TaskSpec &task,
+            const ParallelPlan &plan, const ClusterSpec &cluster,
+            const LayerProcessor &processor,
+            const TopologyCollectiveModel &collectives);
 
 /**
  * Schedule @p events (issue order per stream) with the production

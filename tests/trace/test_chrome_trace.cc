@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "config/json.hh"
+#include "core/perf_model.hh"
+#include "hw/hw_zoo.hh"
+#include "model/model_zoo.hh"
 #include "trace/chrome_trace.hh"
 
 namespace madmax
@@ -73,6 +76,47 @@ TEST(ChromeTrace, SkipsZeroDurationEvents)
 
     JsonValue doc = JsonValue::parse(chromeTraceJson(tl));
     EXPECT_EQ(doc.at("traceEvents").size(), 2u);
+}
+
+// A flat cluster is priced on its flat-equivalent tier stack, so its
+// collectives carry the chosen algorithm just like a topology
+// cluster's: every communication event is annotated, no compute event
+// is, and the Chrome trace emits "algo" on exactly the collectives.
+TEST(ChromeTrace, FlatClusterAnnotatesEveryCollective)
+{
+    PerfModelOptions opts;
+    opts.keepTimeline = true;
+    PerfModel model(hw_zoo::dlrmTrainingSystem(), opts);
+    ParallelPlan plan;
+    plan.set(LayerClass::SparseEmbedding, HierStrategy{Strategy::MP});
+    plan.set(LayerClass::BaseDense,
+             HierStrategy{Strategy::TP, Strategy::DDP});
+    PerfReport r =
+        model.evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(), plan);
+    ASSERT_TRUE(r.valid);
+
+    size_t traced_comm = 0;
+    for (const ScheduledEvent &se : r.timeline.events) {
+        if (se.event.stream == StreamKind::Communication) {
+            EXPECT_NE(se.event.algo, CollAlgo::None) << se.event.name;
+            if (se.event.duration > 0.0)
+                ++traced_comm;
+        } else {
+            EXPECT_EQ(se.event.algo, CollAlgo::None) << se.event.name;
+        }
+    }
+    ASSERT_GT(traced_comm, 0u);
+
+    JsonValue doc = JsonValue::parse(chromeTraceJson(r.timeline));
+    size_t annotated = 0;
+    for (const JsonValue &ev : doc.at("traceEvents").asArray()) {
+        const bool comm = ev.at("tid").asLong() == 1;
+        EXPECT_EQ(ev.at("args").has("algo"), comm)
+            << ev.at("name").asString();
+        if (ev.at("args").has("algo"))
+            ++annotated;
+    }
+    EXPECT_EQ(annotated, traced_comm);
 }
 
 TEST(AsciiStreams, RendersTwoLanes)
