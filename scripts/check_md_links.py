@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Check relative markdown links and heading anchors in the docs.
+"""Check relative markdown links, heading anchors and source pointers.
 
 Scans README.md and docs/*.md for inline links `[text](target)` and
-verifies that
+source pointers `dir/file.ext:line` (also `:first-last`, and
+comma-separated lists of either), and verifies that
 
-  - relative file/directory targets exist in the repository, and
+  - relative file/directory targets exist in the repository,
   - `#fragment` anchors (same-file or on a linked .md file) match a
-    heading in the target file, using GitHub's slugification rules.
+    heading in the target file, using GitHub's slugification rules, and
+  - each pointer's file exists (paths are relative to the repository
+    root) and every line range in it is ascending and fits within the
+    file's length.
 
-External links (http/https/mailto) are not fetched. Links inside
-fenced code blocks are ignored. Exits non-zero listing every broken
-link as `file:line: message`.
+External links (http/https/mailto) are not fetched. Links and pointers
+inside fenced code blocks are ignored. Exits non-zero listing every
+broken link or pointer as `file:line: message`.
 
 Usage: python3 scripts/check_md_links.py [repo-root]
 """
@@ -23,6 +27,12 @@ LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 FENCE_RE = re.compile(r"^\s*(```|~~~)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 EXTERNAL_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
+# A repo-relative path with at least one directory and an extension,
+# then `:N`, `:N-M`, or a comma list of those.
+POINTER_RE = re.compile(
+    r"(?<![\w/.-])((?:[\w.-]+/)+[\w.-]+\.[A-Za-z]\w*)"
+    r":(\d+(?:-\d+)?(?:,\d+(?:-\d+)?)*)"
+)
 
 
 def github_slug(heading, seen):
@@ -57,7 +67,8 @@ def anchors_of(path, cache):
     return cache[path]
 
 
-def iter_links(path):
+def iter_lines(path):
+    """(lineno, line) outside fenced code blocks."""
     in_fence = False
     for lineno, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -65,59 +76,100 @@ def iter_links(path):
         if FENCE_RE.match(line):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
-        for m in LINK_RE.finditer(line):
-            yield lineno, m.group(1)
+        if not in_fence:
+            yield lineno, line
 
 
-def check_file(path, root, cache):
+def line_count(path, cache):
+    if path not in cache:
+        cache[path] = len(path.read_text(encoding="utf-8").splitlines())
+    return cache[path]
+
+
+def check_pointer(file_ref, ranges, root, lengths):
+    """The problem with one `file:ranges` pointer, or None."""
+    dest = (root / file_ref).resolve()
+    try:
+        dest.relative_to(root)
+    except ValueError:
+        return "pointer escapes the repo"
+    if not dest.is_file():
+        return "pointer to a missing file"
+    length = line_count(dest, lengths)
+    for span in ranges.split(","):
+        first, _, last = span.partition("-")
+        first = int(first)
+        last = int(last) if last else first
+        if first < 1 or last < first:
+            return f"bad line range {span}"
+        if last > length:
+            return f"line range {span} runs past the end ({length} lines)"
+    return None
+
+
+def check_link(path, root, anchors, target):
+    """The problem with one link target, or None."""
+    if EXTERNAL_RE.match(target):
+        return None  # http(s):, mailto:, etc.
+    ref, _, fragment = target.partition("#")
+    if ref:
+        dest = (path.parent / ref).resolve()
+        try:
+            dest.relative_to(root)
+        except ValueError:
+            return f"link escapes the repo: {target}"
+        if not dest.exists():
+            return f"broken link: {target}"
+    else:
+        dest = path  # pure '#fragment' self-reference
+    if fragment:
+        if dest.is_dir() or dest.suffix != ".md":
+            return f"anchor on a non-markdown target: {target}"
+        if fragment not in anchors_of(dest, anchors):
+            return f"missing anchor: {target}"
+    return None
+
+
+def check_file(path, root, anchors, lengths):
+    """(errors, number of pointers checked) for one markdown file."""
     errors = []
-    for lineno, target in iter_links(path):
-        if EXTERNAL_RE.match(target):
-            continue  # http(s):, mailto:, etc.
-        ref, _, fragment = target.partition("#")
-        if ref:
-            dest = (path.parent / ref).resolve()
-            try:
-                dest.relative_to(root)
-            except ValueError:
-                errors.append((lineno, f"link escapes the repo: {target}"))
-                continue
-            if not dest.exists():
-                errors.append((lineno, f"broken link: {target}"))
-                continue
-        else:
-            dest = path  # pure '#fragment' self-reference
-        if fragment:
-            if dest.is_dir() or dest.suffix != ".md":
-                errors.append(
-                    (lineno, f"anchor on a non-markdown target: {target}")
-                )
-            elif fragment not in anchors_of(dest, cache):
-                errors.append((lineno, f"missing anchor: {target}"))
-    return errors
+    pointers = 0
+    for lineno, line in iter_lines(path):
+        for m in POINTER_RE.finditer(line):
+            pointers += 1
+            problem = check_pointer(m.group(1), m.group(2), root, lengths)
+            if problem:
+                errors.append((lineno, f"{problem}: {m.group(0)}"))
+        for m in LINK_RE.finditer(line):
+            problem = check_link(path, root, anchors, m.group(1))
+            if problem:
+                errors.append((lineno, problem))
+    return errors, pointers
 
 
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     files = sorted([root / "README.md", *(root / "docs").glob("*.md")])
-    cache = {}
+    anchors, lengths = {}, {}
     failures = 0
     checked = 0
+    pointers = 0
     for path in files:
         if not path.exists():
             print(f"error: {path} does not exist", file=sys.stderr)
             return 2
         checked += 1
-        for lineno, message in check_file(path, root, cache):
+        errors, count = check_file(path, root, anchors, lengths)
+        pointers += count
+        for lineno, message in errors:
             rel = path.relative_to(root)
             print(f"{rel}:{lineno}: {message}", file=sys.stderr)
             failures += 1
     if failures:
-        print(f"check_md_links: {failures} broken link(s)", file=sys.stderr)
+        print(f"check_md_links: {failures} broken link(s) or pointer(s)",
+              file=sys.stderr)
         return 1
-    print(f"check_md_links: {checked} files OK")
+    print(f"check_md_links: {checked} files, {pointers} pointers OK")
     return 0
 
 

@@ -46,6 +46,10 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
         lc.fwdName = &layer.name();
         lc.bwdName = layer.name() + "'";
         lc.cls = layer.layerClass();
+        std::vector<int> &members =
+            classLayers_[static_cast<size_t>(lc.cls)];
+        lc.classIndex = static_cast<uint32_t>(members.size());
+        members.push_back(i);
     }
 
     // Consumer lists, flattened in two counting passes: layer d's
@@ -81,9 +85,11 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
 size_t
 EvalContext::encode(HierStrategy hs)
 {
-    // The 5x5 table indexing assumes exactly five Strategy values; a
-    // new enumerator must grow the strategies_ array alongside this
-    // multiplier or encode() writes past its end.
+    // The [5][5x5] table indexing assumes exactly five LayerClass and
+    // five Strategy values; a new enumerator must grow tables_
+    // alongside these or the lookups write past its end.
+    static_assert(static_cast<size_t>(LayerClass::MoE) + 1 == kNumClasses,
+                  "strategy tables assume 5 LayerClass values");
     static_assert(static_cast<size_t>(Strategy::MP) == 4,
                   "strategy table encoding assumes 5 Strategy values");
     return static_cast<size_t>(hs.intra) * 5 +
@@ -115,32 +121,25 @@ EvalContext::collectiveTableSize() const
 }
 
 void
-EvalContext::buildStrategyTable(size_t slot, HierStrategy hs) const
+EvalContext::buildStrategyTable(StrategyTable &table, LayerClass cls,
+                                HierStrategy hs) const
 {
     std::lock_guard<std::mutex> lock(buildMutex_);
-    StrategyTable &table = strategies_[slot];
     if (table.ready.load(std::memory_order_acquire))
         return; // Another thread built it while we waited.
 
-    // One planner pass covers every layer: a plan that maps all
-    // classes to @p hs makes strategyFor(cls) == hs for each layer, so
-    // planLayer yields exactly what any real plan assigning @p hs to
-    // that layer's class would get.
-    ParallelPlan uniform;
-    for (LayerClass cls : {LayerClass::SparseEmbedding,
-                           LayerClass::DenseEmbedding,
-                           LayerClass::BaseDense, LayerClass::Transformer,
-                           LayerClass::MoE}) {
-        uniform.set(cls, hs);
-    }
-    CommPlanner planner(*desc_, *task_, uniform, cluster());
+    // planLayer reads only the planned layer's class strategy, so a
+    // plan mapping @p cls to @p hs yields exactly what any real plan
+    // doing the same gets for this class's layers.
+    ParallelPlan plan;
+    plan.set(cls, hs);
+    CommPlanner planner(*desc_, *task_, plan, cluster());
 
-    const int num_layers = desc_->graph.numLayers();
-    std::vector<std::vector<ResolvedCommOp>> per_layer(
-        static_cast<size_t>(num_layers));
-    for (int i = 0; i < num_layers; ++i) {
-        std::vector<ResolvedCommOp> resolved;
-        for (CommOp &op : planner.planLayer(i)) {
+    const std::vector<int> &layers = classLayers_[static_cast<size_t>(cls)];
+    std::vector<std::vector<ResolvedCommOp>> per_layer(layers.size());
+    for (size_t k = 0; k < layers.size(); ++k) {
+        std::vector<ResolvedCommOp> &resolved = per_layer[k];
+        for (CommOp &op : planner.planLayer(layers[k])) {
             CollectiveEstimate est =
                 collectiveEstimate(op.kind, op.scope, op.bytes);
             if (est.seconds <= 0.0)
@@ -149,35 +148,36 @@ EvalContext::buildStrategyTable(size_t slot, HierStrategy hs) const
                 op.phase, op.position, op.kind, commCategoryOf(op.kind),
                 op.blocking, est.seconds, std::move(op.tag), est.algo});
         }
-        per_layer[static_cast<size_t>(i)] = std::move(resolved);
     }
     table.perLayer = std::move(per_layer);
     table.ready.store(true, std::memory_order_release);
 }
 
-const EvalContext::StrategyTable &
-EvalContext::strategyTable(HierStrategy hs) const
+EvalContext::StrategyTable &
+EvalContext::strategyTable(LayerClass cls, HierStrategy hs) const
 {
-    const size_t slot = encode(hs);
-    const StrategyTable &table = strategies_[slot];
+    StrategyTable &table = tables_[static_cast<size_t>(cls)][encode(hs)];
     if (!table.ready.load(std::memory_order_acquire))
-        buildStrategyTable(slot, hs);
+        buildStrategyTable(table, cls, hs);
     return table;
 }
 
 const EvalContext::Segments &
-EvalContext::segments(HierStrategy hs, bool prefetch) const
+EvalContext::segments(LayerClass cls, HierStrategy hs,
+                      bool prefetch) const
 {
-    const StrategyTable &table = strategyTable(hs);
-    Segments &segs = strategies_[encode(hs)].segs[prefetch ? 1 : 0];
+    StrategyTable &table = strategyTable(cls, hs);
+    Segments &segs = table.segs[prefetch ? 1 : 0];
     if (!segs.ready.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(buildMutex_);
         if (!segs.ready.load(std::memory_order_acquire)) {
-            buildSegmentSet(*desc_, costs_, table.perLayer, false,
-                            prefetch, segs.fwd);
+            const std::vector<int> &layers =
+                classLayers_[static_cast<size_t>(cls)];
+            buildSegmentSet(*desc_, costs_, layers, table.perLayer,
+                            false, prefetch, segs.fwd);
             if (task_->needsBackward()) {
-                buildSegmentSet(*desc_, costs_, table.perLayer, true,
-                                prefetch, segs.bwd);
+                buildSegmentSet(*desc_, costs_, layers, table.perLayer,
+                                true, prefetch, segs.bwd);
             }
             segs.ready.store(true, std::memory_order_release);
         }
@@ -188,7 +188,8 @@ EvalContext::segments(HierStrategy hs, bool prefetch) const
 const std::vector<ResolvedCommOp> &
 EvalContext::plannedOps(int idx, HierStrategy hs) const
 {
-    return strategyTable(hs).perLayer[static_cast<size_t>(idx)];
+    const LayerCosts &lc = costs_[static_cast<size_t>(idx)];
+    return strategyTable(lc.cls, hs).perLayer[lc.classIndex];
 }
 
 PerfReport
@@ -311,50 +312,52 @@ EvalContext::spliceGraph(Scratch &s, const ParallelPlan &plan) const
     const bool backward = task_->needsBackward();
 
     // Resolve each present class's segment arenas once (template
-    // construction only for strategies this context has never seen);
-    // every layer's segment then splices straight from cache.
-    const LayerClass all_classes[] = {
-        LayerClass::SparseEmbedding, LayerClass::DenseEmbedding,
-        LayerClass::BaseDense, LayerClass::Transformer, LayerClass::MoE};
-    const Segments *by_class[5] = {};
-    for (LayerClass cls : all_classes) {
-        if (desc_->graph.hasClass(cls)) {
-            by_class[static_cast<size_t>(cls)] =
-                &segments(plan.strategyFor(cls), plan.fsdpPrefetch);
+    // construction only for (class, strategy) pairs this context has
+    // never seen); every layer's segment then splices straight from
+    // cache.
+    const Segments *by_class[kNumClasses] = {};
+    for (size_t c = 0; c < kNumClasses; ++c) {
+        if (!classLayers_[c].empty()) {
+            const LayerClass cls = static_cast<LayerClass>(c);
+            by_class[c] =
+                &segments(cls, plan.strategyFor(cls), plan.fsdpPrefetch);
         }
     }
 
-    // Maximal same-class layer runs, then one fused splice: every
-    // run is a contiguous range of one strategy table's packed arena
-    // (GPT-3's ~190-layer transformer stack is a single run per
-    // pass), so the splice cost scales with class alternations, not
-    // layer count. Backward sets are stored in emission order (layer
-    // N-1..0), so a descending layer run maps to an ascending set
-    // range starting at N-1-i.
+    // Maximal same-class layer runs, then one fused splice: a class's
+    // consecutive layers have consecutive class indices, so every run
+    // is a contiguous range of that class's packed arena (GPT-3's
+    // ~190-layer transformer stack is a single run per pass) and the
+    // splice cost scales with class alternations, not layer count.
+    // Backward sets hold the class's layers in emission order
+    // (descending), so a descending run starting at layer i maps to
+    // an ascending set range starting at |L(cls)|-1-classIndex(i).
     std::vector<SpliceRun> &runs = s.runs;
     runs.clear();
     for (int i = 0; i < num_layers;) {
-        const LayerClass cls = costs_[static_cast<size_t>(i)].cls;
+        const LayerCosts &lc = costs_[static_cast<size_t>(i)];
         int j = i + 1;
         while (j < num_layers &&
-               costs_[static_cast<size_t>(j)].cls == cls)
+               costs_[static_cast<size_t>(j)].cls == lc.cls)
             ++j;
         runs.push_back(
-            SpliceRun{&by_class[static_cast<size_t>(cls)]->fwd,
-                      static_cast<uint32_t>(i),
-                      static_cast<uint32_t>(j - i), false});
+            SpliceRun{&by_class[static_cast<size_t>(lc.cls)]->fwd,
+                      lc.classIndex, static_cast<uint32_t>(j - i),
+                      false});
         i = j;
     }
     if (backward) {
         for (int i = num_layers - 1; i >= 0;) {
-            const LayerClass cls = costs_[static_cast<size_t>(i)].cls;
+            const LayerCosts &lc = costs_[static_cast<size_t>(i)];
+            const size_t c = static_cast<size_t>(lc.cls);
             int j = i - 1;
-            while (j >= 0 && costs_[static_cast<size_t>(j)].cls == cls)
+            while (j >= 0 && costs_[static_cast<size_t>(j)].cls == lc.cls)
                 --j;
-            runs.push_back(SpliceRun{
-                &by_class[static_cast<size_t>(cls)]->bwd,
-                static_cast<uint32_t>(num_layers - 1 - i),
-                static_cast<uint32_t>(i - j), true});
+            const uint32_t class_size =
+                static_cast<uint32_t>(classLayers_[c].size());
+            runs.push_back(SpliceRun{&by_class[c]->bwd,
+                                     class_size - 1 - lc.classIndex,
+                                     static_cast<uint32_t>(i - j), true});
             i = j;
         }
     }

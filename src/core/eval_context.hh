@@ -18,22 +18,24 @@
  *    and the backward trace labels ("layer'") are precomputed;
  *  - the collective calls each layer needs under a given
  *    HierStrategy — including their modeled durations — are resolved
- *    once per (layer, strategy) and shared by every plan that maps
- *    the layer's class to that strategy, with a memoized
- *    collective-time table keyed on (kind, scope, bytes)
- *    deduplicating the underlying cost-model estimate calls;
- *  - per-(strategy, prefetch) segment arenas
- *    (core/segment_template.hh) are built on first use, so a plan's
- *    event graph is spliced from cached segments instead of
- *    re-emitted layer by layer;
+ *    once per (layer class, strategy) table, for that class's layers
+ *    only, and shared by every plan that maps the class to that
+ *    strategy, with a memoized collective-time table keyed on (kind,
+ *    scope, bytes) deduplicating the underlying cost-model estimate
+ *    calls;
+ *  - per-(class, strategy, prefetch) segment arenas
+ *    (core/segment_template.hh) hold that class's layers only and
+ *    are built on first use, so a plan's event graph is spliced from
+ *    cached segments instead of re-emitted layer by layer, and a
+ *    one-off evaluation builds each layer's segments once;
  *  - trace-event names are owned here (stable storage), so the flat
  *    event graph only carries pointers and plans that do not retain a
  *    Timeline never copy a string.
  *
  * Thread safety: evaluate()/verdict()/plannedOps() are safe to call
- * concurrently. Per-strategy tables are built lazily under a mutex on
- * first use (a plan touches at most one strategy per layer class) and
- * are immutable once published.
+ * concurrently. Per-(class, strategy) tables are built lazily under a
+ * mutex on first use (a plan touches exactly one table per present
+ * class) and are immutable once published.
  *
  * Lifetime: the context borrows the PerfModel, ModelDesc, and
  * TaskSpec it was built from; all three must outlive it. The
@@ -121,8 +123,9 @@ class EvalContext
 
     /**
      * Evaluate one plan: splice its event graph from the cached
-     * per-(layer-class strategy, prefetch) segment arenas (template
-     * construction is paid only the first time a strategy is seen),
+     * per-(layer class, strategy, prefetch) segment arenas (template
+     * construction is paid only the first time a class runs under a
+     * strategy),
      * run the linear overlap sweep, and fill the report. Graph,
      * schedule, and sweep buffers are per-thread and reused across
      * calls. The scheduled Timeline is materialized only when the
@@ -144,6 +147,9 @@ class EvalContext
         const std::string *fwdName = nullptr; ///< &layer.name().
         std::string bwdName; ///< layer.name() + "'" (backward label).
         LayerClass cls = LayerClass::BaseDense; ///< layer.layerClass().
+        /** Position among the layers of class `cls`, ascending — the
+         *  layer's entry in that class's tables and forward arenas. */
+        uint32_t classIndex = 0;
         /** Layers consuming this layer's output, ascending (points
          *  into context-owned storage). */
         const int *consumers = nullptr;
@@ -157,10 +163,10 @@ class EvalContext
 
     /**
      * The resolved collectives layer @p idx needs when its class runs
-     * under @p hs. Built lazily per strategy pair (one CommPlanner
-     * pass over the whole graph, shared by all layers), then served
-     * lock-free. The returned vector and its tag strings are stable
-     * for the context's lifetime.
+     * under @p hs. Built lazily per (class, strategy) pair (one
+     * CommPlanner pass over the class's layers, shared by all of
+     * them), then served lock-free. The returned vector and its tag
+     * strings are stable for the context's lifetime.
      */
     const std::vector<ResolvedCommOp> &plannedOps(int idx,
                                                   HierStrategy hs) const;
@@ -170,9 +176,10 @@ class EvalContext
     size_t collectiveTableSize() const;
 
   private:
-    /** The packed per-layer segment arenas evaluate() splices from,
-     *  for one (strategy, fsdpPrefetch) pair; bwd stays empty for
-     *  forward-only tasks. Built on first use, published once. */
+    /** The packed segment arenas evaluate() splices from, for one
+     *  (class, strategy, fsdpPrefetch) binding: the class's layers in
+     *  emission order; bwd stays empty for forward-only tasks. Built
+     *  on first use, published once. */
     struct Segments
     {
         std::atomic<bool> ready{false};
@@ -180,9 +187,10 @@ class EvalContext
         SegmentSet bwd;
     };
 
-    /** Per-layer resolved ops for one (intra, inter) strategy pair,
-     *  published once, plus its segment arenas per prefetch value
-     *  (one-off evaluations build only the variant they splice). */
+    /** Resolved ops for one class's layers (indexed by classIndex)
+     *  under one (intra, inter) strategy pair, published once, plus
+     *  its segment arenas per prefetch value (one-off evaluations
+     *  build only the variant they splice). */
     struct StrategyTable
     {
         std::atomic<bool> ready{false};
@@ -190,15 +198,21 @@ class EvalContext
         std::array<Segments, 2> segs; ///< Indexed by fsdpPrefetch.
     };
 
+    static constexpr size_t kNumClasses = 5;
+    static constexpr size_t kNumStrategies = 25;
+
     static size_t encode(HierStrategy hs);
 
-    void buildStrategyTable(size_t slot, HierStrategy hs) const;
+    void buildStrategyTable(StrategyTable &table, LayerClass cls,
+                            HierStrategy hs) const;
 
-    /** The (lazily built) table for @p hs. */
-    const StrategyTable &strategyTable(HierStrategy hs) const;
+    /** The (lazily built) table for @p cls under @p hs. */
+    StrategyTable &strategyTable(LayerClass cls, HierStrategy hs) const;
 
-    /** The (lazily built) segment arenas for @p hs and @p prefetch. */
-    const Segments &segments(HierStrategy hs, bool prefetch) const;
+    /** The (lazily built) segment arenas for @p cls under @p hs and
+     *  @p prefetch. */
+    const Segments &segments(LayerClass cls, HierStrategy hs,
+                             bool prefetch) const;
 
     /** Per-thread graph / schedule buffers (defined in the .cc). */
     struct Scratch;
@@ -218,9 +232,13 @@ class EvalContext
     TopologyCollectiveModel collectives_;
     std::vector<LayerCosts> costs_;
     std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.
+    /** Each class's layers, ascending (indexed by LayerClass). */
+    std::array<std::vector<int>, kNumClasses> classLayers_;
 
-    /** Indexed by encode(hs); Strategy has 5 values per level. */
-    mutable std::array<StrategyTable, 25> strategies_;
+    /** Indexed by [LayerClass][encode(hs)]. */
+    mutable std::array<std::array<StrategyTable, kNumStrategies>,
+                       kNumClasses>
+        tables_;
     mutable std::mutex buildMutex_;
 
     /** Keyed (kind, scope, bytes-bits); the context has one model. */

@@ -14,16 +14,16 @@
  * the other classes picked. Only the absolute event ids a segment's
  * dependencies resolve to change from plan to plan.
  *
- * A SegmentSet captures one whole pass direction under one
- * (class-strategy, prefetch) binding: every layer's segment packed
- * back-to-back in emission order, with the dependencies in symbolic
- * form. The EvalContext builds a set once per (strategy, prefetch,
- * pass) and splices concrete flat EventGraphs from it for any plan
- * that maps a layer's class to that strategy. Because consecutive
- * same-class layers occupy consecutive arena ranges, a splice is a
- * handful of long contiguous copies (one per class *run*) plus a flat
- * dependency-resolution sweep — not a pointer chase across hundreds
- * of per-layer objects.
+ * A SegmentSet captures one pass direction of one layer class under
+ * one (strategy, prefetch) binding: the segments of that class's
+ * layers packed back-to-back in emission order, with the
+ * dependencies in symbolic form. The EvalContext builds a set once
+ * per (class, strategy, prefetch, pass) and splices concrete flat
+ * EventGraphs from it for any plan that maps the class to that
+ * strategy. Because consecutive same-class layers occupy consecutive
+ * arena ranges, a splice is a handful of long contiguous copies (one
+ * per class *run*) plus a flat dependency-resolution sweep — not a
+ * pointer chase across hundreds of per-layer objects.
  *
  * The symbolic dependency kinds are the only ways the stream builder
  * (core/stream_builder.hh) ever wires an edge:
@@ -46,7 +46,9 @@
  * dependency *exists* is decided statically at arena-build time:
  * emission order makes "already built" equivalent to an index
  * comparison (producers precede consumers), and the compute-event
- * count before a segment equals its emission ordinal.
+ * count before a segment equals its whole-graph emission ordinal
+ * (layer i forward, 2N-1-i backward), which the builder passes in
+ * explicitly because a class's set skips the other classes' layers.
  */
 
 #ifndef MADMAX_CORE_SEGMENT_TEMPLATE_HH
@@ -86,11 +88,12 @@ struct SymDep
 };
 
 /**
- * The cached event subgraphs every layer contributes to one pass
- * direction under one (HierStrategy, fsdpPrefetch) binding, packed
- * into two flat arenas in emission order — forward sets hold layer
- * 0..N-1, backward sets layer N-1..0, so set entry e is layer e
- * (forward) or layer N-1-e (backward).
+ * The cached event subgraphs one layer class's layers contribute to
+ * one pass direction under one (HierStrategy, fsdpPrefetch) binding,
+ * packed into two flat arenas in emission order — forward sets hold
+ * the class's layers ascending, backward sets descending — so set
+ * entry e is the class's e-th layer (forward) or its (|L|-1-e)-th
+ * (backward); each entry records its layer.
  *
  * Events are stored as ready-made EventNodes (names borrowed from the
  * owning EvalContext's stable storage) whose depsBegin/depsCount
@@ -117,6 +120,7 @@ struct SegmentSet
         uint32_t depBegin = 0;   ///< First symbolic dep in `deps`.
         int32_t outputLocal = -1;  ///< Visible output, segment-local.
         int32_t computeLocal = -1; ///< Compute event, segment-local.
+        int32_t layer = -1;        ///< Graph index of the layer.
     };
 
     /** One entry per segment in emission order, plus a sentinel whose

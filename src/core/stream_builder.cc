@@ -16,6 +16,7 @@ struct SegmentSpec
 {
     const ModelGraph *graph = nullptr;
     int idx = 0;
+    size_t ordinal = 0; ///< Whole-graph emission ordinal.
     const int *consumers = nullptr;
     uint32_t numConsumers = 0;
     const std::string *computeName = nullptr;
@@ -33,34 +34,31 @@ struct SegmentSpec
  * pass layer d's output exists iff d < idx (dependencies point
  * backwards), in the backward pass every forward output exists and
  * consumer c's backward output exists iff c > idx; the compute-event
- * count before a segment is its emission ordinal — the number of
- * segments already in the set, plus N for backward sets (the whole
- * forward pass precedes them). That is why the arena is
+ * count before a segment is its whole-graph emission ordinal (layer
+ * i forward, 2N-1-i backward), given per segment since a class's set
+ * skips the other classes' layers. That is why the arena is
  * plan-independent.
  */
 class TemplateEmitter
 {
   public:
-    TemplateEmitter(SegmentSet &set, size_t ordinalBase)
-        : set_(set), ordinalBase_(ordinalBase)
-    {}
+    explicit TemplateEmitter(SegmentSet &set) : set_(set) {}
 
-    void beginSegment(int idx, bool backward)
+    void beginSegment(int idx, bool backward, size_t ordinal)
     {
         idx_ = idx;
         backward_ = backward;
+        ordinal_ = ordinal;
         segEventBase_ = set_.events.size();
         staged_ = 0;
         SegmentSet::Seg seg;
         seg.eventBegin = static_cast<uint32_t>(set_.events.size());
         seg.depBegin = static_cast<uint32_t>(set_.deps.size());
+        seg.layer = idx;
         set_.segs.push_back(seg);
     }
 
-    size_t computeCountBefore() const
-    {
-        return ordinalBase_ + set_.segs.size() - 1;
-    }
+    size_t computeCountBefore() const { return ordinal_; }
 
     void clearDeps() { staged_ = 0; }
 
@@ -138,7 +136,7 @@ class TemplateEmitter
     }
 
     SegmentSet &set_;
-    size_t ordinalBase_;
+    size_t ordinal_ = 0; ///< Emission ordinal of this segment.
     size_t segEventBase_ = 0; ///< First arena event of this segment.
     size_t staged_ = 0; ///< Symbolic deps staged since clearDeps().
     int idx_ = 0;
@@ -155,7 +153,7 @@ class TemplateEmitter
 void
 emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
 {
-    em.beginSegment(s.idx, s.backward);
+    em.beginSegment(s.idx, s.backward, s.ordinal);
     const Phase phase = s.backward ? Phase::Backward : Phase::Forward;
 
     // Parameter AllGathers have no data dependency; what limits them
@@ -254,35 +252,36 @@ void
 buildSegmentSet(
     const ModelDesc &desc,
     const std::vector<EvalContext::LayerCosts> &costs,
+    const std::vector<int> &layers,
     const std::vector<std::vector<ResolvedCommOp>> &perLayerOps,
     bool backwardPass, bool prefetch, SegmentSet &out)
 {
-    const int num_layers = desc.graph.numLayers();
+    const size_t num_layers = static_cast<size_t>(desc.graph.numLayers());
+    const size_t count = layers.size();
     out.events.clear();
     out.deps.clear();
     out.segs.clear();
-    out.segs.reserve(static_cast<size_t>(num_layers) + 1);
+    out.segs.reserve(count + 1);
 
-    // Emit in emission order — forward layer 0..N-1, backward layer
-    // N-1..0 — so consecutive layers are consecutive arena ranges and
-    // a segment's emission ordinal is its position in the set (plus N
-    // for backward sets).
-    TemplateEmitter em(out, backwardPass
-                                ? static_cast<size_t>(num_layers)
-                                : 0);
-    for (int e = 0; e < num_layers; ++e) {
-        const int i = backwardPass ? num_layers - 1 - e : e;
-        const size_t s = static_cast<size_t>(i);
-        const EvalContext::LayerCosts &lc = costs[s];
+    // Emit in emission order — ascending forward, descending backward
+    // — so consecutive same-class layers are consecutive arena ranges.
+    TemplateEmitter em(out);
+    for (size_t e = 0; e < count; ++e) {
+        const size_t k = backwardPass ? count - 1 - e : e;
+        const int i = layers[k];
+        const EvalContext::LayerCosts &lc = costs[static_cast<size_t>(i)];
         SegmentSpec spec;
         spec.graph = &desc.graph;
         spec.idx = i;
+        spec.ordinal = backwardPass
+            ? 2 * num_layers - 1 - static_cast<size_t>(i)
+            : static_cast<size_t>(i);
         spec.consumers = lc.consumers;
         spec.numConsumers = lc.numConsumers;
         spec.computeName = backwardPass ? &lc.bwdName : lc.fwdName;
         spec.computeTime = backwardPass ? lc.bwdTime : lc.fwdTime;
         spec.category = lc.category;
-        spec.ops = &perLayerOps[s];
+        spec.ops = &perLayerOps[k];
         spec.prefetch = prefetch;
         spec.backward = backwardPass;
         emitLayerSegment(spec, em);
@@ -354,19 +353,18 @@ spliceSegmentRuns(const SpliceRun *runs, size_t numRuns, int numLayers,
         // Pass 1: record every segment's visible output and compute
         // event id — pure index arithmetic, independent of the
         // dependency sweep. computeIds is indexed by emission ordinal
-        // (set index, plus N for backward sets).
+        // (layer i forward, 2N-1-i backward).
         const bool bwd = runs[r].backward;
         const int32_t node_shift = static_cast<int32_t>(node_pos) -
                                    static_cast<int32_t>(ev_begin);
-        int32_t *coutBase = computeIds.data() + (bwd ? nl : 0);
         int32_t *outArr = (bwd ? bwdOut : fwdOut).data();
         for (uint32_t j = first; j < last; ++j) {
             const int32_t base =
                 node_shift + static_cast<int32_t>(segs[j].eventBegin);
-            // Set entry j is layer j forward, layer N-1-j backward.
-            const size_t layer = bwd ? nl - 1 - j : j;
+            const size_t layer = static_cast<size_t>(segs[j].layer);
             outArr[layer] = base + segs[j].outputLocal;
-            coutBase[j] = base + segs[j].computeLocal;
+            computeIds[bwd ? 2 * nl - 1 - layer : layer] =
+                base + segs[j].computeLocal;
         }
 
         // Pass 2: one flat, branch-predictable sweep resolves the

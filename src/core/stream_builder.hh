@@ -15,13 +15,13 @@
  *  - FSDP AllGathers optionally prefetch one layer ahead (Fig. 9),
  *    letting them hide behind the preceding layer's compute.
  *
- * It works in two steps. buildSegmentSet emits every layer's segment
- * symbolically (core/segment_template.hh) once per (strategy,
- * prefetch, pass direction) — the EvalContext caches the arenas with
- * its strategy tables. spliceSegmentRuns then assembles any plan's
- * concrete flat EventGraph from those arenas in one pass. Nodes carry
- * borrowed name pointers; strings are copied only when a caller
- * retains the Timeline.
+ * It works in two steps. buildSegmentSet emits one layer class's
+ * segments symbolically (core/segment_template.hh) once per (class,
+ * strategy, prefetch, pass direction) — the EvalContext caches the
+ * arenas with its per-class strategy tables. spliceSegmentRuns then
+ * assembles any plan's concrete flat EventGraph from those arenas in
+ * one pass. Nodes carry borrowed name pointers; strings are copied
+ * only when a caller retains the Timeline.
  */
 
 #ifndef MADMAX_CORE_STREAM_BUILDER_HH
@@ -37,16 +37,20 @@ namespace madmax
 {
 
 /**
- * Generate the packed segment arena for one pass direction under one
- * (strategy-uniform ops table, prefetch) binding. Segments land in
- * emission order (forward layer 0..N-1, backward layer N-1..0); name
- * pointers borrow from @p costs and
- * @p perLayerOps, so the set is valid exactly as long as its owning
- * EvalContext strategy table.
+ * Generate the packed segment arena of the layers in @p layers (one
+ * class's layers, ascending) for one pass direction under one (ops
+ * table, prefetch) binding; @p perLayerOps[k] holds the resolved ops
+ * of layers[k]. Segments land in emission order (forward ascending,
+ * backward descending), each carrying its layer and wired with its
+ * whole-graph emission ordinal, so the arena splices into any plan's
+ * graph. Name pointers borrow from @p costs and @p perLayerOps, so
+ * the set is valid exactly as long as its owning EvalContext
+ * strategy table.
  */
 void buildSegmentSet(
     const ModelDesc &desc,
     const std::vector<EvalContext::LayerCosts> &costs,
+    const std::vector<int> &layers,
     const std::vector<std::vector<ResolvedCommOp>> &perLayerOps,
     bool backwardPass, bool prefetch, SegmentSet &out);
 
@@ -54,7 +58,8 @@ void buildSegmentSet(
  * Splice a full iteration from packed segment arenas: @p runs holds
  * the maximal same-class segment runs in emission order — forward
  * runs covering layers 0..N-1, then (when @p withBackward) backward
- * runs covering layers N-1..0 — and the graph is rebuilt in one pass:
+ * runs covering layers N-1..0, each run a contiguous range of its
+ * class's set — and the graph is rebuilt in one pass:
  * a single sizing of the node/dep arrays, one bulk contiguous node
  * copy per run, a flat symbolic-dependency resolution sweep, and the
  * iteration-end barrier (a zero-duration compute event depending on

@@ -3,7 +3,7 @@
  * Parallel plan-evaluation engine. Every consumer of the performance
  * model — the strategy explorer, the DSE sweeps, the fleet simulator
  * — funnels its (model, task, plan, cluster) points through
- * EvalEngine::evaluateAll, which adds three things on top of raw
+ * EvalEngine::evaluateAll, which adds four things on top of raw
  * PerfModel::evaluate calls:
  *
  *  1. a fixed-size work-stealing thread pool (--jobs N) that fans the

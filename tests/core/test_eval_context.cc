@@ -167,13 +167,19 @@ TEST(EvalContext, PlannedOpsAreStableAndSharedAcrossCalls)
     TaskSpec task = TaskSpec::preTraining();
     EvalContext context(perf, desc, task);
 
+    // Tables are per (layer class, strategy): GPT-3's layer 0 is its
+    // word embedding, layers 1 and 2 are transformer blocks.
+    ASSERT_EQ(desc.graph.layer(0).layerClass(), LayerClass::DenseEmbedding);
+    ASSERT_EQ(desc.graph.layer(1).layerClass(), LayerClass::Transformer);
+    ASSERT_EQ(desc.graph.layer(2).layerClass(), LayerClass::Transformer);
+
     HierStrategy fsdp{Strategy::FSDP};
     const std::vector<ResolvedCommOp> &first =
-        context.plannedOps(0, fsdp);
+        context.plannedOps(1, fsdp);
     const std::vector<ResolvedCommOp> &second =
-        context.plannedOps(0, fsdp);
+        context.plannedOps(1, fsdp);
     EXPECT_EQ(&first, &second)
-        << "per-strategy tables must be built once and shared";
+        << "per-(class, strategy) tables must be built once and shared";
 
     // FSDP on a trainable layer gathers forward + backward and
     // reduce-scatters gradients.
@@ -183,9 +189,16 @@ TEST(EvalContext, PlannedOpsAreStableAndSharedAcrossCalls)
 
     size_t memoized = context.collectiveTableSize();
     EXPECT_GT(memoized, 0u);
-    context.plannedOps(1, fsdp);
+    context.plannedOps(2, fsdp);
     EXPECT_EQ(context.collectiveTableSize(), memoized)
-        << "repeat lookups must not grow the memo table";
+        << "same-class lookups must share one table and not grow the "
+           "memo table";
+
+    // The embedding's table is another class's: its first lookup
+    // builds it and prices the embedding's collectives.
+    EXPECT_FALSE(context.plannedOps(0, fsdp).empty());
+    EXPECT_GT(context.collectiveTableSize(), memoized)
+        << "another class's first lookup must build its own table";
 }
 
 TEST(EvalContext, KeepTimelineControlsNameMaterialization)

@@ -1,15 +1,20 @@
 /**
  * @file
  * Differential pin for the one evaluation path. EvalContext::evaluate
- * splices every plan's event graph from cached per-strategy segment
- * arenas into per-thread buffers; these suites compare its reports —
- * and, with keepTimeline on, its timelines, event for event — bitwise
- * against the plain layer-by-layer reference builder in
- * tests/reference.
+ * splices every plan's event graph from cached per-(layer class,
+ * strategy) segment arenas into per-thread buffers; these suites
+ * compare its reports — and, with keepTimeline on, its timelines,
+ * event for event — bitwise against the plain layer-by-layer
+ * reference builder in tests/reference.
  *
  *  - SpliceDifferential walks the zoo (DLRM-A, DLRM-A-MoE, GPT-3,
  *    LLM-MoE, ViT) x {pre-training, inference, fine-tuning} x {flat,
  *    dc-pod-fleet topology} with timelines on;
+ *  - SpliceClassMapping evaluates every plan of the models whose
+ *    class runs alternate or are singletons (LLM-MoE, DLRM-A-MoE,
+ *    ViT) x {pre-training, inference}, on one shared context and on a
+ *    fresh context per plan, so every run's class-index mapping —
+ *    forward and reversed backward — is pinned;
  *  - DeltaEval runs long timeline-free walks (the default
  *    configuration), plus the cases where one thread's buffers move
  *    between contexts or an OOM verdict interrupts a walk;
@@ -247,6 +252,76 @@ INSTANTIATE_TEST_SUITE_P(
         return zooCases()[std::get<0>(info.param)].name + "_" +
                taskCases()[std::get<1>(info.param)].name +
                (std::get<2>(info.param) ? "_PodFleet" : "_Flat");
+    });
+
+// --- Class mapping: every plan, shared and fresh contexts -------------
+
+/** Every strategy assignment over @p desc's present classes (the
+ *  explorer's plan product), each with prefetch on and off. */
+std::vector<ParallelPlan>
+everyPlan(const PerfModel &perf, const ModelDesc &desc,
+          const TaskSpec &task)
+{
+    std::vector<ParallelPlan> plans =
+        enumeratePlans(makeSearchSpace({&perf}, desc, task));
+    const size_t assignments = plans.size();
+    for (size_t i = 0; i < assignments; ++i) {
+        plans.push_back(plans[i]);
+        plans.back().fsdpPrefetch = !plans[i].fsdpPrefetch;
+    }
+    return plans;
+}
+
+/** (zoo case, task case). */
+using ClassMapParam = std::tuple<size_t, size_t>;
+
+class SpliceClassMapping : public ::testing::TestWithParam<ClassMapParam>
+{
+};
+
+/**
+ * The models whose class runs alternate (LLM-MoE: 103 runs per pass)
+ * or are singletons (DLRM-A-MoE, ViT), so almost every splice run
+ * starts mid-way through its class's arena: every plan is evaluated
+ * on one shared context (tables built up across plans) and on a
+ * fresh context (only that plan's tables), and both reports, timelines
+ * included, must be bitwise equal to the reference.
+ */
+TEST_P(SpliceClassMapping, EveryPlanMatchesReference)
+{
+    const auto [zoo, taskIdx] = GetParam();
+    const ZooCase &z = zooCases()[zoo];
+    const ModelDesc desc = z.model();
+    const TaskSpec &task = taskCases()[taskIdx].task;
+    PerfModelOptions opts;
+    opts.keepTimeline = true;
+    PerfModel perf(z.cluster(), opts);
+    EvalContext shared(perf, desc, task);
+
+    int scheduled = 0; // Plans that got past the memory verdict.
+    for (const ParallelPlan &plan : everyPlan(perf, desc, task)) {
+        const PerfReport want = referenceFor(perf, desc, task, plan);
+        const std::string what = plan.toString() +
+                                 (plan.fsdpPrefetch ? " +prefetch" : "");
+        const PerfReport got = shared.evaluate(plan);
+        scheduled += got.valid ? 1 : 0;
+        expectBitIdentical(got, want, "shared context " + what);
+        EvalContext fresh(perf, desc, task);
+        expectBitIdentical(fresh.evaluate(plan), want,
+                           "fresh context " + what);
+        if (::testing::Test::HasFailure())
+            break; // One mismatch is enough signal.
+    }
+    EXPECT_GT(scheduled, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, SpliceClassMapping,
+    ::testing::Combine(::testing::Values<size_t>(1, 3, 4),
+                       ::testing::Values<size_t>(0, 1)),
+    [](const ::testing::TestParamInfo<ClassMapParam> &info) {
+        return zooCases()[std::get<0>(info.param)].name + "_" +
+               taskCases()[std::get<1>(info.param)].name;
     });
 
 } // namespace

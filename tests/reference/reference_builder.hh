@@ -8,10 +8,11 @@
  * materialized Timeline from the two.
  *
  * Production evaluation (EvalContext::evaluate) splices its graph from
- * cached per-strategy segment arenas. The differential suites compare
- * its reports and timelines bitwise against this oracle, and the
- * stream-builder and overlap-simulator suites pin the oracle's wiring
- * and scheduling semantics. Test-only: never linked into the library.
+ * cached per-(layer class, strategy) segment arenas. The differential
+ * suites compare its reports and timelines bitwise against this
+ * oracle, and the stream-builder and overlap-simulator suites pin the
+ * oracle's wiring and scheduling semantics. Test-only: never linked
+ * into the library.
  */
 
 #ifndef MADMAX_TESTS_REFERENCE_REFERENCE_BUILDER_HH
