@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.hh"
 #include "util/strfmt.hh"
@@ -460,6 +461,20 @@ JsonValue::set(const std::string &key, JsonValue v)
         value_ = Object{};
     std::get<Object>(value_)[key] = std::move(v);
     return *this;
+}
+
+JsonValue &
+JsonValue::member(const std::string &key)
+{
+    if (!isObject())
+        value_ = Object{};
+    return std::get<Object>(value_)[key];
+}
+
+JsonValue &
+JsonValue::element(size_t idx)
+{
+    return const_cast<JsonValue &>(std::as_const(*this).at(idx));
 }
 
 JsonValue &

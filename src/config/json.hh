@@ -88,6 +88,13 @@ class JsonValue
     /** Mutable object insertion (builder-style). */
     JsonValue &set(const std::string &key, JsonValue v);
 
+    /** Mutable object member, inserted as null when absent (builder-
+     *  style; like set(), a non-object becomes an empty object). */
+    JsonValue &member(const std::string &key);
+
+    /** Mutable array element. @throws ConfigError if out of range. */
+    JsonValue &element(size_t idx);
+
     /** Mutable array append. */
     JsonValue &append(JsonValue v);
 

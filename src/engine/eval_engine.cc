@@ -291,13 +291,6 @@ EvalEngine::isCached(const std::string &key) const
     return cache_.peek(key) != nullptr;
 }
 
-size_t
-EvalEngine::cacheSize() const
-{
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    return cache_.size();
-}
-
 void
 EvalEngine::clearCache()
 {

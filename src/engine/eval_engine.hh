@@ -80,8 +80,8 @@ struct EvalStats
 
 /**
  * Search-cost JSON rendering shared by the CLI's `"search"` object
- * and the serving API (`/v1/explore`, `/v1/stats`), keeping their
- * schemas in lockstep.
+ * and `/v1/explore`; `/v1/stats` renders the same members (and the
+ * zero-`failed` rule) from its counter table in serve/service.cc.
  */
 JsonValue toJson(const EvalStats &stats);
 
@@ -231,11 +231,11 @@ class EvalEngine
      *  or the lifetime stats. */
     bool isCached(const std::string &key) const;
 
-    size_t cacheSize() const;
     void clearCache();
 
     /** Snapshot of the lifetime stats and cache counters (thread-safe;
-     *  the serving layer polls this for `GET /v1/stats`). */
+     *  the serving layer polls this for `GET /v1/stats` and
+     *  `GET /v1/metrics`). */
     EngineCounters counters() const;
 
   private:

@@ -41,32 +41,410 @@ jsonResponse(const JsonValue &doc)
     return resp;
 }
 
-/** One Prometheus metric family: HELP + TYPE + one sample line per
- *  (labels, value) pair appended by the caller. */
-void
-promHeader(std::string &out, const std::string &name,
-           const std::string &help, const char *type)
+/** What a counter row's samples fan out over. */
+enum class Fan
 {
-    out += "# HELP " + name + " " + help + "\n";
-    out += "# TYPE " + name + " " + std::string(type) + "\n";
+    One,       ///< One unlabelled sample.
+    Transport, ///< One unlabelled sample, only with a transport wired.
+    Endpoint,  ///< endpoint="...": one per routed endpoint.
+    Tier,      ///< tier="expensive"|"cached": transport only.
+    Point,     ///< point="...": one per armed fault point.
+};
+
+using S = ServiceStats; ///< Short for the table's read lambdas.
+
+/**
+ * One counter as both observability views spell it. A '*' in the
+ * /v1/stats path takes the sample's label value; a "name[]" segment is
+ * an array holding one object per label value, which carries the
+ * value under the label's name.
+ */
+struct CounterRow
+{
+    const char *json; ///< Dotted /v1/stats path; null: metrics only.
+    const char *prom; ///< /v1/metrics family; null: stats only.
+    const char *help;
+    const char *type; ///< Prometheus type: "counter" or "gauge".
+    double (*read)(const S &, size_t sample);
+    Fan fan = Fan::One;
+    bool jsonOmitsZero = false; ///< /v1/stats leaves a zero out.
+};
+
+constexpr const char *kCounter = "counter";
+constexpr const char *kGauge = "gauge";
+
+/**
+ * Every counter the service reports, in /v1/metrics family order
+ * (/v1/stats objects sort their keys, so its order is free). Both
+ * views render from this table alone; a row with a null path or
+ * family is deliberately single-view and says why.
+ */
+const CounterRow kCounterRows[] = {
+    {"uptime_seconds", "madmax_uptime_seconds",
+     "Seconds since service start.", kGauge,
+     [](const S &s, size_t) { return s.uptimeSeconds; }},
+    {"server.requests.*", "madmax_requests_total",
+     "Requests routed, by endpoint.", kCounter,
+     [](const S &s, size_t i) -> double {
+         return s.endpoints[i].requests;
+     },
+     Fan::Endpoint},
+    // Metrics only: a new member would change the /v1/stats shape.
+    {nullptr, "madmax_request_seconds_total",
+     "Cumulative handler wall time, by endpoint.", kCounter,
+     [](const S &s, size_t i) { return s.endpoints[i].nanos * 1e-9; },
+     Fan::Endpoint},
+    // Stats only: a derived sum; a scraper sums the endpoint= family.
+    {"server.requests_total", nullptr, nullptr, kCounter,
+     [](const S &s, size_t) {
+         double total = 0;
+         for (const EndpointStats &e : s.endpoints)
+             total += static_cast<double>(e.requests);
+         return total;
+     }},
+    {"server.errors", "madmax_errors_total",
+     "Responses with status >= 400 (any endpoint).", kCounter,
+     [](const S &s, size_t) -> double { return s.errors; }},
+    {"server.eval_failures", "madmax_eval_failures_total",
+     "Evaluate requests whose report came back failed.", kCounter,
+     [](const S &s, size_t) -> double { return s.evalFailures; }},
+    {"server.circuit_breaker.trips", "madmax_breaker_trips_total",
+     "Circuit-breaker keys tripped open.", kCounter,
+     [](const S &s, size_t) -> double { return s.breaker.trips; }},
+    {"server.circuit_breaker.rejects", "madmax_breaker_rejects_total",
+     "Requests fast-failed by an open breaker.", kCounter,
+     [](const S &s, size_t) -> double { return s.breaker.rejects; }},
+    {"server.circuit_breaker.probes", "madmax_breaker_probes_total",
+     "Half-open probe requests admitted.", kCounter,
+     [](const S &s, size_t) -> double { return s.breaker.probes; }},
+    {"server.circuit_breaker.recoveries",
+     "madmax_breaker_recoveries_total",
+     "Breaker keys recovered to closed.", kCounter,
+     [](const S &s, size_t) -> double { return s.breaker.recoveries; }},
+    {"server.circuit_breaker.open_now", "madmax_breaker_open",
+     "Keys currently open or half-open.", kGauge,
+     [](const S &s, size_t) -> double { return s.breaker.openNow; }},
+    {"server.faults[].hits", "madmax_fault_hits_total",
+     "Times an armed fault point was reached.", kCounter,
+     [](const S &s, size_t i) -> double { return s.faults[i].hits; },
+     Fan::Point},
+    {"server.faults[].injected", "madmax_fault_injected_total",
+     "Times an armed fault point actually fired.", kCounter,
+     [](const S &s, size_t i) -> double { return s.faults[i].injected; },
+     Fan::Point},
+    {"engine.lifetime.evaluations", "madmax_engine_evaluations_total",
+     "Fresh model evaluations executed.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.engine.lifetime.evaluations;
+     }},
+    {"engine.lifetime.cache_hits", "madmax_engine_cache_hits_total",
+     "Evaluations served from the memo cache.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.engine.lifetime.cacheHits;
+     }},
+    {"engine.lifetime.pruned", "madmax_engine_pruned_total",
+     "OOM plans resolved by the memory pre-pass.", kCounter,
+     [](const S &s, size_t) -> double { return s.engine.lifetime.pruned; }},
+    {"engine.lifetime.wall_seconds", "madmax_engine_wall_seconds_total",
+     "Cumulative wall time inside the engine.", kCounter,
+     [](const S &s, size_t) { return s.engine.lifetime.wallSeconds; }},
+    // A zero stays out of /v1/stats, as toJson(EvalStats) keeps it out
+    // of the explore and pareto documents.
+    {"engine.lifetime.failed", "madmax_engine_failed_total",
+     "Evaluations that threw instead of completing.", kCounter,
+     [](const S &s, size_t) -> double { return s.engine.lifetime.failed; },
+     Fan::One, true},
+    {"engine.cache.entries", "madmax_engine_cache_entries",
+     "Memo-cache occupancy.", kGauge,
+     [](const S &s, size_t) -> double { return s.engine.cacheEntries; }},
+    {"engine.cache.capacity", "madmax_engine_cache_capacity",
+     "Memo-cache entry cap.", kGauge,
+     [](const S &s, size_t) -> double { return s.engine.cacheCapacity; }},
+    {"engine.cache.insertions", "madmax_engine_cache_insertions_total",
+     "Reports inserted into the memo cache.", kCounter,
+     [](const S &s, size_t) -> double { return s.engine.cacheInsertions; }},
+    {"engine.cache.evictions", "madmax_engine_cache_evictions_total",
+     "Memo-cache entries evicted.", kCounter,
+     [](const S &s, size_t) -> double { return s.engine.cacheEvictions; }},
+    {"engine.batches.calls", "madmax_engine_batch_calls_total",
+     "evaluateAll batches submitted.", kCounter,
+     [](const S &s, size_t) -> double { return s.engine.batches; }},
+    {"engine.batches.requests", "madmax_engine_batch_requests_total",
+     "Points submitted across all batches.", kCounter,
+     [](const S &s, size_t) -> double { return s.engine.batchRequests; }},
+    {"engine.batches.max_requests", "madmax_engine_batch_max_requests",
+     "Largest evaluateAll batch.", kGauge,
+     [](const S &s, size_t) -> double { return s.engine.maxBatchRequests; }},
+    {"engine.jobs", "madmax_engine_jobs", "Engine worker threads.", kGauge,
+     [](const S &s, size_t) -> double { return s.jobs; }},
+    {"server.batching.windows", "madmax_batch_windows_total",
+     "Micro-batch windows dispatched.", kCounter,
+     [](const S &s, size_t) -> double { return s.batching.windows; }},
+    {"server.batching.batched_requests", "madmax_batch_requests_total",
+     "Requests that entered a micro-batch window.", kCounter,
+     [](const S &s, size_t) -> double { return s.batching.requests; }},
+    {"server.batching.coalesced_requests",
+     "madmax_batch_coalesced_requests_total",
+     "Windowed requests that shared their window.", kCounter,
+     [](const S &s, size_t) -> double { return s.batching.coalesced; }},
+    {"server.batching.max_occupancy", "madmax_batch_max_occupancy",
+     "Largest window submitted.", kGauge,
+     [](const S &s, size_t) -> double { return s.batching.maxOccupancy; }},
+    {"server.batching.memo_fast_path", "madmax_batch_memo_fast_path_total",
+     "Evaluate requests answered from the memo cache without a window.",
+     kCounter,
+     [](const S &s, size_t) -> double { return s.batching.memoFastPath; }},
+    {"server.batching.watchdog_takeovers",
+     "madmax_batch_watchdog_takeovers_total",
+     "Rescue leaders spawned past a wedged batch leader.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.batching.watchdogTakeovers;
+     }},
+    {"server.batching.deadline_timeouts",
+     "madmax_batch_deadline_timeouts_total",
+     "Requests abandoned at their deadline.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.batching.deadlineTimeouts;
+     }},
+    {"server.config_cache.hits", "madmax_config_cache_hits_total",
+     "Request bodies whose parse was reused.", kCounter,
+     [](const S &s, size_t) -> double { return s.configCache.hits; }},
+    {"server.config_cache.misses", "madmax_config_cache_misses_total",
+     "Request bodies parsed cold.", kCounter,
+     [](const S &s, size_t) -> double { return s.configCache.misses; }},
+    {"server.config_cache.entries", "madmax_config_cache_entries",
+     "Parsed-config cache occupancy.", kGauge,
+     [](const S &s, size_t) -> double { return s.configCache.entries; }},
+    {"server.config_cache.capacity", "madmax_config_cache_capacity",
+     "Parsed-config cache entry cap.", kGauge,
+     [](const S &s, size_t) -> double { return s.configCache.capacity; }},
+    {"server.config_cache.evictions", "madmax_config_cache_evictions_total",
+     "Request-body entries evicted.", kCounter,
+     [](const S &s, size_t) -> double { return s.configCache.evictions; }},
+    {"server.config_cache.triple_shares",
+     "madmax_config_cache_triple_shares_total",
+     "Cold parses that reused an already-parsed triple.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.configCache.tripleShares;
+     }},
+    {"server.pareto_coalesced", "madmax_pareto_coalesced_total",
+     "Pareto requests served by a shared in-flight search.", kCounter,
+     [](const S &s, size_t) -> double { return s.paretoCoalesced; }},
+    {"transport.accepted", "madmax_http_connections_accepted_total",
+     "TCP connections accepted.", kCounter,
+     [](const S &s, size_t) -> double { return s.transport->accepted; },
+     Fan::Transport},
+    {"transport.served", "madmax_http_requests_served_total",
+     "Requests answered by the handler.", kCounter,
+     [](const S &s, size_t) -> double { return s.transport->served; },
+     Fan::Transport},
+    // Stats only: the sum of the tier= family below.
+    {"transport.rejected_queue_full", nullptr, nullptr, kCounter,
+     [](const S &s, size_t) -> double {
+         return s.transport->rejectedQueueFull;
+     },
+     Fan::Transport},
+    {"transport.keep_alive_reuses", "madmax_http_keepalive_reuses_total",
+     "Requests beyond their connection's first.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.transport->keepAliveReuses;
+     },
+     Fan::Transport},
+    {"transport.pipelined_requests",
+     "madmax_http_pipelined_requests_total",
+     "Requests parsed while a response was pending.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.transport->pipelinedRequests;
+     },
+     Fan::Transport},
+    {"transport.shed_*", "madmax_http_shed_total",
+     "Requests shed by tiered admission control.", kCounter,
+     [](const S &s, size_t i) -> double {
+         return i == 0 ? s.transport->shedExpensive
+                       : s.transport->shedCached;
+     },
+     Fan::Tier},
+    {"transport.bad_requests", "madmax_http_bad_requests_total",
+     "Transport-level request rejections.", kCounter,
+     [](const S &s, size_t) -> double { return s.transport->badRequests; },
+     Fan::Transport},
+    {"transport.idle_closed", "madmax_http_idle_closed_total",
+     "Keep-alive connections evicted idle.", kCounter,
+     [](const S &s, size_t) -> double { return s.transport->idleClosed; },
+     Fan::Transport},
+    {"transport.deadline_closed", "madmax_http_deadline_closed_total",
+     "Connections cut at the request deadline.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.transport->deadlineClosed;
+     },
+     Fan::Transport},
+    {"transport.partial_writes", "madmax_http_partial_writes_total",
+     "Responses resumed after a short write.", kCounter,
+     [](const S &s, size_t) -> double {
+         return s.transport->partialWrites;
+     },
+     Fan::Transport},
+    {"transport.fd_exhausted", "madmax_http_fd_exhausted_total",
+     "accept() failures on EMFILE/ENFILE.", kCounter,
+     [](const S &s, size_t) -> double { return s.transport->fdExhausted; },
+     Fan::Transport},
+    {"transport.fd_rejects", "madmax_http_fd_rejects_total",
+     "Clients answered 503 via the emergency fd.", kCounter,
+     [](const S &s, size_t) -> double { return s.transport->fdRejects; },
+     Fan::Transport},
+};
+
+/** Samples a row has in @p s: 0 drops the row from both views. */
+size_t
+fanout(Fan fan, const S &s)
+{
+    switch (fan) {
+    case Fan::One:
+        return 1;
+    case Fan::Transport:
+        return s.transport ? 1 : 0;
+    case Fan::Endpoint:
+        return s.endpoints.size();
+    case Fan::Tier:
+        return s.transport ? 2 : 0;
+    case Fan::Point:
+        return s.faults.size();
+    }
+    return 0;
 }
 
-void
-promSample(std::string &out, const std::string &name,
-           const std::string &labels, double value)
+/** Label name and value of sample @p i (null name: unlabelled). */
+std::pair<const char *, std::string>
+label(Fan fan, const S &s, size_t i)
 {
-    out += name;
-    if (!labels.empty())
-        out += "{" + labels + "}";
-    // Integral counters print without a fraction; measured quantities
-    // keep full double precision.
-    if (value == static_cast<double>(static_cast<long>(value)))
-        out += " " + std::to_string(static_cast<long>(value)) + "\n";
-    else
-        out += " " + std::to_string(value) + "\n";
+    switch (fan) {
+    case Fan::Endpoint:
+        return {"endpoint", s.endpoints[i].name};
+    case Fan::Tier:
+        return {"tier", i == 0 ? "expensive" : "cached"};
+    case Fan::Point:
+        return {"point", s.faults[i].point};
+    default:
+        return {nullptr, ""};
+    }
 }
+
+/** GET /v1/stats: every row with a path, as one JSON document. */
+JsonValue
+renderStats(const S &s)
+{
+    JsonValue out;
+    for (const CounterRow &row : kCounterRows) {
+        if (row.json == nullptr)
+            continue;
+        for (size_t i = 0, n = fanout(row.fan, s); i < n; ++i) {
+            double value = row.read(s, i);
+            if (row.jsonOmitsZero && value == 0)
+                continue;
+            auto [name, tag] = label(row.fan, s, i);
+            std::string path = row.json;
+            JsonValue *node = &out;
+            size_t from = 0;
+            for (size_t dot; (dot = path.find('.', from)) !=
+                 std::string::npos;
+                 from = dot + 1) {
+                std::string seg = path.substr(from, dot - from);
+                if (seg.size() < 2 || seg.substr(seg.size() - 2) != "[]") {
+                    node = &node->member(seg);
+                    continue;
+                }
+                node = &node->member(seg.substr(0, seg.size() - 2));
+                if (!node->isArray() || node->size() <= i)
+                    node->append(JsonValue().set(name, tag));
+                node = &node->element(i);
+            }
+            std::string leaf = path.substr(from);
+            if (size_t star = leaf.find('*'); star != std::string::npos)
+                leaf.replace(star, 1, tag);
+            node->set(leaf, value);
+        }
+    }
+    return out;
+}
+
+/** GET /v1/metrics: every row with a family, in Prometheus text
+ *  exposition format (HELP + TYPE + one sample per label value). */
+std::string
+renderMetrics(const S &s)
+{
+    std::string out;
+    out.reserve(8192);
+    for (const CounterRow &row : kCounterRows) {
+        size_t n = fanout(row.fan, s);
+        if (row.prom == nullptr || n == 0)
+            continue;
+        out += std::string("# HELP ") + row.prom + " " + row.help + "\n";
+        out += std::string("# TYPE ") + row.prom + " " + row.type + "\n";
+        for (size_t i = 0; i < n; ++i) {
+            out += row.prom;
+            if (auto [name, tag] = label(row.fan, s, i); name != nullptr)
+                out += std::string("{") + name + "=\"" + tag + "\"}";
+            // Integral counters print without a fraction; measured
+            // quantities keep full double precision.
+            double value = row.read(s, i);
+            if (value == static_cast<double>(static_cast<long>(value)))
+                out += " " + std::to_string(static_cast<long>(value)) +
+                    "\n";
+            else
+                out += " " + std::to_string(value) + "\n";
+        }
+    }
+    return out;
+}
+
+/** Adds its scope's wall time to a nanosecond counter, also when the
+ *  scope unwinds through an exception. */
+struct NanosCharge
+{
+    std::atomic<long> &into;
+    std::chrono::steady_clock::time_point t0 =
+        std::chrono::steady_clock::now();
+
+    ~NanosCharge()
+    {
+        into.fetch_add(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+    }
+};
 
 } // namespace
+
+const EvalService::Endpoint EvalService::kEndpoints[] = {
+    {"evaluate", "POST", "/v1/evaluate",
+     [](EvalService &svc, const HttpRequest &r) {
+         return svc.handleEvaluate(r);
+     }},
+    {"explore", "POST", "/v1/explore",
+     [](EvalService &svc, const HttpRequest &r) {
+         return svc.handleExplore(r);
+     }},
+    {"pareto", "POST", "/v1/pareto",
+     [](EvalService &svc, const HttpRequest &r) {
+         return svc.handlePareto(r);
+     }},
+    {"health", "GET", "/v1/health",
+     [](EvalService &svc, const HttpRequest &r) {
+         return svc.handleHealth(r);
+     }},
+    {"stats", "GET", "/v1/stats",
+     [](EvalService &svc, const HttpRequest &) {
+         return jsonResponse(renderStats(svc.stats()));
+     }},
+    {"metrics", "GET", "/v1/metrics",
+     [](EvalService &svc, const HttpRequest &) {
+         HttpResponse resp;
+         resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
+         resp.body = renderMetrics(svc.stats());
+         return resp;
+     }},
+};
 
 EvalService::EvalService(ServiceOptions options)
     : options_(options),
@@ -92,50 +470,23 @@ EvalService::EvalService(ServiceOptions options)
           co.openMillis = options.breakerOpenMillis;
           return co;
       }()),
-      start_(std::chrono::steady_clock::now())
+      start_(std::chrono::steady_clock::now()),
+      endpointSlots_(std::size(kEndpoints))
 {
-    router_.add("POST", "/v1/evaluate", [this](const HttpRequest &r) {
-        return handleEvaluate(r);
-    });
-    router_.add("POST", "/v1/explore", [this](const HttpRequest &r) {
-        return handleExplore(r);
-    });
-    router_.add("POST", "/v1/pareto", [this](const HttpRequest &r) {
-        return handlePareto(r);
-    });
-    router_.add("GET", "/v1/health", [this](const HttpRequest &r) {
-        return handleHealth(r);
-    });
-    router_.add("GET", "/v1/stats", [this](const HttpRequest &r) {
-        return handleStats(r);
-    });
-    router_.add("GET", "/v1/metrics", [this](const HttpRequest &r) {
-        return handleMetrics(r);
-    });
-}
-
-std::atomic<long> *
-EvalService::latencySlot(const std::string &target)
-{
-    if (target == "/v1/evaluate")
-        return &evaluateNanos_;
-    if (target == "/v1/explore")
-        return &exploreNanos_;
-    if (target == "/v1/pareto")
-        return &paretoNanos_;
-    if (target == "/v1/health")
-        return &healthNanos_;
-    if (target == "/v1/stats")
-        return &statsNanos_;
-    if (target == "/v1/metrics")
-        return &metricsNanos_;
-    return nullptr;
+    for (size_t i = 0; i < std::size(kEndpoints); ++i) {
+        router_.add(kEndpoints[i].method, kEndpoints[i].target,
+                    [this, i](const HttpRequest &r) {
+                        EndpointSlot &slot = endpointSlots_[i];
+                        ++slot.requests;
+                        NanosCharge charge{slot.nanos};
+                        return kEndpoints[i].handler(*this, r);
+                    });
+    }
 }
 
 HttpResponse
 EvalService::handle(const HttpRequest &request)
 {
-    auto t0 = std::chrono::steady_clock::now();
     HttpResponse resp;
     try {
         resp = router_.route(request);
@@ -148,11 +499,6 @@ EvalService::handle(const HttpRequest &request)
     }
     if (resp.status >= 400)
         ++errorCount_;
-    if (std::atomic<long> *slot = latencySlot(request.target))
-        slot->fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
     return resp;
 }
 
@@ -173,7 +519,6 @@ EvalService::classify(const HttpRequest &request) const
 HttpResponse
 EvalService::handleEvaluate(const HttpRequest &request)
 {
-    ++evaluateCount_;
     // Parse (or reuse the parsed form of) the config triple, then
     // ride whatever evaluation batch forms. Engine memo hits return
     // straight from the dispatcher's fast path.
@@ -224,7 +569,6 @@ EvalService::handleEvaluate(const HttpRequest &request)
 HttpResponse
 EvalService::handleExplore(const HttpRequest &request)
 {
-    ++exploreCount_;
     JsonValue body = parseTripleBody(request);
     ModelDesc model = loadModel(body.at("model"));
     ClusterSpec cluster = loadCluster(body.at("system"));
@@ -262,7 +606,6 @@ EvalService::handleExplore(const HttpRequest &request)
 HttpResponse
 EvalService::handlePareto(const HttpRequest &request)
 {
-    ++paretoCount_;
     // A pareto search is too coarse to micro-batch, but concurrent
     // byte-identical queries (a popular dashboard, a retry storm)
     // collapse to one search sharing its response.
@@ -375,10 +718,8 @@ EvalService::runPareto(const HttpRequest &request)
 }
 
 HttpResponse
-EvalService::handleHealth(const HttpRequest &request)
+EvalService::handleHealth(const HttpRequest &)
 {
-    ++healthCount_;
-    (void)request;
     JsonValue out;
     out.set("status", "ok");
     out.set("jobs", engine_.jobs());
@@ -389,375 +730,28 @@ EvalService::handleHealth(const HttpRequest &request)
     return jsonResponse(out);
 }
 
-HttpResponse
-EvalService::handleStats(const HttpRequest &request)
-{
-    ++statsCount_;
-    (void)request;
-    EngineCounters c = engine_.counters();
-
-    JsonValue cache;
-    cache.set("capacity", static_cast<long>(c.cacheCapacity));
-    cache.set("entries", static_cast<long>(c.cacheEntries));
-    cache.set("insertions", c.cacheInsertions);
-    cache.set("evictions", c.cacheEvictions);
-
-    JsonValue engineBatches;
-    engineBatches.set("calls", c.batches);
-    engineBatches.set("requests", c.batchRequests);
-    engineBatches.set("max_requests", c.maxBatchRequests);
-
-    JsonValue eng;
-    eng.set("jobs", engine_.jobs());
-    eng.set("lifetime", toJson(c.lifetime));
-    eng.set("cache", std::move(cache));
-    eng.set("batches", std::move(engineBatches));
-
-    ServiceStats s = stats();
-    JsonValue requests;
-    requests.set("evaluate", s.evaluate);
-    requests.set("explore", s.explore);
-    requests.set("pareto", s.pareto);
-    requests.set("health", s.health);
-    requests.set("stats", s.stats);
-    requests.set("metrics", s.metrics);
-
-    BatchDispatcherStats b = dispatcher_.stats();
-    JsonValue batching;
-    batching.set("windows", b.windows);
-    batching.set("batched_requests", b.requests);
-    batching.set("coalesced_requests", b.coalesced);
-    batching.set("max_occupancy", b.maxOccupancy);
-    batching.set("memo_fast_path", b.memoFastPath);
-    batching.set("watchdog_takeovers", b.watchdogTakeovers);
-    batching.set("deadline_timeouts", b.deadlineTimeouts);
-
-    ConfigCache::Stats cc = configCache_.stats();
-    JsonValue configCache;
-    configCache.set("capacity", static_cast<long>(cc.capacity));
-    configCache.set("entries", static_cast<long>(cc.entries));
-    configCache.set("hits", cc.hits);
-    configCache.set("misses", cc.misses);
-    configCache.set("evictions", cc.evictions);
-    configCache.set("triple_shares", cc.tripleShares);
-
-    CircuitBreakerStats br = breaker_.stats();
-    JsonValue breaker;
-    breaker.set("trips", br.trips);
-    breaker.set("rejects", br.rejects);
-    breaker.set("probes", br.probes);
-    breaker.set("recoveries", br.recoveries);
-    breaker.set("open_now", br.openNow);
-
-    JsonValue server;
-    server.set("requests", std::move(requests));
-    server.set("requests_total", s.total());
-    server.set("errors", s.errors);
-    server.set("eval_failures", s.evalFailures);
-    server.set("batching", std::move(batching));
-    server.set("circuit_breaker", std::move(breaker));
-    server.set("config_cache", std::move(configCache));
-    server.set("pareto_coalesced", paretoShared_.load());
-
-    // Fault-injection accounting: present only when points are armed,
-    // so production scrapes of an uninstrumented server see no
-    // "faults" member at all.
-    std::vector<FaultPointStats> faults = FaultInjection::stats();
-    if (!faults.empty()) {
-        JsonValue arr;
-        for (const FaultPointStats &f : faults) {
-            JsonValue one;
-            one.set("point", f.point);
-            one.set("hits", f.hits);
-            one.set("injected", f.injected);
-            arr.append(std::move(one));
-        }
-        server.set("faults", std::move(arr));
-    }
-
-    JsonValue out;
-    out.set("engine", std::move(eng));
-    out.set("server", std::move(server));
-    if (transportStats_) {
-        HttpServerStats t = transportStats_();
-        JsonValue transport;
-        transport.set("accepted", t.accepted);
-        transport.set("served", t.served);
-        transport.set("rejected_queue_full", t.rejectedQueueFull);
-        transport.set("bad_requests", t.badRequests);
-        transport.set("keep_alive_reuses", t.keepAliveReuses);
-        transport.set("pipelined_requests", t.pipelinedRequests);
-        transport.set("shed_expensive", t.shedExpensive);
-        transport.set("shed_cached", t.shedCached);
-        transport.set("idle_closed", t.idleClosed);
-        transport.set("deadline_closed", t.deadlineClosed);
-        transport.set("partial_writes", t.partialWrites);
-        transport.set("fd_exhausted", t.fdExhausted);
-        transport.set("fd_rejects", t.fdRejects);
-        out.set("transport", std::move(transport));
-    }
-    out.set("uptime_seconds",
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start_)
-                .count());
-    return jsonResponse(out);
-}
-
-HttpResponse
-EvalService::handleMetrics(const HttpRequest &request)
-{
-    ++metricsCount_;
-    (void)request;
-    EngineCounters c = engine_.counters();
-    BatchDispatcherStats b = dispatcher_.stats();
-    ConfigCache::Stats cc = configCache_.stats();
-    ServiceStats s = stats();
-
-    std::string out;
-    out.reserve(4096);
-
-    promHeader(out, "madmax_uptime_seconds",
-               "Seconds since service start.", "gauge");
-    promSample(out, "madmax_uptime_seconds", "",
-               std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_)
-                   .count());
-
-    promHeader(out, "madmax_requests_total",
-               "Requests routed, by endpoint.", "counter");
-    const struct
-    {
-        const char *name;
-        long count;
-        long nanos;
-    } endpoints[] = {
-        {"evaluate", s.evaluate, evaluateNanos_.load()},
-        {"explore", s.explore, exploreNanos_.load()},
-        {"pareto", s.pareto, paretoNanos_.load()},
-        {"health", s.health, healthNanos_.load()},
-        {"stats", s.stats, statsNanos_.load()},
-        {"metrics", s.metrics, metricsNanos_.load()},
-    };
-    for (const auto &e : endpoints)
-        promSample(out, "madmax_requests_total",
-                   std::string("endpoint=\"") + e.name + "\"",
-                   static_cast<double>(e.count));
-
-    promHeader(out, "madmax_request_seconds_total",
-               "Cumulative handler wall time, by endpoint.",
-               "counter");
-    for (const auto &e : endpoints)
-        promSample(out, "madmax_request_seconds_total",
-                   std::string("endpoint=\"") + e.name + "\"",
-                   static_cast<double>(e.nanos) * 1e-9);
-
-    promHeader(out, "madmax_errors_total",
-               "Responses with status >= 400 (any endpoint).",
-               "counter");
-    promSample(out, "madmax_errors_total", "",
-               static_cast<double>(s.errors));
-
-    promHeader(out, "madmax_eval_failures_total",
-               "Evaluate requests whose report came back failed.",
-               "counter");
-    promSample(out, "madmax_eval_failures_total", "",
-               static_cast<double>(s.evalFailures));
-
-    CircuitBreakerStats br = breaker_.stats();
-    promHeader(out, "madmax_breaker_trips_total",
-               "Circuit-breaker keys tripped open.", "counter");
-    promSample(out, "madmax_breaker_trips_total", "",
-               static_cast<double>(br.trips));
-    promHeader(out, "madmax_breaker_rejects_total",
-               "Requests fast-failed by an open breaker.", "counter");
-    promSample(out, "madmax_breaker_rejects_total", "",
-               static_cast<double>(br.rejects));
-    promHeader(out, "madmax_breaker_probes_total",
-               "Half-open probe requests admitted.", "counter");
-    promSample(out, "madmax_breaker_probes_total", "",
-               static_cast<double>(br.probes));
-    promHeader(out, "madmax_breaker_recoveries_total",
-               "Breaker keys recovered to closed.", "counter");
-    promSample(out, "madmax_breaker_recoveries_total", "",
-               static_cast<double>(br.recoveries));
-    promHeader(out, "madmax_breaker_open",
-               "Keys currently open or half-open.", "gauge");
-    promSample(out, "madmax_breaker_open", "",
-               static_cast<double>(br.openNow));
-
-    // Fault-injection counters, one sample per armed point; families
-    // are omitted entirely on an uninstrumented server.
-    std::vector<FaultPointStats> faults = FaultInjection::stats();
-    if (!faults.empty()) {
-        promHeader(out, "madmax_fault_hits_total",
-                   "Times an armed fault point was reached.",
-                   "counter");
-        for (const FaultPointStats &f : faults)
-            promSample(out, "madmax_fault_hits_total",
-                       "point=\"" + f.point + "\"",
-                       static_cast<double>(f.hits));
-        promHeader(out, "madmax_fault_injected_total",
-                   "Times an armed fault point actually fired.",
-                   "counter");
-        for (const FaultPointStats &f : faults)
-            promSample(out, "madmax_fault_injected_total",
-                       "point=\"" + f.point + "\"",
-                       static_cast<double>(f.injected));
-    }
-
-    promHeader(out, "madmax_engine_evaluations_total",
-               "Fresh model evaluations executed.", "counter");
-    promSample(out, "madmax_engine_evaluations_total", "",
-               static_cast<double>(c.lifetime.evaluations));
-    promHeader(out, "madmax_engine_cache_hits_total",
-               "Evaluations served from the memo cache.", "counter");
-    promSample(out, "madmax_engine_cache_hits_total", "",
-               static_cast<double>(c.lifetime.cacheHits));
-    promHeader(out, "madmax_engine_pruned_total",
-               "OOM plans resolved by the memory pre-pass.",
-               "counter");
-    promSample(out, "madmax_engine_pruned_total", "",
-               static_cast<double>(c.lifetime.pruned));
-    promHeader(out, "madmax_engine_cache_entries",
-               "Memo-cache occupancy.", "gauge");
-    promSample(out, "madmax_engine_cache_entries", "",
-               static_cast<double>(c.cacheEntries));
-    promHeader(out, "madmax_engine_batch_calls_total",
-               "evaluateAll batches submitted.", "counter");
-    promSample(out, "madmax_engine_batch_calls_total", "",
-               static_cast<double>(c.batches));
-    promHeader(out, "madmax_engine_batch_requests_total",
-               "Points submitted across all batches.", "counter");
-    promSample(out, "madmax_engine_batch_requests_total", "",
-               static_cast<double>(c.batchRequests));
-
-    promHeader(out, "madmax_batch_windows_total",
-               "Micro-batch windows dispatched.", "counter");
-    promSample(out, "madmax_batch_windows_total", "",
-               static_cast<double>(b.windows));
-    promHeader(out, "madmax_batch_requests_total",
-               "Requests that entered a micro-batch window.",
-               "counter");
-    promSample(out, "madmax_batch_requests_total", "",
-               static_cast<double>(b.requests));
-    promHeader(out, "madmax_batch_coalesced_requests_total",
-               "Windowed requests that shared their window.",
-               "counter");
-    promSample(out, "madmax_batch_coalesced_requests_total", "",
-               static_cast<double>(b.coalesced));
-    promHeader(out, "madmax_batch_max_occupancy",
-               "Largest window submitted.", "gauge");
-    promSample(out, "madmax_batch_max_occupancy", "",
-               static_cast<double>(b.maxOccupancy));
-    promHeader(out, "madmax_batch_memo_fast_path_total",
-               "Evaluate requests answered from the memo cache "
-               "without a window.",
-               "counter");
-    promSample(out, "madmax_batch_memo_fast_path_total", "",
-               static_cast<double>(b.memoFastPath));
-    promHeader(out, "madmax_batch_watchdog_takeovers_total",
-               "Rescue leaders spawned past a wedged batch leader.",
-               "counter");
-    promSample(out, "madmax_batch_watchdog_takeovers_total", "",
-               static_cast<double>(b.watchdogTakeovers));
-    promHeader(out, "madmax_batch_deadline_timeouts_total",
-               "Requests abandoned at their deadline.", "counter");
-    promSample(out, "madmax_batch_deadline_timeouts_total", "",
-               static_cast<double>(b.deadlineTimeouts));
-
-    promHeader(out, "madmax_config_cache_hits_total",
-               "Request bodies whose parse was reused.", "counter");
-    promSample(out, "madmax_config_cache_hits_total", "",
-               static_cast<double>(cc.hits));
-    promHeader(out, "madmax_config_cache_misses_total",
-               "Request bodies parsed cold.", "counter");
-    promSample(out, "madmax_config_cache_misses_total", "",
-               static_cast<double>(cc.misses));
-    promHeader(out, "madmax_config_cache_entries",
-               "Parsed-config cache occupancy.", "gauge");
-    promSample(out, "madmax_config_cache_entries", "",
-               static_cast<double>(cc.entries));
-
-    promHeader(out, "madmax_pareto_coalesced_total",
-               "Pareto requests served by a shared in-flight search.",
-               "counter");
-    promSample(out, "madmax_pareto_coalesced_total", "",
-               static_cast<double>(paretoShared_.load()));
-
-    if (transportStats_) {
-        HttpServerStats t = transportStats_();
-        promHeader(out, "madmax_http_connections_accepted_total",
-                   "TCP connections accepted.", "counter");
-        promSample(out, "madmax_http_connections_accepted_total", "",
-                   static_cast<double>(t.accepted));
-        promHeader(out, "madmax_http_requests_served_total",
-                   "Requests answered by the handler.", "counter");
-        promSample(out, "madmax_http_requests_served_total", "",
-                   static_cast<double>(t.served));
-        promHeader(out, "madmax_http_keepalive_reuses_total",
-                   "Requests beyond their connection's first.",
-                   "counter");
-        promSample(out, "madmax_http_keepalive_reuses_total", "",
-                   static_cast<double>(t.keepAliveReuses));
-        promHeader(out, "madmax_http_pipelined_requests_total",
-                   "Requests parsed while a response was pending.",
-                   "counter");
-        promSample(out, "madmax_http_pipelined_requests_total", "",
-                   static_cast<double>(t.pipelinedRequests));
-        promHeader(out, "madmax_http_shed_total",
-                   "Requests shed by tiered admission control.",
-                   "counter");
-        promSample(out, "madmax_http_shed_total", "tier=\"expensive\"",
-                   static_cast<double>(t.shedExpensive));
-        promSample(out, "madmax_http_shed_total", "tier=\"cached\"",
-                   static_cast<double>(t.shedCached));
-        promHeader(out, "madmax_http_bad_requests_total",
-                   "Transport-level request rejections.", "counter");
-        promSample(out, "madmax_http_bad_requests_total", "",
-                   static_cast<double>(t.badRequests));
-        promHeader(out, "madmax_http_idle_closed_total",
-                   "Keep-alive connections evicted idle.", "counter");
-        promSample(out, "madmax_http_idle_closed_total", "",
-                   static_cast<double>(t.idleClosed));
-        promHeader(out, "madmax_http_deadline_closed_total",
-                   "Connections cut at the request deadline.",
-                   "counter");
-        promSample(out, "madmax_http_deadline_closed_total", "",
-                   static_cast<double>(t.deadlineClosed));
-        promHeader(out, "madmax_http_partial_writes_total",
-                   "Responses resumed after a short write.",
-                   "counter");
-        promSample(out, "madmax_http_partial_writes_total", "",
-                   static_cast<double>(t.partialWrites));
-        promHeader(out, "madmax_http_fd_exhausted_total",
-                   "accept() failures on EMFILE/ENFILE.", "counter");
-        promSample(out, "madmax_http_fd_exhausted_total", "",
-                   static_cast<double>(t.fdExhausted));
-        promHeader(out, "madmax_http_fd_rejects_total",
-                   "Clients answered 503 via the emergency fd.",
-                   "counter");
-        promSample(out, "madmax_http_fd_rejects_total", "",
-                   static_cast<double>(t.fdRejects));
-    }
-
-    HttpResponse resp;
-    resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
-    resp.body = std::move(out);
-    return resp;
-}
-
 ServiceStats
 EvalService::stats() const
 {
     ServiceStats s;
-    s.evaluate = evaluateCount_.load();
-    s.explore = exploreCount_.load();
-    s.pareto = paretoCount_.load();
-    s.health = healthCount_.load();
-    s.stats = statsCount_.load();
-    s.metrics = metricsCount_.load();
+    for (size_t i = 0; i < endpointSlots_.size(); ++i)
+        s.endpoints.push_back({kEndpoints[i].name,
+                               endpointSlots_[i].requests.load(),
+                               endpointSlots_[i].nanos.load()});
     s.errors = errorCount_.load();
     s.evalFailures = evalFailures_.load();
+    s.paretoCoalesced = paretoShared_.load();
+    s.engine = engine_.counters();
+    s.jobs = engine_.jobs();
+    s.batching = dispatcher_.stats();
+    s.configCache = configCache_.stats();
+    s.breaker = breaker_.stats();
+    s.faults = FaultInjection::stats();
+    if (transportStats_)
+        s.transport = transportStats_();
+    s.uptimeSeconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
     return s;
 }
 

@@ -63,12 +63,15 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "engine/eval_engine.hh"
 #include "serve/batch_dispatcher.hh"
 #include "serve/circuit_breaker.hh"
 #include "serve/config_cache.hh"
 #include "serve/request_router.hh"
+#include "util/fault_injection.hh"
 
 namespace madmax
 {
@@ -112,23 +115,37 @@ struct ServiceOptions
     long batchWatchdogMillis = 2000;
 };
 
-/** Per-endpoint request accounting, reported by `GET /v1/stats`. */
+/** One routed endpoint's request accounting. */
+struct EndpointStats
+{
+    const char *name = ""; ///< "evaluate", "stats", ...: the /v1/stats
+                           ///< key and the endpoint= label.
+    long requests = 0;     ///< Requests routed to it.
+    long nanos = 0;        ///< Cumulative handler wall time.
+};
+
+/**
+ * Every counter the service reports, read once: the snapshot that
+ * both `GET /v1/stats` and `GET /v1/metrics` render, through one
+ * counter table (service.cc), so the two views cannot drift.
+ */
 struct ServiceStats
 {
-    long evaluate = 0;
-    long explore = 0;
-    long pareto = 0;
-    long health = 0;
-    long stats = 0;
-    long metrics = 0;
+    std::vector<EndpointStats> endpoints; ///< Routing-table order.
     long errors = 0; ///< Responses with status >= 400 (any endpoint).
     long evalFailures = 0; ///< Evaluate requests whose report came
                            ///< back failed (engine isolation).
+    long paretoCoalesced = 0; ///< Pareto single-flight dedups.
 
-    long total() const
-    {
-        return evaluate + explore + pareto + health + stats + metrics;
-    }
+    EngineCounters engine;
+    int jobs = 0; ///< Engine worker threads.
+    BatchDispatcherStats batching;
+    ConfigCache::Stats configCache;
+    CircuitBreakerStats breaker;
+    std::vector<FaultPointStats> faults; ///< Armed points only.
+    std::optional<HttpServerStats> transport; ///< When a provider is
+                                              ///< wired.
+    double uptimeSeconds = 0;
 };
 
 class EvalService
@@ -165,15 +182,17 @@ class EvalService
     const ConfigCache &configCache() const { return configCache_; }
     const CircuitBreaker &breaker() const { return breaker_; }
 
+    /** Snapshot every counter source once (what a scrape renders). */
     ServiceStats stats() const;
 
     /**
      * Wire the transport's counters into `GET /v1/stats` (as the
-     * response's "transport" object). Set after constructing the
+     * response's "transport" object) and `GET /v1/metrics` (the
+     * madmax_http_* families). Set after constructing the
      * HttpServer — the server wraps the service, so the service
      * cannot reach it at construction time. Transport rejections
      * (400/413/431/503) never reach handle(), so without this they
-     * are invisible to the observability endpoint. Not thread-safe:
+     * are invisible to the observability endpoints. Not thread-safe:
      * call before start().
      */
     void
@@ -183,17 +202,30 @@ class EvalService
     }
 
   private:
+    /** One routed endpoint. kEndpoints (service.cc) is the only list
+     *  of them: registration, the per-endpoint counters and both
+     *  counter renderings walk it. */
+    struct Endpoint
+    {
+        const char *name; ///< EndpointStats::name.
+        const char *method;
+        const char *target;
+        HttpResponse (*handler)(EvalService &, const HttpRequest &);
+    };
+    static const Endpoint kEndpoints[];
+
+    /** Live counters behind one EndpointStats. */
+    struct EndpointSlot
+    {
+        std::atomic<long> requests{0};
+        std::atomic<long> nanos{0};
+    };
+
     HttpResponse handleEvaluate(const HttpRequest &request);
     HttpResponse handleExplore(const HttpRequest &request);
     HttpResponse handlePareto(const HttpRequest &request);
     HttpResponse runPareto(const HttpRequest &request);
     HttpResponse handleHealth(const HttpRequest &request);
-    HttpResponse handleStats(const HttpRequest &request);
-    HttpResponse handleMetrics(const HttpRequest &request);
-
-    /** Cumulative handler-latency slot for a target ("/v1/..."), or
-     *  null for unrouted targets. */
-    std::atomic<long> *latencySlot(const std::string &target);
 
     ServiceOptions options_;
     EvalEngine engine_;
@@ -205,25 +237,12 @@ class EvalService
     std::function<HttpServerStats()> transportStats_;
     std::chrono::steady_clock::time_point start_;
 
-    std::atomic<long> evaluateCount_{0};
-    std::atomic<long> exploreCount_{0};
-    std::atomic<long> paretoCount_{0};
-    std::atomic<long> healthCount_{0};
-    std::atomic<long> statsCount_{0};
-    std::atomic<long> metricsCount_{0};
+    std::vector<EndpointSlot> endpointSlots_; ///< Parallel to
+                                              ///< kEndpoints.
     std::atomic<long> errorCount_{0};
     std::atomic<long> evalFailures_{0}; ///< Failed reports mapped to
                                         ///< taxonomy errors.
     std::atomic<long> paretoShared_{0}; ///< Single-flight dedups.
-
-    /// Cumulative handler nanoseconds per endpoint (same order as the
-    /// count atomics; /v1/metrics divides by the counts for means).
-    std::atomic<long> evaluateNanos_{0};
-    std::atomic<long> exploreNanos_{0};
-    std::atomic<long> paretoNanos_{0};
-    std::atomic<long> healthNanos_{0};
-    std::atomic<long> statsNanos_{0};
-    std::atomic<long> metricsNanos_{0};
 };
 
 } // namespace madmax

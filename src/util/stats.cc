@@ -1,7 +1,5 @@
 #include "util/stats.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "util/logging.hh"
@@ -16,100 +14,6 @@ mean(const std::vector<double> &values)
         panic("mean() of empty vector");
     return std::accumulate(values.begin(), values.end(), 0.0) /
         static_cast<double>(values.size());
-}
-
-double
-median(std::vector<double> values)
-{
-    if (values.empty())
-        panic("median() of empty vector");
-    std::sort(values.begin(), values.end());
-    size_t n = values.size();
-    if (n % 2 == 1)
-        return values[n / 2];
-    return 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        panic("geomean() of empty vector");
-    double log_sum = 0.0;
-    for (double v : values) {
-        if (v <= 0.0)
-            panic("geomean() requires strictly positive values");
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double
-stddev(const std::vector<double> &values)
-{
-    if (values.size() < 2)
-        return 0.0;
-    double m = mean(values);
-    double acc = 0.0;
-    for (double v : values)
-        acc += (v - m) * (v - m);
-    return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
-double
-minOf(const std::vector<double> &values)
-{
-    if (values.empty())
-        panic("minOf() of empty vector");
-    return *std::min_element(values.begin(), values.end());
-}
-
-double
-maxOf(const std::vector<double> &values)
-{
-    if (values.empty())
-        panic("maxOf() of empty vector");
-    return *std::max_element(values.begin(), values.end());
-}
-
-Histogram::Histogram(double lo, double hi, size_t num_bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(num_bins)),
-      counts_(num_bins, 0)
-{
-    if (num_bins == 0)
-        fatal("Histogram requires at least one bin");
-    if (hi <= lo)
-        fatal("Histogram requires hi > lo");
-}
-
-void
-Histogram::add(double value)
-{
-    double pos = (value - lo_) / width_;
-    long idx = static_cast<long>(std::floor(pos));
-    idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<size_t>(idx)];
-    ++total_;
-}
-
-size_t
-Histogram::count(size_t idx) const
-{
-    if (idx >= counts_.size())
-        panic("Histogram bin index out of range");
-    return counts_[idx];
-}
-
-double
-Histogram::binLo(size_t idx) const
-{
-    return lo_ + width_ * static_cast<double>(idx);
-}
-
-double
-Histogram::binHi(size_t idx) const
-{
-    return lo_ + width_ * static_cast<double>(idx + 1);
 }
 
 } // namespace madmax

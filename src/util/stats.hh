@@ -1,14 +1,12 @@
 /**
  * @file
- * Small statistics helpers used by the DSE tooling and the fleet-wide
- * characterization: summary statistics, geometric means for speedup
- * aggregation, and a fixed-width histogram.
+ * Small statistics helpers for the figure benches (fig10 averages
+ * per-system throughput).
  */
 
 #ifndef MADMAX_UTIL_STATS_HH
 #define MADMAX_UTIL_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace madmax
@@ -16,59 +14,6 @@ namespace madmax
 
 /** Arithmetic mean. @pre !values.empty() */
 double mean(const std::vector<double> &values);
-
-/** Median (averages the two middle elements for even sizes). */
-double median(std::vector<double> values);
-
-/** Geometric mean; the right way to average speedup ratios. */
-double geomean(const std::vector<double> &values);
-
-/** Sample standard deviation. Returns 0 for fewer than two samples. */
-double stddev(const std::vector<double> &values);
-
-/** Minimum. @pre !values.empty() */
-double minOf(const std::vector<double> &values);
-
-/** Maximum. @pre !values.empty() */
-double maxOf(const std::vector<double> &values);
-
-/**
- * Fixed-width histogram over [lo, hi). Values outside the range are
- * clamped into the first/last bin so totals always match the input.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Inclusive lower bound of the histogram range.
-     * @param hi Exclusive upper bound; must be > lo.
-     * @param num_bins Number of equal-width bins; must be >= 1.
-     */
-    Histogram(double lo, double hi, size_t num_bins);
-
-    /** Add one sample. */
-    void add(double value);
-
-    /** Number of samples in bin @p idx. */
-    size_t count(size_t idx) const;
-
-    /** Total number of samples added. */
-    size_t total() const { return total_; }
-
-    size_t numBins() const { return counts_.size(); }
-
-    /** Inclusive lower edge of bin @p idx. */
-    double binLo(size_t idx) const;
-
-    /** Exclusive upper edge of bin @p idx. */
-    double binHi(size_t idx) const;
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<size_t> counts_;
-    size_t total_ = 0;
-};
 
 } // namespace madmax
 

@@ -9,7 +9,9 @@
  * files means the optimization changed results, which it must not.
  *
  * The serve surface is covered too: the exact /v1/evaluate response
- * body for the shipped configs/ triple is snapshotted.
+ * body for the shipped configs/ triple is snapshotted, and so are the
+ * /v1/stats and /v1/metrics bodies after a fixed request sequence
+ * (measured times masked), which pins both observability views.
  *
  * Regenerate (only when an *intentional* model change lands) with:
  *   MADMAX_REGEN_GOLDEN=1 ./test_golden_reports
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 
 #include "../golden_check.hh"
@@ -26,6 +29,7 @@
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "serve/service.hh"
+#include "util/fault_injection.hh"
 #include "util/strfmt.hh"
 
 namespace madmax
@@ -220,6 +224,108 @@ TEST(GoldenReports, ServeEvaluateResponseBody)
     HttpResponse resp = service.handle(req);
     ASSERT_EQ(resp.status, 200);
     checkGolden("serve_evaluate_dlrm_a.txt", resp.body);
+}
+
+namespace
+{
+
+/** Mask the value of every line that starts (after indentation) with
+ *  one of @p keys: the measured times the observability goldens
+ *  carry. The value is the last space-separated token; a trailing
+ *  JSON comma survives. */
+std::string
+maskLines(const std::string &text,
+          std::initializer_list<const char *> keys)
+{
+    std::istringstream in(text);
+    std::string out, line;
+    while (std::getline(in, line)) {
+        size_t indent = line.find_first_not_of(' ');
+        for (const char *key : keys) {
+            if (indent == std::string::npos ||
+                line.compare(indent, std::strlen(key), key) != 0)
+                continue;
+            bool comma = line.back() == ',';
+            line = line.substr(0, line.rfind(' ') + 1) + "<masked>" +
+                (comma ? "," : "");
+        }
+        out += line + "\n";
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(GoldenReports, ServeStatsAndMetricsBodies)
+{
+    // A fixed request sequence fills every section of both views: a
+    // cold and a memo-hit evaluate, an explore, a pareto, a health
+    // probe, one evaluate failed by an armed fault, and a transport
+    // provider with fixed counts.
+    const std::string dir = MADMAX_CONFIG_DIR;
+    JsonValue triple;
+    triple.set("model", JsonValue::parseFile(dir + "/model_dlrm_a.json"));
+    triple.set("system",
+               JsonValue::parseFile(dir + "/system_zionex.json"));
+    triple.set("task",
+               JsonValue::parseFile(dir + "/task_pretrain_optimal.json"));
+    JsonValue topo = triple;
+    topo.set("system",
+             JsonValue::parseFile(dir + "/system_zionex_topo.json"));
+
+    ServiceOptions opts;
+    opts.jobs = 1;
+    opts.batchWindowMicros = 0;
+    EvalService service(opts);
+    service.setTransportStatsProvider([] {
+        HttpServerStats t;
+        t.accepted = 1;
+        t.served = 2;
+        t.rejectedQueueFull = 3;
+        t.badRequests = 4;
+        t.keepAliveReuses = 5;
+        t.pipelinedRequests = 6;
+        t.shedExpensive = 7;
+        t.shedCached = 8;
+        t.idleClosed = 9;
+        t.deadlineClosed = 10;
+        t.partialWrites = 11;
+        t.fdExhausted = 12;
+        t.fdRejects = 13;
+        return t;
+    });
+    auto call = [&service](const char *method, const char *target,
+                           const std::string &body) {
+        HttpRequest req;
+        req.method = method;
+        req.target = target;
+        req.version = "HTTP/1.1";
+        req.body = body;
+        return service.handle(req);
+    };
+
+    EXPECT_EQ(call("POST", "/v1/evaluate", triple.dump()).status, 200);
+    EXPECT_EQ(call("POST", "/v1/evaluate", triple.dump()).status, 200);
+    EXPECT_EQ(call("POST", "/v1/explore", triple.dump()).status, 200);
+    EXPECT_EQ(call("POST", "/v1/pareto", triple.dump()).status, 200);
+    EXPECT_EQ(call("GET", "/v1/health", "").status, 200);
+
+    FaultScope scope("engine.eval=throw@nth:1");
+    EXPECT_EQ(call("POST", "/v1/evaluate", topo.dump()).status, 500);
+
+    HttpResponse stats = call("GET", "/v1/stats", "");
+    ASSERT_EQ(stats.status, 200);
+    checkGolden("serve_stats.txt",
+                maskLines(stats.body,
+                          {"\"uptime_seconds\": ", "\"wall_seconds\": "}));
+
+    HttpResponse metrics = call("GET", "/v1/metrics", "");
+    ASSERT_EQ(metrics.status, 200);
+    checkGolden("serve_metrics.txt",
+                maskLines(metrics.body,
+                          {"madmax_uptime_seconds ",
+                           "madmax_engine_wall_seconds_total ",
+                           "madmax_request_seconds_total{"}));
 }
 
 } // namespace madmax

@@ -296,7 +296,7 @@ TEST(EvalEngine, CacheCapacityEvicts)
         p.set(LayerClass::BaseDense, hs);
         engine.evaluateOne(model, dlrm, task, p);
     }
-    EXPECT_LE(engine.cacheSize(), 2u);
+    EXPECT_LE(engine.counters().cacheEntries, 2u);
 }
 
 TEST(EvalEngine, FleetRunDeterministicAcrossThreadCounts)

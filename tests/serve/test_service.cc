@@ -101,6 +101,9 @@ TEST(EvalService, RepeatedEvaluateIsServedFromTheSharedCache)
     EXPECT_EQ(doc.at("engine").at("cache").at("entries").asLong(), 1);
     EXPECT_EQ(
         doc.at("server").at("requests").at("evaluate").asLong(), 2);
+    // A healthy engine keeps the four-field lifetime schema that
+    // toJson(EvalStats) gives the explore and pareto documents.
+    EXPECT_FALSE(doc.at("engine").at("lifetime").has("failed"));
 }
 
 TEST(EvalService, MalformedJsonIs400)

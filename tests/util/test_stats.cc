@@ -13,65 +13,6 @@ TEST(Stats, Mean)
     EXPECT_THROW(mean({}), InternalError);
 }
 
-TEST(Stats, MedianOddAndEven)
-{
-    EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-    EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
-    EXPECT_THROW(median({}), InternalError);
-}
-
-TEST(Stats, Geomean)
-{
-    EXPECT_DOUBLE_EQ(geomean({4.0, 1.0}), 2.0);
-    EXPECT_NEAR(geomean({1.0, 10.0, 100.0}), 10.0, 1e-9);
-    EXPECT_THROW(geomean({1.0, 0.0}), InternalError);
-    EXPECT_THROW(geomean({-1.0}), InternalError);
-}
-
-TEST(Stats, Stddev)
-{
-    EXPECT_DOUBLE_EQ(stddev({2.0, 2.0, 2.0}), 0.0);
-    EXPECT_NEAR(stddev({1.0, 2.0, 3.0, 4.0}), 1.2909944487358056, 1e-12);
-    EXPECT_DOUBLE_EQ(stddev({1.0}), 0.0);
-}
-
-TEST(Stats, MinMax)
-{
-    EXPECT_DOUBLE_EQ(minOf({3.0, 1.0, 2.0}), 1.0);
-    EXPECT_DOUBLE_EQ(maxOf({3.0, 1.0, 2.0}), 3.0);
-}
-
-TEST(Histogram, BinsAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_EQ(h.numBins(), 5u);
-    h.add(0.5);   // bin 0
-    h.add(9.9);   // bin 4
-    h.add(-3.0);  // clamps into bin 0
-    h.add(42.0);  // clamps into bin 4
-    h.add(5.0);   // bin 2
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(2), 1u);
-    EXPECT_EQ(h.count(4), 2u);
-    EXPECT_EQ(h.count(1), 0u);
-}
-
-TEST(Histogram, BinEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binHi(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.binLo(4), 8.0);
-    EXPECT_DOUBLE_EQ(h.binHi(4), 10.0);
-}
-
-TEST(Histogram, RejectsBadConstruction)
-{
-    EXPECT_THROW(Histogram(0.0, 10.0, 0), ConfigError);
-    EXPECT_THROW(Histogram(10.0, 0.0, 5), ConfigError);
-}
-
 TEST(Logging, FatalAndPanicThrowDistinctTypes)
 {
     EXPECT_THROW(fatal("user error"), ConfigError);
