@@ -1,22 +1,9 @@
 #include "core/interval_sweep.hh"
 
 #include <algorithm>
-#include <numeric>
 
 namespace madmax
 {
-
-std::vector<Interval>
-mergeIntervals(std::vector<Interval> in)
-{
-    std::sort(in.begin(), in.end(),
-              [](const Interval &a, const Interval &b) {
-                  return a.lo < b.lo;
-              });
-    std::vector<Interval> out;
-    mergeSortedIntervalsInto(in, out);
-    return out;
-}
 
 void
 mergeSortedIntervalsInto(const std::vector<Interval> &in,
@@ -35,32 +22,6 @@ mergeSortedIntervalsInto(const std::vector<Interval> &in,
 }
 
 void
-sortedQueryOrder(const std::vector<Interval> &queries,
-                 std::vector<size_t> &order)
-{
-    // Visit queries in ascending lo so the cover cursor never backs
-    // up (stable on ties to keep the visit order deterministic; the
-    // per-query sums are order-independent across queries anyway).
-    order.resize(queries.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&queries](size_t a, size_t b) {
-                         return queries[a].lo < queries[b].lo;
-                     });
-}
-
-std::vector<double>
-coveredLengths(const std::vector<Interval> &cover,
-               const std::vector<Interval> &queries)
-{
-    std::vector<size_t> order;
-    sortedQueryOrder(queries, order);
-    std::vector<double> out;
-    coveredLengthsInto(cover, queries, order, out);
-    return out;
-}
-
-void
 coveredLengthsPairInto(const std::vector<Interval> &coverA,
                        const std::vector<Interval> &coverB,
                        const std::vector<Interval> &queries,
@@ -68,9 +29,9 @@ coveredLengthsPairInto(const std::vector<Interval> &coverA,
                        std::vector<double> &outA,
                        std::vector<double> &outB)
 {
-    // Per cover this is exactly coveredLengthsInto: same cursor, same
-    // intersection terms in the same ascending cover order, so each
-    // output double is bit-identical to the single-cover sweep.
+    // The two covers never interact: each has its own cursor and adds
+    // its intersection terms in ascending cover order, so each output
+    // double is bit-identical to a single-cover sweep of that cover.
     outA.resize(queries.size());
     outB.resize(queries.size());
     size_t baseA = 0;
@@ -104,41 +65,6 @@ coveredLengthsPairInto(const std::vector<Interval> &coverA,
                 coveredB += b - a;
         }
         outB[qi] = coveredB;
-    }
-}
-
-void
-coveredLengthsInto(const std::vector<Interval> &cover,
-                   const std::vector<Interval> &queries,
-                   const std::vector<size_t> &order,
-                   std::vector<double> &out)
-{
-    // @p order visits every query exactly once, so each slot gets one
-    // unconditional store and the upfront zero-fill is skipped.
-    out.resize(queries.size());
-    if (cover.empty() || queries.empty()) {
-        std::fill(out.begin(), out.end(), 0.0);
-        return;
-    }
-
-    size_t base = 0;
-    for (size_t qi : order) {
-        const Interval &q = queries[qi];
-        if (q.hi <= q.lo) {
-            out[qi] = 0.0;
-            continue;
-        }
-        while (base < cover.size() && cover[base].hi <= q.lo)
-            ++base;
-        double covered = 0.0;
-        for (size_t j = base;
-             j < cover.size() && cover[j].lo < q.hi; ++j) {
-            double a = std::max(q.lo, cover[j].lo);
-            double b = std::min(q.hi, cover[j].hi);
-            if (b > a)
-                covered += b - a;
-        }
-        out[qi] = covered;
     }
 }
 

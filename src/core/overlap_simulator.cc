@@ -113,8 +113,8 @@ OverlapSimulator::scheduleGraphInto(const EventGraph &graph,
     //
     // The shared order is the merge of the two channels' (already
     // ascending) query sequences; ties break toward the smaller query
-    // index, which reproduces sortedQueryOrder's stable sort exactly
-    // (and coveredLengthsInto's per-query sums only need ascending lo
+    // index, which keeps the visit order deterministic (and
+    // coveredLengthsPairInto's per-query sums only need ascending lo
     // in the first place).
     mergeSortedIntervalsInto(compute_busy, scratch.merged);
     std::vector<size_t> &order = scratch.order;

@@ -249,8 +249,8 @@ std::shared_ptr<const PerfReport>
 EvalEngine::cacheGet(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    const std::shared_ptr<const PerfReport> *hit = cache_.get(key);
-    return hit ? *hit : nullptr;
+    const MemoEntry *hit = cache_.get(key);
+    return hit ? hit->report : nullptr;
 }
 
 void
@@ -266,21 +266,48 @@ EvalEngine::cachePut(const std::string &key, PerfReport report)
     // reports are identical by construction).
     if (cache_.peek(key))
         return;
-    evictions_ += static_cast<long>(cache_.put(key, std::move(stored)));
+    evictions_ += static_cast<long>(
+        cache_.put(key, MemoEntry{std::move(stored), nullptr}));
     ++insertions_;
+}
+
+bool
+EvalEngine::tryCached(const std::string &key, MemoEntry &out)
+{
+    std::lock_guard<std::mutex> lock(cacheMutex_);
+    const MemoEntry *hit = cache_.get(key);
+    if (!hit)
+        return false;
+    out = *hit;
+    ++lifetime_.cacheHits;
+    return true;
 }
 
 bool
 EvalEngine::tryCached(const std::string &key, const ParallelPlan &plan,
                       PerfReport &out)
 {
-    std::shared_ptr<const PerfReport> hit = cacheGet(key);
-    if (!hit)
+    MemoEntry hit;
+    if (!tryCached(key, hit))
         return false;
-    out = *hit;
+    out = *hit.report;
     out.plan = plan; // Keys canonicalize absent-class strategies away.
+    return true;
+}
+
+bool
+EvalEngine::attachBody(const std::string &key,
+                       const std::shared_ptr<const PerfReport> &report,
+                       std::shared_ptr<const RenderedBody> body)
+{
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    ++lifetime_.cacheHits;
+    MemoEntry *entry = cache_.get(key);
+    // If the entry was evicted (and maybe re-inserted) since the hit,
+    // the body was rendered from a report the cache no longer holds:
+    // drop it, so a body never outlives its report.
+    if (!entry || entry->report != report || entry->body)
+        return false;
+    entry->body = std::move(body);
     return true;
 }
 

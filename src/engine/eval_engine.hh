@@ -10,7 +10,10 @@
  *     batch out across cores;
  *  2. a memoization cache keyed by a canonical fingerprint of the
  *     point, shared across call sites (e.g. best() after explore()
- *     re-reads every report for free);
+ *     re-reads every report for free). Each entry also has a
+ *     set-once slot for a rendered response body (RenderedBody), so
+ *     the serving layer's repeat hits return stored bytes instead of
+ *     re-rendering the report;
  *  3. a memory-feasibility pre-pass that prices MemoryModel alone and
  *     resolves OOM plans without building streams or running the
  *     overlap simulator;
@@ -107,6 +110,31 @@ struct EngineCounters
     long batches = 0;          ///< evaluateAll calls.
     long batchRequests = 0;    ///< Points submitted across all batches.
     long maxBatchRequests = 0; ///< Largest single batch.
+};
+
+/**
+ * A memo entry's rendered response body and the plan it was rendered
+ * for. Immutable once built. The memo key canonicalizes away
+ * strategies for layer classes the model lacks, but a rendered body
+ * prints the plan verbatim, so a reader serves @p bytes only to a
+ * request whose plan equals @p plan.
+ */
+struct RenderedBody
+{
+    ParallelPlan plan;
+    std::string bytes;
+};
+
+/**
+ * One memo-cache value, and what a fast-path probe hands back: the
+ * shared, timeline-stripped report and, once some hit has rendered
+ * it, the entry's body. Both leave the cache together on eviction or
+ * clearCache, so stored bodies are bounded by the cache capacity.
+ */
+struct MemoEntry
+{
+    std::shared_ptr<const PerfReport> report;
+    std::shared_ptr<const RenderedBody> body; ///< Null until attached.
 };
 
 /**
@@ -217,14 +245,30 @@ class EvalEngine
      * Fast-path probe by a precomputed canonical key (the serving
      * layer stores keys alongside parsed configs, so its hot path
      * skips both config parsing and key construction). On a hit,
-     * copies the cached report into @p out with @p plan restored
-     * (cached copies are timeline-stripped, exactly like an
-     * evaluateAll cache hit) and accounts one lifetime cache hit.
+     * shares the entry into @p out — no report copy — and accounts
+     * one lifetime cache hit, all under one lock. The shared report
+     * is timeline-stripped and carries the plan of whichever request
+     * inserted it (keys canonicalize absent-class strategies away).
      * A miss does no accounting — the caller resubmits through
      * evaluateAll, which counts the point there.
      */
+    bool tryCached(const std::string &key, MemoEntry &out);
+
+    /** tryCached that copies the report into @p out with @p plan
+     *  restored, exactly like an evaluateAll cache hit. */
     bool tryCached(const std::string &key, const ParallelPlan &plan,
                    PerfReport &out);
+
+    /**
+     * Attach @p body to the entry under @p key, if that entry still
+     * holds @p report (a hit's MemoEntry::report) and has no body
+     * yet. Set-once: a later attach, for any plan, leaves the first
+     * body in place. Counts nothing.
+     * @return whether @p body was attached.
+     */
+    bool attachBody(const std::string &key,
+                    const std::shared_ptr<const PerfReport> &report,
+                    std::shared_ptr<const RenderedBody> body);
 
     /** Accounting-free occupancy probe: admission control asks
      *  "would this request be cheap?" without perturbing LRU order
@@ -248,7 +292,7 @@ class EvalEngine
     std::unique_ptr<ThreadPool> pool_; ///< Null when jobs == 1.
 
     mutable std::mutex cacheMutex_;
-    LruCache<std::string, std::shared_ptr<const PerfReport>> cache_;
+    LruCache<std::string, MemoEntry> cache_;
 
     /// Lifetime accounting (guarded by cacheMutex_): every
     /// evaluateAll's EvalStats folded together, plus total cache

@@ -96,6 +96,13 @@ struct ParallelPlan
 
     /** Plan name like "dense=(TP, DDP) emb=(MP)". */
     std::string toString() const;
+
+    /** Same strategy per listed class and same prefetch flag — hence
+     *  the same toString(). */
+    bool operator==(const ParallelPlan &o) const
+    {
+        return byClass == o.byClass && fsdpPrefetch == o.fsdpPrefetch;
+    }
 };
 
 } // namespace madmax

@@ -70,21 +70,22 @@ BatchDispatcher::runBatch(std::unique_lock<std::mutex> &lock)
     cv_.notify_all();
 }
 
+bool
+BatchDispatcher::tryMemo(const CachedRequest &request, MemoEntry &out)
+{
+    // The cached report is ready; a window would be pure added
+    // latency.
+    if (!engine_.tryCached(request.engineKey, out))
+        return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.memoFastPath;
+    return true;
+}
+
 PerfReport
 BatchDispatcher::evaluate(const CachedRequest &request,
                           long deadlineMicros)
 {
-    {
-        // Memo hot path: no window, no queue, no batch — the cached
-        // report is ready and the window would be pure added latency.
-        PerfReport memo;
-        if (engine_.tryCached(request.engineKey, request.plan, memo)) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.memoFastPath;
-            return memo;
-        }
-    }
-
     const bool hasDeadline = deadlineMicros > 0;
     const Clock::time_point start = Clock::now();
     const Clock::time_point deadline =

@@ -19,8 +19,8 @@
  * a single evaluation.
  *
  * Requests already memoized in the engine bypass the window entirely
- * (EvalEngine::tryCached), so the batch window adds zero latency to
- * the cached hot path.
+ * (tryMemo, over EvalEngine::tryCached), so the batch window adds
+ * zero latency to the cached hot path.
  *
  * SingleFlight deduplicates concurrent *identical* requests at the
  * response level — used by /v1/pareto, where a whole search is too
@@ -51,6 +51,7 @@ namespace madmax
 {
 
 class EvalEngine;
+struct MemoEntry;
 
 struct BatchDispatcherOptions
 {
@@ -100,8 +101,17 @@ class BatchDispatcher
     BatchDispatcher &operator=(const BatchDispatcher &) = delete;
 
     /**
+     * Memo hot path: no window, no queue, no batch. On an engine memo
+     * hit, shares the entry into @p out (EvalEngine::tryCached) and
+     * counts memoFastPath. Callers try this before evaluate().
+     */
+    bool tryMemo(const CachedRequest &request, MemoEntry &out);
+
+    /**
      * Evaluate one resolved request, riding whatever batch forms.
-     * Blocking; safe from any number of threads.
+     * Blocking; safe from any number of threads. Does not probe the
+     * memo first (that is tryMemo's job); a point memoized meanwhile
+     * is still answered from the memo inside the batch.
      *
      * Per-request engine failures come back as failure reports
      * (PerfReport::failed() — see EvalEngine exception isolation);

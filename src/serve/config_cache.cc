@@ -62,7 +62,7 @@ ConfigCache::lookup(const std::string &body)
     std::shared_ptr<const ParsedTriple> triple =
         std::make_shared<ParsedTriple>(std::move(model), task.task,
                                        std::move(cluster),
-                                       std::move(canon));
+                                       std::move(canon), tripleFp);
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++misses_;

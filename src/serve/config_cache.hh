@@ -55,11 +55,13 @@ struct ParsedTriple
     PerfModel perf;
     std::string canon; ///< Canonical text the fingerprint was taken
                        ///< over (exact-compare collision guard).
+    uint64_t fingerprint; ///< fnv1a(canon): the triple-cache key, and
+                          ///< the service's circuit-breaker key.
 
     ParsedTriple(ModelDesc m, TaskSpec t, ClusterSpec cluster,
-                 std::string canonText)
+                 std::string canonText, uint64_t fp)
         : model(std::move(m)), task(t), perf(std::move(cluster)),
-          canon(std::move(canonText))
+          canon(std::move(canonText)), fingerprint(fp)
     {
     }
 

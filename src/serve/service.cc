@@ -5,7 +5,6 @@
 #include "dse/pareto_engine.hh"
 #include "serve/errors.hh"
 #include "util/fault_injection.hh"
-#include "util/fingerprint.hh"
 #include "util/logging.hh"
 
 namespace madmax
@@ -524,13 +523,20 @@ EvalService::handleEvaluate(const HttpRequest &request)
     // straight from the dispatcher's fast path.
     CachedRequest parsed = configCache_.lookup(request.body);
 
-    // The breaker key is the canonical triple — the same identity the
-    // config cache dedups on — so every body spelling of a poisoned
-    // config shares one breaker entry.
-    uint64_t breakerKey = fnv1a(parsed.triple->canon);
+    // The breaker key is the canonical triple's fingerprint — the
+    // same identity the config cache dedups on — so every body
+    // spelling of a poisoned config shares one breaker entry.
+    uint64_t breakerKey = parsed.triple->fingerprint;
     long retryAfter = 0;
     if (!breaker_.admit(breakerKey, &retryAfter))
         throw CircuitOpenError(retryAfter);
+
+    MemoEntry memo;
+    if (dispatcher_.tryMemo(parsed, memo)) {
+        // Failure reports are never memoized, so a hit is a success.
+        breaker_.recordSuccess(breakerKey);
+        return memoResponse(parsed, memo);
+    }
 
     PerfReport report;
     try {
@@ -564,6 +570,30 @@ EvalService::handleEvaluate(const HttpRequest &request)
     }
     breaker_.recordSuccess(breakerKey);
     return jsonResponse(toJson(report));
+}
+
+HttpResponse
+EvalService::memoResponse(const CachedRequest &parsed,
+                          const MemoEntry &memo)
+{
+    // Plan guard: the memo key drops strategies for layer classes the
+    // model lacks, but the body prints the plan verbatim, so stored
+    // bytes answer only the plan they were rendered for.
+    if (memo.body && memo.body->plan == parsed.plan) {
+        HttpResponse resp;
+        resp.body = memo.body->bytes;
+        return resp;
+    }
+    PerfReport report = *memo.report;
+    report.plan = parsed.plan;
+    HttpResponse resp = jsonResponse(toJson(report));
+    // Rendered on a hit, never at insertion: a body is stored only
+    // for an entry that has been asked for twice.
+    if (!memo.body)
+        engine_.attachBody(parsed.engineKey, memo.report,
+                           std::make_shared<const RenderedBody>(
+                               RenderedBody{parsed.plan, resp.body}));
+    return resp;
 }
 
 HttpResponse

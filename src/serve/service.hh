@@ -222,6 +222,11 @@ class EvalService
     };
 
     HttpResponse handleEvaluate(const HttpRequest &request);
+    /** A memo hit's response: the entry's stored body when it was
+     *  rendered for this plan; otherwise rendered now, and stored if
+     *  the entry has no body yet. */
+    HttpResponse memoResponse(const CachedRequest &parsed,
+                              const MemoEntry &memo);
     HttpResponse handleExplore(const HttpRequest &request);
     HttpResponse handlePareto(const HttpRequest &request);
     HttpResponse runPareto(const HttpRequest &request);

@@ -451,4 +451,162 @@ TEST(EvalEngine, BadAllocMapsToResourceKind)
     EXPECT_EQ(report.errorKind, EvalErrorKind::Resource);
 }
 
+namespace
+{
+
+/** DLRM-A on its training system, with a fixed plan per BaseDense
+ *  strategy: the point set of the memo-body tests. */
+struct DlrmPoints
+{
+    PerfModel model{hw_zoo::dlrmTrainingSystem()};
+    ModelDesc dlrm = model_zoo::dlrmA();
+    TaskSpec task = TaskSpec::preTraining();
+
+    ParallelPlan plan(Strategy intra) const
+    {
+        ParallelPlan p;
+        p.set(LayerClass::BaseDense, HierStrategy{intra, Strategy::DDP});
+        return p;
+    }
+
+    std::string key(const ParallelPlan &p) const
+    {
+        return EvalEngine::cacheKey({&model, &dlrm, &task, p});
+    }
+};
+
+std::shared_ptr<const RenderedBody>
+bodyFor(const ParallelPlan &plan, const std::string &bytes)
+{
+    return std::make_shared<const RenderedBody>(RenderedBody{plan, bytes});
+}
+
+void
+expectEntriesBalance(const EvalEngine &engine)
+{
+    EngineCounters c = engine.counters();
+    EXPECT_EQ(static_cast<long>(c.cacheEntries),
+              c.cacheInsertions - c.cacheEvictions);
+}
+
+} // namespace
+
+TEST(EvalEngine, StoredBodyLeavesWithItsReportOnEviction)
+{
+    DlrmPoints pts;
+    ParallelPlan a = pts.plan(Strategy::TP);
+    ParallelPlan b = pts.plan(Strategy::FSDP);
+    EvalEngineOptions eo;
+    eo.jobs = 1;
+    eo.cacheCapacity = 1;
+    EvalEngine engine(eo);
+
+    engine.evaluateOne(pts.model, pts.dlrm, pts.task, a);
+    MemoEntry hit;
+    ASSERT_TRUE(engine.tryCached(pts.key(a), hit));
+    EXPECT_EQ(hit.body, nullptr);
+    std::weak_ptr<const RenderedBody> stored;
+    {
+        auto body = bodyFor(a, "A");
+        stored = body;
+        ASSERT_TRUE(engine.attachBody(pts.key(a), hit.report, body));
+    }
+    MemoEntry again;
+    ASSERT_TRUE(engine.tryCached(pts.key(a), again));
+    ASSERT_NE(again.body, nullptr);
+    EXPECT_EQ(again.body->bytes, "A");
+    again = MemoEntry{};
+
+    // b evicts a, and the body goes with it.
+    engine.evaluateOne(pts.model, pts.dlrm, pts.task, b);
+    EXPECT_TRUE(stored.expired());
+    EXPECT_FALSE(engine.tryCached(pts.key(a), again));
+    EngineCounters c = engine.counters();
+    EXPECT_EQ(c.cacheInsertions, 2);
+    EXPECT_EQ(c.cacheEvictions, 1);
+    expectEntriesBalance(engine);
+
+    // Re-inserted, a starts without a body, and a body rendered for
+    // the evicted report cannot attach to the new one.
+    engine.evaluateOne(pts.model, pts.dlrm, pts.task, a);
+    ASSERT_TRUE(engine.tryCached(pts.key(a), again));
+    EXPECT_EQ(again.body, nullptr);
+    EXPECT_FALSE(engine.attachBody(pts.key(a), hit.report,
+                                   bodyFor(a, "stale")));
+    expectEntriesBalance(engine);
+}
+
+TEST(EvalEngine, ClearCacheDropsStoredBodies)
+{
+    DlrmPoints pts;
+    ParallelPlan a = pts.plan(Strategy::TP);
+    EvalEngine engine;
+    engine.evaluateOne(pts.model, pts.dlrm, pts.task, a);
+    MemoEntry hit;
+    ASSERT_TRUE(engine.tryCached(pts.key(a), hit));
+    std::weak_ptr<const RenderedBody> stored;
+    {
+        auto body = bodyFor(a, "A");
+        stored = body;
+        ASSERT_TRUE(engine.attachBody(pts.key(a), hit.report, body));
+    }
+    hit = MemoEntry{};
+
+    engine.clearCache();
+    EXPECT_TRUE(stored.expired());
+    EXPECT_FALSE(engine.tryCached(pts.key(a), hit));
+    expectEntriesBalance(engine);
+}
+
+TEST(EvalEngine, AttachBodyIsSetOnce)
+{
+    // DLRM-A has no transformer layers, so a and b share one key.
+    DlrmPoints pts;
+    ParallelPlan a = pts.plan(Strategy::TP);
+    ParallelPlan b = a;
+    b.set(LayerClass::Transformer, HierStrategy{Strategy::FSDP});
+    ASSERT_EQ(pts.key(a), pts.key(b));
+    ASSERT_FALSE(a == b);
+
+    EvalEngine engine;
+    engine.evaluateOne(pts.model, pts.dlrm, pts.task, a);
+    MemoEntry hit;
+    ASSERT_TRUE(engine.tryCached(pts.key(a), hit));
+    EXPECT_TRUE(engine.attachBody(pts.key(a), hit.report, bodyFor(a, "A")));
+    EXPECT_FALSE(
+        engine.attachBody(pts.key(b), hit.report, bodyFor(b, "B")));
+
+    ASSERT_TRUE(engine.tryCached(pts.key(b), hit));
+    ASSERT_NE(hit.body, nullptr);
+    EXPECT_EQ(hit.body->plan, a);
+    EXPECT_EQ(hit.body->bytes, "A");
+    // Attaching touches no counter: two probes, two hits.
+    EXPECT_EQ(engine.counters().lifetime.cacheHits, 2);
+}
+
+TEST(EvalEngine, FailedReportsNeverGetStoredBodies)
+{
+    DlrmPoints pts;
+    ParallelPlan a = pts.plan(Strategy::TP);
+    EvalEngineOptions eo;
+    eo.jobs = 1;
+    EvalEngine engine(eo);
+    PerfReport failed;
+    {
+        FaultScope scope("engine.eval=throw@nth:1");
+        failed = engine.evaluateOne(pts.model, pts.dlrm, pts.task, a);
+    }
+    ASSERT_TRUE(failed.failed());
+
+    // No entry, so nothing for a body to attach to.
+    MemoEntry hit;
+    EXPECT_FALSE(engine.tryCached(pts.key(a), hit));
+    auto report = std::make_shared<const PerfReport>(failed);
+    EXPECT_FALSE(engine.attachBody(pts.key(a), report, bodyFor(a, "A")));
+    EngineCounters c = engine.counters();
+    EXPECT_EQ(c.cacheEntries, 0u);
+    EXPECT_EQ(c.cacheInsertions, 0);
+    EXPECT_EQ(c.lifetime.cacheHits, 0);
+}
+
 } // namespace madmax

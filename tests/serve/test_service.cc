@@ -19,6 +19,7 @@
 #include "serve/http_server.hh"
 #include "serve/service.hh"
 #include "serve_test_util.hh"
+#include "util/fault_injection.hh"
 
 namespace madmax
 {
@@ -64,6 +65,39 @@ expectedEvaluateBody()
     return toJson(report).dump(2) + "\n";
 }
 
+/** The same for the triple in an arbitrary request body. */
+std::string
+expectedBodyFor(const std::string &requestBody)
+{
+    JsonValue body = JsonValue::parse(requestBody);
+    ModelDesc model = loadModel(body.at("model"));
+    ClusterSpec cluster = loadCluster(body.at("system"));
+    TaskConfig task = loadTask(body.at("task"));
+    PerfModel perf(cluster);
+    PerfReport report = perf.evaluate(model, task.task, task.plan);
+    return toJson(report).dump(2) + "\n";
+}
+
+/** The shipped triple with one task strategy replaced. */
+std::string
+shippedBodyWith(const char *layerClass, const char *strategy)
+{
+    JsonValue body = JsonValue::parse(shippedTripleBody());
+    body.member("task").member("strategies").set(layerClass, strategy);
+    return body.dump(2);
+}
+
+/** The engine memo key @p requestBody resolves to. */
+std::string
+engineKeyFor(const std::string &requestBody)
+{
+    JsonValue body = JsonValue::parse(requestBody);
+    ModelDesc model = loadModel(body.at("model"));
+    PerfModel perf(loadCluster(body.at("system")));
+    TaskConfig task = loadTask(body.at("task"));
+    return EvalEngine::cacheKey({&perf, &model, &task.task, task.plan});
+}
+
 } // namespace
 
 TEST(EvalService, EvaluateMatchesCliJsonByteForByte)
@@ -104,6 +138,136 @@ TEST(EvalService, RepeatedEvaluateIsServedFromTheSharedCache)
     // A healthy engine keeps the four-field lifetime schema that
     // toJson(EvalStats) gives the explore and pareto documents.
     EXPECT_FALSE(doc.at("engine").at("lifetime").has("failed"));
+}
+
+TEST(EvalService, RepeatHitsServeTheStoredBytes)
+{
+    EvalService service;
+    std::string body = shippedTripleBody();
+    std::string expected = expectedEvaluateBody();
+
+    // A cold evaluation, a hit that renders and stores the body, and
+    // three hits served from the stored bytes.
+    for (int i = 0; i < 5; ++i) {
+        HttpResponse resp = service.handle(post("/v1/evaluate", body));
+        ASSERT_EQ(resp.status, 200) << "request " << i;
+        EXPECT_EQ(resp.contentType, "application/json") << "request " << i;
+        EXPECT_EQ(resp.body, expected) << "request " << i;
+    }
+    EXPECT_EQ(service.engine().counters().lifetime.evaluations, 1);
+    EXPECT_EQ(service.engine().counters().lifetime.cacheHits, 4);
+    EXPECT_EQ(service.dispatcher().stats().memoFastPath, 4);
+
+    MemoEntry entry;
+    ASSERT_TRUE(service.engine().tryCached(engineKeyFor(body), entry));
+    ASSERT_NE(entry.body, nullptr);
+    EXPECT_EQ(entry.body->bytes, expected);
+}
+
+TEST(EvalService, StoredBytesAnswerOnlyTheirOwnPlan)
+{
+    // DLRM-A has no transformer layers: both bodies resolve to one
+    // engine key, but each response must print its own plan.
+    std::string a = shippedTripleBody();
+    std::string b = shippedBodyWith("transformer", "(FSDP)");
+    ASSERT_EQ(engineKeyFor(a), engineKeyFor(b));
+    std::string expectA = expectedBodyFor(a);
+    std::string expectB = expectedBodyFor(b);
+    ASSERT_NE(expectA, expectB);
+    const std::string planA =
+        JsonValue::parse(expectA).at("plan").asString();
+    const std::string planB =
+        JsonValue::parse(expectB).at("plan").asString();
+
+    EvalService service;
+    for (int round = 0; round < 3; ++round) {
+        HttpResponse ra = service.handle(post("/v1/evaluate", a));
+        HttpResponse rb = service.handle(post("/v1/evaluate", b));
+        ASSERT_EQ(ra.status, 200);
+        ASSERT_EQ(rb.status, 200);
+        EXPECT_EQ(JsonValue::parse(ra.body).at("plan").asString(), planA)
+            << "round " << round;
+        EXPECT_EQ(JsonValue::parse(rb.body).at("plan").asString(), planB)
+            << "round " << round;
+        EXPECT_EQ(ra.body, expectA) << "round " << round;
+        EXPECT_EQ(rb.body, expectB) << "round " << round;
+    }
+    EngineCounters c = service.engine().counters();
+    EXPECT_EQ(c.lifetime.evaluations, 1);
+    EXPECT_EQ(c.lifetime.cacheHits, 5);
+    EXPECT_EQ(c.cacheEntries, 1u);
+}
+
+TEST(EvalService, StoredBytesLeaveEveryCounterAsBefore)
+{
+    // A one-entry memo under A A A C C A A: evaluate, render, serve
+    // bytes; C evicts A (and its bytes); render C; A evaluates again
+    // and its first hit renders again. The counters are the ones a
+    // render-every-hit service reports for the same sequence.
+    ServiceOptions opts;
+    opts.jobs = 1;
+    opts.cacheCapacity = 1;
+    opts.batchWindowMicros = 0;
+    EvalService service(opts);
+    std::string a = shippedTripleBody();
+    std::string c = shippedBodyWith("base_dense", "(FSDP)");
+    ASSERT_NE(engineKeyFor(a), engineKeyFor(c));
+    std::string expectA = expectedBodyFor(a);
+    std::string expectC = expectedBodyFor(c);
+
+    for (const std::string *body : {&a, &a, &a, &c, &c, &a, &a}) {
+        HttpResponse resp = service.handle(post("/v1/evaluate", *body));
+        ASSERT_EQ(resp.status, 200);
+        EXPECT_EQ(resp.body, body == &a ? expectA : expectC);
+    }
+
+    JsonValue doc =
+        JsonValue::parse(service.handle(get("/v1/stats")).body);
+    const JsonValue &engine = doc.at("engine");
+    EXPECT_EQ(engine.at("lifetime").at("evaluations").asLong(), 3);
+    EXPECT_EQ(engine.at("lifetime").at("cache_hits").asLong(), 4);
+    EXPECT_EQ(engine.at("lifetime").at("pruned").asLong(), 0);
+    EXPECT_EQ(engine.at("cache").at("insertions").asLong(), 3);
+    EXPECT_EQ(engine.at("cache").at("evictions").asLong(), 2);
+    EXPECT_EQ(engine.at("cache").at("entries").asLong(), 1);
+    const JsonValue &batching = doc.at("server").at("batching");
+    EXPECT_EQ(batching.at("memo_fast_path").asLong(), 4);
+    EXPECT_EQ(batching.at("batched_requests").asLong(), 3);
+}
+
+TEST(EvalService, OpenBreakerRejectsAKeyWithStoredBytes)
+{
+    ServiceOptions opts;
+    opts.jobs = 1;
+    opts.batchWindowMicros = 0;
+    opts.breakerFailureThreshold = 3;
+    opts.breakerOpenMillis = 60000;
+    EvalService service(opts);
+    std::string a = shippedTripleBody();
+    ASSERT_EQ(service.handle(post("/v1/evaluate", a)).status, 200);
+    ASSERT_EQ(service.handle(post("/v1/evaluate", a)).status, 200);
+
+    // Same triple (one breaker key), another plan (another memo key):
+    // three failed evaluations trip the triple's breaker.
+    std::string other = shippedBodyWith("base_dense", "(FSDP)");
+    {
+        FaultScope scope("engine.eval=throw");
+        for (int i = 0; i < 3; ++i)
+            ASSERT_EQ(
+                service.handle(post("/v1/evaluate", other)).status, 500)
+                << "failure " << i;
+    }
+
+    HttpResponse rejected = service.handle(post("/v1/evaluate", a));
+    EXPECT_EQ(rejected.status, 503);
+    EXPECT_EQ(JsonValue::parse(rejected.body)
+                  .at("error")
+                  .at("code")
+                  .asString(),
+              "circuit_open");
+    // The breaker admits before the memo probe: no hit was counted.
+    EXPECT_EQ(service.dispatcher().stats().memoFastPath, 1);
+    EXPECT_EQ(service.engine().counters().lifetime.cacheHits, 1);
 }
 
 TEST(EvalService, MalformedJsonIs400)
