@@ -12,7 +12,6 @@
 #include "hw/topology.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
-#include "util/strfmt.hh"
 #include "util/thread_pool.hh"
 
 namespace madmax
@@ -26,12 +25,45 @@ constexpr LayerClass kAllClasses[] = {
     LayerClass::SparseEmbedding, LayerClass::DenseEmbedding,
     LayerClass::BaseDense, LayerClass::Transformer, LayerClass::MoE};
 
+/** Append @p v as 16 lowercase hex digits, most significant first. */
+void
+appendHex(std::string &out, uint64_t v)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        buf[i] = kDigits[v & 0xf];
+    out.append(buf, sizeof(buf));
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
 void
 appendDouble(std::string &out, double v)
 {
-    // %.17g round-trips doubles exactly: two clusters that differ in
-    // the 17th digit of a bandwidth must not share cache entries.
-    out += strfmt("%.17g,", v);
+    // The fixed-width bit pattern: equal text means bit-identical
+    // values, so two clusters that differ in the last ulp of a
+    // bandwidth never share cache entries. Fixed width needs no
+    // separator, and hex never contains the ',' or '|' the key's
+    // other fields and its prefix/suffix cut use.
+    appendHex(out, bitsOf(v));
+}
+
+/** The splitmix64 finalizer: every input bit flips about half of the
+ *  output bits. */
+uint64_t
+mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
 }
 
 void
@@ -60,12 +92,12 @@ appendCluster(std::string &out, const ClusterSpec &c)
     // Topology-carrying clusters price on their own tier stack; the
     // spec fingerprint keeps them from sharing entries with the flat
     // shape (or with a differently-tiered topology).
-    if (c.topology)
-        out += strfmt("T%016llx,",
-                      static_cast<unsigned long long>(
-                          c.topology->fingerprint()));
-    else
-        out += "-,";
+    if (c.topology) {
+        out += 'T';
+        appendHex(out, c.topology->fingerprint());
+    } else {
+        out += '-';
+    }
 }
 
 void
@@ -84,7 +116,7 @@ appendOptions(std::string &out, const PerfModelOptions &o)
         appendDouble(out, o.smModel->maxUtil());
         appendDouble(out, o.smModel->halfSaturationFlops());
     } else {
-        out += "-,";
+        out += '-';
     }
 }
 
@@ -100,20 +132,12 @@ appendModel(std::string &out, const ModelDesc &m)
     out += m.isRecommendation ? '1' : '0';
     out += std::to_string(m.graph.numLayers()) + ',';
     // Same-name models can differ per layer (custom JSON configs that
-    // redistribute width); fold every layer's class and cost into an
-    // FNV-1a digest so such models never share a cache entry.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    auto mixDouble = [&](double v) {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-        std::memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
+    // redistribute width); fold every layer's class and cost into a
+    // 64-bit digest so such models never share a cache entry, one
+    // full-avalanche step per 64-bit field.
+    uint64_t h = 0;
+    auto fold = [&h](uint64_t v) {
+        h = mix64(h + 0x9e3779b97f4a7c15ull + v);
     };
     // Every per-layer, per-sample quantity the performance and memory
     // models read: compute, lookup traffic, output/TP communication
@@ -123,16 +147,16 @@ appendModel(std::string &out, const ModelDesc &m)
     const double dtype_bytes = m.activationBytes();
     for (int i = 0; i < m.graph.numLayers(); ++i) {
         const Layer &layer = m.graph.layer(i);
-        mix(static_cast<uint64_t>(layer.kind()));
-        mix(static_cast<uint64_t>(layer.layerClass()));
-        mixDouble(layer.paramCount());
-        mixDouble(layer.forwardFlopsPerSample());
-        mixDouble(layer.lookupBytesPerSample());
-        mixDouble(layer.outputBytesPerSample(dtype_bytes));
-        mixDouble(layer.tpCommBytesPerSample(dtype_bytes));
-        mixDouble(layer.activationMemoryBytesPerSample(dtype_bytes));
+        fold(static_cast<uint64_t>(layer.kind()));
+        fold(static_cast<uint64_t>(layer.layerClass()));
+        fold(bitsOf(layer.paramCount()));
+        fold(bitsOf(layer.forwardFlopsPerSample()));
+        fold(bitsOf(layer.lookupBytesPerSample()));
+        fold(bitsOf(layer.outputBytesPerSample(dtype_bytes)));
+        fold(bitsOf(layer.tpCommBytesPerSample(dtype_bytes)));
+        fold(bitsOf(layer.activationMemoryBytesPerSample(dtype_bytes)));
     }
-    out += strfmt("%016llx", static_cast<unsigned long long>(h));
+    appendHex(out, h);
 }
 
 /**

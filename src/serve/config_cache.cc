@@ -1,5 +1,8 @@
 #include "serve/config_cache.hh"
 
+#include <exception>
+#include <optional>
+
 #include "config/config_loader.hh"
 #include "engine/eval_engine.hh"
 #include "util/fault_injection.hh"
@@ -44,49 +47,79 @@ ConfigCache::lookup(const std::string &body)
         if (!doc.has(key))
             fatal(std::string("request body missing \"") + key +
                   "\" member");
-    ModelDesc model = loadModel(doc.at("model"));
-    ClusterSpec cluster = loadCluster(doc.at("system"));
-    TaskConfig task = loadTask(doc.at("task"));
+
+    // Triple first: the task completes the canonical text, and a
+    // cached triple with that text already holds this body's model and
+    // cluster (both loaders are pure functions of the JSON the text
+    // dumps), so a known triple skips loadModel and loadCluster.
+    std::optional<TaskConfig> task;
+    std::exception_ptr taskError;
+    try {
+        task = loadTask(doc.at("task"));
+    } catch (...) {
+        taskError = std::current_exception();
+    }
 
     // Canonical triple text: re-dumped parsed JSON (object keys are
     // sorted, whitespace normalized) + the task spec — but not the
     // plan, which is per-request; the whole point is that different
     // plans share the triple and thus an EvalContext group.
-    std::string canon = doc.at("model").dump();
-    canon += '\x1f';
-    canon += doc.at("system").dump();
-    canon += '\x1f';
-    canon += task.task.toString();
-    uint64_t tripleFp = fnv1a(canon);
+    std::string canon;
+    uint64_t tripleFp = 0;
+    std::shared_ptr<const ParsedTriple> triple;
+    if (task) {
+        canon = doc.at("model").dump();
+        canon += '\x1f';
+        canon += doc.at("system").dump();
+        canon += '\x1f';
+        canon += task->task.toString();
+        tripleFp = fnv1a(canon);
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto *cached = triples_.get(tripleFp);
+        if (cached && (*cached)->canon == canon)
+            triple = *cached;
+    }
 
-    std::shared_ptr<const ParsedTriple> triple =
-        std::make_shared<ParsedTriple>(std::move(model), task.task,
-                                       std::move(cluster),
-                                       std::move(canon), tripleFp);
+    bool shared = triple != nullptr;
+    if (!shared) {
+        // Unknown triple, or a bad task: load in the historical order
+        // (model, system, task), so the first error reported is the
+        // same as it always was.
+        ModelDesc model = loadModel(doc.at("model"));
+        ClusterSpec cluster = loadCluster(doc.at("system"));
+        if (taskError)
+            std::rethrow_exception(taskError);
+        triple = std::make_shared<ParsedTriple>(
+            std::move(model), task->task, std::move(cluster),
+            std::move(canon), tripleFp);
+    }
+
+    // The engine key reads the triple's contents, not its address, so
+    // it holds for whichever equal-canon instance is kept below, and
+    // it can be built outside the lock.
+    std::string engineKey = EvalEngine::cacheKey(
+        {&triple->perf, &triple->model, &triple->task, task->plan});
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++misses_;
-    auto *cached = triples_.get(tripleFp);
-    if (cached && (*cached)->canon == triple->canon) {
-        // Another body already parsed this triple; adopt the cached
-        // instance so pointer identity (batch grouping, shared
-        // EvalContext) holds across bodies, and drop ours.
-        triple = *cached;
-        ++tripleShares_;
-    } else {
-        triples_.put(tripleFp, triple);
+    if (!shared) {
+        auto *cached = triples_.get(tripleFp);
+        if (cached && (*cached)->canon == triple->canon) {
+            // Another body parsed this triple since the probe; adopt
+            // the cached instance so pointer identity (batch grouping,
+            // shared EvalContext) holds across bodies, and drop ours.
+            triple = *cached;
+            shared = true;
+        } else {
+            triples_.put(tripleFp, triple);
+        }
     }
-
-    PlanRequest point;
-    point.model = &triple->perf;
-    point.desc = &triple->model;
-    point.task = &triple->task;
-    point.plan = task.plan;
-    std::string engineKey = EvalEngine::cacheKey(point);
+    if (shared)
+        ++tripleShares_;
 
     evictions_ += static_cast<long>(bodies_.put(
-        bodyHash, BodyEntry{body, triple, task.plan, engineKey}));
-    return {std::move(triple), std::move(task.plan),
+        bodyHash, BodyEntry{body, triple, task->plan, engineKey}));
+    return {std::move(triple), std::move(task->plan),
             std::move(engineKey)};
 }
 

@@ -19,7 +19,13 @@
  *     plan still share one ParsedTriple — and because EvalEngine
  *     batch-groups by pointer identity, every request referencing a
  *     shared triple lands in the same EvalContext group of a
- *     coalesced batch (see serve/batch_dispatcher.hh).
+ *     coalesced batch (see serve/batch_dispatcher.hh). A body miss
+ *     resolves triple first: it parses the body and loads only the
+ *     task, which completes the canonical text; a cached triple then
+ *     stands in for loadModel and loadCluster, pure functions of the
+ *     JSON that text dumps. An unknown triple, or a task that fails
+ *     to load, loads model, system and task in that order, so the
+ *     first error reported does not depend on what is cached.
  *
  * Thread-safe. Entries are shared_ptr, so eviction never invalidates
  * a request mid-flight.

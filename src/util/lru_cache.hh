@@ -50,12 +50,21 @@ template <typename Key, typename Value> class LruCache
             order_.splice(order_.begin(), order_, it->second.second);
             return 0;
         }
-        order_.push_front(key);
-        map_.emplace(key,
-                     std::make_pair(std::move(value), order_.begin()));
+        // The recency slot first, so a throwing emplace leaves both
+        // containers as they were.
+        order_.push_front(nullptr);
+        try {
+            it = map_.emplace(key, std::make_pair(std::move(value),
+                                                  order_.begin()))
+                     .first;
+        } catch (...) {
+            order_.pop_front();
+            throw;
+        }
+        order_.front() = &it->first;
         size_t evicted = 0;
         while (map_.size() > capacity_) {
-            map_.erase(order_.back());
+            map_.erase(map_.find(*order_.back()));
             order_.pop_back();
             ++evicted;
         }
@@ -73,10 +82,13 @@ template <typename Key, typename Value> class LruCache
     size_t capacity() const { return capacity_; }
 
   private:
+    using Order = std::list<const Key *>;
+
     size_t capacity_;
-    std::list<Key> order_; ///< Front = most recently used.
-    std::unordered_map<Key,
-                       std::pair<Value, typename std::list<Key>::iterator>>
+    /// Front = most recently used. Points at the map's own node keys,
+    /// which stay put across rehashing, so each key is stored once.
+    Order order_;
+    std::unordered_map<Key, std::pair<Value, typename Order::iterator>>
         map_;
 };
 

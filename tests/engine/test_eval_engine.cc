@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/strategy_explorer.hh"
 #include "engine/eval_engine.hh"
 #include "fleet/fleet_sim.hh"
 #include "hw/hw_zoo.hh"
+#include "model/layer.hh"
 #include "model/model_zoo.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
@@ -201,6 +204,56 @@ TEST(EvalEngine, CacheKeyIsGroupPrefixPlusPlanSuffix)
     PlanRequest c{&model, &gpt3, &inf, ParallelPlan::fsdpBaseline()};
     std::string kc = EvalEngine::cacheKey(c);
     EXPECT_NE(ka.substr(0, cut_a), kc.substr(0, kc.rfind('|')));
+}
+
+TEST(EvalEngine, CacheKeySeparatesClustersOneUlpApart)
+{
+    // The key writes each double's bit pattern, so a bandwidth one ulp
+    // away is a different point.
+    ClusterSpec base = hw_zoo::llmTrainingSystem();
+    ClusterSpec bumped = base;
+    bumped.device.interNodeBandwidth =
+        std::nextafter(base.device.interNodeBandwidth, 1e30);
+    ASSERT_NE(bumped.device.interNodeBandwidth,
+              base.device.interNodeBandwidth);
+    PerfModel a(base);
+    PerfModel b(bumped);
+    ModelDesc gpt3 = model_zoo::gpt3();
+    TaskSpec task = TaskSpec::preTraining();
+    ParallelPlan plan = ParallelPlan::fsdpBaseline();
+
+    EXPECT_NE(EvalEngine::cacheKey({&a, &gpt3, &task, plan}),
+              EvalEngine::cacheKey({&b, &gpt3, &task, plan}));
+}
+
+TEST(EvalEngine, CacheKeySeparatesSameNameModelsByLayerWidth)
+{
+    // Two models with one name, one layer count and one in/out shape;
+    // only the hidden width of the first MLP differs.
+    auto mlpModel = [](long width) {
+        ModelDesc m;
+        m.name = "custom-mlp";
+        m.globalBatchSize = 4096;
+        int first = m.graph.addLayer(std::make_unique<MlpLayer>(
+            "mlp0", LayerClass::BaseDense,
+            std::vector<long>{512, width, 256}));
+        m.graph.addLayer(std::make_unique<MlpLayer>(
+                             "mlp1", LayerClass::BaseDense,
+                             std::vector<long>{256, 256, 1}),
+                         {first});
+        return m;
+    };
+    ModelDesc narrow = mlpModel(1024);
+    ModelDesc wide = mlpModel(1025);
+    ModelDesc narrowAgain = mlpModel(1024);
+    PerfModel model(hw_zoo::dlrmTrainingSystem());
+    TaskSpec task = TaskSpec::preTraining();
+    ParallelPlan plan = ParallelPlan::fsdpBaseline();
+
+    EXPECT_NE(EvalEngine::cacheKey({&model, &narrow, &task, plan}),
+              EvalEngine::cacheKey({&model, &wide, &task, plan}));
+    EXPECT_EQ(EvalEngine::cacheKey({&model, &narrow, &task, plan}),
+              EvalEngine::cacheKey({&model, &narrowAgain, &task, plan}));
 }
 
 TEST(EvalEngine, DistinguishesModelsTasksAndClusters)

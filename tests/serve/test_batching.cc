@@ -4,6 +4,8 @@
  * of one triple coalesce into a single engine batch with
  * byte-identical responses, repeat bodies skip parsing via the
  * config cache, whitespace-variant bodies share one ParsedTriple,
+ * a new plan for a cached triple adopts it without reloading while
+ * invalid bodies keep the model-system-task error order,
  * /v1/metrics speaks Prometheus, admission classification tiers
  * requests, SingleFlight deduplicates identical in-flight work, the
  * watchdog rescues requests queued behind a wedged batch leader, and
@@ -18,10 +20,14 @@
 #include <thread>
 #include <vector>
 
+#include "config/config_loader.hh"
+#include "core/eval_context.hh"
 #include "serve/batch_dispatcher.hh"
+#include "serve/errors.hh"
 #include "serve/service.hh"
 #include "serve_test_util.hh"
 #include "util/fault_injection.hh"
+#include "util/logging.hh"
 #include "util/lru_cache.hh"
 
 namespace madmax
@@ -48,6 +54,51 @@ testOptions()
     ServiceOptions opts;
     opts.jobs = 2;
     return opts;
+}
+
+/** The shipped triple with @p member ("model", "system" or "task")
+ *  replaced by @p value, as a request body. */
+std::string
+shippedBodyWith(const std::string &member, JsonValue value)
+{
+    JsonValue doc = JsonValue::parse(shippedTripleBody());
+    doc.set(member, std::move(value));
+    return doc.dump(2);
+}
+
+/** The shipped task with its BaseDense strategy set to @p strategy. */
+JsonValue
+shippedTaskWith(const std::string &strategy)
+{
+    JsonValue task = JsonValue::parse(shippedTripleBody()).at("task");
+    task.member("strategies").set("base_dense", strategy);
+    return task;
+}
+
+/** The ConfigError message @p load throws for @p json. */
+template <typename Loader>
+std::string
+loaderError(Loader load, const JsonValue &json)
+{
+    try {
+        load(json);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "loader accepted " << json.dump();
+    return "";
+}
+
+JsonValue
+badModel()
+{
+    return JsonValue::parse(R"({"type": "zoo", "name": "No-Such-Model"})");
+}
+
+JsonValue
+badTask()
+{
+    return shippedTaskWith("(WARP, DDP)");
 }
 
 } // namespace
@@ -138,6 +189,93 @@ TEST(Batching, WhitespaceVariantBodiesShareOneParsedTriple)
     // Same canonical triple + plan -> same engine key -> the second
     // body was an engine memo hit despite its novel bytes.
     EXPECT_EQ(service.engine().counters().lifetime.evaluations, 1);
+}
+
+TEST(Batching, PlanVariantsOfOneTripleShareItsParse)
+{
+    EvalService service(testOptions());
+    const std::vector<std::string> strategies = {"(TP, DDP)", "(FSDP)"};
+    for (const std::string &strategy : strategies) {
+        std::string body =
+            shippedBodyWith("task", shippedTaskWith(strategy));
+        std::string served = service.handle(evaluateRequest(body)).body;
+
+        // In-process reference over freshly loaded configs.
+        JsonValue doc = JsonValue::parse(body);
+        ModelDesc model = loadModel(doc.at("model"));
+        PerfModel perf(loadCluster(doc.at("system")));
+        TaskConfig task = loadTask(doc.at("task"));
+        EvalContext ctx(perf, model, task.task);
+        EXPECT_EQ(served, toJson(ctx.evaluate(task.plan)).dump(2) + "\n")
+            << strategy;
+    }
+
+    ConfigCache::Stats cc = service.configCache().stats();
+    EXPECT_EQ(cc.misses, 2);
+    EXPECT_EQ(cc.tripleShares, 1); // The second body skipped loading.
+    EXPECT_EQ(cc.tripleEntries, 1u);
+    EXPECT_EQ(service.engine().counters().lifetime.evaluations, 2);
+}
+
+TEST(Batching, BadModelWinsOverBadTaskWhetherOrNotTheTripleIsCached)
+{
+    // Loading order is model, system, task: a body with a bad model
+    // and a bad task reports the model, on a cold service and on one
+    // that already holds the body's system in a cached triple.
+    JsonValue doc = JsonValue::parse(shippedTripleBody());
+    doc.set("model", badModel());
+    doc.set("task", badTask());
+    const std::string bad = doc.dump(2);
+    const HttpResponse expected = makeError(
+        ServeError::BadRequest, loaderError(loadModel, badModel()));
+    ASSERT_NE(expected.body.find("No-Such-Model"), std::string::npos);
+
+    for (bool warm : {false, true}) {
+        EvalService service(testOptions());
+        if (warm) {
+            ASSERT_EQ(service.handle(evaluateRequest(
+                          shippedTripleBody())).status, 200);
+        }
+        HttpResponse resp = service.handle(evaluateRequest(bad));
+        EXPECT_EQ(resp.status, expected.status) << "warm " << warm;
+        EXPECT_EQ(resp.body, expected.body) << "warm " << warm;
+    }
+}
+
+TEST(Batching, CachedTripleWithABadTaskReportsTheTask)
+{
+    EvalService service(testOptions());
+    ASSERT_EQ(service.handle(evaluateRequest(shippedTripleBody())).status,
+              200);
+    HttpResponse resp = service.handle(
+        evaluateRequest(shippedBodyWith("task", badTask())));
+    HttpResponse expected = makeError(ServeError::BadRequest,
+                                      loaderError(loadTask, badTask()));
+    EXPECT_EQ(resp.status, expected.status);
+    EXPECT_EQ(resp.body, expected.body);
+    EXPECT_EQ(service.configCache().stats().misses, 1);
+}
+
+TEST(Batching, ConfigLoadFaultFiresOnABodyMissOfACachedTriple)
+{
+    EvalService service(testOptions());
+    ASSERT_EQ(service.handle(evaluateRequest(shippedTripleBody())).status,
+              200);
+    const std::string variant =
+        shippedBodyWith("task", shippedTaskWith("(FSDP)"));
+    {
+        FaultScope scope("config.load=throw");
+        HttpResponse resp = service.handle(evaluateRequest(variant));
+        EXPECT_EQ(resp.status, 500);
+        EXPECT_NE(resp.body.find("injected fault at config.load"),
+                  std::string::npos);
+        // A cached body still cannot fault.
+        EXPECT_EQ(service.handle(evaluateRequest(shippedTripleBody()))
+                      .status,
+                  200);
+    }
+    EXPECT_EQ(service.handle(evaluateRequest(variant)).status, 200);
+    EXPECT_EQ(service.configCache().stats().tripleShares, 1);
 }
 
 TEST(Batching, MetricsEndpointSpeaksPrometheus)
@@ -353,6 +491,32 @@ TEST(Batching, LruCacheEvictsLeastRecentlyUsed)
     EXPECT_EQ(*cache.peek(1), "one");
     ASSERT_NE(cache.get(3), nullptr);
     EXPECT_EQ(cache.size(), 2u);
+
+    // Heap-allocated keys, as the engine memo uses: overwriting keeps
+    // one entry and refreshes recency; clear() empties both sides.
+    LruCache<std::string, int> named(2);
+    const std::string longKey(300, 'k');
+    EXPECT_EQ(named.put(longKey + "a", 1), 0u);
+    EXPECT_EQ(named.put(longKey + "b", 2), 0u);
+    EXPECT_EQ(named.put(longKey + "a", 10), 0u); // Overwrite in place.
+    EXPECT_EQ(named.size(), 2u);
+    ASSERT_NE(named.peek(longKey + "a"), nullptr);
+    EXPECT_EQ(*named.peek(longKey + "a"), 10);
+    EXPECT_EQ(named.put(longKey + "c", 3), 1u); // "b" is least recent.
+    EXPECT_EQ(named.peek(longKey + "b"), nullptr);
+    ASSERT_NE(named.get(longKey + "a"), nullptr);
+    EXPECT_EQ(named.put(longKey + "d", 4), 1u); // Now "c" goes.
+    EXPECT_EQ(named.peek(longKey + "c"), nullptr);
+    ASSERT_NE(named.peek(longKey + "d"), nullptr);
+
+    named.clear();
+    EXPECT_EQ(named.size(), 0u);
+    EXPECT_EQ(named.get(longKey + "a"), nullptr);
+    EXPECT_EQ(named.put(longKey + "e", 5), 0u);
+    EXPECT_EQ(named.put(longKey + "f", 6), 0u);
+    EXPECT_EQ(named.put(longKey + "g", 7), 1u);
+    EXPECT_EQ(named.peek(longKey + "e"), nullptr);
+    EXPECT_EQ(named.size(), 2u);
 }
 
 } // namespace madmax
