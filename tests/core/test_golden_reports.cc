@@ -12,6 +12,8 @@
  * body for the shipped configs/ triple is snapshotted, and so are the
  * /v1/stats and /v1/metrics bodies after a fixed request sequence
  * (measured times masked), which pins both observability views.
+ * The Fig. 19 scaling study is pinned as well: every axis's best-plan
+ * speedup and winning plan for the four DLRM-A / GPT-3 cases.
  *
  * Regenerate (only when an *intentional* model change lands) with:
  *   MADMAX_REGEN_GOLDEN=1 ./test_golden_reports
@@ -26,6 +28,7 @@
 
 #include "../golden_check.hh"
 #include "core/strategy_explorer.hh"
+#include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "serve/service.hh"
@@ -203,6 +206,41 @@ TEST(GoldenReports, ExploreDlrmAMoePretrain)
     checkGolden("explore_dlrm_a_moe_pretrain.txt",
                 dumpExploration(desc, TaskSpec::preTraining(), cluster,
                                 ExplorerOptions{}, 1));
+}
+
+TEST(GoldenReports, Fig19ScalingStudy)
+{
+    // The four Fig. 19 cases across every axis at 10x: each axis's
+    // best-plan speedup (exact round trip) and the plan that won.
+    struct Case
+    {
+        const char *label;
+        ModelDesc model;
+        ClusterSpec cluster;
+        TaskSpec task;
+    };
+    const Case cases[] = {
+        {"dlrm_a pretrain", model_zoo::dlrmA(),
+         hw_zoo::dlrmTrainingSystem(), TaskSpec::preTraining()},
+        {"dlrm_a inference", model_zoo::dlrmA(),
+         hw_zoo::dlrmTrainingSystem(), TaskSpec::inference()},
+        {"gpt3 pretrain", model_zoo::gpt3(), hw_zoo::llmTrainingSystem(),
+         TaskSpec::preTraining()},
+        {"gpt3 inference", model_zoo::gpt3(), hw_zoo::llmTrainingSystem(),
+         TaskSpec::inference()},
+    };
+    std::string out;
+    for (const Case &c : cases) {
+        out += strfmt("== %s ==\n", c.label);
+        for (const ScalingResult &r :
+             hardwareScalingStudy(PerfModel(c.cluster), c.model, c.task,
+                                  10.0)) {
+            out += strfmt("%s speedup=%.17g plan=%s\n",
+                          toString(r.axis).c_str(), r.speedup,
+                          r.best.plan.toString().c_str());
+        }
+    }
+    checkGolden("fig19_scaling.txt", out);
 }
 
 TEST(GoldenReports, ServeEvaluateResponseBody)
