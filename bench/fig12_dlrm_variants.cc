@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "util/table.hh"

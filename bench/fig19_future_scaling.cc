@@ -53,10 +53,9 @@ main(int argc, char **argv)
 
     for (const Case &c : cases) {
         std::cout << "\n" << c.label << " (speedup at 10x):\n";
-        PerfModel model(c.cluster);
         bench::WallTimer timer;
         std::vector<ScalingResult> results = hardwareScalingStudy(
-            model, c.model, c.task, 10.0, allHwAxes(), &engine);
+            c.cluster, c.model, c.task, 10.0, allHwAxes(), &engine);
         reporter.record(std::string("scaling_study_seconds_") + c.label,
                         timer.seconds(), "s");
 

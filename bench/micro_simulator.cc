@@ -11,7 +11,7 @@
 
 #include "collective/topology_model.hh"
 #include "config/json.hh"
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 

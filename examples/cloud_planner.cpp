@@ -10,8 +10,8 @@
 
 #include <iostream>
 
-#include "core/strategy_explorer.hh"
 #include "dse/pareto.hh"
+#include "dse/strategy_explorer.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "core/perf_model.hh"
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "util/strfmt.hh"

@@ -22,49 +22,30 @@ mergeSortedIntervalsInto(const std::vector<Interval> &in,
 }
 
 void
-coveredLengthsPairInto(const std::vector<Interval> &coverA,
-                       const std::vector<Interval> &coverB,
-                       const std::vector<Interval> &queries,
-                       const std::vector<size_t> &order,
-                       std::vector<double> &outA,
-                       std::vector<double> &outB)
+coveredLengthsInto(const std::vector<Interval> &cover,
+                   const std::vector<Interval> &queries,
+                   const std::vector<size_t> &order,
+                   std::vector<double> &out)
 {
-    // The two covers never interact: each has its own cursor and adds
-    // its intersection terms in ascending cover order, so each output
-    // double is bit-identical to a single-cover sweep of that cover.
-    outA.resize(queries.size());
-    outB.resize(queries.size());
-    size_t baseA = 0;
-    size_t baseB = 0;
+    out.resize(queries.size());
+    size_t base = 0;
     for (size_t qi : order) {
         const Interval &q = queries[qi];
         if (q.hi <= q.lo) {
-            outA[qi] = 0.0;
-            outB[qi] = 0.0;
+            out[qi] = 0.0;
             continue;
         }
-        while (baseA < coverA.size() && coverA[baseA].hi <= q.lo)
-            ++baseA;
-        double coveredA = 0.0;
-        for (size_t j = baseA;
-             j < coverA.size() && coverA[j].lo < q.hi; ++j) {
-            double a = std::max(q.lo, coverA[j].lo);
-            double b = std::min(q.hi, coverA[j].hi);
+        while (base < cover.size() && cover[base].hi <= q.lo)
+            ++base;
+        double covered = 0.0;
+        for (size_t j = base; j < cover.size() && cover[j].lo < q.hi;
+             ++j) {
+            double a = std::max(q.lo, cover[j].lo);
+            double b = std::min(q.hi, cover[j].hi);
             if (b > a)
-                coveredA += b - a;
+                covered += b - a;
         }
-        outA[qi] = coveredA;
-        while (baseB < coverB.size() && coverB[baseB].hi <= q.lo)
-            ++baseB;
-        double coveredB = 0.0;
-        for (size_t j = baseB;
-             j < coverB.size() && coverB[j].lo < q.hi; ++j) {
-            double a = std::max(q.lo, coverB[j].lo);
-            double b = std::min(q.hi, coverB[j].hi);
-            if (b > a)
-                coveredB += b - a;
-        }
-        outB[qi] = coveredB;
+        out[qi] = covered;
     }
 }
 

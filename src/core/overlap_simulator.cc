@@ -104,18 +104,17 @@ OverlapSimulator::scheduleGraphInto(const EventGraph &graph,
     sched.makespan =
         std::max(cursors[0], std::max(cursors[1], cursors[2]));
 
-    // Two historical accountings, both preserved bit-for-bit: the
-    // aggregate used merged compute intervals, the per-category
-    // breakdown (consuming rawOverlap downstream) used the raw
-    // per-event ones. See FlatSchedule::rawOverlap. The sequential
-    // compute stream's intervals are already ascending, so the merge
-    // needs no sort, and both coverage sweeps share one query order.
+    // One accounting: each comm event's coverage under the merged
+    // compute intervals feeds both the aggregate and, through
+    // rawOverlap, the per-category breakdown. The sequential compute
+    // stream's intervals are already ascending, so the merge needs no
+    // sort.
     //
-    // The shared order is the merge of the two channels' (already
+    // The visit order is the merge of the two channels' (already
     // ascending) query sequences; ties break toward the smaller query
     // index, which keeps the visit order deterministic (and
-    // coveredLengthsPairInto's per-query sums only need ascending lo
-    // in the first place).
+    // coveredLengthsInto's per-query sums only need ascending lo in
+    // the first place).
     mergeSortedIntervalsInto(compute_busy, scratch.merged);
     std::vector<size_t> &order = scratch.order;
     order.clear();
@@ -139,14 +138,13 @@ OverlapSimulator::scheduleGraphInto(const EventGraph &graph,
         order.insert(order.end(), back_chan.begin() + b,
                      back_chan.end());
     }
-    coveredLengthsPairInto(scratch.merged, compute_busy, queries,
-                           scratch.order, scratch.mergedCov,
-                           scratch.rawCov);
+    coveredLengthsInto(scratch.merged, queries, scratch.order,
+                       scratch.mergedCov);
 
     for (size_t q = 0; q < queries.size(); ++q) {
         sched.exposedComm +=
             (queries[q].hi - queries[q].lo) - scratch.mergedCov[q];
-        sched.rawOverlap[query_node[q]] = scratch.rawCov[q];
+        sched.rawOverlap[query_node[q]] = scratch.mergedCov[q];
     }
 }
 

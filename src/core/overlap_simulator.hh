@@ -11,8 +11,8 @@
  * dependencies come from the graph's shared arena, and
  * exposed-communication accounting is a linear interval sweep
  * (core/interval_sweep.hh) instead of an O(comm x compute) double
- * loop. The per-event raw-interval overlaps are returned so the
- * per-category exposed breakdown reuses this sweep.
+ * loop. The per-event overlaps are returned so the per-category
+ * exposed breakdown reuses this sweep.
  */
 
 #ifndef MADMAX_CORE_OVERLAP_SIMULATOR_HH
@@ -38,16 +38,10 @@ struct FlatSchedule
 
     /**
      * Per communication node: seconds of its interval covered by the
-     * *unmerged* compute-busy intervals, in ascending interval order —
-     * the exact quantity PerfModel's per-category exposed breakdown
-     * historically computed per event. 0 for compute nodes and
-     * zero-length events.
-     *
-     * (The aggregate exposedComm below follows the other historical
-     * accounting — coverage under *merged* compute intervals. The two
-     * differ in final-ulp rounding when a comm event spans the seam of
-     * two back-to-back compute intervals, so both are kept to stay
-     * bit-identical with the reports the quadratic passes produced.)
+     * merged compute-busy intervals. exposedComm below and the
+     * per-category exposed breakdown both subtract exactly this from
+     * the node's length — one exposed-comm accounting. 0 for compute
+     * nodes and zero-length events.
      */
     std::vector<double> rawOverlap;
 
@@ -67,14 +61,13 @@ struct FlatSchedule
 struct SweepScratch
 {
     std::vector<Interval> computeBusy; ///< Raw compute-busy intervals.
-    std::vector<Interval> merged;      ///< Same, merged.
+    std::vector<Interval> merged;      ///< Same, merged (the cover).
     std::vector<Interval> queries;     ///< Nonzero comm intervals.
     std::vector<size_t> queryNode;     ///< queries[i] -> node id.
     std::vector<size_t> order;         ///< Ascending-lo query order.
     std::vector<size_t> mainChan;      ///< Main-channel query indices.
     std::vector<size_t> backChan;      ///< Background query indices.
     std::vector<double> mergedCov;     ///< Coverage under merged.
-    std::vector<double> rawCov;        ///< Coverage under raw.
 };
 
 /**

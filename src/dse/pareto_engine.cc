@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "core/strategy_explorer.hh"
 #include "dse/pareto.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "util/logging.hh"
 #include "util/strfmt.hh"
@@ -14,40 +14,6 @@ namespace madmax
 
 namespace
 {
-
-/** Evaluate @p plan on the first @p limit hardware points as one
- *  engine batch. */
-std::vector<ParetoCandidate>
-evaluateOnAll(const std::vector<PerfModel> &models,
-              const ModelDesc &desc, const TaskSpec &task,
-              const ParallelPlan &plan, EvalEngine &engine,
-              EvalStats &stats, size_t limit)
-{
-    std::vector<PlanRequest> requests;
-    requests.reserve(limit);
-    for (size_t hw = 0; hw < models.size() && hw < limit; ++hw) {
-        PlanRequest req;
-        req.model = &models[hw];
-        req.desc = &desc;
-        req.task = &task;
-        req.plan = plan;
-        requests.push_back(std::move(req));
-    }
-    EvalStats local;
-    std::vector<PerfReport> reports = engine.evaluateAll(requests, &local);
-    stats += local;
-
-    std::vector<ParetoCandidate> out;
-    out.reserve(requests.size());
-    for (size_t hw = 0; hw < requests.size(); ++hw) {
-        ParetoCandidate c;
-        c.hwIndex = hw;
-        c.plan = plan;
-        c.report = std::move(reports[hw]);
-        out.push_back(std::move(c));
-    }
-    return out;
-}
 
 JsonValue
 candidateJson(const ParetoCandidate &c,
@@ -108,8 +74,19 @@ ParetoFrontier
 ParetoEngine::explore(const ModelDesc &desc, const TaskSpec &task,
                       const ParetoOptions &options) const
 {
+    // A bad name must not cost a baseline sweep: resolve it first.
+    checkSearchStrategy(options.strategy);
     ParetoFrontier out;
     out.strategy = options.strategy;
+
+    std::vector<const PerfModel *> modelPtrs;
+    modelPtrs.reserve(models_.size());
+    for (const PerfModel &model : models_)
+        modelPtrs.push_back(&model);
+    SearchSpace space = makeSearchSpace(modelPtrs, desc, task);
+    // One context per hardware point, shared by the baseline sweep and
+    // the search.
+    RunContexts contexts(space);
 
     // The default-mapping (FSDP) point on every hardware point: the
     // normalization frontier of Figs. 1/16 and the guided searches'
@@ -123,22 +100,17 @@ ParetoEngine::explore(const ModelDesc &desc, const TaskSpec &task,
                 limit,
                 static_cast<size_t>(options.search.maxEvaluations));
         }
-        out.baselines = evaluateOnAll(models_, desc, task,
-                                      ParallelPlan::fsdpBaseline(),
-                                      engine(), out.stats, limit);
-    }
-
-    std::vector<const PerfModel *> modelPtrs;
-    modelPtrs.reserve(models_.size());
-    for (const PerfModel &model : models_)
-        modelPtrs.push_back(&model);
-    SearchSpace space = makeSearchSpace(modelPtrs, desc, task);
-    // The baseline sweep doubles as the guided searches' warm start:
-    // they pick their starting hardware point from it instead of
-    // spending budget re-probing every point.
-    for (const ParetoCandidate &c : out.baselines) {
-        space.warmStart.push_back(
-            SearchCandidate{c.hwIndex, c.plan, c.report});
+        std::vector<std::pair<size_t, ParallelPlan>> points;
+        for (size_t hw = 0; hw < limit; ++hw)
+            points.emplace_back(hw, ParallelPlan::fsdpBaseline());
+        SearchOutcome baseline;
+        evaluateInto(space, engine(), &contexts, std::move(points),
+                     baseline);
+        out.stats += baseline.stats;
+        // The baseline sweep doubles as the guided searches' warm
+        // start: they pick their starting hardware point from it
+        // instead of spending budget re-probing every point.
+        space.warmStart = std::move(baseline.evaluated);
     }
 
     // The budget covers the whole exploration: what the baselines
@@ -150,24 +122,26 @@ ParetoEngine::explore(const ModelDesc &desc, const TaskSpec &task,
             searchOpts.maxEvaluations - out.stats.evaluations;
         searchOpts.maxEvaluations = remaining > 0 ? remaining : -1;
     }
-    std::unique_ptr<SearchStrategy> strategy =
-        makeSearchStrategy(options.strategy);
-    SearchOutcome outcome = strategy->run(space, engine(), searchOpts);
+    SearchOutcome outcome = runSearch(options.strategy, space, engine(),
+                                      searchOpts, &contexts);
     out.stats += outcome.stats;
 
     // Fold baselines and search visits into one scored candidate
     // list, in visit order.
-    out.candidates.reserve(out.baselines.size() +
-                           outcome.evaluated.size());
-    for (const ParetoCandidate &c : out.baselines)
-        out.candidates.push_back(c);
-    for (SearchCandidate &c : outcome.evaluated) {
+    auto toCandidate = [](SearchCandidate c) {
         ParetoCandidate pc;
         pc.hwIndex = c.hwIndex;
         pc.plan = std::move(c.plan);
         pc.report = std::move(c.report);
-        out.candidates.push_back(std::move(pc));
-    }
+        return pc;
+    };
+    for (const SearchCandidate &c : space.warmStart)
+        out.baselines.push_back(toCandidate(c));
+    out.candidates = out.baselines;
+    out.candidates.reserve(out.candidates.size() +
+                           outcome.evaluated.size());
+    for (SearchCandidate &c : outcome.evaluated)
+        out.candidates.push_back(toCandidate(std::move(c)));
     for (ParetoCandidate &c : out.candidates) {
         if (c.report.valid)
             c.objectives =

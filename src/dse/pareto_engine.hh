@@ -7,7 +7,7 @@
  * is non-dominated among everything the search visited, so the
  * frontier is free of dominated points by construction.
  *
- * The search itself is pluggable (dse/search_strategy.hh): exhaustive
+ * The search runs through runSearch (dse/search_strategy.hh): exhaustive
  * reproduces the historical full sweeps bit-for-bit, while the guided
  * strategies (coordinate-descent, annealing, genetic) trade frontier
  * completeness for an evaluation budget — EvalStats on the result
@@ -206,7 +206,8 @@ class ParetoEngine
      * Search the joint space with options.strategy and extract the
      * multi-objective frontier. Deterministic for fixed options and
      * any engine thread count.
-     * @throws ConfigError on an unknown strategy name.
+     * @throws ConfigError on an unknown strategy name, before anything
+     *         is evaluated.
      */
     ParetoFrontier explore(const ModelDesc &desc, const TaskSpec &task,
                            const ParetoOptions &options = {}) const;

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "core/eval_context.hh"
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "util/logging.hh"
 
 namespace madmax
@@ -34,79 +34,6 @@ double
 drawUnit(std::mt19937_64 &rng)
 {
     return static_cast<double>(rng() >> 11) * 0x1p-53;
-}
-
-/**
- * One EvalContext per hardware point of a search run, built on the
- * point's first evaluation and shared by every later batch. Guided
- * searches submit many small batches (annealing: one point per
- * proposal); without this, each batch would rebuild its context's
- * strategy tables and segment arenas.
- */
-class RunContexts
-{
-  public:
-    explicit RunContexts(const SearchSpace &space)
-        : space_(space), contexts_(space.models.size())
-    {}
-
-    /** The context for hardware point @p hw, or null when building it
-     *  throws: the engine then builds its own and reports the error in
-     *  each request's failure report. */
-    const EvalContext *at(size_t hw)
-    {
-        std::unique_ptr<EvalContext> &ctx = contexts_[hw];
-        if (!ctx) {
-            try {
-                ctx = std::make_unique<EvalContext>(
-                    *space_.models[hw], *space_.desc, *space_.task);
-            } catch (...) {
-                return nullptr;
-            }
-        }
-        return ctx.get();
-    }
-
-  private:
-    const SearchSpace &space_;
-    std::vector<std::unique_ptr<EvalContext>> contexts_;
-};
-
-/** Evaluate a batch of (hwIndex, plan) points through the engine and
- *  append every result (including cache hits and pruned OOM verdicts)
- *  to @p out in request order. The batch is one evaluateAll call, so
- *  it rides the engine's thread pool. Without @p contexts (one-batch
- *  searches) the engine builds a context per hardware point. */
-void
-evaluateInto(const SearchSpace &space, EvalEngine &engine,
-             RunContexts *contexts,
-             std::vector<std::pair<size_t, ParallelPlan>> points,
-             SearchOutcome &out)
-{
-    if (points.empty())
-        return;
-    std::vector<PlanRequest> requests;
-    requests.reserve(points.size());
-    for (auto &[hw, plan] : points) {
-        PlanRequest req;
-        req.model = space.models[hw];
-        req.desc = space.desc;
-        req.task = space.task;
-        req.plan = std::move(plan);
-        if (contexts)
-            req.context = contexts->at(hw);
-        requests.push_back(std::move(req));
-    }
-    EvalStats stats;
-    std::vector<PerfReport> reports =
-        engine.evaluateAll(requests, &stats);
-    out.stats += stats;
-    out.evaluated.reserve(out.evaluated.size() + requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-        out.evaluated.push_back(SearchCandidate{
-            points[i].first, std::move(requests[i].plan),
-            std::move(reports[i])});
-    }
 }
 
 /** The guided strategies' effective evaluation budget. */
@@ -138,21 +65,6 @@ trimToBudget(std::vector<std::pair<size_t, ParallelPlan>> &points,
         points.resize(static_cast<size_t>(room));
 }
 
-/** Best valid warm-start candidate by throughput, or null. */
-const SearchCandidate *
-bestWarmStart(const SearchSpace &space)
-{
-    const SearchCandidate *best = nullptr;
-    for (const SearchCandidate &c : space.warmStart) {
-        if (c.report.valid &&
-            (!best || c.report.throughput() >
-                 best->report.throughput())) {
-            best = &c;
-        }
-    }
-    return best;
-}
-
 /** Throughput if valid, -1 otherwise (worse than any valid plan). */
 double
 fitnessOf(const PerfReport &report)
@@ -170,6 +82,26 @@ hardwareRank(const PerfModel &model)
                             c.device.peakFlopsTf32,
                             c.device.peakFlopsFp32});
     return peak * c.numDevices();
+}
+
+/**
+ * The hardware point a guided search seeds on: the warm start's best
+ * when the caller provided one (ParetoEngine passes its baseline
+ * sweep), otherwise the beefiest by hardwareRank.
+ */
+size_t
+seedHardware(const SearchSpace &space)
+{
+    if (const SearchCandidate *warm = bestCandidate(space.warmStart))
+        return warm->hwIndex;
+    size_t best = 0;
+    for (size_t hw = 1; hw < space.models.size(); ++hw) {
+        if (hardwareRank(*space.models[hw]) >
+            hardwareRank(*space.models[best])) {
+            best = hw;
+        }
+    }
+    return best;
 }
 
 /**
@@ -191,467 +123,421 @@ seedPlan(const SearchSpace &space)
 
 // --- Exhaustive -------------------------------------------------------
 
-class ExhaustiveSearch : public SearchStrategy
+SearchOutcome
+exhaustiveSearch(const SearchSpace &space, EvalEngine &engine,
+                 const SearchOptions &, RunContexts *shared)
 {
-  public:
-    std::string name() const override { return "exhaustive"; }
-
-    SearchOutcome run(const SearchSpace &space, EvalEngine &engine,
-                      const SearchOptions &) const override
-    {
-        space.validate();
-        std::vector<ParallelPlan> plans = enumeratePlans(space);
-        std::vector<std::pair<size_t, ParallelPlan>> points;
-        points.reserve(space.models.size() * plans.size());
-        for (size_t hw = 0; hw < space.models.size(); ++hw)
-            for (const ParallelPlan &plan : plans)
+    std::vector<ParallelPlan> plans = enumeratePlans(space);
+    const size_t hwCount = space.models.size();
+    std::vector<std::pair<size_t, ParallelPlan>> points;
+    points.reserve(hwCount * plans.size());
+    for (size_t hw = 0; hw < hwCount; ++hw) {
+        for (ParallelPlan &plan : plans) {
+            if (hw + 1 < hwCount)
                 points.emplace_back(hw, plan);
-        SearchOutcome out;
-        evaluateInto(space, engine, nullptr, std::move(points), out);
-        return out;
+            else
+                points.emplace_back(hw, std::move(plan));
+        }
     }
-};
+    // One batch: unless the caller shares its contexts, the engine
+    // builds each point's context only if some plan there needs a
+    // full evaluation.
+    SearchOutcome out;
+    evaluateInto(space, engine, shared, std::move(points), out);
+    return out;
+}
 
 // --- Coordinate descent -----------------------------------------------
 
-class CoordinateDescentSearch : public SearchStrategy
+SearchOutcome
+coordinateDescentSearch(const SearchSpace &space, EvalEngine &engine,
+                        const SearchOptions &options, RunContexts *shared)
 {
-  public:
-    std::string name() const override { return "coordinate-descent"; }
+    // Coordinate descent terminates on its own (fixpoint, >= 8
+    // rounds); the budget only binds when set explicitly.
+    const long budget = options.maxEvaluations == 0
+        ? std::numeric_limits<long>::max()
+        : std::max<long>(0, options.maxEvaluations);
+    SearchOutcome out;
+    RunContexts own(space);
+    RunContexts &contexts = shared ? *shared : own;
 
-    SearchOutcome run(const SearchSpace &space, EvalEngine &engine,
-                      const SearchOptions &options) const override
-    {
-        space.validate();
-        // Coordinate descent terminates on its own (fixpoint, >= 8
-        // rounds); the budget only binds when set explicitly.
-        const long budget = options.maxEvaluations == 0
-            ? std::numeric_limits<long>::max()
-            : std::max<long>(0, options.maxEvaluations);
-        SearchOutcome out;
-        RunContexts contexts(space);
-
-        // Seed: the baseline plan — on the warm start's best hardware
-        // point when the caller provided one, otherwise on every
-        // hardware point (a single point when called from
-        // StrategyExplorer::best).
-        ParallelPlan plan = seedPlan(space);
-        std::vector<std::pair<size_t, ParallelPlan>> seeds;
-        if (const SearchCandidate *warm = bestWarmStart(space)) {
-            seeds.emplace_back(warm->hwIndex, plan);
-        } else {
-            for (size_t hw = 0; hw < space.models.size(); ++hw)
-                seeds.emplace_back(hw, plan);
-        }
-        trimToBudget(seeds, budget, out.stats);
-        evaluateInto(space, engine, &contexts, std::move(seeds), out);
-
-        size_t hwCur = 0;
-        PerfReport best;
-        for (const SearchCandidate &c : out.evaluated) {
-            if (c.report.valid &&
-                (!best.valid ||
-                 c.report.throughput() > best.throughput())) {
-                best = c.report;
-                hwCur = c.hwIndex;
-            }
-        }
-
-        // Greedy sweeps, one coordinate at a time, until no single
-        // change helps. Each sweep is one engine batch: within a sweep
-        // every trial varies only that coordinate, so batching matches
-        // sequential greedy adoption exactly (argmax == last adopted).
-        bool improved = true;
-        int rounds = 0;
-        while (improved && rounds++ < 8 &&
-               out.stats.evaluations < budget) {
-            improved = false;
-            for (size_t ci = 0; ci < space.classes.size(); ++ci) {
-                LayerClass cls = space.classes[ci];
-                std::vector<std::pair<size_t, ParallelPlan>> trials;
-                for (HierStrategy hs : space.candidates[ci]) {
-                    if (plan.strategyFor(cls) == hs)
-                        continue;
-                    ParallelPlan p = plan;
-                    p.set(cls, hs);
-                    trials.emplace_back(hwCur, std::move(p));
-                }
-                trimToBudget(trials, budget, out.stats);
-                size_t first = out.evaluated.size();
-                evaluateInto(space, engine, &contexts, std::move(trials),
-                             out);
-                for (size_t i = first; i < out.evaluated.size(); ++i) {
-                    const SearchCandidate &c = out.evaluated[i];
-                    if (c.report.valid &&
-                        (!best.valid || c.report.throughput() >
-                             best.throughput())) {
-                        plan = c.plan;
-                        best = c.report;
-                        improved = true;
-                    }
-                }
-            }
-            // The hardware coordinate: the current plan on every other
-            // hardware point (a no-op for single-point spaces).
-            std::vector<std::pair<size_t, ParallelPlan>> hwTrials;
-            for (size_t hw = 0; hw < space.models.size(); ++hw) {
-                if (hw != hwCur)
-                    hwTrials.emplace_back(hw, plan);
-            }
-            trimToBudget(hwTrials, budget, out.stats);
-            size_t first = out.evaluated.size();
-            evaluateInto(space, engine, &contexts, std::move(hwTrials),
-                         out);
-            for (size_t i = first; i < out.evaluated.size(); ++i) {
-                const SearchCandidate &c = out.evaluated[i];
-                if (c.report.valid &&
-                    (!best.valid ||
-                     c.report.throughput() > best.throughput())) {
-                    hwCur = c.hwIndex;
-                    best = c.report;
-                    improved = true;
-                }
-            }
-        }
-        return out;
+    // Seed: the baseline plan — on the warm start's best hardware
+    // point when the caller provided one, otherwise on every
+    // hardware point (a single point when called from
+    // StrategyExplorer::best).
+    ParallelPlan plan = seedPlan(space);
+    std::vector<std::pair<size_t, ParallelPlan>> seeds;
+    if (const SearchCandidate *warm = bestCandidate(space.warmStart)) {
+        seeds.emplace_back(warm->hwIndex, plan);
+    } else {
+        for (size_t hw = 0; hw < space.models.size(); ++hw)
+            seeds.emplace_back(hw, plan);
     }
-};
+    trimToBudget(seeds, budget, out.stats);
+    evaluateInto(space, engine, &contexts, std::move(seeds), out);
+
+    size_t hwCur = 0;
+    PerfReport best;
+    if (const SearchCandidate *c = bestCandidate(out.evaluated)) {
+        best = c->report;
+        hwCur = c->hwIndex;
+    }
+    // Whether the best of out.evaluated[first..] beats the incumbent.
+    auto bestNewer = [&](size_t first) -> const SearchCandidate * {
+        const SearchCandidate *c = bestCandidate(out.evaluated, first);
+        return c && (!best.valid ||
+                     c->report.throughput() > best.throughput())
+            ? c
+            : nullptr;
+    };
+
+    // Greedy sweeps, one coordinate at a time, until no single
+    // change helps. Each sweep is one engine batch: within a sweep
+    // every trial varies only that coordinate, so batching matches
+    // sequential greedy adoption exactly (argmax == last adopted).
+    bool improved = true;
+    int rounds = 0;
+    while (improved && rounds++ < 8 &&
+           out.stats.evaluations < budget) {
+        improved = false;
+        for (size_t ci = 0; ci < space.classes.size(); ++ci) {
+            LayerClass cls = space.classes[ci];
+            std::vector<std::pair<size_t, ParallelPlan>> trials;
+            for (HierStrategy hs : space.candidates[ci]) {
+                if (plan.strategyFor(cls) == hs)
+                    continue;
+                ParallelPlan p = plan;
+                p.set(cls, hs);
+                trials.emplace_back(hwCur, std::move(p));
+            }
+            trimToBudget(trials, budget, out.stats);
+            size_t first = out.evaluated.size();
+            evaluateInto(space, engine, &contexts, std::move(trials),
+                         out);
+            if (const SearchCandidate *c = bestNewer(first)) {
+                plan = c->plan;
+                best = c->report;
+                improved = true;
+            }
+        }
+        // The hardware coordinate: the current plan on every other
+        // hardware point (a no-op for single-point spaces).
+        std::vector<std::pair<size_t, ParallelPlan>> hwTrials;
+        for (size_t hw = 0; hw < space.models.size(); ++hw) {
+            if (hw != hwCur)
+                hwTrials.emplace_back(hw, plan);
+        }
+        trimToBudget(hwTrials, budget, out.stats);
+        size_t first = out.evaluated.size();
+        evaluateInto(space, engine, &contexts, std::move(hwTrials),
+                     out);
+        if (const SearchCandidate *c = bestNewer(first)) {
+            hwCur = c->hwIndex;
+            best = c->report;
+            improved = true;
+        }
+    }
+    return out;
+}
 
 // --- Simulated annealing ----------------------------------------------
 
-class SimulatedAnnealingSearch : public SearchStrategy
+SearchOutcome
+annealingSearch(const SearchSpace &space, EvalEngine &engine,
+                const SearchOptions &options, RunContexts *shared)
 {
-  public:
-    std::string name() const override { return "annealing"; }
+    const long budget = effectiveBudget(space, options);
+    std::mt19937_64 rng(options.seed);
+    SearchOutcome out;
+    RunContexts own(space);
+    RunContexts &contexts = shared ? *shared : own;
 
-    SearchOutcome run(const SearchSpace &space, EvalEngine &engine,
-                      const SearchOptions &options) const override
-    {
-        space.validate();
-        const long budget = effectiveBudget(space, options);
-        std::mt19937_64 rng(options.seed);
-        SearchOutcome out;
-        RunContexts contexts(space);
-
-        // Seed on the most promising hardware point: the warm start's
-        // best when the caller provided one (ParetoEngine passes its
-        // baseline sweep), otherwise the beefiest by a deterministic
-        // capability heuristic — then give the other points a look
-        // while the budget allows half of it for seeding.
-        size_t hwBest = 0;
-        if (const SearchCandidate *warm = bestWarmStart(space)) {
-            hwBest = warm->hwIndex;
-        } else {
-            for (size_t hw = 1; hw < space.models.size(); ++hw) {
-                if (hardwareRank(*space.models[hw]) >
-                    hardwareRank(*space.models[hwBest])) {
-                    hwBest = hw;
-                }
+    // Seed on the most promising hardware point, then give the other
+    // points a look while the budget allows half of it for seeding.
+    const size_t hwBest = seedHardware(space);
+    std::vector<std::pair<size_t, ParallelPlan>> seeds;
+    seeds.emplace_back(hwBest, seedPlan(space));
+    if (space.warmStart.empty()) {
+        for (size_t hw = 0; hw < space.models.size(); ++hw) {
+            if (hw != hwBest &&
+                static_cast<long>(seeds.size()) < budget / 2) {
+                seeds.emplace_back(hw, seedPlan(space));
             }
         }
-        std::vector<std::pair<size_t, ParallelPlan>> seeds;
-        seeds.emplace_back(hwBest, seedPlan(space));
-        if (space.warmStart.empty()) {
-            for (size_t hw = 0; hw < space.models.size(); ++hw) {
-                if (hw != hwBest &&
-                    static_cast<long>(seeds.size()) < budget / 2) {
-                    seeds.emplace_back(hw, seedPlan(space));
-                }
-            }
-        }
-        trimToBudget(seeds, budget, out.stats);
-        evaluateInto(space, engine, &contexts, std::move(seeds), out);
-
-        size_t hwCur = hwBest;
-        ParallelPlan planCur = seedPlan(space);
-        PerfReport cur;
-        for (const SearchCandidate &c : out.evaluated) {
-            if (c.report.valid &&
-                (!cur.valid ||
-                 c.report.throughput() > cur.throughput())) {
-                cur = c.report;
-                hwCur = c.hwIndex;
-                planCur = c.plan;
-            }
-        }
-
-        // Tabu set: points already visited this run are never
-        // re-proposed — with a tight budget every evaluation must be
-        // a fresh point, not a random-walk revisit.
-        auto pointKey = [](size_t hw, const ParallelPlan &plan) {
-            return std::to_string(hw) + '|' + plan.toString() +
-                (plan.fsdpPrefetch ? "+p" : "-p");
-        };
-        std::set<std::string> seen;
-        for (const SearchCandidate &c : out.evaluated)
-            seen.insert(pointKey(c.hwIndex, c.plan));
-
-        double temperature = options.initialTemperature;
-        // Proposal cap: tabu'd proposals are free, so a small space
-        // must not spin forever once it is exhausted.
-        long proposals = 0;
-        const long maxProposals =
-            64 + 16 * static_cast<long>(budget);
-        while (out.stats.evaluations < budget &&
-               proposals++ < maxProposals) {
-            size_t hwNext = hwCur;
-            ParallelPlan planNext = planCur;
-            bool canMoveHw = space.models.size() > 1;
-            // No coordinate has a move at all (every class pinned to
-            // one candidate, single hardware point): nothing to walk.
-            bool anyClassMutable = false;
-            for (const std::vector<HierStrategy> &cands :
-                 space.candidates) {
-                if (cands.size() > 1)
-                    anyClassMutable = true;
-            }
-            if (!canMoveHw && !anyClassMutable)
-                break;
-            bool moveHw = canMoveHw &&
-                (!anyClassMutable ||
-                 drawUnit(rng) < options.hardwareMoveProbability);
-            if (moveHw) {
-                hwNext = drawIndex(rng, space.models.size() - 1);
-                if (hwNext >= hwCur)
-                    ++hwNext;
-            } else {
-                size_t ci = drawIndex(rng, space.classes.size());
-                const std::vector<HierStrategy> &cands =
-                    space.candidates[ci];
-                if (cands.size() < 2)
-                    continue; // Pinned class; draw another coordinate.
-                HierStrategy hs =
-                    cands[drawIndex(rng, cands.size())];
-                if (planNext.strategyFor(space.classes[ci]) == hs)
-                    continue;
-                planNext.set(space.classes[ci], hs);
-            }
-
-            if (!seen.insert(pointKey(hwNext, planNext)).second)
-                continue; // Already visited; propose something new.
-
-            size_t first = out.evaluated.size();
-            evaluateInto(space, engine, &contexts, {{hwNext, planNext}},
-                         out);
-            const PerfReport &next = out.evaluated[first].report;
-            temperature *= options.coolingRate;
-            if (!next.valid)
-                continue;
-            bool accept;
-            if (!cur.valid || next.throughput() >= cur.throughput()) {
-                accept = true;
-            } else {
-                double drop = (cur.throughput() - next.throughput()) /
-                    cur.throughput();
-                accept = temperature > 0.0 &&
-                    drawUnit(rng) < std::exp(-drop / temperature);
-            }
-            if (accept) {
-                hwCur = hwNext;
-                planCur = planNext;
-                cur = next;
-            }
-        }
-        return out;
     }
-};
+    trimToBudget(seeds, budget, out.stats);
+    evaluateInto(space, engine, &contexts, std::move(seeds), out);
+
+    size_t hwCur = hwBest;
+    ParallelPlan planCur = seedPlan(space);
+    PerfReport cur;
+    if (const SearchCandidate *c = bestCandidate(out.evaluated)) {
+        cur = c->report;
+        hwCur = c->hwIndex;
+        planCur = c->plan;
+    }
+
+    // Tabu set: points already visited this run are never
+    // re-proposed — with a tight budget every evaluation must be
+    // a fresh point, not a random-walk revisit.
+    auto pointKey = [](size_t hw, const ParallelPlan &plan) {
+        return std::to_string(hw) + '|' + plan.toString() +
+            (plan.fsdpPrefetch ? "+p" : "-p");
+    };
+    std::set<std::string> seen;
+    for (const SearchCandidate &c : out.evaluated)
+        seen.insert(pointKey(c.hwIndex, c.plan));
+
+    double temperature = options.initialTemperature;
+    // Proposal cap: tabu'd proposals are free, so a small space
+    // must not spin forever once it is exhausted.
+    long proposals = 0;
+    const long maxProposals =
+        64 + 16 * static_cast<long>(budget);
+    while (out.stats.evaluations < budget &&
+           proposals++ < maxProposals) {
+        size_t hwNext = hwCur;
+        ParallelPlan planNext = planCur;
+        bool canMoveHw = space.models.size() > 1;
+        // No coordinate has a move at all (every class pinned to
+        // one candidate, single hardware point): nothing to walk.
+        bool anyClassMutable = false;
+        for (const std::vector<HierStrategy> &cands :
+             space.candidates) {
+            if (cands.size() > 1)
+                anyClassMutable = true;
+        }
+        if (!canMoveHw && !anyClassMutable)
+            break;
+        bool moveHw = canMoveHw &&
+            (!anyClassMutable ||
+             drawUnit(rng) < options.hardwareMoveProbability);
+        if (moveHw) {
+            hwNext = drawIndex(rng, space.models.size() - 1);
+            if (hwNext >= hwCur)
+                ++hwNext;
+        } else {
+            size_t ci = drawIndex(rng, space.classes.size());
+            const std::vector<HierStrategy> &cands =
+                space.candidates[ci];
+            if (cands.size() < 2)
+                continue; // Pinned class; draw another coordinate.
+            HierStrategy hs =
+                cands[drawIndex(rng, cands.size())];
+            if (planNext.strategyFor(space.classes[ci]) == hs)
+                continue;
+            planNext.set(space.classes[ci], hs);
+        }
+
+        if (!seen.insert(pointKey(hwNext, planNext)).second)
+            continue; // Already visited; propose something new.
+
+        size_t first = out.evaluated.size();
+        evaluateInto(space, engine, &contexts, {{hwNext, planNext}},
+                     out);
+        const PerfReport &next = out.evaluated[first].report;
+        temperature *= options.coolingRate;
+        if (!next.valid)
+            continue;
+        bool accept;
+        if (!cur.valid || next.throughput() >= cur.throughput()) {
+            accept = true;
+        } else {
+            double drop = (cur.throughput() - next.throughput()) /
+                cur.throughput();
+            accept = temperature > 0.0 &&
+                drawUnit(rng) < std::exp(-drop / temperature);
+        }
+        if (accept) {
+            hwCur = hwNext;
+            planCur = planNext;
+            cur = next;
+        }
+    }
+    return out;
+}
 
 // --- Genetic ----------------------------------------------------------
 
-class GeneticSearch : public SearchStrategy
+SearchOutcome
+geneticSearch(const SearchSpace &space, EvalEngine &engine,
+              const SearchOptions &options, RunContexts *shared)
 {
-  public:
-    std::string name() const override { return "genetic"; }
+    const long budget = effectiveBudget(space, options);
+    std::mt19937_64 rng(options.seed);
+    SearchOutcome out;
+    RunContexts own(space);
+    RunContexts &contexts = shared ? *shared : own;
 
-    SearchOutcome run(const SearchSpace &space, EvalEngine &engine,
-                      const SearchOptions &options) const override
+    // Genome: hardware index + one candidate index per class.
+    struct Individual
     {
-        space.validate();
-        const long budget = effectiveBudget(space, options);
-        std::mt19937_64 rng(options.seed);
-        SearchOutcome out;
-        RunContexts contexts(space);
-
-        // Genome: hardware index + one candidate index per class.
-        struct Individual
-        {
-            size_t hw = 0;
-            std::vector<size_t> genes;
-            double fitness = -1.0;
-        };
-        auto toPlan = [&](const Individual &ind) {
-            ParallelPlan plan = seedPlan(space);
-            for (size_t ci = 0; ci < space.classes.size(); ++ci)
-                plan.set(space.classes[ci],
-                         space.candidates[ci][ind.genes[ci]]);
-            return plan;
-        };
-        auto baselineGenes = [&] {
-            ParallelPlan base = seedPlan(space);
-            std::vector<size_t> genes(space.classes.size(), 0);
-            for (size_t ci = 0; ci < space.classes.size(); ++ci) {
-                const std::vector<HierStrategy> &cands =
-                    space.candidates[ci];
-                for (size_t k = 0; k < cands.size(); ++k) {
-                    if (cands[k] == base.strategyFor(space.classes[ci]))
-                        genes[ci] = k;
-                }
-            }
-            return genes;
-        };
-
-        // Seed phase: sweep each class around the baseline on the
-        // most promising hardware point (the warm start's best when
-        // provided, else the beefiest by capability) and keep the
-        // per-class winners — the population starts from locally-good
-        // building blocks instead of uniform noise.
-        size_t hwSeed = 0;
-        if (const SearchCandidate *warm = bestWarmStart(space)) {
-            hwSeed = warm->hwIndex;
-        } else {
-            for (size_t hw = 1; hw < space.models.size(); ++hw) {
-                if (hardwareRank(*space.models[hw]) >
-                    hardwareRank(*space.models[hwSeed])) {
-                    hwSeed = hw;
-                }
+        size_t hw = 0;
+        std::vector<size_t> genes;
+        double fitness = -1.0;
+    };
+    auto toPlan = [&](const Individual &ind) {
+        ParallelPlan plan = seedPlan(space);
+        for (size_t ci = 0; ci < space.classes.size(); ++ci)
+            plan.set(space.classes[ci],
+                     space.candidates[ci][ind.genes[ci]]);
+        return plan;
+    };
+    auto baselineGenes = [&] {
+        ParallelPlan base = seedPlan(space);
+        std::vector<size_t> genes(space.classes.size(), 0);
+        for (size_t ci = 0; ci < space.classes.size(); ++ci) {
+            const std::vector<HierStrategy> &cands =
+                space.candidates[ci];
+            for (size_t k = 0; k < cands.size(); ++k) {
+                if (cands[k] == base.strategyFor(space.classes[ci]))
+                    genes[ci] = k;
             }
         }
-        std::vector<size_t> winners = baselineGenes();
-        std::vector<Individual> population;
-        for (size_t ci = 0;
-             ci < space.classes.size() &&
-             out.stats.evaluations < budget;
-             ++ci) {
-            std::vector<std::pair<size_t, ParallelPlan>> sweep;
-            for (size_t k = 0; k < space.candidates[ci].size(); ++k) {
-                Individual ind{hwSeed, winners, -1.0};
-                ind.genes[ci] = k;
-                sweep.emplace_back(hwSeed, toPlan(ind));
-            }
-            trimToBudget(sweep, budget, out.stats);
-            size_t swept = sweep.size();
-            size_t first = out.evaluated.size();
-            evaluateInto(space, engine, &contexts, std::move(sweep), out);
-            double bestFit = -1.0;
-            for (size_t i = first; i < first + swept; ++i) {
-                double fit = fitnessOf(out.evaluated[i].report);
-                Individual ind{hwSeed, winners, fit};
-                ind.genes[ci] = i - first;
-                population.push_back(ind);
-                if (fit > bestFit) {
-                    bestFit = fit;
-                    winners[ci] = i - first;
-                }
+        return genes;
+    };
+
+    // Seed phase: sweep each class around the baseline on the
+    // most promising hardware point and keep the per-class winners —
+    // the population starts from locally-good building blocks instead
+    // of uniform noise.
+    const size_t hwSeed = seedHardware(space);
+    std::vector<size_t> winners = baselineGenes();
+    std::vector<Individual> population;
+    for (size_t ci = 0;
+         ci < space.classes.size() &&
+         out.stats.evaluations < budget;
+         ++ci) {
+        std::vector<std::pair<size_t, ParallelPlan>> sweep;
+        for (size_t k = 0; k < space.candidates[ci].size(); ++k) {
+            Individual ind{hwSeed, winners, -1.0};
+            ind.genes[ci] = k;
+            sweep.emplace_back(hwSeed, toPlan(ind));
+        }
+        trimToBudget(sweep, budget, out.stats);
+        size_t swept = sweep.size();
+        size_t first = out.evaluated.size();
+        evaluateInto(space, engine, &contexts, std::move(sweep), out);
+        double bestFit = -1.0;
+        for (size_t i = first; i < first + swept; ++i) {
+            double fit = fitnessOf(out.evaluated[i].report);
+            Individual ind{hwSeed, winners, fit};
+            ind.genes[ci] = i - first;
+            population.push_back(ind);
+            if (fit > bestFit) {
+                bestFit = fit;
+                winners[ci] = i - first;
             }
         }
-
-        std::set<std::string> visited;
-        auto genomeKey = [](const Individual &ind) {
-            std::string key = std::to_string(ind.hw);
-            for (size_t g : ind.genes)
-                key += ':' + std::to_string(g);
-            return key;
-        };
-        for (const Individual &ind : population)
-            visited.insert(genomeKey(ind));
-
-        // Evaluate a batch of genomes, skipping genomes already
-        // visited this run and trimming to the remaining budget (the
-        // trim assumes every point is fresh, so the budget is a hard
-        // ceiling even before cache effects).
-        auto evaluateGenomes = [&](std::vector<Individual> batch) {
-            std::vector<Individual> fresh;
-            for (Individual &ind : batch) {
-                if (visited.insert(genomeKey(ind)).second)
-                    fresh.push_back(std::move(ind));
-            }
-            long room = budget - out.stats.evaluations;
-            if (room <= 0)
-                return;
-            if (static_cast<long>(fresh.size()) > room)
-                fresh.resize(static_cast<size_t>(room));
-            std::vector<std::pair<size_t, ParallelPlan>> points;
-            for (const Individual &ind : fresh)
-                points.emplace_back(ind.hw, toPlan(ind));
-            size_t first = out.evaluated.size();
-            evaluateInto(space, engine, &contexts, std::move(points), out);
-            for (size_t i = 0; i < fresh.size(); ++i) {
-                fresh[i].fitness =
-                    fitnessOf(out.evaluated[first + i].report);
-                population.push_back(std::move(fresh[i]));
-            }
-        };
-
-        // Complete the initial population: the all-winners genome on
-        // every hardware point, then random genomes for diversity.
-        {
-            std::vector<Individual> extra;
-            for (size_t hw = 0; hw < space.models.size(); ++hw)
-                extra.push_back(Individual{hw, winners, -1.0});
-            while (extra.size() + population.size() <
-                   static_cast<size_t>(options.populationSize)) {
-                Individual ind;
-                ind.hw = drawIndex(rng, space.models.size());
-                for (size_t ci = 0; ci < space.classes.size(); ++ci)
-                    ind.genes.push_back(
-                        drawIndex(rng, space.candidates[ci].size()));
-                extra.push_back(std::move(ind));
-            }
-            evaluateGenomes(std::move(extra));
-        }
-
-        auto fitter = [](const Individual &a, const Individual &b) {
-            return a.fitness > b.fitness;
-        };
-        auto tournament = [&]() -> const Individual & {
-            const Individual &a =
-                population[drawIndex(rng, population.size())];
-            const Individual &b =
-                population[drawIndex(rng, population.size())];
-            return a.fitness >= b.fitness ? a : b;
-        };
-
-        for (int gen = 0; gen < options.maxGenerations &&
-             out.stats.evaluations < budget && !population.empty();
-             ++gen) {
-            // Keep selection pressure bounded: survivors are the
-            // fittest populationSize genomes seen so far.
-            std::stable_sort(population.begin(), population.end(),
-                             fitter);
-            if (population.size() >
-                static_cast<size_t>(options.populationSize)) {
-                population.resize(
-                    static_cast<size_t>(options.populationSize));
-            }
-            std::vector<Individual> children;
-            for (int k = 0; k < options.populationSize; ++k) {
-                const Individual &pa = tournament();
-                const Individual &pb = tournament();
-                Individual child;
-                // Crossover on layer-class assignments; the hardware
-                // gene rides along from one parent.
-                child.hw = drawUnit(rng) < 0.5 ? pa.hw : pb.hw;
-                for (size_t ci = 0; ci < space.classes.size(); ++ci)
-                    child.genes.push_back(drawUnit(rng) < 0.5
-                                              ? pa.genes[ci]
-                                              : pb.genes[ci]);
-                if (drawUnit(rng) < options.mutationRate &&
-                    space.models.size() > 1) {
-                    child.hw = drawIndex(rng, space.models.size());
-                }
-                for (size_t ci = 0; ci < space.classes.size(); ++ci) {
-                    if (drawUnit(rng) < options.mutationRate) {
-                        child.genes[ci] = drawIndex(
-                            rng, space.candidates[ci].size());
-                    }
-                }
-                children.push_back(std::move(child));
-            }
-            evaluateGenomes(std::move(children));
-        }
-        return out;
     }
-};
+
+    std::set<std::string> visited;
+    auto genomeKey = [](const Individual &ind) {
+        std::string key = std::to_string(ind.hw);
+        for (size_t g : ind.genes)
+            key += ':' + std::to_string(g);
+        return key;
+    };
+    for (const Individual &ind : population)
+        visited.insert(genomeKey(ind));
+
+    // Evaluate a batch of genomes, skipping genomes already
+    // visited this run and trimming to the remaining budget (the
+    // trim assumes every point is fresh, so the budget is a hard
+    // ceiling even before cache effects).
+    auto evaluateGenomes = [&](std::vector<Individual> batch) {
+        std::vector<Individual> fresh;
+        for (Individual &ind : batch) {
+            if (visited.insert(genomeKey(ind)).second)
+                fresh.push_back(std::move(ind));
+        }
+        long room = budget - out.stats.evaluations;
+        if (room <= 0)
+            return;
+        if (static_cast<long>(fresh.size()) > room)
+            fresh.resize(static_cast<size_t>(room));
+        std::vector<std::pair<size_t, ParallelPlan>> points;
+        for (const Individual &ind : fresh)
+            points.emplace_back(ind.hw, toPlan(ind));
+        size_t first = out.evaluated.size();
+        evaluateInto(space, engine, &contexts, std::move(points), out);
+        for (size_t i = 0; i < fresh.size(); ++i) {
+            fresh[i].fitness =
+                fitnessOf(out.evaluated[first + i].report);
+            population.push_back(std::move(fresh[i]));
+        }
+    };
+
+    // Complete the initial population: the all-winners genome on
+    // every hardware point, then random genomes for diversity.
+    {
+        std::vector<Individual> extra;
+        for (size_t hw = 0; hw < space.models.size(); ++hw)
+            extra.push_back(Individual{hw, winners, -1.0});
+        while (extra.size() + population.size() <
+               static_cast<size_t>(options.populationSize)) {
+            Individual ind;
+            ind.hw = drawIndex(rng, space.models.size());
+            for (size_t ci = 0; ci < space.classes.size(); ++ci)
+                ind.genes.push_back(
+                    drawIndex(rng, space.candidates[ci].size()));
+            extra.push_back(std::move(ind));
+        }
+        evaluateGenomes(std::move(extra));
+    }
+
+    auto fitter = [](const Individual &a, const Individual &b) {
+        return a.fitness > b.fitness;
+    };
+    auto tournament = [&]() -> const Individual & {
+        const Individual &a =
+            population[drawIndex(rng, population.size())];
+        const Individual &b =
+            population[drawIndex(rng, population.size())];
+        return a.fitness >= b.fitness ? a : b;
+    };
+
+    for (int gen = 0; gen < options.maxGenerations &&
+         out.stats.evaluations < budget && !population.empty();
+         ++gen) {
+        // Keep selection pressure bounded: survivors are the
+        // fittest populationSize genomes seen so far.
+        std::stable_sort(population.begin(), population.end(),
+                         fitter);
+        if (population.size() >
+            static_cast<size_t>(options.populationSize)) {
+            population.resize(
+                static_cast<size_t>(options.populationSize));
+        }
+        std::vector<Individual> children;
+        for (int k = 0; k < options.populationSize; ++k) {
+            const Individual &pa = tournament();
+            const Individual &pb = tournament();
+            Individual child;
+            // Crossover on layer-class assignments; the hardware
+            // gene rides along from one parent.
+            child.hw = drawUnit(rng) < 0.5 ? pa.hw : pb.hw;
+            for (size_t ci = 0; ci < space.classes.size(); ++ci)
+                child.genes.push_back(drawUnit(rng) < 0.5
+                                          ? pa.genes[ci]
+                                          : pb.genes[ci]);
+            if (drawUnit(rng) < options.mutationRate &&
+                space.models.size() > 1) {
+                child.hw = drawIndex(rng, space.models.size());
+            }
+            for (size_t ci = 0; ci < space.classes.size(); ++ci) {
+                if (drawUnit(rng) < options.mutationRate) {
+                    child.genes[ci] = drawIndex(
+                        rng, space.candidates[ci].size());
+                }
+            }
+            children.push_back(std::move(child));
+        }
+        evaluateGenomes(std::move(children));
+    }
+    return out;
+}
 
 } // namespace
 
@@ -727,10 +613,11 @@ enumeratePlans(const SearchSpace &space)
 }
 
 const SearchCandidate *
-bestCandidate(const SearchOutcome &outcome)
+bestCandidate(const std::vector<SearchCandidate> &candidates, size_t from)
 {
     const SearchCandidate *best = nullptr;
-    for (const SearchCandidate &c : outcome.evaluated) {
+    for (size_t i = from; i < candidates.size(); ++i) {
+        const SearchCandidate &c = candidates[i];
         if (c.report.valid &&
             (!best || c.report.throughput() >
                  best->report.throughput())) {
@@ -766,30 +653,120 @@ makeSearchSpace(std::vector<const PerfModel *> models,
     return space;
 }
 
-const std::vector<std::string> &
-searchStrategyNames()
+RunContexts::RunContexts(const SearchSpace &space)
+    : space_(space), contexts_(space.models.size())
+{}
+
+RunContexts::~RunContexts() = default;
+
+const EvalContext *
+RunContexts::at(size_t hw)
 {
-    static const std::vector<std::string> names = {
-        "exhaustive", "coordinate-descent", "annealing", "genetic"};
-    return names;
+    std::unique_ptr<EvalContext> &ctx = contexts_[hw];
+    if (!ctx) {
+        try {
+            ctx = std::make_unique<EvalContext>(
+                *space_.models[hw], *space_.desc, *space_.task);
+        } catch (...) {
+            return nullptr;
+        }
+    }
+    return ctx.get();
 }
 
-std::unique_ptr<SearchStrategy>
-makeSearchStrategy(const std::string &name)
+void
+evaluateInto(const SearchSpace &space, EvalEngine &engine,
+             RunContexts *contexts,
+             std::vector<std::pair<size_t, ParallelPlan>> points,
+             SearchOutcome &out)
 {
-    if (name == "exhaustive")
-        return std::make_unique<ExhaustiveSearch>();
-    if (name == "coordinate-descent")
-        return std::make_unique<CoordinateDescentSearch>();
-    if (name == "annealing")
-        return std::make_unique<SimulatedAnnealingSearch>();
-    if (name == "genetic")
-        return std::make_unique<GeneticSearch>();
+    if (points.empty())
+        return;
+    std::vector<PlanRequest> requests;
+    requests.reserve(points.size());
+    for (auto &[hw, plan] : points) {
+        PlanRequest req;
+        req.model = space.models[hw];
+        req.desc = space.desc;
+        req.task = space.task;
+        req.plan = std::move(plan);
+        if (contexts)
+            req.context = contexts->at(hw);
+        requests.push_back(std::move(req));
+    }
+    EvalStats stats;
+    std::vector<PerfReport> reports =
+        engine.evaluateAll(requests, &stats);
+    out.stats += stats;
+    out.evaluated.reserve(out.evaluated.size() + requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+        out.evaluated.push_back(SearchCandidate{
+            points[i].first, std::move(requests[i].plan),
+            std::move(reports[i])});
+    }
+}
+
+namespace
+{
+
+/** The registry: every strategy runSearch() can dispatch to, in
+ *  documentation order. */
+struct RegisteredSearch
+{
+    const char *name;
+    SearchOutcome (*run)(const SearchSpace &, EvalEngine &,
+                         const SearchOptions &, RunContexts *);
+};
+
+const RegisteredSearch kSearches[] = {
+    {"exhaustive", exhaustiveSearch},
+    {"coordinate-descent", coordinateDescentSearch},
+    {"annealing", annealingSearch},
+    {"genetic", geneticSearch},
+};
+
+const RegisteredSearch &
+findSearch(const std::string &name)
+{
+    for (const RegisteredSearch &search : kSearches) {
+        if (name == search.name)
+            return search;
+    }
     std::string known;
     for (const std::string &n : searchStrategyNames())
         known += (known.empty() ? "" : ", ") + n;
     fatal("unknown search strategy '" + name + "' (registered: " +
           known + ")");
+}
+
+} // namespace
+
+const std::vector<std::string> &
+searchStrategyNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const RegisteredSearch &search : kSearches)
+            out.emplace_back(search.name);
+        return out;
+    }();
+    return names;
+}
+
+void
+checkSearchStrategy(const std::string &name)
+{
+    findSearch(name);
+}
+
+SearchOutcome
+runSearch(const std::string &strategy, const SearchSpace &space,
+          EvalEngine &engine, const SearchOptions &options,
+          RunContexts *contexts)
+{
+    const RegisteredSearch &search = findSearch(strategy);
+    space.validate();
+    return search.run(space, engine, options, contexts);
 }
 
 } // namespace madmax

@@ -1,10 +1,11 @@
 /**
  * @file
- * Pluggable search strategies over the joint (hardware point x
- * parallelization plan) design space (§V "Design Space Exploration").
+ * Search strategies over the joint (hardware point x parallelization
+ * plan) design space (§V "Design Space Exploration"), behind one
+ * name-keyed entry point, runSearch().
  *
  * A SearchSpace describes the space: one PerfModel per hardware point
- * and the per-layer-class strategy candidates. A SearchStrategy visits
+ * and the per-layer-class strategy candidates. runSearch() visits
  * points of that space through an EvalEngine (which parallelizes,
  * memoizes, and OOM-prunes them) and returns every visited candidate
  * plus the EvalStats of the visit, so search cost-to-quality is
@@ -12,9 +13,11 @@
  * outcome: StrategyExplorer::best() takes the throughput argmax, the
  * ParetoEngine builds a multi-objective frontier from all of it.
  *
- * Four strategies ship, selectable by name through the registry:
+ * Four strategies ship. Their names are the only vocabulary: the CLI,
+ * the JSON bodies, ExplorerOptions and ParetoOptions all pass one of
+ * them to runSearch(), which dispatches from one static table:
  *
- *   exhaustive         full cartesian product (today's explore()),
+ *   exhaustive         full cartesian product (StrategyExplorer::explore),
  *   coordinate-descent greedy per-coordinate sweeps until fixpoint,
  *   annealing          simulated annealing with Metropolis acceptance,
  *   genetic            population search seeded from per-class sweep
@@ -31,12 +34,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/eval_engine.hh"
 
 namespace madmax
 {
+
+class EvalContext;
 
 /**
  * Knobs for the guided searches. All strategies are deterministic for
@@ -91,7 +97,7 @@ struct SearchCandidate
 
 /**
  * The joint search space. models has one entry per hardware point
- * (StrategyExplorer::best passes exactly one); candidates[i] holds the
+ * (StrategyExplorer passes exactly one); candidates[i] holds the
  * admissible HierStrategy set for classes[i]. All pointers are
  * borrowed and must outlive the search.
  */
@@ -132,31 +138,65 @@ struct SearchOutcome
     EvalStats stats;
 };
 
-/** Interface every search strategy implements. */
-class SearchStrategy
+/**
+ * One EvalContext per hardware point of a search run, built on the
+ * point's first request and shared by every later batch. Guided
+ * searches submit many small batches (annealing: one point per
+ * proposal); without this, each batch would rebuild its context's
+ * strategy tables and segment arenas. A caller that evaluates points
+ * of its own before searching (the ParetoEngine's baseline sweep)
+ * passes one instance to both, so each point's context is built once.
+ */
+class RunContexts
 {
   public:
-    virtual ~SearchStrategy() = default;
+    explicit RunContexts(const SearchSpace &space);
+    ~RunContexts();
 
-    /** Registry name ("exhaustive", "annealing", ...). */
-    virtual std::string name() const = 0;
+    /** The context for hardware point @p hw, or null when building it
+     *  throws: the engine then builds its own and reports the error in
+     *  each request's failure report. */
+    const EvalContext *at(size_t hw);
 
-    /**
-     * Visit points of @p space through @p engine. Deterministic for a
-     * fixed (space, options) pair and any engine thread count.
-     */
-    virtual SearchOutcome run(const SearchSpace &space,
-                              EvalEngine &engine,
-                              const SearchOptions &options = {}) const = 0;
+  private:
+    const SearchSpace &space_;
+    std::vector<std::unique_ptr<EvalContext>> contexts_;
 };
+
+/**
+ * Evaluate a batch of (hwIndex, plan) points through the engine and
+ * append every result (including cache hits and pruned OOM verdicts)
+ * to @p out in request order. The batch is one evaluateAll call, so
+ * it rides the engine's thread pool. Without @p contexts the engine
+ * builds a context per hardware point that needs one.
+ */
+void evaluateInto(const SearchSpace &space, EvalEngine &engine,
+                  RunContexts *contexts,
+                  std::vector<std::pair<size_t, ParallelPlan>> points,
+                  SearchOutcome &out);
 
 /** Registered strategy names, in documentation order. */
 const std::vector<std::string> &searchStrategyNames();
 
-/** Build a strategy by registry name. @throws ConfigError on unknown
- *  names (the message lists the registered ones). */
-std::unique_ptr<SearchStrategy>
-makeSearchStrategy(const std::string &name);
+/** @throws ConfigError unless @p name is a registered strategy (the
+ *  message lists the registered ones). */
+void checkSearchStrategy(const std::string &name);
+
+/**
+ * Visit points of @p space with the strategy registered as
+ * @p strategy. Deterministic for a fixed (space, options) pair and any
+ * engine thread count.
+ *
+ * @param contexts Per-hardware-point contexts to share with the
+ *        caller's own evaluations; null = the run keeps its own
+ *        (exhaustive, one batch, lets the engine build them).
+ * @throws ConfigError on an unknown name (checkSearchStrategy) or an
+ *         invalid space.
+ */
+SearchOutcome runSearch(const std::string &strategy,
+                        const SearchSpace &space, EvalEngine &engine,
+                        const SearchOptions &options = {},
+                        RunContexts *contexts = nullptr);
 
 /**
  * The full plan product for @p space in canonical enumeration order —
@@ -167,9 +207,11 @@ makeSearchStrategy(const std::string &name);
  */
 std::vector<ParallelPlan> enumeratePlans(const SearchSpace &space);
 
-/** The best valid candidate by throughput (first wins ties), or null
- *  when nothing valid was visited. */
-const SearchCandidate *bestCandidate(const SearchOutcome &outcome);
+/** The best valid entry of candidates[from..] by throughput (the
+ *  first wins ties), or null when none of them is valid. */
+const SearchCandidate *
+bestCandidate(const std::vector<SearchCandidate> &candidates,
+              size_t from = 0);
 
 /**
  * Build a SearchSpace over the layer classes present in @p desc, with

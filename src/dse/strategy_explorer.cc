@@ -1,24 +1,11 @@
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "util/logging.hh"
 
 namespace madmax
 {
-
-std::string
-toString(SearchAlgorithm algorithm)
-{
-    switch (algorithm) {
-      case SearchAlgorithm::Exhaustive: return "exhaustive";
-      case SearchAlgorithm::CoordinateDescent: return "coordinate-descent";
-      case SearchAlgorithm::SimulatedAnnealing: return "annealing";
-      case SearchAlgorithm::Genetic: return "genetic";
-    }
-    panic("toString: unknown SearchAlgorithm");
-}
 
 StrategyExplorer::StrategyExplorer(const PerfModel &model,
                                    EvalEngine *engine)
@@ -35,6 +22,17 @@ EvalEngine &
 StrategyExplorer::engine() const
 {
     return shared_ ? *shared_ : *owned_;
+}
+
+const PerfModel &
+StrategyExplorer::searchModel(const ExplorerOptions &options,
+                              std::optional<PerfModel> &unconstrained) const
+{
+    if (!options.ignoreMemory)
+        return model_;
+    PerfModelOptions o = model_.options();
+    o.ignoreMemory = true;
+    return unconstrained.emplace(model_.cluster(), o);
 }
 
 std::vector<HierStrategy>
@@ -80,46 +78,23 @@ Exploration
 StrategyExplorer::explore(const ModelDesc &desc, const TaskSpec &task,
                           const ExplorerOptions &options) const
 {
-    // The unconstrained variant is only materialized on the
-    // ignoreMemory path: it costs a full cluster copy + re-validation,
-    // which the common constrained sweep must not pay.
-    const PerfModel *model = &model_;
     std::optional<PerfModel> unconstrained;
-    if (options.ignoreMemory) {
-        PerfModelOptions o = model_.options();
-        o.ignoreMemory = true;
-        unconstrained.emplace(model_.cluster(), o);
-        model = &*unconstrained;
-    }
-
+    SearchSpace space =
+        makeSearchSpace({&searchModel(options, unconstrained)}, desc,
+                        task, options.explorePrefetch);
     // The full plan product in canonical enumeration order (a golden-
     // suite compatibility contract — see dse::enumeratePlans).
-    SearchSpace space =
-        makeSearchSpace({model}, desc, task, options.explorePrefetch);
-    std::vector<ParallelPlan> plans = enumeratePlans(space);
-
-    std::vector<PlanRequest> requests;
-    requests.reserve(plans.size());
-    for (ParallelPlan &plan : plans) {
-        PlanRequest req;
-        req.model = model;
-        req.desc = &desc;
-        req.task = &task;
-        req.plan = std::move(plan);
-        requests.push_back(std::move(req));
-    }
+    SearchOutcome outcome =
+        runSearch("exhaustive", space, engine(), options.search);
 
     Exploration out;
-    std::vector<PerfReport> reports =
-        engine().evaluateAll(requests, &out.stats);
-
-    out.results.reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-        if (!reports[i].valid && !options.keepInvalid)
+    out.stats = outcome.stats;
+    out.results.reserve(outcome.evaluated.size());
+    for (SearchCandidate &c : outcome.evaluated) {
+        if (!c.report.valid && !options.keepInvalid)
             continue;
-        out.results.push_back(
-            ExplorationResult{std::move(requests[i].plan),
-                              std::move(reports[i]), EvalStats{}});
+        out.results.push_back(ExplorationResult{
+            std::move(c.plan), std::move(c.report), EvalStats{}});
     }
 
     // stable_sort keeps enumeration order on throughput ties, so the
@@ -138,23 +113,14 @@ ExplorationResult
 StrategyExplorer::best(const ModelDesc &desc, const TaskSpec &task,
                        const ExplorerOptions &options) const
 {
-    const PerfModel *model = &model_;
     std::optional<PerfModel> unconstrained;
-    if (options.ignoreMemory) {
-        PerfModelOptions o = model_.options();
-        o.ignoreMemory = true;
-        unconstrained.emplace(model_.cluster(), o);
-        model = &*unconstrained;
-    }
-
     SearchSpace space =
-        makeSearchSpace({model}, desc, task, options.explorePrefetch);
-    std::unique_ptr<SearchStrategy> strategy =
-        makeSearchStrategy(toString(options.algorithm));
+        makeSearchSpace({&searchModel(options, unconstrained)}, desc,
+                        task, options.explorePrefetch);
     SearchOutcome outcome =
-        strategy->run(space, engine(), options.search);
+        runSearch(options.strategy, space, engine(), options.search);
 
-    const SearchCandidate *winner = bestCandidate(outcome);
+    const SearchCandidate *winner = bestCandidate(outcome.evaluated);
     if (!winner) {
         fatal("StrategyExplorer: no valid plan fits device memory "
               "for '" + desc.name + "'");

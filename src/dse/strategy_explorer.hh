@@ -1,0 +1,150 @@
+/**
+ * @file
+ * Design-space explorer (§V "Design Space Exploration"): enumerates
+ * valid hierarchical parallelization strategies per layer class,
+ * evaluates each full plan through the performance model, and ranks
+ * by throughput — the engine behind Figs. 10-18.
+ *
+ * Both entry points are thin over dse/search_strategy.hh: explore()
+ * is runSearch("exhaustive") plus a ranking, best() is runSearch() with
+ * the configured strategy plus an argmax. All evaluations flow through
+ * an EvalEngine (src/engine/), which parallelizes, memoizes, and
+ * prunes them; result ordering is deterministic regardless of thread
+ * count.
+ */
+
+#ifndef MADMAX_DSE_STRATEGY_EXPLORER_HH
+#define MADMAX_DSE_STRATEGY_EXPLORER_HH
+
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "dse/search_strategy.hh"
+#include "engine/eval_engine.hh"
+
+namespace madmax
+{
+
+/** One explored point. stats is only populated on best()'s winner
+ *  (the whole-search cost); explore() reports stats batch-wide. */
+struct ExplorationResult
+{
+    ParallelPlan plan;
+    PerfReport report;
+    EvalStats stats;
+};
+
+/** A ranked exploration of the full plan space. */
+struct Exploration
+{
+    /** Sorted by descending throughput, invalid plans last. */
+    std::vector<ExplorationResult> results;
+
+    /** Search cost of this call (evaluations, cache hits, pruned). */
+    EvalStats stats;
+};
+
+/** Exploration knobs. */
+struct ExplorerOptions
+{
+    /**
+     * Keep OOM plans in the result list (reported invalid) so benches
+     * can render the paper's gray bars.
+     */
+    bool keepInvalid = true;
+
+    /**
+     * Evaluate timing for OOM plans too (the "unconstrained by memory
+     * capacity" analysis — Fig. 10's orange bars).
+     */
+    bool ignoreMemory = false;
+
+    /** Also explore FSDP-prefetch variants of FSDP-bearing plans. */
+    bool explorePrefetch = false;
+
+    /**
+     * How best() searches the space, by registry name: exhaustive |
+     * coordinate-descent | annealing | genetic (searchStrategyNames()).
+     * explore() is always exhaustive.
+     */
+    std::string strategy = "exhaustive";
+
+    /** Budget / seed knobs for the guided algorithms. */
+    SearchOptions search;
+};
+
+/**
+ * Exhaustive explorer over the per-layer-class strategy space. The
+ * candidate sets follow the paper: dense classes draw from global and
+ * hierarchical compositions of {DDP, FSDP, TP}; sparse embedding
+ * tables from sharding variants; MoE experts from expert-parallel and
+ * dense-style strategies.
+ */
+class StrategyExplorer
+{
+  public:
+    /**
+     * @param model  The bound performance model.
+     * @param engine Shared evaluation engine; pass one to pool
+     *        threads and share the memo cache with other call sites
+     *        (DSE sweeps, fleet, CLI). When null, the explorer owns
+     *        a private serial engine (memoizing, one thread).
+     */
+    explicit StrategyExplorer(const PerfModel &model,
+                              EvalEngine *engine = nullptr);
+
+    /** Candidate strategies for one layer class. */
+    static std::vector<HierStrategy> candidates(LayerClass cls);
+
+    /**
+     * Evaluate the cartesian product of candidates over the classes
+     * present in @p desc. Results are sorted by descending
+     * throughput, invalid plans last; ordering is identical for any
+     * engine thread count.
+     */
+    Exploration explore(const ModelDesc &desc, const TaskSpec &task,
+                        const ExplorerOptions &options = {}) const;
+
+    /**
+     * The throughput-optimal valid plan, via runSearch() with
+     * options.strategy. Coordinate descent evaluates O(classes x
+     * candidates) plans per round instead of the full product; it can
+     * stop in a local optimum but matches exhaustive search on every
+     * workload in this suite (see tests). Annealing and genetic
+     * honor options.search.maxEvaluations. The result's stats field
+     * carries the whole search's cost.
+     *
+     * @throws ConfigError if no plan fits in memory, or on an unknown
+     *         strategy name.
+     */
+    ExplorationResult best(const ModelDesc &desc, const TaskSpec &task,
+                           const ExplorerOptions &options = {}) const;
+
+    /** Baseline FSDP report for speedup normalization. */
+    PerfReport baseline(const ModelDesc &desc, const TaskSpec &task) const;
+
+  private:
+    /** The shared engine, or the private serial fallback. */
+    EvalEngine &engine() const;
+
+    /**
+     * The model a search runs on: the bound one, or with
+     * options.ignoreMemory a copy that ignores memory, materialized
+     * into @p unconstrained (it costs a full cluster copy and
+     * re-validation, which the common constrained search must not
+     * pay).
+     */
+    const PerfModel &
+    searchModel(const ExplorerOptions &options,
+                std::optional<PerfModel> &unconstrained) const;
+
+    const PerfModel &model_;
+    EvalEngine *shared_;                ///< Borrowed; may be null.
+    std::unique_ptr<EvalEngine> owned_; ///< Serial fallback.
+};
+
+} // namespace madmax
+
+#endif // MADMAX_DSE_STRATEGY_EXPLORER_HH

@@ -1,5 +1,6 @@
 #include "dse/sweep.hh"
 
+#include "dse/pareto_engine.hh"
 #include "util/logging.hh"
 
 namespace madmax
@@ -53,24 +54,38 @@ scaleAxis(const ClusterSpec &cluster, HwAxis axis, double factor)
 }
 
 std::vector<ScalingResult>
-hardwareScalingStudy(const PerfModel &base_model, const ModelDesc &desc,
+hardwareScalingStudy(const ClusterSpec &cluster, const ModelDesc &desc,
                      const TaskSpec &task, double factor,
                      const std::vector<HwAxis> &axes, EvalEngine *engine)
 {
-    StrategyExplorer base_explorer(base_model, engine);
-    ExplorationResult base_best = base_explorer.best(desc, task);
-    double base_throughput = base_best.report.throughput();
+    // Hardware point 0 is the unscaled cluster, point i + 1 is axes[i].
+    std::vector<HardwarePoint> points = {HardwarePoint{"", cluster}};
+    for (HwAxis axis : axes)
+        points.push_back(HardwarePoint{"", scaleAxis(cluster, axis, factor)});
+    ParetoOptions options;
+    options.includeBaselines = false;
+    ParetoFrontier frontier =
+        ParetoEngine(std::move(points), engine).explore(desc, task, options);
+
+    std::vector<const ParetoCandidate *> best(axes.size() + 1, nullptr);
+    for (const ParetoCandidate &c : frontier.bestPerHw)
+        best[c.hwIndex] = &c;
+    for (const ParetoCandidate *c : best) {
+        if (!c) {
+            fatal("StrategyExplorer: no valid plan fits device memory "
+                  "for '" + desc.name + "'");
+        }
+    }
+    const double base_throughput = best[0]->report.throughput();
 
     std::vector<ScalingResult> out;
     out.reserve(axes.size());
-    for (HwAxis axis : axes) {
-        PerfModel scaled = base_model.withCluster(
-            scaleAxis(base_model.cluster(), axis, factor));
-        StrategyExplorer explorer(scaled, engine);
+    for (size_t i = 0; i < axes.size(); ++i) {
         ScalingResult r;
-        r.axis = axis;
+        r.axis = axes[i];
         r.factor = factor;
-        r.best = explorer.best(desc, task);
+        r.best.plan = best[i + 1]->plan;
+        r.best.report = best[i + 1]->report;
         r.speedup = base_throughput > 0.0
             ? r.best.report.throughput() / base_throughput
             : 0.0;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Hardware-scaling sweeps for the future-technologies study (Fig. 19):
- * scale one (or every) hardware capability by a factor, re-run the
- * strategy explorer, and report the resulting best-plan speedup. Also
+ * scale one (or every) hardware capability by a factor, search the
+ * base and every scaled cluster as the hardware points of one
+ * ParetoEngine exploration, and report each best-plan speedup. Also
  * hosts the GPU-hour normalization helper of Figs. 1/16.
  */
 
@@ -12,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 
 namespace madmax
 {
@@ -42,25 +43,30 @@ struct ScalingResult
 {
     HwAxis axis = HwAxis::All;
     double factor = 1.0;
-    ExplorationResult best;   ///< Best plan on the scaled cluster.
+    /** Best plan on the scaled cluster (stats left empty: the study
+     *  is one search, see hardwareScalingStudy). */
+    ExplorationResult best;
     double speedup = 0.0;     ///< Best-vs-baseline-cluster-best ratio.
 };
 
 /**
- * For each axis, scale the cluster by @p factor, explore strategies,
- * and report best-plan throughput relative to the unscaled cluster's
- * best plan.
+ * For each axis, scale @p cluster by @p factor and report the best
+ * plan's throughput relative to the unscaled cluster's best plan. The
+ * unscaled cluster and every scaled one are the hardware points of
+ * one exhaustive ParetoEngine exploration (no baselines); each
+ * result's plan is that point's bestPerHw entry, the same plan
+ * StrategyExplorer::best() picks on the point alone.
  *
- * @param engine Optional shared EvalEngine: every per-axis search
- *        runs through it, pooling worker threads, and repeated calls
- *        with the same factor/axes are memoized. (Axes do not share
- *        cache entries with each other — a scaled cluster is a
- *        different fingerprint, even on axes like HbmCapacity that
- *        rarely change the timing.) Null runs a private serial
- *        engine per explorer.
+ * @param engine Optional shared EvalEngine: the search runs through
+ *        it, pooling worker threads, and repeated calls with the same
+ *        factor/axes are memoized. (Axes do not share cache entries
+ *        with each other — a scaled cluster is a different
+ *        fingerprint, even on axes like HbmCapacity that rarely
+ *        change the timing.) Null runs a private serial engine.
+ * @throws ConfigError if no plan fits on some point, as best() does.
  */
 std::vector<ScalingResult>
-hardwareScalingStudy(const PerfModel &base_model, const ModelDesc &desc,
+hardwareScalingStudy(const ClusterSpec &cluster, const ModelDesc &desc,
                      const TaskSpec &task, double factor,
                      const std::vector<HwAxis> &axes = allHwAxes(),
                      EvalEngine *engine = nullptr);

@@ -1,8 +1,8 @@
 #include "serve/service.hh"
 
 #include "config/config_loader.hh"
-#include "core/strategy_explorer.hh"
 #include "dse/pareto_engine.hh"
+#include "dse/strategy_explorer.hh"
 #include "serve/errors.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"

@@ -27,7 +27,7 @@
 #include "collective/collective.hh"
 #include "collective/topology_model.hh"
 #include "core/eval_context.hh"
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "hw/topology.hh"
 #include "model/model_zoo.hh"

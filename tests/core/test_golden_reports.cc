@@ -27,7 +27,7 @@
 #include <string>
 
 #include "../golden_check.hh"
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -233,8 +233,7 @@ TEST(GoldenReports, Fig19ScalingStudy)
     for (const Case &c : cases) {
         out += strfmt("== %s ==\n", c.label);
         for (const ScalingResult &r :
-             hardwareScalingStudy(PerfModel(c.cluster), c.model, c.task,
-                                  10.0)) {
+             hardwareScalingStudy(c.cluster, c.model, c.task, 10.0)) {
             out += strfmt("%s speedup=%.17g plan=%s\n",
                           toString(r.axis).c_str(), r.speedup,
                           r.best.plan.toString().c_str());

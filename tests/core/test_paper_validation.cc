@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/perf_model.hh"
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "parallel/sharding.hh"

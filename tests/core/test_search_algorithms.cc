@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 
@@ -25,7 +25,7 @@ TEST(CoordinateDescent, MatchesExhaustiveOnDlrmA)
     long exhaustive_evals = exhaustive.stats.requests();
 
     ExplorerOptions cd;
-    cd.algorithm = SearchAlgorithm::CoordinateDescent;
+    cd.strategy = "coordinate-descent";
     ExplorationResult greedy =
         explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining(), cd);
     long greedy_evals = greedy.stats.requests();
@@ -52,7 +52,7 @@ TEST(CoordinateDescent, NearOptimalAcrossSuite)
         double exhaustive = explorer.best(m, TaskSpec::preTraining())
                                 .report.throughput();
         ExplorerOptions cd;
-        cd.algorithm = SearchAlgorithm::CoordinateDescent;
+        cd.strategy = "coordinate-descent";
         double greedy = explorer.best(m, TaskSpec::preTraining(), cd)
                             .report.throughput();
         EXPECT_GE(greedy, 0.95 * exhaustive) << m.name;
@@ -72,7 +72,7 @@ TEST(CoordinateDescent, FewerEvaluationsOnLargeSpaces)
         explorer.best(m, TaskSpec::preTraining()).stats.requests();
 
     ExplorerOptions cd;
-    cd.algorithm = SearchAlgorithm::CoordinateDescent;
+    cd.strategy = "coordinate-descent";
     long greedy_evals =
         explorer.best(m, TaskSpec::preTraining(), cd).stats.requests();
 
@@ -84,7 +84,7 @@ TEST(CoordinateDescent, SupportsUnconstrainedSearch)
     PerfModel model(hw_zoo::dlrmTrainingSystem());
     StrategyExplorer explorer(model);
     ExplorerOptions cd;
-    cd.algorithm = SearchAlgorithm::CoordinateDescent;
+    cd.strategy = "coordinate-descent";
     cd.ignoreMemory = true;
     ExplorationResult r =
         explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining(), cd);

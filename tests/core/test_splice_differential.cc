@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "core/eval_context.hh"
-#include "core/strategy_explorer.hh"
 #include "dse/pareto_engine.hh"
 #include "dse/search_strategy.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "reference/reference_builder.hh"
@@ -508,15 +508,13 @@ TEST(GuidedPooled, SearchOutcomesMatchSerial)
     for (const std::string &name :
          {std::string("coordinate-descent"), std::string("annealing"),
           std::string("genetic")}) {
-        std::unique_ptr<SearchStrategy> strategy =
-            makeSearchStrategy(name);
         SearchOptions opts;
         opts.maxEvaluations = 60;
 
         EvalEngine serial;
         EvalEngine pool(pooled());
-        const SearchOutcome a = strategy->run(cfg.space, serial, opts);
-        const SearchOutcome b = strategy->run(cfg.space, pool, opts);
+        const SearchOutcome a = runSearch(name, cfg.space, serial, opts);
+        const SearchOutcome b = runSearch(name, cfg.space, pool, opts);
 
         EXPECT_EQ(outcomeTrace(a), outcomeTrace(b)) << name;
         EXPECT_EQ(a.stats.evaluations, b.stats.evaluations) << name;

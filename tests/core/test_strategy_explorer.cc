@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "util/logging.hh"

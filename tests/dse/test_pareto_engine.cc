@@ -18,9 +18,9 @@
 #include <string>
 
 #include "../golden_check.hh"
-#include "core/strategy_explorer.hh"
 #include "dse/pareto.hh"
 #include "dse/pareto_engine.hh"
+#include "dse/strategy_explorer.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -99,6 +99,26 @@ TEST(ParetoEngineTest, UnknownStrategyThrows)
     ParetoOptions opts;
     opts.strategy = "brute-force";
     EXPECT_THROW(engine.explore(cfg.desc, cfg.task, opts), ConfigError);
+}
+
+TEST(ParetoEngineTest, UnknownStrategyCostsNoEvaluation)
+{
+    // The name is resolved before the baseline sweep: a rejected
+    // request leaves the shared engine exactly as it found it.
+    EvalEngine engine;
+    ParetoEngine pareto(cloudHardwareCatalog(128), &engine);
+    ModelDesc desc = model_zoo::llama65b();
+    ParetoOptions opts;
+    opts.strategy = "bogus";
+    const EngineCounters before = engine.counters();
+    EXPECT_THROW(pareto.explore(desc, TaskSpec::preTraining(), opts),
+                 ConfigError);
+    const EngineCounters after = engine.counters();
+    EXPECT_EQ(after.lifetime.evaluations, before.lifetime.evaluations);
+    EXPECT_EQ(after.lifetime.pruned, before.lifetime.pruned);
+    EXPECT_EQ(after.batches, before.batches);
+    EXPECT_EQ(after.cacheInsertions, before.cacheInsertions);
+    EXPECT_EQ(after.cacheEntries, before.cacheEntries);
 }
 
 // The frontier contract: every point any strategy returns is

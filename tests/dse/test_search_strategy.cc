@@ -1,6 +1,6 @@
 /**
  * @file
- * SearchStrategy contract tests: registry round-trips, exhaustive
+ * runSearch contract tests: registry round-trips, exhaustive
  * parity with explore(), canonical enumeration order, hard evaluation
  * budgets, seeded determinism, and warm-start behavior — everything
  * the ParetoEngine and StrategyExplorer::best() rely on.
@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/strategy_explorer.hh"
 #include "dse/search_strategy.hh"
+#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "util/logging.hh"
@@ -53,37 +53,39 @@ visitTrace(const SearchOutcome &outcome)
 
 } // namespace
 
-TEST(SearchStrategyRegistry, NamesRoundTripThroughFactory)
+TEST(SearchStrategyRegistry, NamesRoundTripThroughRunSearch)
 {
     ASSERT_EQ(searchStrategyNames().size(), 4u);
+    JointFixture fx;
     for (const std::string &name : searchStrategyNames()) {
-        std::unique_ptr<SearchStrategy> strategy =
-            makeSearchStrategy(name);
-        ASSERT_NE(strategy, nullptr);
-        EXPECT_EQ(strategy->name(), name);
+        EXPECT_NO_THROW(checkSearchStrategy(name)) << name;
+        EvalEngine engine;
+        SearchOutcome outcome = runSearch(name, fx.space, engine);
+        EXPECT_FALSE(outcome.evaluated.empty()) << name;
+        EXPECT_GT(outcome.stats.evaluations + outcome.stats.pruned, 0)
+            << name;
     }
 }
 
 TEST(SearchStrategyRegistry, UnknownNameThrowsWithKnownList)
 {
-    try {
-        makeSearchStrategy("gradient-descent");
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("exhaustive"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("genetic"),
-                  std::string::npos);
+    JointFixture fx;
+    EvalEngine engine;
+    for (int viaRun = 0; viaRun < 2; ++viaRun) {
+        try {
+            if (viaRun)
+                runSearch("gradient-descent", fx.space, engine);
+            else
+                checkSearchStrategy("gradient-descent");
+            FAIL() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "unknown search strategy 'gradient-descent' "
+                      "(registered: exhaustive, coordinate-descent, "
+                      "annealing, genetic)");
+        }
     }
-}
-
-TEST(SearchStrategyRegistry, AlgorithmEnumMapsToRegistry)
-{
-    for (SearchAlgorithm a :
-         {SearchAlgorithm::Exhaustive, SearchAlgorithm::CoordinateDescent,
-          SearchAlgorithm::SimulatedAnnealing, SearchAlgorithm::Genetic}) {
-        EXPECT_EQ(makeSearchStrategy(toString(a))->name(), toString(a));
-    }
+    EXPECT_EQ(engine.counters().batches, 0);
 }
 
 TEST(SearchSpaceTest, MakeSearchSpaceFindsPresentClasses)
@@ -139,8 +141,7 @@ TEST(ExhaustiveSearch, MatchesExploreReportsAndStats)
     SearchSpace single = makeSearchSpace({&fx.large}, fx.desc, fx.task);
 
     EvalEngine engineA;
-    SearchOutcome outcome = makeSearchStrategy("exhaustive")
-                                ->run(single, engineA);
+    SearchOutcome outcome = runSearch("exhaustive", single, engineA);
 
     EvalEngine engineB;
     StrategyExplorer explorer(fx.large, &engineB);
@@ -152,7 +153,7 @@ TEST(ExhaustiveSearch, MatchesExploreReportsAndStats)
     EXPECT_EQ(outcome.stats.cacheHits, exploration.stats.cacheHits);
 
     // Same best point, bitwise.
-    const SearchCandidate *best = bestCandidate(outcome);
+    const SearchCandidate *best = bestCandidate(outcome.evaluated);
     ASSERT_NE(best, nullptr);
     EXPECT_EQ(best->report.throughput(),
               exploration.results[0].report.throughput());
@@ -164,8 +165,7 @@ TEST(ExhaustiveSearch, CoversTheFullJointSpace)
 {
     JointFixture fx;
     EvalEngine engine;
-    SearchOutcome outcome =
-        makeSearchStrategy("exhaustive")->run(fx.space, engine);
+    SearchOutcome outcome = runSearch("exhaustive", fx.space, engine);
     EXPECT_EQ(outcome.evaluated.size(), fx.space.size());
     // Hardware-major order: the first planCount() visits are hw 0.
     for (size_t i = 0; i < fx.space.planCount(); ++i)
@@ -182,7 +182,7 @@ TEST(GuidedSearch, BudgetIsAHardCeiling)
         SearchOptions opts;
         opts.maxEvaluations = 7;
         SearchOutcome outcome =
-            makeSearchStrategy(name)->run(fx.space, engine, opts);
+            runSearch(name, fx.space, engine, opts);
         EXPECT_LE(outcome.stats.evaluations, 7) << name;
     }
 }
@@ -195,7 +195,7 @@ TEST(GuidedSearch, NegativeBudgetEvaluatesNothing)
         SearchOptions opts;
         opts.maxEvaluations = -1;
         SearchOutcome outcome =
-            makeSearchStrategy(name)->run(fx.space, engine, opts);
+            runSearch(name, fx.space, engine, opts);
         EXPECT_EQ(outcome.stats.evaluations, 0) << name;
         EXPECT_TRUE(outcome.evaluated.empty()) << name;
     }
@@ -209,9 +209,9 @@ TEST(GuidedSearch, SameSeedSameOutcome)
         opts.seed = 42;
         EvalEngine engineA, engineB;
         SearchOutcome a =
-            makeSearchStrategy(name)->run(fx.space, engineA, opts);
+            runSearch(name, fx.space, engineA, opts);
         SearchOutcome b =
-            makeSearchStrategy(name)->run(fx.space, engineB, opts);
+            runSearch(name, fx.space, engineB, opts);
         EXPECT_EQ(visitTrace(a), visitTrace(b)) << name;
         EXPECT_EQ(a.stats.evaluations, b.stats.evaluations) << name;
     }
@@ -237,7 +237,7 @@ TEST(GuidedSearch, WarmStartPinsTheSeedHardwarePoint)
                              "coordinate-descent"}) {
         EvalEngine engine;
         SearchOutcome outcome =
-            makeSearchStrategy(name)->run(warm, engine);
+            runSearch(name, warm, engine);
         ASSERT_FALSE(outcome.evaluated.empty()) << name;
         EXPECT_EQ(outcome.evaluated[0].hwIndex, 0u) << name;
     }
@@ -250,17 +250,16 @@ TEST(GuidedSearch, FindsTheJointOptimumOnThisSpace)
     // enough that anything less indicates a search bug).
     JointFixture fx;
     EvalEngine exhaustiveEngine;
-    SearchOutcome exhaustive = makeSearchStrategy("exhaustive")
-                                   ->run(fx.space, exhaustiveEngine);
-    const SearchCandidate *best = bestCandidate(exhaustive);
+    SearchOutcome exhaustive =
+        runSearch("exhaustive", fx.space, exhaustiveEngine);
+    const SearchCandidate *best = bestCandidate(exhaustive.evaluated);
     ASSERT_NE(best, nullptr);
 
     for (const char *name : {"coordinate-descent", "annealing",
                              "genetic"}) {
         EvalEngine engine;
-        SearchOutcome outcome =
-            makeSearchStrategy(name)->run(fx.space, engine);
-        const SearchCandidate *found = bestCandidate(outcome);
+        SearchOutcome outcome = runSearch(name, fx.space, engine);
+        const SearchCandidate *found = bestCandidate(outcome.evaluated);
         ASSERT_NE(found, nullptr) << name;
         EXPECT_GE(found->report.throughput(),
                   0.95 * best->report.throughput())
@@ -280,7 +279,7 @@ TEST(BestCandidateTest, FirstWinsTiesAndInvalidLoses)
     a.hwIndex = 0;
     a.report.valid = false;
     outcome.evaluated.push_back(a);
-    EXPECT_EQ(bestCandidate(outcome), nullptr);
+    EXPECT_EQ(bestCandidate(outcome.evaluated), nullptr);
 
     SearchCandidate b;
     b.hwIndex = 1;
@@ -291,9 +290,14 @@ TEST(BestCandidateTest, FirstWinsTiesAndInvalidLoses)
     SearchCandidate c = b;
     c.hwIndex = 2;
     outcome.evaluated.push_back(c);
-    const SearchCandidate *best = bestCandidate(outcome);
+    const SearchCandidate *best = bestCandidate(outcome.evaluated);
     ASSERT_NE(best, nullptr);
     EXPECT_EQ(best->hwIndex, 1u); // Equal throughput: first wins.
+    // A suffix scan starts at its first index.
+    best = bestCandidate(outcome.evaluated, 2);
+    ASSERT_NE(best, nullptr);
+    EXPECT_EQ(best->hwIndex, 2u);
+    EXPECT_EQ(bestCandidate(outcome.evaluated, 3), nullptr);
 }
 
 } // namespace madmax

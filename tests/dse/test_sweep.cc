@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -42,9 +45,10 @@ TEST(Sweep, ScalingStudyShape)
     // Fig. 19: individual-axis scaling is sub-linear; scaling all
     // axes concurrently is super-linear relative to the best single
     // axis.
-    PerfModel model(hw_zoo::dlrmTrainingSystem());
-    std::vector<ScalingResult> results = hardwareScalingStudy(
-        model, model_zoo::dlrmA(), TaskSpec::preTraining(), 10.0);
+    std::vector<ScalingResult> results =
+        hardwareScalingStudy(hw_zoo::dlrmTrainingSystem(),
+                             model_zoo::dlrmA(), TaskSpec::preTraining(),
+                             10.0);
     ASSERT_EQ(results.size(), 6u);
 
     double best_single = 0.0, all_axes = 0.0;
@@ -64,9 +68,9 @@ TEST(Sweep, InterBandwidthMattersMostForDlrm)
 {
     // Insight 10: for All2All-bound DLRM-A, inter-node bandwidth is
     // the most valuable single axis.
-    PerfModel model(hw_zoo::dlrmTrainingSystem());
     std::vector<ScalingResult> results = hardwareScalingStudy(
-        model, model_zoo::dlrmA(), TaskSpec::preTraining(), 10.0,
+        hw_zoo::dlrmTrainingSystem(), model_zoo::dlrmA(),
+        TaskSpec::preTraining(), 10.0,
         {HwAxis::Compute, HwAxis::HbmBandwidth,
          HwAxis::InterBandwidth});
     double inter = 0.0, others = 0.0;
@@ -77,6 +81,67 @@ TEST(Sweep, InterBandwidthMattersMostForDlrm)
             others = std::max(others, r.speedup);
     }
     EXPECT_GT(inter, others);
+}
+
+TEST(Sweep, ScalingStudyMatchesPerClusterExplorer)
+{
+    // The study searches every scaled cluster in one exploration; each
+    // result must be bitwise the plan and report a standalone
+    // StrategyExplorer::best() finds on that cluster, and the speedup
+    // must be the ratio of those throughputs.
+    struct Case
+    {
+        ModelDesc model;
+        ClusterSpec cluster;
+        TaskSpec task;
+    };
+    const Case cases[] = {
+        {model_zoo::dlrmA(), hw_zoo::dlrmTrainingSystem(),
+         TaskSpec::preTraining()},
+        {model_zoo::gpt3(), hw_zoo::llmTrainingSystem(),
+         TaskSpec::inference()},
+    };
+    auto bits = [](double v) {
+        uint64_t b;
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    for (const Case &c : cases) {
+        std::vector<ScalingResult> results =
+            hardwareScalingStudy(c.cluster, c.model, c.task, 10.0);
+        ASSERT_EQ(results.size(), allHwAxes().size());
+        const double base = StrategyExplorer(PerfModel(c.cluster))
+                                .best(c.model, c.task)
+                                .report.throughput();
+        for (const ScalingResult &r : results) {
+            ExplorationResult want =
+                StrategyExplorer(
+                    PerfModel(scaleAxis(c.cluster, r.axis, 10.0)))
+                    .best(c.model, c.task);
+            SCOPED_TRACE(c.model.name + " " + toString(r.axis));
+            EXPECT_EQ(r.best.plan.toString(), want.plan.toString());
+            EXPECT_EQ(r.best.plan.fsdpPrefetch, want.plan.fsdpPrefetch);
+            EXPECT_EQ(toJson(r.best.report).dump(2),
+                      toJson(want.report).dump(2));
+            EXPECT_EQ(bits(r.best.report.throughput()),
+                      bits(want.report.throughput()));
+            EXPECT_EQ(bits(r.speedup),
+                      bits(want.report.throughput() / base));
+        }
+    }
+}
+
+TEST(Sweep, NoFitThrowsLikeBest)
+{
+    // A point where nothing fits fails the study with best()'s error.
+    ClusterSpec tiny = hw_zoo::llmTrainingSystem().withNumNodes(1);
+    EXPECT_THROW(StrategyExplorer(PerfModel(tiny))
+                     .best(model_zoo::gpt3(), TaskSpec::preTraining()),
+                 ConfigError);
+    EXPECT_THROW(hardwareScalingStudy(tiny, model_zoo::gpt3(),
+                                      TaskSpec::preTraining(), 10.0,
+                                      {HwAxis::Compute}),
+                 ConfigError);
 }
 
 TEST(Sweep, NormalizedGpuHours)

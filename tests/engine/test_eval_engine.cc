@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/strategy_explorer.hh"
+#include "dse/strategy_explorer.hh"
 #include "engine/eval_engine.hh"
 #include "fleet/fleet_sim.hh"
 #include "hw/hw_zoo.hh"

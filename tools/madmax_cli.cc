@@ -38,8 +38,8 @@
 #include <vector>
 
 #include "config/config_loader.hh"
-#include "core/strategy_explorer.hh"
 #include "dse/pareto_engine.hh"
+#include "dse/strategy_explorer.hh"
 #include "serve/service.hh"
 #include "trace/chrome_trace.hh"
 #include "util/fault_injection.hh"
