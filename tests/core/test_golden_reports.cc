@@ -13,7 +13,9 @@
  * /v1/stats and /v1/metrics bodies after a fixed request sequence
  * (measured times masked), which pins both observability views.
  * The Fig. 19 scaling study is pinned as well: every axis's best-plan
- * speedup and winning plan for the four DLRM-A / GPT-3 cases.
+ * speedup and winning plan for the four DLRM-A / GPT-3 cases. So is
+ * one ViT-L pre-training timeline, event by event with its trace
+ * names.
  *
  * Regenerate (only when an *intentional* model change lands) with:
  *   MADMAX_REGEN_GOLDEN=1 ./test_golden_reports
@@ -240,6 +242,34 @@ TEST(GoldenReports, Fig19ScalingStudy)
         }
     }
     checkGolden("fig19_scaling.txt", out);
+}
+
+TEST(GoldenReports, TraceVitLPretrain)
+{
+    // Every event of one keepTimeline evaluation, names included:
+    // pins the composed trace labels (layer name plus collective or
+    // backward suffix) byte for byte, next to each event's stream,
+    // layer, and scheduled interval.
+    ModelDesc desc = model_zoo::vit(model_zoo::VitSize::L, 2048);
+    PerfModelOptions po;
+    po.keepTimeline = true;
+    PerfModel perf(hw_zoo::llmTrainingSystem(), po);
+    ParallelPlan plan = ParallelPlan::fsdpBaseline();
+    plan.set(LayerClass::Transformer,
+             HierStrategy{Strategy::TP, Strategy::FSDP});
+    const PerfReport r =
+        perf.evaluate(desc, TaskSpec::preTraining(), plan);
+    ASSERT_TRUE(r.valid) << plan.toString() << " must fit";
+
+    std::string out = "plan=" + r.plan.toString() + "\n";
+    for (const ScheduledEvent &se : r.timeline.events) {
+        const TraceEvent &ev = se.event;
+        out += strfmt("%d %s %s layer=%d start=%.17g finish=%.17g\n",
+                      ev.id, ev.name.c_str(),
+                      toString(ev.stream).c_str(), ev.layerIdx,
+                      se.start, se.finish);
+    }
+    checkGolden("trace_vit_l_pretrain.txt", out);
 }
 
 TEST(GoldenReports, ServeEvaluateResponseBody)
