@@ -1,5 +1,6 @@
 #include "core/eval_context.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -35,21 +36,35 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
     // plan evaluated through this context reuses that validation.
     LayerProcessor processor(cluster(), desc, options().smModel);
 
-    const int num_layers = desc.graph.numLayers();
+    // Shapes: a layer's costs are a pure function of its shape, so
+    // only each shape's first layer is priced.
+    const ModelGraph &graph = desc.graph;
+    const int num_layers = graph.numLayers();
     costs_.resize(static_cast<size_t>(num_layers));
     for (int i = 0; i < num_layers; ++i) {
-        const Layer &layer = desc.graph.layer(i);
+        const Layer &layer = graph.layer(i);
         LayerCosts &lc = costs_[static_cast<size_t>(i)];
-        lc.fwdTime = processor.forwardTime(layer, task);
-        lc.bwdTime = processor.backwardTime(layer, task);
-        lc.category = processor.categoryOf(layer);
-        lc.fwdName = &layer.name();
-        lc.bwdName = layer.name() + "'";
         lc.cls = layer.layerClass();
-        std::vector<int> &members =
-            classLayers_[static_cast<size_t>(lc.cls)];
-        lc.classIndex = static_cast<uint32_t>(members.size());
-        members.push_back(i);
+        std::vector<int> &shapes =
+            classes_[static_cast<size_t>(lc.cls)].shapeLayers;
+        uint32_t shape = 0;
+        while (shape < shapes.size() &&
+               !layer.sameShape(graph.layer(shapes[shape])))
+            ++shape;
+        if (shape == shapes.size()) {
+            shapes.push_back(i);
+            lc.fwdTime = processor.forwardTime(layer, task);
+            lc.bwdTime = processor.backwardTime(layer, task);
+            lc.category = processor.categoryOf(layer);
+        } else {
+            const LayerCosts &rep =
+                costs_[static_cast<size_t>(shapes[shape])];
+            lc.fwdTime = rep.fwdTime;
+            lc.bwdTime = rep.bwdTime;
+            lc.category = rep.category;
+        }
+        lc.shapeId = shape;
+        lc.name = &layer.name();
     }
 
     // Consumer lists, flattened in two counting passes: layer d's
@@ -59,7 +74,7 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
     std::vector<uint32_t> begin(n + 1, 0);
     std::vector<int> last(n, -1);
     for (int i = 0; i < num_layers; ++i) {
-        for (int d : desc.graph.deps(i)) {
+        for (int d : graph.deps(i)) {
             if (std::exchange(last[static_cast<size_t>(d)], i) != i)
                 ++begin[static_cast<size_t>(d) + 1];
         }
@@ -70,7 +85,7 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
     std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
     last.assign(n, -1);
     for (int i = 0; i < num_layers; ++i) {
-        for (int d : desc.graph.deps(i)) {
+        for (int d : graph.deps(i)) {
             const size_t s = static_cast<size_t>(d);
             if (std::exchange(last[s], i) != i)
                 consumerIds_[fill[s]++] = i;
@@ -80,16 +95,54 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
         costs_[i].consumers = consumerIds_.data() + begin[i];
         costs_[i].numConsumers = begin[i + 1] - begin[i];
     }
+
+    // Templates: everything a layer's segments depend on besides its
+    // shape, in relative form (see core/segment_template.hh).
+    for (int i = 0; i < num_layers; ++i) {
+        LayerCosts &lc = costs_[static_cast<size_t>(i)];
+        ClassLayout &cl = classes_[static_cast<size_t>(lc.cls)];
+        uint32_t t = 0;
+        while (t < cl.templateLayers.size() &&
+               !sameTemplate(i, cl.templateLayers[t]))
+            ++t;
+        if (t == cl.templateLayers.size()) {
+            cl.templateLayers.push_back(i);
+            cl.templateCounts.push_back(0);
+        }
+        ++cl.templateCounts[t];
+        lc.templateId = t;
+    }
+}
+
+bool
+EvalContext::sameTemplate(int a, int b) const
+{
+    const LayerCosts &la = costs_[static_cast<size_t>(a)];
+    const LayerCosts &lb = costs_[static_cast<size_t>(b)];
+    if (la.shapeId != lb.shapeId || std::min(a, 2) != std::min(b, 2) ||
+        la.numConsumers != lb.numConsumers)
+        return false;
+    for (uint32_t k = 0; k < la.numConsumers; ++k) {
+        if (la.consumers[k] - a != lb.consumers[k] - b)
+            return false;
+    }
+    const std::vector<int> &da = desc_->graph.deps(a);
+    const std::vector<int> &db = desc_->graph.deps(b);
+    if (da.size() != db.size())
+        return false;
+    for (size_t k = 0; k < da.size(); ++k) {
+        if (a - da[k] != b - db[k])
+            return false;
+    }
+    return true;
 }
 
 size_t
 EvalContext::encode(HierStrategy hs)
 {
-    // The [5][5x5] table indexing assumes exactly five LayerClass and
-    // five Strategy values; a new enumerator must grow tables_
-    // alongside these or the lookups write past its end.
-    static_assert(static_cast<size_t>(LayerClass::MoE) + 1 == kNumClasses,
-                  "strategy tables assume 5 LayerClass values");
+    // The [class][5x5] table indexing assumes exactly five Strategy
+    // values; a new enumerator must grow tables_ alongside it or the
+    // lookups write past its end.
     static_assert(static_cast<size_t>(Strategy::MP) == 4,
                   "strategy table encoding assumes 5 Strategy values");
     return static_cast<size_t>(hs.intra) * 5 +
@@ -120,13 +173,13 @@ EvalContext::collectiveTableSize() const
     return collectiveTable_.size();
 }
 
-void
-EvalContext::buildStrategyTable(StrategyTable &table, LayerClass cls,
-                                HierStrategy hs) const
+EvalContext::StrategyTable &
+EvalContext::buildStrategyTable(std::atomic<StrategyTable *> &slot,
+                                LayerClass cls, HierStrategy hs) const
 {
     std::lock_guard<std::mutex> lock(buildMutex_);
-    if (table.ready.load(std::memory_order_acquire))
-        return; // Another thread built it while we waited.
+    if (StrategyTable *built = slot.load(std::memory_order_acquire))
+        return *built; // Another thread built it while we waited.
 
     // planLayer reads only the planned layer's class strategy, so a
     // plan mapping @p cls to @p hs yields exactly what any real plan
@@ -135,31 +188,37 @@ EvalContext::buildStrategyTable(StrategyTable &table, LayerClass cls,
     plan.set(cls, hs);
     CommPlanner planner(*desc_, *task_, plan, cluster());
 
-    const std::vector<int> &layers = classLayers_[static_cast<size_t>(cls)];
-    std::vector<std::vector<ResolvedCommOp>> per_layer(layers.size());
-    for (size_t k = 0; k < layers.size(); ++k) {
-        std::vector<ResolvedCommOp> &resolved = per_layer[k];
-        for (CommOp &op : planner.planLayer(layers[k])) {
+    // Same-shape layers plan identical collectives, so one
+    // representative per shape stands for the whole class.
+    const std::vector<int> &shapes =
+        classes_[static_cast<size_t>(cls)].shapeLayers;
+    auto table = std::make_unique<StrategyTable>();
+    table->perShape.resize(shapes.size());
+    for (size_t k = 0; k < shapes.size(); ++k) {
+        std::vector<ResolvedCommOp> &resolved = table->perShape[k];
+        for (const CommOp &op : planner.planLayer(shapes[k])) {
             CollectiveEstimate est =
                 collectiveEstimate(op.kind, op.scope, op.bytes);
             if (est.seconds <= 0.0)
                 continue;
             resolved.push_back(ResolvedCommOp{
                 op.phase, op.position, op.kind, commCategoryOf(op.kind),
-                op.blocking, est.seconds, std::move(op.tag), est.algo});
+                op.blocking, est.seconds, op.suffix, est.algo});
         }
     }
-    table.perLayer = std::move(per_layer);
-    table.ready.store(true, std::memory_order_release);
+    ownedTables_.push_back(std::move(table));
+    slot.store(ownedTables_.back().get(), std::memory_order_release);
+    return *ownedTables_.back();
 }
 
 EvalContext::StrategyTable &
 EvalContext::strategyTable(LayerClass cls, HierStrategy hs) const
 {
-    StrategyTable &table = tables_[static_cast<size_t>(cls)][encode(hs)];
-    if (!table.ready.load(std::memory_order_acquire))
-        buildStrategyTable(table, cls, hs);
-    return table;
+    std::atomic<StrategyTable *> &slot =
+        tables_[static_cast<size_t>(cls)][encode(hs)];
+    if (StrategyTable *table = slot.load(std::memory_order_acquire))
+        return *table;
+    return buildStrategyTable(slot, cls, hs);
 }
 
 const EvalContext::Segments &
@@ -171,13 +230,14 @@ EvalContext::segments(LayerClass cls, HierStrategy hs,
     if (!segs.ready.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(buildMutex_);
         if (!segs.ready.load(std::memory_order_acquire)) {
-            const std::vector<int> &layers =
-                classLayers_[static_cast<size_t>(cls)];
-            buildSegmentSet(*desc_, costs_, layers, table.perLayer,
-                            false, prefetch, segs.fwd);
+            const ClassLayout &cl = classes_[static_cast<size_t>(cls)];
+            buildSegmentSet(*desc_, costs_, cl.templateLayers,
+                            cl.templateCounts, table.perShape, false,
+                            prefetch, segs.fwd);
             if (task_->needsBackward()) {
-                buildSegmentSet(*desc_, costs_, layers, table.perLayer,
-                                true, prefetch, segs.bwd);
+                buildSegmentSet(*desc_, costs_, cl.templateLayers,
+                                cl.templateCounts, table.perShape, true,
+                                prefetch, segs.bwd);
             }
             segs.ready.store(true, std::memory_order_release);
         }
@@ -189,7 +249,7 @@ const std::vector<ResolvedCommOp> &
 EvalContext::plannedOps(int idx, HierStrategy hs) const
 {
     const LayerCosts &lc = costs_[static_cast<size_t>(idx)];
-    return strategyTable(lc.cls, hs).perLayer[lc.classIndex];
+    return strategyTable(lc.cls, hs).perShape[lc.shapeId];
 }
 
 PerfReport
@@ -263,7 +323,6 @@ struct EvalContext::Scratch
     EventGraph graph;
     FlatSchedule sched;
     SweepScratch sweep;
-    std::vector<SpliceRun> runs;
     std::vector<int32_t> fwdOut;
     std::vector<int32_t> bwdOut;
     std::vector<int32_t> computeIds;
@@ -308,61 +367,24 @@ EvalContext::evaluate(const ParallelPlan &plan) const
 void
 EvalContext::spliceGraph(Scratch &s, const ParallelPlan &plan) const
 {
-    const int num_layers = desc_->graph.numLayers();
     const bool backward = task_->needsBackward();
 
-    // Resolve each present class's segment arenas once (template
-    // construction only for (class, strategy) pairs this context has
-    // never seen); every layer's segment then splices straight from
-    // cache.
-    const Segments *by_class[kNumClasses] = {};
+    // Resolve each present class's template segments once (built only
+    // for (class, strategy) pairs this context has never seen); every
+    // layer then expands straight from cache.
+    PlanSegments sets;
     for (size_t c = 0; c < kNumClasses; ++c) {
-        if (!classLayers_[c].empty()) {
-            const LayerClass cls = static_cast<LayerClass>(c);
-            by_class[c] =
-                &segments(cls, plan.strategyFor(cls), plan.fsdpPrefetch);
-        }
+        if (classes_[c].templateLayers.empty())
+            continue;
+        const LayerClass cls = static_cast<LayerClass>(c);
+        const Segments &segs =
+            segments(cls, plan.strategyFor(cls), plan.fsdpPrefetch);
+        sets.fwd[c] = &segs.fwd;
+        if (backward)
+            sets.bwd[c] = &segs.bwd;
     }
-
-    // Maximal same-class layer runs, then one fused splice: a class's
-    // consecutive layers have consecutive class indices, so every run
-    // is a contiguous range of that class's packed arena (GPT-3's
-    // ~190-layer transformer stack is a single run per pass) and the
-    // splice cost scales with class alternations, not layer count.
-    // Backward sets hold the class's layers in emission order
-    // (descending), so a descending run starting at layer i maps to
-    // an ascending set range starting at |L(cls)|-1-classIndex(i).
-    std::vector<SpliceRun> &runs = s.runs;
-    runs.clear();
-    for (int i = 0; i < num_layers;) {
-        const LayerCosts &lc = costs_[static_cast<size_t>(i)];
-        int j = i + 1;
-        while (j < num_layers &&
-               costs_[static_cast<size_t>(j)].cls == lc.cls)
-            ++j;
-        runs.push_back(
-            SpliceRun{&by_class[static_cast<size_t>(lc.cls)]->fwd,
-                      lc.classIndex, static_cast<uint32_t>(j - i),
-                      false});
-        i = j;
-    }
-    if (backward) {
-        for (int i = num_layers - 1; i >= 0;) {
-            const LayerCosts &lc = costs_[static_cast<size_t>(i)];
-            const size_t c = static_cast<size_t>(lc.cls);
-            int j = i - 1;
-            while (j >= 0 && costs_[static_cast<size_t>(j)].cls == lc.cls)
-                --j;
-            const uint32_t class_size =
-                static_cast<uint32_t>(classLayers_[c].size());
-            runs.push_back(SpliceRun{&by_class[c]->bwd,
-                                     class_size - 1 - lc.classIndex,
-                                     static_cast<uint32_t>(i - j), true});
-            i = j;
-        }
-    }
-    spliceSegmentRuns(runs.data(), runs.size(), num_layers, backward,
-                      s.graph, s.fwdOut, s.bwdOut, s.computeIds);
+    spliceSegments(sets, costs_.data(), desc_->graph.numLayers(),
+                   backward, s.graph, s.fwdOut, s.bwdOut, s.computeIds);
 }
 
 } // namespace madmax

@@ -14,28 +14,36 @@
  *
  *  - specs are validated once (LayerProcessor / CommPlanner
  *    construction), not once per plan;
- *  - per-layer forward/backward compute times, breakdown categories,
- *    and the backward trace labels ("layer'") are precomputed;
- *  - the collective calls each layer needs under a given
- *    HierStrategy — including their modeled durations — are resolved
- *    once per (layer class, strategy) table, for that class's layers
- *    only, and shared by every plan that maps the class to that
+ *  - layers are grouped by shape (Layer::sameShape: everything but
+ *    the name) and by *template* — shape plus the layer's producer
+ *    and consumer offsets and its emission ordinal clamped at 2 — with
+ *    class-local ids computed once here, independent of strategy. A
+ *    transformer class of any depth has two shapes (attention, FFN)
+ *    and a handful of templates;
+ *  - per-layer forward/backward compute times and breakdown
+ *    categories are computed once per shape;
+ *  - the collective calls a class needs under a given HierStrategy —
+ *    including their modeled durations — are resolved once per
+ *    (layer class, strategy) table, for one representative layer per
+ *    shape, and shared by every plan that maps the class to that
  *    strategy, with a memoized collective-time table keyed on (kind,
  *    scope, bytes) deduplicating the underlying cost-model estimate
  *    calls;
- *  - per-(class, strategy, prefetch) segment arenas
- *    (core/segment_template.hh) hold that class's layers only and
- *    are built on first use, so a plan's event graph is spliced from
- *    cached segments instead of re-emitted layer by layer, and a
- *    one-off evaluation builds each layer's segments once;
- *  - trace-event names are owned here (stable storage), so the flat
- *    event graph only carries pointers and plans that do not retain a
- *    Timeline never copy a string.
+ *  - per-(class, strategy, prefetch) segment sets
+ *    (core/segment_template.hh) hold one symbolic segment per
+ *    template and are built on first use, so a plan's event graph is
+ *    expanded from cached templates layer by layer. Table and set
+ *    build cost, and the memory they hold, scale with distinct
+ *    templates, not with depth;
+ *  - trace labels are never stored per event: a node borrows its
+ *    layer's name from the ModelDesc and carries a NameSuffix, and
+ *    the label is composed only when a Timeline is retained.
  *
  * Thread safety: evaluate()/verdict()/plannedOps() are safe to call
- * concurrently. Per-(class, strategy) tables are built lazily under a
- * mutex on first use (a plan touches exactly one table per present
- * class) and are immutable once published.
+ * concurrently. Per-(class, strategy) tables and their segment sets
+ * are built lazily under a mutex on first use (a plan touches exactly
+ * one table per present class) and are immutable once published;
+ * shape and template ids are fixed at construction.
  *
  * Lifetime: the context borrows the PerfModel, ModelDesc, and
  * TaskSpec it was built from; all three must outlive it. The
@@ -50,6 +58,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
@@ -84,7 +93,7 @@ struct ResolvedCommOp
     EventCategory category = EventCategory::Other;
     bool blocking = true;
     double duration = 0.0; ///< Seconds; > 0 by construction.
-    std::string tag;       ///< Trace label (stable storage for graphs).
+    NameSuffix suffix = NameSuffix::None; ///< Trace label tail.
     CollAlgo algo = CollAlgo::None; ///< Algorithm the cost model chose.
 };
 
@@ -122,11 +131,10 @@ class EvalContext
     }
 
     /**
-     * Evaluate one plan: splice its event graph from the cached
-     * per-(layer class, strategy, prefetch) segment arenas (template
-     * construction is paid only the first time a class runs under a
-     * strategy),
-     * run the linear overlap sweep, and fill the report. Graph,
+     * Evaluate one plan: expand its event graph from the cached
+     * per-(layer class, strategy, prefetch) template segments (built
+     * only the first time a class runs under a strategy), run the
+     * linear overlap sweep, and fill the report. Graph,
      * schedule, and sweep buffers are per-thread and reused across
      * calls. The scheduled Timeline is materialized only when the
      * model retains timelines (PerfModelOptions::keepTimeline). OOM
@@ -138,18 +146,21 @@ class EvalContext
     /** Memory-only evaluation, identical to PerfModel::verdict. */
     PerfReport verdict(const ParallelPlan &plan) const;
 
-    /** Plan-invariant per-layer costs and trace labels. */
+    /** Plan-invariant per-layer costs, label base, and ids. */
     struct LayerCosts
     {
         double fwdTime = 0.0; ///< Forward compute seconds per device.
         double bwdTime = 0.0; ///< Backward compute seconds (0 inference).
         EventCategory category = EventCategory::Other;
-        const std::string *fwdName = nullptr; ///< &layer.name().
-        std::string bwdName; ///< layer.name() + "'" (backward label).
+        const std::string *name = nullptr; ///< &layer.name().
         LayerClass cls = LayerClass::BaseDense; ///< layer.layerClass().
-        /** Position among the layers of class `cls`, ascending — the
-         *  layer's entry in that class's tables and forward arenas. */
-        uint32_t classIndex = 0;
+        /** Class-local shape id: equal iff Layer::sameShape. Indexes
+         *  the class's per-shape collective tables. */
+        uint32_t shapeId = 0;
+        /** Class-local template id: equal iff same shape, same
+         *  producer and consumer offsets, and same emission ordinal
+         *  clamped at 2. Indexes the class's segment sets. */
+        uint32_t templateId = 0;
         /** Layers consuming this layer's output, ascending (points
          *  into context-owned storage). */
         const int *consumers = nullptr;
@@ -164,9 +175,9 @@ class EvalContext
     /**
      * The resolved collectives layer @p idx needs when its class runs
      * under @p hs. Built lazily per (class, strategy) pair (one
-     * CommPlanner pass over the class's layers, shared by all of
-     * them), then served lock-free. The returned vector and its tag
-     * strings are stable for the context's lifetime.
+     * CommPlanner pass over one layer per shape, shared by every
+     * layer of that shape), then served lock-free. The returned
+     * vector is stable for the context's lifetime.
      */
     const std::vector<ResolvedCommOp> &plannedOps(int idx,
                                                   HierStrategy hs) const;
@@ -176,10 +187,10 @@ class EvalContext
     size_t collectiveTableSize() const;
 
   private:
-    /** The packed segment arenas evaluate() splices from, for one
-     *  (class, strategy, fsdpPrefetch) binding: the class's layers in
-     *  emission order; bwd stays empty for forward-only tasks. Built
-     *  on first use, published once. */
+    /** The template segments evaluate() expands from, for one
+     *  (class, strategy, fsdpPrefetch) binding: one per class
+     *  template; bwd stays empty for forward-only tasks. Built on
+     *  first use, published once. */
     struct Segments
     {
         std::atomic<bool> ready{false};
@@ -187,29 +198,46 @@ class EvalContext
         SegmentSet bwd;
     };
 
-    /** Resolved ops for one class's layers (indexed by classIndex)
-     *  under one (intra, inter) strategy pair, published once, plus
-     *  its segment arenas per prefetch value (one-off evaluations
-     *  build only the variant they splice). */
+    /** Resolved ops for one class's shapes (indexed by shapeId)
+     *  under one (intra, inter) strategy pair, plus its segment sets
+     *  per prefetch value (one-off evaluations build only the variant
+     *  they splice). Allocated and published on first use. */
     struct StrategyTable
     {
-        std::atomic<bool> ready{false};
-        std::vector<std::vector<ResolvedCommOp>> perLayer;
+        std::vector<std::vector<ResolvedCommOp>> perShape;
         std::array<Segments, 2> segs; ///< Indexed by fsdpPrefetch.
     };
 
-    static constexpr size_t kNumClasses = 5;
+    /** One class's representatives: the first layer of each shape
+     *  and of each template, in id order, and each template's layer
+     *  count. */
+    struct ClassLayout
+    {
+        std::vector<int> shapeLayers;
+        std::vector<int> templateLayers;
+        std::vector<uint32_t> templateCounts;
+    };
+
+    static constexpr size_t kNumClasses = kNumLayerClasses;
     static constexpr size_t kNumStrategies = 25;
 
     static size_t encode(HierStrategy hs);
 
-    void buildStrategyTable(StrategyTable &table, LayerClass cls,
-                            HierStrategy hs) const;
+    /** True when layers @p a and @p b (same class) share a template:
+     *  same shape, same producer and consumer offsets, and the same
+     *  emission ordinal clamped at 2. */
+    bool sameTemplate(int a, int b) const;
+
+    /** Build and publish the table for @p cls under @p hs into
+     *  @p slot, unless another thread already did. */
+    StrategyTable &buildStrategyTable(std::atomic<StrategyTable *> &slot,
+                                      LayerClass cls,
+                                      HierStrategy hs) const;
 
     /** The (lazily built) table for @p cls under @p hs. */
     StrategyTable &strategyTable(LayerClass cls, HierStrategy hs) const;
 
-    /** The (lazily built) segment arenas for @p cls under @p hs and
+    /** The (lazily built) segment sets for @p cls under @p hs and
      *  @p prefetch. */
     const Segments &segments(LayerClass cls, HierStrategy hs,
                              bool prefetch) const;
@@ -232,13 +260,18 @@ class EvalContext
     TopologyCollectiveModel collectives_;
     std::vector<LayerCosts> costs_;
     std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.
-    /** Each class's layers, ascending (indexed by LayerClass). */
-    std::array<std::vector<int>, kNumClasses> classLayers_;
+    /** Indexed by LayerClass; empty for absent classes. */
+    std::array<ClassLayout, kNumClasses> classes_;
 
-    /** Indexed by [LayerClass][encode(hs)]. */
-    mutable std::array<std::array<StrategyTable, kNumStrategies>,
-                       kNumClasses>
-        tables_;
+    /** Indexed by [LayerClass][encode(hs)]; null until first use,
+     *  then set once (release) under buildMutex_. A context touches a
+     *  few of the 125 slots, so only those are allocated. */
+    mutable std::array<
+        std::array<std::atomic<StrategyTable *>, kNumStrategies>,
+        kNumClasses>
+        tables_{};
+    /** Owns the published tables (guarded by buildMutex_). */
+    mutable std::vector<std::unique_ptr<StrategyTable>> ownedTables_;
     mutable std::mutex buildMutex_;
 
     /** Keyed (kind, scope, bytes-bits); the context has one model. */

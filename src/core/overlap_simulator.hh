@@ -100,7 +100,7 @@ class OverlapSimulator
     /**
      * Schedule @p graph into caller-owned result and scratch buffers.
      * Node indices are trusted to satisfy the issue-order contract
-     * (spliceSegmentRuns guarantees it by construction). @p sched is
+     * (spliceSegments guarantees it by construction). @p sched is
      * fully overwritten (stale contents from a previous,
      * differently-sized graph are fine); scratch vectors are cleared
      * and refilled.

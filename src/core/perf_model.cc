@@ -18,7 +18,7 @@ PerfModel::PerfModel(ClusterSpec cluster, PerfModelOptions options)
             "groups); the flat performance model prices one homogeneous "
             "pool. Evaluate a single group via "
             "ClusterSpec::groupCluster(i), or search phase placements "
-            "across groups with ParetoEngine::exploreInference "
+            "across groups with exploreInferencePlacements "
             "(`madmax pareto --workload ...`)",
             cluster_.name.c_str(), cluster_.groups.size()));
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Symbolic per-layer event-segment arenas — the cache unit every
+ * Symbolic per-template event segments — the cache unit every
  * evaluation's event graph is spliced from.
  *
  * One iteration's event graph is a concatenation of per-layer
@@ -8,79 +8,78 @@
  * its post-phase collectives) in a fixed emission order: forward
  * layers 0..N-1, then backward layers N-1..0, then the iteration-end
  * barrier. Within a segment, everything — event count, durations,
- * labels, blocking flags, and the *shape* of every dependency — is
- * fully determined by (layer, the layer class's HierStrategy,
- * fsdpPrefetch, pass direction) and is independent of what strategies
- * the other classes picked. Only the absolute event ids a segment's
- * dependencies resolve to change from plan to plan.
+ * categories, blocking flags, label suffixes, and the *shape* of
+ * every dependency — is determined by the layer's shape
+ * (Layer::sameShape), its class's (HierStrategy, fsdpPrefetch), the
+ * pass direction, and the layer's place in the graph *relative to
+ * itself*: which layers it consumes and feeds, as offsets, and
+ * whether it has 0, 1 or 2+ compute events before it. Only the layer
+ * index and name (written per copied node) and the absolute event ids
+ * the dependencies resolve to change from layer to layer and plan to
+ * plan.
  *
- * A SegmentSet captures one pass direction of one layer class under
- * one (strategy, prefetch) binding: the segments of that class's
- * layers packed back-to-back in emission order, with the
- * dependencies in symbolic form. The EvalContext builds a set once
- * per (class, strategy, prefetch, pass) and splices concrete flat
- * EventGraphs from it for any plan that maps the class to that
- * strategy. Because consecutive same-class layers occupy consecutive
- * arena ranges, a splice is a handful of long contiguous copies (one
- * per class *run*) plus a flat dependency-resolution sweep — not a
- * pointer chase across hundreds of per-layer objects.
+ * The EvalContext therefore gives every layer a class-local
+ * *template id* for that (shape, producer offsets, consumer offsets,
+ * min(ordinal, 2)) key — a transformer stack of any depth has a
+ * handful — and a SegmentSet holds one symbolic segment per template
+ * of one class for one (strategy, prefetch, pass direction). Its size
+ * is O(distinct templates), not O(layers). The splicer expands a plan
+ * layer by layer, copying each layer's template segment and
+ * resolving its dependencies in one flat pass.
  *
  * The symbolic dependency kinds are the only ways the stream builder
- * (core/stream_builder.hh) ever wires an edge:
+ * (core/stream_builder.hh) ever wires an edge, each stored relative
+ * to the segment being spliced:
  *
  *  - Local:     an earlier event of the same segment (pre-comm ->
  *               compute, compute -> post-comm chains);
- *  - FwdOut:    the forward visible output of another layer (data
- *               deps, and the incoming-gradient fallback of the last
- *               layer);
- *  - BwdOut:    the backward visible output of a consumer layer
- *               (incoming gradients);
- *  - ComputeAt: the compute event of an earlier emission ordinal
- *               (FSDP parameter-gather issue anchors — the k-th most
- *               recent compute, k = 1 without prefetch, k = 2 with,
- *               Fig. 9 — folded to an absolute ordinal at pack time).
+ *  - FwdOut:    the forward visible output of another layer, as a
+ *               layer offset (data deps, and the incoming-gradient
+ *               fallback of a layer nothing consumes);
+ *  - BwdOut:    the backward visible output of a consumer layer, as a
+ *               layer offset (incoming gradients);
+ *  - ComputeAt: the compute event k emission ordinals back (FSDP
+ *               parameter-gather issue anchors — k = 1 without
+ *               prefetch, k = 2 with, Fig. 9).
  *
  * All four resolve against state the splicer carries forward anyway
- * (per-layer output ids and the compute-event list), so instantiation
- * never inspects other sets. Whether a FwdOut/BwdOut/ComputeAt
- * dependency *exists* is decided statically at arena-build time:
- * emission order makes "already built" equivalent to an index
- * comparison (producers precede consumers), and the compute-event
- * count before a segment equals its whole-graph emission ordinal
- * (layer i forward, 2N-1-i backward), which the builder passes in
- * explicitly because a class's set skips the other classes' layers.
+ * (per-layer output ids and the compute-event list, indexed by
+ * emission ordinal: layer i forward, 2N-1-i backward), so
+ * instantiation never inspects other sets. Whether a dependency
+ * *exists* is decided when the template is built: producers precede
+ * consumers, so it is a sign test on the offset, and a ComputeAt
+ * anchor exists iff the ordinal is at least k, which min(ordinal, 2)
+ * in the template key fixes (a backward ordinal is always >= 2 once
+ * N >= 2).
  */
 
 #ifndef MADMAX_CORE_SEGMENT_TEMPLATE_HH
 #define MADMAX_CORE_SEGMENT_TEMPLATE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "model/layer.hh"
 #include "trace/event_graph.hh"
 
 namespace madmax
 {
 
 /**
- * One symbolic dependency of a templated event. Every kind resolves
- * with one indexed load (or one add) against state whose entries for
- * a run are filled before its dependency sweep, so the splicer
- * resolves a run's dependencies in a single flat pass with no
- * per-segment bookkeeping.
+ * One symbolic dependency of a templated event: one add (Local) or
+ * one indexed load at (anchor + value), where the anchor is the
+ * segment's first node (Local), its layer (FwdOut, BwdOut) or its
+ * emission ordinal (ComputeAt).
  */
 struct SymDep
 {
     enum class Kind : uint8_t
     {
-        Local,     ///< value = *arena* index of an earlier event of
-                   ///  the same segment (resolves by adding the run's
-                   ///  node shift).
-        FwdOut,    ///< value = layer whose forward output gates this.
-        BwdOut,    ///< value = layer whose backward output gates this.
-        ComputeAt, ///< value = emission ordinal whose compute event
-                   ///  gates this (FSDP gather issue anchors, folded
-                   ///  from "k-th most recent" at pack time).
+        Local,     ///< value = segment-local index of an earlier event.
+        FwdOut,    ///< value = producer layer - this layer.
+        BwdOut,    ///< value = consumer layer - this layer.
+        ComputeAt, ///< value = -k: the compute event k ordinals back.
     };
 
     Kind kind = Kind::Local;
@@ -88,20 +87,16 @@ struct SymDep
 };
 
 /**
- * The cached event subgraphs one layer class's layers contribute to
- * one pass direction under one (HierStrategy, fsdpPrefetch) binding,
- * packed into two flat arenas in emission order — forward sets hold
- * the class's layers ascending, backward sets descending — so set
- * entry e is the class's e-th layer (forward) or its (|L|-1-e)-th
- * (backward); each entry records its layer.
+ * The template segments of one layer class for one pass direction
+ * under one (HierStrategy, fsdpPrefetch) binding, packed into two flat
+ * arenas: segment t is template t's (EvalContext::LayerCosts::
+ * templateId).
  *
- * Events are stored as ready-made EventNodes (names borrowed from the
- * owning EvalContext's stable storage) whose depsBegin/depsCount
- * address the *symbolic* arena, which corresponds 1:1 in order with
- * the concrete dependency list a splice instantiates. Splicing a run
- * of consecutive segments is therefore one bulk node copy with a
- * run-constant depsBegin shift plus one flat dependency-resolution
- * sweep over the same index range.
+ * Events are stored as ready-made EventNodes with their name left
+ * null and layerIdx unset (the splicer writes both per copied layer);
+ * each node's depsBegin is relative to its segment's depBegin, and
+ * its dependency list corresponds 1:1 in order with the concrete one
+ * a splice instantiates.
  */
 struct SegmentSet
 {
@@ -117,31 +112,32 @@ struct SegmentSet
     struct Seg
     {
         uint32_t eventBegin = 0; ///< First event in `events`.
+        uint32_t numEvents = 0;
         uint32_t depBegin = 0;   ///< First symbolic dep in `deps`.
+        uint32_t numDeps = 0;
         int32_t outputLocal = -1;  ///< Visible output, segment-local.
         int32_t computeLocal = -1; ///< Compute event, segment-local.
-        int32_t layer = -1;        ///< Graph index of the layer.
     };
 
-    /** One entry per segment in emission order, plus a sentinel whose
-     *  eventBegin/depBegin are the arena sizes — segment e spans
-     *  [segs[e].eventBegin, segs[e+1].eventBegin). */
-    std::vector<Seg> segs;
+    std::vector<Seg> segs; ///< Indexed by template id.
+
+    /** Events and dependencies the class's layers expand to in one
+     *  pass (each template's counts times its layer count), so a
+     *  splice sizes its graph without walking the layers. */
+    size_t expandedEvents = 0;
+    size_t expandedDeps = 0;
 };
 
 /**
- * One maximal run of consecutive same-class segments to splice: @p
- * count segments of @p set starting at set index @p first. Runs are
- * what EvalContext::spliceGraph hands the splicer — a plan's graph is
- * the forward runs in layer order, then (for backward tasks) the
- * backward runs in reverse layer order.
+ * The sets one plan's graph is spliced from, indexed by LayerClass:
+ * each present class's forward set, and for backward tasks its
+ * backward set, under the strategy the plan maps the class to. Null
+ * for absent classes.
  */
-struct SpliceRun
+struct PlanSegments
 {
-    const SegmentSet *set = nullptr;
-    uint32_t first = 0; ///< First segment index within *set.
-    uint32_t count = 0; ///< Number of consecutive segments.
-    bool backward = false;
+    std::array<const SegmentSet *, kNumLayerClasses> fwd{};
+    std::array<const SegmentSet *, kNumLayerClasses> bwd{};
 };
 
 } // namespace madmax

@@ -7,10 +7,10 @@ namespace
 {
 
 /**
- * What one per-layer segment emission reads: the layer's compute cost
- * and label, its resolved collectives, and the graph topology for
- * data / gradient dependencies (consumer lists precomputed by the
- * EvalContext).
+ * What one template segment emission reads: the representative
+ * layer's compute cost, its resolved collectives, and the graph
+ * topology for data / gradient dependencies (consumer lists
+ * precomputed by the EvalContext).
  */
 struct SegmentSpec
 {
@@ -19,7 +19,6 @@ struct SegmentSpec
     size_t ordinal = 0; ///< Whole-graph emission ordinal.
     const int *consumers = nullptr;
     uint32_t numConsumers = 0;
-    const std::string *computeName = nullptr;
     double computeTime = 0.0;
     EventCategory category = EventCategory::Other;
     const std::vector<ResolvedCommOp> *ops = nullptr;
@@ -28,16 +27,16 @@ struct SegmentSpec
 };
 
 /**
- * Emits segments symbolically into a SegmentSet arena
+ * Emits template segments symbolically into a SegmentSet arena
  * (buildSegmentSet). Whether a FwdOut/BwdOut/ComputeAt dependency
  * exists is decided here, from emission order alone: in the forward
  * pass layer d's output exists iff d < idx (dependencies point
  * backwards), in the backward pass every forward output exists and
  * consumer c's backward output exists iff c > idx; the compute-event
  * count before a segment is its whole-graph emission ordinal (layer
- * i forward, 2N-1-i backward), given per segment since a class's set
- * skips the other classes' layers. That is why the arena is
- * plan-independent.
+ * i forward, 2N-1-i backward). Every dependency is stored relative to
+ * the emitting layer, which is why one segment serves every layer of
+ * its template, under any plan.
  */
 class TemplateEmitter
 {
@@ -50,11 +49,11 @@ class TemplateEmitter
         backward_ = backward;
         ordinal_ = ordinal;
         segEventBase_ = set_.events.size();
+        segDepBase_ = set_.deps.size();
         staged_ = 0;
         SegmentSet::Seg seg;
-        seg.eventBegin = static_cast<uint32_t>(set_.events.size());
-        seg.depBegin = static_cast<uint32_t>(set_.deps.size());
-        seg.layer = idx;
+        seg.eventBegin = static_cast<uint32_t>(segEventBase_);
+        seg.depBegin = static_cast<uint32_t>(segDepBase_);
         set_.segs.push_back(seg);
     }
 
@@ -64,25 +63,19 @@ class TemplateEmitter
 
     void depLocal(int32_t local)
     {
-        // Fold to an arena index so the splicer resolves it with the
-        // run's node shift alone.
-        stage(SymDep{SymDep::Kind::Local,
-                     static_cast<int32_t>(segEventBase_) + local});
+        stage(SymDep{SymDep::Kind::Local, local});
     }
 
     void depComputeBack(size_t k)
     {
-        // Fold "k-th most recent compute" to the absolute emission
-        // ordinal it names — ordinal arithmetic is plan-independent.
-        stage(SymDep{SymDep::Kind::ComputeAt,
-                     static_cast<int32_t>(computeCountBefore() - k)});
+        stage(SymDep{SymDep::Kind::ComputeAt, -static_cast<int32_t>(k)});
     }
 
     bool depFwdOut(int layer)
     {
         if (!backward_ && layer >= idx_)
             return false;
-        stage(SymDep{SymDep::Kind::FwdOut, layer});
+        stage(SymDep{SymDep::Kind::FwdOut, layer - idx_});
         return true;
     }
 
@@ -90,27 +83,26 @@ class TemplateEmitter
     {
         if (!backward_ || layer <= idx_)
             return false;
-        stage(SymDep{SymDep::Kind::BwdOut, layer});
+        stage(SymDep{SymDep::Kind::BwdOut, layer - idx_});
         return true;
     }
 
-    int32_t addEvent(const std::string *name, StreamKind stream,
+    int32_t addEvent(NameSuffix suffix, StreamKind stream,
                      EventCategory category, double duration,
                      bool blocking, CollAlgo algo)
     {
         EventNode ev;
-        ev.name = name;
+        ev.suffix = suffix;
         ev.stream = stream;
         ev.category = category;
         ev.algo = algo;
         ev.blocking = blocking;
         ev.backward = backward_;
-        ev.layerIdx = idx_;
         ev.duration = duration;
-        // Arena-relative cumulative offset — exactly what the splicer
-        // needs, since instantiated dependency lists keep arena order.
-        ev.depsBegin =
-            static_cast<uint32_t>(set_.deps.size() - staged_);
+        // Segment-relative offset: the splicer adds the position the
+        // segment's dependencies land at in the concrete graph.
+        ev.depsBegin = static_cast<uint32_t>(set_.deps.size() - staged_ -
+                                             segDepBase_);
         ev.depsCount = static_cast<uint32_t>(staged_);
         staged_ = 0;
         set_.events.push_back(ev);
@@ -125,7 +117,11 @@ class TemplateEmitter
     }
     void finishSegment(int32_t outLocal)
     {
-        set_.segs.back().outputLocal = outLocal;
+        SegmentSet::Seg &seg = set_.segs.back();
+        seg.outputLocal = outLocal;
+        seg.numEvents =
+            static_cast<uint32_t>(set_.events.size() - segEventBase_);
+        seg.numDeps = static_cast<uint32_t>(set_.deps.size() - segDepBase_);
     }
 
   private:
@@ -138,6 +134,7 @@ class TemplateEmitter
     SegmentSet &set_;
     size_t ordinal_ = 0; ///< Emission ordinal of this segment.
     size_t segEventBase_ = 0; ///< First arena event of this segment.
+    size_t segDepBase_ = 0;   ///< First arena dep of this segment.
     size_t staged_ = 0; ///< Symbolic deps staged since clearDeps().
     int idx_ = 0;
     bool backward_ = false;
@@ -199,7 +196,7 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
             stageGradDeps();
         else
             stageDataDeps();
-        pre_ids.push_back(em.addEvent(&op.tag,
+        pre_ids.push_back(em.addEvent(op.suffix,
                                       StreamKind::Communication,
                                       op.category, op.duration,
                                       op.blocking, op.algo));
@@ -216,7 +213,9 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
             em.depLocal(p);
         stageDataDeps();
     }
-    int32_t cid = em.addEvent(s.computeName, StreamKind::Compute,
+    int32_t cid = em.addEvent(s.backward ? NameSuffix::Backward
+                                         : NameSuffix::None,
+                              StreamKind::Compute,
                               s.category, s.computeTime, true,
                               CollAlgo::None);
     em.markCompute(cid);
@@ -228,7 +227,7 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
             continue;
         em.clearDeps();
         em.depLocal(out);
-        int32_t eid = em.addEvent(&op.tag, StreamKind::Communication,
+        int32_t eid = em.addEvent(op.suffix, StreamKind::Communication,
                                   op.category, op.duration,
                                   op.blocking, op.algo);
         if (op.blocking)
@@ -246,29 +245,74 @@ iterEndEventName()
     return name;
 }
 
+/**
+ * Expand layer @p layer's template segment from @p set at the graph's
+ * current end (@p nodePos / @p depPos, advanced past it): copy its
+ * nodes with the layer's index and name written in, resolve its
+ * symbolic dependencies against @p fwdOut / @p bwdOut /
+ * @p computeIds (entries of earlier emissions, all filled already),
+ * and record its visible output and compute event.
+ */
+inline void
+expandSegment(const SegmentSet &set, const EvalContext::LayerCosts &lc,
+              int layer, size_t ordinal, bool backward, EventNode *nodes,
+              int32_t *deps, size_t &nodePos, size_t &depPos,
+              int32_t *fwdOut, int32_t *bwdOut, int32_t *computeIds)
+{
+    // A local copy: the node and dependency stores below could alias
+    // a reference's fields and force reloads.
+    const SegmentSet::Seg seg = set.segs[lc.templateId];
+    const int32_t base = static_cast<int32_t>(nodePos);
+    const uint32_t dep_base = static_cast<uint32_t>(depPos);
+
+    const EventNode *src = set.events.data() + seg.eventBegin;
+    for (uint32_t e = 0; e < seg.numEvents; ++e) {
+        EventNode &dst = nodes[nodePos + e];
+        dst = src[e];
+        dst.name = lc.name;
+        dst.layerIdx = layer;
+        dst.depsBegin += dep_base;
+    }
+
+    const SymDep *sym = set.deps.data() + seg.depBegin;
+    const int32_t l = static_cast<int32_t>(layer);
+    const int32_t ord = static_cast<int32_t>(ordinal);
+    int32_t *out = deps + depPos;
+    for (uint32_t k = 0; k < seg.numDeps; ++k) {
+        const int32_t v = sym[k].value;
+        switch (sym[k].kind) {
+          case SymDep::Kind::Local: out[k] = base + v; break;
+          case SymDep::Kind::FwdOut: out[k] = fwdOut[l + v]; break;
+          case SymDep::Kind::BwdOut: out[k] = bwdOut[l + v]; break;
+          case SymDep::Kind::ComputeAt: out[k] = computeIds[ord + v]; break;
+        }
+    }
+
+    (backward ? bwdOut : fwdOut)[layer] = base + seg.outputLocal;
+    computeIds[ordinal] = base + seg.computeLocal;
+    nodePos += seg.numEvents;
+    depPos += seg.numDeps;
+}
+
 } // namespace
 
 void
 buildSegmentSet(
     const ModelDesc &desc,
     const std::vector<EvalContext::LayerCosts> &costs,
-    const std::vector<int> &layers,
-    const std::vector<std::vector<ResolvedCommOp>> &perLayerOps,
+    const std::vector<int> &templateLayers,
+    const std::vector<uint32_t> &templateCounts,
+    const std::vector<std::vector<ResolvedCommOp>> &shapeOps,
     bool backwardPass, bool prefetch, SegmentSet &out)
 {
     const size_t num_layers = static_cast<size_t>(desc.graph.numLayers());
-    const size_t count = layers.size();
     out.events.clear();
     out.deps.clear();
     out.segs.clear();
-    out.segs.reserve(count + 1);
+    out.segs.reserve(templateLayers.size());
 
-    // Emit in emission order — ascending forward, descending backward
-    // — so consecutive same-class layers are consecutive arena ranges.
     TemplateEmitter em(out);
-    for (size_t e = 0; e < count; ++e) {
-        const size_t k = backwardPass ? count - 1 - e : e;
-        const int i = layers[k];
+    for (int i : templateLayers) {
         const EvalContext::LayerCosts &lc = costs[static_cast<size_t>(i)];
         SegmentSpec spec;
         spec.graph = &desc.graph;
@@ -278,124 +322,72 @@ buildSegmentSet(
             : static_cast<size_t>(i);
         spec.consumers = lc.consumers;
         spec.numConsumers = lc.numConsumers;
-        spec.computeName = backwardPass ? &lc.bwdName : lc.fwdName;
         spec.computeTime = backwardPass ? lc.bwdTime : lc.fwdTime;
         spec.category = lc.category;
-        spec.ops = &perLayerOps[k];
+        spec.ops = &shapeOps[lc.shapeId];
         spec.prefetch = prefetch;
         spec.backward = backwardPass;
         emitLayerSegment(spec, em);
     }
 
-    SegmentSet::Seg sentinel;
-    sentinel.eventBegin = static_cast<uint32_t>(out.events.size());
-    sentinel.depBegin = static_cast<uint32_t>(out.deps.size());
-    out.segs.push_back(sentinel);
+    out.expandedEvents = 0;
+    out.expandedDeps = 0;
+    for (size_t t = 0; t < templateCounts.size(); ++t) {
+        out.expandedEvents += size_t{templateCounts[t]} *
+            out.segs[t].numEvents;
+        out.expandedDeps += size_t{templateCounts[t]} * out.segs[t].numDeps;
+    }
 }
 
 void
-spliceSegmentRuns(const SpliceRun *runs, size_t numRuns, int numLayers,
-                  bool withBackward, EventGraph &graph,
-                  std::vector<int32_t> &fwdOut,
-                  std::vector<int32_t> &bwdOut,
-                  std::vector<int32_t> &computeIds)
+spliceSegments(const PlanSegments &sets,
+               const EvalContext::LayerCosts *costs, int numLayers,
+               bool withBackward, EventGraph &graph,
+               std::vector<int32_t> &fwdOut, std::vector<int32_t> &bwdOut,
+               std::vector<int32_t> &computeIds)
 {
     const size_t nl = static_cast<size_t>(numLayers);
 
     // Size the whole graph once (segments plus the iteration-end
     // barrier, which depends on every other node), then fill through
-    // raw pointers — no per-segment vector bookkeeping. Run extents
-    // come straight from the arena offsets.
+    // raw pointers. Each set knows what its class expands to.
     size_t total_nodes = 0;
     size_t total_deps = 0;
-    for (size_t r = 0; r < numRuns; ++r) {
-        const SegmentSet::Seg *segs = runs[r].set->segs.data();
-        const uint32_t lo = runs[r].first;
-        const uint32_t hi = runs[r].first + runs[r].count;
-        total_nodes += segs[hi].eventBegin - segs[lo].eventBegin;
-        total_deps += segs[hi].depBegin - segs[lo].depBegin;
+    for (size_t c = 0; c < kNumLayerClasses; ++c) {
+        for (const SegmentSet *set : {sets.fwd[c], sets.bwd[c]}) {
+            if (set != nullptr) {
+                total_nodes += set->expandedEvents;
+                total_deps += set->expandedDeps;
+            }
+        }
     }
     graph.nodes.resize(total_nodes + 1);
     graph.deps.resize(total_deps + total_nodes);
     fwdOut.assign(nl, -1);
     bwdOut.assign(nl, -1);
-    // Indexed by emission ordinal; every slot is written in a run's
-    // pass 1 before any dependency reads it, so no fill value needed.
+    // Indexed by emission ordinal; every slot is written before any
+    // dependency reads it, so no fill value is needed.
     computeIds.resize(withBackward ? 2 * nl : nl);
 
     EventNode *nodes = graph.nodes.data();
     int32_t *deps = graph.deps.data();
     size_t node_pos = 0;
     size_t dep_pos = 0;
-    for (size_t r = 0; r < numRuns; ++r) {
-        const SegmentSet &set = *runs[r].set;
-        const SegmentSet::Seg *segs = set.segs.data();
-        const uint32_t first = runs[r].first;
-        const uint32_t last = runs[r].first + runs[r].count;
-        const uint32_t ev_begin = segs[first].eventBegin;
-        const size_t run_nodes = segs[last].eventBegin - ev_begin;
-        const uint32_t dp_begin = segs[first].depBegin;
-        const size_t run_deps = segs[last].depBegin - dp_begin;
-
-        // Bulk node copy — one contiguous read stream for the whole
-        // run, with a run-constant dependency-offset shift (the
-        // arena's cumulative offsets and the graph's concrete ones
-        // differ by the same amount for every event of the run).
-        const EventNode *src = set.events.data() + ev_begin;
-        const uint32_t dep_shift =
-            static_cast<uint32_t>(dep_pos) - dp_begin;
-        for (size_t e = 0; e < run_nodes; ++e) {
-            EventNode &dst = nodes[node_pos + e];
-            dst = src[e];
-            dst.depsBegin += dep_shift;
+    for (size_t i = 0; i < nl; ++i) {
+        const EvalContext::LayerCosts &lc = costs[i];
+        expandSegment(*sets.fwd[static_cast<size_t>(lc.cls)], lc,
+                      static_cast<int>(i), i, false, nodes, deps,
+                      node_pos, dep_pos, fwdOut.data(), bwdOut.data(),
+                      computeIds.data());
+    }
+    if (withBackward) {
+        for (size_t i = nl; i-- > 0;) {
+            const EvalContext::LayerCosts &lc = costs[i];
+            expandSegment(*sets.bwd[static_cast<size_t>(lc.cls)], lc,
+                          static_cast<int>(i), 2 * nl - 1 - i, true,
+                          nodes, deps, node_pos, dep_pos, fwdOut.data(),
+                          bwdOut.data(), computeIds.data());
         }
-
-        // Pass 1: record every segment's visible output and compute
-        // event id — pure index arithmetic, independent of the
-        // dependency sweep. computeIds is indexed by emission ordinal
-        // (layer i forward, 2N-1-i backward).
-        const bool bwd = runs[r].backward;
-        const int32_t node_shift = static_cast<int32_t>(node_pos) -
-                                   static_cast<int32_t>(ev_begin);
-        int32_t *outArr = (bwd ? bwdOut : fwdOut).data();
-        for (uint32_t j = first; j < last; ++j) {
-            const int32_t base =
-                node_shift + static_cast<int32_t>(segs[j].eventBegin);
-            const size_t layer = static_cast<size_t>(segs[j].layer);
-            outArr[layer] = base + segs[j].outputLocal;
-            computeIds[bwd ? 2 * nl - 1 - layer : layer] =
-                base + segs[j].computeLocal;
-        }
-
-        // Pass 2: one flat, branch-predictable sweep resolves the
-        // run's whole symbolic-dependency range — every kind is a
-        // single indexed load or add against state pass 1 (or an
-        // earlier run) already filled; dependencies only ever point
-        // at earlier emissions, so nothing here races the fill.
-        const SymDep *sym = set.deps.data();
-        int32_t *out = deps + dep_pos;
-        const uint32_t dp_end = segs[last].depBegin;
-        for (uint32_t k = dp_begin; k < dp_end; ++k) {
-            int32_t resolved = 0;
-            switch (sym[k].kind) {
-              case SymDep::Kind::Local:
-                resolved = node_shift + sym[k].value;
-                break;
-              case SymDep::Kind::FwdOut:
-                resolved = fwdOut[static_cast<size_t>(sym[k].value)];
-                break;
-              case SymDep::Kind::BwdOut:
-                resolved = bwdOut[static_cast<size_t>(sym[k].value)];
-                break;
-              case SymDep::Kind::ComputeAt:
-                resolved =
-                    computeIds[static_cast<size_t>(sym[k].value)];
-                break;
-            }
-            out[k - dp_begin] = resolved;
-        }
-        node_pos += run_nodes;
-        dep_pos += run_deps;
     }
 
     // Iteration-end barrier: a zero-duration compute event depending
@@ -403,9 +395,10 @@ spliceSegmentRuns(const SpliceRun *runs, size_t numRuns, int numLayers,
     // bound the makespan.
     EventNode &end = nodes[total_nodes];
     end.name = &iterEndEventName();
+    end.suffix = NameSuffix::None; // nodes[] is reused — clear
+    end.algo = CollAlgo::None;     // every field explicitly.
     end.stream = StreamKind::Compute;
     end.category = EventCategory::Other;
-    end.algo = CollAlgo::None; // nodes[] is reused — clear explicitly.
     end.blocking = true;
     end.backward = withBackward;
     end.layerIdx = -1;

@@ -16,12 +16,15 @@
  *    letting them hide behind the preceding layer's compute.
  *
  * It works in two steps. buildSegmentSet emits one layer class's
- * segments symbolically (core/segment_template.hh) once per (class,
- * strategy, prefetch, pass direction) — the EvalContext caches the
- * arenas with its per-class strategy tables. spliceSegmentRuns then
- * assembles any plan's concrete flat EventGraph from those arenas in
- * one pass. Nodes carry borrowed name pointers; strings are copied
- * only when a caller retains the Timeline.
+ * template segments symbolically (core/segment_template.hh) once per
+ * (class, strategy, prefetch, pass direction), one segment per
+ * distinct layer template rather than per layer — the EvalContext
+ * caches the sets with its per-class strategy tables. spliceSegments
+ * then expands any plan's concrete flat EventGraph from those sets
+ * layer by layer in one pass, stamping each copied node with its
+ * layer index and name. Nodes carry the borrowed layer name plus a
+ * NameSuffix; labels are composed only when a caller retains the
+ * Timeline.
  */
 
 #ifndef MADMAX_CORE_STREAM_BUILDER_HH
@@ -37,42 +40,40 @@ namespace madmax
 {
 
 /**
- * Generate the packed segment arena of the layers in @p layers (one
- * class's layers, ascending) for one pass direction under one (ops
- * table, prefetch) binding; @p perLayerOps[k] holds the resolved ops
- * of layers[k]. Segments land in emission order (forward ascending,
- * backward descending), each carrying its layer and wired with its
- * whole-graph emission ordinal, so the arena splices into any plan's
- * graph. Name pointers borrow from @p costs and @p perLayerOps, so
- * the set is valid exactly as long as its owning EvalContext
- * strategy table.
+ * Generate one layer class's template segments for one pass direction
+ * under one (ops table, prefetch) binding: segment t is emitted from
+ * layer @p templateLayers[t] (the first layer with template id t),
+ * with its collectives taken from @p shapeOps[costs[layer].shapeId]
+ * and every dependency stored relative to the layer, so the segment
+ * splices for every layer sharing the template. @p templateCounts[t]
+ * is how many layers use template t (sizes the expansion).
  */
 void buildSegmentSet(
     const ModelDesc &desc,
     const std::vector<EvalContext::LayerCosts> &costs,
-    const std::vector<int> &layers,
-    const std::vector<std::vector<ResolvedCommOp>> &perLayerOps,
+    const std::vector<int> &templateLayers,
+    const std::vector<uint32_t> &templateCounts,
+    const std::vector<std::vector<ResolvedCommOp>> &shapeOps,
     bool backwardPass, bool prefetch, SegmentSet &out);
 
 /**
- * Splice a full iteration from packed segment arenas: @p runs holds
- * the maximal same-class segment runs in emission order — forward
- * runs covering layers 0..N-1, then (when @p withBackward) backward
- * runs covering layers N-1..0, each run a contiguous range of its
- * class's set — and the graph is rebuilt in one pass:
- * a single sizing of the node/dep arrays, one bulk contiguous node
- * copy per run, a flat symbolic-dependency resolution sweep, and the
- * iteration-end barrier (a zero-duration compute event depending on
- * every other node). The result is ready for
- * OverlapSimulator::scheduleGraphInto. @p fwdOut / @p bwdOut /
- * @p computeIds are caller-owned state reused across splices
- * (resized/cleared here).
+ * Splice a full iteration from template segments: forward layers
+ * 0..N-1, then (when @p withBackward) backward layers N-1..0, each a
+ * copy of its template's segment in @p sets (picked by the layer's
+ * class and template id in @p costs) with the layer's index and name
+ * written in and its dependencies resolved in one flat sweep, then
+ * the iteration-end barrier (a zero-duration compute event depending
+ * on every other node). The node/dep arrays are sized once. The
+ * result is ready for OverlapSimulator::scheduleGraphInto. @p fwdOut
+ * / @p bwdOut / @p computeIds are caller-owned state reused across
+ * splices (resized here).
  */
-void spliceSegmentRuns(const SpliceRun *runs, size_t numRuns,
-                       int numLayers, bool withBackward,
-                       EventGraph &graph, std::vector<int32_t> &fwdOut,
-                       std::vector<int32_t> &bwdOut,
-                       std::vector<int32_t> &computeIds);
+void spliceSegments(const PlanSegments &sets,
+                    const EvalContext::LayerCosts *costs, int numLayers,
+                    bool withBackward, EventGraph &graph,
+                    std::vector<int32_t> &fwdOut,
+                    std::vector<int32_t> &bwdOut,
+                    std::vector<int32_t> &computeIds);
 
 } // namespace madmax
 

@@ -403,17 +403,6 @@ exploreInferencePlacements(const ModelDesc &desc,
     return out;
 }
 
-InferencePlacementFrontier
-ParetoEngine::exploreInference(const ModelDesc &desc,
-                               const InferenceWorkload &workload,
-                               const ClusterSpec &cluster,
-                               const ParetoOptions &options,
-                               EvalEngine *engine)
-{
-    return exploreInferencePlacements(desc, workload, cluster, options,
-                                      engine);
-}
-
 JsonValue
 toJson(const InferencePlacementFrontier &frontier)
 {

@@ -212,19 +212,6 @@ class ParetoEngine
     ParetoFrontier explore(const ModelDesc &desc, const TaskSpec &task,
                            const ParetoOptions &options = {}) const;
 
-    /**
-     * Serving-placement search over a (possibly heterogeneous)
-     * cluster: see exploreInferencePlacements(). Static because a
-     * heterogeneous ClusterSpec cannot construct the homogeneous
-     * PerfModel catalog this class holds.
-     */
-    static InferencePlacementFrontier
-    exploreInference(const ModelDesc &desc,
-                     const InferenceWorkload &workload,
-                     const ClusterSpec &cluster,
-                     const ParetoOptions &options = {},
-                     EvalEngine *engine = nullptr);
-
   private:
     EvalEngine &engine() const;
 

@@ -1,5 +1,7 @@
 #include "model/layer.hh"
 
+#include <typeinfo>
+
 #include "util/logging.hh"
 #include "util/strfmt.hh"
 
@@ -37,6 +39,15 @@ toString(LayerClass cls)
 Layer::Layer(std::string name, LayerClass cls)
     : name_(std::move(name)), class_(cls)
 {
+}
+
+bool
+Layer::sameShape(const Layer &other) const
+{
+    // The type check (which also fixes the kind) makes each
+    // sameParams downcast safe.
+    return typeid(*this) == typeid(other) && class_ == other.class_ &&
+        sameParams(other);
 }
 
 // --- MlpLayer --------------------------------------------------------------
@@ -104,6 +115,13 @@ MlpLayer::clone() const
     return std::make_unique<MlpLayer>(*this);
 }
 
+bool
+MlpLayer::sameParams(const Layer &other) const
+{
+    const auto &o = static_cast<const MlpLayer &>(other);
+    return dims_ == o.dims_ && tokensPerSample_ == o.tokensPerSample_;
+}
+
 // --- EmbeddingBagLayer -------------------------------------------------------
 
 EmbeddingBagLayer::EmbeddingBagLayer(std::string name, long num_tables,
@@ -168,6 +186,16 @@ EmbeddingBagLayer::clone() const
     return std::make_unique<EmbeddingBagLayer>(*this);
 }
 
+bool
+EmbeddingBagLayer::sameParams(const Layer &other) const
+{
+    const auto &o = static_cast<const EmbeddingBagLayer &>(other);
+    return numTables_ == o.numTables_ && rowsPerTable_ == o.rowsPerTable_ &&
+        embeddingDim_ == o.embeddingDim_ && avgPooling_ == o.avgPooling_ &&
+        bytesPerElement_ == o.bytesPerElement_ &&
+        hotDeviceSkew_ == o.hotDeviceSkew_;
+}
+
 // --- TokenEmbeddingLayer ----------------------------------------------------
 
 TokenEmbeddingLayer::TokenEmbeddingLayer(std::string name, long vocab_size,
@@ -219,6 +247,15 @@ std::unique_ptr<Layer>
 TokenEmbeddingLayer::clone() const
 {
     return std::make_unique<TokenEmbeddingLayer>(*this);
+}
+
+bool
+TokenEmbeddingLayer::sameParams(const Layer &other) const
+{
+    const auto &o = static_cast<const TokenEmbeddingLayer &>(other);
+    return vocabSize_ == o.vocabSize_ && hidden_ == o.hidden_ &&
+        tokensPerSample_ == o.tokensPerSample_ &&
+        tieFactor_ == o.tieFactor_;
 }
 
 // --- AttentionLayer -----------------------------------------------------------
@@ -282,6 +319,14 @@ AttentionLayer::clone() const
     return std::make_unique<AttentionLayer>(*this);
 }
 
+bool
+AttentionLayer::sameParams(const Layer &other) const
+{
+    const auto &o = static_cast<const AttentionLayer &>(other);
+    return hidden_ == o.hidden_ && numHeads_ == o.numHeads_ &&
+        contextLength_ == o.contextLength_ && kvHeads_ == o.kvHeads_;
+}
+
 // --- FeedForwardLayer ---------------------------------------------------------
 
 FeedForwardLayer::FeedForwardLayer(std::string name, LayerClass cls,
@@ -331,6 +376,15 @@ std::unique_ptr<Layer>
 FeedForwardLayer::clone() const
 {
     return std::make_unique<FeedForwardLayer>(*this);
+}
+
+bool
+FeedForwardLayer::sameParams(const Layer &other) const
+{
+    const auto &o = static_cast<const FeedForwardLayer &>(other);
+    return hidden_ == o.hidden_ && ffnDim_ == o.ffnDim_ &&
+        contextLength_ == o.contextLength_ &&
+        numMatrices_ == o.numMatrices_;
 }
 
 // --- MoeFeedForwardLayer ------------------------------------------------------
@@ -408,6 +462,17 @@ MoeFeedForwardLayer::clone() const
     return std::make_unique<MoeFeedForwardLayer>(*this);
 }
 
+bool
+MoeFeedForwardLayer::sameParams(const Layer &other) const
+{
+    const auto &o = static_cast<const MoeFeedForwardLayer &>(other);
+    return hidden_ == o.hidden_ && ffnDim_ == o.ffnDim_ &&
+        contextLength_ == o.contextLength_ &&
+        numExperts_ == o.numExperts_ &&
+        activeExperts_ == o.activeExperts_ &&
+        numMatrices_ == o.numMatrices_;
+}
+
 // --- InteractionLayer ---------------------------------------------------------
 
 InteractionLayer::InteractionLayer(std::string name, long num_features,
@@ -439,6 +504,14 @@ std::unique_ptr<Layer>
 InteractionLayer::clone() const
 {
     return std::make_unique<InteractionLayer>(*this);
+}
+
+bool
+InteractionLayer::sameParams(const Layer &other) const
+{
+    const auto &o = static_cast<const InteractionLayer &>(other);
+    return numFeatures_ == o.numFeatures_ && featureDim_ == o.featureDim_ &&
+        outputDim_ == o.outputDim_;
 }
 
 } // namespace madmax

@@ -17,6 +17,7 @@
 #ifndef MADMAX_MODEL_LAYER_HH
 #define MADMAX_MODEL_LAYER_HH
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +50,10 @@ enum class LayerClass
     Transformer,     ///< Attention + FFN blocks.
     MoE,             ///< Expert FFN blocks.
 };
+
+/** Number of LayerClass values (tables indexed by class). */
+constexpr size_t kNumLayerClasses =
+    static_cast<size_t>(LayerClass::MoE) + 1;
 
 std::string toString(LayerKind kind);
 std::string toString(LayerClass cls);
@@ -111,6 +116,19 @@ class Layer
 
     virtual std::unique_ptr<Layer> clone() const = 0;
 
+    /**
+     * True when @p other is this layer up to its name: the same
+     * concrete type, kind, class, and every constructor parameter,
+     * compared exactly. Same-shape layers have bitwise-equal costs
+     * and collectives, so the evaluation context prices and emits one
+     * representative per shape.
+     */
+    bool sameShape(const Layer &other) const;
+
+  protected:
+    /** Parameter equality against a layer of this concrete type. */
+    virtual bool sameParams(const Layer &other) const = 0;
+
   private:
     std::string name_;
     LayerClass class_;
@@ -151,6 +169,9 @@ class MlpLayer : public Layer
     std::unique_ptr<Layer> clone() const override;
 
     const std::vector<long> &dims() const { return dims_; }
+
+  protected:
+    bool sameParams(const Layer &other) const override;
 
   private:
     std::vector<long> dims_;
@@ -195,6 +216,9 @@ class EmbeddingBagLayer : public Layer
     double bytesPerElement() const { return bytesPerElement_; }
     double hotDeviceSkew() const { return hotDeviceSkew_; }
 
+  protected:
+    bool sameParams(const Layer &other) const override;
+
   private:
     long numTables_;
     long rowsPerTable_;
@@ -228,6 +252,9 @@ class TokenEmbeddingLayer : public Layer
 
     long vocabSize() const { return vocabSize_; }
     long hidden() const { return hidden_; }
+
+  protected:
+    bool sameParams(const Layer &other) const override;
 
   private:
     long vocabSize_;
@@ -278,6 +305,9 @@ class AttentionLayer : public Layer
             bytes_per_element;
     }
 
+  protected:
+    bool sameParams(const Layer &other) const override;
+
   private:
     long hidden_;
     long numHeads_;
@@ -306,6 +336,9 @@ class FeedForwardLayer : public Layer
 
     long hidden() const { return hidden_; }
     long ffnDim() const { return ffnDim_; }
+
+  protected:
+    bool sameParams(const Layer &other) const override;
 
   private:
     long hidden_;
@@ -345,6 +378,9 @@ class MoeFeedForwardLayer : public Layer
      */
     double routedBytesPerSample(double dtype_bytes) const;
 
+  protected:
+    bool sameParams(const Layer &other) const override;
+
   private:
     long hidden_;
     long ffnDim_;
@@ -371,6 +407,9 @@ class InteractionLayer : public Layer
     std::unique_ptr<Layer> clone() const override;
 
     long outputDim() const { return outputDim_; }
+
+  protected:
+    bool sameParams(const Layer &other) const override;
 
   private:
     long numFeatures_;

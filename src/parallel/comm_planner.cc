@@ -2,7 +2,6 @@
 
 #include "parallel/sharding.hh"
 #include "util/logging.hh"
-#include "util/strfmt.hh"
 
 namespace madmax
 {
@@ -58,8 +57,7 @@ CommPlanner::levels(HierStrategy hs, double param_bytes) const
 
 void
 CommPlanner::planParamComms(std::vector<CommOp> &out, int idx,
-                            const Level &level, bool trainable,
-                            const std::string &name) const
+                            const Level &level, bool trainable) const
 {
     if (level.group <= 1 || level.tensorBytes <= 0.0)
         return;
@@ -71,27 +69,28 @@ CommPlanner::planParamComms(std::vector<CommOp> &out, int idx,
             out.push_back(CommOp{idx, Phase::Backward, CommPosition::Post,
                                  Collective::AllReduce, level.scope,
                                  level.tensorBytes, false,
-                                 name + "_g_AR"});
+                                 NameSuffix::GradAllReduce});
         }
         break;
       case Strategy::FSDP:
         // Gather parameters for forward use...
         out.push_back(CommOp{idx, Phase::Forward, CommPosition::Pre,
                              Collective::AllGather, level.scope,
-                             level.tensorBytes, true, name + "_w_AG"});
+                             level.tensorBytes, true,
+                             NameSuffix::ParamGather});
         // ...re-gather for backward...
         if (task_.needsBackward()) {
             out.push_back(CommOp{idx, Phase::Backward, CommPosition::Pre,
                                  Collective::AllGather, level.scope,
                                  level.tensorBytes, true,
-                                 name + "_w_AG'"});
+                                 NameSuffix::ParamRegather});
         }
         // ...and scatter-reduce weight gradients.
         if (trainable) {
             out.push_back(CommOp{idx, Phase::Backward, CommPosition::Post,
                                  Collective::ReduceScatter, level.scope,
                                  level.tensorBytes, false,
-                                 name + "_g_RS"});
+                                 NameSuffix::GradReduceScatter});
         }
         break;
       case Strategy::TP:
@@ -104,8 +103,7 @@ CommPlanner::planParamComms(std::vector<CommOp> &out, int idx,
 void
 CommPlanner::planActivationComms(std::vector<CommOp> &out, int idx,
                                  const Level &level,
-                                 double act_tensor_bytes,
-                                 const std::string &name) const
+                                 double act_tensor_bytes) const
 {
     if (level.strategy != Strategy::TP || level.group <= 1 ||
         act_tensor_bytes <= 0.0) {
@@ -114,20 +112,21 @@ CommPlanner::planActivationComms(std::vector<CommOp> &out, int idx,
     // Partial-sum AllReduce: consumers need the full activations.
     out.push_back(CommOp{idx, Phase::Forward, CommPosition::Post,
                          Collective::AllReduce, level.scope,
-                         act_tensor_bytes, true, name + "_a_AR"});
+                         act_tensor_bytes, true,
+                         NameSuffix::ActAllReduce});
     if (task_.needsBackward()) {
         // Input-gradient AllReduce mirrors the forward volume.
         out.push_back(CommOp{idx, Phase::Backward, CommPosition::Post,
                              Collective::AllReduce, level.scope,
-                             act_tensor_bytes, true, name + "_da_AR"});
+                             act_tensor_bytes, true,
+                             NameSuffix::ActGradAllReduce});
     }
 }
 
 void
 CommPlanner::planShardedComms(std::vector<CommOp> &out, int idx,
                               const Level &level, double a2a_bytes,
-                              bool trainable, bool is_moe,
-                              const std::string &name) const
+                              bool trainable, bool is_moe) const
 {
     if (level.strategy != Strategy::MP || level.group <= 1 ||
         a2a_bytes <= 0.0) {
@@ -138,17 +137,17 @@ CommPlanner::planShardedComms(std::vector<CommOp> &out, int idx,
         // expert compute, both directions of the iteration.
         out.push_back(CommOp{idx, Phase::Forward, CommPosition::Pre,
                              Collective::All2All, level.scope, a2a_bytes,
-                             true, name + "_disp_A2A"});
+                             true, NameSuffix::Dispatch});
         out.push_back(CommOp{idx, Phase::Forward, CommPosition::Post,
                              Collective::All2All, level.scope, a2a_bytes,
-                             true, name + "_comb_A2A"});
+                             true, NameSuffix::Combine});
         if (task_.needsBackward()) {
             out.push_back(CommOp{idx, Phase::Backward, CommPosition::Pre,
                                  Collective::All2All, level.scope,
-                                 a2a_bytes, true, name + "_dcomb_A2A"});
+                                 a2a_bytes, true, NameSuffix::CombineGrad});
             out.push_back(CommOp{idx, Phase::Backward, CommPosition::Post,
                                  Collective::All2All, level.scope,
-                                 a2a_bytes, true, name + "_ddisp_A2A"});
+                                 a2a_bytes, true, NameSuffix::DispatchGrad});
         }
         return;
     }
@@ -157,11 +156,11 @@ CommPlanner::planShardedComms(std::vector<CommOp> &out, int idx,
     // backward table update (only when tables train at all).
     out.push_back(CommOp{idx, Phase::Forward, CommPosition::Post,
                          Collective::All2All, level.scope, a2a_bytes,
-                         true, name + "_A2A"});
+                         true, NameSuffix::PooledA2A});
     if (trainable) {
         out.push_back(CommOp{idx, Phase::Backward, CommPosition::Pre,
                              Collective::All2All, level.scope, a2a_bytes,
-                             true, name + "_g_A2A"});
+                             true, NameSuffix::PooledGradA2A});
     }
 }
 
@@ -200,11 +199,9 @@ CommPlanner::planLayer(int idx) const
 
     std::vector<CommOp> out;
     for (const Level &level : levels(hs, param_bytes)) {
-        planParamComms(out, idx, level, trainable, layer.name());
-        planActivationComms(out, idx, level, act_tensor_bytes,
-                            layer.name());
-        planShardedComms(out, idx, level, a2a_bytes, trainable, is_moe,
-                         layer.name());
+        planParamComms(out, idx, level, trainable);
+        planActivationComms(out, idx, level, act_tensor_bytes);
+        planShardedComms(out, idx, level, a2a_bytes, trainable, is_moe);
     }
     return out;
 }

@@ -58,7 +58,9 @@ struct CommOp
     CommScope scope = CommScope::Global;
     double bytes = 0.0;   ///< Full logical tensor bytes.
     bool blocking = true; ///< Gates downstream compute when true.
-    std::string tag;      ///< Trace label, e.g. "EMB_A2A_fwd".
+    /** Trace label tail: the event is named layer name + suffix,
+     *  e.g. "EMB_A2A" for suffix PooledA2A on layer "EMB". */
+    NameSuffix suffix = NameSuffix::None;
 };
 
 /**
@@ -96,15 +98,13 @@ class CommPlanner
     std::vector<Level> levels(HierStrategy hs, double param_bytes) const;
 
     void planParamComms(std::vector<CommOp> &out, int idx,
-                        const Level &level, bool trainable,
-                        const std::string &name) const;
+                        const Level &level, bool trainable) const;
     void planActivationComms(std::vector<CommOp> &out, int idx,
-                             const Level &level, double act_tensor_bytes,
-                             const std::string &name) const;
+                             const Level &level,
+                             double act_tensor_bytes) const;
     void planShardedComms(std::vector<CommOp> &out, int idx,
                           const Level &level, double a2a_bytes,
-                          bool trainable, bool is_moe,
-                          const std::string &name) const;
+                          bool trainable, bool is_moe) const;
 
     const ModelDesc &desc_;
     TaskSpec task_;

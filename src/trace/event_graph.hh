@@ -12,15 +12,15 @@
  *  - every node's dependency list lives in one shared arena
  *    (EventGraph::deps) addressed by (depsBegin, depsCount) instead
  *    of a per-event heap-allocated vector;
- *  - nodes carry a *pointer* to their name (stable storage owned by
- *    the EvalContext / model description); the string itself is only
- *    copied when a caller materializes TraceEvents for a retained
- *    Timeline (PerfModelOptions::keepTimeline).
+ *  - nodes carry a *pointer* to their layer's name (stable storage
+ *    owned by the model description) plus a one-byte NameSuffix; the
+ *    label is only composed when a caller materializes TraceEvents
+ *    for a retained Timeline (PerfModelOptions::keepTimeline).
  *
  * Input contract (same as the TraceEvent form): nodes are in issue
  * order per stream and every dependency index is smaller than the
  * depending node's index — guaranteed by construction in
- * spliceSegmentRuns.
+ * spliceSegments.
  */
 
 #ifndef MADMAX_TRACE_EVENT_GRAPH_HH
@@ -38,8 +38,9 @@ namespace madmax
 /** One event in the flat graph; its id is its index in the graph. */
 struct EventNode
 {
-    /** Trace label, borrowed from stable storage (layer names in the
-     *  ModelDesc, collective tags in the EvalContext). Never null. */
+    /** Base of the trace label, borrowed from stable storage (the
+     *  layer's name in the ModelDesc, or a static barrier label).
+     *  Never null once spliced. */
     const std::string *name = nullptr;
 
     StreamKind stream = StreamKind::Compute;
@@ -47,6 +48,9 @@ struct EventNode
     CollAlgo algo = CollAlgo::None;
     bool blocking = true;
     bool backward = false;
+    /** Appended to *name to form the label (sits in what would
+     *  otherwise be padding before layerIdx). */
+    NameSuffix suffix = NameSuffix::None;
     int layerIdx = -1;
     double duration = 0.0;
 
@@ -66,8 +70,8 @@ struct EventGraph
     }
 
     /**
-     * Materialize node @p idx as a standalone TraceEvent (name and
-     * dependency list copied out) — the slow, allocating form used
+     * Materialize node @p idx as a standalone TraceEvent (label
+     * composed, dependency list copied out) — the slow, allocating form used
      * only when a Timeline must be retained.
      */
     TraceEvent materialize(size_t idx) const
@@ -76,6 +80,7 @@ struct EventGraph
         TraceEvent ev;
         ev.id = static_cast<int>(idx);
         ev.name = *node.name;
+        ev.name += suffixText(node.suffix);
         ev.stream = node.stream;
         ev.category = node.category;
         ev.duration = node.duration;

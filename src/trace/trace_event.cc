@@ -44,4 +44,26 @@ toString(CollAlgo algo)
     panic("toString: unknown CollAlgo");
 }
 
+const char *
+suffixText(NameSuffix suffix)
+{
+    switch (suffix) {
+      case NameSuffix::None: return "";
+      case NameSuffix::Backward: return "'";
+      case NameSuffix::GradAllReduce: return "_g_AR";
+      case NameSuffix::ParamGather: return "_w_AG";
+      case NameSuffix::ParamRegather: return "_w_AG'";
+      case NameSuffix::GradReduceScatter: return "_g_RS";
+      case NameSuffix::ActAllReduce: return "_a_AR";
+      case NameSuffix::ActGradAllReduce: return "_da_AR";
+      case NameSuffix::Dispatch: return "_disp_A2A";
+      case NameSuffix::Combine: return "_comb_A2A";
+      case NameSuffix::CombineGrad: return "_dcomb_A2A";
+      case NameSuffix::DispatchGrad: return "_ddisp_A2A";
+      case NameSuffix::PooledA2A: return "_A2A";
+      case NameSuffix::PooledGradA2A: return "_g_A2A";
+    }
+    panic("suffixText: unknown NameSuffix");
+}
+
 } // namespace madmax

@@ -14,6 +14,7 @@
 #ifndef MADMAX_TRACE_TRACE_EVENT_HH
 #define MADMAX_TRACE_TRACE_EVENT_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,9 +55,37 @@ enum class CollAlgo
     PointToPoint,  ///< Send/Recv pairs (All2All), slowest-link bound.
 };
 
+/**
+ * The fixed tail of a layer event's trace label. Every event a layer
+ * contributes is named `<layer name><suffix>` — "Attn_3" (forward
+ * compute), "Attn_3'" (backward compute), "Attn_3_w_AG" (FSDP
+ * parameter gather) — so hot-path graph nodes carry the layer's name
+ * and this one-byte id instead of a composed string.
+ */
+enum class NameSuffix : uint8_t
+{
+    None,             ///< "" (forward compute, barriers).
+    Backward,         ///< "'" (backward compute).
+    GradAllReduce,    ///< "_g_AR" (DDP weight gradients).
+    ParamGather,      ///< "_w_AG" (FSDP forward parameter gather).
+    ParamRegather,    ///< "_w_AG'" (FSDP backward re-gather).
+    GradReduceScatter, ///< "_g_RS" (FSDP weight gradients).
+    ActAllReduce,     ///< "_a_AR" (TP forward partial sums).
+    ActGradAllReduce, ///< "_da_AR" (TP input gradients).
+    Dispatch,         ///< "_disp_A2A" (MoE forward dispatch).
+    Combine,          ///< "_comb_A2A" (MoE forward combine).
+    CombineGrad,      ///< "_dcomb_A2A" (MoE backward combine).
+    DispatchGrad,     ///< "_ddisp_A2A" (MoE backward dispatch).
+    PooledA2A,        ///< "_A2A" (embedding pooled lookups).
+    PooledGradA2A,    ///< "_g_A2A" (embedding gradients).
+};
+
 std::string toString(StreamKind kind);
 std::string toString(EventCategory cat);
 std::string toString(CollAlgo algo);
+
+/** The text @p suffix appends to a layer name (static storage). */
+const char *suffixText(NameSuffix suffix);
 
 /** One block on a stream. */
 struct TraceEvent

@@ -3,14 +3,18 @@
  * EvalContext tests: the shared hot-path context must be a pure
  * optimization — every report it produces is bit-identical to a
  * fresh PerfModel::evaluate, across context reuse, lazily-built
- * strategy tables, mixed-context engine batches, caller-held contexts,
- * and both settings of keepTimeline (names are only materialized when
+ * strategy tables and template segments (also under concurrent first
+ * touches), mixed-context engine batches, caller-held contexts, and
+ * both settings of keepTimeline (names are only materialized when
  * timelines are retained).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/eval_context.hh"
@@ -299,6 +303,91 @@ TEST(EvalContext, CallerContextServesEngineBatches)
                       ParallelPlan::fsdpBaseline()};
     wrong.context = &context;
     EXPECT_THROW(engine.evaluateAll({wrong}), ConfigError);
+}
+
+TEST(EvalContext, ConcurrentFirstTouchMatchesSerialFreshContexts)
+{
+    // Four threads first-touch distinct plans on one shared context at
+    // once, racing the lazy per-(class, strategy) table and template
+    // segment builds (two threads share each plan's strategies for
+    // some classes). Every report must equal a serial evaluation on a
+    // fresh context of its own.
+    using S = Strategy;
+    ModelDesc desc = model_zoo::llmMoe();
+    PerfModel perf = timelineModel(hw_zoo::llmTrainingSystem());
+    TaskSpec task = TaskSpec::preTraining();
+
+    constexpr int kThreads = 4;
+    const HierStrategy trans[kThreads] = {
+        HierStrategy{S::FSDP}, HierStrategy{S::TP, S::FSDP},
+        HierStrategy{S::TP}, HierStrategy{S::FSDP}};
+    const HierStrategy moe[kThreads] = {
+        HierStrategy{S::MP}, HierStrategy{S::MP}, HierStrategy{S::FSDP},
+        HierStrategy{S::FSDP}};
+    std::vector<ParallelPlan> plans(kThreads, ParallelPlan::fsdpBaseline());
+    for (int t = 0; t < kThreads; ++t) {
+        plans[t].set(LayerClass::Transformer, trans[t]);
+        plans[t].set(LayerClass::MoE, moe[t]);
+        plans[t].fsdpPrefetch = t % 2 == 1;
+    }
+
+    EvalContext shared(perf, desc, task);
+    std::vector<PerfReport> got(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+                // Start together so the first touches overlap.
+            }
+            got[t] = shared.evaluate(plans[t]);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE("plan " + plans[t].toString());
+        EvalContext fresh(perf, desc, task);
+        const PerfReport want = fresh.evaluate(plans[t]);
+        EXPECT_FALSE(want.timeline.events.empty());
+        expectBitIdentical(got[t], want);
+    }
+}
+
+TEST(EvalContext, TemplatesFollowShapeAndRelativePlace)
+{
+    // GPT-3's 192 transformer layers have two shapes (attention, FFN)
+    // and four templates: the first attention block (emission ordinal
+    // 1) and the last FFN (no consumer) stand apart, every other block
+    // shares its shape's steady-state template.
+    ModelDesc desc = model_zoo::gpt3();
+    PerfModel perf(hw_zoo::llmTrainingSystem());
+    EvalContext context(perf, desc, TaskSpec::preTraining());
+
+    const int n = desc.graph.numLayers();
+    uint32_t shapes = 0, templates = 0;
+    for (int i = 1; i < n; ++i) {
+        const EvalContext::LayerCosts &lc = context.layerCosts(i);
+        ASSERT_EQ(lc.cls, LayerClass::Transformer);
+        shapes = std::max(shapes, lc.shapeId + 1);
+        templates = std::max(templates, lc.templateId + 1);
+    }
+    EXPECT_EQ(shapes, 2u);
+    EXPECT_EQ(templates, 4u);
+
+    // Blocks two apart share a template (and so their costs), except
+    // where the key differs: Attn_0 vs Attn_1, FFN_94 vs FFN_95.
+    for (int i = 3; i < n; ++i) {
+        const EvalContext::LayerCosts &lc = context.layerCosts(i);
+        const EvalContext::LayerCosts &twin = context.layerCosts(i - 2);
+        EXPECT_EQ(lc.shapeId, twin.shapeId) << "layer " << i;
+        EXPECT_EQ(lc.fwdTime, twin.fwdTime) << "layer " << i;
+        EXPECT_EQ(lc.bwdTime, twin.bwdTime) << "layer " << i;
+        EXPECT_EQ(lc.templateId == twin.templateId, i != 3 && i != n - 1)
+            << "layer " << i;
+    }
 }
 
 TEST(EvalContext, LayerCostsListConsumers)

@@ -8,13 +8,15 @@
  * reference builder in tests/reference.
  *
  *  - SpliceDifferential walks the zoo (DLRM-A, DLRM-A-MoE, GPT-3,
- *    LLM-MoE, ViT) x {pre-training, inference, fine-tuning} x {flat,
- *    dc-pod-fleet topology} with timelines on;
+ *    LLM-MoE, ViT) plus a hand-built mixed-shape transformer stack x
+ *    {pre-training, inference, fine-tuning} x {flat, dc-pod-fleet
+ *    topology} with timelines on;
  *  - SpliceClassMapping evaluates every plan of the models whose
  *    class runs alternate or are singletons (LLM-MoE, DLRM-A-MoE,
- *    ViT) x {pre-training, inference}, on one shared context and on a
- *    fresh context per plan, so every run's class-index mapping —
- *    forward and reversed backward — is pinned;
+ *    ViT) x {pre-training, inference}, and SpliceMixedShapes every
+ *    plan of the mixed-shape stack on both cluster kinds, on one
+ *    shared context and on a fresh context per plan, so every layer's
+ *    template mapping — forward and reversed backward — is pinned;
  *  - DeltaEval runs long timeline-free walks (the default
  *    configuration), plus the cases where one thread's buffers move
  *    between contexts or an OOM verdict interrupts a walk;
@@ -26,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -191,6 +194,58 @@ vitG()
     return model_zoo::vit(model_zoo::VitSize::G, 4096);
 }
 
+/**
+ * A transformer stack whose layers do not all share a shape, so the
+ * per-template segments must key on more than the layer kind: two FFN
+ * widths, one SwiGLU block (num_matrices = 3) among GELU blocks, a
+ * GQA attention (different kv_heads), and one attention block with
+ * two producers (a skip edge from FFN_1), which also gives FFN_1 two
+ * consumers. Each of those keys has a same-shape twin that differs
+ * only in it: Attn_3 vs Attn_1 (producer offsets), FFN_1 vs FFN_3
+ * (consumer offsets), Attn_0 vs Attn_1 (emission ordinal 1 vs 3, which
+ * decides whether a prefetched gather has an anchor).
+ */
+ModelDesc
+mixedShapeStack()
+{
+    const long h = 1024, ctx = 512;
+    const LayerClass tr = LayerClass::Transformer;
+    ModelDesc m;
+    m.name = "MixedShapeStack";
+    m.globalBatchSize = 512;
+    m.contextLength = ctx;
+    m.isRecommendation = false;
+    m.computeDtype = DataType::BF16;
+    m.paramDtype = DataType::BF16;
+
+    ModelGraph &g = m.graph;
+    int prev = g.addLayer(std::make_unique<TokenEmbeddingLayer>(
+        "Tok_EMB", 32000, h, static_cast<double>(ctx), 1));
+    int skip = -1;
+    for (int i = 0; i < 6; ++i) {
+        const std::string n = std::to_string(i);
+        std::vector<int> deps{prev};
+        if (i == 3)
+            deps.push_back(skip); // Two producers.
+        const long kv = i == 2 ? 4 : 0;
+        int attn = g.addLayer(std::make_unique<AttentionLayer>(
+                                  "Attn_" + n, tr, h, 16, ctx, kv),
+                              deps);
+        const long width = i % 2 == 0 ? 4096 : 2816;
+        const int mats = i == 4 ? 3 : 2;
+        prev = g.addLayer(std::make_unique<FeedForwardLayer>(
+                              "FFN_" + n, tr, h, width, ctx, mats),
+                          {attn});
+        if (i == 1)
+            skip = prev;
+    }
+    g.addLayer(std::make_unique<MlpLayer>("LM_Head", LayerClass::BaseDense,
+                                          std::vector<long>{h, 32000},
+                                          static_cast<double>(ctx)),
+               {prev});
+    return m;
+}
+
 const std::vector<ZooCase> &
 zooCases()
 {
@@ -200,6 +255,7 @@ zooCases()
         {"Gpt3", model_zoo::gpt3, hw_zoo::llmTrainingSystem},
         {"LlmMoe", model_zoo::llmMoe, hw_zoo::llmTrainingSystem},
         {"VitG", vitG, hw_zoo::llmTrainingSystem},
+        {"MixedStack", mixedShapeStack, hw_zoo::llmTrainingSystem},
     };
     return cases;
 }
@@ -228,15 +284,24 @@ class SpliceDifferential : public ::testing::TestWithParam<WalkParam>
 {
 };
 
-TEST_P(SpliceDifferential, WalkMatchesReference)
+/** @p z's cluster, with the dc-pod-fleet tier stack when
+ *  @p podFleet. */
+ClusterSpec
+clusterFor(const ZooCase &z, bool podFleet)
 {
-    const auto [zoo, task, podFleet] = GetParam();
-    const ZooCase &z = zooCases()[zoo];
     ClusterSpec cluster = z.cluster();
     if (podFleet) {
         cluster = hw_zoo::withTopology(
             cluster, hw_zoo::dcPodFleetTopology(cluster));
     }
+    return cluster;
+}
+
+TEST_P(SpliceDifferential, WalkMatchesReference)
+{
+    const auto [zoo, task, podFleet] = GetParam();
+    const ZooCase &z = zooCases()[zoo];
+    const ClusterSpec cluster = clusterFor(z, podFleet);
     const uint64_t seed = 0x5b11ceull + zoo * 16 + task * 2 +
                           (podFleet ? 1 : 0);
     runDifferentialWalk(z.model(), cluster, taskCases()[task].task, seed,
@@ -245,7 +310,7 @@ TEST_P(SpliceDifferential, WalkMatchesReference)
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, SpliceDifferential,
-    ::testing::Combine(::testing::Range<size_t>(0, 5),
+    ::testing::Combine(::testing::Range<size_t>(0, 6),
                        ::testing::Range<size_t>(0, 3),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<WalkParam> &info) {
@@ -272,30 +337,19 @@ everyPlan(const PerfModel &perf, const ModelDesc &desc,
     return plans;
 }
 
-/** (zoo case, task case). */
-using ClassMapParam = std::tuple<size_t, size_t>;
-
-class SpliceClassMapping : public ::testing::TestWithParam<ClassMapParam>
-{
-};
-
 /**
- * The models whose class runs alternate (LLM-MoE: 103 runs per pass)
- * or are singletons (DLRM-A-MoE, ViT), so almost every splice run
- * starts mid-way through its class's arena: every plan is evaluated
- * on one shared context (tables built up across plans) and on a
- * fresh context (only that plan's tables), and both reports, timelines
- * included, must be bitwise equal to the reference.
+ * Every plan of @p desc, evaluated on one shared context (tables built
+ * up across plans) and on a fresh context (only that plan's tables):
+ * both reports, timelines included, must be bitwise equal to the
+ * reference.
  */
-TEST_P(SpliceClassMapping, EveryPlanMatchesReference)
+void
+checkEveryPlan(const ModelDesc &desc, const ClusterSpec &cluster,
+               const TaskSpec &task)
 {
-    const auto [zoo, taskIdx] = GetParam();
-    const ZooCase &z = zooCases()[zoo];
-    const ModelDesc desc = z.model();
-    const TaskSpec &task = taskCases()[taskIdx].task;
     PerfModelOptions opts;
     opts.keepTimeline = true;
-    PerfModel perf(z.cluster(), opts);
+    PerfModel perf(cluster, opts);
     EvalContext shared(perf, desc, task);
 
     int scheduled = 0; // Plans that got past the memory verdict.
@@ -315,6 +369,25 @@ TEST_P(SpliceClassMapping, EveryPlanMatchesReference)
     EXPECT_GT(scheduled, 0);
 }
 
+/** (zoo case, task case). */
+using ClassMapParam = std::tuple<size_t, size_t>;
+
+class SpliceClassMapping : public ::testing::TestWithParam<ClassMapParam>
+{
+};
+
+/**
+ * The models whose class runs alternate (LLM-MoE: 103 runs per pass)
+ * or are singletons (DLRM-A-MoE, ViT): every plan on a shared and a
+ * fresh context.
+ */
+TEST_P(SpliceClassMapping, EveryPlanMatchesReference)
+{
+    const auto [zoo, taskIdx] = GetParam();
+    const ZooCase &z = zooCases()[zoo];
+    checkEveryPlan(z.model(), z.cluster(), taskCases()[taskIdx].task);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Zoo, SpliceClassMapping,
     ::testing::Combine(::testing::Values<size_t>(1, 3, 4),
@@ -322,6 +395,33 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ClassMapParam> &info) {
         return zooCases()[std::get<0>(info.param)].name + "_" +
                taskCases()[std::get<1>(info.param)].name;
+    });
+
+/** (task case, with dc-pod-fleet topology). */
+using MixedParam = std::tuple<size_t, bool>;
+
+class SpliceMixedShapes : public ::testing::TestWithParam<MixedParam>
+{
+};
+
+/**
+ * The mixed-shape stack, whose layers spread over many templates:
+ * every plan on a shared and a fresh context, on both cluster kinds.
+ */
+TEST_P(SpliceMixedShapes, EveryPlanMatchesReference)
+{
+    const auto [taskIdx, podFleet] = GetParam();
+    const ZooCase &z = zooCases()[5];
+    checkEveryPlan(z.model(), clusterFor(z, podFleet),
+                   taskCases()[taskIdx].task);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MixedStack, SpliceMixedShapes,
+    ::testing::Combine(::testing::Values<size_t>(0, 1), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<MixedParam> &info) {
+        return taskCases()[std::get<0>(info.param)].name +
+               (std::get<1>(info.param) ? "_PodFleet" : "_Flat");
     });
 
 } // namespace

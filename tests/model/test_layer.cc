@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "model/layer.hh"
 #include "util/logging.hh"
 
@@ -166,6 +169,145 @@ TEST(Layer, CloneIsDeep)
     EXPECT_EQ(copy->name(), "m");
     EXPECT_DOUBLE_EQ(copy->paramCount(), mlp.paramCount());
     EXPECT_EQ(copy->kind(), LayerKind::Mlp);
+}
+
+// --- Layer::sameShape ---------------------------------------------------
+
+namespace
+{
+
+/**
+ * @p base matches a renamed copy of itself and differs from every
+ * layer in @p variants, each changing one constructor parameter (or
+ * the class); the relation is checked in both directions.
+ */
+void
+expectShapeFamily(const Layer &base, const Layer &renamed,
+                  const std::vector<const Layer *> &variants)
+{
+    ASSERT_NE(base.name(), renamed.name());
+    EXPECT_TRUE(base.sameShape(base));
+    EXPECT_TRUE(base.sameShape(renamed));
+    EXPECT_TRUE(renamed.sameShape(base));
+    for (size_t i = 0; i < variants.size(); ++i) {
+        EXPECT_FALSE(base.sameShape(*variants[i])) << "variant " << i;
+        EXPECT_FALSE(variants[i]->sameShape(base)) << "variant " << i;
+    }
+}
+
+} // namespace
+
+TEST(LayerShape, Mlp)
+{
+    const LayerClass bd = LayerClass::BaseDense;
+    MlpLayer base("m", bd, {4, 8, 2}, 3.0);
+    MlpLayer renamed("other", bd, {4, 8, 2}, 3.0);
+    MlpLayer width("m", bd, {4, 9, 2}, 3.0);
+    MlpLayer depth("m", bd, {4, 8, 8, 2}, 3.0);
+    MlpLayer tokens("m", bd, {4, 8, 2}, 4.0);
+    MlpLayer cls("m", LayerClass::Transformer, {4, 8, 2}, 3.0);
+    expectShapeFamily(base, renamed, {&width, &depth, &tokens, &cls});
+}
+
+TEST(LayerShape, EmbeddingBag)
+{
+    EmbeddingBagLayer base("e", 10, 1000, 64, 4.0, 4.0, 1.5);
+    EmbeddingBagLayer renamed("f", 10, 1000, 64, 4.0, 4.0, 1.5);
+    EmbeddingBagLayer tables("e", 11, 1000, 64, 4.0, 4.0, 1.5);
+    EmbeddingBagLayer rows("e", 10, 1001, 64, 4.0, 4.0, 1.5);
+    EmbeddingBagLayer dim("e", 10, 1000, 32, 4.0, 4.0, 1.5);
+    EmbeddingBagLayer pooling("e", 10, 1000, 64, 4.5, 4.0, 1.5);
+    EmbeddingBagLayer element("e", 10, 1000, 64, 4.0, 2.0, 1.5);
+    EmbeddingBagLayer skew("e", 10, 1000, 64, 4.0, 4.0, 1.0);
+    expectShapeFamily(base, renamed,
+                      {&tables, &rows, &dim, &pooling, &element, &skew});
+}
+
+TEST(LayerShape, TokenEmbedding)
+{
+    TokenEmbeddingLayer base("t", 50000, 128, 2048.0, 1);
+    TokenEmbeddingLayer renamed("u", 50000, 128, 2048.0, 1);
+    TokenEmbeddingLayer vocab("t", 50001, 128, 2048.0, 1);
+    TokenEmbeddingLayer hidden("t", 50000, 256, 2048.0, 1);
+    TokenEmbeddingLayer tokens("t", 50000, 128, 1024.0, 1);
+    TokenEmbeddingLayer tie("t", 50000, 128, 2048.0, 2);
+    expectShapeFamily(base, renamed, {&vocab, &hidden, &tokens, &tie});
+}
+
+TEST(LayerShape, Attention)
+{
+    const LayerClass tr = LayerClass::Transformer;
+    AttentionLayer base("a", tr, 1024, 16, 512, 8);
+    AttentionLayer renamed("b", tr, 1024, 16, 512, 8);
+    AttentionLayer hidden("a", tr, 2048, 16, 512, 8);
+    AttentionLayer heads("a", tr, 1024, 32, 512, 8);
+    AttentionLayer context("a", tr, 1024, 16, 256, 8);
+    AttentionLayer kvHeads("a", tr, 1024, 16, 512, 4);
+    AttentionLayer cls("a", LayerClass::BaseDense, 1024, 16, 512, 8);
+    expectShapeFamily(base, renamed,
+                      {&hidden, &heads, &context, &kvHeads, &cls});
+
+    // kv_heads = 0 means "as many as query heads": the same shape.
+    AttentionLayer mha("a", tr, 1024, 16, 512);
+    AttentionLayer explicitMha("a", tr, 1024, 16, 512, 16);
+    EXPECT_TRUE(mha.sameShape(explicitMha));
+}
+
+TEST(LayerShape, FeedForward)
+{
+    const LayerClass tr = LayerClass::Transformer;
+    FeedForwardLayer base("f", tr, 1024, 4096, 512, 2);
+    FeedForwardLayer renamed("g", tr, 1024, 4096, 512, 2);
+    FeedForwardLayer hidden("f", tr, 2048, 4096, 512, 2);
+    FeedForwardLayer ffn("f", tr, 1024, 8192, 512, 2);
+    FeedForwardLayer context("f", tr, 1024, 4096, 256, 2);
+    FeedForwardLayer matrices("f", tr, 1024, 4096, 512, 3);
+    FeedForwardLayer cls("f", LayerClass::MoE, 1024, 4096, 512, 2);
+    expectShapeFamily(base, renamed,
+                      {&hidden, &ffn, &context, &matrices, &cls});
+}
+
+TEST(LayerShape, MoeFeedForward)
+{
+    const LayerClass moe = LayerClass::MoE;
+    MoeFeedForwardLayer base("m", moe, 1024, 4096, 512, 16, 2, 2);
+    MoeFeedForwardLayer renamed("n", moe, 1024, 4096, 512, 16, 2, 2);
+    MoeFeedForwardLayer hidden("m", moe, 2048, 4096, 512, 16, 2, 2);
+    MoeFeedForwardLayer ffn("m", moe, 1024, 2048, 512, 16, 2, 2);
+    MoeFeedForwardLayer context("m", moe, 1024, 4096, 256, 16, 2, 2);
+    MoeFeedForwardLayer experts("m", moe, 1024, 4096, 512, 8, 2, 2);
+    MoeFeedForwardLayer active("m", moe, 1024, 4096, 512, 16, 1, 2);
+    MoeFeedForwardLayer matrices("m", moe, 1024, 4096, 512, 16, 2, 3);
+    MoeFeedForwardLayer cls("m", LayerClass::Transformer, 1024, 4096, 512,
+                            16, 2, 2);
+    expectShapeFamily(base, renamed,
+                      {&hidden, &ffn, &context, &experts, &active,
+                       &matrices, &cls});
+}
+
+TEST(LayerShape, Interaction)
+{
+    InteractionLayer base("i", 100, 64, 512);
+    InteractionLayer renamed("j", 100, 64, 512);
+    InteractionLayer features("i", 101, 64, 512);
+    InteractionLayer featureDim("i", 100, 32, 512);
+    InteractionLayer output("i", 100, 64, 256);
+    expectShapeFamily(base, renamed, {&features, &featureDim, &output});
+}
+
+TEST(LayerShape, KindsNeverMatch)
+{
+    // An FFN and an MoE FFN with one expert compute the same thing but
+    // are different layer types, so never the same shape.
+    const LayerClass tr = LayerClass::Transformer;
+    FeedForwardLayer ffn("f", tr, 1024, 4096, 512, 2);
+    MoeFeedForwardLayer moe("f", tr, 1024, 4096, 512, 1, 1, 2);
+    EXPECT_FALSE(ffn.sameShape(moe));
+    EXPECT_FALSE(moe.sameShape(ffn));
+
+    // A clone keeps its shape (and name).
+    std::unique_ptr<Layer> copy = moe.clone();
+    EXPECT_TRUE(copy->sameShape(moe));
 }
 
 } // namespace madmax

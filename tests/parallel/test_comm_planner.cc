@@ -93,7 +93,7 @@ TEST_F(CommPlannerDlrm, InferenceHasNoBackwardComms)
     CommPlanner planner(desc_, TaskSpec::inference(),
                         ParallelPlan::fsdpBaseline(), cluster_);
     for (const CommOp &op : planner.planAll())
-        EXPECT_EQ(op.phase, Phase::Forward) << op.tag;
+        EXPECT_EQ(op.phase, Phase::Forward) << suffixText(op.suffix);
 }
 
 TEST_F(CommPlannerDlrm, DdpEmitsNonBlockingGradientAllReduce)
@@ -196,7 +196,7 @@ TEST(CommPlannerMoe, ExpertParallelismEmitsDispatchAndCombine)
     EXPECT_EQ(countOps(ops, Collective::All2All, Phase::Forward), 2);
     EXPECT_EQ(countOps(ops, Collective::All2All, Phase::Backward), 2);
     for (const CommOp &op : ops)
-        EXPECT_TRUE(op.blocking) << op.tag;
+        EXPECT_TRUE(op.blocking) << suffixText(op.suffix);
 
     // Inference keeps the forward routing only.
     CommPlanner inf(desc, TaskSpec::inference(), plan, cluster);
@@ -246,7 +246,7 @@ TEST(CommPlannerLlm, SingleNodeClusterSkipsInterLevels)
     CommPlanner planner(desc, TaskSpec::preTraining(), plan, cluster);
     for (const CommOp &op : planner.planLayer(3)) {
         // The inter level has group size 1: no ops land there.
-        EXPECT_NE(op.scope, CommScope::Inter) << op.tag;
+        EXPECT_NE(op.scope, CommScope::Inter) << suffixText(op.suffix);
     }
 }
 

@@ -175,7 +175,8 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
             std::vector<int> deps = p.op.kind == Collective::AllGather
                 ? gather_deps()
                 : (backward ? grad_deps() : data_deps());
-            pre.push_back(add(p.op.tag, StreamKind::Communication,
+            pre.push_back(add(layer.name() + suffixText(p.op.suffix),
+                              StreamKind::Communication,
                               commCategoryOf(p.op.kind), p.est.seconds,
                               p.op.blocking, p.est.algo, backward, i,
                               std::move(deps)));
@@ -202,7 +203,8 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
         for (const PricedOp &p : ops[s]) {
             if (p.op.phase != phase || p.op.position != CommPosition::Post)
                 continue;
-            int id = add(p.op.tag, StreamKind::Communication,
+            int id = add(layer.name() + suffixText(p.op.suffix),
+                         StreamKind::Communication,
                          commCategoryOf(p.op.kind), p.est.seconds,
                          p.op.blocking, p.est.algo, backward, i, {out});
             if (p.op.blocking)
