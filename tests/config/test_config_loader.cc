@@ -110,6 +110,63 @@ TEST(ConfigLoader, LlmMoeVariant)
                  m.graph.layersOfClass(LayerClass::Transformer).empty());
 }
 
+namespace
+{
+
+/** Same ModelDesc fields and, layer by layer, the same name, shape
+ *  and deps. */
+void
+expectSameModel(const ModelDesc &got, const ModelDesc &want)
+{
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.globalBatchSize, want.globalBatchSize);
+    EXPECT_EQ(got.contextLength, want.contextLength);
+    EXPECT_EQ(got.computeDtype, want.computeDtype);
+    EXPECT_EQ(got.paramDtype, want.paramDtype);
+    EXPECT_EQ(got.isRecommendation, want.isRecommendation);
+    ASSERT_EQ(got.graph.numLayers(), want.graph.numLayers()) << want.name;
+    for (int i = 0; i < want.graph.numLayers(); ++i) {
+        const Layer &g = got.graph.layer(i);
+        const Layer &w = want.graph.layer(i);
+        EXPECT_EQ(g.name(), w.name()) << want.name << " layer " << i;
+        EXPECT_TRUE(g.sameShape(w)) << want.name << " " << w.name();
+        EXPECT_EQ(got.graph.deps(i), want.graph.deps(i))
+            << want.name << " " << w.name();
+    }
+}
+
+} // namespace
+
+TEST(ConfigLoader, JsonDocumentsMatchTheirZooTwins)
+{
+    // The custom dlrm/llm documents and the zoo wire graphs the same
+    // way: a document with a zoo model's geometry loads to that model.
+    expectSameModel(loadModelFile(std::string(MADMAX_CONFIG_DIR) +
+                                  "/model_llama2_13b.json"),
+                    model_zoo::llama2_13b(2048));
+
+    expectSameModel(loadModel(JsonValue::parse(R"json({
+        "type": "dlrm", "name": "DLRM-A-Transformer",
+        "global_batch": 65536,
+        "embedding": {"tables": 500, "rows_per_table": 12421400,
+                      "dim": 128, "pooling": 51.52},
+        "bottom_mlp": [256, 512, 256, 128],
+        "transformer": {"layers": 4, "hidden": 512, "heads": 8,
+                        "seq": 80, "ffn": 2816},
+        "top_mlp": [512, 4096, 4096, 1]
+    })json")),
+                    model_zoo::dlrmATransformer());
+
+    expectSameModel(loadModel(JsonValue::parse(R"json({
+        "type": "llm", "name": "LLM-MoE", "global_batch": 512,
+        "context": 8192, "vocab": 32000, "hidden": 16384,
+        "layers": 51, "heads": 128, "ffn": 65536,
+        "embedding_tie_factor": 2,
+        "moe": {"experts": 16, "active": 2}
+    })json")),
+                    model_zoo::llmMoe());
+}
+
 TEST(ConfigLoader, UnknownModelTypeIsFatal)
 {
     JsonValue j = JsonValue::parse(R"json({"type":"cnn"})json");

@@ -15,7 +15,8 @@
  * The Fig. 19 scaling study is pinned as well: every axis's best-plan
  * speedup and winning plan for the four DLRM-A / GPT-3 cases. So is
  * one ViT-L pre-training timeline, event by event with its trace
- * names.
+ * names. So is every model graph the zoo and the JSON loader build,
+ * layer by layer.
  *
  * Regenerate (only when an *intentional* model change lands) with:
  *   MADMAX_REGEN_GOLDEN=1 ./test_golden_reports
@@ -23,12 +24,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
 #include "../golden_check.hh"
+#include "config/config_loader.hh"
 #include "dse/strategy_explorer.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
@@ -393,6 +397,103 @@ TEST(GoldenReports, ServeStatsAndMetricsBodies)
                           {"madmax_uptime_seconds ",
                            "madmax_engine_wall_seconds_total ",
                            "madmax_request_seconds_total{"}));
+}
+
+namespace
+{
+
+/** Every ModelDesc field and, per layer, its index, name, kind,
+ *  class, deps, and %.17g parameter and forward FLOP counts. */
+std::string
+dumpModel(const std::string &source, const ModelDesc &m)
+{
+    std::string out = "== " + source + " ==\n";
+    out += strfmt("name=%s gbs=%ld ctx=%ld compute=%s param=%s rec=%d "
+                  "layers=%d\n",
+                  m.name.c_str(), m.globalBatchSize, m.contextLength,
+                  toString(m.computeDtype).c_str(),
+                  toString(m.paramDtype).c_str(),
+                  m.isRecommendation ? 1 : 0, m.graph.numLayers());
+    for (int i = 0; i < m.graph.numLayers(); ++i) {
+        const Layer &l = m.graph.layer(i);
+        std::string deps;
+        for (int d : m.graph.deps(i))
+            deps += (deps.empty() ? "" : ",") + std::to_string(d);
+        out += strfmt("%d %s %s %s deps=[%s] params=%.17g flops=%.17g\n",
+                      i, l.name().c_str(), toString(l.kind()).c_str(),
+                      toString(l.layerClass()).c_str(), deps.c_str(),
+                      l.paramCount(), l.forwardFlopsPerSample());
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(GoldenReports, ModelGraphs)
+{
+    // Both build paths: every zoo factory, every shipped model config,
+    // and the custom dlrm/llm documents of the config-loader suite.
+    std::string out;
+    for (const ModelDesc &m : model_zoo::tableIISuite())
+        out += dumpModel("zoo " + m.name, m);
+    for (long ctx : {4096L, 2048L}) {
+        out += dumpModel(strfmt("zoo llama2_7b(%ld)", ctx),
+                         model_zoo::llama2_7b(ctx));
+        out += dumpModel(strfmt("zoo llama2_13b(%ld)", ctx),
+                         model_zoo::llama2_13b(ctx));
+    }
+    out += dumpModel("zoo llama2WithContext(8192)",
+                     model_zoo::llama2WithContext(8192));
+    for (model_zoo::VitSize size :
+         {model_zoo::VitSize::L, model_zoo::VitSize::H,
+          model_zoo::VitSize::G, model_zoo::VitSize::B22,
+          model_zoo::VitSize::B120}) {
+        out += dumpModel("zoo vit " + model_zoo::toString(size),
+                         model_zoo::vit(size, 2048));
+    }
+
+    std::vector<std::string> configs;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(MADMAX_CONFIG_DIR)) {
+        const std::string file = entry.path().filename().string();
+        if (file.rfind("model_", 0) == 0 &&
+            entry.path().extension() == ".json")
+            configs.push_back(file);
+    }
+    std::sort(configs.begin(), configs.end());
+    for (const std::string &file : configs) {
+        out += dumpModel("configs/" + file,
+                         loadModelFile(std::string(MADMAX_CONFIG_DIR) +
+                                       "/" + file));
+    }
+
+    const char *custom[] = {
+        R"json({"type": "dlrm", "name": "my-dlrm", "global_batch": 8192,
+            "embedding": {"tables": 100, "rows_per_table": 1000000,
+                          "dim": 64, "pooling": 10},
+            "bottom_mlp": [256, 512, 64], "top_mlp": [512, 1024, 1]})json",
+        R"json({"type": "dlrm", "global_batch": 8192,
+            "embedding": {"tables": 10, "rows_per_table": 1000,
+                          "dim": 64, "pooling": 2},
+            "bottom_mlp": [64, 64],
+            "transformer": {"layers": 2, "hidden": 128, "heads": 4,
+                            "seq": 16, "ffn": 512},
+            "moe": {"experts": 8, "active": 2, "ffn": 256},
+            "top_mlp": [128, 1]})json",
+        R"json({"type": "llm", "name": "tiny-llm", "global_batch": 64,
+            "context": 1024, "vocab": 32000, "hidden": 1024,
+            "layers": 4, "heads": 16, "ffn": 4096, "ffn_matrices": 3,
+            "kv_heads": 4, "embedding_tie_factor": 2})json",
+        R"json({"type": "llm", "global_batch": 64, "context": 128,
+            "vocab": 1000, "hidden": 256, "layers": 2, "heads": 4,
+            "ffn": 1024, "moe": {"experts": 4, "active": 1}})json",
+    };
+    int n = 0;
+    for (const char *doc : custom) {
+        out += dumpModel(strfmt("custom %d", n++),
+                         loadModel(JsonValue::parse(doc)));
+    }
+    checkGolden("model_graphs.txt", out);
 }
 
 } // namespace madmax
