@@ -154,122 +154,78 @@ loadZooModel(const JsonValue &json)
 ModelDesc
 loadDlrmModel(const JsonValue &json)
 {
-    ModelDesc m;
-    m.name = json.stringOr("name", "custom-dlrm");
-    m.globalBatchSize = json.at("global_batch").asLong();
-    m.contextLength = 1;
-    m.isRecommendation = true;
-    m.computeDtype =
-        parseDtype(json.stringOr("compute_dtype", "tf32"));
-    m.paramDtype = parseDtype(json.stringOr("param_dtype", "fp32"));
+    model_zoo::DlrmSpec s;
+    s.name = json.stringOr("name", "custom-dlrm");
+    s.globalBatch = json.at("global_batch").asLong();
+    s.computeDtype = parseDtype(json.stringOr("compute_dtype", "tf32"));
+    s.paramDtype = parseDtype(json.stringOr("param_dtype", "fp32"));
 
     const JsonValue &emb = json.at("embedding");
-    int emb_idx = m.graph.addLayer(std::make_unique<EmbeddingBagLayer>(
-        "EMB", emb.at("tables").asLong(),
-        emb.at("rows_per_table").asLong(), emb.at("dim").asLong(),
-        emb.at("pooling").asDouble()));
-    int bot = m.graph.addLayer(std::make_unique<MlpLayer>(
-        "Bot_MLP", LayerClass::BaseDense,
-        parseDims(json.at("bottom_mlp"))));
+    s.tables = emb.at("tables").asLong();
+    s.rowsPerTable = emb.at("rows_per_table").asLong();
+    s.embeddingDim = emb.at("dim").asLong();
+    s.pooling = emb.at("pooling").asDouble();
+    s.bottomMlp = parseDims(json.at("bottom_mlp"));
 
-    int trunk;
-    long trunk_width;
     if (json.has("transformer")) {
         const JsonValue &tr = json.at("transformer");
-        long hidden = tr.at("hidden").asLong();
-        int prev = -1;
-        long layers = tr.at("layers").asLong();
-        for (long i = 0; i < layers; ++i) {
-            std::vector<int> deps = i == 0 ? std::vector<int>{emb_idx, bot}
-                                           : std::vector<int>{prev};
-            int attn = m.graph.addLayer(std::make_unique<AttentionLayer>(
-                strfmt("Attn_%ld", i), LayerClass::Transformer, hidden,
-                tr.at("heads").asLong(), tr.at("seq").asLong()),
-                std::move(deps));
-            prev = m.graph.addLayer(std::make_unique<FeedForwardLayer>(
-                strfmt("FFN_%ld", i), LayerClass::Transformer, hidden,
-                tr.at("ffn").asLong(), tr.at("seq").asLong()), {attn});
-        }
-        trunk = prev;
-        trunk_width = hidden;
-    } else {
-        long out_dim = json.has("top_mlp")
-            ? parseDims(json.at("top_mlp")).front()
-            : 512;
-        trunk = m.graph.addLayer(std::make_unique<InteractionLayer>(
-            "Interact", emb.at("tables").asLong() + 1,
-            emb.at("dim").asLong(), out_dim), {emb_idx, bot});
-        trunk_width = out_dim;
+        model_zoo::TransformerSpec t;
+        t.hidden = tr.at("hidden").asLong();
+        t.layers = tr.at("layers").asLong();
+        t.heads = tr.at("heads").asLong();
+        t.seq = tr.at("seq").asLong();
+        t.ffn = tr.at("ffn").asLong();
+        s.transformer = t;
     }
-
     if (json.has("moe")) {
         const JsonValue &moe = json.at("moe");
-        trunk = m.graph.addLayer(std::make_unique<MoeFeedForwardLayer>(
-            "MoE_Top", LayerClass::MoE,
-            static_cast<long>(moe.numberOr("hidden",
-                                           static_cast<double>(trunk_width))),
-            moe.at("ffn").asLong(), 1,
-            static_cast<int>(moe.at("experts").asLong()),
-            static_cast<int>(moe.at("active").asLong())), {trunk});
+        model_zoo::DlrmSpec::MoeTop top;
+        if (moe.has("hidden"))
+            top.hidden = static_cast<long>(moe.at("hidden").asDouble());
+        top.ffn = moe.at("ffn").asLong();
+        top.experts = static_cast<int>(moe.at("experts").asLong());
+        top.active = static_cast<int>(moe.at("active").asLong());
+        s.moe = top;
     }
-    if (json.has("top_mlp")) {
-        m.graph.addLayer(std::make_unique<MlpLayer>(
-            "Top_MLP", LayerClass::BaseDense,
-            parseDims(json.at("top_mlp"))), {trunk});
-    }
-    return m;
+    if (json.has("top_mlp"))
+        s.topMlp = parseDims(json.at("top_mlp"));
+    return model_zoo::buildDlrm(s);
 }
 
 ModelDesc
 loadLlmModel(const JsonValue &json)
 {
-    ModelDesc m;
-    m.name = json.stringOr("name", "custom-llm");
-    m.globalBatchSize = json.at("global_batch").asLong();
-    m.contextLength = json.at("context").asLong();
-    if (m.contextLength < 1) {
+    model_zoo::LlmSpec s;
+    s.name = json.stringOr("name", "custom-llm");
+    s.globalBatch = json.at("global_batch").asLong();
+    model_zoo::TransformerSpec &t = s.blocks;
+    t.seq = json.at("context").asLong();
+    if (t.seq < 1) {
         fatal(strfmt("llm model \"%s\": context %ld must be >= 1 — "
                      "the context length sets the attention geometry "
                      "and the serving prompt length (e.g. 4096 for a "
                      "Llama-2-class model)",
-                     m.name.c_str(), m.contextLength));
+                     s.name.c_str(), t.seq));
     }
-    m.isRecommendation = false;
-    m.computeDtype =
-        parseDtype(json.stringOr("compute_dtype", "bf16"));
-    m.paramDtype = parseDtype(json.stringOr("param_dtype", "bf16"));
+    s.computeDtype = parseDtype(json.stringOr("compute_dtype", "bf16"));
+    s.paramDtype = parseDtype(json.stringOr("param_dtype", "bf16"));
 
-    long hidden = json.at("hidden").asLong();
-    long ctx = m.contextLength;
-    int prev = m.graph.addLayer(std::make_unique<TokenEmbeddingLayer>(
-        "Tok_EMB", json.at("vocab").asLong(), hidden,
-        static_cast<double>(ctx),
-        static_cast<int>(json.numberOr("embedding_tie_factor", 1))));
-
-    long layers = json.at("layers").asLong();
-    long heads = json.at("heads").asLong();
-    long kv_heads = static_cast<long>(json.numberOr("kv_heads", 0));
-    long ffn = json.at("ffn").asLong();
-    int matrices = static_cast<int>(json.numberOr("ffn_matrices", 2));
-
-    for (long i = 0; i < layers; ++i) {
-        int attn = m.graph.addLayer(std::make_unique<AttentionLayer>(
-            strfmt("Attn_%ld", i), LayerClass::Transformer, hidden, heads,
-            ctx, kv_heads), {prev});
-        if (json.has("moe")) {
-            const JsonValue &moe = json.at("moe");
-            prev = m.graph.addLayer(std::make_unique<MoeFeedForwardLayer>(
-                strfmt("MoE_FFN_%ld", i), LayerClass::MoE, hidden, ffn,
-                ctx, static_cast<int>(moe.at("experts").asLong()),
-                static_cast<int>(moe.at("active").asLong()), matrices),
-                {attn});
-        } else {
-            prev = m.graph.addLayer(std::make_unique<FeedForwardLayer>(
-                strfmt("FFN_%ld", i), LayerClass::Transformer, hidden, ffn,
-                ctx, matrices), {attn});
-        }
+    t.hidden = json.at("hidden").asLong();
+    s.vocab = json.at("vocab").asLong();
+    s.tieFactor =
+        static_cast<int>(json.numberOr("embedding_tie_factor", 1));
+    t.layers = json.at("layers").asLong();
+    t.heads = json.at("heads").asLong();
+    t.kvHeads = static_cast<long>(json.numberOr("kv_heads", 0));
+    t.ffn = json.at("ffn").asLong();
+    t.ffnMatrices = static_cast<int>(json.numberOr("ffn_matrices", 2));
+    if (json.has("moe")) {
+        const JsonValue &moe = json.at("moe");
+        s.moe = model_zoo::LlmSpec::Moe{
+            static_cast<int>(moe.at("experts").asLong()),
+            static_cast<int>(moe.at("active").asLong())};
     }
-    return m;
+    return model_zoo::buildLlm(s);
 }
 
 } // namespace

@@ -78,15 +78,8 @@ double
 InferenceModel::kvBytesForTokens(const ModelDesc &desc, long tokens,
                                  double bytes_per_element)
 {
-    double per_token = 0.0;
-    for (int i = 0; i < desc.graph.numLayers(); ++i) {
-        const Layer &layer = desc.graph.layer(i);
-        if (layer.kind() != LayerKind::Attention)
-            continue;
-        per_token += static_cast<const AttentionLayer &>(layer)
-                         .kvBytesPerToken(bytes_per_element);
-    }
-    return per_token * static_cast<double>(tokens);
+    return desc.kvBytesPerToken(bytes_per_element) *
+        static_cast<double>(tokens);
 }
 
 InferenceReport

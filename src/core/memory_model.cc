@@ -137,15 +137,8 @@ MemoryModel::evaluate(const ModelDesc &desc, const TaskSpec &task,
         const double kv_tokens = task.kvCapacityTokens > 0
             ? static_cast<double>(task.kvCapacityTokens)
             : static_cast<double>(desc.contextLength);
-        double kv_per_token = 0.0;
-        for (int i = 0; i < desc.graph.numLayers(); ++i) {
-            const Layer &layer = desc.graph.layer(i);
-            if (layer.kind() != LayerKind::Attention)
-                continue;
-            kv_per_token += static_cast<const AttentionLayer &>(layer)
-                                .kvBytesPerToken(task.kvBytesPerElement);
-        }
-        fp.kvCacheBytes = kv_per_token * kv_tokens * batch_share;
+        fp.kvCacheBytes = desc.kvBytesPerToken(task.kvBytesPerElement) *
+            kv_tokens * batch_share;
     }
     return fp;
 }

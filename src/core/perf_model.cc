@@ -24,12 +24,6 @@ PerfModel::PerfModel(ClusterSpec cluster, PerfModelOptions options)
     }
 }
 
-PerfModel
-PerfModel::withCluster(ClusterSpec cluster) const
-{
-    return PerfModel(std::move(cluster), options_);
-}
-
 PerfReport
 PerfModel::verdict(const ModelDesc &desc, const TaskSpec &task,
                    const ParallelPlan &plan) const

@@ -104,9 +104,6 @@ class PerfModel
     const ClusterSpec &cluster() const { return cluster_; }
     const PerfModelOptions &options() const { return options_; }
 
-    /** Copy of this model bound to a different cluster. */
-    PerfModel withCluster(ClusterSpec cluster) const;
-
   private:
     ClusterSpec cluster_;
     PerfModelOptions options_;

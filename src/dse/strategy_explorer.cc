@@ -129,6 +129,18 @@ StrategyExplorer::best(const ModelDesc &desc, const TaskSpec &task,
                              outcome.stats};
 }
 
+JsonValue
+toJson(const Exploration &exploration, size_t top)
+{
+    JsonValue results;
+    for (size_t i = 0; i < exploration.results.size() && i < top; ++i)
+        results.append(toJson(exploration.results[i].report));
+    JsonValue out;
+    out.set("results", std::move(results));
+    out.set("search", toJson(exploration.stats));
+    return out;
+}
+
 PerfReport
 StrategyExplorer::baseline(const ModelDesc &desc,
                            const TaskSpec &task) const

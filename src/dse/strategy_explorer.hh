@@ -46,6 +46,14 @@ struct Exploration
     EvalStats stats;
 };
 
+/**
+ * The explore response of `madmax explore --format json` and
+ * /v1/explore: the first @p top results' reports under "results" and
+ * the search cost under "search". Zero shown results serialize as
+ * null.
+ */
+JsonValue toJson(const Exploration &exploration, size_t top);
+
 /** Exploration knobs. */
 struct ExplorerOptions
 {

@@ -13,6 +13,20 @@ ModelDesc::forwardFlopsPerToken() const
         static_cast<double>(contextLength);
 }
 
+double
+ModelDesc::kvBytesPerToken(double bytes_per_element) const
+{
+    double per_token = 0.0;
+    for (int i = 0; i < graph.numLayers(); ++i) {
+        const Layer &layer = graph.layer(i);
+        if (layer.kind() != LayerKind::Attention)
+            continue;
+        per_token += static_cast<const AttentionLayer &>(layer)
+                         .kvBytesPerToken(bytes_per_element);
+    }
+    return per_token;
+}
+
 void
 ModelDesc::validate() const
 {

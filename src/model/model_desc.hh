@@ -58,6 +58,10 @@ struct ModelDesc
     /** Forward FLOPs per token (Table II's "FLOPs per sample/token"). */
     double forwardFlopsPerToken() const;
 
+    /** KV-cache bytes one sequence appends per token, summed over the
+     *  attention layers in graph order. */
+    double kvBytesPerToken(double bytes_per_element) const;
+
     /** Validate invariants. @throws ConfigError */
     void validate() const;
 };

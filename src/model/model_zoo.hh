@@ -13,6 +13,7 @@
 #ifndef MADMAX_MODEL_MODEL_ZOO_HH
 #define MADMAX_MODEL_MODEL_ZOO_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,80 @@
 
 namespace madmax::model_zoo
 {
+
+/** A stack of transformer blocks, each attention then FFN. */
+struct TransformerSpec
+{
+    long layers = 0;
+    long hidden = 0;
+    long heads = 0;
+    long kvHeads = 0;     ///< Grouped-query KV heads; 0 = one per head.
+    long seq = 0;         ///< Tokens per sample.
+    long ffn = 0;         ///< FFN inner dimension.
+    int ffnMatrices = 2;  ///< 3 for gated (SwiGLU) FFNs.
+};
+
+/**
+ * A DLRM: sparse embedding and bottom MLP feeding either a transformer
+ * feature interaction or a dot-product interaction layer, then an
+ * optional MoE top layer and an optional top MLP.
+ */
+struct DlrmSpec
+{
+    std::string name;
+    long globalBatch = 1;
+    DataType computeDtype = DataType::TF32;
+    DataType paramDtype = DataType::FP32;
+
+    long tables = 0;
+    long rowsPerTable = 0;
+    long embeddingDim = 0;
+    double pooling = 0.0;  ///< Average lookups per table per sample.
+    std::vector<long> bottomMlp;
+
+    /** Replaces the interaction layer, whose output width is otherwise
+     *  the top MLP's input width (512 without a top MLP). */
+    std::optional<TransformerSpec> transformer;
+
+    struct MoeTop
+    {
+        std::optional<long> hidden;  ///< Absent: the width below.
+        long ffn = 0;
+        int experts = 0;
+        int active = 0;
+    };
+    std::optional<MoeTop> moe;
+
+    std::optional<std::vector<long>> topMlp;
+    std::string topMlpName = "Top_MLP";
+};
+
+/** A decoder LLM: token embedding then a transformer stack whose FFNs
+ *  are optionally MoE layers. */
+struct LlmSpec
+{
+    std::string name;
+    long globalBatch = 1;
+    long vocab = 0;
+    int tieFactor = 1;  ///< 1 = tied input/output embeddings, 2 = untied.
+    TransformerSpec blocks;  ///< blocks.seq is the context length.
+
+    struct Moe
+    {
+        int experts = 0;
+        int active = 0;
+    };
+    std::optional<Moe> moe;  ///< Makes every FFN a MoE layer.
+
+    DataType computeDtype = DataType::BF16;
+    DataType paramDtype = DataType::BF16;
+};
+
+/** The only places DLRM and LLM graphs are wired: each zoo factory
+ *  below is a spec passed to its family's builder, and loadModel()
+ *  parses "dlrm" / "llm" documents into the same specs. */
+ModelDesc buildDlrm(const DlrmSpec &spec);
+ModelDesc buildLlm(const LlmSpec &spec);
 
 /** @name Recommendation models (Table II, left half) */
 /// @{

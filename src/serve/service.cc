@@ -615,22 +615,8 @@ EvalService::handleExplore(const HttpRequest &request)
     StrategyExplorer explorer(perf, &engine_);
     ExplorerOptions opts;
     opts.ignoreMemory = body.boolOr("no_memory_limit", false);
-    Exploration exploration =
-        explorer.explore(model, task.task, opts);
-
-    // Mirrors madmax_cli's cmdExplore --format json output, including
-    // the quirk that zero shown results serialize as null.
-    JsonValue arr;
-    size_t shown = 0;
-    for (const ExplorationResult &r : exploration.results) {
-        if (shown++ >= top)
-            break;
-        arr.append(toJson(r.report));
-    }
-    JsonValue out;
-    out.set("results", std::move(arr));
-    out.set("search", toJson(exploration.stats));
-    return jsonResponse(out);
+    return jsonResponse(
+        toJson(explorer.explore(model, task.task, opts), top));
 }
 
 HttpResponse

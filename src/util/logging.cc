@@ -31,13 +31,6 @@ warn(const std::string &msg)
 }
 
 void
-inform(const std::string &msg)
-{
-    if (!quiet.load(std::memory_order_relaxed))
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
 setQuiet(bool q)
 {
     quiet.store(q, std::memory_order_relaxed);

@@ -6,8 +6,7 @@
  *              Throws ConfigError so library embedders can recover.
  *  - panic():  a MAD-Max bug (violated internal invariant). Throws
  *              InternalError; should never fire on any valid input.
- *  - warn() /
- *    inform(): non-fatal status messages on stderr.
+ *  - warn():   non-fatal status messages on stderr.
  */
 
 #ifndef MADMAX_UTIL_LOGGING_HH
@@ -46,10 +45,7 @@ class InternalError : public std::logic_error
 /** Print a warning to stderr (functionality may be degraded). */
 void warn(const std::string &msg);
 
-/** Print an informational status message to stderr. */
-void inform(const std::string &msg);
-
-/** Globally silence warn()/inform() (used by tests and benches). */
+/** Globally silence warn() (used by tests and benches). */
 void setQuiet(bool quiet);
 
 } // namespace madmax

@@ -174,8 +174,8 @@ TEST(PerfModel, KeepTimelineToggle)
 TEST(PerfModel, WithClusterRebinds)
 {
     PerfModel model(hw_zoo::dlrmTrainingSystem());
-    PerfModel boosted =
-        model.withCluster(model.cluster().withComputeScale(10.0));
+    PerfModel boosted(model.cluster().withComputeScale(10.0),
+                      model.options());
     double t1 = model
                     .evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(),
                               dlrmDeployedPlan())

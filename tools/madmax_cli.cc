@@ -226,17 +226,7 @@ cmdExplore(const std::map<std::string, std::string> &flags)
     Exploration exploration = explorer.explore(model, task.task, opts);
 
     if (wantJson(flags)) {
-        JsonValue arr;
-        size_t shown = 0;
-        for (const ExplorationResult &r : exploration.results) {
-            if (shown++ >= top)
-                break;
-            arr.append(toJson(r.report));
-        }
-        JsonValue out;
-        out.set("results", std::move(arr));
-        out.set("search", toJson(exploration.stats));
-        std::cout << out.dump(2) << "\n";
+        std::cout << toJson(exploration, top).dump(2) << "\n";
         return 0;
     }
 
