@@ -10,6 +10,7 @@
 
 #include "bench_util.hh"
 #include "core/perf_model.hh"
+#include "core/validation.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "util/table.hh"
@@ -58,13 +59,8 @@ main()
                                   "OOM"});
                     continue;
                 }
-                // MFU: achieved model FLOPs over peak.
-                double model_flops = 3.0 *
-                    model.graph.totals().forwardFlopsPerSample *
-                    static_cast<double>(batch);
-                double mfu = model_flops /
-                    (r.iterationTime *
-                     cluster.aggregatePeakFlops(model.computeDtype));
+                double mfu =
+                    modelFlopsUtilization(r, model, cluster, true);
                 table.addRow({model.name, formatCount((double)batch),
                               std::to_string(gpus),
                               formatTime(r.iterationTime),

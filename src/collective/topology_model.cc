@@ -260,17 +260,6 @@ TopologyCollectiveModel::time(Collective kind, CommScope scope,
     return estimate(kind, scope, bytes).seconds;
 }
 
-double
-TopologyCollectiveModel::effectiveBandwidth(Collective kind,
-                                            CommScope scope,
-                                            double bytes) const
-{
-    double t = time(kind, scope, bytes);
-    if (t <= 0.0)
-        return 0.0;
-    return bytes / t;
-}
-
 CollectiveEstimate
 TopologyCollectiveModel::estimate(Collective kind, CommScope scope,
                                   double bytes) const

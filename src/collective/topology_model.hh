@@ -76,14 +76,6 @@ class TopologyCollectiveModel
     /** Group size at @p scope (d, m, or n). */
     int groupSize(CommScope scope) const;
 
-    /**
-     * Effective ring bandwidth the collective sees, bytes/s — the
-     * paper's "Effective AllReduce BW" / "Effective All2All BW"
-     * diagnostic: tensor bytes divided by modeled time.
-     */
-    double effectiveBandwidth(Collective kind, CommScope scope,
-                              double bytes) const;
-
     const TopologySpec &spec() const { return spec_; }
 
   private:

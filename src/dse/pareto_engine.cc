@@ -1,10 +1,9 @@
 #include "dse/pareto_engine.hh"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 
 #include "dse/pareto.hh"
-#include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "util/logging.hh"
 #include "util/strfmt.hh"
@@ -189,37 +188,11 @@ ParetoEngine::explore(const ModelDesc &desc, const TaskSpec &task,
     return out;
 }
 
-namespace
-{
-
-/** One island's phase-plan sweeps: every valid plan per phase, best
- *  first, plus the island's projected homogeneous cluster. */
-struct IslandSweep
-{
-    ClusterSpec cluster;
-    Exploration prefill;
-    Exploration decode;
-};
-
-/** First valid result of a throughput-sorted exploration; null if
- *  nothing fits. */
-const ExplorationResult *
-bestValid(const Exploration &exploration)
-{
-    for (const ExplorationResult &r : exploration.results) {
-        if (r.report.valid)
-            return &r;
-    }
-    return nullptr;
-}
-
-} // namespace
-
 InferencePlacementFrontier
 exploreInferencePlacements(const ModelDesc &desc,
                            const InferenceWorkload &workload,
                            const ClusterSpec &cluster,
-                           const ParetoOptions &options,
+                           const CostModelOptions &cost,
                            EvalEngine *engine)
 {
     cluster.validate();
@@ -229,19 +202,15 @@ exploreInferencePlacements(const ModelDesc &desc,
 
     // The evaluable islands: each device group projected to a
     // homogeneous cluster, or the cluster itself when homogeneous.
-    std::vector<IslandSweep> islands;
+    std::vector<ClusterSpec> islands;
     if (cluster.isHeterogeneous()) {
         for (size_t i = 0; i < cluster.groups.size(); ++i) {
-            IslandSweep island;
-            island.cluster = cluster.groupCluster(static_cast<int>(i));
+            islands.push_back(cluster.groupCluster(static_cast<int>(i)));
             out.islands.push_back(cluster.groups[i].name);
-            islands.push_back(std::move(island));
         }
     } else {
-        IslandSweep island;
-        island.cluster = cluster;
+        islands.push_back(cluster);
         out.islands.push_back(cluster.name);
-        islands.push_back(std::move(island));
     }
 
     // Resolve placement pins to island indices. An unknown name is a
@@ -268,42 +237,47 @@ exploreInferencePlacements(const ModelDesc &desc,
     // Whole-fleet rental rate: every placement is priced against all
     // islands, used or not (see InferencePlacementObjectives).
     double fleet_rate = 0.0;
-    for (const IslandSweep &island : islands) {
-        fleet_rate += island.cluster.numDevices() *
-            makeHardwarePoint(island.cluster).a100PeakRatio *
-            options.cost.dollarsPerA100Hour;
+    for (const ClusterSpec &island : islands) {
+        fleet_rate += island.numDevices() *
+            makeHardwarePoint(island).a100PeakRatio *
+            cost.dollarsPerA100Hour;
     }
 
-    // Per-island, per-phase plan sweeps. The inference plan space is
-    // small enough that exhaustive enumeration is cheaper than any
-    // guided strategy's bookkeeping.
+    // One exhaustive sweep per phase over the islands that run it (only
+    // the pinned one under a pin). The inference plan space is small
+    // enough that enumeration is cheaper than any guided strategy's
+    // bookkeeping. Exhaustive output is island-major in enumeration
+    // order with invalid plans kept, so each island owns one block of
+    // planCount() entries and entry k of every block is the same plan.
+    const std::vector<PerfModel> models(islands.begin(), islands.end());
+    auto phaseModels = [&](int pin) {
+        std::vector<const PerfModel *> out_models;
+        for (size_t i = 0; i < models.size(); ++i) {
+            if (pin < 0 || i == static_cast<size_t>(pin))
+                out_models.push_back(&models[i]);
+        }
+        return out_models;
+    };
     const TaskSpec prefill_task =
         InferenceModel::prefillTask(desc, workload);
     const TaskSpec decode_task =
         InferenceModel::decodeTask(desc, workload);
-    ExplorerOptions explorer_opts;
-    explorer_opts.keepInvalid = false;
-    for (size_t i = 0; i < islands.size(); ++i) {
-        IslandSweep &island = islands[i];
-        const bool runs_prefill =
-            pin_p < 0 || i == static_cast<size_t>(pin_p);
-        const bool runs_decode =
-            pin_d < 0 || i == static_cast<size_t>(pin_d);
-        if (!runs_prefill && !runs_decode)
-            continue; // Pinned out of every placement.
-        PerfModel model(island.cluster);
-        StrategyExplorer explorer(model, engine);
-        if (runs_prefill) {
-            island.prefill =
-                explorer.explore(desc, prefill_task, explorer_opts);
-            out.stats += island.prefill.stats;
-        }
-        if (runs_decode) {
-            island.decode =
-                explorer.explore(desc, decode_task, explorer_opts);
-            out.stats += island.decode.stats;
-        }
-    }
+    const SearchSpace prefill_space =
+        makeSearchSpace(phaseModels(pin_p), desc, prefill_task);
+    const SearchSpace decode_space =
+        makeSearchSpace(phaseModels(pin_d), desc, decode_task);
+    std::optional<EvalEngine> serial;
+    EvalEngine &eng = engine ? *engine : serial.emplace();
+    const SearchOutcome prefill =
+        runSearch("exhaustive", prefill_space, eng);
+    const SearchOutcome decode = runSearch("exhaustive", decode_space, eng);
+    out.stats += prefill.stats;
+    out.stats += decode.stats;
+
+    const size_t plans = prefill_space.planCount();
+    auto blockOf = [&](int pin, size_t island) {
+        return (pin < 0 ? island : 0) * plans;
+    };
 
     const InferenceModel inference;
 
@@ -315,57 +289,57 @@ exploreInferencePlacements(const ModelDesc &desc,
     for (size_t p = 0; p < islands.size(); ++p) {
         if (pin_p >= 0 && p != static_cast<size_t>(pin_p))
             continue;
+        const size_t bp = blockOf(pin_p, p);
         for (size_t d = 0; d < islands.size(); ++d) {
             if (pin_d >= 0 && d != static_cast<size_t>(pin_d))
                 continue;
+            const size_t bd = blockOf(pin_d, d);
             InferencePlacementCandidate cand;
             cand.prefillIsland = static_cast<int>(p);
             cand.decodeIsland = static_cast<int>(d);
 
             if (p == d) {
-                // Compose per-plan: harmonic request rate over the
-                // plans valid for BOTH phases on this island.
-                std::map<std::string, const ExplorationResult *> decode_by;
-                for (const ExplorationResult &r :
-                     islands[d].decode.results) {
-                    if (r.report.valid)
-                        decode_by.emplace(r.plan.toString(), &r);
-                }
-                const ExplorationResult *best_p = nullptr;
+                // Compose per plan: harmonic request rate over the
+                // plans valid for BOTH phases on this island. Ties go
+                // to the higher prefill throughput, then to the
+                // earlier plan.
+                const SearchCandidate *best = nullptr;
                 double best_rate = 0.0;
-                for (const ExplorationResult &pr :
-                     islands[p].prefill.results) {
-                    if (!pr.report.valid)
-                        continue;
-                    auto it = decode_by.find(pr.plan.toString());
-                    if (it == decode_by.end())
+                for (size_t k = 0; k < plans; ++k) {
+                    const SearchCandidate &pr = prefill.evaluated[bp + k];
+                    const SearchCandidate &dr = decode.evaluated[bd + k];
+                    if (!pr.report.valid || !dr.report.valid)
                         continue;
                     const double rate = 1.0 /
                         (pr.report.iterationTime +
-                         it->second->report.iterationTime *
+                         dr.report.iterationTime *
                              static_cast<double>(workload.generateTokens));
-                    if (rate > best_rate) {
+                    if (rate > best_rate ||
+                        (best && rate == best_rate &&
+                         pr.report.throughput() >
+                             best->report.throughput())) {
                         best_rate = rate;
-                        best_p = &pr;
+                        best = &pr;
                     }
                 }
-                if (!best_p)
+                if (!best)
                     continue; // No plan serves both phases here.
-                cand.prefillPlan = best_p->plan;
-                cand.decodePlan = best_p->plan;
+                cand.prefillPlan = best->plan;
+                cand.decodePlan = best->plan;
             } else {
-                const ExplorationResult *bp =
-                    bestValid(islands[p].prefill);
-                const ExplorationResult *bd = bestValid(islands[d].decode);
-                if (!bp || !bd)
+                const SearchCandidate *best_p =
+                    bestCandidate(prefill.evaluated, bp, bp + plans);
+                const SearchCandidate *best_d =
+                    bestCandidate(decode.evaluated, bd, bd + plans);
+                if (!best_p || !best_d)
                     continue; // An island cannot run its phase.
-                cand.prefillPlan = bp->plan;
-                cand.decodePlan = bd->plan;
+                cand.prefillPlan = best_p->plan;
+                cand.decodePlan = best_d->plan;
             }
 
             cand.report = inference.evaluate(
-                desc, workload, islands[p].cluster, cand.prefillPlan,
-                islands[d].cluster, cand.decodePlan, cluster.name);
+                desc, workload, islands[p], cand.prefillPlan, islands[d],
+                cand.decodePlan, cluster.name);
             if (cand.report.valid) {
                 cand.objectives.tokensPerSecond =
                     cand.report.tokensPerSecond;

@@ -228,18 +228,19 @@ scoreObjectives(const PerfReport &report, const HardwarePoint &hw,
 
 /**
  * Search serving placements of @p workload for @p desc on @p cluster.
- * Per-phase plan selection is an exhaustive sweep of the inference
- * plan space on each island (the space is small — the guided
- * strategies are not needed); colocated placements pick the single
- * plan maximizing the composed request rate, disaggregated ones pick
- * each phase's best plan independently.
+ * Plan selection is one runSearch("exhaustive") per phase over the
+ * islands that run it (the space is small — the guided strategies are
+ * not needed); colocated placements pick the single plan maximizing
+ * the composed request rate, disaggregated ones pick each phase's best
+ * plan independently. @p cost prices the whole fleet for perf-per-TCO;
+ * a null @p engine means one private serial engine.
  * @throws ConfigError on an invalid cluster or workload.
  */
 InferencePlacementFrontier
 exploreInferencePlacements(const ModelDesc &desc,
                            const InferenceWorkload &workload,
                            const ClusterSpec &cluster,
-                           const ParetoOptions &options = {},
+                           const CostModelOptions &cost = {},
                            EvalEngine *engine = nullptr);
 
 /**

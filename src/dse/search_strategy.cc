@@ -613,10 +613,12 @@ enumeratePlans(const SearchSpace &space)
 }
 
 const SearchCandidate *
-bestCandidate(const std::vector<SearchCandidate> &candidates, size_t from)
+bestCandidate(const std::vector<SearchCandidate> &candidates, size_t from,
+              size_t to)
 {
     const SearchCandidate *best = nullptr;
-    for (size_t i = from; i < candidates.size(); ++i) {
+    to = std::min(to, candidates.size());
+    for (size_t i = from; i < to; ++i) {
         const SearchCandidate &c = candidates[i];
         if (c.report.valid &&
             (!best || c.report.throughput() >

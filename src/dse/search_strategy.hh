@@ -207,11 +207,11 @@ SearchOutcome runSearch(const std::string &strategy,
  */
 std::vector<ParallelPlan> enumeratePlans(const SearchSpace &space);
 
-/** The best valid entry of candidates[from..] by throughput (the
+/** The best valid entry of candidates[from, to) by throughput (the
  *  first wins ties), or null when none of them is valid. */
 const SearchCandidate *
 bestCandidate(const std::vector<SearchCandidate> &candidates,
-              size_t from = 0);
+              size_t from = 0, size_t to = SIZE_MAX);
 
 /**
  * Build a SearchSpace over the layer classes present in @p desc, with

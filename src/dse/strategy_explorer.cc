@@ -91,8 +91,6 @@ StrategyExplorer::explore(const ModelDesc &desc, const TaskSpec &task,
     out.stats = outcome.stats;
     out.results.reserve(outcome.evaluated.size());
     for (SearchCandidate &c : outcome.evaluated) {
-        if (!c.report.valid && !options.keepInvalid)
-            continue;
         out.results.push_back(ExplorationResult{
             std::move(c.plan), std::move(c.report), EvalStats{}});
     }

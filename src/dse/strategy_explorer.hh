@@ -39,7 +39,9 @@ struct ExplorationResult
 /** A ranked exploration of the full plan space. */
 struct Exploration
 {
-    /** Sorted by descending throughput, invalid plans last. */
+    /** Sorted by descending throughput; OOM plans are kept, reported
+     *  invalid and ranked last, so benches can render the paper's gray
+     *  bars. */
     std::vector<ExplorationResult> results;
 
     /** Search cost of this call (evaluations, cache hits, pruned). */
@@ -57,12 +59,6 @@ JsonValue toJson(const Exploration &exploration, size_t top);
 /** Exploration knobs. */
 struct ExplorerOptions
 {
-    /**
-     * Keep OOM plans in the result list (reported invalid) so benches
-     * can render the paper's gray bars.
-     */
-    bool keepInvalid = true;
-
     /**
      * Evaluate timing for OOM plans too (the "unconstrained by memory
      * capacity" analysis — Fig. 10's orange bars).

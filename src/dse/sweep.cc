@@ -95,20 +95,6 @@ hardwareScalingStudy(const ClusterSpec &cluster, const ModelDesc &desc,
 }
 
 double
-energyKwhPerSamples(const PerfReport &report, const ClusterSpec &cluster,
-                    double samples)
-{
-    if (!report.valid || report.throughput() <= 0.0 ||
-        cluster.device.tdpWatts <= 0.0) {
-        return 0.0;
-    }
-    double seconds = samples / report.throughput();
-    double joules =
-        seconds * cluster.device.tdpWatts * cluster.numDevices();
-    return joules / 3.6e6;
-}
-
-double
 normalizedGpuHours(const PerfReport &report, const ClusterSpec &cluster,
                    double samples, double a100_peak_flops)
 {

@@ -79,15 +79,6 @@ double normalizedGpuHours(const PerfReport &report,
                           const ClusterSpec &cluster, double samples,
                           double a100_peak_flops);
 
-/**
- * Operational accelerator energy in kWh to process @p samples samples
- * (devices x TDP x elapsed time) — the "by extension, operational
- * energy consumption is also reduced" metric of Insight 7. Returns 0
- * when the device has no TDP on record or the report is invalid.
- */
-double energyKwhPerSamples(const PerfReport &report,
-                           const ClusterSpec &cluster, double samples);
-
 } // namespace madmax
 
 #endif // MADMAX_DSE_SWEEP_HH

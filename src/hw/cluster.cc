@@ -39,18 +39,6 @@ ClusterSpec::aggregatePeakFlops(DataType dtype) const
     return device.peakFlops(dtype) * numDevices();
 }
 
-double
-ClusterSpec::aggregateHbmCapacity() const
-{
-    return device.hbmCapacity * numDevices();
-}
-
-double
-ClusterSpec::aggregateHbmBandwidth() const
-{
-    return device.hbmBandwidth * numDevices();
-}
-
 ClusterSpec
 ClusterSpec::groupCluster(int i) const
 {

@@ -136,12 +136,6 @@ struct ClusterSpec
     /** Aggregate peak FLOP/s across the cluster for @p dtype. */
     double aggregatePeakFlops(DataType dtype) const;
 
-    /** Aggregate HBM capacity in bytes. */
-    double aggregateHbmCapacity() const;
-
-    /** Aggregate HBM bandwidth in bytes/s. */
-    double aggregateHbmBandwidth() const;
-
     /** Validate invariants (positive counts/rates). @throws ConfigError */
     void validate() const;
 

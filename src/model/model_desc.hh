@@ -42,13 +42,6 @@ struct ModelDesc
     /** True if this is a recommendation model (throughput in QPS). */
     bool isRecommendation = false;
 
-    /** Tokens per iteration (= batch x context for LLMs). */
-    double tokensPerIteration() const
-    {
-        return static_cast<double>(globalBatchSize) *
-            static_cast<double>(contextLength);
-    }
-
     /** Bytes per parameter element. */
     double paramBytes() const { return bytesOf(paramDtype); }
 

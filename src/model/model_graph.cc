@@ -91,15 +91,4 @@ ModelGraph::totals() const
     return t;
 }
 
-std::vector<int>
-ModelGraph::layersOfClass(LayerClass cls) const
-{
-    std::vector<int> out;
-    for (int i = 0; i < numLayers(); ++i) {
-        if (nodes_[static_cast<size_t>(i)].layer->layerClass() == cls)
-            out.push_back(i);
-    }
-    return out;
-}
-
 } // namespace madmax

@@ -66,9 +66,6 @@ class ModelGraph
     /** Sum up model-level characteristics across all layers. */
     ModelTotals totals() const;
 
-    /** All layers of a given strategy class. */
-    std::vector<int> layersOfClass(LayerClass cls) const;
-
     /** True if any layer belongs to @p cls. O(1): canonical keys and
      *  the memory model ask this for every plan of a sweep. */
     bool hasClass(LayerClass cls) const

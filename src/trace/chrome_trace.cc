@@ -1,7 +1,6 @@
 #include "trace/chrome_trace.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/strfmt.hh"
 
@@ -62,14 +61,6 @@ writeChromeTrace(const Timeline &timeline, std::ostream &os)
             se.event.blocking ? "true" : "false", algo.c_str());
     }
     os << "],\"displayTimeUnit\":\"ms\"}";
-}
-
-std::string
-chromeTraceJson(const Timeline &timeline)
-{
-    std::ostringstream oss;
-    writeChromeTrace(timeline, oss);
-    return oss.str();
 }
 
 std::string

@@ -20,9 +20,6 @@ namespace madmax
 /** Serialize @p timeline as Chrome Trace Event JSON to @p os. */
 void writeChromeTrace(const Timeline &timeline, std::ostream &os);
 
-/** Serialize to a string. */
-std::string chromeTraceJson(const Timeline &timeline);
-
 /**
  * Render an ASCII swimlane view of the two streams (the Fig. 6-style
  * visualization benches print). Each column is makespan/width seconds.

@@ -45,9 +45,6 @@ class InternalError : public std::logic_error
 /** Print a warning to stderr (functionality may be degraded). */
 void warn(const std::string &msg);
 
-/** Globally silence warn() (used by tests and benches). */
-void setQuiet(bool quiet);
-
 } // namespace madmax
 
 #endif // MADMAX_UTIL_LOGGING_HH

@@ -53,26 +53,6 @@ formatBytes(double bytes)
 }
 
 std::string
-formatBandwidth(double bytes_per_sec)
-{
-    static const char *suffixes[] =
-        {"B/s", "KB/s", "MB/s", "GB/s", "TB/s", "PB/s"};
-    double v = bytes_per_sec;
-    int idx = scaleBy(v, 1000.0, 5);
-    return strfmt("%.2f %s", v, suffixes[idx]);
-}
-
-std::string
-formatFlops(double flops_per_sec)
-{
-    static const char *suffixes[] =
-        {"FLOPS", "KFLOPS", "MFLOPS", "GFLOPS", "TFLOPS", "PFLOPS", "EFLOPS"};
-    double v = flops_per_sec;
-    int idx = scaleBy(v, 1000.0, 6);
-    return strfmt("%.2f %s", v, suffixes[idx]);
-}
-
-std::string
 formatTime(double seconds)
 {
     double abs_s = std::abs(seconds);

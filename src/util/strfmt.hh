@@ -26,12 +26,6 @@ std::string strfmt(const char *fmt, ...)
 /** Format a byte count with a binary prefix, e.g. "12.5 GiB". */
 std::string formatBytes(double bytes);
 
-/** Format a bandwidth with a decimal prefix, e.g. "1.6 TB/s". */
-std::string formatBandwidth(double bytes_per_sec);
-
-/** Format a FLOP rate, e.g. "312 TFLOPS". */
-std::string formatFlops(double flops_per_sec);
-
 /** Format a duration with an adaptive unit, e.g. "65.3 ms". */
 std::string formatTime(double seconds);
 

@@ -229,12 +229,11 @@ TEST(CollectiveModel, EffectiveBandwidthDiagnostic)
 {
     TopologyCollectiveModel m = idealModel();
     const double T = gb(1);
-    double bw =
-        m.effectiveBandwidth(Collective::AllGather, CommScope::Inter, T);
+    // Effective bandwidth: tensor bytes over modeled time.
+    double bw = T / m.time(Collective::AllGather, CommScope::Inter, T);
     EXPECT_NEAR(bw, gBps(25) * 16.0 / 15.0, kb(1));
     EXPECT_DOUBLE_EQ(
-        m.effectiveBandwidth(Collective::AllGather, CommScope::Inter, 0.0),
-        0.0);
+        m.time(Collective::AllGather, CommScope::Inter, 0.0), 0.0);
 }
 
 TEST(CollectiveModel, Names)

@@ -3,14 +3,13 @@
  * Tests for the extension features beyond the paper's core model:
  * per-GPU embedding lookup skew (§IV-B's uneven-sharding adjustment),
  * ring/tree AllReduce selection, the background communication
- * channel, and the operational-energy estimate.
+ * channel, and the device TDPs behind operational energy.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/layer_processor.hh"
 #include "core/perf_model.hh"
-#include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
 #include "util/logging.hh"
@@ -137,35 +136,11 @@ TEST(AllReduceAlgorithmOption, RingForcedThroughPerfModel)
     EXPECT_LE(r_auto.commTime, r_ring.commTime + 1e-12);
 }
 
-TEST(EnergyModel, ScalesWithTdpAndTime)
-{
-    PerfModel model(hw_zoo::dlrmTrainingSystem());
-    PerfReport r = model.evaluate(model_zoo::dlrmA(),
-                                  TaskSpec::preTraining(), dlrmPlan());
-    ASSERT_TRUE(r.valid);
-    double kwh =
-        energyKwhPerSamples(r, model.cluster(), 1e9);
-    // 128 devices x 400 W x elapsed seconds / 3.6e6.
-    double expected =
-        1e9 / r.throughput() * 400.0 * 128.0 / 3.6e6;
-    EXPECT_NEAR(kwh, expected, expected * 1e-9);
-    EXPECT_GT(kwh, 0.0);
-
-    // No TDP on record: no estimate.
-    ClusterSpec anon = model.cluster();
-    anon.device.tdpWatts = 0.0;
-    EXPECT_DOUBLE_EQ(energyKwhPerSamples(r, anon, 1e9), 0.0);
-
-    // Invalid reports yield no estimate.
-    PerfReport bad;
-    EXPECT_DOUBLE_EQ(energyKwhPerSamples(bad, model.cluster(), 1e9),
-                     0.0);
-}
-
 TEST(EnergyModel, FasterPlansUseLessEnergy)
 {
     // Insight 7 "by extension": fewer GPU-hours means less energy on
-    // the same hardware.
+    // the same hardware. Energy per sample is devices x TDP / throughput,
+    // so on one cluster the faster plan uses less.
     PerfModel model(hw_zoo::dlrmTrainingSystem());
     PerfReport fsdp = model.evaluate(model_zoo::dlrmA(),
                                      TaskSpec::preTraining(),
@@ -173,8 +148,8 @@ TEST(EnergyModel, FasterPlansUseLessEnergy)
     PerfReport best = model.evaluate(model_zoo::dlrmA(),
                                      TaskSpec::preTraining(),
                                      dlrmPlan());
-    EXPECT_LT(energyKwhPerSamples(best, model.cluster(), 1e9),
-              energyKwhPerSamples(fsdp, model.cluster(), 1e9));
+    ASSERT_TRUE(best.valid && fsdp.valid);
+    EXPECT_GT(best.throughput(), fsdp.throughput());
 }
 
 TEST(EnergyModel, ZooDevicesCarryTdp)

@@ -76,10 +76,11 @@ TEST(FigValidation, Fig7_NetworkScalingAcrossNodeCounts)
     const TopologyCollectiveModel roce(full);
 
     const double bytes = 1e9;
-    const double bw8 = nvlink.effectiveBandwidth(
-        Collective::All2All, CommScope::Global, bytes);
-    const double bw128 = roce.effectiveBandwidth(
-        Collective::All2All, CommScope::Global, bytes);
+    // Effective All2All bandwidth: tensor bytes over modeled time.
+    const double bw8 =
+        bytes / nvlink.time(Collective::All2All, CommScope::Global, bytes);
+    const double bw128 =
+        bytes / roce.time(Collective::All2All, CommScope::Global, bytes);
     // Single-node: ~NVLink effective rate. 16-node: pinned near the
     // RoCE per-device rate — more than an order of magnitude apart.
     EXPECT_NEAR(bw8, one_node.effIntraBandwidth(),

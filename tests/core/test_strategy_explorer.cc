@@ -103,24 +103,6 @@ TEST(StrategyExplorer, DlrmOptimalShardsIntraReplicatesInter)
     EXPECT_EQ(dense.inter, Strategy::DDP) << dense.toString();
 }
 
-TEST(StrategyExplorer, KeepInvalidToggle)
-{
-    PerfModel model(hw_zoo::dlrmTrainingSystem());
-    StrategyExplorer explorer(model);
-    ExplorerOptions keep;
-    keep.keepInvalid = true;
-    ExplorerOptions drop;
-    drop.keepInvalid = false;
-    auto with = explorer.explore(model_zoo::dlrmA(),
-                                 TaskSpec::preTraining(), keep).results;
-    auto without = explorer.explore(model_zoo::dlrmA(),
-                                    TaskSpec::preTraining(), drop)
-                       .results;
-    EXPECT_GT(with.size(), without.size());
-    for (const auto &r : without)
-        EXPECT_TRUE(r.report.valid);
-}
-
 TEST(StrategyExplorer, IgnoreMemoryUnlocksFasterPlans)
 {
     // Fig. 10's orange bars: unconstrained exploration can only be

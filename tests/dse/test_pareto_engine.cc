@@ -486,6 +486,18 @@ strictlyDominates(const InferencePlacementObjectives &a,
         a.maxConcurrentSequences > b.maxConcurrentSequences;
 }
 
+/** Plans one island's phase sweep evaluates (no OOM pruning on the
+ *  exemplar fleet, so every plan is a fresh evaluation). */
+long
+phasePlanCount(const MixedServingConfig &cfg)
+{
+    PerfModel model(cfg.cluster.groupCluster(0));
+    const TaskSpec task =
+        InferenceModel::decodeTask(cfg.desc, cfg.workload);
+    return static_cast<long>(
+        makeSearchSpace({&model}, cfg.desc, task).planCount());
+}
+
 } // namespace
 
 TEST(InferencePlacement, HomogeneousClusterDegeneratesToColocated)
@@ -563,6 +575,23 @@ TEST(InferencePlacement, PinsRestrictTheSearch)
     EXPECT_EQ(f.candidates[0].prefillIsland, 0);
     EXPECT_EQ(f.candidates[0].decodeIsland, 1);
     EXPECT_TRUE(f.candidates[0].report.disaggregated);
+    // Each phase sweeps only its pinned island.
+    EXPECT_EQ(f.stats.evaluations, 2 * phasePlanCount(cfg));
+}
+
+TEST(InferencePlacement, DecodePinSweepsPrefillOnEveryIsland)
+{
+    MixedServingConfig cfg;
+    cfg.workload.decodeGroup = "a100-80-pool";
+    InferencePlacementFrontier f = exploreInferencePlacements(
+        cfg.desc, cfg.workload, cfg.cluster);
+    ASSERT_EQ(f.candidates.size(), 2u);
+    for (const InferencePlacementCandidate &c : f.candidates)
+        EXPECT_EQ(c.decodeIsland, 1);
+    EXPECT_EQ(f.candidates[0].prefillIsland, 0);
+    EXPECT_EQ(f.candidates[1].prefillIsland, 1);
+    // Prefill sweeps both islands, decode only the pinned one.
+    EXPECT_EQ(f.stats.evaluations, 3 * phasePlanCount(cfg));
 }
 
 TEST(InferencePlacement, RejectsUnknownGroupPins)

@@ -108,8 +108,8 @@ TEST(EvalEngine, MemoizedReportEqualsFreshReport)
 
 TEST(EvalEngine, PruningCountsOomPlans)
 {
-    // Every invalid result in a keepInvalid exploration must have
-    // been resolved by the memory pre-pass, not a full evaluation.
+    // Every invalid result of an exploration must have been resolved
+    // by the memory pre-pass, not a full evaluation.
     PerfModel model(hw_zoo::dlrmTrainingSystem());
     EvalEngine engine;
     StrategyExplorer explorer(model, &engine);

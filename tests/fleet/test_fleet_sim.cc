@@ -97,7 +97,6 @@ TEST(FleetSimulator, ReproducesFig4cCollectiveMix)
 
 TEST(FleetSimulator, OomJobsAreSkippedWithWarning)
 {
-    setQuiet(true);
     FleetSimulator fleet;
     // A job that cannot fit: DDP dense on 40 GB devices.
     ParallelPlan ddp;
@@ -115,7 +114,6 @@ TEST(FleetSimulator, OomJobsAreSkippedWithWarning)
                           hw_zoo::dlrmTrainingSystem(), 1.0});
     FleetReport report = fleet.run();
     EXPECT_GT(report.overall.compute, 0.0);
-    setQuiet(false);
 }
 
 TEST(FleetSimulator, WeightsBiasTheAggregate)

@@ -40,10 +40,6 @@ TEST(ClusterSpec, EffectiveBandwidthsApplyUtilization)
 TEST(ClusterSpec, Aggregates)
 {
     ClusterSpec c = testCluster();
-    EXPECT_DOUBLE_EQ(c.aggregateHbmCapacity(),
-                     c.device.hbmCapacity * 128);
-    EXPECT_DOUBLE_EQ(c.aggregateHbmBandwidth(),
-                     c.device.hbmBandwidth * 128);
     EXPECT_DOUBLE_EQ(c.aggregatePeakFlops(DataType::TF32),
                      c.device.peakFlopsTf32 * 128);
 }

@@ -18,9 +18,10 @@ TEST(HwZoo, DlrmTrainingSystemMatchesTableIII)
     EXPECT_NEAR(c.aggregatePeakFlops(DataType::TF32), pflops(20),
                 pflops(0.1));
     // 5 TB HBM capacity (GiB-based, allow 10%).
-    EXPECT_NEAR(c.aggregateHbmCapacity(), tb(5), tb(0.55));
+    EXPECT_NEAR(c.numDevices() * c.device.hbmCapacity, tb(5), tb(0.55));
     // 199 TB/s aggregate HBM bandwidth (128 x 1.6).
-    EXPECT_NEAR(c.aggregateHbmBandwidth(), tBps(204.8), tBps(6));
+    EXPECT_NEAR(c.numDevices() * c.device.hbmBandwidth, tBps(204.8),
+                tBps(6));
     // 38.4 TB/s intra-node unidirectional aggregate: 128 x 300 GB/s.
     EXPECT_NEAR(c.device.intraNodeBandwidth * 128, tBps(38.4), tBps(0.1));
     // 25.6 Tbps inter-node unidirectional aggregate: 128 x 200 Gbps.
@@ -36,8 +37,9 @@ TEST(HwZoo, LlmTrainingSystemMatchesTableIII)
     EXPECT_EQ(c.numDevices(), 2048);
     EXPECT_NEAR(c.aggregatePeakFlops(DataType::TF32), pflops(319),
                 pflops(1));
-    EXPECT_NEAR(c.aggregateHbmCapacity(), tb(164), tb(18));
-    EXPECT_NEAR(c.aggregateHbmBandwidth(), pBps(3.96), pBps(0.15));
+    EXPECT_NEAR(c.numDevices() * c.device.hbmCapacity, tb(164), tb(18));
+    EXPECT_NEAR(c.numDevices() * c.device.hbmBandwidth, pBps(3.96),
+                pBps(0.15));
     EXPECT_NEAR(c.device.interNodeBandwidth * 2048, tbps(409.6),
                 gBps(10));
     EXPECT_EQ(c.interFabric, FabricKind::InfiniBand);
@@ -146,7 +148,8 @@ TEST(HwZoo, MixedInferenceFleetIsAValidTwoIslandCluster)
     ClusterSpec h = fleet.groupCluster(0);
     ClusterSpec a = fleet.groupCluster(1);
     EXPECT_GT(h.device.peakFlopsTensor16, a.device.peakFlopsTensor16);
-    EXPECT_GT(a.aggregateHbmCapacity(), h.aggregateHbmCapacity());
+    EXPECT_GT(a.numDevices() * a.device.hbmCapacity,
+              h.numDevices() * h.device.hbmCapacity);
 }
 
 } // namespace madmax

@@ -128,8 +128,8 @@ TEST(ModelZoo, Llama2ContextVariant)
                 1.0, 1e-9);
     // The sequence batch is held while context doubles (Fig. 15), so
     // tokens per iteration double from the base's 4M.
-    EXPECT_NEAR(base.tokensPerIteration(), 4194304.0, 1.0);
-    EXPECT_NEAR(ctx8k.tokensPerIteration(), 2.0 * 4194304.0, 1.0);
+    EXPECT_EQ(ctx8k.globalBatchSize, base.globalBatchSize);
+    EXPECT_EQ(base.globalBatchSize * base.contextLength, 4194304);
     // Longer context means more FLOPs/token (quadratic attention).
     EXPECT_GT(ctx8k.forwardFlopsPerToken(), base.forwardFlopsPerToken());
 }

@@ -190,7 +190,9 @@ TEST(CommPlannerMoe, ExpertParallelismEmitsDispatchAndCombine)
     plan.set(LayerClass::MoE, HierStrategy{Strategy::MP});
     CommPlanner planner(desc, TaskSpec::preTraining(), plan, cluster);
 
-    int moe_idx = desc.graph.layersOfClass(LayerClass::MoE).front();
+    int moe_idx = 0;
+    while (desc.graph.layer(moe_idx).layerClass() != LayerClass::MoE)
+        ++moe_idx;
     std::vector<CommOp> ops = planner.planLayer(moe_idx);
     // Dispatch + combine forward, and both reversed in backward.
     EXPECT_EQ(countOps(ops, Collective::All2All, Phase::Forward), 2);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "config/json.hh"
 #include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
@@ -41,13 +43,20 @@ tinyTimeline()
     return tl;
 }
 
+JsonValue
+traceDocument(const Timeline &timeline)
+{
+    std::ostringstream os;
+    writeChromeTrace(timeline, os);
+    return JsonValue::parse(os.str());
+}
+
 } // namespace
 
 TEST(ChromeTrace, ProducesValidJson)
 {
-    std::string json = chromeTraceJson(tinyTimeline());
     // Must parse with our own JSON reader.
-    JsonValue doc = JsonValue::parse(json);
+    JsonValue doc = traceDocument(tinyTimeline());
     ASSERT_TRUE(doc.has("traceEvents"));
     const auto &events = doc.at("traceEvents").asArray();
     ASSERT_EQ(events.size(), 2u);
@@ -74,7 +83,7 @@ TEST(ChromeTrace, SkipsZeroDurationEvents)
     barrier.duration = 0.0;
     tl.events.push_back(ScheduledEvent{barrier, 5e-3, 5e-3});
 
-    JsonValue doc = JsonValue::parse(chromeTraceJson(tl));
+    JsonValue doc = traceDocument(tl);
     EXPECT_EQ(doc.at("traceEvents").size(), 2u);
 }
 
@@ -107,7 +116,7 @@ TEST(ChromeTrace, FlatClusterAnnotatesEveryCollective)
     }
     ASSERT_GT(traced_comm, 0u);
 
-    JsonValue doc = JsonValue::parse(chromeTraceJson(r.timeline));
+    JsonValue doc = traceDocument(r.timeline);
     size_t annotated = 0;
     for (const JsonValue &ev : doc.at("traceEvents").asArray()) {
         const bool comm = ev.at("tid").asLong() == 1;

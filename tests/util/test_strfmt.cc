@@ -27,18 +27,6 @@ TEST(Strfmt, FormatBytes)
     EXPECT_EQ(formatBytes(1.5 * 1024 * 1024), "1.50 MiB");
 }
 
-TEST(Strfmt, FormatBandwidth)
-{
-    EXPECT_EQ(formatBandwidth(1.6e12), "1.60 TB/s");
-    EXPECT_EQ(formatBandwidth(25e9), "25.00 GB/s");
-}
-
-TEST(Strfmt, FormatFlops)
-{
-    EXPECT_EQ(formatFlops(312e12), "312.00 TFLOPS");
-    EXPECT_EQ(formatFlops(20e15), "20.00 PFLOPS");
-}
-
 TEST(Strfmt, FormatTimeAdaptiveUnits)
 {
     EXPECT_EQ(formatTime(0.0653), "65.300 ms");
