@@ -29,6 +29,7 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
                          const TaskSpec &task)
     : model_(&model), desc_(&desc), task_(&task),
       taskName_(task.toString()),
+      memoryTerms_(model.memoryModel().terms(desc)),
       collectives_(model.cluster(), model.options().latency,
                    model.options().allReduceAlgorithm)
 {
@@ -255,7 +256,18 @@ EvalContext::plannedOps(int idx, HierStrategy hs) const
 PerfReport
 EvalContext::verdict(const ParallelPlan &plan) const
 {
-    return model_->verdict(*desc_, *task_, plan, taskName_);
+    PerfReport report;
+    report.modelName = desc_->name;
+    report.clusterName = cluster().name;
+    report.taskName = taskName_;
+    report.plan = plan;
+    report.globalBatchSize = desc_->globalBatchSize;
+    report.contextLength = desc_->contextLength;
+
+    report.memory = model_->memoryModel().evaluate(memoryTerms_, *task_,
+                                                   plan, cluster());
+    report.valid = report.memory.fits() || options().ignoreMemory;
+    return report;
 }
 
 namespace
@@ -331,7 +343,12 @@ struct EvalContext::Scratch
 PerfReport
 EvalContext::evaluate(const ParallelPlan &plan) const
 {
-    PerfReport report = verdict(plan);
+    return evaluate(plan, verdict(plan));
+}
+
+PerfReport
+EvalContext::evaluate(const ParallelPlan &plan, PerfReport report) const
+{
     if (!report.memory.fits() && !options().ignoreMemory)
         return report;
 

@@ -14,6 +14,9 @@
  *
  *  - specs are validated once (LayerProcessor / CommPlanner
  *    construction), not once per plan;
+ *  - the memory footprint's per-layer inputs are read once into
+ *    flat MemoryModel::Terms, so a plan's verdict prices arrays
+ *    instead of calling into every layer;
  *  - layers are grouped by shape (Layer::sameShape: everything but
  *    the name) and by *template* — shape plus the layer's producer
  *    and consumer offsets and its emission ordinal clamped at 2 — with
@@ -139,11 +142,21 @@ class EvalContext
      * calls. The scheduled Timeline is materialized only when the
      * model retains timelines (PerfModelOptions::keepTimeline). OOM
      * plans short-circuit to the memory verdict unless the model
-     * ignores memory.
+     * ignores memory. Same as evaluate(plan, verdict(plan)).
      */
     PerfReport evaluate(const ParallelPlan &plan) const;
 
-    /** Memory-only evaluation, identical to PerfModel::verdict. */
+    /**
+     * evaluate() for a caller that already holds @p plan's verdict
+     * (the EvalEngine's pruning pre-pass), so the footprint is priced
+     * once per plan. @p verdict must be verdict(plan).
+     */
+    PerfReport evaluate(const ParallelPlan &plan, PerfReport verdict) const;
+
+    /**
+     * Memory-only evaluation, identical to PerfModel::verdict, priced
+     * from the footprint terms read once at construction.
+     */
     PerfReport verdict(const ParallelPlan &plan) const;
 
     /** Plan-invariant per-layer costs, label base, and ids. */
@@ -257,6 +270,7 @@ class EvalContext
     const ModelDesc *desc_;
     const TaskSpec *task_;
     std::string taskName_;
+    MemoryModel::Terms memoryTerms_;
     TopologyCollectiveModel collectives_;
     std::vector<LayerCosts> costs_;
     std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.

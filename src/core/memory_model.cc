@@ -22,25 +22,83 @@ MemoryModel::evaluate(const ModelDesc &desc, const TaskSpec &task,
 {
     desc.validate();
     cluster.validate();
+    return evaluate(terms(desc), task, plan, cluster);
+}
 
+MemoryModel::Terms
+MemoryModel::terms(const ModelDesc &desc) const
+{
+    const ModelGraph &graph = desc.graph;
+    const size_t n = static_cast<size_t>(graph.numLayers());
+    const double act_elem_bytes = desc.activationBytes();
+    Terms t;
+    t.params.reserve(n);
+    t.retainedActs.reserve(n);
+    t.transientParams.reserve(n);
+    t.classes.reserve(n);
+    double widest = 0.0, second = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        const Layer &layer = graph.layer(static_cast<int>(i));
+        const double params = layer.paramCount();
+        const double out = layer.outputBytesPerSample(act_elem_bytes);
+        t.params.push_back(params);
+        t.retainedActs.push_back(
+            options_.checkpointActivations
+                ? out
+                : layer.activationMemoryBytesPerSample(act_elem_bytes));
+        t.classes.push_back(static_cast<uint8_t>(layer.layerClass()));
+
+        // FSDP materializes the in-flight unit on top of its shard.
+        // MoE banks are wrapped per expert, so only one expert's
+        // weights are gathered at a time.
+        double transient_params = params;
+        const LayerKind kind = layer.kind();
+        if (kind == LayerKind::MoeFeedForward) {
+            transient_params /=
+                static_cast<const MoeFeedForwardLayer &>(layer)
+                    .numExperts();
+        } else if (kind == LayerKind::Attention) {
+            t.kvPerElement.push_back(
+                static_cast<const AttentionLayer &>(layer)
+                    .kvBytesPerToken(1.0));
+        }
+        t.transientParams.push_back(transient_params);
+
+        // Inference working set: the two widest adjacent layer
+        // outputs.
+        if (out > widest) {
+            second = widest;
+            widest = out;
+        } else {
+            second = std::max(second, out);
+        }
+    }
+    t.workingSet = widest + second;
+    t.paramElemBytes = desc.paramBytes();
+    t.globalBatchSize = static_cast<double>(desc.globalBatchSize);
+    t.contextLength = static_cast<double>(desc.contextLength);
+    return t;
+}
+
+MemoryFootprint
+MemoryModel::evaluate(const Terms &terms, const TaskSpec &task,
+                      const ParallelPlan &plan,
+                      const ClusterSpec &cluster) const
+{
     MemoryFootprint fp;
     fp.usableCapacity =
         cluster.device.hbmCapacity * (1.0 - options_.reserveFraction);
 
-    const double param_elem_bytes = desc.paramBytes();
+    const double param_elem_bytes = terms.paramElemBytes;
     // Mixed-precision training keeps an fp32 master copy when params
     // are stored in 16-bit.
     const double master_bytes = param_elem_bytes < 4.0 ? 4.0 : 0.0;
     const double batch_share =
-        static_cast<double>(desc.globalBatchSize) /
-        static_cast<double>(cluster.numDevices());
+        terms.globalBatchSize / static_cast<double>(cluster.numDevices());
 
     // Everything the per-layer loop reads through the plan/task is a
-    // function of the layer's class alone; resolve each class once
-    // instead of per layer (a strategy map lookup plus sharding per
-    // layer is measurable on ~200-layer graphs in the DSE hot path).
-    // The per-layer arithmetic below is unchanged, so the sums are
-    // bit-identical.
+    // function of the layer's class alone, so resolve each class once
+    // instead of per layer.
     struct ClassTerms
     {
         ShardingInfo sh;
@@ -48,81 +106,49 @@ MemoryModel::evaluate(const ModelDesc &desc, const TaskSpec &task,
         double optBytesPerParam;
         bool trainable;
     };
-    constexpr size_t kNumClasses =
-        static_cast<size_t>(LayerClass::MoE) + 1;
-    ClassTerms terms[kNumClasses];
-    for (size_t c = 0; c < kNumClasses; ++c) {
+    ClassTerms classes[kNumLayerClasses];
+    for (size_t c = 0; c < kNumLayerClasses; ++c) {
         const LayerClass cls = static_cast<LayerClass>(c);
-        ClassTerms &t = terms[c];
-        t.sh = shardingFor(plan.strategyFor(cls), cluster);
-        t.gradBytesPerParam = task.gradBytesPerParam(cls);
-        t.trainable = task.isTrainable(cls);
-        t.optBytesPerParam = task.optimizerBytesPerParam(cls);
+        ClassTerms &ct = classes[c];
+        ct.sh = shardingFor(plan.strategyFor(cls), cluster);
+        ct.gradBytesPerParam = task.gradBytesPerParam(cls);
+        ct.trainable = task.isTrainable(cls);
+        ct.optBytesPerParam = task.optimizerBytesPerParam(cls);
         if (cls != LayerClass::SparseEmbedding)
-            t.optBytesPerParam += master_bytes;
+            ct.optBytesPerParam += master_bytes;
     }
 
-    for (int i = 0; i < desc.graph.numLayers(); ++i) {
-        const Layer &layer = desc.graph.layer(i);
-        const LayerClass cls = layer.layerClass();
-        const ClassTerms &t = terms[static_cast<size_t>(cls)];
-        const ShardingInfo &sh = t.sh;
-        const double params = layer.paramCount();
+    const bool retains = task.retainsActivations();
+    const size_t n = terms.params.size();
+    for (size_t i = 0; i < n; ++i) {
+        const ClassTerms &ct = classes[terms.classes[i]];
+        const ShardingInfo &sh = ct.sh;
+        const double params = terms.params[i];
 
         fp.paramBytes += params * param_elem_bytes * sh.paramFraction;
         fp.gradBytes +=
-            params * t.gradBytesPerParam * sh.paramFraction;
-        if (t.trainable) {
+            params * ct.gradBytesPerParam * sh.paramFraction;
+        if (ct.trainable) {
             fp.optimizerBytes +=
-                params * t.optBytesPerParam * sh.paramFraction;
+                params * ct.optBytesPerParam * sh.paramFraction;
         }
-
-        if (task.retainsActivations()) {
-            double act = options_.checkpointActivations
-                ? layer.outputBytesPerSample(desc.activationBytes())
-                : layer.activationMemoryBytesPerSample(
-                      desc.activationBytes());
-            fp.activationBytes += act * batch_share;
-        }
-
-        // FSDP materializes the in-flight unit on top of its shard.
-        // MoE banks are wrapped per expert, so only one expert's
-        // weights are gathered at a time.
-        double transient_params = params;
-        if (layer.kind() == LayerKind::MoeFeedForward) {
-            transient_params /= static_cast<const MoeFeedForwardLayer &>(
-                                    layer)
-                                    .numExperts();
-        }
+        if (retains)
+            fp.activationBytes += terms.retainedActs[i] * batch_share;
         fp.transientBytes = std::max(
             fp.transientBytes,
-            transient_params * param_elem_bytes *
+            terms.transientParams[i] * param_elem_bytes *
                 sh.transientParamFraction);
     }
 
-    if (!task.retainsActivations()) {
-        // Inference working set: the two widest adjacent layer
-        // outputs for the device's batch share.
-        double widest = 0.0, second = 0.0;
-        for (int i = 0; i < desc.graph.numLayers(); ++i) {
-            double b = desc.graph.layer(i).outputBytesPerSample(
-                desc.activationBytes());
-            if (b > widest) {
-                second = widest;
-                widest = b;
-            } else {
-                second = std::max(second, b);
-            }
-        }
-        fp.activationBytes = (widest + second) * batch_share;
+    if (!retains) {
+        fp.activationBytes = terms.workingSet * batch_share;
 
         // Decode steps materialize one token's activations, not the
         // whole context's (outputBytesPerSample counts contextLength
         // tokens for transformer layers).
         if (task.kind == TaskKind::Inference &&
             task.phase == InferencePhase::Decode) {
-            fp.activationBytes /=
-                static_cast<double>(desc.contextLength);
+            fp.activationBytes /= terms.contextLength;
         }
     }
 
@@ -136,9 +162,11 @@ MemoryModel::evaluate(const ModelDesc &desc, const TaskSpec &task,
     if (task.usesKvCache()) {
         const double kv_tokens = task.kvCapacityTokens > 0
             ? static_cast<double>(task.kvCapacityTokens)
-            : static_cast<double>(desc.contextLength);
-        fp.kvCacheBytes = desc.kvBytesPerToken(task.kvBytesPerElement) *
-            kv_tokens * batch_share;
+            : terms.contextLength;
+        double per_token = 0.0;
+        for (double per_element : terms.kvPerElement)
+            per_token += per_element * task.kvBytesPerElement;
+        fp.kvCacheBytes = per_token * kv_tokens * batch_share;
     }
     return fp;
 }

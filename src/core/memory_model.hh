@@ -12,7 +12,8 @@
 #ifndef MADMAX_CORE_MEMORY_MODEL_HH
 #define MADMAX_CORE_MEMORY_MODEL_HH
 
-#include <string>
+#include <cstdint>
+#include <vector>
 
 #include "hw/cluster.hh"
 #include "model/model_desc.hh"
@@ -66,9 +67,54 @@ struct MemoryModelOptions
 class MemoryModel
 {
   public:
+    /**
+     * The plan-invariant inputs of a footprint, read off a model once
+     * and flattened in layer order, so pricing a plan walks arrays
+     * instead of making virtual calls on every layer. A sweep's
+     * EvalContext builds one and prices every plan from it.
+     *
+     * Terms hold the retained activations the building model's
+     * checkpointActivations selects, so only that MemoryModel (or one
+     * with the same options) may price them.
+     */
+    struct Terms
+    {
+        std::vector<double> params; ///< Layer::paramCount().
+        /** Activation bytes per sample kept for the backward pass:
+         *  the layer output under checkpointing, else every
+         *  intermediate. */
+        std::vector<double> retainedActs;
+        /** Parameters FSDP gathers at once: one expert's for an MoE
+         *  bank, the whole layer's otherwise. */
+        std::vector<double> transientParams;
+        std::vector<uint8_t> classes; ///< LayerClass.
+        /** kvBytesPerToken(1.0) of each attention layer, in order. */
+        std::vector<double> kvPerElement;
+        /** Sum of the two widest layer outputs, bytes per sample: the
+         *  inference working set. */
+        double workingSet = 0.0;
+        double paramElemBytes = 0.0;  ///< ModelDesc::paramBytes().
+        double globalBatchSize = 0.0; ///< ModelDesc::globalBatchSize.
+        double contextLength = 0.0;   ///< ModelDesc::contextLength.
+    };
+
     explicit MemoryModel(MemoryModelOptions options = {});
 
+    /** Validate @p desc and @p cluster, then price @p plan from
+     *  terms(desc). */
     MemoryFootprint evaluate(const ModelDesc &desc, const TaskSpec &task,
+                             const ParallelPlan &plan,
+                             const ClusterSpec &cluster) const;
+
+    /** Read @p desc's footprint inputs once (see Terms). */
+    Terms terms(const ModelDesc &desc) const;
+
+    /**
+     * Price @p plan from @p terms. The model and cluster behind them
+     * must already be validated; this is the one pricing loop every
+     * footprint goes through.
+     */
+    MemoryFootprint evaluate(const Terms &terms, const TaskSpec &task,
                              const ParallelPlan &plan,
                              const ClusterSpec &cluster) const;
 

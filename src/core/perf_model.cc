@@ -28,18 +28,10 @@ PerfReport
 PerfModel::verdict(const ModelDesc &desc, const TaskSpec &task,
                    const ParallelPlan &plan) const
 {
-    return verdict(desc, task, plan, task.toString());
-}
-
-PerfReport
-PerfModel::verdict(const ModelDesc &desc, const TaskSpec &task,
-                   const ParallelPlan &plan,
-                   const std::string &task_name) const
-{
     PerfReport report;
     report.modelName = desc.name;
     report.clusterName = cluster_.name;
-    report.taskName = task_name;
+    report.taskName = task.toString();
     report.plan = plan;
     report.globalBatchSize = desc.globalBatchSize;
     report.contextLength = desc.contextLength;

@@ -11,7 +11,6 @@
 #define MADMAX_CORE_PERF_MODEL_HH
 
 #include <optional>
-#include <string>
 
 #include "collective/collective.hh"
 #include "core/memory_model.hh"
@@ -85,24 +84,15 @@ class PerfModel
      * per-device memory verdict without building streams or running
      * the overlap simulator. For a plan that does not fit (and with
      * ignoreMemory unset) the result is identical to evaluate() —
-     * this is the cheap feasibility pre-pass the EvalEngine uses to
-     * prune OOM plans before they reach the thread pool.
+     * the cheap feasibility check for one-off callers. Sweeps ask
+     * EvalContext::verdict, which prices from terms read once.
      */
     PerfReport verdict(const ModelDesc &desc, const TaskSpec &task,
                        const ParallelPlan &plan) const;
 
-    /**
-     * verdict() with the task's display name precomputed — the
-     * EvalContext hot path calls this with its cached task.toString()
-     * so sweeps do not re-render the name per plan. @p task_name must
-     * equal task.toString().
-     */
-    PerfReport verdict(const ModelDesc &desc, const TaskSpec &task,
-                       const ParallelPlan &plan,
-                       const std::string &task_name) const;
-
     const ClusterSpec &cluster() const { return cluster_; }
     const PerfModelOptions &options() const { return options_; }
+    const MemoryModel &memoryModel() const { return memoryModel_; }
 
   private:
     ClusterSpec cluster_;

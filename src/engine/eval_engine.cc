@@ -228,12 +228,16 @@ keySuffix(const ModelDesc &desc, const ParallelPlan &plan)
     // Canonical plan: only classes the model has contribute to the
     // report, so only they contribute to the key. strategyFor folds
     // per-class defaults in, making explicit-default and absent
-    // entries collide (deliberately).
+    // entries collide (deliberately). Each present class writes its
+    // (intra, inter) pair as two fixed digits; the prefix pins the
+    // class set, so the suffix needs no separators.
     std::string key;
     for (LayerClass cls : kAllClasses) {
         if (!desc.graph.hasClass(cls))
             continue;
-        key += plan.strategyFor(cls).toString();
+        const HierStrategy hs = plan.strategyFor(cls);
+        key += static_cast<char>('0' + static_cast<int>(hs.intra));
+        key += static_cast<char>('0' + static_cast<int>(hs.inter));
     }
     key += plan.fsdpPrefetch ? "+p" : "-p";
     return key;
@@ -433,6 +437,8 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         std::vector<size_t> dups; ///< Served from firstIdx's report.
         std::string key;
         const EvalContext *ctx; ///< The group's context.
+        /** results[firstIdx] holds the pre-pass's memory verdict. */
+        bool priced;
     };
     std::vector<Pending> pending;
     std::unordered_map<std::string, size_t> keyToPending;
@@ -468,34 +474,33 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
                 continue;
             }
         }
-        // Per-request isolation starts here: the memory verdict and
-        // context construction evaluate the request's own input, so a
+        // Per-request isolation starts here: context construction and
+        // the memory verdict evaluate the request's own input, so a
         // throw (or an injected fault) fails this slot only instead of
         // propagating out of the batch.
+        bool priced = false;
         try {
-            if (options_.pruneInfeasible &&
-                !req.model->options().ignoreMemory) {
-                PerfReport v = req.model->verdict(*req.desc, *req.task,
-                                                  req.plan);
-                if (!v.valid) {
-                    ++local.pruned;
-                    // Cache the verdict-only report: later duplicates
-                    // (same batch or later calls) hit cacheGet above.
-                    if (options_.memoize)
-                        cachePut(keys[i], v);
-                    results[i] = std::move(v);
-                    continue;
-                }
-                // Feasible: fall through to a full evaluation. (The
-                // footprint is recomputed there; MemoryModel is a
-                // per-layer sum, noise next to stream building.)
-            }
             if (!group.ctx && req.context) {
                 group.ctx = req.context;
             } else if (!group.ctx) {
                 group.owned = std::make_unique<EvalContext>(
                     *req.model, *req.desc, *req.task);
                 group.ctx = group.owned.get();
+            }
+            if (options_.pruneInfeasible &&
+                !req.model->options().ignoreMemory) {
+                results[i] = group.ctx->verdict(req.plan);
+                if (!results[i].valid) {
+                    ++local.pruned;
+                    // Cache the verdict-only report: later duplicates
+                    // (same batch or later calls) hit cacheGet above.
+                    if (options_.memoize)
+                        cachePut(keys[i], results[i]);
+                    continue;
+                }
+                // Feasible: the verdict waits in its result slot for
+                // the full evaluation, so the footprint is priced once.
+                priced = true;
             }
         } catch (...) {
             ++local.evaluations;
@@ -506,22 +511,24 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         ++local.evaluations;
         if (options_.memoize)
             keyToPending.emplace(keys[i], pending.size());
-        pending.push_back(Pending{i, {}, keys[i], group.ctx});
+        pending.push_back(Pending{i, {}, keys[i], group.ctx, priced});
     }
 
     auto evaluateAt = [&](size_t p) {
-        const PlanRequest &req = requests[pending[p].firstIdx];
+        const Pending &slot = pending[p];
+        PerfReport &result = results[slot.firstIdx];
+        const PlanRequest &req = requests[slot.firstIdx];
         try {
             faultPointThrow("engine.eval");
-            results[pending[p].firstIdx] =
-                pending[p].ctx->evaluate(req.plan);
+            result = slot.priced
+                ? slot.ctx->evaluate(req.plan, std::move(result))
+                : slot.ctx->evaluate(req.plan);
         } catch (...) {
             // One throwing evaluation (bad_alloc, a model bug, an
             // injected fault) fails its own slot only — the rest of
             // the batch completes, and a micro-batched server keeps
             // its other riders.
-            results[pending[p].firstIdx] =
-                failureFromCurrentException(req);
+            result = failureFromCurrentException(req);
         }
     };
     if (pool_ && pending.size() > 1) {

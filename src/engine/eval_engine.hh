@@ -14,9 +14,10 @@
  *     set-once slot for a rendered response body (RenderedBody), so
  *     the serving layer's repeat hits return stored bytes instead of
  *     re-rendering the report;
- *  3. a memory-feasibility pre-pass that prices MemoryModel alone and
- *     resolves OOM plans without building streams or running the
- *     overlap simulator;
+ *  3. a memory-feasibility pre-pass that prices each plan's footprint
+ *     once, through its group's EvalContext, and resolves OOM plans
+ *     without building streams or running the overlap simulator; a
+ *     fitting plan carries that verdict into its evaluation;
  *  4. per-(model, desc, task) batch grouping: each group of a batch
  *     shares one EvalContext (validation, per-layer compute times,
  *     resolved collectives — see core/eval_context.hh) and one

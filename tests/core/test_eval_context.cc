@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "../report_check.hh"
 #include "core/eval_context.hh"
 #include "engine/eval_engine.hh"
 #include "hw/hw_zoo.hh"
@@ -26,56 +27,10 @@
 namespace madmax
 {
 
+using testing::expectBitIdentical;
+
 namespace
 {
-
-/** Exact equality on every PerfReport field, timeline included. */
-void
-expectBitIdentical(const PerfReport &a, const PerfReport &b)
-{
-    EXPECT_EQ(a.modelName, b.modelName);
-    EXPECT_EQ(a.clusterName, b.clusterName);
-    EXPECT_EQ(a.taskName, b.taskName);
-    EXPECT_EQ(a.plan.toString(), b.plan.toString());
-    EXPECT_EQ(a.plan.fsdpPrefetch, b.plan.fsdpPrefetch);
-    EXPECT_EQ(a.valid, b.valid);
-    EXPECT_EQ(a.memory.paramBytes, b.memory.paramBytes);
-    EXPECT_EQ(a.memory.gradBytes, b.memory.gradBytes);
-    EXPECT_EQ(a.memory.optimizerBytes, b.memory.optimizerBytes);
-    EXPECT_EQ(a.memory.activationBytes, b.memory.activationBytes);
-    EXPECT_EQ(a.memory.transientBytes, b.memory.transientBytes);
-    EXPECT_EQ(a.memory.usableCapacity, b.memory.usableCapacity);
-    EXPECT_EQ(a.iterationTime, b.iterationTime);
-    EXPECT_EQ(a.serializedTime, b.serializedTime);
-    EXPECT_EQ(a.computeTime, b.computeTime);
-    EXPECT_EQ(a.commTime, b.commTime);
-    EXPECT_EQ(a.exposedCommTime, b.exposedCommTime);
-    EXPECT_EQ(a.globalBatchSize, b.globalBatchSize);
-    EXPECT_EQ(a.contextLength, b.contextLength);
-    EXPECT_EQ(a.serializedBreakdown, b.serializedBreakdown);
-    EXPECT_EQ(a.exposedBreakdown, b.exposedBreakdown);
-
-    ASSERT_EQ(a.timeline.events.size(), b.timeline.events.size());
-    for (size_t i = 0; i < a.timeline.events.size(); ++i) {
-        const ScheduledEvent &x = a.timeline.events[i];
-        const ScheduledEvent &y = b.timeline.events[i];
-        EXPECT_EQ(x.event.id, y.event.id);
-        EXPECT_EQ(x.event.name, y.event.name) << "event " << i;
-        EXPECT_EQ(x.event.stream, y.event.stream);
-        EXPECT_EQ(x.event.category, y.event.category);
-        EXPECT_EQ(x.event.duration, y.event.duration);
-        EXPECT_EQ(x.event.deps, y.event.deps);
-        EXPECT_EQ(x.event.blocking, y.event.blocking);
-        EXPECT_EQ(x.event.layerIdx, y.event.layerIdx);
-        EXPECT_EQ(x.event.backward, y.event.backward);
-        EXPECT_EQ(x.start, y.start);
-        EXPECT_EQ(x.finish, y.finish);
-    }
-    EXPECT_EQ(a.timeline.makespan, b.timeline.makespan);
-    EXPECT_EQ(a.timeline.computeBusy, b.timeline.computeBusy);
-    EXPECT_EQ(a.timeline.commBusy, b.timeline.commBusy);
-    EXPECT_EQ(a.timeline.exposedComm, b.timeline.exposedComm);
-}
 
 std::vector<ParallelPlan>
 samplePlans()
@@ -131,14 +86,64 @@ TEST(EvalContext, ReusedContextMatchesFreshEvaluateBitwise)
 
 TEST(EvalContext, VerdictMatchesPerfModelVerdict)
 {
-    ModelDesc desc = model_zoo::dlrmA();
-    PerfModel perf(hw_zoo::dlrmTrainingSystem());
-    TaskSpec task = TaskSpec::preTraining();
+    // The context prices from terms read once at construction; the
+    // one-off verdict reads them per call. Every model_zoo family
+    // (MoE banks exercise the transient divisor, LLMs under decode
+    // the KV cache), each task kind, and both activation policies.
+    struct ZooCase
+    {
+        const char *name;
+        ModelDesc (*desc)();
+        ClusterSpec (*cluster)();
+    };
+    using model_zoo::VitSize;
+    const ZooCase zoo[] = {
+        {"dlrmA", model_zoo::dlrmA, hw_zoo::dlrmTrainingSystem},
+        {"dlrmATransformer", model_zoo::dlrmATransformer,
+         hw_zoo::dlrmTrainingSystem},
+        {"dlrmAMoe", model_zoo::dlrmAMoe, hw_zoo::dlrmTrainingSystem},
+        {"dlrmB", model_zoo::dlrmB, hw_zoo::dlrmTrainingSystem},
+        {"dlrmBTransformer", model_zoo::dlrmBTransformer,
+         hw_zoo::dlrmTrainingSystem},
+        {"dlrmBMoe", model_zoo::dlrmBMoe, hw_zoo::dlrmTrainingSystem},
+        {"gpt3", model_zoo::gpt3, hw_zoo::llmTrainingSystem},
+        {"llama65b", model_zoo::llama65b, hw_zoo::llmTrainingSystem},
+        {"llama2_70b", model_zoo::llama2_70b, hw_zoo::llmTrainingSystem},
+        {"llama2_7b", [] { return model_zoo::llama2_7b(); },
+         hw_zoo::llmTrainingSystem},
+        {"llama2_13b", [] { return model_zoo::llama2_13b(); },
+         hw_zoo::llmTrainingSystem},
+        {"llmMoe", model_zoo::llmMoe, hw_zoo::llmTrainingSystem},
+        {"vitL", [] { return model_zoo::vit(VitSize::L, 2048); },
+         hw_zoo::llmTrainingSystem},
+        {"vitB22", [] { return model_zoo::vit(VitSize::B22, 2048); },
+         hw_zoo::llmTrainingSystem},
+    };
+    const TaskSpec tasks[] = {TaskSpec::preTraining(),
+                              TaskSpec::inference(),
+                              TaskSpec::decode(1024)};
 
-    EvalContext context(perf, desc, task);
-    for (const ParallelPlan &plan : samplePlans()) {
-        expectBitIdentical(context.verdict(plan),
-                           perf.verdict(desc, task, plan));
+    std::vector<ParallelPlan> plans = samplePlans();
+    ParallelPlan experts = ParallelPlan::fsdpBaseline();
+    experts.set(LayerClass::MoE, HierStrategy{Strategy::TP, Strategy::DDP});
+    plans.push_back(experts);
+
+    for (const ZooCase &c : zoo) {
+        ModelDesc desc = c.desc();
+        for (bool checkpoint : {true, false}) {
+            PerfModelOptions opts;
+            opts.memory.checkpointActivations = checkpoint;
+            PerfModel perf(c.cluster(), opts);
+            for (const TaskSpec &task : tasks) {
+                SCOPED_TRACE(std::string(c.name) + " " + task.toString() +
+                             (checkpoint ? " ckpt" : " full"));
+                EvalContext context(perf, desc, task);
+                for (const ParallelPlan &plan : plans) {
+                    expectBitIdentical(context.verdict(plan),
+                                       perf.verdict(desc, task, plan));
+                }
+            }
+        }
     }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/memory_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -156,6 +158,89 @@ TEST(MemoryModel, MoreCapacityUnlocksPlans)
     EXPECT_TRUE(m.evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(),
                            ddp, base.withHbmCapacityScale(10.0))
                     .fits());
+}
+
+TEST(MemoryModel, MoreCapacityNeverTurnsAFittingPlanOom)
+{
+    // Physical monotonicity across the zoo and a plan grid: scaling
+    // HBM moves usableCapacity alone, so a plan that fits keeps
+    // fitting at every larger scale.
+    using model_zoo::VitSize;
+    struct ZooCase
+    {
+        ModelDesc desc;
+        ClusterSpec cluster;
+    };
+    std::vector<ZooCase> zoo;
+    for (ModelDesc (*make)() :
+         {model_zoo::dlrmA, model_zoo::dlrmATransformer,
+          model_zoo::dlrmAMoe, model_zoo::dlrmB,
+          model_zoo::dlrmBTransformer, model_zoo::dlrmBMoe})
+        zoo.push_back({make(), hw_zoo::dlrmTrainingSystem()});
+    for (ModelDesc (*make)() :
+         {model_zoo::gpt3, model_zoo::llama65b, model_zoo::llama2_70b,
+          model_zoo::llmMoe})
+        zoo.push_back({make(), hw_zoo::llmTrainingSystem()});
+    zoo.push_back({model_zoo::llama2_7b(), hw_zoo::llmTrainingSystem()});
+    zoo.push_back({model_zoo::llama2_13b(), hw_zoo::llmTrainingSystem()});
+    zoo.push_back(
+        {model_zoo::vit(VitSize::L, 2048), hw_zoo::llmTrainingSystem()});
+    zoo.push_back(
+        {model_zoo::vit(VitSize::B22, 2048), hw_zoo::llmTrainingSystem()});
+
+    // Every non-sparse class under one strategy (sparse tables keep
+    // their MP default), for each one- and two-level strategy.
+    using S = Strategy;
+    std::vector<ParallelPlan> plans = {ParallelPlan::fsdpBaseline()};
+    for (HierStrategy hs :
+         {HierStrategy{S::DDP}, HierStrategy{S::FSDP}, HierStrategy{S::TP},
+          HierStrategy{S::TP, S::DDP}, HierStrategy{S::TP, S::FSDP},
+          HierStrategy{S::FSDP, S::DDP}, HierStrategy{S::DDP, S::FSDP},
+          HierStrategy{S::MP, S::DDP}}) {
+        ParallelPlan plan;
+        for (LayerClass cls :
+             {LayerClass::DenseEmbedding, LayerClass::BaseDense,
+              LayerClass::Transformer, LayerClass::MoE})
+            plan.set(cls, hs);
+        plans.push_back(plan);
+    }
+
+    const TaskSpec tasks[] = {TaskSpec::preTraining(),
+                              TaskSpec::inference(), TaskSpec::decode()};
+    MemoryModel m;
+    long fitting = 0, oom = 0;
+    for (const ZooCase &c : zoo) {
+        const MemoryModel::Terms terms = m.terms(c.desc);
+        for (const TaskSpec &task : tasks) {
+            for (const ParallelPlan &plan : plans) {
+                SCOPED_TRACE(c.desc.name + " " + task.toString() + " " +
+                             plan.toString());
+                const MemoryFootprint base =
+                    m.evaluate(terms, task, plan, c.cluster);
+                (base.fits() ? fitting : oom) += 1;
+                MemoryFootprint prev = base;
+                for (double scale : {1.0, 1.5, 2.0, 4.0}) {
+                    const MemoryFootprint fp = m.evaluate(
+                        terms, task, plan,
+                        c.cluster.withHbmCapacityScale(scale));
+                    EXPECT_EQ(fp.paramBytes, base.paramBytes);
+                    EXPECT_EQ(fp.gradBytes, base.gradBytes);
+                    EXPECT_EQ(fp.optimizerBytes, base.optimizerBytes);
+                    EXPECT_EQ(fp.activationBytes, base.activationBytes);
+                    EXPECT_EQ(fp.transientBytes, base.transientBytes);
+                    EXPECT_EQ(fp.kvCacheBytes, base.kvCacheBytes);
+                    EXPECT_GE(fp.usableCapacity, prev.usableCapacity);
+                    if (prev.fits()) {
+                        EXPECT_TRUE(fp.fits()) << "scale " << scale;
+                    }
+                    prev = fp;
+                }
+            }
+        }
+    }
+    // The grid must straddle the capacity line to mean anything.
+    EXPECT_GT(fitting, 0);
+    EXPECT_GT(oom, 0);
 }
 
 TEST(MemoryModel, FootprintTotalSumsComponents)

@@ -9,8 +9,11 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "../report_check.hh"
 #include "dse/strategy_explorer.hh"
 #include "engine/eval_engine.hh"
 #include "fleet/fleet_sim.hh"
@@ -146,6 +149,127 @@ TEST(EvalEngine, PruningDisabledMatchesPrunedResults)
     }
     EXPECT_EQ(full.stats.pruned, 0);
     EXPECT_EQ(full.stats.evaluations, pruned.stats.requests());
+}
+
+TEST(EvalEngine, PrunedAndUnprunedBatchesAgreeAcrossThreadCounts)
+{
+    // One mixed DLRM-A / GPT-3 batch with OOM and fitting plans. With
+    // pruning, each fitting plan's pre-pass verdict rides into its
+    // evaluation; with jobs = 4 that hand-off crosses into the pool
+    // (the tsan job covers it). Every report must come out bit for
+    // bit the same whichever way it was produced.
+    PerfModel dlrmModel(hw_zoo::dlrmTrainingSystem());
+    PerfModel llmModel(hw_zoo::llmTrainingSystem());
+    ModelDesc dlrm = model_zoo::dlrmA();
+    ModelDesc gpt3 = model_zoo::gpt3();
+    TaskSpec task = TaskSpec::preTraining();
+
+    using S = Strategy;
+    std::vector<PlanRequest> reqs;
+    for (HierStrategy hs :
+         {HierStrategy{S::DDP}, HierStrategy{S::FSDP}, HierStrategy{S::TP},
+          HierStrategy{S::TP, S::DDP}, HierStrategy{S::TP, S::FSDP},
+          HierStrategy{S::FSDP, S::DDP}}) {
+        ParallelPlan dense;
+        dense.set(LayerClass::BaseDense, hs);
+        reqs.push_back({&dlrmModel, &dlrm, &task, dense});
+        ParallelPlan blocks;
+        blocks.set(LayerClass::Transformer, hs);
+        blocks.fsdpPrefetch = true;
+        reqs.push_back({&llmModel, &gpt3, &task, blocks});
+    }
+
+    std::vector<std::vector<PerfReport>> runs;
+    for (bool prune : {true, false}) {
+        for (int jobs : {1, 4}) {
+            SCOPED_TRACE(std::string(prune ? "pruned" : "unpruned") +
+                         " jobs=" + std::to_string(jobs));
+            EvalEngineOptions eo;
+            eo.jobs = jobs;
+            eo.pruneInfeasible = prune;
+            EvalEngine engine(eo);
+            EvalStats stats;
+            runs.push_back(engine.evaluateAll(reqs, &stats));
+
+            long oom = 0;
+            for (size_t i = 0; i < reqs.size(); ++i) {
+                const PerfReport &r = runs.back()[i];
+                EXPECT_FALSE(r.failed());
+                EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(reqs[i])));
+                if (r.valid)
+                    continue;
+                ++oom;
+                // Verdict-only: nothing was scheduled.
+                EXPECT_EQ(r.iterationTime, 0.0);
+                EXPECT_TRUE(r.serializedBreakdown.empty());
+            }
+            EXPECT_GT(oom, 0) << "fixture needs OOM plans";
+            EXPECT_LT(oom, static_cast<long>(reqs.size()))
+                << "fixture needs fitting plans";
+            EXPECT_EQ(stats.pruned, prune ? oom : 0);
+            EXPECT_EQ(stats.evaluations,
+                      static_cast<long>(reqs.size()) - stats.pruned);
+
+            // OOM verdicts were memoized with the rest: a second pass
+            // is all hits.
+            EvalStats again;
+            engine.evaluateAll(reqs, &again);
+            EXPECT_EQ(again.cacheHits, static_cast<long>(reqs.size()));
+        }
+    }
+    for (size_t r = 1; r < runs.size(); ++r) {
+        for (size_t i = 0; i < reqs.size(); ++i)
+            testing::expectBitIdentical(runs[r][i], runs[0][i]);
+    }
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        testing::expectBitIdentical(
+            runs[0][i],
+            reqs[i].model->evaluate(*reqs[i].desc, task, reqs[i].plan));
+    }
+}
+
+TEST(EvalEngine, CacheKeySuffixSeparatesEveryStrategyPair)
+{
+    // The suffix writes each present class's (intra, inter) pair as
+    // two fixed bytes: every pair for two classes, under both
+    // prefetch settings, is its own point...
+    PerfModel model(hw_zoo::llmTrainingSystem());
+    ModelDesc gpt3 = model_zoo::gpt3();
+    TaskSpec task = TaskSpec::preTraining();
+    auto key = [&](const ParallelPlan &plan) {
+        return EvalEngine::cacheKey({&model, &gpt3, &task, plan});
+    };
+    const Strategy all[] = {Strategy::None, Strategy::DDP, Strategy::FSDP,
+                            Strategy::TP, Strategy::MP};
+    std::set<std::string> keys;
+    size_t points = 0;
+    for (Strategy ei : all) {
+        for (Strategy eo : all) {
+            for (Strategy ti : all) {
+                for (Strategy to : all) {
+                    for (bool prefetch : {false, true}) {
+                        ParallelPlan plan;
+                        plan.set(LayerClass::DenseEmbedding,
+                                 HierStrategy{ei, eo});
+                        plan.set(LayerClass::Transformer,
+                                 HierStrategy{ti, to});
+                        plan.fsdpPrefetch = prefetch;
+                        keys.insert(key(plan));
+                        ++points;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(keys.size(), points);
+
+    // ...while explicit defaults and absent entries stay one point.
+    ParallelPlan explicitDefaults;
+    explicitDefaults.set(LayerClass::DenseEmbedding,
+                         HierStrategy{Strategy::FSDP});
+    explicitDefaults.set(LayerClass::Transformer,
+                         HierStrategy{Strategy::FSDP});
+    EXPECT_EQ(key(explicitDefaults), key(ParallelPlan{}));
 }
 
 TEST(EvalEngine, CanonicalKeyIgnoresAbsentClasses)
