@@ -46,8 +46,7 @@ main()
         PerfReport r =
             madmax.evaluate(*model, TaskSpec::preTraining(), plan);
         auto get = [&](EventCategory cat) {
-            auto it = r.serializedBreakdown.find(cat);
-            return it == r.serializedBreakdown.end() ? 0.0 : it->second;
+            return categorySeconds(r.serializedBreakdown, cat);
         };
         std::string sys = strfmt("%d-GPU", cluster.numDevices());
         table.addRow({sys, "serialized", formatTime(r.serializedTime),

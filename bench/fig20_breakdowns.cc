@@ -39,10 +39,7 @@ printBreakdown(const char *label, const PerfReport &r)
             cat == EventCategory::EmbeddingLookup) {
             continue;
         }
-        double exposed = 0.0;
-        auto it = r.exposedBreakdown.find(cat);
-        if (it != r.exposedBreakdown.end())
-            exposed = it->second;
+        const double exposed = categorySeconds(r.exposedBreakdown, cat);
         overlap.addRow({toString(cat), formatTime(secs),
                         formatTime(exposed),
                         formatTime(secs - exposed)});

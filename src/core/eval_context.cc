@@ -288,10 +288,9 @@ fillScheduleReport(PerfReport &report, const EventGraph &graph,
     // Per-category sums accumulate into fixed arrays in node order —
     // the same additions in the same order the per-node map
     // operator[] version performed, so every sum is bit-identical —
-    // and land in the maps in ascending enum order afterwards (which
-    // is also std::map's iteration order, so the maps come out
-    // byte-identical too). A category's key exists iff a node touched
-    // it, even when the touches summed to zero, hence the flags.
+    // and land in the breakdowns in ascending enum order afterwards.
+    // A category has an entry iff a node touched it, even when the
+    // touches summed to zero, hence the flags.
     constexpr size_t kNumCategories =
         static_cast<size_t>(EventCategory::Other) + 1;
     double serialized[kNumCategories] = {};
@@ -322,9 +321,9 @@ fillScheduleReport(PerfReport &report, const EventGraph &graph,
     for (size_t c = 0; c < kNumCategories; ++c) {
         const EventCategory cat = static_cast<EventCategory>(c);
         if (serialized_touched[c])
-            report.serializedBreakdown.emplace(cat, serialized[c]);
+            report.serializedBreakdown.emplace_back(cat, serialized[c]);
         if (exposed_touched[c])
-            report.exposedBreakdown.emplace(cat, exposed[c]);
+            report.exposedBreakdown.emplace_back(cat, exposed[c]);
     }
 }
 

@@ -18,6 +18,16 @@ evalErrorKindName(EvalErrorKind kind)
 }
 
 double
+categorySeconds(const CategoryTimes &times, EventCategory cat)
+{
+    for (const auto &[c, seconds] : times) {
+        if (c == cat)
+            return seconds;
+    }
+    return 0.0;
+}
+
+double
 PerfReport::throughput() const
 {
     if (!valid || iterationTime <= 0.0)

@@ -9,8 +9,9 @@
 #ifndef MADMAX_CORE_REPORT_HH
 #define MADMAX_CORE_REPORT_HH
 
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "config/json.hh"
 #include "core/memory_model.hh"
@@ -39,6 +40,17 @@ enum class EvalErrorKind
 
 /** Stable lower-case name for an EvalErrorKind ("config", ...). */
 const char *evalErrorKindName(EvalErrorKind kind);
+
+/**
+ * Seconds per event category: one entry per category an iteration
+ * touched, in category order. A flat vector, not a map, because memo
+ * caches hold thousands of reports and a map spends a heap node per
+ * category.
+ */
+using CategoryTimes = std::vector<std::pair<EventCategory, double>>;
+
+/** The seconds @p times holds for @p cat; 0 if it was not touched. */
+double categorySeconds(const CategoryTimes &times, EventCategory cat);
 
 /** Result of one performance-model evaluation. */
 struct PerfReport
@@ -76,10 +88,10 @@ struct PerfReport
     long contextLength = 1;
 
     /** Serialized seconds by category (Fig. 20a/c). */
-    std::map<EventCategory, double> serializedBreakdown;
+    CategoryTimes serializedBreakdown;
 
     /** Exposed seconds by communication category (Fig. 20b/d). */
-    std::map<EventCategory, double> exposedBreakdown;
+    CategoryTimes exposedBreakdown;
 
     /** Full scheduled trace (empty if PerfModelOptions disabled it). */
     Timeline timeline;

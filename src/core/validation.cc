@@ -61,12 +61,9 @@ validate(const PerfReport &report, const MeasuredReference &reference)
     for (const auto &[cat, measured] : reference.serializedBreakdown) {
         if (measured <= 0.0)
             continue;
-        double modeled = 0.0;
-        auto it = report.serializedBreakdown.find(cat);
-        if (it != report.serializedBreakdown.end())
-            modeled = it->second;
         out.entries.push_back(ValidationEntry{
-            "serialized " + toString(cat), measured, modeled});
+            "serialized " + toString(cat), measured,
+            categorySeconds(report.serializedBreakdown, cat)});
     }
     if (reference.iterationTime > 0.0) {
         out.entries.push_back(ValidationEntry{

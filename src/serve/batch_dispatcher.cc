@@ -11,15 +11,10 @@
 namespace madmax
 {
 
-BatchDispatcher::BatchDispatcher(EvalEngine &engine,
-                                 BatchDispatcherOptions options)
-    : engine_(engine), options_(options)
+BatchDispatcher::BatchDispatcher(EvalEngine &engine, long watchdogMicros)
+    : engine_(engine), watchdogMicros_(watchdogMicros)
 {
-    if (options_.windowMicros < 0)
-        fatal("BatchDispatcher: windowMicros must be >= 0");
-    if (options_.maxBatch < 1)
-        fatal("BatchDispatcher: maxBatch must be >= 1");
-    if (options_.watchdogMicros < 0)
+    if (watchdogMicros_ < 0)
         fatal("BatchDispatcher: watchdogMicros must be >= 0");
 }
 
@@ -29,8 +24,8 @@ BatchDispatcher::runBatch(std::unique_lock<std::mutex> &lock)
     std::vector<std::shared_ptr<Pending>> batch(queue_.begin(),
                                                 queue_.end());
     queue_.clear();
-    if (batch.empty())
-        return; // Raced another leader to an emptied queue.
+    for (const auto &p : batch)
+        p->taken = true;
     ++stats_.windows;
     stats_.maxOccupancy = std::max(stats_.maxOccupancy,
                                    static_cast<long>(batch.size()));
@@ -73,7 +68,7 @@ BatchDispatcher::runBatch(std::unique_lock<std::mutex> &lock)
 bool
 BatchDispatcher::tryMemo(const CachedRequest &request, MemoEntry &out)
 {
-    // The cached report is ready; a window would be pure added
+    // The cached report is ready; queueing would be pure added
     // latency.
     if (!engine_.tryCached(request.engineKey, out))
         return false;
@@ -90,8 +85,7 @@ BatchDispatcher::evaluate(const CachedRequest &request,
     const Clock::time_point start = Clock::now();
     const Clock::time_point deadline =
         start + std::chrono::microseconds(deadlineMicros);
-    const auto watchdog =
-        std::chrono::microseconds(options_.watchdogMicros);
+    const auto watchdog = std::chrono::microseconds(watchdogMicros_);
 
     auto mine = std::make_shared<Pending>();
     mine->triple = request.triple;
@@ -99,7 +93,6 @@ BatchDispatcher::evaluate(const CachedRequest &request,
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(mine);
     ++stats_.requests;
-    cv_.notify_all(); // A window-waiting leader may now be full.
 
     while (!mine->done) {
         Clock::time_point now = Clock::now();
@@ -107,10 +100,10 @@ BatchDispatcher::evaluate(const CachedRequest &request,
             // Abandon: if still queued we can withdraw cleanly; if a
             // leader already took us into a batch, the shared slot
             // stays writable for it and we just stop waiting.
-            auto it = std::find(queue_.begin(), queue_.end(), mine);
             const char *stage = "evaluating";
-            if (it != queue_.end()) {
-                queue_.erase(it);
+            if (!mine->taken) {
+                queue_.erase(
+                    std::find(queue_.begin(), queue_.end(), mine));
                 stage = "queued";
             }
             ++stats_.deadlineTimeouts;
@@ -120,45 +113,43 @@ BatchDispatcher::evaluate(const CachedRequest &request,
                     .count();
             throw DeadlineError(waitedMs, stage);
         }
-        if (leaderBusy_) {
-            if (options_.watchdogMicros > 0 && !queue_.empty() &&
-                now - leaderSince_ >= watchdog) {
-                // The leader has been busy past the watchdog with
-                // work queued behind it: become a rescue leader for
-                // the queued requests. The wedged leader's own batch
-                // still completes whenever it returns; bumping
-                // leaderSince_ throttles takeovers to one per period.
-                ++stats_.watchdogTakeovers;
-                leaderSince_ = now;
-                runBatch(lock);
-                continue;
-            }
-            if (hasDeadline || options_.watchdogMicros > 0) {
-                Clock::time_point until = Clock::time_point::max();
-                if (hasDeadline)
-                    until = deadline;
-                if (options_.watchdogMicros > 0)
-                    until = std::min(until, leaderSince_ + watchdog);
-                cv_.wait_until(lock, until);
-            } else {
-                cv_.wait(lock);
-            }
+        if (!mine->taken && !leaderBusy_) {
+            // Become the batch leader and submit at once: the batch
+            // is `mine` plus everything that queued behind the
+            // previous one.
+            leaderBusy_ = true;
+            leaderSince_ = now;
+            runBatch(lock);
+            leaderBusy_ = false;
+            cv_.notify_all();
             continue;
         }
-        // Become the window leader. `mine` is still queued (it is not
-        // done, and a leader marks everything it takes done before
-        // clearing leaderBusy_), so the batch below includes it.
-        leaderBusy_ = true;
-        leaderSince_ = Clock::now();
-        if (options_.windowMicros > 0 &&
-            queue_.size() < options_.maxBatch)
-            cv_.wait_for(
-                lock, std::chrono::microseconds(options_.windowMicros),
-                [this] { return queue_.size() >= options_.maxBatch; });
-
-        runBatch(lock);
-        leaderBusy_ = false;
-        cv_.notify_all();
+        // Queued behind a busy leader, or riding a taken batch — maybe
+        // a rescue batch, which can outlive the wedged leader that
+        // clears leaderBusy_. Only a queued request may lead or
+        // rescue; a rider just waits for its batch.
+        const bool canRescue = !mine->taken && watchdogMicros_ > 0;
+        if (canRescue && now - leaderSince_ >= watchdog) {
+            // The leader has been busy past the watchdog with work
+            // queued behind it: become a rescue leader for the queued
+            // requests. The wedged leader's own batch still completes
+            // whenever it returns; bumping leaderSince_ throttles
+            // takeovers to one per period.
+            ++stats_.watchdogTakeovers;
+            leaderSince_ = now;
+            runBatch(lock);
+            continue;
+        }
+        if (hasDeadline || canRescue) {
+            Clock::time_point until = Clock::time_point::max();
+            if (hasDeadline)
+                until = deadline;
+            if (canRescue)
+                until = std::min(until, leaderSince_ + watchdog);
+            cv_.wait_until(lock, until);
+        } else {
+            cv_.wait(lock);
+        }
     }
 
     if (mine->error)

@@ -3,24 +3,24 @@
  * Cross-request micro-batching for the serving hot path.
  *
  * BatchDispatcher coalesces concurrent /v1/evaluate requests into
- * single EvalEngine::evaluateAll batches using a leader/follower
- * scheme: the first request to arrive becomes the window leader,
- * waits up to the batch window for company, then submits everything
- * queued as ONE batch on its own thread; followers block until the
- * leader distributes their results. Requests arriving while a batch
- * is evaluating accumulate for the next window (continuous batching —
- * under sustained load the effective window is the evaluation time
- * and the configured window only bounds the idle case). The payoff
- * rides the engine's batch grouping: requests whose configs resolved
- * to the same shared ParsedTriple (serve/config_cache.hh) have
+ * single EvalEngine::evaluateAll batches by continuous batching: a
+ * request that finds the engine idle becomes the batch leader and
+ * submits at once, on its own thread, everything queued; requests
+ * arriving while a batch is evaluating queue behind it and leave
+ * together as the next batch, and followers block until the leader
+ * distributes their results. Under sustained load a batch is
+ * therefore as long as the evaluation before it, and an idle engine
+ * never makes a cold request wait for company. The payoff rides the
+ * engine's batch grouping: requests whose configs resolved to the
+ * same shared ParsedTriple (serve/config_cache.hh) have
  * pointer-identical (model, desc, task) and therefore share one warm
  * EvalContext within the batch — many tenants, one validation +
  * per-layer timing pass — and in-batch duplicate points collapse to
  * a single evaluation.
  *
- * Requests already memoized in the engine bypass the window entirely
- * (tryMemo, over EvalEngine::tryCached), so the batch window adds
- * zero latency to the cached hot path.
+ * Requests already memoized in the engine bypass the queue entirely
+ * (tryMemo, over EvalEngine::tryCached), so batching adds zero
+ * latency to the cached hot path.
  *
  * SingleFlight deduplicates concurrent *identical* requests at the
  * response level — used by /v1/pareto, where a whole search is too
@@ -53,38 +53,16 @@ namespace madmax
 class EvalEngine;
 struct MemoEntry;
 
-struct BatchDispatcherOptions
-{
-    /** How long a window leader waits for company, microseconds.
-     *  0 = submit immediately (coalescing then happens only via
-     *  accumulation behind an in-flight batch). */
-    long windowMicros = 100;
-
-    /** Window occupancy that cuts the wait short and submits. */
-    size_t maxBatch = 64;
-
-    /**
-     * Wedged-leader watchdog, microseconds; 0 disables. When the
-     * current leader has been busy longer than this and requests are
-     * queued behind it, a waiting request takes over as a rescue
-     * leader and submits the queued work as its own batch — a wedged
-     * evaluation stalls only the requests already inside its batch,
-     * never the ones behind it. Successive takeovers are throttled to
-     * one per watchdog period.
-     */
-    long watchdogMicros = 0;
-};
-
 struct BatchDispatcherStats
 {
     long windows = 0;   ///< Batches submitted to the engine.
-    long requests = 0;  ///< Requests that entered a window (memo
+    long requests = 0;  ///< Requests that entered the queue (memo
                         ///< misses; hits bypass).
-    long coalesced = 0; ///< Requests that shared a window with >= 1
+    long coalesced = 0; ///< Requests that shared a batch with >= 1
                         ///< other request.
-    long maxOccupancy = 0;  ///< Largest window submitted.
+    long maxOccupancy = 0;  ///< Largest batch submitted.
     long memoFastPath = 0;  ///< Requests answered from the engine memo
-                            ///< cache without entering a window.
+                            ///< cache without entering the queue.
     long watchdogTakeovers = 0; ///< Rescue leaders spawned past a
                                 ///< wedged one.
     long deadlineTimeouts = 0;  ///< Requests abandoned at their
@@ -94,16 +72,24 @@ struct BatchDispatcherStats
 class BatchDispatcher
 {
   public:
-    BatchDispatcher(EvalEngine &engine,
-                    BatchDispatcherOptions options = {});
+    /**
+     * @p watchdogMicros is the wedged-leader watchdog; 0 disables it.
+     * When the current leader has been busy longer than this and
+     * requests are queued behind it, a waiting request takes over as
+     * a rescue leader and submits the queued work as its own batch —
+     * a wedged evaluation stalls only the requests already inside its
+     * batch, never the ones behind it. Successive takeovers are
+     * throttled to one per watchdog period.
+     */
+    explicit BatchDispatcher(EvalEngine &engine, long watchdogMicros = 0);
 
     BatchDispatcher(const BatchDispatcher &) = delete;
     BatchDispatcher &operator=(const BatchDispatcher &) = delete;
 
     /**
-     * Memo hot path: no window, no queue, no batch. On an engine memo
-     * hit, shares the entry into @p out (EvalEngine::tryCached) and
-     * counts memoFastPath. Callers try this before evaluate().
+     * Memo hot path: no queue, no batch. On an engine memo hit,
+     * shares the entry into @p out (EvalEngine::tryCached) and counts
+     * memoFastPath. Callers try this before evaluate().
      */
     bool tryMemo(const CachedRequest &request, MemoEntry &out);
 
@@ -122,7 +108,7 @@ class BatchDispatcher
      * abandoned (removed from the queue if still there; its batch
      * slot outlives it via shared ownership if not) and DeadlineError
      * is thrown with the partial-work stage. A request that has
-     * already become the window leader runs its batch to completion —
+     * already become the batch leader runs its batch to completion —
      * the deadline gates waiting, not evaluating.
      */
     PerfReport evaluate(const CachedRequest &request,
@@ -144,22 +130,24 @@ class BatchDispatcher
         ParallelPlan plan;
         PerfReport report;
         std::exception_ptr error;
+        bool taken = false; ///< Left the queue inside a batch.
         bool done = false;
     };
 
     /** Take the current queue as one batch, evaluate it with the lock
      *  dropped, distribute results, notify. Lock held on entry and
-     *  exit. Used by both the window leader and watchdog rescuers
-     *  (which is why it does not touch leaderBusy_). */
+     *  exit; the caller's own request is queued, so the batch is
+     *  never empty. Used by both the batch leader and watchdog
+     *  rescuers (which is why it does not touch leaderBusy_). */
     void runBatch(std::unique_lock<std::mutex> &lock);
 
     EvalEngine &engine_;
-    BatchDispatcherOptions options_;
+    const long watchdogMicros_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::deque<std::shared_ptr<Pending>> queue_;
-    bool leaderBusy_ = false; ///< A window is open or evaluating.
+    bool leaderBusy_ = false; ///< A batch is evaluating.
     Clock::time_point leaderSince_{}; ///< When leaderBusy_ last rose
                                       ///< (or a rescuer took over).
     BatchDispatcherStats stats_;

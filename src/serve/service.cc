@@ -454,15 +454,7 @@ EvalService::EvalService(ServiceOptions options)
           return eo;
       }()),
       configCache_(options.configCacheCapacity),
-      dispatcher_(engine_,
-                  [&options] {
-                      BatchDispatcherOptions bo;
-                      bo.windowMicros = options.batchWindowMicros;
-                      bo.maxBatch = options.batchMax;
-                      bo.watchdogMicros =
-                          options.batchWatchdogMillis * 1000;
-                      return bo;
-                  }()),
+      dispatcher_(engine_, options.batchWatchdogMillis * 1000),
       breaker_([&options] {
           CircuitBreakerOptions co;
           co.failureThreshold = options.breakerFailureThreshold;

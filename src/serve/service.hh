@@ -17,10 +17,11 @@
  *    ParsedTriple, whose pointer identity drives engine batch
  *    grouping;
  *  - a micro-batching dispatcher (serve/batch_dispatcher.hh):
- *    concurrent cold evaluations coalesce into single
- *    EvalEngine::evaluateAll batches, so requests sharing a triple
- *    share one warm EvalContext per batch window. Engine memo hits
- *    bypass the window (zero added latency on the cached path), and
+ *    cold evaluations submit at once when the engine is idle, and
+ *    those that arrive while a batch evaluates coalesce into the next
+ *    EvalEngine::evaluateAll batch, so requests sharing a triple
+ *    share one warm EvalContext per batch. Engine memo hits bypass
+ *    the queue (zero added latency on the cached path), and
  *    concurrent byte-identical /v1/pareto requests collapse to one
  *    search via single-flight deduplication.
  *
@@ -86,13 +87,6 @@ struct ServiceOptions
     /** Memo-cache entry cap, forwarded to EvalEngineOptions. */
     size_t cacheCapacity = size_t{1} << 13;
 
-    /** Micro-batching window for cold evaluations, microseconds
-     *  (BatchDispatcherOptions::windowMicros); 0 disables waiting. */
-    long batchWindowMicros = 100;
-
-    /** Batch occupancy that submits a window early. */
-    size_t batchMax = 64;
-
     /** Parsed-config cache entry cap (serve/config_cache.hh). */
     size_t configCacheCapacity = 1024;
 
@@ -110,8 +104,7 @@ struct ServiceOptions
     long breakerOpenMillis = 1000;
 
     /** Wedged-leader watchdog for the micro-batching dispatcher,
-     *  milliseconds; 0 disables
-     *  (BatchDispatcherOptions::watchdogMicros). */
+     *  milliseconds; 0 disables (BatchDispatcher's constructor). */
     long batchWatchdogMillis = 2000;
 };
 

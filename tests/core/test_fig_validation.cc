@@ -37,8 +37,7 @@ dlrmPlan()
 double
 breakdown(const PerfReport &r, EventCategory cat)
 {
-    auto it = r.serializedBreakdown.find(cat);
-    return it == r.serializedBreakdown.end() ? 0.0 : it->second;
+    return categorySeconds(r.serializedBreakdown, cat);
 }
 
 } // namespace

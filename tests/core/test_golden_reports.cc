@@ -346,7 +346,6 @@ TEST(GoldenReports, ServeStatsAndMetricsBodies)
 
     ServiceOptions opts;
     opts.jobs = 1;
-    opts.batchWindowMicros = 0;
     EvalService service(opts);
     service.setTransportStatsProvider([] {
         HttpServerStats t;

@@ -1,5 +1,6 @@
 #include "reference/reference_builder.hh"
 
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -261,16 +262,19 @@ evaluate(const PerfModel &model, const ModelDesc &desc,
     report.computeTime = sched.computeBusy;
     report.commTime = sched.commBusy;
     report.exposedCommTime = sched.exposedComm;
+    std::map<EventCategory, double> serialized, exposed;
     for (size_t i = 0; i < events.size(); ++i) {
         const TraceEvent &ev = events[i];
         if (ev.duration > 0.0)
-            report.serializedBreakdown[ev.category] += ev.duration;
+            serialized[ev.category] += ev.duration;
         if (ev.stream == StreamKind::Communication &&
             sched.finish[i] > sched.start[i]) {
-            report.exposedBreakdown[ev.category] +=
+            exposed[ev.category] +=
                 (sched.finish[i] - sched.start[i]) - sched.rawOverlap[i];
         }
     }
+    report.serializedBreakdown.assign(serialized.begin(), serialized.end());
+    report.exposedBreakdown.assign(exposed.begin(), exposed.end());
     report.timeline = toTimeline(events, sched);
     return report;
 }

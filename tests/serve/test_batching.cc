@@ -1,21 +1,24 @@
 /**
  * @file
- * Micro-batching + parsed-config-cache tests: concurrent evaluates
- * of one triple coalesce into a single engine batch with
- * byte-identical responses, repeat bodies skip parsing via the
- * config cache, whitespace-variant bodies share one ParsedTriple,
+ * Micro-batching + parsed-config-cache tests: evaluates of one triple
+ * that queue behind a running batch coalesce into the next engine
+ * batch with byte-identical responses, repeat bodies skip parsing via
+ * the config cache, whitespace-variant bodies share one ParsedTriple,
  * a new plan for a cached triple adopts it without reloading while
  * invalid bodies keep the model-system-task error order,
  * /v1/metrics speaks Prometheus, admission classification tiers
  * requests, SingleFlight deduplicates identical in-flight work, the
- * watchdog rescues requests queued behind a wedged batch leader, and
- * per-request deadlines abandon cleanly from either wait stage.
+ * watchdog rescues requests queued behind a wedged batch leader while
+ * a rescue batch's riders sleep until it ends, and per-request
+ * deadlines abandon cleanly from either wait stage.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -89,6 +92,14 @@ loaderError(Loader load, const JsonValue &json)
     return "";
 }
 
+/** Block until @p service's dispatcher has submitted @p n batches. */
+void
+waitForBatches(EvalService &service, long n)
+{
+    while (service.dispatcher().stats().windows < n)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 JsonValue
 badModel()
 {
@@ -105,48 +116,53 @@ badTask()
 
 TEST(Batching, ConcurrentSameTripleRequestsCoalesceByteIdentically)
 {
-    ServiceOptions opts = testOptions();
-    // A generous window + a cut at exactly the thread count makes a
-    // single coalesced batch the overwhelmingly likely outcome (and
-    // stragglers degrade to memo hits, never to extra evaluations).
-    opts.batchWindowMicros = 250000;
-    opts.batchMax = 8;
-    EvalService service(opts);
+    // A holder request for another plan of the triple leads the first
+    // batch, which an injected delay keeps evaluating. Concurrent
+    // requests arriving meanwhile queue behind it and leave together
+    // as the next batch (stragglers degrade to memo hits, never to
+    // extra evaluations).
+    EvalService service(testOptions());
+    FaultScope scope("engine.eval=delay:300000@nth:1");
+    std::thread holder([&] {
+        EXPECT_EQ(service.handle(evaluateRequest(shippedBodyWith(
+                                     "task", shippedTaskWith("(FSDP)"))))
+                      .status,
+                  200);
+    });
+    waitForBatches(service, 1);
     const std::string body = shippedTripleBody();
 
     constexpr int kThreads = 8;
     std::vector<std::string> responses(kThreads);
-    std::atomic<int> ready{0};
     std::vector<std::thread> threads;
     for (int i = 0; i < kThreads; ++i) {
         threads.emplace_back([&, i] {
-            ++ready;
-            while (ready.load() < kThreads)
-                std::this_thread::yield();
             responses[i] = service.handle(evaluateRequest(body)).body;
         });
     }
     for (std::thread &t : threads)
         t.join();
+    holder.join();
 
     for (int i = 1; i < kThreads; ++i)
         EXPECT_EQ(responses[i], responses[0]) << "thread " << i;
     EXPECT_NE(responses[0].find("\"iteration_seconds\""),
               std::string::npos);
 
-    // One fresh evaluation total: in-batch duplicates collapse, and
-    // any straggler that missed the window hit the memo cache.
+    // One fresh evaluation for the eight requests (plus the holder's):
+    // in-batch duplicates collapse, and any straggler that missed the
+    // coalesced batch hit the memo cache.
     EngineCounters c = service.engine().counters();
-    EXPECT_EQ(c.lifetime.evaluations, 1);
+    EXPECT_EQ(c.lifetime.evaluations, 2);
     EXPECT_EQ(c.lifetime.cacheHits + c.lifetime.evaluations +
                   service.dispatcher().stats().memoFastPath,
-              kThreads);
+              kThreads + 1);
 
     BatchDispatcherStats b = service.dispatcher().stats();
-    EXPECT_GE(b.windows, 1);
+    EXPECT_GE(b.windows, 2);
     EXPECT_GE(b.coalesced, 2) << "no coalescing happened at all";
-    EXPECT_LE(b.maxOccupancy, 8);
-    EXPECT_EQ(b.requests + b.memoFastPath, kThreads);
+    EXPECT_LE(b.maxOccupancy, kThreads);
+    EXPECT_EQ(b.requests + b.memoFastPath, kThreads + 1);
 }
 
 TEST(Batching, RepeatBodiesSkipParsingViaTheConfigCache)
@@ -163,7 +179,7 @@ TEST(Batching, RepeatBodiesSkipParsingViaTheConfigCache)
     EXPECT_EQ(cc.hits, 1);
     EXPECT_EQ(cc.entries, 1u);
 
-    // The repeat also bypassed the batch window entirely.
+    // The repeat also bypassed the batch queue entirely.
     EXPECT_EQ(service.dispatcher().stats().memoFastPath, 1);
 }
 
@@ -417,7 +433,6 @@ TEST(Batching, WatchdogRescuesRequestsBehindAWedgedLeader)
     // a rescue leader and submits the queued work as its own batch.
     ServiceOptions opts = testOptions();
     opts.jobs = 1;
-    opts.batchWindowMicros = 0;
     opts.batchWatchdogMillis = 40;
     EvalService service(opts);
     FaultScope scope("engine.eval=delay:600000@nth:1");
@@ -440,43 +455,101 @@ TEST(Batching, WatchdogRescuesRequestsBehindAWedgedLeader)
     EXPECT_EQ(wedgedResp.status, 200);
 }
 
-TEST(Batching, DeadlineAbandonsARequestMidBatchEvaluation)
+TEST(Batching, RescueBatchRidersWaitWithoutSpinning)
 {
-    // A leader's open window pulls the deadlined request into its
-    // batch; the injected delay then holds the batch past the
-    // deadline. The request abandons with stage "evaluating" — its
-    // shared slot outlives it for the leader to write into — and the
-    // leader itself, which never waits, completes normally.
+    // The holder's batch wedges for 600 ms; past the 100 ms watchdog
+    // one of two queued requests rescues both into a batch that is
+    // held for 600 ms more. The wedged leader finishes first and
+    // clears leaderBusy_ while the rescue batch still evaluates: its
+    // rider must keep waiting for it, neither taking the lead over an
+    // empty queue nor polling an expired watchdog.
     ServiceOptions opts = testOptions();
     opts.jobs = 1;
-    opts.batchWindowMicros = 200000;
-    opts.requestTimeoutMillis = 300;
+    opts.batchWatchdogMillis = 100;
     EvalService service(opts);
-    FaultScope scope("engine.eval=delay:900000@nth:1");
+    FaultScope scope("engine.eval=delay:600000@range:1-2");
 
-    HttpResponse leaderResp;
-    std::thread leader([&] {
-        leaderResp =
-            service.handle(evaluateRequest(shippedTripleBody()));
+    std::thread holder([&] {
+        EXPECT_EQ(service.handle(evaluateRequest(shippedBodyWith(
+                                     "task", shippedTaskWith("(FSDP)"))))
+                      .status,
+                  200);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    waitForBatches(service, 1);
+    const std::clock_t cpuStart = std::clock();
+    std::vector<std::thread> riders;
+    for (int i = 0; i < 2; ++i) {
+        riders.emplace_back([&] {
+            EXPECT_EQ(
+                service.handle(evaluateRequest(shippedTripleBody()))
+                    .status,
+                200);
+        });
+    }
+    for (std::thread &t : riders)
+        t.join();
+    holder.join();
+    const double cpuMs =
+        1000.0 * static_cast<double>(std::clock() - cpuStart) /
+        CLOCKS_PER_SEC;
 
-    HttpResponse resp =
-        service.handle(evaluateRequest(shippedTripleBody()));
-    EXPECT_EQ(resp.status, 504);
-    JsonValue doc = JsonValue::parse(resp.body);
+    BatchDispatcherStats b = service.dispatcher().stats();
+    EXPECT_EQ(b.watchdogTakeovers, 1);
+    EXPECT_EQ(b.windows, 2);
+    EXPECT_EQ(b.coalesced, 2);
+    // The rider waits about 600 ms; a polling rider burns most of it.
+    EXPECT_LT(cpuMs, 300.0);
+}
+
+TEST(Batching, DeadlineAbandonsARequestMidBatchEvaluation)
+{
+    // A holder request leads the first batch, held for 400 ms. Two
+    // requests for another plan queue behind it and leave together as
+    // the next batch, held for another 400 ms: past their 600 ms
+    // deadline. Whichever became that batch's leader never waits and
+    // completes normally; the other abandons with stage "evaluating"
+    // — its shared slot outlives it for the leader to write into.
+    ServiceOptions opts = testOptions();
+    opts.jobs = 1;
+    opts.requestTimeoutMillis = 600;
+    EvalService service(opts);
+    FaultScope scope("engine.eval=delay:400000@range:1-2");
+
+    HttpResponse holderResp;
+    std::thread holder([&] {
+        holderResp = service.handle(evaluateRequest(
+            shippedBodyWith("task", shippedTaskWith("(FSDP)"))));
+    });
+    waitForBatches(service, 1);
+
+    std::vector<HttpResponse> riders(2);
+    std::vector<std::thread> threads;
+    for (HttpResponse &resp : riders) {
+        threads.emplace_back([&] {
+            resp = service.handle(evaluateRequest(shippedTripleBody()));
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    holder.join();
+    EXPECT_EQ(holderResp.status, 200);
+
+    std::sort(riders.begin(), riders.end(),
+              [](const HttpResponse &a, const HttpResponse &b) {
+                  return a.status < b.status;
+              });
+    EXPECT_EQ(riders[0].status, 200);
+    EXPECT_EQ(riders[1].status, 504);
+    JsonValue doc = JsonValue::parse(riders[1].body);
     EXPECT_EQ(doc.at("error").at("code").asString(),
               "deadline_exceeded");
     EXPECT_EQ(doc.at("error").at("detail").at("stage").asString(),
               "evaluating");
 
-    leader.join();
-    EXPECT_EQ(leaderResp.status, 200);
-
     BatchDispatcherStats b = service.dispatcher().stats();
     EXPECT_EQ(b.deadlineTimeouts, 1);
-    EXPECT_EQ(b.windows, 1);     // One coalesced batch served both.
-    EXPECT_EQ(b.coalesced, 2);
+    EXPECT_EQ(b.windows, 2);   // The holder's, then one coalesced batch.
+    EXPECT_EQ(b.coalesced, 2); // Both riders shared the second.
 }
 
 TEST(Batching, LruCacheEvictsLeastRecentlyUsed)

@@ -52,7 +52,6 @@ stormOptions()
 {
     ServiceOptions o;
     o.jobs = 1;
-    o.batchWindowMicros = 0;
     o.breakerFailureThreshold = 1 << 20;
     return o;
 }

@@ -53,14 +53,13 @@ goldenBody(const std::string &code, const std::string &message)
            "}\n";
 }
 
-/** An EvalService tuned for error-path tests: serial engine, no
- *  batching window, hair-trigger breaker. */
+/** An EvalService tuned for error-path tests: serial engine,
+ *  hair-trigger breaker. */
 ServiceOptions
 testServiceOptions()
 {
     ServiceOptions o;
     o.jobs = 1;
-    o.batchWindowMicros = 0;
     o.breakerFailureThreshold = 1;
     o.breakerOpenMillis = 1000;
     return o;

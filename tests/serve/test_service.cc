@@ -207,7 +207,6 @@ TEST(EvalService, StoredBytesLeaveEveryCounterAsBefore)
     ServiceOptions opts;
     opts.jobs = 1;
     opts.cacheCapacity = 1;
-    opts.batchWindowMicros = 0;
     EvalService service(opts);
     std::string a = shippedTripleBody();
     std::string c = shippedBodyWith("base_dense", "(FSDP)");
@@ -239,7 +238,6 @@ TEST(EvalService, OpenBreakerRejectsAKeyWithStoredBytes)
 {
     ServiceOptions opts;
     opts.jobs = 1;
-    opts.batchWindowMicros = 0;
     opts.breakerFailureThreshold = 3;
     opts.breakerOpenMillis = 60000;
     EvalService service(opts);

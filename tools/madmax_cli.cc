@@ -14,10 +14,9 @@
  *   madmax describe --model m.json
  *   madmax serve    [--port N] [--jobs N] [--workers N]
  *       [--queue-depth N] [--idle-timeout SEC] [--keep-alive-max N]
- *       [--batch-window-us N] [--batch-max N] [--config-cache N]
- *       [--request-timeout-ms N] [--breaker-threshold N]
- *       [--breaker-open-ms N] [--batch-watchdog-ms N]
- *       [--faults SPEC]
+ *       [--config-cache N] [--request-timeout-ms N]
+ *       [--breaker-threshold N] [--breaker-open-ms N]
+ *       [--batch-watchdog-ms N] [--faults SPEC]
  *
  * Exit codes: 0 success, 1 usage/configuration error (including
  * unknown flags), 2 evaluated but the plan does not fit device
@@ -76,8 +75,7 @@ usage()
         "  madmax describe --model M.json\n"
         "  madmax serve    [--port N] [--jobs N] [--workers N]\n"
         "                  [--queue-depth N] [--idle-timeout SEC]\n"
-        "                  [--keep-alive-max N] [--batch-window-us N]\n"
-        "                  [--batch-max N] [--config-cache N]\n"
+        "                  [--keep-alive-max N] [--config-cache N]\n"
         "                  [--request-timeout-ms N] [--breaker-threshold N]\n"
         "                  [--breaker-open-ms N] [--batch-watchdog-ms N]\n"
         "                  [--faults SPEC]  (docs/resilience.md)\n"
@@ -490,10 +488,6 @@ cmdServe(const std::map<std::string, std::string> &flags)
 {
     ServiceOptions sopts;
     sopts.jobs = static_cast<int>(intFlag(flags, "jobs", 0, 0, 4096));
-    sopts.batchWindowMicros =
-        intFlag(flags, "batch-window-us", 100, 0, 1000000);
-    sopts.batchMax = static_cast<size_t>(
-        intFlag(flags, "batch-max", 64, 1, 4096));
     sopts.configCacheCapacity = static_cast<size_t>(
         intFlag(flags, "config-cache", 1024, 1, 1L << 20));
     sopts.requestTimeoutMillis =
@@ -590,7 +584,6 @@ main(int argc, char **argv)
         if (cmd == "serve") {
             spec.value = {"port", "jobs", "workers", "queue-depth",
                           "idle-timeout", "keep-alive-max",
-                          "batch-window-us", "batch-max",
                           "config-cache", "request-timeout-ms",
                           "breaker-threshold", "breaker-open-ms",
                           "batch-watchdog-ms", "faults"};
