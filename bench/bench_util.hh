@@ -60,9 +60,7 @@ class WallTimer
   public:
     WallTimer() : start_(std::chrono::steady_clock::now()) {}
 
-    void reset() { start_ = std::chrono::steady_clock::now(); }
-
-    /** Seconds since construction / last reset. */
+    /** Seconds since construction. */
     double seconds() const
     {
         return std::chrono::duration<double>(
@@ -156,8 +154,6 @@ class BenchReporter
     /** dse search strategy requested via --strategy. */
     const std::string &strategy() const { return strategy_; }
 
-    bool jsonEnabled() const { return !path_.empty(); }
-
     void record(const std::string &record_name, double value,
                 const std::string &unit)
     {
@@ -165,15 +161,6 @@ class BenchReporter
         entry.set("name", record_name);
         entry.set("value", value);
         entry.set("unit", unit);
-        records_.append(std::move(entry));
-    }
-
-    /** Attach a free-form JSON payload under @p record_name. */
-    void record(const std::string &record_name, JsonValue payload)
-    {
-        JsonValue entry;
-        entry.set("name", record_name);
-        entry.set("value", std::move(payload));
         records_.append(std::move(entry));
     }
 

@@ -1,169 +1,227 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the BENCH_*.json trajectory records.
+"""Perf-regression gate: a change against its merge-base, on one machine.
 
-Compares a fresh bench run (--current-dir) against the committed
-baselines (--baseline-dir, the repository root) and fails on a >20%
-regression of any *throughput-rate* record (evals/s, requests/s, ...)
-or any *percentile-latency* record (`*_p50` / `*_p99` in seconds,
-gated lower-is-better with the same thresholds applied to the
-inverted ratio), with a warn-only annotation in the 10-20% band.
-Other time- and count-valued records are reported for context but
-never gated: a single cold latency sample on a shared CI runner is
-too noisy to block a PR on, while closed-loop rates and percentiles
-average thousands of operations.
+Usage, from the root of the change's checkout:
 
-Exit codes: 0 clean (warnings allowed), 1 at least one record regressed
-beyond the fail threshold, 2 usage/input error (missing or malformed
-records — a bench that stopped emitting a gated record must not pass
-silently).
+    git worktree add --detach ../base "$(git merge-base HEAD origin/main)"
+    python3 scripts/bench_gate.py --base-dir ../base --head-dir .
 
-Output is plain text plus GitHub workflow commands (::error::/
-::warning::) so regressions surface as PR annotations.
+For every workload in the head's BENCHMARK.json the gate runs PAIRS
+pairs of `python3 perfbench/run.py --trace 0` at the benchmark's
+run_seconds, one seed per pair. Each side runs its own perfbench/run.py
+and builds into its own .bench_build/. The order alternates (base first,
+then head first), so a drifting machine slows both sides alike.
+perfbench pins itself to one CPU and calibrates every timing.
 
-The committed baselines are absolute rates from one machine, so they
-are only comparable to runs on similar hardware — the gate's job is
-to catch code-level regressions on the (reasonably homogeneous) CI
-runner pool, not to be a portable performance oracle. When the runner
-fleet shifts (or a perf change is intentional), recalibrate: apply
-the `refresh-bench-baselines` label to the PR and commit the artifact
-the bench-gate job uploads, or re-run locally:
-    ./build/bench/<bench> --json BENCH_<bench>.json
+Each pair gives a head/base ratio per end-to-end metric, and the gate
+judges the median ratio over the pairs. Rates (units per second) and the
+p50/p99 latencies are gated: worse by more than FAIL in the metric's
+`better` direction fails, worse by more than WARN warns. The other
+metrics (one-shot set-up time, p95, peak RSS, accuracy) are reported
+only. When perfbench/ or BENCHMARK.json differ between the two sides,
+the sides run different benchmark code, so a regression or a failed
+base run is downgraded to a warning.
+
+The A/B summary (base and head medians, the per-pair ratios and their
+median, per workload and metric) is written to bench_ab.json in the
+current directory.
+
+Exit codes: 0 pass (warnings allowed), 1 a gated metric regressed past
+FAIL, 2 a run failed, printed `correct: false` or lacked a gated metric.
+Output is plain text plus GitHub workflow commands (::error:: and
+::warning::), so findings surface as annotations.
 """
 
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
 
-FAIL_BELOW = 0.80  # current/baseline below this fails the gate.
-WARN_BELOW = 0.90  # ... below this warns.
+PAIRS = 5
+FAIL = 0.20  # median ratio worse than this fraction fails the gate.
+WARN = 0.10  # ... worse than this warns.
+SUMMARY = "bench_ab.json"
+BENCHMARK_CODE = ("perfbench", "BENCHMARK.json")
 
 
-def is_rate(unit):
-    """Throughput-style units: higher is better, stable enough to gate."""
-    return isinstance(unit, str) and "/s" in unit
+class RunFailed(Exception):
+    def __init__(self, side, message):
+        super().__init__(f"{side} run {message}")
+        self.side = side
 
 
-def is_latency(name, unit):
-    """Percentile latencies: lower is better, averaged over enough
-    requests to be gate-stable (unlike one-shot cold samples)."""
-    return (isinstance(name, str) and unit == "seconds"
-            and name.endswith(("_p50", "_p99")))
+def is_gated(metric):
+    """Closed-loop rates and the p50/p99 percentiles average many
+    operations; one-shot values are too noisy to block a change on."""
+    return "/s" in metric["unit"] or metric["name"].endswith(("_p50", "_p99"))
 
 
-def is_gated(name, unit):
-    return is_rate(unit) or is_latency(name, unit)
+def parse_run(run, side):
+    """(exit code, stdout) of one perfbench run -> {metric: value}."""
+    returncode, stdout = run
+    if returncode != 0:
+        raise RunFailed(side, f"exited {returncode}")
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        metrics = {name: float(m["value"])
+                   for name, m in result["metrics"].items()}
+    except (IndexError, KeyError, TypeError, ValueError):
+        raise RunFailed(side, "printed no result line") from None
+    if result.get("correct") is not True:
+        raise RunFailed(side, "printed correct: false")
+    return metrics
 
 
-def load_records(path):
-    """BENCH_*.json -> {record name: (value, unit)} for numeric records."""
-    with open(path) as f:
-        doc = json.load(f)
-    records = {}
-    for entry in doc.get("records", []):
-        name, value = entry.get("name"), entry.get("value")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        records[name] = (float(value), entry.get("unit", ""))
-    return doc.get("bench", os.path.basename(path)), records
+def judge(spec, runs, benchmark_differs=False):
+    """Gate {workload: [(base run, head run), ...]} -> (exit code, summary).
 
-
-def gate_file(baseline_path, current_path):
-    """Compare one bench's records.
-
-    Returns (n_failed, warned_names) where warned_names lists the
-    warn-band records as "bench: record" strings, so the caller's
-    summary can name exactly what is drifting instead of a bare count.
-    """
-    bench, base = load_records(baseline_path)
-    _, cur = load_records(current_path)
-    failed = 0
+    A run is (exit code, stdout) of `perfbench/run.py`."""
+    regressed = broken = 0
     warned = []
+    summary = {"pairs": PAIRS, "benchmark_differs": benchmark_differs,
+               "workloads": {}}
 
-    for name, (base_value, unit) in sorted(base.items()):
-        if not is_gated(name, unit):
-            continue
-        if name not in cur:
-            print(f"::error::{bench}: gated record '{name}' missing "
-                  f"from the fresh run")
-            failed += 1
-            continue
-        cur_value = cur[name][0]
-        if base_value <= 0 or cur_value <= 0:
-            print(f"{bench}: {name}: non-positive value, skipped")
-            continue
-        # Normalize so that ratio < 1 always means "got worse":
-        # rates gate on current/baseline, latencies on the inverse.
-        if is_rate(unit):
-            ratio = cur_value / base_value
+    def problem(message, base_side):
+        nonlocal broken
+        if base_side and benchmark_differs:
+            print(f"::warning::{message} (the sides run different "
+                  f"benchmark code, not failing)")
+            warned.append(message)
         else:
-            ratio = base_value / cur_value
-        line = (f"{bench}: {name}: {cur_value:.4g} {unit} vs baseline "
-                f"{base_value:.4g} {unit} ({ratio:.1%} of baseline "
-                f"{'rate' if is_rate(unit) else 'speed'})")
-        if ratio < FAIL_BELOW:
-            print(f"::error::{line} — regression beyond "
-                  f"{1 - FAIL_BELOW:.0%}, failing the gate")
-            failed += 1
-        elif ratio < WARN_BELOW:
-            print(f"::warning::{line} — within the "
-                  f"{1 - FAIL_BELOW:.0%} gate but regressed more than "
-                  f"{1 - WARN_BELOW:.0%}")
-            warned.append(f"{bench}: {name}")
-        else:
-            print(f"ok: {line}")
+            print(f"::error::{message}")
+            broken += 1
 
-    # Context-only records (one-shot times, counts): print, never gate.
-    for name, (base_value, unit) in sorted(base.items()):
-        if is_gated(name, unit) or name not in cur:
+    for workload in (w["name"] for w in spec["workloads"]):
+        try:
+            pairs = [(parse_run(base, "base"), parse_run(head, "head"))
+                     for base, head in runs.get(workload, [])]
+        except RunFailed as e:
+            problem(f"{workload}: {e}", e.side == "base")
             continue
-        print(f"info: {bench}: {name}: {cur[name][0]:.4g} {unit} "
-              f"(baseline {base_value:.4g} {unit})")
-    return failed, warned
+        if not pairs:
+            problem(f"{workload}: no runs", False)
+            continue
+
+        table = summary["workloads"][workload] = {}
+        for metric in spec["end_to_end"]:
+            name, gated = metric["name"], is_gated(metric)
+            lacking = [side for side, i in (("base", 0), ("head", 1))
+                       if any(name not in p[i] for p in pairs)]
+            if lacking:
+                if gated:
+                    problem(f"{workload}: {' and '.join(lacking)} run "
+                            f"lacks gated metric '{name}'",
+                            lacking == ["base"])
+                continue
+            ratios = [h[name] / b[name] for b, h in pairs]
+            ratio = statistics.median(ratios)
+            worse = 1 - ratio if metric["better"] == "higher" else ratio - 1
+            verdict = "info"
+            if gated:
+                verdict = ("fail" if worse > FAIL
+                           else "warn" if worse > WARN else "ok")
+            entry = table[name] = {
+                "base": statistics.median(b[name] for b, _ in pairs),
+                "head": statistics.median(h[name] for _, h in pairs),
+                "ratio": ratio, "pair_ratios": ratios, "gated": gated,
+                "verdict": verdict}
+
+            line = (f"{workload}: {name}: head/base {ratio:.3f} (pairs "
+                    f"{' '.join(f'{r:.3f}' for r in ratios)}; base "
+                    f"{entry['base']:.4g}, head {entry['head']:.4g} "
+                    f"{metric['unit']}, {metric['better']} is better)")
+            if verdict == "fail" and not benchmark_differs:
+                print(f"::error::{line}: {worse:.1%} worse, past the "
+                      f"{FAIL:.0%} gate")
+                regressed += 1
+            elif verdict in ("fail", "warn"):
+                note = (" (the sides run different benchmark code, not "
+                        "failing)" if verdict == "fail" else "")
+                print(f"::warning::{line}: {worse:.1%} worse, past the "
+                      f"{WARN:.0%} warning line{note}")
+                warned.append(f"{workload}: {name}")
+            else:
+                print(f"{verdict}: {line}")
+
+    code = 2 if broken else 1 if regressed else 0
+    print(f"\nbench-gate: {len(spec['workloads'])} workloads, "
+          f"{regressed} regressed, {broken} broken, {len(warned)} warned "
+          f"(fail past {FAIL:.0%}, warn past {WARN:.0%} on the median "
+          f"head/base ratio of {PAIRS} pairs)")
+    for item in warned:
+        print(f"  warned: {item}")
+    summary["exit_code"] = code
+    return code, summary
+
+
+def run_side(root, workload, seed, seconds):
+    """One untraced perfbench run of the checkout at @p root."""
+    env = dict(os.environ,
+               CARGO_TARGET_DIR=os.path.join(root, ".bench_build"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    if proc.returncode:
+        sys.stdout.write(proc.stderr[-4000:])
+    return proc.returncode, proc.stdout
+
+
+def benchmark_differs(base_dir, head_dir):
+    """True if the head's perfbench/ or BENCHMARK.json differ from the
+    base's commit."""
+    rev = subprocess.run(["git", "-C", base_dir, "rev-parse", "HEAD"],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    diff = subprocess.run(["git", "-C", head_dir, "diff", "--quiet",
+                           rev.stdout.strip(), "--", *BENCHMARK_CODE])
+    if diff.returncode not in (0, 1):
+        raise subprocess.CalledProcessError(diff.returncode, diff.args)
+    return diff.returncode == 1
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline-dir", required=True,
-                        help="directory holding the committed "
-                             "BENCH_*.json baselines")
-    parser.add_argument("--current-dir", required=True,
-                        help="directory holding this run's BENCH_*.json")
-    args = parser.parse_args()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base-dir", required=True,
+                    help="checkout of the merge-base")
+    ap.add_argument("--head-dir", required=True,
+                    help="checkout of the change")
+    args = ap.parse_args()
+    dirs = {"base": os.path.abspath(args.base_dir),
+            "head": os.path.abspath(args.head_dir)}
 
-    baselines = sorted(f for f in os.listdir(args.baseline_dir)
-                       if f.startswith("BENCH_") and f.endswith(".json"))
-    if not baselines:
-        print(f"::error::no BENCH_*.json baselines in "
-              f"{args.baseline_dir}")
+    try:
+        with open(os.path.join(dirs["head"], "BENCHMARK.json")) as f:
+            spec = json.load(f)
+        differs = benchmark_differs(dirs["base"], dirs["head"])
+    except (OSError, ValueError, subprocess.CalledProcessError) as e:
+        print(f"::error::bench-gate: {e}")
         return 2
+    if differs:
+        print("perfbench/ or BENCHMARK.json differ between the sides: "
+              "regressions are reported as warnings")
 
-    total_failed = checked = 0
-    all_warned = []
-    for name in baselines:
-        current = os.path.join(args.current_dir, name)
-        if not os.path.exists(current):
-            print(f"::error::baseline {name} has no fresh record in "
-                  f"{args.current_dir} (bench not run?)")
-            total_failed += 1
-            continue
-        try:
-            failed, warned = gate_file(
-                os.path.join(args.baseline_dir, name), current)
-        except (json.JSONDecodeError, OSError) as e:
-            print(f"::error::{name}: unreadable records: {e}")
-            return 2
-        total_failed += failed
-        all_warned.extend(warned)
-        checked += 1
+    runs = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs[workload] = []
+        for i in range(PAIRS):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            out = {side: run_side(dirs[side], workload, i + 1,
+                                  spec["run_seconds"]) for side in order}
+            runs[workload].append((out["base"], out["head"]))
+            print(f"{workload}: pair {i + 1}/{PAIRS} ran ({order[0]} "
+                  f"first)", flush=True)
+            if out["base"][0] or out["head"][0]:
+                break  # a broken side stays broken; judge() reports it.
 
-    print(f"\nbench-gate: {checked} record files checked, "
-          f"{total_failed} failed, {len(all_warned)} warned "
-          f"(fail < {FAIL_BELOW:.0%} of baseline, "
-          f"warn < {WARN_BELOW:.0%})")
-    for record in all_warned:
-        print(f"  warned: {record}")
-    return 1 if total_failed else 0
+    code, summary = judge(spec, runs, differs)
+    with open(SUMMARY, "w") as f:
+        json.dump(summary, f, indent=2)
+        f.write("\n")
+    return code
 
 
 if __name__ == "__main__":

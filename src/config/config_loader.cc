@@ -593,16 +593,19 @@ toJson(const TaskConfig &config)
         break;
     }
     JsonValue strategies;
-    for (const auto &[cls, hs] : config.plan.byClass) {
+    for (size_t c = 0; c < kNumLayerClasses; ++c) {
+        const auto &hs = config.plan.byClass[c];
+        if (!hs)
+            continue;
         std::string key;
-        switch (cls) {
+        switch (static_cast<LayerClass>(c)) {
           case LayerClass::SparseEmbedding: key = "sparse_embedding"; break;
           case LayerClass::DenseEmbedding: key = "dense_embedding"; break;
           case LayerClass::BaseDense: key = "base_dense"; break;
           case LayerClass::Transformer: key = "transformer"; break;
           case LayerClass::MoE: key = "moe"; break;
         }
-        strategies.set(key, hs.toString());
+        strategies.set(key, hs->toString());
     }
     out.set("strategies", std::move(strategies));
     out.set("fsdp_prefetch", config.plan.fsdpPrefetch);

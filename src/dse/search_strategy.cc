@@ -596,9 +596,9 @@ enumeratePlans(const SearchSpace &space)
         size_t base_count = plans.size();
         for (size_t i = 0; i < base_count; ++i) {
             bool has_fsdp = false;
-            for (const auto &[cls, hs] : plans[i].byClass) {
-                if (hs.intra == Strategy::FSDP ||
-                    hs.inter == Strategy::FSDP) {
+            for (const auto &hs : plans[i].byClass) {
+                if (hs && (hs->intra == Strategy::FSDP ||
+                           hs->inter == Strategy::FSDP)) {
                     has_fsdp = true;
                 }
             }

@@ -487,8 +487,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
                     *req.model, *req.desc, *req.task);
                 group.ctx = group.owned.get();
             }
-            if (options_.pruneInfeasible &&
-                !req.model->options().ignoreMemory) {
+            if (!req.model->options().ignoreMemory) {
                 results[i] = group.ctx->verdict(req.plan);
                 if (!results[i].valid) {
                     ++local.pruned;

@@ -170,14 +170,6 @@ struct EvalEngineOptions
     /** Memoize reports across evaluateAll calls. */
     bool memoize = true;
 
-    /**
-     * Resolve OOM plans with the memory-model pre-pass instead of a
-     * full evaluate() (no effect on results — evaluate() returns the
-     * identical verdict-only report — but OOM plans never occupy a
-     * pool slot or a stream build).
-     */
-    bool pruneInfeasible = true;
-
     /** Cache entry cap; oldest entries are evicted beyond it. */
     size_t cacheCapacity = 1 << 13;
 };

@@ -42,9 +42,8 @@ HierStrategy::toString() const
 HierStrategy
 ParallelPlan::strategyFor(LayerClass cls) const
 {
-    auto it = byClass.find(cls);
-    if (it != byClass.end())
-        return it->second;
+    if (const auto &hs = byClass[static_cast<size_t>(cls)])
+        return *hs;
     if (cls == LayerClass::SparseEmbedding)
         return HierStrategy{Strategy::MP};
     return HierStrategy{Strategy::FSDP};
@@ -53,7 +52,7 @@ ParallelPlan::strategyFor(LayerClass cls) const
 ParallelPlan &
 ParallelPlan::set(LayerClass cls, HierStrategy hs)
 {
-    byClass[cls] = hs;
+    byClass[static_cast<size_t>(cls)] = hs;
     return *this;
 }
 
@@ -80,10 +79,13 @@ std::string
 ParallelPlan::toString() const
 {
     std::string out;
-    for (const auto &[cls, hs] : byClass) {
+    for (size_t c = 0; c < kNumLayerClasses; ++c) {
+        if (!byClass[c])
+            continue;
         if (!out.empty())
             out += " ";
-        out += madmax::toString(cls) + "=" + hs.toString();
+        out += madmax::toString(static_cast<LayerClass>(c)) + "=" +
+            byClass[c]->toString();
     }
     if (fsdpPrefetch)
         out += " +prefetch";

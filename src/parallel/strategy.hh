@@ -12,7 +12,8 @@
 #ifndef MADMAX_PARALLEL_STRATEGY_HH
 #define MADMAX_PARALLEL_STRATEGY_HH
 
-#include <map>
+#include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,9 @@ struct HierStrategy
  */
 struct ParallelPlan
 {
-    std::map<LayerClass, HierStrategy> byClass;
+    /** Strategy per layer class, indexed by LayerClass; empty for a
+     *  class the plan does not list. */
+    std::array<std::optional<HierStrategy>, kNumLayerClasses> byClass;
 
     /**
      * Overlap FSDP AllGathers with preceding-layer compute (the

@@ -177,20 +177,20 @@ const CounterRow kCounterRows[] = {
     {"engine.jobs", "madmax_engine_jobs", "Engine worker threads.", kGauge,
      [](const S &s, size_t) -> double { return s.jobs; }},
     {"server.batching.windows", "madmax_batch_windows_total",
-     "Micro-batch windows dispatched.", kCounter,
+     "Batches the dispatcher submitted to the engine.", kCounter,
      [](const S &s, size_t) -> double { return s.batching.windows; }},
     {"server.batching.batched_requests", "madmax_batch_requests_total",
-     "Requests that entered a micro-batch window.", kCounter,
+     "Requests that entered a batch.", kCounter,
      [](const S &s, size_t) -> double { return s.batching.requests; }},
     {"server.batching.coalesced_requests",
      "madmax_batch_coalesced_requests_total",
-     "Windowed requests that shared their window.", kCounter,
+     "Batched requests that shared their batch.", kCounter,
      [](const S &s, size_t) -> double { return s.batching.coalesced; }},
     {"server.batching.max_occupancy", "madmax_batch_max_occupancy",
-     "Largest window submitted.", kGauge,
+     "Largest batch submitted.", kGauge,
      [](const S &s, size_t) -> double { return s.batching.maxOccupancy; }},
     {"server.batching.memo_fast_path", "madmax_batch_memo_fast_path_total",
-     "Evaluate requests answered from the memo cache without a window.",
+     "Evaluate requests answered from the memo cache without a batch.",
      kCounter,
      [](const S &s, size_t) -> double { return s.batching.memoFastPath; }},
     {"server.batching.watchdog_takeovers",

@@ -130,34 +130,33 @@ TEST(EvalEngine, PruningCountsOomPlans)
     EXPECT_GT(ex.stats.wallSeconds, 0.0);
 }
 
-TEST(EvalEngine, PruningDisabledMatchesPrunedResults)
+TEST(EvalEngine, PrunedExplorationMatchesDirectEvaluation)
 {
+    // The pre-pass resolves OOM plans without a full evaluation; every
+    // report, pruned or evaluated, must equal PerfModel::evaluate's.
     PerfModel model(hw_zoo::dlrmTrainingSystem());
-    EvalEngineOptions no_prune;
-    no_prune.pruneInfeasible = false;
-    EvalEngine a;
-    EvalEngine b(no_prune);
-    Exploration pruned = StrategyExplorer(model, &a).explore(
-        model_zoo::dlrmA(), TaskSpec::preTraining());
-    Exploration full = StrategyExplorer(model, &b).explore(
-        model_zoo::dlrmA(), TaskSpec::preTraining());
+    ModelDesc dlrm = model_zoo::dlrmA();
+    TaskSpec task = TaskSpec::preTraining();
+    EvalEngine engine;
+    Exploration ex = StrategyExplorer(model, &engine).explore(dlrm, task);
 
-    ASSERT_EQ(pruned.results.size(), full.results.size());
-    for (size_t i = 0; i < pruned.results.size(); ++i) {
-        expectReportsEqual(pruned.results[i].report,
-                           full.results[i].report);
+    for (const ExplorationResult &r : ex.results) {
+        SCOPED_TRACE(r.plan.toString());
+        testing::expectBitIdentical(r.report,
+                                    model.evaluate(dlrm, task, r.plan));
     }
-    EXPECT_EQ(full.stats.pruned, 0);
-    EXPECT_EQ(full.stats.evaluations, pruned.stats.requests());
+    EXPECT_GT(ex.stats.pruned, 0);
+    EXPECT_EQ(ex.stats.evaluations + ex.stats.pruned,
+              static_cast<long>(ex.results.size()));
 }
 
-TEST(EvalEngine, PrunedAndUnprunedBatchesAgreeAcrossThreadCounts)
+TEST(EvalEngine, PrunedBatchesMatchDirectEvaluationAcrossThreadCounts)
 {
-    // One mixed DLRM-A / GPT-3 batch with OOM and fitting plans. With
-    // pruning, each fitting plan's pre-pass verdict rides into its
-    // evaluation; with jobs = 4 that hand-off crosses into the pool
-    // (the tsan job covers it). Every report must come out bit for
-    // bit the same whichever way it was produced.
+    // One mixed DLRM-A / GPT-3 batch with OOM and fitting plans. Each
+    // fitting plan's pre-pass verdict rides into its evaluation; with
+    // jobs = 4 that hand-off crosses into the pool (the tsan job
+    // covers it). Every report, pruned or evaluated, must come out bit
+    // for bit the same as PerfModel::evaluate's.
     PerfModel dlrmModel(hw_zoo::dlrmTrainingSystem());
     PerfModel llmModel(hw_zoo::llmTrainingSystem());
     ModelDesc dlrm = model_zoo::dlrmA();
@@ -178,53 +177,43 @@ TEST(EvalEngine, PrunedAndUnprunedBatchesAgreeAcrossThreadCounts)
         blocks.fsdpPrefetch = true;
         reqs.push_back({&llmModel, &gpt3, &task, blocks});
     }
+    std::vector<PerfReport> direct;
+    for (const PlanRequest &req : reqs)
+        direct.push_back(req.model->evaluate(*req.desc, task, req.plan));
 
-    std::vector<std::vector<PerfReport>> runs;
-    for (bool prune : {true, false}) {
-        for (int jobs : {1, 4}) {
-            SCOPED_TRACE(std::string(prune ? "pruned" : "unpruned") +
-                         " jobs=" + std::to_string(jobs));
-            EvalEngineOptions eo;
-            eo.jobs = jobs;
-            eo.pruneInfeasible = prune;
-            EvalEngine engine(eo);
-            EvalStats stats;
-            runs.push_back(engine.evaluateAll(reqs, &stats));
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        EvalEngineOptions eo;
+        eo.jobs = jobs;
+        EvalEngine engine(eo);
+        EvalStats stats;
+        std::vector<PerfReport> reports = engine.evaluateAll(reqs, &stats);
 
-            long oom = 0;
-            for (size_t i = 0; i < reqs.size(); ++i) {
-                const PerfReport &r = runs.back()[i];
-                EXPECT_FALSE(r.failed());
-                EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(reqs[i])));
-                if (r.valid)
-                    continue;
-                ++oom;
-                // Verdict-only: nothing was scheduled.
-                EXPECT_EQ(r.iterationTime, 0.0);
-                EXPECT_TRUE(r.serializedBreakdown.empty());
-            }
-            EXPECT_GT(oom, 0) << "fixture needs OOM plans";
-            EXPECT_LT(oom, static_cast<long>(reqs.size()))
-                << "fixture needs fitting plans";
-            EXPECT_EQ(stats.pruned, prune ? oom : 0);
-            EXPECT_EQ(stats.evaluations,
-                      static_cast<long>(reqs.size()) - stats.pruned);
-
-            // OOM verdicts were memoized with the rest: a second pass
-            // is all hits.
-            EvalStats again;
-            engine.evaluateAll(reqs, &again);
-            EXPECT_EQ(again.cacheHits, static_cast<long>(reqs.size()));
+        long oom = 0;
+        for (size_t i = 0; i < reqs.size(); ++i) {
+            const PerfReport &r = reports[i];
+            testing::expectBitIdentical(r, direct[i]);
+            EXPECT_FALSE(r.failed());
+            EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(reqs[i])));
+            if (r.valid)
+                continue;
+            ++oom;
+            // Verdict-only: nothing was scheduled.
+            EXPECT_EQ(r.iterationTime, 0.0);
+            EXPECT_TRUE(r.serializedBreakdown.empty());
         }
-    }
-    for (size_t r = 1; r < runs.size(); ++r) {
-        for (size_t i = 0; i < reqs.size(); ++i)
-            testing::expectBitIdentical(runs[r][i], runs[0][i]);
-    }
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        testing::expectBitIdentical(
-            runs[0][i],
-            reqs[i].model->evaluate(*reqs[i].desc, task, reqs[i].plan));
+        EXPECT_GT(oom, 0) << "fixture needs OOM plans";
+        EXPECT_LT(oom, static_cast<long>(reqs.size()))
+            << "fixture needs fitting plans";
+        EXPECT_EQ(stats.pruned, oom);
+        EXPECT_EQ(stats.evaluations,
+                  static_cast<long>(reqs.size()) - stats.pruned);
+
+        // OOM verdicts were memoized with the rest: a second pass is
+        // all hits.
+        EvalStats again;
+        engine.evaluateAll(reqs, &again);
+        EXPECT_EQ(again.cacheHits, static_cast<long>(reqs.size()));
     }
 }
 
