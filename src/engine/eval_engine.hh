@@ -6,8 +6,8 @@
  * EvalEngine::evaluateAll, which adds four things on top of raw
  * PerfModel::evaluate calls:
  *
- *  1. a fixed-size work-stealing thread pool (--jobs N) that fans the
- *     batch out across cores;
+ *  1. a fixed-size FIFO thread pool (--jobs N) that fans the batch
+ *     out across cores;
  *  2. a memoization cache keyed by a canonical fingerprint of the
  *     point, shared across call sites (e.g. best() after explore()
  *     re-reads every report for free). Each entry also has a
@@ -177,7 +177,7 @@ struct EvalEngineOptions
 /**
  * Thread-pooled, memoizing batch evaluator. Thread-safe: concurrent
  * evaluateAll calls share the cache under a mutex and the pool's
- * work-stealing scheduler interleaves their batches.
+ * one FIFO queue interleaves their batches.
  */
 class EvalEngine
 {

@@ -3,7 +3,7 @@
 /**
  * @file
  * Structured error taxonomy for the serving stack. Every error the API
- * can emit — transport rejections, router misses, handler failures,
+ * can emit — transport rejections, unknown endpoints, handler failures,
  * degradation responses — is an enumerator here, mapped to its HTTP
  * status and stable machine-readable `code` in exactly one table, so
  * the wire contract ("error.code" in every error body) is enforced

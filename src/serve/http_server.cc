@@ -18,6 +18,7 @@
 #include "serve/errors.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace madmax
 {
@@ -460,14 +461,9 @@ HttpServer::start()
     ev.data.u64 = 1;
     ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, wakeFd_, &ev);
 
-    {
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        workersStop_ = false;
-    }
+    workers_ = std::make_unique<ThreadPool>(options_.workers);
     running_.store(true);
     io_ = std::thread(&HttpServer::ioLoop, this);
-    for (int i = 0; i < options_.workers; ++i)
-        workers_.emplace_back(&HttpServer::workerLoop, this);
 }
 
 void
@@ -481,16 +477,9 @@ HttpServer::stop()
         ::write(wakeFd_, &one, sizeof(one));
     if (io_.joinable())
         io_.join();
-
-    {
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        workersStop_ = true;
-    }
-    dispatchCv_.notify_all();
-    for (std::thread &t : workers_)
-        if (t.joinable())
-            t.join();
-    workers_.clear();
+    // Drains the pool: every dispatched request finishes before the
+    // wake fd it signals is closed.
+    workers_.reset();
 
     ::close(epollFd_);
     ::close(wakeFd_);
@@ -501,7 +490,6 @@ HttpServer::stop()
     }
     conns_.clear();
     completions_.clear();
-    dispatchQueue_.clear();
     running_.store(false);
 }
 
@@ -520,38 +508,26 @@ HttpServer::bumpStat(long HttpServerStats::*field)
 }
 
 void
-HttpServer::workerLoop()
+HttpServer::runHandler(uint64_t connId, const HttpRequest &request) noexcept
 {
-    while (true) {
-        Dispatched work;
-        {
-            std::unique_lock<std::mutex> lock(dispatchMutex_);
-            dispatchCv_.wait(lock, [this] {
-                return workersStop_ || !dispatchQueue_.empty();
-            });
-            if (dispatchQueue_.empty())
-                return; // workersStop_ and drained.
-            work = std::move(dispatchQueue_.front());
-            dispatchQueue_.pop_front();
-        }
-        HttpResponse resp;
-        try {
-            resp = handler_(work.request);
-        } catch (...) {
-            // One mapping for every exception class the handler can
-            // leak (serve/errors.hh) — ConfigError -> 400, bad_alloc
-            // -> 503 resource_exhausted, DeadlineError -> 504, ...
-            resp = errorFromCurrentException();
-        }
-        {
-            std::lock_guard<std::mutex> lock(completionMutex_);
-            completions_.push_back(
-                Completion{work.connId, std::move(resp)});
-        }
-        uint64_t one = 1;
-        [[maybe_unused]] ssize_t n =
-            ::write(wakeFd_, &one, sizeof(one));
+    HttpResponse resp;
+    try {
+        resp = handler_(request);
+    } catch (...) {
+        // One mapping for every exception class the handler can
+        // leak (serve/errors.hh) — ConfigError -> 400, bad_alloc
+        // -> 503 resource_exhausted, DeadlineError -> 504, ...
+        resp = errorFromCurrentException();
     }
+    // noexcept: an exception past this point would lose the
+    // completion, leaking inFlight_ and hanging the connection, so it
+    // terminates instead of being swallowed by the pool.
+    {
+        std::lock_guard<std::mutex> lock(completionMutex_);
+        completions_.push_back(Completion{connId, std::move(resp)});
+    }
+    uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
 
 void
@@ -745,12 +721,10 @@ HttpServer::pump(Conn &conn)
         conn.deadline = Clock::now() +
             std::chrono::seconds(options_.idleTimeoutSeconds);
         inFlight_.fetch_add(1);
-        {
-            std::lock_guard<std::mutex> lock(dispatchMutex_);
-            dispatchQueue_.push_back(
-                Dispatched{conn.id, std::move(req)});
-        }
-        dispatchCv_.notify_one();
+        workers_->submit(
+            [this, id = conn.id, req = std::move(req)]() noexcept {
+                runHandler(id, req);
+            });
         return true;
     }
     return true;
@@ -843,8 +817,10 @@ HttpServer::emergencyReject()
         // bytes, far under any socket buffer.
         [[maybe_unused]] ssize_t n =
             ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
-        ::close(fd);
+        // Count before close(): the client may read EOF and sample
+        // the stats the moment the socket closes.
         bumpStat(&HttpServerStats::fdRejects);
+        ::close(fd);
         rejected = true;
     }
     emergencyFd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);

@@ -5,11 +5,13 @@
  * like the JSON parser it fronts: one I/O thread owns every
  * connection's read/write state machine (non-blocking sockets,
  * partial reads and writes, HTTP/1.1 keep-alive and pipelining, idle
- * timeouts, slow-loris request deadlines) and hands fully parsed
- * requests to a fixed pool of handler workers. Workers never touch a
- * socket: they run the handler and post the response back to the loop
- * through a completion queue (an eventfd wake), so connection state
- * needs no locking at all — it is only ever mutated by the loop.
+ * timeouts, slow-loris request deadlines) and submits each fully
+ * parsed request as a task to a ThreadPool of handler workers
+ * (util/thread_pool.hh; FIFO, so the oldest request starts first).
+ * Workers never touch a socket: a task runs the handler and posts the
+ * response back to the loop through a completion queue (an eventfd
+ * wake), so connection state needs no locking at all — it is only
+ * ever mutated by the loop.
  *
  * Keep-alive semantics: HTTP/1.1 connections persist by default, up
  * to `keepAliveMaxRequests` requests per connection, and pipelined
@@ -37,10 +39,8 @@
 #define MADMAX_SERVE_HTTP_SERVER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -52,6 +52,8 @@
 
 namespace madmax
 {
+
+class ThreadPool;
 
 /** One parsed request. Header names are lower-cased on parse. */
 struct HttpRequest
@@ -79,7 +81,7 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest &)>;
 
 /**
  * The API's uniform error shape, used by every rejection path
- * (transport, router, and service alike):
+ * (transport and service alike):
  *
  *   {"error": {"code": "<machine-readable>", "message": "<human>"}}
  */
@@ -165,12 +167,13 @@ struct HttpServerStats
 };
 
 /**
- * The listening server. start() binds and spawns the event loop and
- * the worker pool; stop() (idempotent, also run by the destructor)
- * finishes every dispatched request, flushes pending responses, and
- * joins every thread. The handler is called concurrently from
- * multiple workers and must be thread-safe. Handler exceptions are
- * mapped to JSON errors: ConfigError -> 400, anything else -> 500.
+ * The listening server. start() binds, creates the handler pool and
+ * spawns the event loop; stop() (idempotent, also run by the
+ * destructor) joins the loop, which flushes pending responses, then
+ * destroys the pool, which finishes every dispatched request. The
+ * handler is called concurrently from multiple workers and must be
+ * thread-safe. Handler exceptions are mapped to JSON errors:
+ * ConfigError -> 400, anything else -> 500.
  */
 class HttpServer
 {
@@ -198,13 +201,6 @@ class HttpServer
   private:
     struct Conn;
 
-    /** One parsed request handed to a worker. */
-    struct Dispatched
-    {
-        uint64_t connId;
-        HttpRequest request;
-    };
-
     /** One handler result handed back to the loop. */
     struct Completion
     {
@@ -213,7 +209,9 @@ class HttpServer
     };
 
     void ioLoop();
-    void workerLoop();
+    /** Run one dispatched request on a pool worker and post its
+     *  completion to the loop. */
+    void runHandler(uint64_t connId, const HttpRequest &request) noexcept;
 
     // Loop-side helpers; all return false when they closed the
     // connection (the caller's reference is dangling).
@@ -255,7 +253,10 @@ class HttpServer
     std::atomic<bool> stopping_{false};
 
     std::thread io_;
-    std::vector<std::thread> workers_;
+    /// Handler workers: created by start() before the I/O thread,
+    /// destroyed by stop() after it — that destruction drains and
+    /// finishes every dispatched request.
+    std::unique_ptr<ThreadPool> workers_;
 
     /// Connections, keyed by id (epoll events carry the id, not the
     /// fd, so a recycled fd can never be confused with a closed
@@ -266,11 +267,6 @@ class HttpServer
     /// Requests dispatched whose completion the loop has not yet
     /// processed; the admission-control load metric.
     std::atomic<long> inFlight_{0};
-
-    std::mutex dispatchMutex_;
-    std::condition_variable dispatchCv_;
-    std::deque<Dispatched> dispatchQueue_;
-    bool workersStop_ = false; ///< Guarded by dispatchMutex_.
 
     std::mutex completionMutex_;
     std::vector<Completion> completions_;

@@ -464,15 +464,32 @@ EvalService::EvalService(ServiceOptions options)
       start_(std::chrono::steady_clock::now()),
       endpointSlots_(std::size(kEndpoints))
 {
+}
+
+HttpResponse
+EvalService::route(const HttpRequest &request)
+{
+    const Endpoint *onTarget = nullptr;
     for (size_t i = 0; i < std::size(kEndpoints); ++i) {
-        router_.add(kEndpoints[i].method, kEndpoints[i].target,
-                    [this, i](const HttpRequest &r) {
-                        EndpointSlot &slot = endpointSlots_[i];
-                        ++slot.requests;
-                        NanosCharge charge{slot.nanos};
-                        return kEndpoints[i].handler(*this, r);
-                    });
+        const Endpoint &ep = kEndpoints[i];
+        if (request.target != ep.target)
+            continue;
+        onTarget = &ep;
+        if (request.method != ep.method)
+            continue;
+        EndpointSlot &slot = endpointSlots_[i];
+        ++slot.requests;
+        NanosCharge charge{slot.nanos};
+        return ep.handler(*this, request);
     }
+    if (!onTarget)
+        return makeError(ServeError::NotFound,
+                         "no such endpoint: " + request.target);
+    // Every target serves exactly one method.
+    return makeError(ServeError::MethodNotAllowed,
+                     request.method + " not supported on " +
+                         request.target + " (use " + onTarget->method +
+                         ")");
 }
 
 HttpResponse
@@ -480,7 +497,7 @@ EvalService::handle(const HttpRequest &request)
 {
     HttpResponse resp;
     try {
-        resp = router_.route(request);
+        resp = route(request);
     } catch (...) {
         // One mapping for every exception type the stack can throw
         // (serve/errors.hh): ConfigError -> 400, DeadlineError -> 504,

@@ -51,11 +51,11 @@
  *
  * Errors use the uniform {"error": {code, detail?, message}} shape
  * with the machine-readable codes of serve/errors.hh: 400 for
- * malformed JSON / missing fields / bad configs, 404/405 from the
- * router, 500 for internal failures, plus the graceful-degradation
- * responses (503 circuit_open / resource_exhausted / fd_exhausted,
- * 504 deadline_exceeded) — full table in docs/serving.md, semantics
- * in docs/resilience.md.
+ * malformed JSON / missing fields / bad configs, 404/405 for an
+ * unknown endpoint or method, 500 for internal failures, plus the
+ * graceful-degradation responses (503 circuit_open /
+ * resource_exhausted / fd_exhausted, 504 deadline_exceeded) — full
+ * table in docs/serving.md, semantics in docs/resilience.md.
  */
 
 #ifndef MADMAX_SERVE_SERVICE_HH
@@ -71,7 +71,7 @@
 #include "serve/batch_dispatcher.hh"
 #include "serve/circuit_breaker.hh"
 #include "serve/config_cache.hh"
-#include "serve/request_router.hh"
+#include "serve/http_server.hh"
 #include "util/fault_injection.hh"
 
 namespace madmax
@@ -150,7 +150,7 @@ class EvalService
     EvalService &operator=(const EvalService &) = delete;
 
     /**
-     * Dispatch one request through the routing table. Never throws:
+     * Dispatch one request through kEndpoints. Never throws:
      * ConfigError becomes a 400 response, anything else a 500.
      * Thread-safe; this is the HttpHandler `madmax serve` installs.
      */
@@ -196,8 +196,8 @@ class EvalService
 
   private:
     /** One routed endpoint. kEndpoints (service.cc) is the only list
-     *  of them: registration, the per-endpoint counters and both
-     *  counter renderings walk it. */
+     *  of them: routing, the per-endpoint counters and both counter
+     *  renderings walk it. */
     struct Endpoint
     {
         const char *name; ///< EndpointStats::name.
@@ -214,6 +214,11 @@ class EvalService
         std::atomic<long> nanos{0};
     };
 
+    /** The matching endpoint's response (counted and timed in its
+     *  slot), 404 not_found for an unknown target, or 405
+     *  method_not_allowed naming the target's method. Handler
+     *  exceptions propagate to handle(). */
+    HttpResponse route(const HttpRequest &request);
     HttpResponse handleEvaluate(const HttpRequest &request);
     /** A memo hit's response: the entry's stored body when it was
      *  rendered for this plan; otherwise rendered now, and stored if
@@ -231,7 +236,6 @@ class EvalService
     BatchDispatcher dispatcher_;
     CircuitBreaker breaker_;
     SingleFlight paretoFlight_;
-    RequestRouter router_;
     std::function<HttpServerStats()> transportStats_;
     std::chrono::steady_clock::time_point start_;
 

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace madmax
 {
@@ -15,19 +17,13 @@ ThreadPool::defaultConcurrency()
 ThreadPool::ThreadPool(int threads)
 {
     int n = threads > 0 ? threads : defaultConcurrency();
-    workers_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i)
-        workers_.push_back(std::make_unique<Worker>());
     threads_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        threads_.emplace_back(
-            [this, i] { workerLoop(static_cast<size_t>(i)); });
-    }
+    for (int i = 0; i < n; ++i)
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
-    waitIdle();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
@@ -40,80 +36,33 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> fn)
 {
-    size_t target;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        target = nextWorker_++ % workers_.size();
-        ++queued_;
-        ++inflight_;
-    }
-    {
-        std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-        workers_[target]->deque.push_back(std::move(fn));
+        queue_.push_back(std::move(fn));
     }
     work_.notify_one();
 }
 
-bool
-ThreadPool::tryTake(size_t self, std::function<void()> &out)
-{
-    // Own deque first, newest task (LIFO keeps the working set warm) …
-    {
-        Worker &w = *workers_[self];
-        std::lock_guard<std::mutex> lock(w.mutex);
-        if (!w.deque.empty()) {
-            out = std::move(w.deque.back());
-            w.deque.pop_back();
-            return true;
-        }
-    }
-    // … then steal the oldest task from a sibling (FIFO minimizes
-    // contention with the victim's LIFO end).
-    for (size_t i = 1; i < workers_.size(); ++i) {
-        Worker &w = *workers_[(self + i) % workers_.size()];
-        std::lock_guard<std::mutex> lock(w.mutex);
-        if (!w.deque.empty()) {
-            out = std::move(w.deque.front());
-            w.deque.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::workerLoop(size_t self)
+ThreadPool::workerLoop()
 {
     for (;;) {
         std::function<void()> task;
-        if (tryTake(self, task)) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                --queued_;
-            }
-            try {
-                task();
-            } catch (...) {
-                // parallelFor records exceptions in its batch state;
-                // bare submit() tasks must not tear down the pool.
-            }
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--inflight_ == 0)
-                idle_.notify_all();
-            continue;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+            if (queue_.empty())
+                return; // stop_ and drained.
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_.wait(lock, [this] { return stop_ || queued_ > 0; });
-        if (stop_ && queued_ == 0)
-            return;
+        try {
+            task();
+        } catch (...) {
+            // parallelFor records exceptions in its batch state;
+            // bare submit() tasks must not tear down the pool.
+        }
     }
-}
-
-void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [this] { return inflight_ == 0; });
 }
 
 void
@@ -137,9 +86,8 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     auto state = std::make_shared<BatchState>();
 
     // One driver task per worker; each drains the shared index. This
-    // gives dynamic load balancing without per-iteration task cost,
-    // and the deque scheduler balances the drivers themselves.
-    size_t drivers = std::min(n, workers_.size());
+    // gives dynamic load balancing without per-iteration task cost.
+    size_t drivers = std::min(n, threads_.size());
     state->live = drivers;
     for (size_t d = 0; d < drivers; ++d) {
         submit([state, n, &fn] {

@@ -1,15 +1,14 @@
 /**
  * @file
- * Fixed-size work-stealing thread pool. Each worker owns a deque:
- * the owner pushes/pops at the back (LIFO, cache-friendly) while idle
- * workers steal from the front (FIFO, oldest task first). Submitted
- * tasks are distributed round-robin, so a burst lands spread across
- * the workers and stealing only pays for imbalance.
+ * Fixed-size thread pool over one mutex-guarded FIFO queue: tasks
+ * start in submission order, oldest first. It runs the EvalEngine's
+ * batches (src/engine/) and the HTTP server's handlers
+ * (src/serve/http_server.hh), each on its own instance.
  *
- * This is the substrate of the EvalEngine (src/engine/); it is
- * deliberately dependency-free and blocking-wait based — evaluation
- * tasks run for micro- to milliseconds, so lock-free deques would buy
- * nothing over a mutex per deque.
+ * Deliberately dependency-free and blocking-wait based — tasks run for
+ * micro- to milliseconds, and parallelFor submits at most one driver
+ * per worker, so a single queue is never contended enough for
+ * per-worker deques or lock-free structures to pay.
  */
 
 #ifndef MADMAX_UTIL_THREAD_POOL_HH
@@ -19,7 +18,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,17 +38,11 @@ class ThreadPool
 
     /**
      * Joins all workers; pending tasks are DRAINED, never abandoned.
-     *
-     * Shutdown sequence, deterministic by construction:
-     *   1. waitIdle() — blocks until inflight_ hits 0, i.e. every
-     *      task submitted before the destructor began (including
-     *      tasks that other tasks submitted while draining) has run
-     *      to completion;
-     *   2. stop_ is raised under the lock and every worker woken;
-     *   3. workers exit only on `stop_ && queued_ == 0`, so a task
-     *      racing step 2 is still taken and finished before its
-     *      worker returns — there is no window in which a queued
-     *      task is dropped.
+     * The destructor raises stop_ and wakes every worker; a worker
+     * exits only once it sees stop_ with an empty queue. A task that
+     * submits another while the drain runs is itself running on a
+     * live worker, which takes the new task before it can exit — so
+     * every task submitted before or during destruction runs.
      *
      * Consequently destruction cannot deadlock on pending work, but
      * it DOES wait for it: a wedged task wedges the destructor (the
@@ -65,17 +57,15 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** Number of worker threads. */
-    int size() const { return static_cast<int>(workers_.size()); }
+    int size() const { return static_cast<int>(threads_.size()); }
 
     /** std::thread::hardware_concurrency with a floor of 1. */
     static int defaultConcurrency();
 
-    /** Enqueue one task. Exceptions it throws are swallowed after
-     *  being recorded; use parallelFor for propagating work. */
+    /** Enqueue one task at the back of the queue. Exceptions it
+     *  throws are swallowed; use parallelFor for propagating work,
+     *  or mark the task noexcept to make an escape fatal. */
     void submit(std::function<void()> fn);
-
-    /** Block until every submitted task has finished. */
-    void waitIdle();
 
     /**
      * Run fn(0..n-1), distributing iterations dynamically across the
@@ -87,25 +77,14 @@ class ThreadPool
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
   private:
-    struct Worker
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> deque;
-    };
+    void workerLoop();
 
-    void workerLoop(size_t self);
-    bool tryTake(size_t self, std::function<void()> &out);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::vector<std::thread> threads_;
-
-    std::mutex mutex_;             ///< Guards queued_/inflight_/stop_.
-    std::condition_variable work_; ///< Signaled when a task is queued.
-    std::condition_variable idle_; ///< Signaled when inflight_ hits 0.
-    size_t queued_ = 0;            ///< Tasks enqueued, not yet taken.
-    size_t inflight_ = 0;          ///< Tasks enqueued or running.
+    std::mutex mutex_;             ///< Guards queue_ and stop_.
+    std::condition_variable work_; ///< Signaled on submit and stop.
+    std::deque<std::function<void()>> queue_;
     bool stop_ = false;
-    size_t nextWorker_ = 0;        ///< Round-robin submit cursor.
+
+    std::vector<std::thread> threads_; ///< Last: workers use the above.
 };
 
 } // namespace madmax

@@ -2,19 +2,19 @@
  * @file
  * HttpServer transport tests: request parsing and its error paths
  * (malformed request line, oversized body/headers, bad
- * Content-Length), router dispatch (404/405), handler exception
- * mapping, Expect: 100-continue, concurrent connections, and
- * lifecycle (port 0 allocation, idempotent stop).
+ * Content-Length), handler exception mapping, Expect: 100-continue,
+ * concurrent connections, and lifecycle (port 0 allocation,
+ * idempotent stop, draining dispatched requests on stop).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "serve/http_server.hh"
-#include "serve/request_router.hh"
 #include "serve_test_util.hh"
 #include "util/logging.hh"
 
@@ -216,18 +216,14 @@ TEST(HttpServer, HonorsExpect100Continue)
 
 TEST(HttpServer, HandlerExceptionsMapTo400And500)
 {
-    RequestRouter router;
-    router.add("GET", "/bad-config", [](const HttpRequest &) {
-        fatal("you asked for it");
-        return HttpResponse{};
-    });
-    router.add("GET", "/bug", [](const HttpRequest &) -> HttpResponse {
-        throw std::runtime_error("not your fault");
-    });
     HttpServerOptions opts;
     opts.port = 0;
     HttpServer server(
-        [&router](const HttpRequest &r) { return router.route(r); },
+        [](const HttpRequest &r) -> HttpResponse {
+            if (r.target == "/bad-config")
+                fatal("you asked for it");
+            throw std::runtime_error("not your fault");
+        },
         opts);
     server.start();
 
@@ -240,27 +236,6 @@ TEST(HttpServer, HandlerExceptionsMapTo400And500)
     resp = httpExchange(server.port(), getRequest("/bug"));
     EXPECT_EQ(statusOf(resp), 500);
     EXPECT_NE(bodyOf(resp).find("\"internal\""), std::string::npos);
-    server.stop();
-}
-
-TEST(HttpServer, RouterProduces404And405)
-{
-    RequestRouter router;
-    router.add("POST", "/only-post",
-               [](const HttpRequest &) { return HttpResponse{}; });
-    HttpServerOptions opts;
-    opts.port = 0;
-    HttpServer server(
-        [&router](const HttpRequest &r) { return router.route(r); },
-        opts);
-    server.start();
-
-    EXPECT_EQ(statusOf(httpExchange(server.port(), getRequest("/nope"))),
-              404);
-    std::string resp =
-        httpExchange(server.port(), getRequest("/only-post"));
-    EXPECT_EQ(statusOf(resp), 405);
-    EXPECT_NE(bodyOf(resp).find("use POST"), std::string::npos);
     server.stop();
 }
 
@@ -311,6 +286,36 @@ TEST(HttpServer, StopIsIdempotentAndRestartable)
     EXPECT_EQ(statusOf(httpExchange(server.port(), getRequest("/x"))),
               200);
     server.stop();
+}
+
+TEST(HttpServer, StopFinishesDispatchedRequests)
+{
+    // stop() lands while a handler is still sleeping; it must not
+    // return before that dispatched request has run to completion.
+    std::atomic<bool> started{false};
+    std::atomic<int> finished{0};
+    HttpServerOptions opts;
+    opts.port = 0;
+    HttpServer server(
+        [&](const HttpRequest &req) {
+            started.store(true);
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            finished.fetch_add(1);
+            return echoHandler(req);
+        },
+        opts);
+    server.start();
+    std::string resp;
+    std::thread client([&] {
+        resp = httpExchange(server.port(), getRequest("/slow"));
+    });
+    while (!started.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.stop();
+    EXPECT_EQ(finished.load(), 1);
+    client.join();
+    EXPECT_EQ(statusOf(resp), 200);
+    EXPECT_EQ(bodyOf(resp), "GET /slow|");
 }
 
 TEST(HttpServer, RejectsBadOptions)

@@ -1,15 +1,18 @@
 /**
  * @file
  * ThreadPool tests: coverage and exactly-once execution of
- * parallelFor, cross-worker stealing, exception propagation, and
- * waitIdle semantics. Run under TSan in CI (see the thread-sanitizer
- * job) to keep the engine's concurrency continuously checked.
+ * parallelFor, exception propagation, FIFO start order, and the
+ * drain-on-destruction contract. Run under TSan in CI (see the
+ * thread-sanitizer job) to keep the engine's and the HTTP server's
+ * concurrency continuously checked.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -79,31 +82,57 @@ TEST(ThreadPool, ParallelForPropagatesException)
     EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle)
+TEST(ThreadPool, SubmittedTasksStartInSubmissionOrder)
 {
-    ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 100);
+    // One worker, held on a latch while the rest queue up behind it:
+    // the queue is FIFO, so the oldest task must start first (the
+    // HTTP server relies on this to answer the oldest request first).
+    constexpr int kTasks = 16;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false;
+    std::vector<int> order;
+    {
+        ThreadPool pool(1);
+        pool.submit([&] {
+            std::unique_lock<std::mutex> lock(mu);
+            cv.wait(lock, [&] { return release; });
+        });
+        for (int i = 0; i < kTasks; ++i) {
+            pool.submit([&, i] {
+                std::lock_guard<std::mutex> lock(mu);
+                order.push_back(i);
+            });
+        }
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            release = true;
+        }
+        cv.notify_all();
+    }
+    std::vector<int> expected(kTasks);
+    for (int i = 0; i < kTasks; ++i)
+        expected[static_cast<size_t>(i)] = i;
+    EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, SubmittedBatchRunsConcurrently)
 {
     // 16 sleeping tasks across 4 workers: serial execution would take
-    // ~160 ms; concurrent execution (round-robin placement plus
-    // stealing of any leftovers) must land well under that.
-    ThreadPool pool(4);
+    // ~160 ms; concurrent execution must land well under that. The
+    // pool's destruction at scope exit waits for every task.
     auto start = std::chrono::steady_clock::now();
     std::atomic<int> ran{0};
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([&] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            ran.fetch_add(1);
-        });
+    {
+        ThreadPool pool(4);
+        for (int i = 0; i < 16; ++i) {
+            pool.submit([&] {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(10));
+                ran.fetch_add(1);
+            });
+        }
     }
-    pool.waitIdle();
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
