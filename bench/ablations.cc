@@ -12,9 +12,7 @@
  *     tests (collective closed forms).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -61,10 +59,11 @@ skewedDlrm(double skew)
 
 } // namespace
 
-int
-main()
+void
+paper::ablations(std::ostream &os)
 {
-    bench::banner("Ablations: modeling design choices",
+    bench::banner(os,
+                  "Ablations: modeling design choices",
                   "each row toggles one mechanism of the reproduction");
 
     const ClusterSpec zion = hw_zoo::dlrmTrainingSystem();
@@ -73,8 +72,8 @@ main()
 
     // 1. Background communication channel (DLRM-A).
     {
-        std::cout << "\n1) non-blocking collectives on a background "
-                     "channel (DLRM-A)\n";
+        os << "\n1) non-blocking collectives on a background "
+              "channel (DLRM-A)\n";
         AsciiTable t({"scheduling", "iteration", "exposed comm",
                       "MQPS"});
         for (bool bg : {false, true}) {
@@ -88,12 +87,12 @@ main()
                       formatTime(r.exposedCommTime),
                       strfmt("%.2f", r.throughput() / 1e6)});
         }
-        t.print(std::cout);
+        t.print(os);
     }
 
     // 2. FSDP prefetch (LLaMA) — the Fig. 9 optimization.
     {
-        std::cout << "\n2) FSDP AllGather prefetching (LLaMA-65B)\n";
+        os << "\n2) FSDP AllGather prefetching (LLaMA-65B)\n";
         AsciiTable t({"variant", "iteration", "comm overlap",
                       "tokens/s"});
         for (bool prefetch : {false, true}) {
@@ -106,13 +105,13 @@ main()
                       formatPercent(r.overlapFraction()),
                       formatCount(r.tokensPerSecond())});
         }
-        t.print(std::cout);
+        t.print(os);
     }
 
     // 3. AllReduce algorithm (LLaMA with an inter-node DDP level).
     {
-        std::cout << "\n3) AllReduce algorithm (LLaMA-65B, "
-                     "(FSDP, DDP) transformers, memory limit off)\n";
+        os << "\n3) AllReduce algorithm (LLaMA-65B, "
+              "(FSDP, DDP) transformers, memory limit off)\n";
         AsciiTable t({"algorithm", "comm time", "iteration"});
         ParallelPlan plan = ParallelPlan::fsdpBaseline();
         plan.fsdpPrefetch = true;
@@ -129,13 +128,13 @@ main()
             t.addRow({toString(algo), formatTime(r.commTime),
                       formatTime(r.iterationTime)});
         }
-        t.print(std::cout);
+        t.print(os);
     }
 
     // 4. Embedding lookup skew (DLRM-A).
     {
-        std::cout << "\n4) per-device lookup skew (DLRM-A; RecShard-"
-                     "style balancing motivates skew -> 1)\n";
+        os << "\n4) per-device lookup skew (DLRM-A; RecShard-"
+              "style balancing motivates skew -> 1)\n";
         AsciiTable t({"hot-device skew", "iteration", "MQPS"});
         for (double skew : {1.0, 1.25, 1.5, 2.0}) {
             PerfReport r = PerfModel(zion).evaluate(skewedDlrm(skew),
@@ -144,7 +143,6 @@ main()
                       formatTime(r.iterationTime),
                       strfmt("%.2f", r.throughput() / 1e6)});
         }
-        t.print(std::cout);
+        t.print(os);
     }
-    return 0;
 }

@@ -1,27 +1,21 @@
 /**
  * @file
- * Shared helpers for the per-table/per-figure bench binaries. Every
- * bench regenerates one table or figure from the paper's evaluation
- * and prints the corresponding rows/series; EXPERIMENTS.md records
- * paper-vs-measured for each.
- *
- * Benches accept three optional flags, parsed by BenchReporter:
- *   --json PATH      write this run's machine-readable timing/
- *                    throughput records to PATH as a JSON document,
- *                    replacing any previous contents (the perf
- *                    trajectory's BENCH_*.json files);
- *   --jobs N         EvalEngine parallelism for benches that evaluate
- *                    through the engine (0 = one thread per core);
- *   --strategy NAME  dse search strategy for the ParetoEngine-backed
- *                    figure benches (default "exhaustive", which
- *                    reproduces the historical sweeps byte for byte).
+ * Shared helpers for bench/. banner() heads every paper figure
+ * (paper.hh) and the two timed benches. The timed benches,
+ * engine_scaling and serve_chaos, also accept two optional flags,
+ * parsed by BenchReporter:
+ *   --json PATH  write this run's machine-readable timing/throughput
+ *                records to PATH as a JSON document, replacing any
+ *                previous contents;
+ *   --jobs N     EvalEngine parallelism (0 = one thread per core).
+ * The paper figures take no flags: they always evaluate on one
+ * thread with the exhaustive search, so their output is a golden.
  */
 
 #ifndef MADMAX_BENCH_BENCH_UTIL_HH
 #define MADMAX_BENCH_BENCH_UTIL_HH
 
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -35,23 +29,13 @@ namespace madmax::bench
 
 /** Print a figure/table banner with the paper reference. */
 inline void
-banner(const std::string &what, const std::string &claim)
+banner(std::ostream &os, const std::string &what,
+       const std::string &claim)
 {
-    std::cout << std::string(72, '=') << "\n" << what << "\n";
+    os << std::string(72, '=') << "\n" << what << "\n";
     if (!claim.empty())
-        std::cout << "paper: " << claim << "\n";
-    std::cout << std::string(72, '=') << "\n";
-}
-
-/** Accuracy of a model estimate vs. a measured value, as the paper
- *  reports it (100% minus relative error). */
-inline std::string
-accuracy(double ours, double reference)
-{
-    if (reference == 0.0)
-        return "n/a";
-    double acc = 1.0 - std::abs(ours - reference) / std::abs(reference);
-    return strfmt("%.2f%%", acc * 100.0);
+        os << "paper: " << claim << "\n";
+    os << std::string(72, '=') << "\n";
 }
 
 /** Monotonic stopwatch for wall-clock records. */
@@ -109,15 +93,12 @@ class BenchReporter
                     std::exit(1);
                 }
                 jobsSet_ = true;
-            } else if (arg == "--strategy" && i + 1 < argc) {
-                strategy_ = argv[++i];
             } else {
                 // Benches have no try/catch around main; exit with a
                 // usage error instead of an uncaught-exception abort.
                 std::cerr << "error: unknown or incomplete flag '"
                           << arg
-                          << "' (supported: --json PATH, --jobs N, "
-                             "--strategy NAME)\n";
+                          << "' (supported: --json PATH, --jobs N)\n";
                 std::exit(1);
             }
         }
@@ -150,9 +131,6 @@ class BenchReporter
 
     /** True if --jobs was given explicitly (vs. the default). */
     bool jobsSpecified() const { return jobsSet_; }
-
-    /** dse search strategy requested via --strategy. */
-    const std::string &strategy() const { return strategy_; }
 
     void record(const std::string &record_name, double value,
                 const std::string &unit)
@@ -189,7 +167,6 @@ class BenchReporter
   private:
     std::string name_;
     std::string path_;
-    std::string strategy_ = "exhaustive";
     int jobs_ = 1;
     bool jobsSet_ = false;
     bool written_ = false;

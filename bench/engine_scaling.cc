@@ -78,6 +78,7 @@ main(int argc, char **argv)
     const int repeats = 5;
 
     bench::banner(
+        std::cout,
         "EvalEngine scaling: explore(GPT-3) with 1 vs " +
             std::to_string(jobs) + " jobs",
         "");

@@ -6,33 +6,29 @@
  * improve on it (green).
  *
  * Runs on the multi-objective ParetoEngine (src/dse/pareto_engine.hh)
- * over the cloud hardware catalog. With the default --strategy
- * exhaustive the table is byte-identical to the historical per-
- * instance explorer sweep (tests/golden/fig01_pareto_frontier.txt);
- * --strategy annealing|genetic|coordinate-descent regenerate it from
- * a budgeted guided search instead.
+ * over the cloud hardware catalog with the exhaustive strategy, which
+ * reproduces the historical per-instance explorer sweep byte for
+ * byte. `madmax pareto --strategy` runs the same search guided.
  */
 
-#include <iostream>
 #include <map>
 #include <set>
 
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/pareto.hh"
 #include "dse/pareto_engine.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 using namespace madmax;
 
-int
-main(int argc, char **argv)
+void
+paper::fig01(std::ostream &os)
 {
-    bench::BenchReporter reporter("fig01_pareto_frontier", argc, argv);
-    bench::banner("Fig. 1: resource-performance pareto frontier "
+    bench::banner(os,
+                  "Fig. 1: resource-performance pareto frontier "
                   "(DLRM on cloud instances)",
                   "MAD-Max improves on the default-mapping frontier");
 
@@ -41,14 +37,8 @@ main(int argc, char **argv)
     const double samples = 1e9;
     const double a100_peak = hw_zoo::a100_40().peakFlopsTensor16;
 
-    EvalEngineOptions engine_opts;
-    engine_opts.jobs = reporter.jobs();
-    EvalEngine engine(engine_opts);
-    ParetoEngine pareto(cloudHardwareCatalog(16), &engine);
-    ParetoOptions opts;
-    opts.strategy = reporter.strategy();
-    bench::WallTimer timer;
-    ParetoFrontier frontier = pareto.explore(model, task, opts);
+    ParetoEngine pareto(cloudHardwareCatalog(16));
+    ParetoFrontier frontier = pareto.explore(model, task);
 
     std::map<size_t, const ParetoCandidate *> best_by_hw;
     for (const ParetoCandidate &c : frontier.bestPerHw)
@@ -109,17 +99,5 @@ main(int argc, char **argv)
         table.addRow({pts[i].label, strfmt("%.0f", pts[i].hours),
                       strfmt("%.2f", pts[i].elapsed), frontier_tag});
     }
-    table.print(std::cout);
-
-    reporter.record("search_seconds", timer.seconds(), "s");
-    reporter.record("evaluations",
-                    static_cast<double>(frontier.stats.evaluations),
-                    "evals");
-    reporter.record("points_visited",
-                    static_cast<double>(frontier.candidates.size()),
-                    "count");
-    reporter.record("frontier_points",
-                    static_cast<double>(frontier.points.size()),
-                    "count");
-    return 0;
+    table.print(os);
 }

@@ -7,9 +7,8 @@
  */
 
 #include <cmath>
-#include <iostream>
 
-#include "bench_util.hh"
+#include "paper.hh"
 #include "model/model_zoo.hh"
 #include "util/table.hh"
 
@@ -31,10 +30,11 @@ logBar(double value, double floor)
 
 } // namespace
 
-int
-main()
+void
+paper::fig03(std::ostream &os)
 {
     bench::banner(
+        os,
         "Fig. 3: model capacity / compute / bandwidth requirements",
         "requirements vary by orders of magnitude; DLRMs need >20x the "
         "sparse-lookup bandwidth of LLMs, LLMs far more FLOPs (O1/O2)");
@@ -48,30 +48,30 @@ main()
     }
     models.push_back(model_zoo::dlrmATransformer());
 
-    std::cout << "\n(a) capacity: parameter count\n";
+    os << "\n(a) capacity: parameter count\n";
     AsciiTable cap({"model", "params", "scale (log)"});
     for (const ModelDesc &m : models) {
         double p = m.graph.totals().paramCount;
         cap.addRow({m.name, formatCount(p), logBar(p, 1e9)});
     }
-    cap.print(std::cout);
+    cap.print(os);
 
-    std::cout << "\n(b) compute: forward FLOPs per sample/token\n";
+    os << "\n(b) compute: forward FLOPs per sample/token\n";
     AsciiTable flops({"model", "FLOPs/token", "scale (log)"});
     for (const ModelDesc &m : models) {
         double f = m.forwardFlopsPerToken();
         flops.addRow({m.name, formatCount(f), logBar(f, 1e6)});
     }
-    flops.print(std::cout);
+    flops.print(os);
 
-    std::cout << "\n(c) sparse lookup bytes per sample\n";
+    os << "\n(c) sparse lookup bytes per sample\n";
     AsciiTable bw({"model", "lookup bytes/sample", "scale (log)"});
     for (const ModelDesc &m : models) {
         double b = m.graph.totals().lookupBytesPerSample;
         bw.addRow({m.name, b > 0 ? formatBytes(b) : "-",
                    logBar(b, 1e3)});
     }
-    bw.print(std::cout);
+    bw.print(os);
 
     // The O2 ratio quoted in the text.
     double dlrm_lookup =
@@ -79,8 +79,7 @@ main()
     ModelDesc llama = model_zoo::llama65b();
     double llm_lookup = llama.graph.totals().lookupBytesPerSample /
         llama.contextLength;
-    std::cout << strfmt("\nDLRM-A vs LLaMA sparse-lookup bandwidth per "
-                        "sample/token: %.0fx (paper: >20x)\n",
-                        dlrm_lookup / llm_lookup);
-    return 0;
+    os << strfmt("\nDLRM-A vs LLaMA sparse-lookup bandwidth per "
+                 "sample/token: %.0fx (paper: >20x)\n",
+                 dlrm_lookup / llm_lookup);
 }

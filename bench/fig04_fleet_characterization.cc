@@ -6,40 +6,24 @@
  * (c) communication-collective mix per family.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "fleet/fleet_sim.hh"
 #include "util/table.hh"
 
 using namespace madmax;
 
-int
-main(int argc, char **argv)
+void
+paper::fig04(std::ostream &os)
 {
-    bench::BenchReporter reporter("fig04_fleet_characterization", argc,
-                                  argv);
-    bench::banner("Fig. 4: fleet-wide communication characterization",
+    bench::banner(os,
+                  "Fig. 4: fleet-wide communication characterization",
                   "14~32% of GPU cycles are exposed communication; "
                   "DLRM ~50% comm overlapped vs LLM >65%; DLRM All2All-"
                   "heavy vs LLM AllReduce-heavy");
 
-    EvalEngineOptions eo;
-    eo.jobs = reporter.jobs();
-    EvalEngine engine(eo);
-    bench::WallTimer timer;
-    FleetReport report =
-        FleetSimulator::representativeFleet().run(&engine);
-    reporter.record("fleet_run_seconds", timer.seconds(), "s");
-    reporter.record("fleet_evaluations",
-                    static_cast<double>(report.stats.evaluations),
-                    "count");
-    reporter.record("overall_compute_fraction", report.overall.compute,
-                    "fraction");
-    reporter.record("overall_exposed_comm_fraction",
-                    report.overall.exposedComm, "fraction");
+    FleetReport report = FleetSimulator::representativeFleet().run();
 
-    std::cout << "\n(a) observable GPU-cycle categories\n";
+    os << "\n(a) observable GPU-cycle categories\n";
     AsciiTable cycles({"workload", "compute", "exposed comm",
                        "exposed memcpy", "idle"});
     auto add_cycles = [&](const std::string &name,
@@ -52,22 +36,22 @@ main(int argc, char **argv)
     for (const auto &[family, b] : report.byFamily)
         add_cycles(family, b);
     add_cycles("overall", report.overall);
-    cycles.print(std::cout);
-    std::cout << strfmt("compute + exposed comm = %s of cycles "
-                        "(paper: >82%%)\n",
-                        formatPercent(report.overall.compute +
-                                      report.overall.exposedComm)
-                            .c_str());
+    cycles.print(os);
+    os << strfmt("compute + exposed comm = %s of cycles "
+                 "(paper: >82%%)\n",
+                 formatPercent(report.overall.compute +
+                               report.overall.exposedComm)
+                     .c_str());
 
-    std::cout << "\n(b) communication overlapped with computation\n";
+    os << "\n(b) communication overlapped with computation\n";
     AsciiTable overlap({"workload", "overlapped", "bar"});
     for (const auto &[family, frac] : report.overlapByFamily) {
         overlap.addRow({family, formatPercent(frac),
                         asciiBar(frac, 1.0, 30)});
     }
-    overlap.print(std::cout);
+    overlap.print(os);
 
-    std::cout << "\n(c) communication-collective mix\n";
+    os << "\n(c) communication-collective mix\n";
     AsciiTable mix({"workload", "collective", "share of comm cycles"});
     for (const auto &[family, shares] : report.collectiveMixByFamily) {
         for (const auto &[cat, share] : shares) {
@@ -75,6 +59,5 @@ main(int argc, char **argv)
         }
         mix.addSeparator();
     }
-    mix.print(std::cout);
-    return 0;
+    mix.print(os);
 }

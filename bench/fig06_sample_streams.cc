@@ -5,9 +5,7 @@
  * communication segments labeled.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -16,10 +14,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig06(std::ostream &os)
 {
-    bench::banner("Fig. 6: generated compute/communication streams",
+    bench::banner(os,
+                  "Fig. 6: generated compute/communication streams",
                   "EMB_c_A2A is blocking (Transformer_Attn_0 needs its "
                   "result) and shows as exposed communication");
 
@@ -34,13 +33,13 @@ main()
 
     PerfReport r =
         madmax.evaluate(model, TaskSpec::preTraining(), plan);
-    std::cout << r.summary() << "\n";
-    std::cout << "streams ('#' compute, '=' blocking comm, "
-                 "'-' non-blocking comm):\n\n";
-    std::cout << asciiStreams(r.timeline, 76) << "\n";
+    os << r.summary() << "\n";
+    os << "streams ('#' compute, '=' blocking comm, "
+          "'-' non-blocking comm):\n\n";
+    os << asciiStreams(r.timeline, 76) << "\n";
 
     // Enumerate the exposed communication segments the figure labels.
-    std::cout << "exposed communication segments:\n";
+    os << "exposed communication segments:\n";
     AsciiTable table({"event", "start", "duration", "waiting compute"});
     for (const ScheduledEvent &se : r.timeline.events) {
         if (se.event.stream != StreamKind::Communication ||
@@ -75,6 +74,5 @@ main()
                           formatTime(se.event.duration), waiter});
         }
     }
-    table.print(std::cout);
-    return 0;
+    table.print(os);
 }

@@ -6,9 +6,7 @@
  * (overlapped), and network scaling across node counts.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "core/perf_model.hh"
 #include "core/validation.hh"
 #include "hw/hw_zoo.hh"
@@ -17,10 +15,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig07(std::ostream &os)
 {
-    bench::banner("Fig. 7: DLRM-A serialized & overlapped validation, "
+    bench::banner(os,
+                  "Fig. 7: DLRM-A serialized & overlapped validation, "
                   "8- vs 128-GPU",
                   "128-GPU measured: 67.40 ms serialized; modeled "
                   "65.30 ms");
@@ -59,12 +58,12 @@ main()
                       formatTime(r.exposedCommTime)});
         table.addSeparator();
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout << "\nNetwork-scaling effect: the single-node system "
-                 "rides NVLink for the All2All, the 16-node system is "
-                 "bound by the RoCE fabric (Effective All2All BW = "
-                 "slowest interconnect, SIV-C).\n";
+    os << "\nNetwork-scaling effect: the single-node system "
+          "rides NVLink for the All2All, the 16-node system is "
+          "bound by the RoCE fabric (Effective All2All BW = "
+          "slowest interconnect, SIV-C).\n";
 
     // Per-segment validation against the published 128-GPU
     // measurements, via the library's validation API.
@@ -76,8 +75,7 @@ main()
     ref.iterationTime = 0.0562;    // Implied by 67.40 ms serialized
                                    // at 82.37% exposure.
     ref.exposedFraction = 0.8237;
-    std::cout << "\nvalidation vs published measurements ("
-              << ref.name << "):\n"
-              << validate(r, ref).toString();
-    return 0;
+    os << "\nvalidation vs published measurements ("
+       << ref.name << "):\n"
+       << validate(r, ref).toString();
 }

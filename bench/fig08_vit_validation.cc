@@ -6,9 +6,7 @@
  * is modeled as a function of per-device layer work (§V).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "core/perf_model.hh"
 #include "core/validation.hh"
 #include "hw/hw_zoo.hh"
@@ -17,10 +15,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig08(std::ostream &os)
 {
-    bench::banner("Fig. 8: ViT MFU across sizes/batches/GPU counts "
+    bench::banner(os,
+                  "Fig. 8: ViT MFU across sizes/batches/GPU counts "
                   "(AWS p4d, FSDP)",
                   "paper reports 93.88% average / 95.74% median MFU "
                   "modeling accuracy vs measurements");
@@ -70,9 +69,8 @@ main()
         }
         table.addSeparator();
     }
-    table.print(std::cout);
-    std::cout << "\nShape check: MFU falls at small per-device batch "
-                 "(SM under-occupancy) and at large scale-out (FSDP "
-                 "gathers on 50 Gbps EFA), as in the paper's spread.\n";
-    return 0;
+    table.print(os);
+    os << "\nShape check: MFU falls at small per-device batch "
+          "(SM under-occupancy) and at large scale-out (FSDP "
+          "gathers on 50 Gbps EFA), as in the paper's spread.\n";
 }

@@ -7,9 +7,7 @@
  * run.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -18,10 +16,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig09(std::ostream &os)
 {
-    bench::banner("Fig. 9: FSDP prefetching validation (LLaMA)",
+    bench::banner(os,
+                  "Fig. 9: FSDP prefetching validation (LLaMA)",
                   "98% measured vs 93% predicted communication overlap "
                   "with prefetching enabled");
 
@@ -46,9 +45,9 @@ main()
                       formatTime(r.exposedCommTime),
                       formatCount(r.tokensPerSecond())});
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout << strfmt(
+    os << strfmt(
         "\nprefetch speedup: %.2fx; overlap %s -> %s "
         "(paper predicted 93%%, production measured 98%%)\n",
         with.throughput() / without.throughput(),
@@ -57,8 +56,8 @@ main()
 
     // Stream view of the first layers, showing AllGathers hidden
     // behind the preceding layer's compute.
-    std::cout << "\nstream prefix with prefetching "
-                 "('#' compute, '=' blocking comm):\n";
+    os << "\nstream prefix with prefetching "
+          "('#' compute, '=' blocking comm):\n";
     Timeline prefix;
     for (const ScheduledEvent &se : with.timeline.events) {
         if (se.event.id < 24) {
@@ -66,6 +65,5 @@ main()
             prefix.makespan = std::max(prefix.makespan, se.finish);
         }
     }
-    std::cout << asciiStreams(prefix, 76);
-    return 0;
+    os << asciiStreams(prefix, 76);
 }

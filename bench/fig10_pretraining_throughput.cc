@@ -6,9 +6,7 @@
  * memory constraints of current systems (blue vs orange bars).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -17,23 +15,17 @@
 
 using namespace madmax;
 
-int
-main(int argc, char **argv)
+void
+paper::fig10(std::ostream &os)
 {
-    bench::BenchReporter reporter("fig10_pretraining_throughput", argc,
-                                  argv);
-    bench::banner("Fig. 10: pre-training throughput vs FSDP baseline",
+    bench::banner(os,
+                  "Fig. 10: pre-training throughput vs FSDP baseline",
                   "avg +65.9% from layer-type strategy tuning; up to "
                   "2.24x constrained, 2.43x unconstrained");
 
-    EvalEngineOptions eo;
-    eo.jobs = reporter.jobs();
-    EvalEngine engine(eo);
-    bench::WallTimer total_timer;
-
     for (TaskSpec task :
          {TaskSpec::preTraining(), TaskSpec::inference()}) {
-        std::cout << "\n(" << task.toString() << ")\n";
+        os << "\n(" << task.toString() << ")\n";
         AsciiTable table({"model", "FSDP", "best (memory-constrained)",
                           "speedup", "best plan",
                           "unconstrained speedup"});
@@ -45,7 +37,7 @@ main(int argc, char **argv)
                 ? hw_zoo::dlrmTrainingSystem()
                 : hw_zoo::llmTrainingSystem();
             PerfModel madmax(cluster);
-            StrategyExplorer explorer(madmax, &engine);
+            StrategyExplorer explorer(madmax);
 
             PerfReport baseline = explorer.baseline(model, task);
             ExplorationResult best = explorer.best(model, task);
@@ -61,9 +53,6 @@ main(int argc, char **argv)
             speedups.push_back(speedup);
             max_speedup = std::max(max_speedup, speedup);
             max_unconstrained = std::max(max_unconstrained, speedup_u);
-            reporter.record(model.name + " " + task.toString() +
-                                " speedup",
-                            speedup, "x");
 
             // Compact per-class plan: only classes the model has.
             std::string plan;
@@ -83,21 +72,19 @@ main(int argc, char **argv)
                           strfmt("%.2fx", speedup), plan,
                           strfmt("%.2fx", speedup_u)});
         }
-        table.print(std::cout);
+        table.print(os);
         if (task.kind == TaskKind::PreTraining) {
-            std::cout << strfmt(
+            os << strfmt(
                 "average speedup: %.1f%%; max %.2fx constrained / "
                 "%.2fx unconstrained (paper: +65.9%% avg, up to "
                 "2.24x / 2.43x)\n",
                 (mean(speedups) - 1.0) * 100.0, max_speedup,
                 max_unconstrained);
         } else {
-            std::cout << strfmt(
+            os << strfmt(
                 "max inference speedup: %.2fx constrained / %.2fx "
                 "unconstrained (paper: up to 5.27x / 12.13x)\n",
                 max_speedup, max_unconstrained);
         }
     }
-    reporter.record("fig10_total_seconds", total_timer.seconds(), "s");
-    return 0;
 }

@@ -6,9 +6,7 @@
  * Paper range: 0.19x for ((TP),(MP)) to 1.14x for ((TP,DDP),(MP)).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -16,10 +14,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig11(std::ostream &os)
 {
-    bench::banner("Fig. 11: DLRM-A dense-layer strategy sweep",
+    bench::banner(os,
+                  "Fig. 11: DLRM-A dense-layer strategy sweep",
                   "0.19x ((TP),(MP)) to 1.14x ((TP,DDP),(MP)); "
                   "((DDP),(MP)) OOMs");
 
@@ -50,12 +49,11 @@ main()
                           formatBytes(r.report.memory.total())});
         }
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout
+    os
         << "\nInsight 1: intra-node TP rides NVLink for partial "
            "sums; global TP pushes them over RoCE (large slowdown); "
            "full DDP replication of dense params + grads + optimizer "
            "states exceeds the A100-40GB budget.\n";
-    return 0;
 }

@@ -7,9 +7,7 @@
  * variants.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -17,10 +15,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig12(std::ostream &os)
 {
-    bench::banner("Fig. 12: strategy interaction across DLRM-A variants",
+    bench::banner(os,
+                  "Fig. 12: strategy interaction across DLRM-A variants",
                   "transformers add overlap opportunities; MoE adds "
                   "blocking All2All — the optimum moves");
 
@@ -43,8 +42,8 @@ main()
         double baseline =
             explorer.baseline(v.model, task).throughput();
 
-        std::cout << "\n" << v.model.name << " (sweeping "
-                  << toString(v.sweep_class) << " layers):\n";
+        os << "\n" << v.model.name << " (sweeping "
+           << toString(v.sweep_class) << " layers):\n";
         AsciiTable table({"strategy", "vs FSDP", "bar", "verdict"});
 
         double best_rel = 0.0;
@@ -72,9 +71,8 @@ main()
                 table.addRow({hs.toString(), "OOM", "(gray bar)", ""});
             }
         }
-        table.print(std::cout);
-        std::cout << "optimal (*): " << best_label
-                  << strfmt(" at %.2fx\n", best_rel);
+        table.print(os);
+        os << "optimal (*): " << best_label
+           << strfmt(" at %.2fx\n", best_rel);
     }
-    return 0;
 }

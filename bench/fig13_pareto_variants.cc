@@ -8,17 +8,14 @@
  *
  * Runs on the ParetoEngine over a single hardware point (the DLRM
  * training system), so the joint space degenerates to the plan space;
- * the default --strategy exhaustive reproduces the historical
- * explore() sweep byte for byte, while the guided strategies
- * (--strategy annealing|genetic|coordinate-descent) trade frontier
- * completeness for a budgeted search.
+ * the exhaustive strategy reproduces the historical explore() sweep
+ * byte for byte.
  */
 
 #include <algorithm>
-#include <iostream>
 #include <map>
 
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/pareto.hh"
 #include "dse/pareto_engine.hh"
 #include "hw/hw_zoo.hh"
@@ -27,22 +24,17 @@
 
 using namespace madmax;
 
-int
-main(int argc, char **argv)
+void
+paper::fig13(std::ostream &os)
 {
-    bench::BenchReporter reporter("fig13_pareto_variants", argc, argv);
-    bench::banner("Fig. 13: memory-vs-throughput pareto for DLRM-A "
+    bench::banner(os,
+                  "Fig. 13: memory-vs-throughput pareto for DLRM-A "
                   "variants",
                   "higher memory capacity buys throughput; MoE beats "
                   "transformer at inference");
 
-    EvalEngineOptions engine_opts;
-    engine_opts.jobs = reporter.jobs();
-    EvalEngine engine(engine_opts);
-    ParetoEngine pareto(
-        {makeHardwarePoint(hw_zoo::dlrmTrainingSystem())}, &engine);
+    ParetoEngine pareto({makeHardwarePoint(hw_zoo::dlrmTrainingSystem())});
     ParetoOptions opts;
-    opts.strategy = reporter.strategy();
     // The FSDP baseline is not part of the enumerated plan space; the
     // historical sweep never plotted it, so keep it out here too.
     opts.includeBaselines = false;
@@ -52,16 +44,14 @@ main(int argc, char **argv)
     variants.push_back(model_zoo::dlrmATransformer());
     variants.push_back(model_zoo::dlrmAMoe());
 
-    long total_evals = 0;
     for (TaskSpec task : {TaskSpec::preTraining(), TaskSpec::inference()}) {
-        std::cout << "\n(" << task.toString() << ")\n";
+        os << "\n(" << task.toString() << ")\n";
         AsciiTable table({"model", "plan (pareto-optimal)",
                           "mem/device", "throughput"});
         std::map<std::string, double> best_tp;
         for (const ModelDesc &model : variants) {
             ParetoFrontier frontier =
                 pareto.explore(model, task, opts);
-            total_evals += frontier.stats.evaluations;
             // Rank like explore() always has: valid plans first,
             // descending throughput, stable on ties — so the 2-D
             // frontier extraction below sees the exact historical
@@ -95,22 +85,19 @@ main(int argc, char **argv)
             }
             table.addSeparator();
         }
-        table.print(std::cout);
+        table.print(os);
 
         if (task.kind == TaskKind::Inference) {
-            std::cout << strfmt(
+            os << strfmt(
                 "MoE/transformer inference throughput ratio: %.2fx "
                 "(paper: MoE more efficient at inference)\n",
                 best_tp["DLRM-A-MoE"] / best_tp["DLRM-A-Transformer"]);
         } else {
-            std::cout << strfmt(
+            os << strfmt(
                 "transformer and MoE variants trail the base model at "
                 "pre-training (%.2fx / %.2fx of base)\n",
                 best_tp["DLRM-A-Transformer"] / best_tp["DLRM-A"],
                 best_tp["DLRM-A-MoE"] / best_tp["DLRM-A"]);
         }
     }
-    reporter.record("evaluations", static_cast<double>(total_evals),
-                    "evals");
-    return 0;
 }

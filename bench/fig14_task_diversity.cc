@@ -6,9 +6,7 @@
  * gradients/optimizer states shrink (Insight 5).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -16,10 +14,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig14(std::ostream &os)
 {
-    bench::banner("Fig. 14: task-level diversity (DLRM-A)",
+    bench::banner(os,
+                  "Fig. 14: task-level diversity (DLRM-A)",
                   "DDP is invalid for pre-training but viable for "
                   "inference/fine-tuning; speedup over FSDP varies by "
                   "task");
@@ -56,10 +55,9 @@ main()
              best.plan.strategyFor(LayerClass::BaseDense).toString(),
              ddp_valid ? "yes" : "no (OOM)"});
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout << "\nInsight 5: embedding-only fine-tuning skips the "
-                 "costly MLP weight-gradient work, so its optimal "
-                 "ordering resembles inference.\n";
-    return 0;
+    os << "\nInsight 5: embedding-only fine-tuning skips the "
+          "costly MLP weight-gradient work, so its optimal "
+          "ordering resembles inference.\n";
 }

@@ -8,9 +8,7 @@
  * strategies the paper plots stay comparable across contexts.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -18,10 +16,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig15(std::ostream &os)
 {
-    bench::banner("Fig. 15: context-length scaling (2K/4K/8K)",
+    bench::banner(os,
+                  "Fig. 15: context-length scaling (2K/4K/8K)",
                   "gains from strategy tuning diminish with context "
                   "length");
 
@@ -58,11 +57,10 @@ main()
              strfmt("%.3fx", r_tp.throughput() / fsdp.throughput()),
              r_tp.memory.fits() ? "yes" : "no (needs more HBM)"});
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout << "\nInsight 6: longer contexts grow compute and "
-                 "activation volumes while parameter communication "
-                 "stays fixed, so every strategy converges toward the "
-                 "compute bound and tuning gains shrink.\n";
-    return 0;
+    os << "\nInsight 6: longer contexts grow compute and "
+          "activation volumes while parameter communication "
+          "stays fixed, so every strategy converges toward the "
+          "compute bound and tuning gains shrink.\n";
 }

@@ -5,32 +5,28 @@
  * per 1B samples — for default FSDP and MAD-Max-optimized mappings.
  * Paper: up to 33% training-time and 21% compute-resource reduction.
  *
- * Runs on the ParetoEngine over the cloud hardware catalog; the
- * default --strategy exhaustive reproduces the historical per-
- * instance explorer sweep byte for byte, the guided strategies
- * (--strategy annealing|genetic|coordinate-descent) regenerate the
- * study from a budgeted search.
+ * Runs on the ParetoEngine over the cloud hardware catalog with the
+ * exhaustive strategy, which reproduces the historical per-instance
+ * explorer sweep byte for byte.
  */
 
 #include <algorithm>
-#include <iostream>
 #include <map>
 
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/pareto_engine.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 using namespace madmax;
 
-int
-main(int argc, char **argv)
+void
+paper::fig16(std::ostream &os)
 {
-    bench::BenchReporter reporter("fig16_cloud_instances", argc, argv);
-    bench::banner("Fig. 16: cloud-instance deployment study (DLRM-A)",
+    bench::banner(os,
+                  "Fig. 16: cloud-instance deployment study (DLRM-A)",
                   "up to 33% training-time and 21% GPU-hour reduction "
                   "from joint instance + mapping choice");
 
@@ -39,13 +35,8 @@ main(int argc, char **argv)
     const double samples = 1e9;
     const double a100_peak = hw_zoo::a100_40().peakFlopsTensor16;
 
-    EvalEngineOptions engine_opts;
-    engine_opts.jobs = reporter.jobs();
-    EvalEngine engine(engine_opts);
-    ParetoEngine pareto(cloudHardwareCatalog(16), &engine);
-    ParetoOptions opts;
-    opts.strategy = reporter.strategy();
-    ParetoFrontier frontier = pareto.explore(model, task, opts);
+    ParetoEngine pareto(cloudHardwareCatalog(16));
+    ParetoFrontier frontier = pareto.explore(model, task);
 
     std::map<size_t, const ParetoCandidate *> best_by_hw;
     for (const ParetoCandidate &c : frontier.bestPerHw)
@@ -93,20 +84,12 @@ main(int argc, char **argv)
                       "MAD-Max", strfmt("%.2f hr", t),
                       strfmt("%.0f", h), best.plan.toString()});
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout << strfmt(
+    os << strfmt(
         "\nbest-achievable improvements over the FSDP frontier: "
         "%.0f%% training time, %.0f%% normalized GPU-hours "
         "(paper: 33%% / 21%%)\n",
         (1.0 - best_time_tuned / best_time_fsdp) * 100.0,
         (1.0 - best_hours_tuned / best_hours_fsdp) * 100.0);
-
-    reporter.record("evaluations",
-                    static_cast<double>(frontier.stats.evaluations),
-                    "evals");
-    reporter.record("time_reduction",
-                    (1.0 - best_time_tuned / best_time_fsdp) * 100.0,
-                    "%");
-    return 0;
 }

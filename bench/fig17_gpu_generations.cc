@@ -6,9 +6,7 @@
  * yields 1.82x by accelerating the blocking All2All directly.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -16,10 +14,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig17(std::ostream &os)
 {
-    bench::banner("Fig. 17: A100 vs H100 vs H100-SuperPOD (DLRM-A)",
+    bench::banner(os,
+                  "Fig. 17: A100 vs H100 vs H100-SuperPOD (DLRM-A)",
                   "SuperPOD's NVLink scale-out gives ~1.82x over H100 "
                   "for All2All-bound DLRM training");
 
@@ -64,13 +63,12 @@ main()
                       mqps(tp_ddp), mqps(ddp),
                       strfmt("%.2f MQPS", best_tp / 1e6)});
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout << strfmt(
+    os << strfmt(
         "\nH100 over A100: %.2fx; SuperPOD over H100: %.2fx "
         "(paper: 1.82x from the fabric upgrade alone)\n",
         h100_best / a100_best, pod_best / h100_best);
-    std::cout << "H100's larger HBM also unlocks replication-style "
-                 "plans the A100 could not fit (Insight 8).\n";
-    return 0;
+    os << "H100's larger HBM also unlocks replication-style "
+          "plans the A100 could not fit (Insight 8).\n";
 }

@@ -8,9 +8,7 @@
  * A100-40GB cannot fit (Insight 9).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -18,10 +16,11 @@
 
 using namespace madmax;
 
-int
-main()
+void
+paper::fig18(std::ostream &os)
 {
-    bench::banner("Fig. 18: commodity hardware platforms (DLRM-A, "
+    bench::banner(os,
+                  "Fig. 18: commodity hardware platforms (DLRM-A, "
                   "128 devices)",
                   "bigger HBM admits more replication; MAD-Max finds "
                   "strategies beating FSDP on every platform");
@@ -51,11 +50,10 @@ main()
                     best.report.throughput() / baseline.throughput()),
              best.plan.strategyFor(LayerClass::BaseDense).toString()});
     }
-    table.print(std::cout);
+    table.print(os);
 
-    std::cout << "\nInsight 9: 80+ GB HBM parts let MAD-Max replicate "
-                 "more dense components; the independent compute and "
-                 "communication streams of the model transfer across "
-                 "vendors unchanged.\n";
-    return 0;
+    os << "\nInsight 9: 80+ GB HBM parts let MAD-Max replicate "
+          "more dense components; the independent compute and "
+          "communication streams of the model transfer across "
+          "vendors unchanged.\n";
 }

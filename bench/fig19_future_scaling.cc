@@ -7,9 +7,7 @@
  * sub-linear; the joint upgrade is super-linear (Insight 10).
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -17,11 +15,11 @@
 
 using namespace madmax;
 
-int
-main(int argc, char **argv)
+void
+paper::fig19(std::ostream &os)
 {
-    bench::BenchReporter reporter("fig19_future_scaling", argc, argv);
-    bench::banner("Fig. 19: 10x hardware-capability scaling study",
+    bench::banner(os,
+                  "Fig. 19: 10x hardware-capability scaling study",
                   "DLRM non-network single axes cap at ~1.64x train / "
                   "2.12x inference; GPT-3 favors compute; all-axes "
                   "scaling is super-linear");
@@ -47,17 +45,10 @@ main(int argc, char **argv)
                      hw_zoo::llmTrainingSystem(),
                      TaskSpec::inference()});
 
-    EvalEngineOptions eo;
-    eo.jobs = reporter.jobs();
-    EvalEngine engine(eo);
-
     for (const Case &c : cases) {
-        std::cout << "\n" << c.label << " (speedup at 10x):\n";
-        bench::WallTimer timer;
+        os << "\n" << c.label << " (speedup at 10x):\n";
         std::vector<ScalingResult> results = hardwareScalingStudy(
-            c.cluster, c.model, c.task, 10.0, allHwAxes(), &engine);
-        reporter.record(std::string("scaling_study_seconds_") + c.label,
-                        timer.seconds(), "s");
+            c.cluster, c.model, c.task, 10.0, allHwAxes());
 
         AsciiTable table({"scaled capability", "speedup", "bar"});
         double best_single = 0.0, all_axes = 0.0;
@@ -65,21 +56,17 @@ main(int argc, char **argv)
             table.addRow({toString(r.axis),
                           strfmt("%.2fx", r.speedup),
                           asciiBar(r.speedup, 12.0, 36)});
-            reporter.record(std::string(c.label) + " " +
-                                toString(r.axis),
-                            r.speedup, "x");
             if (r.axis == HwAxis::All)
                 all_axes = r.speedup;
             else
                 best_single = std::max(best_single, r.speedup);
         }
-        table.print(std::cout);
-        std::cout << strfmt("best single axis %.2fx (sub-linear); all "
-                            "axes %.2fx%s\n",
-                            best_single, all_axes,
-                            all_axes > best_single
-                                ? " (joint improvement wins)"
-                                : "");
+        table.print(os);
+        os << strfmt("best single axis %.2fx (sub-linear); all "
+                     "axes %.2fx%s\n",
+                     best_single, all_axes,
+                     all_axes > best_single
+                         ? " (joint improvement wins)"
+                         : "");
     }
-    return 0;
 }

@@ -7,9 +7,7 @@
  * scaling speedups come from.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "dse/strategy_explorer.hh"
 #include "dse/sweep.hh"
 #include "hw/hw_zoo.hh"
@@ -22,17 +20,17 @@ namespace
 {
 
 void
-printBreakdown(const char *label, const PerfReport &r)
+printBreakdown(std::ostream &os, const char *label, const PerfReport &r)
 {
-    std::cout << "\n" << label << " — serialized execution:\n";
+    os << "\n" << label << " — serialized execution:\n";
     AsciiTable serialized({"category", "time", "share"});
     for (const auto &[cat, secs] : r.serializedBreakdown) {
         serialized.addRow({toString(cat), formatTime(secs),
                            formatPercent(secs / r.serializedTime)});
     }
-    serialized.print(std::cout);
+    serialized.print(os);
 
-    std::cout << "communication overlap:\n";
+    os << "communication overlap:\n";
     AsciiTable overlap({"collective", "total", "exposed", "hidden"});
     for (const auto &[cat, secs] : r.serializedBreakdown) {
         if (cat == EventCategory::Gemm ||
@@ -44,15 +42,16 @@ printBreakdown(const char *label, const PerfReport &r)
                         formatTime(exposed),
                         formatTime(secs - exposed)});
     }
-    overlap.print(std::cout);
+    overlap.print(os);
 }
 
 } // namespace
 
-int
-main()
+void
+paper::fig20(std::ostream &os)
 {
-    bench::banner("Fig. 20: execution and communication breakdowns "
+    bench::banner(os,
+                  "Fig. 20: execution and communication breakdowns "
                   "(DLRM-A & GPT-3 training)",
                   "speedups come from faster compute (GPT-3), reduced "
                   "All2All (DLRM), or newly-unlocked strategies");
@@ -76,7 +75,8 @@ main()
         StrategyExplorer explorer(base);
         ExplorationResult best =
             explorer.best(c.model, TaskSpec::preTraining());
-        printBreakdown(strfmt("%s (baseline hardware, plan %s)",
+        printBreakdown(os,
+                       strfmt("%s (baseline hardware, plan %s)",
                               c.label, best.plan.toString().c_str())
                            .c_str(),
                        best.report);
@@ -86,17 +86,17 @@ main()
         ExplorationResult best_scaled =
             explorer_scaled.best(c.model, TaskSpec::preTraining());
         printBreakdown(
+            os,
             strfmt("%s (10x %s, plan %s)", c.label,
                    toString(c.upgrade).c_str(),
                    best_scaled.plan.toString().c_str())
                 .c_str(),
             best_scaled.report);
-        std::cout << strfmt(
+        os << strfmt(
             "\nspeedup from 10x %s: %.2fx\n\n%s\n",
             toString(c.upgrade).c_str(),
             best_scaled.report.throughput() /
-                best.report.throughput(),
+         best.report.throughput(),
             std::string(72, '-').c_str());
     }
-    return 0;
 }

@@ -124,7 +124,8 @@ int
 main(int argc, char **argv)
 {
     BenchReporter reporter("serve_chaos", argc, argv);
-    banner("serve chaos — seeded fault storm vs. the resident "
+    banner(std::cout,
+           "serve chaos — seeded fault storm vs. the resident "
            "serving stack",
            "resilience soak: every fault degrades to a taxonomy "
            "error or a closed connection, never a hang or a crash");

@@ -5,9 +5,7 @@
  * against the published aggregates.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
+#include "paper.hh"
 #include "model/model_zoo.hh"
 #include "util/table.hh"
 
@@ -33,10 +31,11 @@ const PaperRow kPaper[] = {
 
 } // namespace
 
-int
-main()
+void
+paper::table2(std::ostream &os)
 {
-    bench::banner("Table II: target models and key characteristics",
+    bench::banner(os,
+                  "Table II: target models and key characteristics",
                   "parameter counts, FLOPs/sample(token), sparse lookup "
                   "bytes, batch sizes, context lengths");
 
@@ -63,6 +62,5 @@ main()
             std::to_string(m.contextLength),
         });
     }
-    table.print(std::cout);
-    return 0;
+    table.print(os);
 }

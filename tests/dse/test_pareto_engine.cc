@@ -5,16 +5,15 @@
  * cost-to-quality acceptance bar for the guided searches (>= 95% of
  * the exhaustive optimum at <= 25% of its evaluations on GPT-3
  * pre-training), consumer parity (bestPerHw == StrategyExplorer::
- * best, Fig. 1 table byte-identical), determinism across engine
- * thread counts, and golden JSON snapshots of the `madmax pareto
- * --format json` / `/v1/pareto` rendering.
+ * best), determinism across engine thread counts, and golden JSON
+ * snapshots of the `madmax pareto --format json` / `/v1/pareto`
+ * rendering. The Fig. 1 table itself is pinned by
+ * tests/bench/test_paper_outputs.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "../golden_check.hh"
@@ -26,7 +25,6 @@
 #include "model/model_zoo.hh"
 #include "util/logging.hh"
 #include "util/strfmt.hh"
-#include "util/table.hh"
 
 namespace madmax
 {
@@ -372,81 +370,6 @@ TEST(ParetoEngineTest, ScoreObjectivesUsesTheCostModel)
 }
 
 // ---- Golden snapshots ------------------------------------------------
-
-// The engine-backed Fig. 1 table must be byte-identical to the
-// historical per-instance explorer sweep (the table portion of
-// bench/fig01_pareto_frontier's output, captured before the bench
-// moved onto the ParetoEngine). Mirrors the bench's rendering.
-TEST(ParetoGolden, Fig01FrontierTableIsByteIdentical)
-{
-    const ModelDesc model = model_zoo::dlrmA();
-    const TaskSpec task = TaskSpec::preTraining();
-    const double samples = 1e9;
-    const double a100_peak = hw_zoo::a100_40().peakFlopsTensor16;
-
-    ParetoEngine pareto(cloudHardwareCatalog(16));
-    ParetoFrontier frontier = pareto.explore(model, task);
-
-    std::map<size_t, const ParetoCandidate *> best_by_hw;
-    for (const ParetoCandidate &c : frontier.bestPerHw)
-        best_by_hw[c.hwIndex] = &c;
-
-    struct Point
-    {
-        std::string label;
-        double hours;
-        double elapsed;
-        bool tuned;
-    };
-    std::vector<Point> pts;
-    for (size_t hw = 0; hw < pareto.hardware().size(); ++hw) {
-        const HardwarePoint &inst = pareto.hardware()[hw];
-        const PerfReport &fsdp = frontier.baselines[hw].report;
-        if (fsdp.valid) {
-            pts.push_back(Point{
-                inst.name + " [FSDP]",
-                normalizedGpuHours(fsdp, inst.cluster, samples,
-                                   a100_peak),
-                samples / fsdp.throughput() / 3600.0, false});
-        }
-        auto it = best_by_hw.find(hw);
-        if (it != best_by_hw.end()) {
-            const PerfReport &best = it->second->report;
-            pts.push_back(Point{
-                inst.name + " [MAD-Max]",
-                normalizedGpuHours(best, inst.cluster, samples,
-                                   a100_peak),
-                samples / best.throughput() / 3600.0, true});
-        }
-    }
-
-    std::vector<ParetoPoint> fsdp_pts, tuned_pts;
-    for (size_t i = 0; i < pts.size(); ++i) {
-        auto &bucket = pts[i].tuned ? tuned_pts : fsdp_pts;
-        bucket.push_back(
-            ParetoPoint{pts[i].hours, 1.0 / pts[i].elapsed, i});
-    }
-    std::set<size_t> on_frontier;
-    for (size_t idx : paretoFrontier(fsdp_pts))
-        on_frontier.insert(fsdp_pts[idx].tag);
-    for (size_t idx : paretoFrontier(tuned_pts))
-        on_frontier.insert(tuned_pts[idx].tag);
-
-    AsciiTable table({"configuration", "agg GPU-hrs/1B (A100-norm)",
-                      "elapsed hrs/1B", "frontier"});
-    for (size_t i = 0; i < pts.size(); ++i) {
-        std::string frontier_tag;
-        if (on_frontier.count(i)) {
-            frontier_tag = pts[i].tuned ? "MAD-Max frontier"
-                                        : "default frontier";
-        }
-        table.addRow({pts[i].label, strfmt("%.0f", pts[i].hours),
-                      strfmt("%.2f", pts[i].elapsed), frontier_tag});
-    }
-    std::ostringstream out;
-    table.print(out);
-    checkGolden("fig01_pareto_frontier.txt", out.str());
-}
 
 // Full JSON rendering of the GPT-3 pre-training exploration — the
 // exact body `madmax pareto --format json` and `/v1/pareto` emit for

@@ -1,12 +1,14 @@
 /**
  * @file
  * Shared golden-snapshot comparison for the snapshot suites
- * (tests/core/test_golden_reports.cc, tests/dse/test_pareto_engine.cc).
- * Snapshots live in tests/golden/; regenerate them — only when an
- * *intentional* model change lands — with:
+ * (tests/core/test_golden_reports.cc, tests/dse/test_pareto_engine.cc,
+ * tests/bench/test_paper_outputs.cc). Snapshots live in tests/golden/;
+ * regenerate them — only when an *intentional* model change lands —
+ * with:
  *
  *   MADMAX_REGEN_GOLDEN=1 ./test_golden_reports
  *   MADMAX_REGEN_GOLDEN=1 ./test_pareto_engine
+ *   MADMAX_REGEN_GOLDEN=1 ./test_paper_outputs
  *
  * CI's golden-drift step runs exactly that and `git diff
  * --exit-code`s the result, so silent report drift cannot land even
