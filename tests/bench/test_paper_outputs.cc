@@ -2,8 +2,9 @@
  * @file
  * Pins the paper reproduction (bench/paper.hh): each figure's printed
  * output against tests/golden/paper/<name>.txt, and madmax_paper's
- * no-argument output against those goldens in kFigures order. After an
- * intentional model change, regenerate with
+ * no-argument output against those goldens in kFigures order, and the
+ * Fig. 1 table against its historical snapshot. After an intentional
+ * model change, regenerate with
  *
  *   MADMAX_REGEN_GOLDEN=1 ./test_paper_outputs
  *
@@ -42,6 +43,20 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<size_t> &info) {
         return std::string(paper::kFigures[info.param].name);
     });
+
+// The Fig. 1 table (everything fig01 prints after its banner) must
+// stay byte-identical to the historical per-instance explorer sweep,
+// captured before the figure moved onto the ParetoEngine. This
+// snapshot holds the table alone, so banner edits leave it untouched.
+TEST(ParetoGolden, Fig01FrontierTableIsByteIdentical)
+{
+    std::ostringstream out;
+    paper::fig01(out);
+    const std::string text = out.str();
+    const size_t table = text.find("\n+");
+    ASSERT_NE(table, std::string::npos) << "fig01 printed no table";
+    checkGolden("fig01_pareto_frontier.txt", text.substr(table + 1));
+}
 
 TEST(PaperBinary, NoNamesPrintsEveryGoldenInTableOrder)
 {
