@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "core/layer_processor.hh"
-#include "core/overlap_simulator.hh"
 #include "core/stream_builder.hh"
 #include "util/logging.hh"
 
@@ -270,75 +270,6 @@ EvalContext::verdict(const ParallelPlan &plan) const
     return report;
 }
 
-namespace
-{
-
-/** The schedule-to-report assembly (everything but the optional
- *  Timeline). */
-void
-fillScheduleReport(PerfReport &report, const EventGraph &graph,
-                   const FlatSchedule &sched)
-{
-    report.iterationTime = sched.makespan;
-    report.serializedTime = sched.computeBusy + sched.commBusy;
-    report.computeTime = sched.computeBusy;
-    report.commTime = sched.commBusy;
-    report.exposedCommTime = sched.exposedComm;
-
-    // Per-category sums accumulate into fixed arrays in node order —
-    // the same additions in the same order the per-node map
-    // operator[] version performed, so every sum is bit-identical —
-    // and land in the breakdowns in ascending enum order afterwards.
-    // A category has an entry iff a node touched it, even when the
-    // touches summed to zero, hence the flags.
-    constexpr size_t kNumCategories =
-        static_cast<size_t>(EventCategory::Other) + 1;
-    double serialized[kNumCategories] = {};
-    double exposed[kNumCategories] = {};
-    bool serialized_touched[kNumCategories] = {};
-    bool exposed_touched[kNumCategories] = {};
-
-    // One pass feeds both breakdowns (each accumulates per category in
-    // node order, exactly as two passes would). The exposed terms come
-    // from the same sweep that produced the aggregate
-    // (sched.rawOverlap) — the second O(comm x compute) pass this used
-    // to be is gone.
-    const size_t n = graph.nodes.size();
-    for (size_t i = 0; i < n; ++i) {
-        const EventNode &node = graph.nodes[i];
-        const size_t c = static_cast<size_t>(node.category);
-        if (node.duration > 0.0) {
-            serialized[c] += node.duration;
-            serialized_touched[c] = true;
-        }
-        if (node.stream == StreamKind::Communication &&
-            sched.finish[i] > sched.start[i]) {
-            exposed[c] +=
-                (sched.finish[i] - sched.start[i]) - sched.rawOverlap[i];
-            exposed_touched[c] = true;
-        }
-    }
-    for (size_t c = 0; c < kNumCategories; ++c) {
-        const EventCategory cat = static_cast<EventCategory>(c);
-        if (serialized_touched[c])
-            report.serializedBreakdown.emplace_back(cat, serialized[c]);
-        if (exposed_touched[c])
-            report.exposedBreakdown.emplace_back(cat, exposed[c]);
-    }
-}
-
-} // namespace
-
-struct EvalContext::Scratch
-{
-    EventGraph graph;
-    FlatSchedule sched;
-    SweepScratch sweep;
-    std::vector<int32_t> fwdOut;
-    std::vector<int32_t> bwdOut;
-    std::vector<int32_t> computeIds;
-};
-
 PerfReport
 EvalContext::evaluate(const ParallelPlan &plan) const
 {
@@ -351,43 +282,10 @@ EvalContext::evaluate(const ParallelPlan &plan, PerfReport report) const
     if (!report.memory.fits() && !options().ignoreMemory)
         return report;
 
-    // Constructed on a thread's first evaluation only, so threads that
-    // never evaluate carry no buffers. Every call overwrites what it
-    // reads, so state left by another context (or by a throw midway)
-    // is harmless.
-    static thread_local Scratch scratch;
-    spliceGraph(scratch, plan);
-    OverlapSimulator(options().backgroundCommChannel)
-        .scheduleGraphInto(scratch.graph, scratch.sched, scratch.sweep);
-    const EventGraph &graph = scratch.graph;
-    const FlatSchedule &sched = scratch.sched;
-    fillScheduleReport(report, graph, sched);
-
-    if (options().keepTimeline) {
-        const size_t n = graph.nodes.size();
-        Timeline tl;
-        tl.events.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-            tl.events.push_back(ScheduledEvent{
-                graph.materialize(i), sched.start[i], sched.finish[i]});
-        }
-        tl.makespan = sched.makespan;
-        tl.computeBusy = sched.computeBusy;
-        tl.commBusy = sched.commBusy;
-        tl.exposedComm = sched.exposedComm;
-        report.timeline = std::move(tl);
-    }
-    return report;
-}
-
-void
-EvalContext::spliceGraph(Scratch &s, const ParallelPlan &plan) const
-{
-    const bool backward = task_->needsBackward();
-
     // Resolve each present class's template segments once (built only
     // for (class, strategy) pairs this context has never seen); every
     // layer then expands straight from cache.
+    const bool backward = task_->needsBackward();
     PlanSegments sets;
     for (size_t c = 0; c < kNumClasses; ++c) {
         if (classes_[c].templateLayers.empty())
@@ -399,8 +297,43 @@ EvalContext::spliceGraph(Scratch &s, const ParallelPlan &plan) const
         if (backward)
             sets.bwd[c] = &segs.bwd;
     }
-    spliceSegments(sets, costs_.data(), desc_->graph.numLayers(),
-                   backward, s.graph, s.fwdOut, s.bwdOut, s.computeIds);
+
+    // Constructed on a thread's first evaluation only, so threads that
+    // never evaluate carry no buffers. Every call overwrites what it
+    // reads, so state left by another context (or by a throw midway)
+    // is harmless.
+    static thread_local Scratch scratch;
+    spliceSegments(sets, costs_.data(), desc_->graph.numLayers(), backward,
+                   options().backgroundCommChannel, scratch, report);
+
+    if (options().keepTimeline) {
+        const EventGraph &graph = scratch.graph;
+        const size_t n = graph.nodes.size();
+        Timeline tl;
+        tl.events.reserve(n + 1);
+        for (size_t i = 0; i < n; ++i) {
+            tl.events.push_back(ScheduledEvent{graph.materialize(i),
+                                               scratch.start[i],
+                                               scratch.finish[i]});
+        }
+        // The iteration-end barrier: a zero-duration compute event
+        // after every other, so non-blocking gradient collectives
+        // still bound the makespan.
+        TraceEvent end;
+        end.id = static_cast<int>(n);
+        end.name = "iter_end";
+        end.deps.resize(n);
+        std::iota(end.deps.begin(), end.deps.end(), 0);
+        end.backward = backward;
+        tl.events.push_back(ScheduledEvent{
+            std::move(end), report.iterationTime, report.iterationTime});
+        tl.makespan = report.iterationTime;
+        tl.computeBusy = report.computeTime;
+        tl.commBusy = report.commTime;
+        tl.exposedComm = report.exposedCommTime;
+        report.timeline = std::move(tl);
+    }
+    return report;
 }
 
 } // namespace madmax

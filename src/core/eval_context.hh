@@ -69,6 +69,7 @@
 
 #include "collective/collective.hh"
 #include "collective/topology_model.hh"
+#include "core/interval_sweep.hh"
 #include "core/perf_model.hh"
 #include "core/segment_template.hh"
 #include "parallel/comm_planner.hh"
@@ -134,15 +135,16 @@ class EvalContext
     }
 
     /**
-     * Evaluate one plan: expand its event graph from the cached
-     * per-(layer class, strategy, prefetch) template segments (built
-     * only the first time a class runs under a strategy), run the
-     * linear overlap sweep, and fill the report. Graph,
-     * schedule, and sweep buffers are per-thread and reused across
-     * calls. The scheduled Timeline is materialized only when the
-     * model retains timelines (PerfModelOptions::keepTimeline). OOM
-     * plans short-circuit to the memory verdict unless the model
-     * ignores memory. Same as evaluate(plan, verdict(plan)).
+     * Evaluate one plan in one pass: spliceSegments expands its event
+     * graph from the cached per-(layer class, strategy, prefetch)
+     * template segments (built only the first time a class runs under
+     * a strategy), schedules each event as it writes it, and fills
+     * the report's timings and breakdowns. The buffers are per-thread
+     * and reused across calls (Scratch). The scheduled Timeline is
+     * materialized from them only when the model retains timelines
+     * (PerfModelOptions::keepTimeline). OOM plans short-circuit to
+     * the memory verdict unless the model ignores memory. Same as
+     * evaluate(plan, verdict(plan)).
      */
     PerfReport evaluate(const ParallelPlan &plan) const;
 
@@ -199,6 +201,28 @@ class EvalContext
      *  far (observability / tests). */
     size_t collectiveTableSize() const;
 
+    /**
+     * The buffers one evaluation splices and schedules into
+     * (spliceSegments overwrites whatever it reads). evaluate() keeps
+     * one per thread and reuses it across calls and contexts.
+     */
+    struct Scratch
+    {
+        EventGraph graph;            ///< The spliced nodes and deps.
+        std::vector<double> start;   ///< Indexed by node id.
+        std::vector<double> finish;  ///< Indexed by node id.
+        std::vector<int32_t> fwdOut; ///< Per layer: forward output id.
+        std::vector<int32_t> bwdOut; ///< Per layer: backward output id.
+        std::vector<int32_t> computeIds; ///< Per emission ordinal.
+        std::vector<Interval> cover; ///< Merged compute-busy intervals.
+        std::vector<Interval> queries; ///< Nonzero comm intervals.
+        std::vector<EventCategory> queryCategory; ///< Per query.
+        /** Query indices per comm channel (blocking, background), each
+         *  in node order and so ascending in start. */
+        std::array<std::vector<size_t>, 2> channelQueries;
+        std::vector<double> covered; ///< Per query: length under cover.
+    };
+
   private:
     /** The template segments evaluate() expands from, for one
      *  (class, strategy, fsdpPrefetch) binding: one per class
@@ -254,12 +278,6 @@ class EvalContext
      *  @p prefetch. */
     const Segments &segments(LayerClass cls, HierStrategy hs,
                              bool prefetch) const;
-
-    /** Per-thread graph / schedule buffers (defined in the .cc). */
-    struct Scratch;
-
-    /** Build @p plan's graph into @p s from cached templates. */
-    void spliceGraph(Scratch &s, const ParallelPlan &plan) const;
 
     /** Memoized TopologyCollectiveModel::estimate (only called while
      *  holding buildMutex_). */

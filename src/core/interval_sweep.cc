@@ -6,22 +6,6 @@ namespace madmax
 {
 
 void
-mergeSortedIntervalsInto(const std::vector<Interval> &in,
-                         std::vector<Interval> &out)
-{
-    out.clear();
-    if (in.empty())
-        return;
-    out.push_back(in.front());
-    for (size_t i = 1; i < in.size(); ++i) {
-        if (in[i].lo <= out.back().hi)
-            out.back().hi = std::max(out.back().hi, in[i].hi);
-        else
-            out.push_back(in[i]);
-    }
-}
-
-void
 coveredLengthsInto(const std::vector<Interval> &cover,
                    const std::vector<Interval> &queries,
                    const std::vector<size_t> &order,

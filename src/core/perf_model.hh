@@ -81,8 +81,8 @@ class PerfModel
 
     /**
      * Memory-only evaluation: fills the identity fields and the
-     * per-device memory verdict without building streams or running
-     * the overlap simulator. For a plan that does not fit (and with
+     * per-device memory verdict without splicing or scheduling any
+     * streams. For a plan that does not fit (and with
      * ignoreMemory unset) the result is identical to evaluate() —
      * the cheap feasibility check for one-off callers. Sweeps ask
      * EvalContext::verdict, which prices from terms read once.

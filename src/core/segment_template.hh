@@ -6,8 +6,7 @@
  * One iteration's event graph is a concatenation of per-layer
  * *segments* (the layer's pre-phase collectives, its compute event,
  * its post-phase collectives) in a fixed emission order: forward
- * layers 0..N-1, then backward layers N-1..0, then the iteration-end
- * barrier. Within a segment, everything — event count, durations,
+ * layers 0..N-1, then backward layers N-1..0. Within a segment, everything — event count, durations,
  * categories, blocking flags, label suffixes, and the *shape* of
  * every dependency — is determined by the layer's shape
  * (Layer::sameShape), its class's (HierStrategy, fsdpPrefetch), the

@@ -1,5 +1,7 @@
 #include "core/stream_builder.hh"
 
+#include <algorithm>
+
 namespace madmax
 {
 
@@ -236,62 +238,182 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
     em.finishSegment(out);
 }
 
-/** The iteration-end barrier's trace label, in stable storage so
- *  spliced nodes can borrow it. */
-const std::string &
-iterEndEventName()
-{
-    static const std::string name = "iter_end";
-    return name;
-}
+constexpr size_t kNumCategories =
+    static_cast<size_t>(EventCategory::Other) + 1;
 
 /**
- * Expand layer @p layer's template segment from @p set at the graph's
- * current end (@p nodePos / @p depPos, advanced past it): copy its
- * nodes with the layer's index and name written in, resolve its
- * symbolic dependencies against @p fwdOut / @p bwdOut /
- * @p computeIds (entries of earlier emissions, all filled already),
- * and record its visible output and compute event.
+ * One splice in progress: the graph written so far and its schedule.
+ * Every node is placed as soon as it is copied (its dependencies are
+ * earlier nodes, so their finishes are known), and the busy sums, the
+ * compute cover and the comm queries grow with it in node order.
  */
-inline void
-expandSegment(const SegmentSet &set, const EvalContext::LayerCosts &lc,
-              int layer, size_t ordinal, bool backward, EventNode *nodes,
-              int32_t *deps, size_t &nodePos, size_t &depPos,
-              int32_t *fwdOut, int32_t *bwdOut, int32_t *computeIds)
+class Splicer
+{
+  public:
+    Splicer(EvalContext::Scratch &s, bool backgroundChannel)
+        : s_(s), background_(backgroundChannel)
+    {}
+
+    /**
+     * Expand layer @p layer's template segment from @p set at the
+     * graph's end and schedule its nodes: copy them with the layer's
+     * index and name written in, resolve their symbolic dependencies
+     * against the output ids and compute ids of earlier emissions, and
+     * record the segment's own visible output and compute event.
+     */
+    void expand(const SegmentSet &set, const EvalContext::LayerCosts &lc,
+                int layer, size_t ordinal, bool backward);
+
+    /** The schedule's timings and both breakdowns, into @p report. */
+    void fillReport(PerfReport &report);
+
+  private:
+    /** Schedule node @p i once its dependencies' latest finish,
+     *  @p ready, is known. */
+    void place(size_t i, const EventNode &node, double ready);
+
+    EvalContext::Scratch &s_;
+    bool background_;
+    size_t nodePos_ = 0; ///< Nodes written so far.
+    size_t depPos_ = 0;  ///< Dependencies written so far.
+    /** Channel cursors: [0] compute, [1] blocking communication, [2]
+     *  the background channel non-blocking collectives (gradient
+     *  AllReduce / ReduceScatter) ride, as NCCL does, so they do not
+     *  head-of-line block later blocking collectives. */
+    double cursors_[3] = {0.0, 0.0, 0.0};
+    double computeBusy_ = 0.0;
+    double commBusy_ = 0.0;
+    double serialized_[kNumCategories] = {};
+    /** A category has a breakdown entry iff a node touched it, even
+     *  when the touches summed to zero. */
+    bool serializedTouched_[kNumCategories] = {};
+};
+
+void
+Splicer::expand(const SegmentSet &set, const EvalContext::LayerCosts &lc,
+                int layer, size_t ordinal, bool backward)
 {
     // A local copy: the node and dependency stores below could alias
     // a reference's fields and force reloads.
     const SegmentSet::Seg seg = set.segs[lc.templateId];
-    const int32_t base = static_cast<int32_t>(nodePos);
-    const uint32_t dep_base = static_cast<uint32_t>(depPos);
-
+    const int32_t base = static_cast<int32_t>(nodePos_);
     const EventNode *src = set.events.data() + seg.eventBegin;
+    const SymDep *sym = set.deps.data() + seg.depBegin;
+    EventNode *nodes = s_.graph.nodes.data() + nodePos_;
+    int32_t *deps = s_.graph.deps.data() + depPos_;
+    const double *finish = s_.finish.data();
+    int32_t *fwd_out = s_.fwdOut.data();
+    int32_t *bwd_out = s_.bwdOut.data();
+    int32_t *compute_ids = s_.computeIds.data();
+    const int32_t l = static_cast<int32_t>(layer);
+    const int32_t ord = static_cast<int32_t>(ordinal);
+
     for (uint32_t e = 0; e < seg.numEvents; ++e) {
-        EventNode &dst = nodes[nodePos + e];
+        EventNode &dst = nodes[e];
         dst = src[e];
         dst.name = lc.name;
         dst.layerIdx = layer;
-        dst.depsBegin += dep_base;
+        // depsBegin is segment-relative here; the node is ready once
+        // the latest of its dependencies finishes.
+        double ready = 0.0;
+        const uint32_t end = dst.depsBegin + dst.depsCount;
+        for (uint32_t k = dst.depsBegin; k < end; ++k) {
+            const int32_t v = sym[k].value;
+            int32_t id = 0;
+            switch (sym[k].kind) {
+              case SymDep::Kind::Local: id = base + v; break;
+              case SymDep::Kind::FwdOut: id = fwd_out[l + v]; break;
+              case SymDep::Kind::BwdOut: id = bwd_out[l + v]; break;
+              case SymDep::Kind::ComputeAt: id = compute_ids[ord + v]; break;
+            }
+            deps[k] = id;
+            ready = std::max(ready, finish[id]);
+        }
+        dst.depsBegin += static_cast<uint32_t>(depPos_);
+        place(nodePos_ + e, dst, ready);
     }
 
-    const SymDep *sym = set.deps.data() + seg.depBegin;
-    const int32_t l = static_cast<int32_t>(layer);
-    const int32_t ord = static_cast<int32_t>(ordinal);
-    int32_t *out = deps + depPos;
-    for (uint32_t k = 0; k < seg.numDeps; ++k) {
-        const int32_t v = sym[k].value;
-        switch (sym[k].kind) {
-          case SymDep::Kind::Local: out[k] = base + v; break;
-          case SymDep::Kind::FwdOut: out[k] = fwdOut[l + v]; break;
-          case SymDep::Kind::BwdOut: out[k] = bwdOut[l + v]; break;
-          case SymDep::Kind::ComputeAt: out[k] = computeIds[ord + v]; break;
+    (backward ? bwd_out : fwd_out)[layer] = base + seg.outputLocal;
+    compute_ids[ordinal] = base + seg.computeLocal;
+    nodePos_ += seg.numEvents;
+    depPos_ += seg.numDeps;
+}
+
+inline void
+Splicer::place(size_t i, const EventNode &node, double ready)
+{
+    const bool is_compute = node.stream == StreamKind::Compute;
+    const size_t chan = is_compute
+        ? 0
+        : (background_ && !node.blocking ? 2 : 1);
+    const double start = std::max(cursors_[chan], ready);
+    const double finish = start + node.duration;
+    cursors_[chan] = finish;
+    s_.start[i] = start;
+    s_.finish[i] = finish;
+
+    const size_t c = static_cast<size_t>(node.category);
+    if (node.duration > 0.0) {
+        serialized_[c] += node.duration;
+        serializedTouched_[c] = true;
+    }
+    if (is_compute) {
+        computeBusy_ += node.duration;
+        // The compute stream runs in order, so its busy intervals
+        // arrive ascending and merge into the cover as they come.
+        std::vector<Interval> &cover = s_.cover;
+        if (finish > start) {
+            if (!cover.empty() && start <= cover.back().hi)
+                cover.back().hi = std::max(cover.back().hi, finish);
+            else
+                cover.push_back(Interval{start, finish});
+        }
+    } else {
+        commBusy_ += node.duration;
+        if (finish > start) {
+            s_.channelQueries[chan - 1].push_back(s_.queries.size());
+            s_.queries.push_back(Interval{start, finish});
+            s_.queryCategory.push_back(node.category);
         }
     }
+}
 
-    (backward ? bwdOut : fwdOut)[layer] = base + seg.outputLocal;
-    computeIds[ordinal] = base + seg.computeLocal;
-    nodePos += seg.numEvents;
-    depPos += seg.numDeps;
+void
+Splicer::fillReport(PerfReport &report)
+{
+    // Each cursor ends at its channel's latest finish, so the makespan
+    // (where the iteration-end barrier starts) is the max cursor.
+    report.iterationTime =
+        std::max(cursors_[0], std::max(cursors_[1], cursors_[2]));
+    report.serializedTime = computeBusy_ + commBusy_;
+    report.computeTime = computeBusy_;
+    report.commTime = commBusy_;
+
+    // A channel's queries start in ascending order, as the sweep needs.
+    for (const std::vector<size_t> &chan : s_.channelQueries)
+        coveredLengthsInto(s_.cover, s_.queries, chan, s_.covered);
+
+    // The aggregate and the per-category exposed sums add the same
+    // terms in node order; both breakdowns land in enum order.
+    double exposed[kNumCategories] = {};
+    bool exposed_touched[kNumCategories] = {};
+    double total = 0.0;
+    for (size_t q = 0; q < s_.queries.size(); ++q) {
+        const double term =
+            (s_.queries[q].hi - s_.queries[q].lo) - s_.covered[q];
+        const size_t c = static_cast<size_t>(s_.queryCategory[q]);
+        total += term;
+        exposed[c] += term;
+        exposed_touched[c] = true;
+    }
+    report.exposedCommTime = total;
+    for (size_t c = 0; c < kNumCategories; ++c) {
+        const EventCategory cat = static_cast<EventCategory>(c);
+        if (serializedTouched_[c])
+            report.serializedBreakdown.emplace_back(cat, serialized_[c]);
+        if (exposed_touched[c])
+            report.exposedBreakdown.emplace_back(cat, exposed[c]);
+    }
 }
 
 } // namespace
@@ -342,15 +464,13 @@ buildSegmentSet(
 void
 spliceSegments(const PlanSegments &sets,
                const EvalContext::LayerCosts *costs, int numLayers,
-               bool withBackward, EventGraph &graph,
-               std::vector<int32_t> &fwdOut, std::vector<int32_t> &bwdOut,
-               std::vector<int32_t> &computeIds)
+               bool withBackward, bool backgroundChannel,
+               EvalContext::Scratch &s, PerfReport &report)
 {
     const size_t nl = static_cast<size_t>(numLayers);
 
-    // Size the whole graph once (segments plus the iteration-end
-    // barrier, which depends on every other node), then fill through
-    // raw pointers. Each set knows what its class expands to.
+    // Size the whole graph once, then fill through raw pointers. Each
+    // set knows what its class expands to.
     size_t total_nodes = 0;
     size_t total_deps = 0;
     for (size_t c = 0; c < kNumLayerClasses; ++c) {
@@ -361,52 +481,35 @@ spliceSegments(const PlanSegments &sets,
             }
         }
     }
-    graph.nodes.resize(total_nodes + 1);
-    graph.deps.resize(total_deps + total_nodes);
-    fwdOut.assign(nl, -1);
-    bwdOut.assign(nl, -1);
+    s.graph.nodes.resize(total_nodes);
+    s.graph.deps.resize(total_deps);
+    s.start.resize(total_nodes);
+    s.finish.resize(total_nodes);
+    s.fwdOut.assign(nl, -1);
+    s.bwdOut.assign(nl, -1);
     // Indexed by emission ordinal; every slot is written before any
     // dependency reads it, so no fill value is needed.
-    computeIds.resize(withBackward ? 2 * nl : nl);
+    s.computeIds.resize(withBackward ? 2 * nl : nl);
+    s.cover.clear();
+    s.queries.clear();
+    s.queryCategory.clear();
+    for (std::vector<size_t> &chan : s.channelQueries)
+        chan.clear();
 
-    EventNode *nodes = graph.nodes.data();
-    int32_t *deps = graph.deps.data();
-    size_t node_pos = 0;
-    size_t dep_pos = 0;
+    Splicer splicer(s, backgroundChannel);
     for (size_t i = 0; i < nl; ++i) {
         const EvalContext::LayerCosts &lc = costs[i];
-        expandSegment(*sets.fwd[static_cast<size_t>(lc.cls)], lc,
-                      static_cast<int>(i), i, false, nodes, deps,
-                      node_pos, dep_pos, fwdOut.data(), bwdOut.data(),
-                      computeIds.data());
+        splicer.expand(*sets.fwd[static_cast<size_t>(lc.cls)], lc,
+                       static_cast<int>(i), i, false);
     }
     if (withBackward) {
         for (size_t i = nl; i-- > 0;) {
             const EvalContext::LayerCosts &lc = costs[i];
-            expandSegment(*sets.bwd[static_cast<size_t>(lc.cls)], lc,
-                          static_cast<int>(i), 2 * nl - 1 - i, true,
-                          nodes, deps, node_pos, dep_pos, fwdOut.data(),
-                          bwdOut.data(), computeIds.data());
+            splicer.expand(*sets.bwd[static_cast<size_t>(lc.cls)], lc,
+                           static_cast<int>(i), 2 * nl - 1 - i, true);
         }
     }
-
-    // Iteration-end barrier: a zero-duration compute event depending
-    // on every other node, so non-blocking gradient collectives still
-    // bound the makespan.
-    EventNode &end = nodes[total_nodes];
-    end.name = &iterEndEventName();
-    end.suffix = NameSuffix::None; // nodes[] is reused — clear
-    end.algo = CollAlgo::None;     // every field explicitly.
-    end.stream = StreamKind::Compute;
-    end.category = EventCategory::Other;
-    end.blocking = true;
-    end.backward = withBackward;
-    end.layerIdx = -1;
-    end.duration = 0.0;
-    end.depsBegin = static_cast<uint32_t>(dep_pos);
-    end.depsCount = static_cast<uint32_t>(total_nodes);
-    for (size_t i = 0; i < total_nodes; ++i)
-        deps[dep_pos + i] = static_cast<int32_t>(i);
+    splicer.fillReport(report);
 }
 
 } // namespace madmax

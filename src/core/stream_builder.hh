@@ -21,10 +21,11 @@
  * distinct layer template rather than per layer — the EvalContext
  * caches the sets with its per-class strategy tables. spliceSegments
  * then expands any plan's concrete flat EventGraph from those sets
- * layer by layer in one pass, stamping each copied node with its
- * layer index and name. Nodes carry the borrowed layer name plus a
- * NameSuffix; labels are composed only when a caller retains the
- * Timeline.
+ * layer by layer, stamping each copied node with its layer index and
+ * name, and schedules every node as it writes it (the §IV-C overlap
+ * scheduler), so the report's timings come out of the same pass.
+ * Nodes carry the borrowed layer name plus a NameSuffix; labels are
+ * composed only when a caller retains the Timeline.
  */
 
 #ifndef MADMAX_CORE_STREAM_BUILDER_HH
@@ -57,23 +58,29 @@ void buildSegmentSet(
     bool backwardPass, bool prefetch, SegmentSet &out);
 
 /**
- * Splice a full iteration from template segments: forward layers
+ * Splice and schedule a full iteration in one pass: forward layers
  * 0..N-1, then (when @p withBackward) backward layers N-1..0, each a
  * copy of its template's segment in @p sets (picked by the layer's
  * class and template id in @p costs) with the layer's index and name
- * written in and its dependencies resolved in one flat sweep, then
- * the iteration-end barrier (a zero-duration compute event depending
- * on every other node). The node/dep arrays are sized once. The
- * result is ready for OverlapSimulator::scheduleGraphInto. @p fwdOut
- * / @p bwdOut / @p computeIds are caller-owned state reused across
- * splices (resized here).
+ * written in and its dependencies resolved. Each node is scheduled as
+ * it is written (§IV-C): it starts once its channel is free and its
+ * dependencies, all earlier nodes, have finished. Compute runs on one
+ * in-order stream, blocking collectives on another, and non-blocking
+ * ones on a background channel when @p backgroundChannel (else on the
+ * blocking one). The node/dep arrays are sized once; every buffer is
+ * in @p s.
+ *
+ * Fills @p report's iteration, compute, comm, serialized and exposed
+ * times and both breakdowns. Exposed comm is each comm interval's
+ * length minus its coverage by the merged compute-busy intervals. The
+ * iteration-end barrier (every node's successor) is not spliced: the
+ * makespan is the latest finish, and a retained Timeline appends the
+ * barrier itself.
  */
 void spliceSegments(const PlanSegments &sets,
                     const EvalContext::LayerCosts *costs, int numLayers,
-                    bool withBackward, EventGraph &graph,
-                    std::vector<int32_t> &fwdOut,
-                    std::vector<int32_t> &bwdOut,
-                    std::vector<int32_t> &computeIds);
+                    bool withBackward, bool backgroundChannel,
+                    EvalContext::Scratch &s, PerfReport &report);
 
 } // namespace madmax
 

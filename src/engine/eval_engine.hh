@@ -16,7 +16,7 @@
  *     re-rendering the report;
  *  3. a memory-feasibility pre-pass that prices each plan's footprint
  *     once, through its group's EvalContext, and resolves OOM plans
- *     without building streams or running the overlap simulator; a
+ *     without splicing or scheduling any streams; a
  *     fitting plan carries that verdict into its evaluation;
  *  4. per-(model, desc, task) batch grouping: each group of a batch
  *     shares one EvalContext (validation, per-layer compute times,

@@ -4,11 +4,11 @@
  * hot-path counterpart of the TraceEvent DAG in trace_event.hh.
  *
  * A sweep evaluating thousands of plans spends most of its time
- * building and scheduling event graphs, so the hot structures are
- * laid out flat:
+ * splicing and scheduling event graphs (spliceSegments does both in
+ * one pass), so the hot structures are laid out flat:
  *
- *  - event ids are dense: node i's id is its index, so the scheduler
- *    keeps finish times in a plain vector instead of a hash map;
+ *  - event ids are dense: node i's id is its index, so the splicer
+ *    keeps start and finish times in plain vectors beside the graph;
  *  - every node's dependency list lives in one shared arena
  *    (EventGraph::deps) addressed by (depsBegin, depsCount) instead
  *    of a per-event heap-allocated vector;
@@ -20,7 +20,9 @@
  * Input contract (same as the TraceEvent form): nodes are in issue
  * order per stream and every dependency index is smaller than the
  * depending node's index — guaranteed by construction in
- * spliceSegments.
+ * spliceSegments, which is what lets it schedule each node as it
+ * writes it. The iteration-end barrier is not a node; a retained
+ * Timeline appends it after the materialized nodes.
  */
 
 #ifndef MADMAX_TRACE_EVENT_GRAPH_HH
@@ -39,8 +41,7 @@ namespace madmax
 struct EventNode
 {
     /** Base of the trace label, borrowed from stable storage (the
-     *  layer's name in the ModelDesc, or a static barrier label).
-     *  Never null once spliced. */
+     *  layer's name in the ModelDesc). Never null once spliced. */
     const std::string *name = nullptr;
 
     StreamKind stream = StreamKind::Compute;

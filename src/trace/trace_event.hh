@@ -7,8 +7,9 @@
  * A per-device iteration is a DAG of TraceEvents partitioned into a
  * compute stream and a communication stream. Events within a stream
  * execute in issue order; cross-stream edges come from data
- * dependencies. The scheduler (core/overlap_simulator) turns the DAG
- * into a Timeline with start/finish times and overlap accounting.
+ * dependencies. The stream builder (core/stream_builder) schedules
+ * each event as it splices the DAG; a retained Timeline holds the
+ * events with their start/finish times and the overlap accounting.
  */
 
 #ifndef MADMAX_TRACE_TRACE_EVENT_HH

@@ -1,8 +1,8 @@
 /**
- * @file
- * OverlapSimulator semantics on hand-built event lists, scheduled
- * through the reference front end (tests/reference), which validates
- * arbitrary ids before handing the flat graph to the simulator.
+ * Overlap-scheduling semantics (§IV-C) on hand-built event lists,
+ * scheduled by the reference scheduler (tests/reference), which
+ * validates arbitrary ids. The splice differential pins production
+ * scheduling to the same scheduler.
  */
 
 #include <gtest/gtest.h>

@@ -2,15 +2,17 @@
  * @file
  * Differential pin for the one evaluation path. EvalContext::evaluate
  * splices every plan's event graph from cached per-(layer class,
- * strategy) segment arenas into per-thread buffers; these suites
- * compare its reports — and, with keepTimeline on, its timelines,
- * event for event — bitwise against the plain layer-by-layer
- * reference builder in tests/reference.
+ * strategy) segment arenas into per-thread buffers and schedules each
+ * event as it is written; these suites compare its reports — and,
+ * with keepTimeline on, its timelines, event for event — bitwise
+ * against the plain layer-by-layer reference builder and scheduler in
+ * tests/reference.
  *
  *  - SpliceDifferential walks the zoo (DLRM-A, DLRM-A-MoE, GPT-3,
  *    LLM-MoE, ViT) plus a hand-built mixed-shape transformer stack x
  *    {pre-training, inference, fine-tuning} x {flat, dc-pod-fleet
- *    topology} with timelines on;
+ *    topology} with timelines on, each step under the default
+ *    options, with one comm channel, and with memory ignored;
  *  - SpliceClassMapping evaluates every plan of the models whose
  *    class runs alternate or are singletons (LLM-MoE, DLRM-A-MoE,
  *    ViT) x {pre-training, inference}, and SpliceMixedShapes every
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "../report_check.hh"
 #include "core/eval_context.hh"
 #include "dse/pareto_engine.hh"
 #include "dse/search_strategy.hh"
@@ -137,25 +140,41 @@ presentClasses(const ModelDesc &desc)
  * Seeded randomized differential walk: start from the FSDP baseline
  * and mutate one knob per step — one present class's strategy, or the
  * prefetch flag — comparing the spliced evaluation with the reference
- * at every step. Infeasible (OOM) candidates are evaluated too: both
- * must short-circuit identically.
+ * at every step, under three option sets: the walk's own, every
+ * collective on one comm channel, and memory ignored (so OOM plans
+ * are scheduled too). Under the first two, infeasible (OOM)
+ * candidates must short-circuit identically. Every production report
+ * must also satisfy the report invariants.
  */
 void
 runDifferentialWalk(const ModelDesc &desc, const ClusterSpec &cluster,
                     const TaskSpec &task, uint64_t seed, int steps,
                     bool keepTimeline)
 {
-    PerfModelOptions opts;
-    opts.keepTimeline = keepTimeline;
-    PerfModel perf(cluster, opts);
-    EvalContext context(perf, desc, task);
+    PerfModelOptions own;
+    own.keepTimeline = keepTimeline;
+    PerfModelOptions single_channel = own;
+    single_channel.backgroundCommChannel = false;
+    PerfModelOptions ignore_memory = own;
+    ignore_memory.ignoreMemory = true;
+    const std::vector<std::pair<std::string, PerfModelOptions>> variants =
+        {{"", own},
+         {" single-channel", single_channel},
+         {" ignoreMemory", ignore_memory}};
+    std::vector<std::unique_ptr<PerfModel>> perfs;
+    std::vector<std::unique_ptr<EvalContext>> contexts;
+    for (const auto &variant : variants) {
+        perfs.push_back(std::make_unique<PerfModel>(cluster, variant.second));
+        contexts.push_back(
+            std::make_unique<EvalContext>(*perfs.back(), desc, task));
+    }
 
     const std::vector<LayerClass> classes = presentClasses(desc);
     ASSERT_FALSE(classes.empty());
 
     std::mt19937_64 rng(seed);
     ParallelPlan plan = ParallelPlan::fsdpBaseline();
-    int scheduled = 0; // Steps that got past the memory verdict.
+    int scheduled = 0; // Own-option steps past the memory verdict.
     for (int step = 0; step < steps; ++step) {
         if (rng() % 8 == 0) {
             plan.fsdpPrefetch = !plan.fsdpPrefetch;
@@ -167,11 +186,18 @@ runDifferentialWalk(const ModelDesc &desc, const ClusterSpec &cluster,
             plan.set(cls, cands[rng() % cands.size()]);
         }
 
-        const PerfReport got = context.evaluate(plan);
-        scheduled += got.valid ? 1 : 0;
-        expectBitIdentical(got, referenceFor(perf, desc, task, plan),
-                           "step " + std::to_string(step) + " plan " +
-                               plan.toString());
+        for (size_t v = 0; v < variants.size(); ++v) {
+            const PerfReport got = contexts[v]->evaluate(plan);
+            if (v == 0)
+                scheduled += got.valid ? 1 : 0;
+            const std::string what = "step " + std::to_string(step) +
+                                     " plan " + plan.toString() +
+                                     variants[v].first;
+            testing::expectReportInvariants(got, perfs[v]->options());
+            expectBitIdentical(got,
+                               referenceFor(*perfs[v], desc, task, plan),
+                               what);
+        }
         if (::testing::Test::HasFailure())
             break; // One mismatch is enough signal.
     }
@@ -359,10 +385,12 @@ checkEveryPlan(const ModelDesc &desc, const ClusterSpec &cluster,
                                  (plan.fsdpPrefetch ? " +prefetch" : "");
         const PerfReport got = shared.evaluate(plan);
         scheduled += got.valid ? 1 : 0;
+        testing::expectReportInvariants(got, opts);
         expectBitIdentical(got, want, "shared context " + what);
         EvalContext fresh(perf, desc, task);
-        expectBitIdentical(fresh.evaluate(plan), want,
-                           "fresh context " + what);
+        const PerfReport gotFresh = fresh.evaluate(plan);
+        testing::expectReportInvariants(gotFresh, opts);
+        expectBitIdentical(gotFresh, want, "fresh context " + what);
         if (::testing::Test::HasFailure())
             break; // One mismatch is enough signal.
     }

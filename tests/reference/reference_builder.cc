@@ -1,14 +1,13 @@
 #include "reference/reference_builder.hh"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "core/eval_context.hh"
-#include "core/overlap_simulator.hh"
 #include "parallel/comm_planner.hh"
-#include "trace/event_graph.hh"
 #include "util/logging.hh"
 #include "util/strfmt.hh"
 
@@ -27,29 +26,45 @@ struct PricedOp
     CollectiveEstimate est;
 };
 
-/** Convert @p events to a flat graph (validating ids) and schedule it
- *  into @p sched. */
-void
-scheduleInto(const std::vector<TraceEvent> &events, bool backgroundChannel,
-             FlatSchedule &sched)
+/** One event list's schedule, indexed by list position. */
+struct Schedule
 {
-    EventGraph graph;
-    std::unordered_map<int, int32_t> index_by_id;
-    for (const TraceEvent &ev : events) {
+    std::vector<double> start;
+    std::vector<double> finish;
+    /** Comm events: length covered by the merged compute intervals. */
+    std::vector<double> covered;
+    double makespan = 0.0;
+    double computeBusy = 0.0;
+    double commBusy = 0.0;
+    double exposedComm = 0.0;
+};
+
+/**
+ * Schedule @p events in list order, validating their ids. Each event
+ * starts once its channel's previous event and all its dependencies
+ * have finished: compute on one in-order stream, blocking collectives
+ * on another, non-blocking ones on a background channel when
+ * @p backgroundChannel (else with the blocking ones). A comm event's
+ * exposed time is its length minus its overlap with the merged
+ * compute-busy intervals, summed in list order.
+ */
+Schedule
+scheduleEvents(const std::vector<TraceEvent> &events,
+               bool backgroundChannel)
+{
+    const size_t n = events.size();
+    Schedule sch;
+    sch.start.resize(n);
+    sch.finish.resize(n);
+    sch.covered.assign(n, 0.0);
+    std::unordered_map<int, size_t> index_by_id;
+    double cursors[3] = {0.0, 0.0, 0.0};
+    for (size_t i = 0; i < n; ++i) {
+        const TraceEvent &ev = events[i];
         if (index_by_id.count(ev.id))
             panic(strfmt("reference::schedule: duplicate event id %d",
                          ev.id));
-        EventNode node;
-        node.name = &ev.name;
-        node.stream = ev.stream;
-        node.category = ev.category;
-        node.algo = ev.algo;
-        node.blocking = ev.blocking;
-        node.backward = ev.backward;
-        node.layerIdx = ev.layerIdx;
-        node.duration = ev.duration;
-        node.depsBegin = static_cast<uint32_t>(graph.deps.size());
-        node.depsCount = static_cast<uint32_t>(ev.deps.size());
+        double ready = 0.0;
         for (int dep : ev.deps) {
             auto it = index_by_id.find(dep);
             if (it == index_by_id.end()) {
@@ -57,29 +72,66 @@ scheduleInto(const std::vector<TraceEvent> &events, bool backgroundChannel,
                              "unscheduled event %d",
                              ev.id, dep));
             }
-            graph.deps.push_back(it->second);
+            ready = std::max(ready, sch.finish[it->second]);
         }
-        index_by_id.emplace(ev.id,
-                            static_cast<int32_t>(graph.nodes.size()));
-        graph.nodes.push_back(node);
+        index_by_id.emplace(ev.id, i);
+
+        const bool compute = ev.stream == StreamKind::Compute;
+        const int chan =
+            compute ? 0 : (backgroundChannel && !ev.blocking ? 2 : 1);
+        sch.start[i] = std::max(cursors[chan], ready);
+        sch.finish[i] = sch.start[i] + ev.duration;
+        cursors[chan] = sch.finish[i];
+        (compute ? sch.computeBusy : sch.commBusy) += ev.duration;
+        sch.makespan = std::max(sch.makespan, sch.finish[i]);
     }
-    SweepScratch scratch;
-    OverlapSimulator(backgroundChannel)
-        .scheduleGraphInto(graph, sched, scratch);
+
+    // The compute stream runs in order, so its busy intervals come out
+    // ascending; touching ones merge.
+    std::vector<std::pair<double, double>> cover;
+    for (size_t i = 0; i < n; ++i) {
+        if (events[i].stream != StreamKind::Compute ||
+            sch.finish[i] <= sch.start[i])
+            continue;
+        if (!cover.empty() && sch.start[i] <= cover.back().second)
+            cover.back().second =
+                std::max(cover.back().second, sch.finish[i]);
+        else
+            cover.emplace_back(sch.start[i], sch.finish[i]);
+    }
+    for (size_t i = 0; i < n; ++i) {
+        const double lo = sch.start[i];
+        const double hi = sch.finish[i];
+        if (events[i].stream != StreamKind::Communication || hi <= lo)
+            continue;
+        auto j = std::partition_point(
+            cover.begin(), cover.end(),
+            [lo](const std::pair<double, double> &c) {
+                return c.second <= lo;
+            });
+        for (; j != cover.end() && j->first < hi; ++j) {
+            const double a = std::max(lo, j->first);
+            const double b = std::min(hi, j->second);
+            if (b > a)
+                sch.covered[i] += b - a;
+        }
+        sch.exposedComm += (hi - lo) - sch.covered[i];
+    }
+    return sch;
 }
 
 Timeline
-toTimeline(const std::vector<TraceEvent> &events, const FlatSchedule &sched)
+toTimeline(const std::vector<TraceEvent> &events, const Schedule &sch)
 {
     Timeline tl;
     for (size_t i = 0; i < events.size(); ++i) {
         tl.events.push_back(
-            ScheduledEvent{events[i], sched.start[i], sched.finish[i]});
+            ScheduledEvent{events[i], sch.start[i], sch.finish[i]});
     }
-    tl.makespan = sched.makespan;
-    tl.computeBusy = sched.computeBusy;
-    tl.commBusy = sched.commBusy;
-    tl.exposedComm = sched.exposedComm;
+    tl.makespan = sch.makespan;
+    tl.computeBusy = sch.computeBusy;
+    tl.commBusy = sch.commBusy;
+    tl.exposedComm = sch.exposedComm;
     return tl;
 }
 
@@ -235,9 +287,7 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
 Timeline
 schedule(const std::vector<TraceEvent> &events, bool backgroundChannel)
 {
-    FlatSchedule sched;
-    scheduleInto(events, backgroundChannel, sched);
-    return toTimeline(events, sched);
+    return toTimeline(events, scheduleEvents(events, backgroundChannel));
 }
 
 PerfReport
@@ -254,28 +304,27 @@ evaluate(const PerfModel &model, const ModelDesc &desc,
         model.cluster(), opts.latency, opts.allReduceAlgorithm);
     const std::vector<TraceEvent> events = buildEvents(
         desc, task, plan, model.cluster(), processor, collectives);
-    FlatSchedule sched;
-    scheduleInto(events, opts.backgroundCommChannel, sched);
+    const Schedule sch = scheduleEvents(events, opts.backgroundCommChannel);
 
-    report.iterationTime = sched.makespan;
-    report.serializedTime = sched.computeBusy + sched.commBusy;
-    report.computeTime = sched.computeBusy;
-    report.commTime = sched.commBusy;
-    report.exposedCommTime = sched.exposedComm;
+    report.iterationTime = sch.makespan;
+    report.serializedTime = sch.computeBusy + sch.commBusy;
+    report.computeTime = sch.computeBusy;
+    report.commTime = sch.commBusy;
+    report.exposedCommTime = sch.exposedComm;
     std::map<EventCategory, double> serialized, exposed;
     for (size_t i = 0; i < events.size(); ++i) {
         const TraceEvent &ev = events[i];
         if (ev.duration > 0.0)
             serialized[ev.category] += ev.duration;
         if (ev.stream == StreamKind::Communication &&
-            sched.finish[i] > sched.start[i]) {
+            sch.finish[i] > sch.start[i]) {
             exposed[ev.category] +=
-                (sched.finish[i] - sched.start[i]) - sched.rawOverlap[i];
+                (sch.finish[i] - sch.start[i]) - sch.covered[i];
         }
     }
     report.serializedBreakdown.assign(serialized.begin(), serialized.end());
     report.exposedBreakdown.assign(exposed.begin(), exposed.end());
-    report.timeline = toTimeline(events, sched);
+    report.timeline = toTimeline(events, sch);
     return report;
 }
 

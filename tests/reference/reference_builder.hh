@@ -3,12 +3,14 @@
  * The differential oracle for the evaluation path: a deliberately
  * plain event-graph builder that emits one iteration layer by layer
  * (no segment templates, no splicing, no per-thread buffers), a
- * scheduler front end that validates arbitrary event ids, and a
- * reference evaluate() that assembles a PerfReport with a
- * materialized Timeline from the two.
+ * plain scheduler of its own over the event list that validates
+ * arbitrary event ids, and a reference evaluate() that assembles a
+ * PerfReport with a materialized Timeline from the two.
  *
  * Production evaluation (EvalContext::evaluate) splices its graph from
- * cached per-(layer class, strategy) segment arenas. The differential
+ * cached per-(layer class, strategy) segment arenas and schedules each
+ * event as it writes it. The reference shares neither step, so the
+ * differential suites catch a fault in either one. The differential
  * suites compare its reports and timelines bitwise against this
  * oracle, and the stream-builder and overlap-simulator suites pin the
  * oracle's wiring and scheduling semantics. Test-only: never linked
@@ -45,9 +47,11 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
             const TopologyCollectiveModel &collectives);
 
 /**
- * Schedule @p events (issue order per stream) with the production
- * OverlapSimulator. Ids may be arbitrary and are validated: duplicate
- * ids and dependencies on unscheduled events panic (InternalError).
+ * Schedule @p events (issue order per stream) with the reference
+ * scheduler: a sequential max over each event's dependencies, stream
+ * cursors per channel, and a direct scan for exposed comm. Ids may be
+ * arbitrary and are validated: duplicate ids and dependencies on
+ * unscheduled events panic (InternalError).
  */
 Timeline schedule(const std::vector<TraceEvent> &events,
                   bool backgroundChannel = true);

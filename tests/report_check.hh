@@ -1,8 +1,10 @@
 /**
  * @file
- * Exact PerfReport comparison shared by the suites that pin one
- * evaluation path to another bit for bit
- * (tests/core/test_eval_context.cc, tests/engine/test_eval_engine.cc).
+ * PerfReport checks shared by the suites that pin one evaluation path
+ * to another: exact comparison, bit for bit
+ * (tests/core/test_eval_context.cc, tests/engine/test_eval_engine.cc),
+ * and the cheap internal invariants every report satisfies
+ * (tests/core/test_splice_differential.cc).
  */
 
 #ifndef MADMAX_TESTS_REPORT_CHECK_HH
@@ -10,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/perf_model.hh"
 #include "core/report.hh"
 
 namespace madmax::testing
@@ -62,6 +67,34 @@ expectBitIdentical(const PerfReport &a, const PerfReport &b)
     EXPECT_EQ(a.timeline.computeBusy, b.timeline.computeBusy);
     EXPECT_EQ(a.timeline.commBusy, b.timeline.commBusy);
     EXPECT_EQ(a.timeline.exposedComm, b.timeline.exposedComm);
+}
+
+/**
+ * Internal invariants of one report evaluated under @p options:
+ * exposed comm <= comm <= serialized time, compute <= iteration time,
+ * each breakdown summing to its total, and validity matching the
+ * memory verdict unless memory is ignored.
+ */
+inline void
+expectReportInvariants(const PerfReport &r, const PerfModelOptions &options)
+{
+    // A breakdown adds its total's terms in another order, and an
+    // exposed term is a scheduled interval's length (finish - start)
+    // rather than the event's duration, so both differ from their
+    // totals by rounding only.
+    const double tol = 1e-9 * std::max(r.serializedTime, r.iterationTime);
+    EXPECT_LE(r.exposedCommTime, r.commTime + tol);
+    EXPECT_LE(r.commTime, r.serializedTime);
+    EXPECT_LE(r.computeTime, r.iterationTime);
+    double serialized = 0.0;
+    for (const auto &entry : r.serializedBreakdown)
+        serialized += entry.second;
+    double exposed = 0.0;
+    for (const auto &entry : r.exposedBreakdown)
+        exposed += entry.second;
+    EXPECT_NEAR(serialized, r.serializedTime, tol);
+    EXPECT_NEAR(exposed, r.exposedCommTime, tol);
+    EXPECT_EQ(r.valid, r.memory.fits() || options.ignoreMemory);
 }
 
 } // namespace madmax::testing
