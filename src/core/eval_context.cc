@@ -303,35 +303,24 @@ EvalContext::evaluate(const ParallelPlan &plan, PerfReport report) const
     // reads, so state left by another context (or by a throw midway)
     // is harmless.
     static thread_local Scratch scratch;
+    Timeline *tl = options().keepTimeline ? &report.timeline : nullptr;
     spliceSegments(sets, costs_.data(), desc_->graph.numLayers(), backward,
-                   options().backgroundCommChannel, scratch, report);
+                   options().backgroundCommChannel, scratch, report, tl);
 
-    if (options().keepTimeline) {
-        const EventGraph &graph = scratch.graph;
-        const size_t n = graph.nodes.size();
-        Timeline tl;
-        tl.events.reserve(n + 1);
-        for (size_t i = 0; i < n; ++i) {
-            tl.events.push_back(ScheduledEvent{graph.materialize(i),
-                                               scratch.start[i],
-                                               scratch.finish[i]});
-        }
+    if (tl != nullptr) {
         // The iteration-end barrier: a zero-duration compute event
         // after every other, so non-blocking gradient collectives
         // still bound the makespan.
+        const size_t n = tl->events.size();
         TraceEvent end;
         end.id = static_cast<int>(n);
         end.name = "iter_end";
         end.deps.resize(n);
         std::iota(end.deps.begin(), end.deps.end(), 0);
         end.backward = backward;
-        tl.events.push_back(ScheduledEvent{
+        tl->events.push_back(ScheduledEvent{
             std::move(end), report.iterationTime, report.iterationTime});
-        tl.makespan = report.iterationTime;
-        tl.computeBusy = report.computeTime;
-        tl.commBusy = report.commTime;
-        tl.exposedComm = report.exposedCommTime;
-        report.timeline = std::move(tl);
+        tl->makespan = report.iterationTime;
     }
     return report;
 }

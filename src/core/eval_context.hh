@@ -38,9 +38,10 @@
  *    expanded from cached templates layer by layer. Table and set
  *    build cost, and the memory they hold, scale with distinct
  *    templates, not with depth;
- *  - trace labels are never stored per event: a node borrows its
- *    layer's name from the ModelDesc and carries a NameSuffix, and
- *    the label is composed only when a Timeline is retained.
+ *  - trace labels are never stored per event: a template event
+ *    carries a NameSuffix, and a label (the layer's name from the
+ *    ModelDesc plus that suffix) is composed only when a Timeline is
+ *    retained.
  *
  * Thread safety: evaluate()/verdict()/plannedOps() are safe to call
  * concurrently. Per-(class, strategy) tables and their segment sets
@@ -73,7 +74,6 @@
 #include "core/perf_model.hh"
 #include "core/segment_template.hh"
 #include "parallel/comm_planner.hh"
-#include "trace/event_graph.hh"
 #include "trace/trace_event.hh"
 
 namespace madmax
@@ -138,13 +138,14 @@ class EvalContext
      * Evaluate one plan in one pass: spliceSegments expands its event
      * graph from the cached per-(layer class, strategy, prefetch)
      * template segments (built only the first time a class runs under
-     * a strategy), schedules each event as it writes it, and fills
+     * a strategy), schedules each event as it expands it, and fills
      * the report's timings and breakdowns. The buffers are per-thread
-     * and reused across calls (Scratch). The scheduled Timeline is
-     * materialized from them only when the model retains timelines
-     * (PerfModelOptions::keepTimeline). OOM plans short-circuit to
-     * the memory verdict unless the model ignores memory. Same as
-     * evaluate(plan, verdict(plan)).
+     * and reused across calls (Scratch). When the model retains
+     * timelines (PerfModelOptions::keepTimeline), the same pass
+     * writes each scheduled event into the report's Timeline, and
+     * evaluate() appends the iteration-end barrier. OOM plans
+     * short-circuit to the memory verdict unless the model ignores
+     * memory. Same as evaluate(plan, verdict(plan)).
      */
     PerfReport evaluate(const ParallelPlan &plan) const;
 
@@ -202,14 +203,15 @@ class EvalContext
     size_t collectiveTableSize() const;
 
     /**
-     * The buffers one evaluation splices and schedules into
-     * (spliceSegments overwrites whatever it reads). evaluate() keeps
-     * one per thread and reuses it across calls and contexts.
+     * The buffers one evaluation schedules into (spliceSegments
+     * overwrites whatever it reads): what a node's dependencies
+     * resolve against, and the overlap accounting. No node is stored;
+     * a retained Timeline is written straight into the report.
+     * evaluate() keeps one per thread and reuses it across calls and
+     * contexts.
      */
     struct Scratch
     {
-        EventGraph graph;            ///< The spliced nodes and deps.
-        std::vector<double> start;   ///< Indexed by node id.
         std::vector<double> finish;  ///< Indexed by node id.
         std::vector<int32_t> fwdOut; ///< Per layer: forward output id.
         std::vector<int32_t> bwdOut; ///< Per layer: backward output id.

@@ -13,9 +13,9 @@
  * pass direction, and the layer's place in the graph *relative to
  * itself*: which layers it consumes and feeds, as offsets, and
  * whether it has 0, 1 or 2+ compute events before it. Only the layer
- * index and name (written per copied node) and the absolute event ids
- * the dependencies resolve to change from layer to layer and plan to
- * plan.
+ * index and name (which a retained Timeline takes from the layer)
+ * and the absolute event ids the dependencies resolve to change from
+ * layer to layer and plan to plan.
  *
  * The EvalContext therefore gives every layer a class-local
  * *template id* for that (shape, producer offsets, consumer offsets,
@@ -23,7 +23,7 @@
  * handful — and a SegmentSet holds one symbolic segment per template
  * of one class for one (strategy, prefetch, pass direction). Its size
  * is O(distinct templates), not O(layers). The splicer expands a plan
- * layer by layer, copying each layer's template segment and
+ * layer by layer, reading each layer's template segment in place and
  * resolving its dependencies in one flat pass.
  *
  * The symbolic dependency kinds are the only ways the stream builder
@@ -60,7 +60,7 @@
 #include <vector>
 
 #include "model/layer.hh"
-#include "trace/event_graph.hh"
+#include "trace/trace_event.hh"
 
 namespace madmax
 {
@@ -86,20 +86,33 @@ struct SymDep
 };
 
 /**
+ * One templated event: what the splicer schedules it by and what a
+ * retained Timeline's TraceEvent copies from it. Its label base,
+ * layer index and pass direction come from the layer it is expanded
+ * for. Its depsCount symbolic dependencies follow those of the
+ * segment's earlier events in the arena, 1:1 in order with the
+ * concrete ones a splice resolves.
+ */
+struct TemplateEvent
+{
+    double duration = 0.0;
+    uint32_t depsCount = 0;
+    StreamKind stream = StreamKind::Compute;
+    EventCategory category = EventCategory::Other;
+    CollAlgo algo = CollAlgo::None;
+    bool blocking = true;
+    NameSuffix suffix = NameSuffix::None; ///< Appended to the layer name.
+};
+
+/**
  * The template segments of one layer class for one pass direction
  * under one (HierStrategy, fsdpPrefetch) binding, packed into two flat
  * arenas: segment t is template t's (EvalContext::LayerCosts::
  * templateId).
- *
- * Events are stored as ready-made EventNodes with their name left
- * null and layerIdx unset (the splicer writes both per copied layer);
- * each node's depsBegin is relative to its segment's depBegin, and
- * its dependency list corresponds 1:1 in order with the concrete one
- * a splice instantiates.
  */
 struct SegmentSet
 {
-    std::vector<EventNode> events;
+    std::vector<TemplateEvent> events;
     std::vector<SymDep> deps; ///< Shared symbolic-dependency arena.
 
     /** Per-segment arena offsets and the two distinguished events.
@@ -113,18 +126,16 @@ struct SegmentSet
         uint32_t eventBegin = 0; ///< First event in `events`.
         uint32_t numEvents = 0;
         uint32_t depBegin = 0;   ///< First symbolic dep in `deps`.
-        uint32_t numDeps = 0;
         int32_t outputLocal = -1;  ///< Visible output, segment-local.
         int32_t computeLocal = -1; ///< Compute event, segment-local.
     };
 
     std::vector<Seg> segs; ///< Indexed by template id.
 
-    /** Events and dependencies the class's layers expand to in one
-     *  pass (each template's counts times its layer count), so a
-     *  splice sizes its graph without walking the layers. */
+    /** Events the class's layers expand to in one pass (each
+     *  template's event count times its layer count), so a splice
+     *  sizes its buffers without walking the layers. */
     size_t expandedEvents = 0;
-    size_t expandedDeps = 0;
 };
 
 /**

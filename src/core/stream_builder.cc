@@ -51,17 +51,14 @@ class TemplateEmitter
         backward_ = backward;
         ordinal_ = ordinal;
         segEventBase_ = set_.events.size();
-        segDepBase_ = set_.deps.size();
         staged_ = 0;
         SegmentSet::Seg seg;
         seg.eventBegin = static_cast<uint32_t>(segEventBase_);
-        seg.depBegin = static_cast<uint32_t>(segDepBase_);
+        seg.depBegin = static_cast<uint32_t>(set_.deps.size());
         set_.segs.push_back(seg);
     }
 
     size_t computeCountBefore() const { return ordinal_; }
-
-    void clearDeps() { staged_ = 0; }
 
     void depLocal(int32_t local)
     {
@@ -93,19 +90,16 @@ class TemplateEmitter
                      EventCategory category, double duration,
                      bool blocking, CollAlgo algo)
     {
-        EventNode ev;
-        ev.suffix = suffix;
+        TemplateEvent ev;
+        ev.duration = duration;
+        // Its deps are the ones staged since the previous event, so
+        // they follow the earlier events' deps in the arena.
+        ev.depsCount = static_cast<uint32_t>(staged_);
         ev.stream = stream;
         ev.category = category;
         ev.algo = algo;
         ev.blocking = blocking;
-        ev.backward = backward_;
-        ev.duration = duration;
-        // Segment-relative offset: the splicer adds the position the
-        // segment's dependencies land at in the concrete graph.
-        ev.depsBegin = static_cast<uint32_t>(set_.deps.size() - staged_ -
-                                             segDepBase_);
-        ev.depsCount = static_cast<uint32_t>(staged_);
+        ev.suffix = suffix;
         staged_ = 0;
         set_.events.push_back(ev);
         return static_cast<int32_t>(set_.events.size() -
@@ -123,7 +117,6 @@ class TemplateEmitter
         seg.outputLocal = outLocal;
         seg.numEvents =
             static_cast<uint32_t>(set_.events.size() - segEventBase_);
-        seg.numDeps = static_cast<uint32_t>(set_.deps.size() - segDepBase_);
     }
 
   private:
@@ -136,8 +129,7 @@ class TemplateEmitter
     SegmentSet &set_;
     size_t ordinal_ = 0; ///< Emission ordinal of this segment.
     size_t segEventBase_ = 0; ///< First arena event of this segment.
-    size_t segDepBase_ = 0;   ///< First arena dep of this segment.
-    size_t staged_ = 0; ///< Symbolic deps staged since clearDeps().
+    size_t staged_ = 0; ///< Symbolic deps staged since the last event.
     int idx_ = 0;
     bool backward_ = false;
 };
@@ -191,7 +183,6 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
     for (const ResolvedCommOp &op : *s.ops) {
         if (op.phase != phase || op.position != CommPosition::Pre)
             continue;
-        em.clearDeps();
         if (op.kind == Collective::AllGather)
             stageParamGatherDeps();
         else if (s.backward)
@@ -205,7 +196,6 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
     }
 
     // The layer's compute block.
-    em.clearDeps();
     if (s.backward) {
         stageGradDeps();
         for (int32_t p : pre_ids)
@@ -227,7 +217,6 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
     for (const ResolvedCommOp &op : *s.ops) {
         if (op.phase != phase || op.position != CommPosition::Post)
             continue;
-        em.clearDeps();
         em.depLocal(out);
         int32_t eid = em.addEvent(op.suffix, StreamKind::Communication,
                                   op.category, op.duration,
@@ -242,24 +231,27 @@ constexpr size_t kNumCategories =
     static_cast<size_t>(EventCategory::Other) + 1;
 
 /**
- * One splice in progress: the graph written so far and its schedule.
- * Every node is placed as soon as it is copied (its dependencies are
- * earlier nodes, so their finishes are known), and the busy sums, the
- * compute cover and the comm queries grow with it in node order.
+ * One splice in progress: the schedule of the nodes expanded so far.
+ * Every node is placed as soon as it is expanded (its dependencies
+ * are earlier nodes, so their finishes are known), and the busy sums,
+ * the compute cover and the comm queries grow with it in node order.
+ * With a retained Timeline, each node's ScheduledEvent is appended
+ * right after it is placed.
  */
 class Splicer
 {
   public:
-    Splicer(EvalContext::Scratch &s, bool backgroundChannel)
-        : s_(s), background_(backgroundChannel)
+    Splicer(EvalContext::Scratch &s, bool backgroundChannel,
+            Timeline *timeline)
+        : s_(s), background_(backgroundChannel), timeline_(timeline)
     {}
 
     /**
-     * Expand layer @p layer's template segment from @p set at the
-     * graph's end and schedule its nodes: copy them with the layer's
-     * index and name written in, resolve their symbolic dependencies
-     * against the output ids and compute ids of earlier emissions, and
-     * record the segment's own visible output and compute event.
+     * Expand layer @p layer's template segment from @p set after the
+     * nodes so far and schedule its nodes: resolve their symbolic
+     * dependencies against the output ids and compute ids of earlier
+     * emissions, and record the segment's own visible output and
+     * compute event.
      */
     void expand(const SegmentSet &set, const EvalContext::LayerCosts &lc,
                 int layer, size_t ordinal, bool backward);
@@ -269,13 +261,13 @@ class Splicer
 
   private:
     /** Schedule node @p i once its dependencies' latest finish,
-     *  @p ready, is known. */
-    void place(size_t i, const EventNode &node, double ready);
+     *  @p ready, is known; returns its start. */
+    double place(size_t i, const TemplateEvent &ev, double ready);
 
     EvalContext::Scratch &s_;
     bool background_;
-    size_t nodePos_ = 0; ///< Nodes written so far.
-    size_t depPos_ = 0;  ///< Dependencies written so far.
+    Timeline *timeline_; ///< Null unless the Timeline is retained.
+    size_t nodePos_ = 0; ///< Nodes expanded so far.
     /** Channel cursors: [0] compute, [1] blocking communication, [2]
      *  the background channel non-blocking collectives (gradient
      *  AllReduce / ReduceScatter) ride, as NCCL does, so they do not
@@ -293,14 +285,12 @@ void
 Splicer::expand(const SegmentSet &set, const EvalContext::LayerCosts &lc,
                 int layer, size_t ordinal, bool backward)
 {
-    // A local copy: the node and dependency stores below could alias
-    // a reference's fields and force reloads.
+    // A local copy: the finish stores below could alias a
+    // reference's fields and force reloads.
     const SegmentSet::Seg seg = set.segs[lc.templateId];
     const int32_t base = static_cast<int32_t>(nodePos_);
-    const EventNode *src = set.events.data() + seg.eventBegin;
+    const TemplateEvent *src = set.events.data() + seg.eventBegin;
     const SymDep *sym = set.deps.data() + seg.depBegin;
-    EventNode *nodes = s_.graph.nodes.data() + nodePos_;
-    int32_t *deps = s_.graph.deps.data() + depPos_;
     const double *finish = s_.finish.data();
     int32_t *fwd_out = s_.fwdOut.data();
     int32_t *bwd_out = s_.bwdOut.data();
@@ -309,56 +299,71 @@ Splicer::expand(const SegmentSet &set, const EvalContext::LayerCosts &lc,
     const int32_t ord = static_cast<int32_t>(ordinal);
 
     for (uint32_t e = 0; e < seg.numEvents; ++e) {
-        EventNode &dst = nodes[e];
-        dst = src[e];
-        dst.name = lc.name;
-        dst.layerIdx = layer;
-        // depsBegin is segment-relative here; the node is ready once
-        // the latest of its dependencies finishes.
+        const TemplateEvent &ev = src[e];
+        ScheduledEvent *out = nullptr;
+        if (timeline_ != nullptr) {
+            out = &timeline_->events.emplace_back();
+            out->event.deps.reserve(ev.depsCount);
+        }
+        // The node is ready once the latest of its dependencies
+        // finishes.
         double ready = 0.0;
-        const uint32_t end = dst.depsBegin + dst.depsCount;
-        for (uint32_t k = dst.depsBegin; k < end; ++k) {
-            const int32_t v = sym[k].value;
+        for (uint32_t k = 0; k < ev.depsCount; ++k, ++sym) {
+            const int32_t v = sym->value;
             int32_t id = 0;
-            switch (sym[k].kind) {
+            switch (sym->kind) {
               case SymDep::Kind::Local: id = base + v; break;
               case SymDep::Kind::FwdOut: id = fwd_out[l + v]; break;
               case SymDep::Kind::BwdOut: id = bwd_out[l + v]; break;
               case SymDep::Kind::ComputeAt: id = compute_ids[ord + v]; break;
             }
-            deps[k] = id;
             ready = std::max(ready, finish[id]);
+            if (out != nullptr)
+                out->event.deps.push_back(id);
         }
-        dst.depsBegin += static_cast<uint32_t>(depPos_);
-        place(nodePos_ + e, dst, ready);
+        const size_t i = nodePos_ + e;
+        const double start = place(i, ev, ready);
+        if (out != nullptr) {
+            TraceEvent &te = out->event;
+            te.id = static_cast<int>(i);
+            te.name = *lc.name;
+            te.name += suffixText(ev.suffix);
+            te.stream = ev.stream;
+            te.category = ev.category;
+            te.duration = ev.duration;
+            te.blocking = ev.blocking;
+            te.layerIdx = layer;
+            te.backward = backward;
+            te.algo = ev.algo;
+            out->start = start;
+            out->finish = finish[i];
+        }
     }
 
     (backward ? bwd_out : fwd_out)[layer] = base + seg.outputLocal;
     compute_ids[ordinal] = base + seg.computeLocal;
     nodePos_ += seg.numEvents;
-    depPos_ += seg.numDeps;
 }
 
-inline void
-Splicer::place(size_t i, const EventNode &node, double ready)
+inline double
+Splicer::place(size_t i, const TemplateEvent &ev, double ready)
 {
-    const bool is_compute = node.stream == StreamKind::Compute;
+    const bool is_compute = ev.stream == StreamKind::Compute;
     const size_t chan = is_compute
         ? 0
-        : (background_ && !node.blocking ? 2 : 1);
+        : (background_ && !ev.blocking ? 2 : 1);
     const double start = std::max(cursors_[chan], ready);
-    const double finish = start + node.duration;
+    const double finish = start + ev.duration;
     cursors_[chan] = finish;
-    s_.start[i] = start;
     s_.finish[i] = finish;
 
-    const size_t c = static_cast<size_t>(node.category);
-    if (node.duration > 0.0) {
-        serialized_[c] += node.duration;
+    const size_t c = static_cast<size_t>(ev.category);
+    if (ev.duration > 0.0) {
+        serialized_[c] += ev.duration;
         serializedTouched_[c] = true;
     }
     if (is_compute) {
-        computeBusy_ += node.duration;
+        computeBusy_ += ev.duration;
         // The compute stream runs in order, so its busy intervals
         // arrive ascending and merge into the cover as they come.
         std::vector<Interval> &cover = s_.cover;
@@ -369,13 +374,14 @@ Splicer::place(size_t i, const EventNode &node, double ready)
                 cover.push_back(Interval{start, finish});
         }
     } else {
-        commBusy_ += node.duration;
+        commBusy_ += ev.duration;
         if (finish > start) {
             s_.channelQueries[chan - 1].push_back(s_.queries.size());
             s_.queries.push_back(Interval{start, finish});
-            s_.queryCategory.push_back(node.category);
+            s_.queryCategory.push_back(ev.category);
         }
     }
+    return start;
 }
 
 void
@@ -453,11 +459,9 @@ buildSegmentSet(
     }
 
     out.expandedEvents = 0;
-    out.expandedDeps = 0;
     for (size_t t = 0; t < templateCounts.size(); ++t) {
         out.expandedEvents += size_t{templateCounts[t]} *
             out.segs[t].numEvents;
-        out.expandedDeps += size_t{templateCounts[t]} * out.segs[t].numDeps;
     }
 }
 
@@ -465,26 +469,23 @@ void
 spliceSegments(const PlanSegments &sets,
                const EvalContext::LayerCosts *costs, int numLayers,
                bool withBackward, bool backgroundChannel,
-               EvalContext::Scratch &s, PerfReport &report)
+               EvalContext::Scratch &s, PerfReport &report,
+               Timeline *timeline)
 {
     const size_t nl = static_cast<size_t>(numLayers);
 
-    // Size the whole graph once, then fill through raw pointers. Each
-    // set knows what its class expands to.
+    // Size the node buffers once, then fill through raw pointers.
+    // Each set knows what its class expands to.
     size_t total_nodes = 0;
-    size_t total_deps = 0;
     for (size_t c = 0; c < kNumLayerClasses; ++c) {
         for (const SegmentSet *set : {sets.fwd[c], sets.bwd[c]}) {
-            if (set != nullptr) {
+            if (set != nullptr)
                 total_nodes += set->expandedEvents;
-                total_deps += set->expandedDeps;
-            }
         }
     }
-    s.graph.nodes.resize(total_nodes);
-    s.graph.deps.resize(total_deps);
-    s.start.resize(total_nodes);
     s.finish.resize(total_nodes);
+    if (timeline != nullptr) // With room for the iteration-end barrier.
+        timeline->events.reserve(total_nodes + 1);
     s.fwdOut.assign(nl, -1);
     s.bwdOut.assign(nl, -1);
     // Indexed by emission ordinal; every slot is written before any
@@ -496,7 +497,7 @@ spliceSegments(const PlanSegments &sets,
     for (std::vector<size_t> &chan : s.channelQueries)
         chan.clear();
 
-    Splicer splicer(s, backgroundChannel);
+    Splicer splicer(s, backgroundChannel, timeline);
     for (size_t i = 0; i < nl; ++i) {
         const EvalContext::LayerCosts &lc = costs[i];
         splicer.expand(*sets.fwd[static_cast<size_t>(lc.cls)], lc,

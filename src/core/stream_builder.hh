@@ -20,12 +20,13 @@
  * (class, strategy, prefetch, pass direction), one segment per
  * distinct layer template rather than per layer — the EvalContext
  * caches the sets with its per-class strategy tables. spliceSegments
- * then expands any plan's concrete flat EventGraph from those sets
- * layer by layer, stamping each copied node with its layer index and
- * name, and schedules every node as it writes it (the §IV-C overlap
- * scheduler), so the report's timings come out of the same pass.
- * Nodes carry the borrowed layer name plus a NameSuffix; labels are
- * composed only when a caller retains the Timeline.
+ * then expands any plan from those sets layer by layer, reading each
+ * template event in place, and schedules every node as it expands it
+ * (the §IV-C overlap scheduler), so the report's timings come out of
+ * the same pass. Nothing per node is kept but its finish time; when a
+ * caller retains the Timeline, the same pass appends each node's
+ * ScheduledEvent, its label composed from the layer's name and the
+ * template event's NameSuffix.
  */
 
 #ifndef MADMAX_CORE_STREAM_BUILDER_HH
@@ -35,7 +36,7 @@
 
 #include "core/eval_context.hh"
 #include "core/segment_template.hh"
-#include "trace/event_graph.hh"
+#include "trace/trace_event.hh"
 
 namespace madmax
 {
@@ -59,28 +60,30 @@ void buildSegmentSet(
 
 /**
  * Splice and schedule a full iteration in one pass: forward layers
- * 0..N-1, then (when @p withBackward) backward layers N-1..0, each a
- * copy of its template's segment in @p sets (picked by the layer's
- * class and template id in @p costs) with the layer's index and name
- * written in and its dependencies resolved. Each node is scheduled as
- * it is written (§IV-C): it starts once its channel is free and its
- * dependencies, all earlier nodes, have finished. Compute runs on one
- * in-order stream, blocking collectives on another, and non-blocking
- * ones on a background channel when @p backgroundChannel (else on the
- * blocking one). The node/dep arrays are sized once; every buffer is
- * in @p s.
+ * 0..N-1, then (when @p withBackward) backward layers N-1..0, each
+ * expanded from its template's segment in @p sets (picked by the
+ * layer's class and template id in @p costs) with its dependencies
+ * resolved. Each node is scheduled as it is expanded (§IV-C): it
+ * starts once its channel is free and its dependencies, all earlier
+ * nodes, have finished. Compute runs on one in-order stream, blocking
+ * collectives on another, and non-blocking ones on a background
+ * channel when @p backgroundChannel (else on the blocking one). The
+ * per-node buffers are sized once; every buffer is in @p s.
  *
  * Fills @p report's iteration, compute, comm, serialized and exposed
  * times and both breakdowns. Exposed comm is each comm interval's
- * length minus its coverage by the merged compute-busy intervals. The
- * iteration-end barrier (every node's successor) is not spliced: the
- * makespan is the latest finish, and a retained Timeline appends the
- * barrier itself.
+ * length minus its coverage by the merged compute-busy intervals.
+ * When @p timeline is not null, each node's ScheduledEvent (id
+ * = node index, label, resolved deps, start, finish) is appended to
+ * it as the node is placed. The iteration-end barrier (every node's
+ * successor) is not spliced: the makespan is the latest finish, and
+ * the caller appends the barrier to a retained Timeline.
  */
 void spliceSegments(const PlanSegments &sets,
                     const EvalContext::LayerCosts *costs, int numLayers,
                     bool withBackward, bool backgroundChannel,
-                    EvalContext::Scratch &s, PerfReport &report);
+                    EvalContext::Scratch &s, PerfReport &report,
+                    Timeline *timeline);
 
 } // namespace madmax
 

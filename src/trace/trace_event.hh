@@ -8,8 +8,9 @@
  * compute stream and a communication stream. Events within a stream
  * execute in issue order; cross-stream edges come from data
  * dependencies. The stream builder (core/stream_builder) schedules
- * each event as it splices the DAG; a retained Timeline holds the
- * events with their start/finish times and the overlap accounting.
+ * each event as it splices the DAG and, when the Timeline is
+ * retained, writes each event with its start/finish times into it.
+ * The overlap accounting lives in the PerfReport, not here.
  */
 
 #ifndef MADMAX_TRACE_TRACE_EVENT_HH
@@ -60,8 +61,8 @@ enum class CollAlgo
  * The fixed tail of a layer event's trace label. Every event a layer
  * contributes is named `<layer name><suffix>` — "Attn_3" (forward
  * compute), "Attn_3'" (backward compute), "Attn_3_w_AG" (FSDP
- * parameter gather) — so hot-path graph nodes carry the layer's name
- * and this one-byte id instead of a composed string.
+ * parameter gather) — so template events (core/segment_template.hh)
+ * carry this one-byte id instead of a composed string.
  */
 enum class NameSuffix : uint8_t
 {
@@ -123,28 +124,13 @@ struct ScheduledEvent
 
 /**
  * A fully scheduled per-device iteration: every event with start and
- * finish times, plus the aggregate accounting the reports need.
+ * finish times, in issue order. The busy, exposed and overlap figures
+ * are the PerfReport's.
  */
 struct Timeline
 {
     std::vector<ScheduledEvent> events;
-
-    double makespan = 0.0;       ///< End-to-end iteration seconds.
-    double computeBusy = 0.0;    ///< Sum of compute durations.
-    double commBusy = 0.0;       ///< Sum of communication durations.
-    double exposedComm = 0.0;    ///< Comm time with idle compute stream.
-
-    /** Comm time hidden behind concurrent compute. */
-    double overlappedComm() const { return commBusy - exposedComm; }
-
-    /** Fraction of communication hidden behind compute, in [0, 1]. */
-    double overlapFraction() const
-    {
-        return commBusy > 0.0 ? overlappedComm() / commBusy : 0.0;
-    }
-
-    /** Serialized execution time (no overlap): compute + comm. */
-    double serialized() const { return computeBusy + commBusy; }
+    double makespan = 0.0; ///< End-to-end iteration seconds.
 };
 
 } // namespace madmax

@@ -49,13 +49,15 @@ namespace
 
 using testing::checkGolden;
 
-/** FNV-1a over the scheduled Timeline: every event's identity, DAG
- *  shape, name, and scheduled interval, plus the aggregates. A report
- *  whose timeline was stripped (cache-served duplicate) digests to the
- *  empty-timeline value, which is itself part of the contract. */
+/** FNV-1a over @p r's scheduled Timeline: every event's identity,
+ *  DAG shape, name, and scheduled interval, then the makespan and the
+ *  report's compute, comm and exposed sums. A report whose timeline
+ *  was stripped (cache-served duplicate) digests to the empty-timeline
+ *  value, with zero sums, which is itself part of the contract. */
 std::string
-timelineDigest(const Timeline &tl)
+timelineDigest(const PerfReport &r)
 {
+    const Timeline &tl = r.timeline;
     uint64_t h = 1469598103934665603ull;
     auto mixByte = [&h](unsigned char b) {
         h ^= b;
@@ -93,9 +95,10 @@ timelineDigest(const Timeline &tl)
         mixDouble(se.finish);
     }
     mixDouble(tl.makespan);
-    mixDouble(tl.computeBusy);
-    mixDouble(tl.commBusy);
-    mixDouble(tl.exposedComm);
+    const bool kept = !tl.events.empty();
+    mixDouble(kept ? r.computeTime : 0.0);
+    mixDouble(kept ? r.commTime : 0.0);
+    mixDouble(kept ? r.exposedCommTime : 0.0);
     return strfmt("%016llx", static_cast<unsigned long long>(h));
 }
 
@@ -127,7 +130,7 @@ dumpReport(const PerfReport &r)
     for (const auto &[cat, sec] : r.exposedBreakdown)
         out += strfmt(" %s=%.17g", toString(cat).c_str(), sec);
     out += strfmt("\ntl n=%zu digest=%s\n", r.timeline.events.size(),
-                  timelineDigest(r.timeline).c_str());
+                  timelineDigest(r).c_str());
     return out;
 }
 

@@ -37,95 +37,95 @@ constexpr StreamKind N = StreamKind::Communication;
 
 TEST(OverlapSimulator, SequentialComputeChain)
 {
-    Timeline tl = reference::schedule(
+    const auto r = reference::schedule(
         {ev(0, C, 1.0), ev(1, C, 2.0, {0}), ev(2, C, 3.0, {1})});
-    EXPECT_DOUBLE_EQ(tl.makespan, 6.0);
-    EXPECT_DOUBLE_EQ(tl.computeBusy, 6.0);
-    EXPECT_DOUBLE_EQ(tl.commBusy, 0.0);
-    EXPECT_DOUBLE_EQ(tl.exposedComm, 0.0);
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 6.0);
+    EXPECT_DOUBLE_EQ(r.computeBusy, 6.0);
+    EXPECT_DOUBLE_EQ(r.commBusy, 0.0);
+    EXPECT_DOUBLE_EQ(r.exposedComm, 0.0);
 }
 
 TEST(OverlapSimulator, StreamOrderSerializesWithoutDeps)
 {
     // Two independent compute events still execute in issue order on
     // the single compute stream.
-    Timeline tl = reference::schedule({ev(0, C, 1.0), ev(1, C, 1.0)});
-    EXPECT_DOUBLE_EQ(tl.makespan, 2.0);
-    EXPECT_DOUBLE_EQ(tl.events[1].start, 1.0);
+    const auto r = reference::schedule({ev(0, C, 1.0), ev(1, C, 1.0)});
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 2.0);
+    EXPECT_DOUBLE_EQ(r.timeline.events[1].start, 1.0);
 }
 
 TEST(OverlapSimulator, IndependentCommOverlapsCompute)
 {
-    Timeline tl = reference::schedule({ev(0, C, 4.0), ev(1, N, 3.0)});
-    EXPECT_DOUBLE_EQ(tl.makespan, 4.0);
-    EXPECT_DOUBLE_EQ(tl.commBusy, 3.0);
+    const auto r = reference::schedule({ev(0, C, 4.0), ev(1, N, 3.0)});
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 4.0);
+    EXPECT_DOUBLE_EQ(r.commBusy, 3.0);
     // Fully hidden behind the concurrent compute.
-    EXPECT_DOUBLE_EQ(tl.exposedComm, 0.0);
-    EXPECT_DOUBLE_EQ(tl.overlapFraction(), 1.0);
+    EXPECT_DOUBLE_EQ(r.exposedComm, 0.0);
+    EXPECT_DOUBLE_EQ((r.commBusy - r.exposedComm) / r.commBusy, 1.0);
 }
 
 TEST(OverlapSimulator, BlockingCommGatesDependentCompute)
 {
     // EMB -> A2A -> MLP: the Fig. 6 exposed-communication pattern.
-    Timeline tl = reference::schedule({
+    const auto r = reference::schedule({
         ev(0, C, 2.0),           // EMB lookup.
         ev(1, N, 3.0, {0}),      // Blocking A2A.
         ev(2, C, 1.0, {1}),      // MLP needs the A2A result.
     });
-    EXPECT_DOUBLE_EQ(tl.makespan, 6.0);
-    EXPECT_DOUBLE_EQ(tl.events[2].start, 5.0);
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 6.0);
+    EXPECT_DOUBLE_EQ(r.timeline.events[2].start, 5.0);
     // The A2A runs while compute idles: fully exposed.
-    EXPECT_DOUBLE_EQ(tl.exposedComm, 3.0);
+    EXPECT_DOUBLE_EQ(r.exposedComm, 3.0);
 }
 
 TEST(OverlapSimulator, PartialOverlapAccounting)
 {
-    Timeline tl = reference::schedule({
+    const auto r = reference::schedule({
         ev(0, C, 2.0),
         ev(1, N, 4.0, {0}),      // Starts at 2, ends at 6.
         ev(2, C, 2.0, {0}),      // Runs 2..4, overlapping half the comm.
         ev(3, C, 1.0, {1, 2}),   // Needs the comm: starts at 6.
     });
-    EXPECT_DOUBLE_EQ(tl.makespan, 7.0);
-    EXPECT_DOUBLE_EQ(tl.exposedComm, 2.0); // 4..6 uncovered.
-    EXPECT_DOUBLE_EQ(tl.overlappedComm(), 2.0);
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 7.0);
+    EXPECT_DOUBLE_EQ(r.exposedComm, 2.0); // 4..6 uncovered.
+    EXPECT_DOUBLE_EQ(r.commBusy - r.exposedComm, 2.0);
 }
 
 TEST(OverlapSimulator, NonBlockingCommRidesBackgroundChannel)
 {
     // A long non-blocking gradient AllReduce must not head-of-line
     // block a later blocking collective.
-    Timeline tl = reference::schedule({
+    const auto r = reference::schedule({
         ev(0, C, 1.0),
         ev(1, N, 10.0, {0}, false), // Gradient AR in background.
         ev(2, N, 2.0, {0}, true),   // Blocking A2A issued after it.
         ev(3, C, 1.0, {2}),
     });
-    const ScheduledEvent &a2a = tl.events[2];
+    const ScheduledEvent &a2a = r.timeline.events[2];
     EXPECT_DOUBLE_EQ(a2a.start, 1.0);  // Not stuck behind the AR.
-    EXPECT_DOUBLE_EQ(tl.events[3].start, 3.0);
-    EXPECT_DOUBLE_EQ(tl.makespan, 11.0); // AR finishes at 11.
+    EXPECT_DOUBLE_EQ(r.timeline.events[3].start, 3.0);
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 11.0); // AR finishes at 11.
 }
 
 TEST(OverlapSimulator, BlockingCommQueuesInOrder)
 {
-    Timeline tl = reference::schedule({
+    const auto r = reference::schedule({
         ev(0, N, 2.0),
         ev(1, N, 2.0), // Same stream: starts at 2 even with no dep.
     });
-    EXPECT_DOUBLE_EQ(tl.events[1].start, 2.0);
-    EXPECT_DOUBLE_EQ(tl.makespan, 4.0);
+    EXPECT_DOUBLE_EQ(r.timeline.events[1].start, 2.0);
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 4.0);
 }
 
 TEST(OverlapSimulator, ZeroDurationBarrier)
 {
-    Timeline tl = reference::schedule({
+    const auto r = reference::schedule({
         ev(0, C, 1.0),
         ev(1, N, 5.0, {}, false),
         ev(2, C, 0.0, {0, 1}), // Barrier waits for the background AR.
     });
-    EXPECT_DOUBLE_EQ(tl.makespan, 5.0);
-    EXPECT_DOUBLE_EQ(tl.events[2].start, 5.0);
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 5.0);
+    EXPECT_DOUBLE_EQ(r.timeline.events[2].start, 5.0);
 }
 
 TEST(OverlapSimulator, DuplicateIdsPanic)
@@ -142,9 +142,9 @@ TEST(OverlapSimulator, ForwardDependencyPanics)
 
 TEST(OverlapSimulator, EmptyScheduleIsEmptyTimeline)
 {
-    Timeline tl = reference::schedule({});
-    EXPECT_DOUBLE_EQ(tl.makespan, 0.0);
-    EXPECT_TRUE(tl.events.empty());
+    const auto r = reference::schedule({});
+    EXPECT_DOUBLE_EQ(r.timeline.makespan, 0.0);
+    EXPECT_TRUE(r.timeline.events.empty());
 }
 
 // Invariant sweep: for random-ish DAGs, makespan is bounded by
@@ -175,15 +175,16 @@ TEST_P(OverlapInvariants, BoundsHold)
         events.push_back(ev(i, s, dur, std::move(deps), blocking));
     }
 
-    Timeline tl = reference::schedule(events);
-    EXPECT_LE(tl.makespan, tl.serialized() + 1e-9);
-    EXPECT_GE(tl.makespan, tl.computeBusy - 1e-9);
-    EXPECT_GE(tl.exposedComm, -1e-9);
-    EXPECT_LE(tl.exposedComm, tl.commBusy + 1e-9);
+    const auto r = reference::schedule(events);
+    EXPECT_LE(r.timeline.makespan, r.computeBusy + r.commBusy + 1e-9);
+    EXPECT_GE(r.timeline.makespan, r.computeBusy - 1e-9);
+    EXPECT_GE(r.exposedComm, -1e-9);
+    EXPECT_LE(r.exposedComm, r.commBusy + 1e-9);
     // Every event starts after its deps.
-    for (const ScheduledEvent &se : tl.events) {
+    for (const ScheduledEvent &se : r.timeline.events) {
         for (int dep : se.event.deps) {
-            const ScheduledEvent &d = tl.events[static_cast<size_t>(dep)];
+            const ScheduledEvent &d =
+                r.timeline.events[static_cast<size_t>(dep)];
             EXPECT_GE(se.start, d.finish - 1e-12);
         }
     }

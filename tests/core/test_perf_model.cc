@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "../report_check.hh"
 #include "core/perf_model.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -169,6 +170,10 @@ TEST(PerfModel, KeepTimelineToggle)
                                  TaskSpec::preTraining(),
                                  dlrmDeployedPlan());
     EXPECT_FALSE(r2.timeline.events.empty());
+
+    // Writing the timeline during the splice changes no report bit.
+    r2.timeline = Timeline{};
+    testing::expectBitIdentical(r, r2);
 }
 
 TEST(PerfModel, WithClusterRebinds)

@@ -104,9 +104,6 @@ expectBitIdentical(const PerfReport &a, const PerfReport &b,
         ASSERT_EQ(x.event.algo, y.event.algo) << at;
     }
     EXPECT_EQ(ta.makespan, tb.makespan) << what;
-    EXPECT_EQ(ta.computeBusy, tb.computeBusy) << what;
-    EXPECT_EQ(ta.commBusy, tb.commBusy) << what;
-    EXPECT_EQ(ta.exposedComm, tb.exposedComm) << what;
 }
 
 /** The reference report, with its timeline dropped unless @p model

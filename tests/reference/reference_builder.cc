@@ -129,9 +129,6 @@ toTimeline(const std::vector<TraceEvent> &events, const Schedule &sch)
             ScheduledEvent{events[i], sch.start[i], sch.finish[i]});
     }
     tl.makespan = sch.makespan;
-    tl.computeBusy = sch.computeBusy;
-    tl.commBusy = sch.commBusy;
-    tl.exposedComm = sch.exposedComm;
     return tl;
 }
 
@@ -284,10 +281,12 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
     return events;
 }
 
-Timeline
+ScheduleResult
 schedule(const std::vector<TraceEvent> &events, bool backgroundChannel)
 {
-    return toTimeline(events, scheduleEvents(events, backgroundChannel));
+    const Schedule sch = scheduleEvents(events, backgroundChannel);
+    return ScheduleResult{toTimeline(events, sch), sch.computeBusy,
+                          sch.commBusy, sch.exposedComm};
 }
 
 PerfReport

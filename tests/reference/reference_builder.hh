@@ -46,6 +46,15 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
             const LayerProcessor &processor,
             const TopologyCollectiveModel &collectives);
 
+/** A reference schedule: the Timeline plus its busy and exposed sums. */
+struct ScheduleResult
+{
+    Timeline timeline;
+    double computeBusy = 0.0; ///< Sum of compute durations.
+    double commBusy = 0.0;    ///< Sum of communication durations.
+    double exposedComm = 0.0; ///< Comm time with idle compute stream.
+};
+
 /**
  * Schedule @p events (issue order per stream) with the reference
  * scheduler: a sequential max over each event's dependencies, stream
@@ -53,8 +62,8 @@ buildEvents(const ModelDesc &desc, const TaskSpec &task,
  * arbitrary and are validated: duplicate ids and dependencies on
  * unscheduled events panic (InternalError).
  */
-Timeline schedule(const std::vector<TraceEvent> &events,
-                  bool backgroundChannel = true);
+ScheduleResult schedule(const std::vector<TraceEvent> &events,
+                        bool backgroundChannel = true);
 
 /**
  * Reference evaluation of one plan on @p model: the memory verdict,

@@ -60,13 +60,11 @@ expectBitIdentical(const PerfReport &a, const PerfReport &b)
         EXPECT_EQ(x.event.blocking, y.event.blocking);
         EXPECT_EQ(x.event.layerIdx, y.event.layerIdx);
         EXPECT_EQ(x.event.backward, y.event.backward);
+        EXPECT_EQ(x.event.algo, y.event.algo);
         EXPECT_EQ(x.start, y.start);
         EXPECT_EQ(x.finish, y.finish);
     }
     EXPECT_EQ(a.timeline.makespan, b.timeline.makespan);
-    EXPECT_EQ(a.timeline.computeBusy, b.timeline.computeBusy);
-    EXPECT_EQ(a.timeline.commBusy, b.timeline.commBusy);
-    EXPECT_EQ(a.timeline.exposedComm, b.timeline.exposedComm);
 }
 
 /**

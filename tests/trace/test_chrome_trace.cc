@@ -37,9 +37,6 @@ tinyTimeline()
     tl.events.push_back(ScheduledEvent{comm, 2e-3, 5e-3});
 
     tl.makespan = 5e-3;
-    tl.computeBusy = 2e-3;
-    tl.commBusy = 3e-3;
-    tl.exposedComm = 3e-3;
     return tl;
 }
 

@@ -15,24 +15,4 @@ TEST(TraceEvent, Names)
     EXPECT_EQ(toString(EventCategory::Memcpy), "Memcpy");
 }
 
-TEST(Timeline, DerivedMetrics)
-{
-    Timeline tl;
-    tl.makespan = 10.0;
-    tl.computeBusy = 6.0;
-    tl.commBusy = 8.0;
-    tl.exposedComm = 2.0;
-    EXPECT_DOUBLE_EQ(tl.overlappedComm(), 6.0);
-    EXPECT_DOUBLE_EQ(tl.overlapFraction(), 0.75);
-    EXPECT_DOUBLE_EQ(tl.serialized(), 14.0);
-}
-
-TEST(Timeline, ZeroCommHasZeroOverlapFraction)
-{
-    Timeline tl;
-    tl.computeBusy = 5.0;
-    EXPECT_DOUBLE_EQ(tl.overlapFraction(), 0.0);
-    EXPECT_DOUBLE_EQ(tl.serialized(), 5.0);
-}
-
 } // namespace madmax
