@@ -7,10 +7,167 @@
 
 #include "core/layer_processor.hh"
 #include "core/stream_builder.hh"
+#include "hw/topology.hh"
 #include "util/logging.hh"
 
 namespace madmax
 {
+
+namespace
+{
+
+/** Append @p v as 16 lowercase hex digits, most significant first. */
+void
+appendHex(std::string &out, uint64_t v)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        buf[i] = kDigits[v & 0xf];
+    out.append(buf, sizeof(buf));
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+void
+appendDouble(std::string &out, double v)
+{
+    // The fixed-width bit pattern: equal text means bit-identical
+    // values, so two clusters that differ in the last ulp of a
+    // bandwidth never share cache entries. Fixed width needs no
+    // separator, and hex never contains the ',' or '|' the key's
+    // other fields and its prefix/suffix cut use.
+    appendHex(out, bitsOf(v));
+}
+
+/** The splitmix64 finalizer: every input bit flips about half of the
+ *  output bits. */
+uint64_t
+mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+void
+appendCluster(std::string &out, const ClusterSpec &c)
+{
+    out += c.name;
+    out += ',';
+    out += std::to_string(c.devicesPerNode) + ',' +
+        std::to_string(c.numNodes) + ',';
+    out += std::to_string(static_cast<int>(c.intraFabric)) + ',' +
+        std::to_string(static_cast<int>(c.interFabric)) + ',';
+    appendDouble(out, c.util.compute);
+    appendDouble(out, c.util.hbm);
+    appendDouble(out, c.util.intraLink);
+    appendDouble(out, c.util.interLink);
+    const DeviceSpec &d = c.device;
+    out += d.name;
+    out += ',';
+    appendDouble(out, d.peakFlopsTensor16);
+    appendDouble(out, d.peakFlopsTf32);
+    appendDouble(out, d.peakFlopsFp32);
+    appendDouble(out, d.hbmCapacity);
+    appendDouble(out, d.hbmBandwidth);
+    appendDouble(out, d.intraNodeBandwidth);
+    appendDouble(out, d.interNodeBandwidth);
+    // Topology-carrying clusters price on their own tier stack; the
+    // spec fingerprint keeps them from sharing entries with the flat
+    // shape (or with a differently-tiered topology).
+    if (c.topology) {
+        out += 'T';
+        appendHex(out, c.topology->fingerprint());
+    } else {
+        out += '-';
+    }
+}
+
+void
+appendOptions(std::string &out, const PerfModelOptions &o)
+{
+    out += o.ignoreMemory ? '1' : '0';
+    out += o.backgroundCommChannel ? '1' : '0';
+    out += o.keepTimeline ? '1' : '0';
+    out += std::to_string(static_cast<int>(o.allReduceAlgorithm));
+    out += ',';
+    appendDouble(out, o.latency.intraAlpha);
+    appendDouble(out, o.latency.interAlpha);
+    appendDouble(out, o.memory.reserveFraction);
+    out += o.memory.checkpointActivations ? '1' : '0';
+    if (o.smModel) {
+        appendDouble(out, o.smModel->maxUtil());
+        appendDouble(out, o.smModel->halfSaturationFlops());
+    } else {
+        out += '-';
+    }
+}
+
+void
+appendModel(std::string &out, const ModelDesc &m)
+{
+    out += m.name;
+    out += ',';
+    out += std::to_string(m.globalBatchSize) + ',' +
+        std::to_string(m.contextLength) + ',';
+    out += std::to_string(static_cast<int>(m.computeDtype)) + ',' +
+        std::to_string(static_cast<int>(m.paramDtype)) + ',';
+    out += m.isRecommendation ? '1' : '0';
+    out += std::to_string(m.graph.numLayers()) + ',';
+    // Same-name models can differ per layer (custom JSON configs that
+    // redistribute width); fold every layer's class and cost into a
+    // 64-bit digest so such models never share a cache entry, one
+    // full-avalanche step per 64-bit field.
+    uint64_t h = 0;
+    auto fold = [&h](uint64_t v) {
+        h = mix64(h + 0x9e3779b97f4a7c15ull + v);
+    };
+    // Every per-layer, per-sample quantity the performance and memory
+    // models read: compute, lookup traffic, output/TP communication
+    // volume, and retained activations. Layers that trade width for
+    // depth can match on params + FLOPs alone, so those two are not
+    // enough.
+    const double dtype_bytes = m.activationBytes();
+    for (int i = 0; i < m.graph.numLayers(); ++i) {
+        const Layer &layer = m.graph.layer(i);
+        fold(static_cast<uint64_t>(layer.kind()));
+        fold(static_cast<uint64_t>(layer.layerClass()));
+        fold(bitsOf(layer.paramCount()));
+        fold(bitsOf(layer.forwardFlopsPerSample()));
+        fold(bitsOf(layer.lookupBytesPerSample()));
+        fold(bitsOf(layer.outputBytesPerSample(dtype_bytes)));
+        fold(bitsOf(layer.tpCommBytesPerSample(dtype_bytes)));
+        fold(bitsOf(layer.activationMemoryBytesPerSample(dtype_bytes)));
+    }
+    appendHex(out, h);
+}
+
+} // namespace
+
+std::string
+memoKeyPrefix(const PerfModel &model, const ModelDesc &desc,
+              const TaskSpec &task)
+{
+    std::string key;
+    key.reserve(256);
+    appendCluster(key, model.cluster());
+    key += '|';
+    appendOptions(key, model.options());
+    key += '|';
+    appendModel(key, desc);
+    key += '|';
+    key += task.toString();
+    key += '|';
+    return key;
+}
 
 EventCategory
 commCategoryOf(Collective kind)
@@ -138,6 +295,15 @@ EvalContext::sameTemplate(int a, int b) const
     return true;
 }
 
+const std::string &
+EvalContext::keyPrefix() const
+{
+    std::call_once(keyPrefixOnce_, [this] {
+        keyPrefix_ = memoKeyPrefix(*model_, *desc_, *task_);
+    });
+    return keyPrefix_;
+}
+
 size_t
 EvalContext::encode(HierStrategy hs)
 {
@@ -154,11 +320,8 @@ CollectiveEstimate
 EvalContext::collectiveEstimate(Collective kind, CommScope scope,
                                 double bytes) const
 {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(bytes), "double is 64-bit");
-    std::memcpy(&bits, &bytes, sizeof(bits));
     auto key = std::make_tuple(static_cast<int>(kind),
-                               static_cast<int>(scope), bits);
+                               static_cast<int>(scope), bitsOf(bytes));
     auto it = collectiveTable_.find(key);
     if (it != collectiveTable_.end())
         return it->second;

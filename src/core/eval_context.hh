@@ -42,12 +42,17 @@
  *    carries a NameSuffix, and a label (the layer's name from the
  *    ModelDesc plus that suffix) is composed only when a Timeline is
  *    retained.
+ *  - the EvalEngine memo key's plan-invariant prefix (the cluster,
+ *    options, model graph and task serialized by memoKeyPrefix) is
+ *    built on first need and kept, so a search that carries this
+ *    context across its batches serializes the triple once.
  *
- * Thread safety: evaluate()/verdict()/plannedOps() are safe to call
- * concurrently. Per-(class, strategy) tables and their segment sets
- * are built lazily under a mutex on first use (a plan touches exactly
- * one table per present class) and are immutable once published;
- * shape and template ids are fixed at construction.
+ * Thread safety: evaluate()/verdict()/plannedOps()/keyPrefix() are
+ * safe to call concurrently. Per-(class, strategy) tables and their
+ * segment sets are built lazily under a mutex on first use (a plan
+ * touches exactly one table per present class) and are immutable once
+ * published; the key prefix is built once under a once_flag; shape
+ * and template ids are fixed at construction.
  *
  * Lifetime: the context borrows the PerfModel, ModelDesc, and
  * TaskSpec it was built from; all three must outlive it. The
@@ -81,6 +86,11 @@ namespace madmax
 
 /** Breakdown category for a collective's trace events. */
 EventCategory commCategoryOf(Collective kind);
+
+/** The (cluster, options, model, task) head of an EvalEngine memo
+ *  key (EvalEngine::cacheKey), shared by every plan of one triple. */
+std::string memoKeyPrefix(const PerfModel &model, const ModelDesc &desc,
+                          const TaskSpec &task);
 
 /**
  * One collective call of one layer with its cost already resolved
@@ -123,6 +133,9 @@ class EvalContext
 
     /** task().toString(), computed once. */
     const std::string &taskName() const { return taskName_; }
+
+    /** memoKeyPrefix(model(), desc(), task()), built on first call. */
+    const std::string &keyPrefix() const;
 
     /**
      * The collective cost model this context prices with: the
@@ -307,6 +320,9 @@ class EvalContext
     /** Owns the published tables (guarded by buildMutex_). */
     mutable std::vector<std::unique_ptr<StrategyTable>> ownedTables_;
     mutable std::mutex buildMutex_;
+
+    mutable std::once_flag keyPrefixOnce_;
+    mutable std::string keyPrefix_; ///< Set once under keyPrefixOnce_.
 
     /** Keyed (kind, scope, bytes-bits); the context has one model. */
     mutable std::map<std::tuple<int, int, uint64_t>, CollectiveEstimate>

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
-#include <set>
+#include <unordered_set>
 
 #include "core/eval_context.hh"
 #include "dse/strategy_explorer.hh"
@@ -280,12 +280,19 @@ annealingSearch(const SearchSpace &space, EvalEngine &engine,
 
     // Tabu set: points already visited this run are never
     // re-proposed — with a tight budget every evaluation must be
-    // a fresh point, not a random-walk revisit.
-    auto pointKey = [](size_t hw, const ParallelPlan &plan) {
-        return std::to_string(hw) + '|' + plan.toString() +
-            (plan.fsdpPrefetch ? "+p" : "-p");
+    // a fresh point, not a random-walk revisit. Keyed by the point's
+    // exact index: hw * 25^k + sum (intra_i * 5 + inter_i) * 25^i over
+    // the k classes, then the prefetch bit.
+    auto pointKey = [&space](size_t hw, const ParallelPlan &plan) {
+        uint64_t key = hw;
+        for (size_t ci = space.classes.size(); ci-- > 0;) {
+            const HierStrategy hs = plan.strategyFor(space.classes[ci]);
+            key = key * 25 + static_cast<uint64_t>(hs.intra) * 5 +
+                static_cast<uint64_t>(hs.inter);
+        }
+        return key * 2 + (plan.fsdpPrefetch ? 1 : 0);
     };
-    std::set<std::string> seen;
+    std::unordered_set<uint64_t> seen;
     for (const SearchCandidate &c : out.evaluated)
         seen.insert(pointKey(c.hwIndex, c.plan));
 
@@ -432,11 +439,13 @@ geneticSearch(const SearchSpace &space, EvalEngine &engine,
         }
     }
 
-    std::set<std::string> visited;
-    auto genomeKey = [](const Individual &ind) {
-        std::string key = std::to_string(ind.hw);
-        for (size_t g : ind.genes)
-            key += ':' + std::to_string(g);
+    // A genome's key: hw, then each gene in radix
+    // candidates[ci].size() — exact, since every gene is below its radix.
+    std::unordered_set<uint64_t> visited;
+    auto genomeKey = [&space](const Individual &ind) {
+        uint64_t key = ind.hw;
+        for (size_t ci = 0; ci < ind.genes.size(); ++ci)
+            key = key * space.candidates[ci].size() + ind.genes[ci];
         return key;
     };
     for (const Individual &ind : population)

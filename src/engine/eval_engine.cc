@@ -1,15 +1,14 @@
 #include "engine/eval_engine.hh"
 
+#include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
+#include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "core/eval_context.hh"
-#include "hw/topology.hh"
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -24,163 +23,6 @@ namespace
 constexpr LayerClass kAllClasses[] = {
     LayerClass::SparseEmbedding, LayerClass::DenseEmbedding,
     LayerClass::BaseDense, LayerClass::Transformer, LayerClass::MoE};
-
-/** Append @p v as 16 lowercase hex digits, most significant first. */
-void
-appendHex(std::string &out, uint64_t v)
-{
-    static constexpr char kDigits[] = "0123456789abcdef";
-    char buf[16];
-    for (int i = 15; i >= 0; --i, v >>= 4)
-        buf[i] = kDigits[v & 0xf];
-    out.append(buf, sizeof(buf));
-}
-
-uint64_t
-bitsOf(double v)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-void
-appendDouble(std::string &out, double v)
-{
-    // The fixed-width bit pattern: equal text means bit-identical
-    // values, so two clusters that differ in the last ulp of a
-    // bandwidth never share cache entries. Fixed width needs no
-    // separator, and hex never contains the ',' or '|' the key's
-    // other fields and its prefix/suffix cut use.
-    appendHex(out, bitsOf(v));
-}
-
-/** The splitmix64 finalizer: every input bit flips about half of the
- *  output bits. */
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-void
-appendCluster(std::string &out, const ClusterSpec &c)
-{
-    out += c.name;
-    out += ',';
-    out += std::to_string(c.devicesPerNode) + ',' +
-        std::to_string(c.numNodes) + ',';
-    out += std::to_string(static_cast<int>(c.intraFabric)) + ',' +
-        std::to_string(static_cast<int>(c.interFabric)) + ',';
-    appendDouble(out, c.util.compute);
-    appendDouble(out, c.util.hbm);
-    appendDouble(out, c.util.intraLink);
-    appendDouble(out, c.util.interLink);
-    const DeviceSpec &d = c.device;
-    out += d.name;
-    out += ',';
-    appendDouble(out, d.peakFlopsTensor16);
-    appendDouble(out, d.peakFlopsTf32);
-    appendDouble(out, d.peakFlopsFp32);
-    appendDouble(out, d.hbmCapacity);
-    appendDouble(out, d.hbmBandwidth);
-    appendDouble(out, d.intraNodeBandwidth);
-    appendDouble(out, d.interNodeBandwidth);
-    // Topology-carrying clusters price on their own tier stack; the
-    // spec fingerprint keeps them from sharing entries with the flat
-    // shape (or with a differently-tiered topology).
-    if (c.topology) {
-        out += 'T';
-        appendHex(out, c.topology->fingerprint());
-    } else {
-        out += '-';
-    }
-}
-
-void
-appendOptions(std::string &out, const PerfModelOptions &o)
-{
-    out += o.ignoreMemory ? '1' : '0';
-    out += o.backgroundCommChannel ? '1' : '0';
-    out += o.keepTimeline ? '1' : '0';
-    out += std::to_string(static_cast<int>(o.allReduceAlgorithm));
-    out += ',';
-    appendDouble(out, o.latency.intraAlpha);
-    appendDouble(out, o.latency.interAlpha);
-    appendDouble(out, o.memory.reserveFraction);
-    out += o.memory.checkpointActivations ? '1' : '0';
-    if (o.smModel) {
-        appendDouble(out, o.smModel->maxUtil());
-        appendDouble(out, o.smModel->halfSaturationFlops());
-    } else {
-        out += '-';
-    }
-}
-
-void
-appendModel(std::string &out, const ModelDesc &m)
-{
-    out += m.name;
-    out += ',';
-    out += std::to_string(m.globalBatchSize) + ',' +
-        std::to_string(m.contextLength) + ',';
-    out += std::to_string(static_cast<int>(m.computeDtype)) + ',' +
-        std::to_string(static_cast<int>(m.paramDtype)) + ',';
-    out += m.isRecommendation ? '1' : '0';
-    out += std::to_string(m.graph.numLayers()) + ',';
-    // Same-name models can differ per layer (custom JSON configs that
-    // redistribute width); fold every layer's class and cost into a
-    // 64-bit digest so such models never share a cache entry, one
-    // full-avalanche step per 64-bit field.
-    uint64_t h = 0;
-    auto fold = [&h](uint64_t v) {
-        h = mix64(h + 0x9e3779b97f4a7c15ull + v);
-    };
-    // Every per-layer, per-sample quantity the performance and memory
-    // models read: compute, lookup traffic, output/TP communication
-    // volume, and retained activations. Layers that trade width for
-    // depth can match on params + FLOPs alone, so those two are not
-    // enough.
-    const double dtype_bytes = m.activationBytes();
-    for (int i = 0; i < m.graph.numLayers(); ++i) {
-        const Layer &layer = m.graph.layer(i);
-        fold(static_cast<uint64_t>(layer.kind()));
-        fold(static_cast<uint64_t>(layer.layerClass()));
-        fold(bitsOf(layer.paramCount()));
-        fold(bitsOf(layer.forwardFlopsPerSample()));
-        fold(bitsOf(layer.lookupBytesPerSample()));
-        fold(bitsOf(layer.outputBytesPerSample(dtype_bytes)));
-        fold(bitsOf(layer.tpCommBytesPerSample(dtype_bytes)));
-        fold(bitsOf(layer.activationMemoryBytesPerSample(dtype_bytes)));
-    }
-    appendHex(out, h);
-}
-
-/**
- * The (cluster, options, model, task) portion of the canonical key —
- * identical for every request of one batch group, so evaluateAll
- * computes it once per group instead of re-serializing the cluster
- * and model graph for every plan.
- */
-std::string
-keyPrefix(const PerfModel &model, const ModelDesc &desc,
-          const TaskSpec &task)
-{
-    std::string key;
-    key.reserve(256);
-    appendCluster(key, model.cluster());
-    key += '|';
-    appendOptions(key, model.options());
-    key += '|';
-    appendModel(key, desc);
-    key += '|';
-    key += task.toString();
-    key += '|';
-    return key;
-}
 
 /**
  * Identity-only report for a request whose evaluation threw. Carries
@@ -221,9 +63,10 @@ failureFromCurrentException(const PlanRequest &req)
     }
 }
 
-/** The per-plan portion of the canonical key (see cacheKey). */
-std::string
-keySuffix(const ModelDesc &desc, const ParallelPlan &plan)
+/** Append the per-plan portion of the canonical key (see cacheKey). */
+void
+appendPlanKey(std::string &key, const ModelDesc &desc,
+              const ParallelPlan &plan)
 {
     // Canonical plan: only classes the model has contribute to the
     // report, so only they contribute to the key. strategyFor folds
@@ -231,7 +74,6 @@ keySuffix(const ModelDesc &desc, const ParallelPlan &plan)
     // entries collide (deliberately). Each present class writes its
     // (intra, inter) pair as two fixed digits; the prefix pins the
     // class set, so the suffix needs no separators.
-    std::string key;
     for (LayerClass cls : kAllClasses) {
         if (!desc.graph.hasClass(cls))
             continue;
@@ -240,7 +82,6 @@ keySuffix(const ModelDesc &desc, const ParallelPlan &plan)
         key += static_cast<char>('0' + static_cast<int>(hs.inter));
     }
     key += plan.fsdpPrefetch ? "+p" : "-p";
-    return key;
 }
 
 } // namespace
@@ -269,8 +110,10 @@ EvalEngine::cacheKey(const PlanRequest &request)
 {
     if (!request.model || !request.desc || !request.task)
         fatal("EvalEngine: PlanRequest with null model/desc/task");
-    return keyPrefix(*request.model, *request.desc, *request.task) +
-        keySuffix(*request.desc, request.plan);
+    std::string key =
+        memoKeyPrefix(*request.model, *request.desc, *request.task);
+    appendPlanKey(key, *request.desc, request.plan);
+    return key;
 }
 
 std::shared_ptr<const PerfReport>
@@ -383,48 +226,27 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
 
     // Group requests by their (model, desc, task) triple: one
     // EvalContext (validation, per-layer compute times, resolved
-    // collectives) and one canonical key prefix serve every plan of a
-    // group — a sweep's hundreds of plans share a single context
-    // construction instead of paying it per evaluation.
+    // collectives) serves every plan of a group — a sweep's hundreds
+    // of plans share a single context construction instead of paying
+    // it per evaluation. A request that carries a context keys by the
+    // context's prefix, built once for the context's lifetime; the
+    // rest of a group share one prefix built for this call.
     struct Group
     {
-        const PerfModel *model;
-        const ModelDesc *desc;
-        const TaskSpec *task;
-        std::string prefix;               ///< Built on first key need.
-        bool prefixBuilt = false;
         const EvalContext *ctx = nullptr; ///< Set on first evaluation.
         std::unique_ptr<EvalContext> owned; ///< ctx when engine-built.
-    };
-    struct TripleHash
-    {
-        size_t operator()(const std::tuple<const void *, const void *,
-                                           const void *> &t) const
-        {
-            auto mix = [](size_t h, const void *p) {
-                return h * 1099511628211ull ^
-                    reinterpret_cast<size_t>(p);
-            };
-            size_t h = 1469598103934665603ull;
-            h = mix(h, std::get<0>(t));
-            h = mix(h, std::get<1>(t));
-            return mix(h, std::get<2>(t));
-        }
+        std::string prefix; ///< Context-less key prefix; built on need.
     };
     std::vector<Group> groups;
-    std::unordered_map<std::tuple<const void *, const void *,
-                                  const void *>,
-                       size_t, TripleHash>
-        groupIndex;
+    std::map<std::array<uintptr_t, 3>, size_t> groupIndex; ///< By address.
     auto groupOf = [&](const PlanRequest &req) -> Group & {
-        auto key = std::make_tuple(
-            static_cast<const void *>(req.model),
-            static_cast<const void *>(req.desc),
-            static_cast<const void *>(req.task));
-        auto [it, inserted] = groupIndex.emplace(key, groups.size());
+        auto addr = [](const void *p) {
+            return reinterpret_cast<uintptr_t>(p);
+        };
+        auto [it, inserted] = groupIndex.try_emplace(
+            {addr(req.model), addr(req.desc), addr(req.task)}, groups.size());
         if (inserted)
-            groups.push_back(Group{req.model, req.desc, req.task, {},
-                                   false, nullptr, nullptr});
+            groups.emplace_back();
         return groups[it->second];
     };
 
@@ -435,7 +257,6 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
     {
         size_t firstIdx;          ///< Owns the evaluation.
         std::vector<size_t> dups; ///< Served from firstIdx's report.
-        std::string key;
         const EvalContext *ctx; ///< The group's context.
         /** results[firstIdx] holds the pre-pass's memory verdict. */
         bool priced;
@@ -455,12 +276,14 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
                   "model/desc/task");
         Group &group = groupOf(req);
         if (options_.memoize) {
-            if (!group.prefixBuilt) {
+            if (!req.context && group.prefix.empty()) // Empty: unbuilt.
                 group.prefix =
-                    keyPrefix(*req.model, *req.desc, *req.task);
-                group.prefixBuilt = true;
-            }
-            keys[i] = group.prefix + keySuffix(*req.desc, req.plan);
+                    memoKeyPrefix(*req.model, *req.desc, *req.task);
+            const std::string &prefix =
+                req.context ? req.context->keyPrefix() : group.prefix;
+            keys[i].reserve(prefix.size() + 2 * kNumLayerClasses + 2);
+            keys[i] = prefix;
+            appendPlanKey(keys[i], *req.desc, req.plan);
             if (auto hit = cacheGet(keys[i])) {
                 ++local.cacheHits;
                 results[i] = *hit;
@@ -510,7 +333,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         ++local.evaluations;
         if (options_.memoize)
             keyToPending.emplace(keys[i], pending.size());
-        pending.push_back(Pending{i, {}, keys[i], group.ctx, priced});
+        pending.push_back(Pending{i, {}, group.ctx, priced});
     }
 
     auto evaluateAt = [&](size_t p) {
@@ -545,7 +368,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         // transient and must not poison the memo for the plan's
         // lifetime.
         if (options_.memoize && !bad)
-            cachePut(p.key, results[p.firstIdx]);
+            cachePut(keys[p.firstIdx], results[p.firstIdx]);
         for (size_t dup : p.dups) {
             results[dup] = results[p.firstIdx];
             results[dup].plan = requests[dup].plan;

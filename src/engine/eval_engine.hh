@@ -22,7 +22,8 @@
  *     shares one EvalContext (validation, per-layer compute times,
  *     resolved collectives — see core/eval_context.hh) and one
  *     canonical-key prefix, so a sweep's hundreds of plans pay the
- *     plan-invariant work once instead of per evaluation.
+ *     plan-invariant work once instead of per evaluation (a request's
+ *     own PlanRequest::context supplies both for as long as it lives).
  *
  * Results are returned in request order, so callers are deterministic
  * regardless of thread count.
@@ -154,9 +155,10 @@ struct PlanRequest
      * Optional context built from exactly this request's model, desc,
      * and task (the same objects; must outlive the call). Callers that
      * submit many small batches against one triple — the guided
-     * searches — keep one alive across calls, so strategy tables and
-     * segment arenas are built once instead of per batch. Null: the
-     * engine builds one per (model, desc, task) group of the batch.
+     * searches — keep one alive across calls, so strategy tables,
+     * segment arenas and the memo-key prefix are built once instead of
+     * per batch. Null: the engine builds one per (model, desc, task)
+     * group of the batch.
      */
     const EvalContext *context = nullptr;
 };

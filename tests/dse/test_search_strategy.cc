@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <set>
+
 #include "dse/search_strategy.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
+#include "model/layer.hh"
 #include "model/model_zoo.hh"
 #include "util/logging.hh"
 
@@ -34,6 +40,35 @@ struct JointFixture
           large(hw_zoo::dlrmTrainingSystem())
     {
         space = makeSearchSpace({&small, &large}, desc, task);
+    }
+};
+
+/**
+ * A three-point joint space (ZionEX at 4, 8 and 16 nodes) over
+ * DLRM-A-MoE with a dense embedding and an attention layer appended,
+ * so all five layer classes are present: the widest plan key the
+ * guided searches' visited sets ever index.
+ */
+struct FiveClassFixture
+{
+    ModelDesc desc = model_zoo::dlrmAMoe();
+    TaskSpec task = TaskSpec::preTraining();
+    PerfModel four;
+    PerfModel eight;
+    PerfModel sixteen;
+    SearchSpace space;
+
+    FiveClassFixture()
+        : four(hw_zoo::dlrmTrainingSystem().withNumNodes(4)),
+          eight(hw_zoo::dlrmTrainingSystem().withNumNodes(8)),
+          sixteen(hw_zoo::dlrmTrainingSystem())
+    {
+        int tok = desc.graph.addLayer(std::make_unique<TokenEmbeddingLayer>(
+            "Dense_EMB", 4096, 256, 16.0, 1));
+        desc.graph.addLayer(std::make_unique<AttentionLayer>(
+                                "Attn", LayerClass::Transformer, 256, 8, 16),
+                            {tok});
+        space = makeSearchSpace({&four, &eight, &sixteen}, desc, task);
     }
 };
 
@@ -298,6 +333,123 @@ TEST(BestCandidateTest, FirstWinsTiesAndInvalidLoses)
     ASSERT_NE(best, nullptr);
     EXPECT_EQ(best->hwIndex, 2u);
     EXPECT_EQ(bestCandidate(outcome.evaluated, 3), nullptr);
+}
+
+/** FNV-1a over the visit trace, one line per visit. */
+uint64_t
+traceDigest(const std::vector<std::string> &trace)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const std::string &visit : trace) {
+        for (char ch : visit + '\n')
+            h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(GuidedSearch, VisitOrderIsPinned)
+{
+    // Generated from the string-keyed tabu and visited sets: the
+    // integer point keys that replaced them must not change a single
+    // proposal.
+    const std::map<std::string, std::vector<std::string>> expected = {
+        {"annealing", {
+        "1|sparse-embedding=(MP) base-dense=(FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(TP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(DDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(TP, FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(TP, FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(TP, FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(DDP, TP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(DDP, FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(TP, DDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(TP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(TP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(FSDP, DDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(FSDP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(FSDP, DDP) +prefetch+p",
+        }},
+        {"genetic", {
+        "1|sparse-embedding=(MP) base-dense=(FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(DDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(TP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(TP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(DDP, TP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(TP, FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(FSDP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP) base-dense=(DDP, FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(FSDP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(FSDP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(TP, DDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(TP, FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP, DDP) base-dense=(FSDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(DDP, TP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(TP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP, DDP) base-dense=(FSDP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(TP, FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(TP, DDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(DDP, FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(DDP, FSDP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(DDP) +prefetch+p",
+        "1|sparse-embedding=(MP, DDP) base-dense=(TP) +prefetch+p",
+        "0|sparse-embedding=(MP) base-dense=(DDP, TP) +prefetch+p",
+        }},
+    };
+    JointFixture fx;
+    SearchOptions opts;
+    opts.seed = 42;
+    for (const auto &[name, trace] : expected) {
+        EvalEngine engine;
+        EXPECT_EQ(visitTrace(runSearch(name, fx.space, engine, opts)),
+                  trace)
+            << name;
+    }
+}
+
+TEST(GuidedSearch, FiveClassSpaceVisitsEachPointOnce)
+{
+    FiveClassFixture fx;
+    ASSERT_EQ(fx.space.classes.size(), 5u);
+    SearchOptions opts;
+    opts.seed = 42;
+    opts.maxEvaluations = 96;
+
+    // Genetic's seed phase sweeps each class around the previous
+    // classes' winners, so each sweep re-reads one point of the sweep
+    // before it (a memo hit). Every later visit goes through the
+    // visited set and must be fresh.
+    size_t geneticSeedSweep = 0;
+    for (const std::vector<HierStrategy> &cands : fx.space.candidates)
+        geneticSeedSweep += cands.size();
+    // Visit counts and trace digests, generated from the string-keyed
+    // sets like VisitOrderIsPinned.
+    struct Expected
+    {
+        const char *name;
+        size_t visits;
+        size_t checkedFrom;
+        uint64_t digest;
+    };
+    for (const Expected &e :
+         {Expected{"annealing", 88, 0, 0xb74c53e34c71f176ull},
+          Expected{"genetic", 130, geneticSeedSweep,
+                   0xd110bd94be12ca46ull}}) {
+        EvalEngine engine;
+        std::vector<std::string> trace =
+            visitTrace(runSearch(e.name, fx.space, engine, opts));
+        EXPECT_EQ(trace.size(), e.visits) << e.name;
+        EXPECT_EQ(traceDigest(trace), e.digest) << e.name;
+        std::set<std::string> earlier(trace.begin(),
+                                      trace.begin() + e.checkedFrom);
+        for (size_t i = e.checkedFrom; i < trace.size(); ++i)
+            EXPECT_TRUE(earlier.insert(trace[i]).second)
+                << e.name << " revisits " << trace[i];
+    }
 }
 
 } // namespace madmax

@@ -2,18 +2,22 @@
  * @file
  * EvalEngine tests: determinism across thread counts, memoization
  * correctness (cached report == fresh report), feasibility-pruning
- * accounting, canonical cache keys, and mixed multi-model batches.
+ * accounting, canonical cache keys (a context's own prefix included),
+ * and mixed multi-model batches.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../report_check.hh"
+#include "core/eval_context.hh"
 #include "dse/strategy_explorer.hh"
 #include "engine/eval_engine.hh"
 #include "fleet/fleet_sim.hh"
@@ -317,6 +321,112 @@ TEST(EvalEngine, CacheKeyIsGroupPrefixPlusPlanSuffix)
     PlanRequest c{&model, &gpt3, &inf, ParallelPlan::fsdpBaseline()};
     std::string kc = EvalEngine::cacheKey(c);
     EXPECT_NE(ka.substr(0, cut_a), kc.substr(0, kc.rfind('|')));
+}
+
+namespace
+{
+
+/** Three plans with distinct keys on every zoo model: the FSDP
+ *  baseline, the same without prefetch, and a TP/MP-heavy plan. */
+std::vector<ParallelPlan>
+threeKeyedPlans()
+{
+    ParallelPlan noPrefetch = ParallelPlan::fsdpBaseline();
+    noPrefetch.fsdpPrefetch = !noPrefetch.fsdpPrefetch;
+    ParallelPlan sharded;
+    for (LayerClass cls : {LayerClass::DenseEmbedding,
+                           LayerClass::BaseDense, LayerClass::Transformer})
+        sharded.set(cls, HierStrategy{Strategy::TP, Strategy::DDP});
+    for (LayerClass cls : {LayerClass::SparseEmbedding, LayerClass::MoE})
+        sharded.set(cls, HierStrategy{Strategy::MP, Strategy::DDP});
+    return {ParallelPlan::fsdpBaseline(), noPrefetch, sharded};
+}
+
+} // namespace
+
+TEST(EvalEngine, ContextPrefixKeysEqualCacheKeyAcrossTheZoo)
+{
+    // A request that carries an EvalContext is keyed by the context's
+    // own prefix. Those keys must be cacheKey's, byte for byte: a
+    // later context-less batch of the same plans then hits every one.
+    std::vector<ModelDesc> zoo = model_zoo::tableIISuite();
+    zoo.push_back(model_zoo::vit(model_zoo::VitSize::H, 4096));
+    zoo.push_back(model_zoo::llama2_7b());
+    const std::vector<ParallelPlan> plans = threeKeyedPlans();
+    const long n = static_cast<long>(plans.size());
+    for (const ModelDesc &desc : zoo) {
+        ClusterSpec flat = desc.isRecommendation
+            ? hw_zoo::dlrmTrainingSystem()
+            : hw_zoo::llmTrainingSystem();
+        for (const ClusterSpec &cluster :
+             {flat, hw_zoo::withTopology(flat,
+                                         hw_zoo::dcRailTopology(flat))}) {
+            PerfModel model(cluster);
+            for (const TaskSpec &task :
+                 {TaskSpec::preTraining(), TaskSpec::inference()}) {
+                SCOPED_TRACE(desc.name + " on " + cluster.name +
+                             (cluster.topology ? " (topology), " : ", ") +
+                             task.toString());
+                EvalContext ctx(model, desc, task);
+                std::vector<PlanRequest> reqs;
+                for (const ParallelPlan &plan : plans) {
+                    reqs.push_back(PlanRequest{&model, &desc, &task, plan});
+                    reqs.back().context = &ctx;
+                }
+                EvalEngine engine;
+                engine.evaluateAll(reqs);
+                EXPECT_EQ(engine.counters().cacheEntries,
+                          static_cast<size_t>(n));
+                for (PlanRequest &req : reqs) {
+                    EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(req)))
+                        << req.plan.toString();
+                    req.context = nullptr;
+                }
+                EvalStats stats;
+                engine.evaluateAll(reqs, &stats);
+                EXPECT_EQ(stats.cacheHits, n);
+                EXPECT_EQ(stats.evaluations, 0);
+            }
+        }
+    }
+}
+
+TEST(EvalEngine, ConcurrentBatchesBuildOneContextPrefix)
+{
+    // Two threads key their batches by one shared context whose
+    // prefix neither has built yet: the prefix is built once (no
+    // data race) and both key every plan alike, so the shared memo
+    // holds one entry per plan.
+    PerfModel model(hw_zoo::llmTrainingSystem());
+    ModelDesc desc = model_zoo::llama2_7b();
+    TaskSpec task = TaskSpec::preTraining();
+    EvalContext ctx(model, desc, task);
+    std::vector<PlanRequest> reqs;
+    for (const ParallelPlan &plan : threeKeyedPlans()) {
+        reqs.push_back(PlanRequest{&model, &desc, &task, plan});
+        reqs.back().context = &ctx;
+    }
+
+    EvalEngine engine;
+    std::atomic<int> ready{0};
+    std::vector<PerfReport> results[2];
+    auto run = [&](int t) {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        results[t] = engine.evaluateAll(reqs);
+    };
+    std::thread a(run, 0);
+    std::thread b(run, 1);
+    a.join();
+    b.join();
+
+    EXPECT_EQ(engine.counters().cacheEntries, reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(reqs[i])));
+        expectReportsEqual(results[0][i], results[1][i]);
+    }
+    EXPECT_EQ(ctx.keyPrefix(), memoKeyPrefix(model, desc, task));
 }
 
 TEST(EvalEngine, CacheKeySeparatesClustersOneUlpApart)
