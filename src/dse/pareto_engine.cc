@@ -30,6 +30,34 @@ candidateJson(const ParetoCandidate &c,
     return out;
 }
 
+/**
+ * The non-dominated subset of the valid @p candidates under the
+ * objective vectors @p objectivesOf returns, ranked by the first
+ * objective, descending; ties keep visit order.
+ */
+template <typename Candidate, typename ObjectivesOf>
+std::vector<Candidate>
+validFrontier(const std::vector<Candidate> &candidates,
+              ObjectivesOf objectivesOf)
+{
+    std::vector<ParetoPointNd> scored;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        if (candidates[i].report.valid)
+            scored.push_back(ParetoPointNd{objectivesOf(candidates[i]), i});
+    }
+    std::vector<size_t> frontier = paretoFrontierNd(scored);
+    std::stable_sort(frontier.begin(), frontier.end(),
+                     [&](size_t a, size_t b) {
+                         return scored[a].objectives[0] >
+                             scored[b].objectives[0];
+                     });
+    std::vector<Candidate> points;
+    points.reserve(frontier.size());
+    for (size_t idx : frontier)
+        points.push_back(candidates[scored[idx].tag]);
+    return points;
+}
+
 } // namespace
 
 ParetoObjectives
@@ -165,26 +193,12 @@ ParetoEngine::explore(const ModelDesc &desc, const TaskSpec &task,
     }
 
     // The multi-objective frontier over every valid visit.
-    std::vector<ParetoPointNd> scored;
-    std::vector<size_t> scoredIdx;
-    for (size_t i = 0; i < out.candidates.size(); ++i) {
-        const ParetoCandidate &c = out.candidates[i];
-        if (!c.report.valid)
-            continue;
-        scored.push_back(ParetoPointNd{
-            {c.objectives.throughput, c.objectives.perfPerTco,
-             c.objectives.memHeadroomBytes},
-            scoredIdx.size()});
-        scoredIdx.push_back(i);
-    }
-    for (size_t idx : paretoFrontierNd(scored))
-        out.points.push_back(out.candidates[scoredIdx[idx]]);
-    std::stable_sort(out.points.begin(), out.points.end(),
-                     [](const ParetoCandidate &a,
-                        const ParetoCandidate &b) {
-                         return a.objectives.throughput >
-                             b.objectives.throughput;
-                     });
+    out.points =
+        validFrontier(out.candidates, [](const ParetoCandidate &c) {
+            return std::vector<double>{c.objectives.throughput,
+                                       c.objectives.perfPerTco,
+                                       c.objectives.memHeadroomBytes};
+        });
     return out;
 }
 
@@ -354,26 +368,12 @@ exploreInferencePlacements(const ModelDesc &desc,
     }
 
     // The multi-objective frontier over the valid placements.
-    std::vector<ParetoPointNd> scored;
-    std::vector<size_t> scoredIdx;
-    for (size_t i = 0; i < out.candidates.size(); ++i) {
-        const InferencePlacementCandidate &c = out.candidates[i];
-        if (!c.report.valid)
-            continue;
-        scored.push_back(ParetoPointNd{
-            {c.objectives.tokensPerSecond, c.objectives.perfPerTco,
-             c.objectives.maxConcurrentSequences},
-            scoredIdx.size()});
-        scoredIdx.push_back(i);
-    }
-    for (size_t idx : paretoFrontierNd(scored))
-        out.points.push_back(out.candidates[scoredIdx[idx]]);
-    std::stable_sort(out.points.begin(), out.points.end(),
-                     [](const InferencePlacementCandidate &a,
-                        const InferencePlacementCandidate &b) {
-                         return a.objectives.tokensPerSecond >
-                             b.objectives.tokensPerSecond;
-                     });
+    out.points = validFrontier(
+        out.candidates, [](const InferencePlacementCandidate &c) {
+            return std::vector<double>{
+                c.objectives.tokensPerSecond, c.objectives.perfPerTco,
+                c.objectives.maxConcurrentSequences};
+        });
     return out;
 }
 
@@ -448,10 +448,7 @@ nodeCountSweep(const ClusterSpec &cluster,
 {
     if (node_counts.empty())
         fatal("nodeCountSweep: empty node-count list");
-    double a100_peak = hw_zoo::a100_40().peakFlopsTensor16;
-    double ratio = cluster.device.peakFlopsTensor16 > 0.0
-        ? cluster.device.peakFlopsTensor16 / a100_peak
-        : 1.0;
+    const double ratio = makeHardwarePoint(cluster).a100PeakRatio;
     std::vector<HardwarePoint> out;
     out.reserve(node_counts.size());
     for (int nodes : node_counts) {

@@ -16,6 +16,24 @@ namespace madmax
 namespace
 {
 
+/** @name Simulated annealing */
+/// @{
+/** Initial temperature as a fraction of current throughput. */
+constexpr double kInitialTemperature = 0.15;
+/** Geometric cooling factor applied per proposal. */
+constexpr double kCoolingRate = 0.90;
+/** Probability that a proposal mutates the hardware coordinate. */
+constexpr double kHardwareMoveProbability = 0.35;
+/// @}
+
+/** @name Genetic search */
+/// @{
+constexpr size_t kPopulationSize = 12;
+constexpr int kMaxGenerations = 16;
+/** Per-gene mutation probability after crossover. */
+constexpr double kMutationRate = 0.25;
+/// @}
+
 /**
  * Deterministic bounded draw. std::uniform_int_distribution's mapping
  * is implementation-defined, so the guided searches would produce
@@ -296,7 +314,7 @@ annealingSearch(const SearchSpace &space, EvalEngine &engine,
     for (const SearchCandidate &c : out.evaluated)
         seen.insert(pointKey(c.hwIndex, c.plan));
 
-    double temperature = options.initialTemperature;
+    double temperature = kInitialTemperature;
     // Proposal cap: tabu'd proposals are free, so a small space
     // must not spin forever once it is exhausted.
     long proposals = 0;
@@ -319,7 +337,7 @@ annealingSearch(const SearchSpace &space, EvalEngine &engine,
             break;
         bool moveHw = canMoveHw &&
             (!anyClassMutable ||
-             drawUnit(rng) < options.hardwareMoveProbability);
+             drawUnit(rng) < kHardwareMoveProbability);
         if (moveHw) {
             hwNext = drawIndex(rng, space.models.size() - 1);
             if (hwNext >= hwCur)
@@ -344,7 +362,7 @@ annealingSearch(const SearchSpace &space, EvalEngine &engine,
         evaluateInto(space, engine, &contexts, {{hwNext, planNext}},
                      out);
         const PerfReport &next = out.evaluated[first].report;
-        temperature *= options.coolingRate;
+        temperature *= kCoolingRate;
         if (!next.valid)
             continue;
         bool accept;
@@ -484,8 +502,7 @@ geneticSearch(const SearchSpace &space, EvalEngine &engine,
         std::vector<Individual> extra;
         for (size_t hw = 0; hw < space.models.size(); ++hw)
             extra.push_back(Individual{hw, winners, -1.0});
-        while (extra.size() + population.size() <
-               static_cast<size_t>(options.populationSize)) {
+        while (extra.size() + population.size() < kPopulationSize) {
             Individual ind;
             ind.hw = drawIndex(rng, space.models.size());
             for (size_t ci = 0; ci < space.classes.size(); ++ci)
@@ -507,20 +524,17 @@ geneticSearch(const SearchSpace &space, EvalEngine &engine,
         return a.fitness >= b.fitness ? a : b;
     };
 
-    for (int gen = 0; gen < options.maxGenerations &&
+    for (int gen = 0; gen < kMaxGenerations &&
          out.stats.evaluations < budget && !population.empty();
          ++gen) {
         // Keep selection pressure bounded: survivors are the
-        // fittest populationSize genomes seen so far.
+        // fittest kPopulationSize genomes seen so far.
         std::stable_sort(population.begin(), population.end(),
                          fitter);
-        if (population.size() >
-            static_cast<size_t>(options.populationSize)) {
-            population.resize(
-                static_cast<size_t>(options.populationSize));
-        }
+        if (population.size() > kPopulationSize)
+            population.resize(kPopulationSize);
         std::vector<Individual> children;
-        for (int k = 0; k < options.populationSize; ++k) {
+        for (size_t k = 0; k < kPopulationSize; ++k) {
             const Individual &pa = tournament();
             const Individual &pb = tournament();
             Individual child;
@@ -531,12 +545,12 @@ geneticSearch(const SearchSpace &space, EvalEngine &engine,
                 child.genes.push_back(drawUnit(rng) < 0.5
                                           ? pa.genes[ci]
                                           : pb.genes[ci]);
-            if (drawUnit(rng) < options.mutationRate &&
+            if (drawUnit(rng) < kMutationRate &&
                 space.models.size() > 1) {
                 child.hw = drawIndex(rng, space.models.size());
             }
             for (size_t ci = 0; ci < space.classes.size(); ++ci) {
-                if (drawUnit(rng) < options.mutationRate) {
+                if (drawUnit(rng) < kMutationRate) {
                     child.genes[ci] = drawIndex(
                         rng, space.candidates[ci].size());
                 }

@@ -14,8 +14,8 @@
  * ParetoEngine builds a multi-objective frontier from all of it.
  *
  * Four strategies ship. Their names are the only vocabulary: the CLI,
- * the JSON bodies, ExplorerOptions and ParetoOptions all pass one of
- * them to runSearch(), which dispatches from one static table:
+ * the JSON bodies and ParetoOptions all pass one of them to
+ * runSearch(), which dispatches from one static table:
  *
  *   exhaustive         full cartesian product (StrategyExplorer::explore),
  *   coordinate-descent greedy per-coordinate sweeps until fixpoint,
@@ -67,24 +67,6 @@ struct SearchOptions
      * an explicit budget but normally terminates on its own.
      */
     long maxEvaluations = 0;
-
-    /** @name Simulated annealing */
-    /// @{
-    /** Initial temperature as a fraction of current throughput. */
-    double initialTemperature = 0.15;
-    /** Geometric cooling factor applied per proposal. */
-    double coolingRate = 0.90;
-    /** Probability that a proposal mutates the hardware coordinate. */
-    double hardwareMoveProbability = 0.35;
-    /// @}
-
-    /** @name Genetic search */
-    /// @{
-    int populationSize = 12;
-    int maxGenerations = 16;
-    /** Per-gene mutation probability after crossover. */
-    double mutationRate = 0.25;
-    /// @}
 };
 
 /** One visited point of the space. */

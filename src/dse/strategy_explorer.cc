@@ -1,6 +1,7 @@
 #include "dse/strategy_explorer.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/logging.hh"
 
@@ -22,17 +23,6 @@ EvalEngine &
 StrategyExplorer::engine() const
 {
     return shared_ ? *shared_ : *owned_;
-}
-
-const PerfModel &
-StrategyExplorer::searchModel(const ExplorerOptions &options,
-                              std::optional<PerfModel> &unconstrained) const
-{
-    if (!options.ignoreMemory)
-        return model_;
-    PerfModelOptions o = model_.options();
-    o.ignoreMemory = true;
-    return unconstrained.emplace(model_.cluster(), o);
 }
 
 std::vector<HierStrategy>
@@ -78,14 +68,21 @@ Exploration
 StrategyExplorer::explore(const ModelDesc &desc, const TaskSpec &task,
                           const ExplorerOptions &options) const
 {
+    // With ignoreMemory the search runs on a copy of the model that
+    // ignores memory; the copy costs a full cluster copy and
+    // re-validation, which the common constrained search must not pay.
     std::optional<PerfModel> unconstrained;
-    SearchSpace space =
-        makeSearchSpace({&searchModel(options, unconstrained)}, desc,
-                        task, options.explorePrefetch);
+    if (options.ignoreMemory) {
+        PerfModelOptions o = model_.options();
+        o.ignoreMemory = true;
+        unconstrained.emplace(model_.cluster(), o);
+    }
+    SearchSpace space = makeSearchSpace(
+        {unconstrained ? &*unconstrained : &model_}, desc, task,
+        options.explorePrefetch);
     // The full plan product in canonical enumeration order (a golden-
     // suite compatibility contract — see dse::enumeratePlans).
-    SearchOutcome outcome =
-        runSearch("exhaustive", space, engine(), options.search);
+    SearchOutcome outcome = runSearch("exhaustive", space, engine());
 
     Exploration out;
     out.stats = outcome.stats;
@@ -111,20 +108,15 @@ ExplorationResult
 StrategyExplorer::best(const ModelDesc &desc, const TaskSpec &task,
                        const ExplorerOptions &options) const
 {
-    std::optional<PerfModel> unconstrained;
-    SearchSpace space =
-        makeSearchSpace({&searchModel(options, unconstrained)}, desc,
-                        task, options.explorePrefetch);
-    SearchOutcome outcome =
-        runSearch(options.strategy, space, engine(), options.search);
-
-    const SearchCandidate *winner = bestCandidate(outcome.evaluated);
-    if (!winner) {
+    Exploration exploration = explore(desc, task, options);
+    if (exploration.results.empty() ||
+        !exploration.results.front().report.valid) {
         fatal("StrategyExplorer: no valid plan fits device memory "
               "for '" + desc.name + "'");
     }
-    return ExplorationResult{winner->plan, winner->report,
-                             outcome.stats};
+    ExplorationResult winner = std::move(exploration.results.front());
+    winner.stats = exploration.stats;
+    return winner;
 }
 
 JsonValue

@@ -5,20 +5,17 @@
  * evaluates each full plan through the performance model, and ranks
  * by throughput — the engine behind Figs. 10-18.
  *
- * Both entry points are thin over dse/search_strategy.hh: explore()
- * is runSearch("exhaustive") plus a ranking, best() is runSearch() with
- * the configured strategy plus an argmax. All evaluations flow through
- * an EvalEngine (src/engine/), which parallelizes, memoizes, and
- * prunes them; result ordering is deterministic regardless of thread
- * count.
+ * explore() is runSearch("exhaustive") (dse/search_strategy.hh) plus
+ * a ranking; best() is the head of that ranking. All evaluations flow
+ * through an EvalEngine (src/engine/), which parallelizes, memoizes,
+ * and prunes them; result ordering is deterministic regardless of
+ * thread count.
  */
 
 #ifndef MADMAX_DSE_STRATEGY_EXPLORER_HH
 #define MADMAX_DSE_STRATEGY_EXPLORER_HH
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "dse/search_strategy.hh"
@@ -67,16 +64,6 @@ struct ExplorerOptions
 
     /** Also explore FSDP-prefetch variants of FSDP-bearing plans. */
     bool explorePrefetch = false;
-
-    /**
-     * How best() searches the space, by registry name: exhaustive |
-     * coordinate-descent | annealing | genetic (searchStrategyNames()).
-     * explore() is always exhaustive.
-     */
-    std::string strategy = "exhaustive";
-
-    /** Budget / seed knobs for the guided algorithms. */
-    SearchOptions search;
 };
 
 /**
@@ -112,16 +99,13 @@ class StrategyExplorer
                         const ExplorerOptions &options = {}) const;
 
     /**
-     * The throughput-optimal valid plan, via runSearch() with
-     * options.strategy. Coordinate descent evaluates O(classes x
-     * candidates) plans per round instead of the full product; it can
-     * stop in a local optimum but matches exhaustive search on every
-     * workload in this suite (see tests). Annealing and genetic
-     * honor options.search.maxEvaluations. The result's stats field
-     * carries the whole search's cost.
+     * The throughput-optimal valid plan: the head of explore()'s
+     * ranking (the first plan in enumeration order on a throughput
+     * tie). The result's stats field carries the whole search's cost.
+     * Guided searches over a space run through runSearch() or the
+     * ParetoEngine.
      *
-     * @throws ConfigError if no plan fits in memory, or on an unknown
-     *         strategy name.
+     * @throws ConfigError if no plan fits in memory.
      */
     ExplorationResult best(const ModelDesc &desc, const TaskSpec &task,
                            const ExplorerOptions &options = {}) const;
@@ -132,17 +116,6 @@ class StrategyExplorer
   private:
     /** The shared engine, or the private serial fallback. */
     EvalEngine &engine() const;
-
-    /**
-     * The model a search runs on: the bound one, or with
-     * options.ignoreMemory a copy that ignores memory, materialized
-     * into @p unconstrained (it costs a full cluster copy and
-     * re-validation, which the common constrained search must not
-     * pay).
-     */
-    const PerfModel &
-    searchModel(const ExplorerOptions &options,
-                std::optional<PerfModel> &unconstrained) const;
 
     const PerfModel &model_;
     EvalEngine *shared_;                ///< Borrowed; may be null.

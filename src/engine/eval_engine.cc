@@ -275,27 +275,24 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
             fatal("EvalEngine: PlanRequest context was built for another "
                   "model/desc/task");
         Group &group = groupOf(req);
-        if (options_.memoize) {
-            if (!req.context && group.prefix.empty()) // Empty: unbuilt.
-                group.prefix =
-                    memoKeyPrefix(*req.model, *req.desc, *req.task);
-            const std::string &prefix =
-                req.context ? req.context->keyPrefix() : group.prefix;
-            keys[i].reserve(prefix.size() + 2 * kNumLayerClasses + 2);
-            keys[i] = prefix;
-            appendPlanKey(keys[i], *req.desc, req.plan);
-            if (auto hit = cacheGet(keys[i])) {
-                ++local.cacheHits;
-                results[i] = *hit;
-                results[i].plan = req.plan;
-                continue;
-            }
-            auto it = keyToPending.find(keys[i]);
-            if (it != keyToPending.end()) {
-                ++local.cacheHits;
-                pending[it->second].dups.push_back(i);
-                continue;
-            }
+        if (!req.context && group.prefix.empty()) // Empty: unbuilt.
+            group.prefix = memoKeyPrefix(*req.model, *req.desc, *req.task);
+        const std::string &prefix =
+            req.context ? req.context->keyPrefix() : group.prefix;
+        keys[i].reserve(prefix.size() + 2 * kNumLayerClasses + 2);
+        keys[i] = prefix;
+        appendPlanKey(keys[i], *req.desc, req.plan);
+        if (auto hit = cacheGet(keys[i])) {
+            ++local.cacheHits;
+            results[i] = *hit;
+            results[i].plan = req.plan;
+            continue;
+        }
+        auto it = keyToPending.find(keys[i]);
+        if (it != keyToPending.end()) {
+            ++local.cacheHits;
+            pending[it->second].dups.push_back(i);
+            continue;
         }
         // Per-request isolation starts here: context construction and
         // the memory verdict evaluate the request's own input, so a
@@ -316,8 +313,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
                     ++local.pruned;
                     // Cache the verdict-only report: later duplicates
                     // (same batch or later calls) hit cacheGet above.
-                    if (options_.memoize)
-                        cachePut(keys[i], results[i]);
+                    cachePut(keys[i], results[i]);
                     continue;
                 }
                 // Feasible: the verdict waits in its result slot for
@@ -331,8 +327,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
             continue;
         }
         ++local.evaluations;
-        if (options_.memoize)
-            keyToPending.emplace(keys[i], pending.size());
+        keyToPending.emplace(keys[i], pending.size());
         pending.push_back(Pending{i, {}, group.ctx, priced});
     }
 
@@ -367,7 +362,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         // Failed reports are never cached: the failure may be
         // transient and must not poison the memo for the plan's
         // lifetime.
-        if (options_.memoize && !bad)
+        if (!bad)
             cachePut(keys[p.firstIdx], results[p.firstIdx]);
         for (size_t dup : p.dups) {
             results[dup] = results[p.firstIdx];

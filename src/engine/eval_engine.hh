@@ -169,9 +169,6 @@ struct EvalEngineOptions
     /** Worker threads; 1 = serial on the caller, 0 = one per core. */
     int jobs = 1;
 
-    /** Memoize reports across evaluateAll calls. */
-    bool memoize = true;
-
     /** Cache entry cap; oldest entries are evicted beyond it. */
     size_t cacheCapacity = 1 << 13;
 };

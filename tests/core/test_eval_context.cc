@@ -262,8 +262,7 @@ TEST(EvalContext, MixedContextEngineBatchMatchesDirectEvaluation)
     }
 
     EvalEngineOptions eo;
-    eo.memoize = false; // Every request evaluates through its context.
-    eo.jobs = 4;        // Concurrent lazy strategy-table builds.
+    eo.jobs = 4; // Concurrent lazy strategy-table builds.
     EvalEngine engine(eo);
     EvalStats stats;
     std::vector<PerfReport> reports = engine.evaluateAll(requests, &stats);

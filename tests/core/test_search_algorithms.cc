@@ -15,19 +15,40 @@
 namespace madmax
 {
 
+/** The best valid point runSearch(@p strategy) finds on @p model. */
+struct SearchBest
+{
+    PerfReport report;
+    EvalStats stats;
+};
+
+SearchBest
+searchBest(const std::string &strategy, const PerfModel &model,
+           const ModelDesc &desc, EvalEngine &engine)
+{
+    TaskSpec task = TaskSpec::preTraining();
+    SearchOutcome outcome =
+        runSearch(strategy, makeSearchSpace({&model}, desc, task), engine);
+    const SearchCandidate *winner = bestCandidate(outcome.evaluated);
+    if (!winner) {
+        ADD_FAILURE() << strategy << " found no valid plan for "
+                      << desc.name;
+        return {};
+    }
+    return {winner->report, outcome.stats};
+}
+
 TEST(CoordinateDescent, MatchesExhaustiveOnDlrmA)
 {
     PerfModel model(hw_zoo::dlrmTrainingSystem());
-    StrategyExplorer explorer(model);
+    EvalEngine engine;
 
-    ExplorationResult exhaustive =
-        explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining());
+    SearchBest exhaustive =
+        searchBest("exhaustive", model, model_zoo::dlrmA(), engine);
     long exhaustive_evals = exhaustive.stats.requests();
 
-    ExplorerOptions cd;
-    cd.strategy = "coordinate-descent";
-    ExplorationResult greedy =
-        explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining(), cd);
+    SearchBest greedy = searchBest("coordinate-descent", model,
+                                   model_zoo::dlrmA(), engine);
     long greedy_evals = greedy.stats.requests();
 
     // Same optimum on this workload, found with fewer evaluations
@@ -48,12 +69,10 @@ TEST(CoordinateDescent, NearOptimalAcrossSuite)
             ? hw_zoo::dlrmTrainingSystem()
             : hw_zoo::llmTrainingSystem();
         PerfModel model(cluster);
-        StrategyExplorer explorer(model);
-        double exhaustive = explorer.best(m, TaskSpec::preTraining())
+        EvalEngine engine;
+        double exhaustive = searchBest("exhaustive", model, m, engine)
                                 .report.throughput();
-        ExplorerOptions cd;
-        cd.strategy = "coordinate-descent";
-        double greedy = explorer.best(m, TaskSpec::preTraining(), cd)
+        double greedy = searchBest("coordinate-descent", model, m, engine)
                             .report.throughput();
         EXPECT_GE(greedy, 0.95 * exhaustive) << m.name;
         EXPECT_LE(greedy, exhaustive + 1e-6) << m.name;
@@ -65,29 +84,25 @@ TEST(CoordinateDescent, FewerEvaluationsOnLargeSpaces)
     // LLM-MoE spans 8 x 8 x 5 x 2 = 640 exhaustive plans; greedy
     // sweeps a fraction of that.
     PerfModel model(hw_zoo::llmTrainingSystem());
-    StrategyExplorer explorer(model);
+    EvalEngine engine;
     ModelDesc m = model_zoo::llmMoe();
 
     long exhaustive_evals =
-        explorer.best(m, TaskSpec::preTraining()).stats.requests();
-
-    ExplorerOptions cd;
-    cd.strategy = "coordinate-descent";
-    long greedy_evals =
-        explorer.best(m, TaskSpec::preTraining(), cd).stats.requests();
+        searchBest("exhaustive", model, m, engine).stats.requests();
+    long greedy_evals = searchBest("coordinate-descent", model, m, engine)
+                            .stats.requests();
 
     EXPECT_LT(greedy_evals, exhaustive_evals / 2);
 }
 
 TEST(CoordinateDescent, SupportsUnconstrainedSearch)
 {
-    PerfModel model(hw_zoo::dlrmTrainingSystem());
-    StrategyExplorer explorer(model);
-    ExplorerOptions cd;
-    cd.strategy = "coordinate-descent";
-    cd.ignoreMemory = true;
-    ExplorationResult r =
-        explorer.best(model_zoo::dlrmA(), TaskSpec::preTraining(), cd);
+    PerfModelOptions opts;
+    opts.ignoreMemory = true;
+    PerfModel model(hw_zoo::dlrmTrainingSystem(), opts);
+    EvalEngine engine;
+    SearchBest r = searchBest("coordinate-descent", model,
+                              model_zoo::dlrmA(), engine);
     EXPECT_TRUE(r.report.valid);
     EXPECT_GT(r.report.throughput(), 0.0);
 }

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "../report_check.hh"
 #include "dse/strategy_explorer.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
@@ -118,6 +119,65 @@ TEST(StrategyExplorer, IgnoreMemoryUnlocksFasterPlans)
                                   TaskSpec::preTraining(), unconstrained)
                         .report.throughput();
     EXPECT_GE(best_u, best_c - 1e-6);
+}
+
+TEST(StrategyExplorer, BestIsExploreArgmax)
+{
+    // best() is the head of explore()'s ranking: the same plan, the
+    // same report bit for bit, and the same search cost, for every
+    // Table II model with and without the memory bound and the
+    // prefetch variants. That head is also the exhaustive search's
+    // best valid candidate (first wins ties). Each call gets a fresh
+    // engine (a private one per explorer), so the costs compare.
+    for (const ModelDesc &m : model_zoo::tableIISuite()) {
+        ClusterSpec cluster = m.isRecommendation
+            ? hw_zoo::dlrmTrainingSystem()
+            : hw_zoo::llmTrainingSystem();
+        PerfModel model(cluster);
+        for (bool ignoreMemory : {false, true}) {
+            for (bool explorePrefetch : {false, true}) {
+                SCOPED_TRACE(m.name + (ignoreMemory ? " ignoreMemory" : "") +
+                             (explorePrefetch ? " explorePrefetch" : ""));
+                ExplorerOptions opts;
+                opts.ignoreMemory = ignoreMemory;
+                opts.explorePrefetch = explorePrefetch;
+                Exploration all = StrategyExplorer(model).explore(
+                    m, TaskSpec::preTraining(), opts);
+                ASSERT_FALSE(all.results.empty());
+                const ExplorationResult &head = all.results.front();
+                if (!head.report.valid) {
+                    EXPECT_THROW(StrategyExplorer(model).best(
+                                     m, TaskSpec::preTraining(), opts),
+                                 ConfigError);
+                    continue;
+                }
+                ExplorationResult best = StrategyExplorer(model).best(
+                    m, TaskSpec::preTraining(), opts);
+                EXPECT_EQ(best.plan.toString(), head.plan.toString());
+                EXPECT_EQ(best.plan.fsdpPrefetch, head.plan.fsdpPrefetch);
+                testing::expectBitIdentical(best.report, head.report);
+                EXPECT_EQ(best.stats.evaluations, all.stats.evaluations);
+                EXPECT_EQ(best.stats.cacheHits, all.stats.cacheHits);
+                EXPECT_EQ(best.stats.pruned, all.stats.pruned);
+
+                PerfModelOptions searchOpts;
+                searchOpts.ignoreMemory = ignoreMemory;
+                PerfModel searched(cluster, searchOpts);
+                EvalEngine engine;
+                SearchOutcome outcome = runSearch(
+                    "exhaustive",
+                    makeSearchSpace({&searched}, m, TaskSpec::preTraining(),
+                                    explorePrefetch),
+                    engine);
+                const SearchCandidate *argmax =
+                    bestCandidate(outcome.evaluated);
+                ASSERT_NE(argmax, nullptr);
+                EXPECT_EQ(argmax->plan.toString(), best.plan.toString());
+                EXPECT_EQ(argmax->plan.fsdpPrefetch, best.plan.fsdpPrefetch);
+                testing::expectBitIdentical(argmax->report, best.report);
+            }
+        }
+    }
 }
 
 TEST(StrategyExplorer, PrefetchVariantsExplored)

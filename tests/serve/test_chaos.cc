@@ -109,16 +109,16 @@ TEST(Chaos, EngineFaultStormIsSeedDeterministic)
     for (const ParallelPlan &p : plans)
         requests.push_back(PlanRequest{&model, &dlrm, &task, p});
 
+    // A fresh engine per round: its empty memo sends every request
+    // of every round to the fault point.
     auto runStorm = [&](const char *script) {
-        EvalEngineOptions eo;
-        eo.jobs = 1;
-        eo.memoize = false;
-        EvalEngine engine(eo);
         FaultScope scope(script);
         std::vector<bool> failed;
-        for (int round = 0; round < 3; ++round)
+        for (int round = 0; round < 3; ++round) {
+            EvalEngine engine;
             for (const PerfReport &r : engine.evaluateAll(requests))
                 failed.push_back(r.failed());
+        }
         return failed;
     };
 
