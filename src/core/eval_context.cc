@@ -99,8 +99,6 @@ appendOptions(std::string &out, const PerfModelOptions &o)
     out += o.keepTimeline ? '1' : '0';
     out += std::to_string(static_cast<int>(o.allReduceAlgorithm));
     out += ',';
-    appendDouble(out, o.latency.intraAlpha);
-    appendDouble(out, o.latency.interAlpha);
     appendDouble(out, o.memory.reserveFraction);
     out += o.memory.checkpointActivations ? '1' : '0';
     if (o.smModel) {
@@ -152,7 +150,7 @@ appendModel(std::string &out, const ModelDesc &m)
 
 } // namespace
 
-std::string
+std::shared_ptr<const MemoKeyPrefix>
 memoKeyPrefix(const PerfModel &model, const ModelDesc &desc,
               const TaskSpec &task)
 {
@@ -166,7 +164,7 @@ memoKeyPrefix(const PerfModel &model, const ModelDesc &desc,
     key += '|';
     key += task.toString();
     key += '|';
-    return key;
+    return std::make_shared<const MemoKeyPrefix>(std::move(key));
 }
 
 EventCategory
@@ -187,7 +185,7 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
     : model_(&model), desc_(&desc), task_(&task),
       taskName_(task.toString()),
       memoryTerms_(model.memoryModel().terms(desc)),
-      collectives_(model.cluster(), model.options().latency,
+      collectives_(model.cluster(), CollectiveLatency{},
                    model.options().allReduceAlgorithm)
 {
     // LayerProcessor validates the cluster and the model once; every
@@ -295,13 +293,13 @@ EvalContext::sameTemplate(int a, int b) const
     return true;
 }
 
-const std::string &
-EvalContext::keyPrefix() const
+const std::shared_ptr<const MemoKeyPrefix> &
+EvalContext::memoPrefix() const
 {
-    std::call_once(keyPrefixOnce_, [this] {
-        keyPrefix_ = memoKeyPrefix(*model_, *desc_, *task_);
+    std::call_once(memoPrefixOnce_, [this] {
+        memoPrefix_ = memoKeyPrefix(*model_, *desc_, *task_);
     });
-    return keyPrefix_;
+    return memoPrefix_;
 }
 
 size_t

@@ -45,9 +45,10 @@
  *  - the EvalEngine memo key's plan-invariant prefix (the cluster,
  *    options, model graph and task serialized by memoKeyPrefix) is
  *    built on first need and kept, so a search that carries this
- *    context across its batches serializes the triple once.
+ *    context across its batches serializes the triple once, and every
+ *    memo entry keyed through it shares the one prefix.
  *
- * Thread safety: evaluate()/verdict()/plannedOps()/keyPrefix() are
+ * Thread safety: evaluate()/verdict()/plannedOps()/memoPrefix() are
  * safe to call concurrently. Per-(class, strategy) tables and their
  * segment sets are built lazily under a mutex on first use (a plan
  * touches exactly one table per present class) and are immutable once
@@ -76,6 +77,7 @@
 #include "collective/collective.hh"
 #include "collective/topology_model.hh"
 #include "core/interval_sweep.hh"
+#include "core/memo_key.hh"
 #include "core/perf_model.hh"
 #include "core/segment_template.hh"
 #include "parallel/comm_planner.hh"
@@ -88,9 +90,10 @@ namespace madmax
 EventCategory commCategoryOf(Collective kind);
 
 /** The (cluster, options, model, task) head of an EvalEngine memo
- *  key (EvalEngine::cacheKey), shared by every plan of one triple. */
-std::string memoKeyPrefix(const PerfModel &model, const ModelDesc &desc,
-                          const TaskSpec &task);
+ *  key (EvalEngine::memoKey), shared by every plan of one triple. */
+std::shared_ptr<const MemoKeyPrefix>
+memoKeyPrefix(const PerfModel &model, const ModelDesc &desc,
+              const TaskSpec &task);
 
 /**
  * One collective call of one layer with its cost already resolved
@@ -135,7 +138,7 @@ class EvalContext
     const std::string &taskName() const { return taskName_; }
 
     /** memoKeyPrefix(model(), desc(), task()), built on first call. */
-    const std::string &keyPrefix() const;
+    const std::shared_ptr<const MemoKeyPrefix> &memoPrefix() const;
 
     /**
      * The collective cost model this context prices with: the
@@ -321,8 +324,9 @@ class EvalContext
     mutable std::vector<std::unique_ptr<StrategyTable>> ownedTables_;
     mutable std::mutex buildMutex_;
 
-    mutable std::once_flag keyPrefixOnce_;
-    mutable std::string keyPrefix_; ///< Set once under keyPrefixOnce_.
+    mutable std::once_flag memoPrefixOnce_;
+    /** Set once under memoPrefixOnce_. */
+    mutable std::shared_ptr<const MemoKeyPrefix> memoPrefix_;
 
     /** Keyed (kind, scope, bytes-bits); the context has one model. */
     mutable std::map<std::tuple<int, int, uint64_t>, CollectiveEstimate>

@@ -33,9 +33,6 @@ struct PerfModelOptions
     /** Memory-model configuration. */
     MemoryModelOptions memory;
 
-    /** Collective launch-latency constants. */
-    CollectiveLatency latency;
-
     /** AllReduce algorithm (ring / tree / NCCL-style auto). */
     AllReduceAlgorithm allReduceAlgorithm = AllReduceAlgorithm::Auto;
 

@@ -63,25 +63,65 @@ failureFromCurrentException(const PlanRequest &req)
     }
 }
 
-/** Append the per-plan portion of the canonical key (see cacheKey). */
-void
-appendPlanKey(std::string &key, const ModelDesc &desc,
-              const ParallelPlan &plan)
+/**
+ * The per-plan half of a memo key. Canonical plan: only classes the
+ * model has contribute to the report, so only they contribute to the
+ * key. strategyFor folds per-class defaults in, making explicit-default
+ * and absent entries collide (deliberately). Each present class packs
+ * its (intra, inter) pair as two 4-bit digits, then the prefetch flag
+ * takes the low bit. The prefix pins the class set, so the code needs
+ * no separators; its leading 1 bit marks where the digits start, so
+ * appendPlanText can read them back.
+ */
+uint64_t
+planCode(const ModelDesc &desc, const ParallelPlan &plan)
 {
-    // Canonical plan: only classes the model has contribute to the
-    // report, so only they contribute to the key. strategyFor folds
-    // per-class defaults in, making explicit-default and absent
-    // entries collide (deliberately). Each present class writes its
-    // (intra, inter) pair as two fixed digits; the prefix pins the
-    // class set, so the suffix needs no separators.
+    static_assert(static_cast<int>(Strategy::MP) < 10,
+                  "a strategy's text is one decimal digit");
+    static_assert(1 + 8 * kNumLayerClasses + 1 <= 64,
+                  "a plan code fits 64 bits");
+    uint64_t code = 1;
     for (LayerClass cls : kAllClasses) {
         if (!desc.graph.hasClass(cls))
             continue;
         const HierStrategy hs = plan.strategyFor(cls);
-        key += static_cast<char>('0' + static_cast<int>(hs.intra));
-        key += static_cast<char>('0' + static_cast<int>(hs.inter));
+        code = code << 8 | static_cast<uint64_t>(hs.intra) << 4 |
+            static_cast<uint64_t>(hs.inter);
     }
-    key += plan.fsdpPrefetch ? "+p" : "-p";
+    return code << 1 | (plan.fsdpPrefetch ? 1 : 0);
+}
+
+/** Append @p code's text: one character per digit, then "+p" or
+ *  "-p" for the prefetch flag. */
+void
+appendPlanText(std::string &out, uint64_t code)
+{
+    const uint64_t digits = code >> 1;
+    int shift = 0;
+    while (digits >> (shift + 4))
+        shift += 4;
+    for (shift -= 4; shift >= 0; shift -= 4)
+        out += static_cast<char>('0' + ((digits >> shift) & 0xf));
+    out += (code & 1) ? "+p" : "-p";
+}
+
+/** The code appendPlanText writes @p text for; false unless it is
+ *  some code's text. */
+bool
+parsePlanText(const char *text, size_t size, uint64_t &code)
+{
+    if (size < 2 || size > 2 + 2 * kNumLayerClasses ||
+        (text[size - 2] != '+' && text[size - 2] != '-') ||
+        text[size - 1] != 'p')
+        return false;
+    code = 1;
+    for (size_t i = 0; i + 2 < size; ++i) {
+        if (text[i] < '0' || text[i] > '9')
+            return false;
+        code = code << 4 | static_cast<uint64_t>(text[i] - '0');
+    }
+    code = code << 1 | (text[size - 2] == '+' ? 1 : 0);
+    return true;
 }
 
 } // namespace
@@ -105,19 +145,30 @@ EvalEngine::jobs() const
     return options_.jobs;
 }
 
-std::string
-EvalEngine::cacheKey(const PlanRequest &request)
+MemoKey
+EvalEngine::memoKey(const PlanRequest &request)
 {
     if (!request.model || !request.desc || !request.task)
         fatal("EvalEngine: PlanRequest with null model/desc/task");
-    std::string key =
-        memoKeyPrefix(*request.model, *request.desc, *request.task);
-    appendPlanKey(key, *request.desc, request.plan);
+    MemoKey key{request.keyPrefix, planCode(*request.desc, request.plan)};
+    if (!key.prefix)
+        key.prefix = request.context
+            ? request.context->memoPrefix()
+            : memoKeyPrefix(*request.model, *request.desc, *request.task);
     return key;
 }
 
+std::string
+EvalEngine::cacheKey(const PlanRequest &request)
+{
+    const MemoKey key = memoKey(request);
+    std::string text = key.prefix->text;
+    appendPlanText(text, key.plan);
+    return text;
+}
+
 std::shared_ptr<const PerfReport>
-EvalEngine::cacheGet(const std::string &key)
+EvalEngine::cacheGet(const MemoKey &key)
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
     const MemoEntry *hit = cache_.get(key);
@@ -125,7 +176,7 @@ EvalEngine::cacheGet(const std::string &key)
 }
 
 void
-EvalEngine::cachePut(const std::string &key, PerfReport report)
+EvalEngine::cachePut(const MemoKey &key, PerfReport report)
 {
     // Only models that opt into timelines carry one; the cache never
     // stores it (~100 KB for a GPT-3 plan). See the class comment.
@@ -143,7 +194,7 @@ EvalEngine::cachePut(const std::string &key, PerfReport report)
 }
 
 bool
-EvalEngine::tryCached(const std::string &key, MemoEntry &out)
+EvalEngine::tryCached(const MemoKey &key, MemoEntry &out)
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
     const MemoEntry *hit = cache_.get(key);
@@ -158,8 +209,16 @@ bool
 EvalEngine::tryCached(const std::string &key, const ParallelPlan &plan,
                       PerfReport &out)
 {
+    const size_t cut = key.rfind('|');
+    MemoKey memo;
+    if (cut == std::string::npos ||
+        !parsePlanText(key.data() + cut + 1, key.size() - cut - 1,
+                       memo.plan))
+        return false;
+    memo.prefix =
+        std::make_shared<const MemoKeyPrefix>(key.substr(0, cut + 1));
     MemoEntry hit;
-    if (!tryCached(key, hit))
+    if (!tryCached(memo, hit))
         return false;
     out = *hit.report;
     out.plan = plan; // Keys canonicalize absent-class strategies away.
@@ -167,7 +226,7 @@ EvalEngine::tryCached(const std::string &key, const ParallelPlan &plan,
 }
 
 bool
-EvalEngine::attachBody(const std::string &key,
+EvalEngine::attachBody(const MemoKey &key,
                        const std::shared_ptr<const PerfReport> &report,
                        std::shared_ptr<const RenderedBody> body)
 {
@@ -183,7 +242,7 @@ EvalEngine::attachBody(const std::string &key,
 }
 
 bool
-EvalEngine::isCached(const std::string &key) const
+EvalEngine::isCached(const MemoKey &key) const
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
     return cache_.peek(key) != nullptr;
@@ -228,14 +287,15 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
     // EvalContext (validation, per-layer compute times, resolved
     // collectives) serves every plan of a group — a sweep's hundreds
     // of plans share a single context construction instead of paying
-    // it per evaluation. A request that carries a context keys by the
-    // context's prefix, built once for the context's lifetime; the
+    // it per evaluation. A request that carries a key prefix or a
+    // context keys by that prefix, built once for its lifetime; the
     // rest of a group share one prefix built for this call.
     struct Group
     {
         const EvalContext *ctx = nullptr; ///< Set on first evaluation.
         std::unique_ptr<EvalContext> owned; ///< ctx when engine-built.
-        std::string prefix; ///< Context-less key prefix; built on need.
+        /** Key prefix of requests that carry none; built on need. */
+        std::shared_ptr<const MemoKeyPrefix> prefix;
     };
     std::vector<Group> groups;
     std::map<std::array<uintptr_t, 3>, size_t> groupIndex; ///< By address.
@@ -262,8 +322,8 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
         bool priced;
     };
     std::vector<Pending> pending;
-    std::unordered_map<std::string, size_t> keyToPending;
-    std::vector<std::string> keys(requests.size());
+    std::unordered_map<MemoKey, size_t, MemoKeyHash> keyToPending;
+    std::vector<MemoKey> keys(requests.size());
 
     for (size_t i = 0; i < requests.size(); ++i) {
         const PlanRequest &req = requests[i];
@@ -275,13 +335,17 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
             fatal("EvalEngine: PlanRequest context was built for another "
                   "model/desc/task");
         Group &group = groupOf(req);
-        if (!req.context && group.prefix.empty()) // Empty: unbuilt.
-            group.prefix = memoKeyPrefix(*req.model, *req.desc, *req.task);
-        const std::string &prefix =
-            req.context ? req.context->keyPrefix() : group.prefix;
-        keys[i].reserve(prefix.size() + 2 * kNumLayerClasses + 2);
-        keys[i] = prefix;
-        appendPlanKey(keys[i], *req.desc, req.plan);
+        if (req.keyPrefix) {
+            keys[i].prefix = req.keyPrefix;
+        } else if (req.context) {
+            keys[i].prefix = req.context->memoPrefix();
+        } else {
+            if (!group.prefix)
+                group.prefix =
+                    memoKeyPrefix(*req.model, *req.desc, *req.task);
+            keys[i].prefix = group.prefix;
+        }
+        keys[i].plan = planCode(*req.desc, req.plan);
         if (auto hit = cacheGet(keys[i])) {
             ++local.cacheHits;
             results[i] = *hit;

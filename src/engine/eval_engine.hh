@@ -9,11 +9,12 @@
  *  1. a fixed-size FIFO thread pool (--jobs N) that fans the batch
  *     out across cores;
  *  2. a memoization cache keyed by a canonical fingerprint of the
- *     point, shared across call sites (e.g. best() after explore()
- *     re-reads every report for free). Each entry also has a
- *     set-once slot for a rendered response body (RenderedBody), so
- *     the serving layer's repeat hits return stored bytes instead of
- *     re-rendering the report;
+ *     point (MemoKey, core/memo_key.hh: a shared per-triple prefix
+ *     and a packed plan code), shared across call sites (e.g. best()
+ *     after explore() re-reads every report for free). Each entry
+ *     also has a set-once slot for a rendered response body
+ *     (RenderedBody), so the serving layer's repeat hits return
+ *     stored bytes instead of re-rendering the report;
  *  3. a memory-feasibility pre-pass that prices each plan's footprint
  *     once, through its group's EvalContext, and resolves OOM plans
  *     without splicing or scheduling any streams; a
@@ -23,7 +24,9 @@
  *     resolved collectives — see core/eval_context.hh) and one
  *     canonical-key prefix, so a sweep's hundreds of plans pay the
  *     plan-invariant work once instead of per evaluation (a request's
- *     own PlanRequest::context supplies both for as long as it lives).
+ *     own PlanRequest::context supplies both for as long as it lives,
+ *     and PlanRequest::keyPrefix the prefix). Every memo entry of a
+ *     group holds the group's one prefix by handle.
  *
  * Results are returned in request order, so callers are deterministic
  * regardless of thread count.
@@ -38,6 +41,7 @@
 #include <vector>
 
 #include "config/json.hh"
+#include "core/memo_key.hh"
 #include "core/perf_model.hh"
 #include "util/lru_cache.hh"
 
@@ -143,6 +147,8 @@ struct MemoEntry
  * One point to evaluate. The pointed-to model/desc/task must outlive
  * the evaluateAll call; requests in one batch may reference different
  * models (the fleet evaluates jobs on per-job clusters this way).
+ * Keep model, desc, task and plan the first four members and the
+ * struct an aggregate: callers build it as {&perf, &desc, &task, plan}.
  */
 struct PlanRequest
 {
@@ -161,6 +167,15 @@ struct PlanRequest
      * group of the batch.
      */
     const EvalContext *context = nullptr;
+
+    /**
+     * Optional memoKeyPrefix(*model, *desc, *task), held by a caller
+     * that keeps the triple resident without a context (the serving
+     * layer's ParsedTriple), so the batch builds no prefix and every
+     * memo entry of the triple shares this one. Null: the context's
+     * prefix, else one built per (model, desc, task) group.
+     */
+    std::shared_ptr<const MemoKeyPrefix> keyPrefix = nullptr;
 };
 
 /** Engine construction knobs. */
@@ -229,25 +244,32 @@ class EvalEngine
      * same cluster + perf-model options fingerprint, same model
      * identity, same task, and plans that agree on every layer class
      * the model actually has (strategies for absent classes are
-     * irrelevant and canonicalized away).
+     * irrelevant and canonicalized away). The prefix is the request's
+     * keyPrefix, else its context's, else a fresh memoKeyPrefix.
      */
+    static MemoKey memoKey(const PlanRequest &request);
+
+    /** memoKey's text: the prefix text, then each present class's
+     *  (intra, inter) digits and "+p" or "-p" for the prefetch flag.
+     *  Equal texts are equal keys and vice versa. */
     static std::string cacheKey(const PlanRequest &request);
 
     /**
-     * Fast-path probe by a precomputed canonical key (the serving
-     * layer stores keys alongside parsed configs, so its hot path
-     * skips both config parsing and key construction). On a hit,
-     * shares the entry into @p out — no report copy — and accounts
-     * one lifetime cache hit, all under one lock. The shared report
-     * is timeline-stripped and carries the plan of whichever request
+     * Fast-path probe by a precomputed key (the serving layer stores
+     * keys alongside parsed configs, so its hot path skips both
+     * config parsing and key construction). On a hit, shares the
+     * entry into @p out — no report copy — and accounts one lifetime
+     * cache hit, all under one lock. The shared report is
+     * timeline-stripped and carries the plan of whichever request
      * inserted it (keys canonicalize absent-class strategies away).
      * A miss does no accounting — the caller resubmits through
      * evaluateAll, which counts the point there.
      */
-    bool tryCached(const std::string &key, MemoEntry &out);
+    bool tryCached(const MemoKey &key, MemoEntry &out);
 
-    /** tryCached that copies the report into @p out with @p plan
-     *  restored, exactly like an evaluateAll cache hit. */
+    /** tryCached by cacheKey text (split at its last '|'), copying the
+     *  report into @p out with @p plan restored, exactly like an
+     *  evaluateAll cache hit. Text that is no cacheKey misses. */
     bool tryCached(const std::string &key, const ParallelPlan &plan,
                    PerfReport &out);
 
@@ -258,14 +280,14 @@ class EvalEngine
      * body in place. Counts nothing.
      * @return whether @p body was attached.
      */
-    bool attachBody(const std::string &key,
+    bool attachBody(const MemoKey &key,
                     const std::shared_ptr<const PerfReport> &report,
                     std::shared_ptr<const RenderedBody> body);
 
     /** Accounting-free occupancy probe: admission control asks
      *  "would this request be cheap?" without perturbing LRU order
      *  or the lifetime stats. */
-    bool isCached(const std::string &key) const;
+    bool isCached(const MemoKey &key) const;
 
     void clearCache();
 
@@ -275,16 +297,16 @@ class EvalEngine
     EngineCounters counters() const;
 
   private:
-    std::shared_ptr<const PerfReport> cacheGet(const std::string &key);
+    std::shared_ptr<const PerfReport> cacheGet(const MemoKey &key);
 
     /** Stores a copy of @p report with its Timeline stripped. */
-    void cachePut(const std::string &key, PerfReport report);
+    void cachePut(const MemoKey &key, PerfReport report);
 
     EvalEngineOptions options_;
     std::unique_ptr<ThreadPool> pool_; ///< Null when jobs == 1.
 
     mutable std::mutex cacheMutex_;
-    LruCache<std::string, MemoEntry> cache_;
+    LruCache<MemoKey, MemoEntry, MemoKeyHash> cache_;
 
     /// Lifetime accounting (guarded by cacheMutex_): every
     /// evaluateAll's EvalStats folded together, plus total cache

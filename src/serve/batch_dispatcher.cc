@@ -41,6 +41,7 @@ BatchDispatcher::runBatch(std::unique_lock<std::mutex> &lock)
         point.desc = &p->triple->model;
         point.task = &p->triple->task;
         point.plan = p->plan;
+        point.keyPrefix = p->triple->keyPrefix;
         points.push_back(std::move(point));
     }
     // Per-request failures come back as failure reports (engine

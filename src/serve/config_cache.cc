@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "config/config_loader.hh"
+#include "core/eval_context.hh"
 #include "engine/eval_engine.hh"
 #include "util/fault_injection.hh"
 #include "util/fingerprint.hh"
@@ -11,6 +12,14 @@
 
 namespace madmax
 {
+
+ParsedTriple::ParsedTriple(ModelDesc m, TaskSpec t, ClusterSpec cluster,
+                           std::string canonText, uint64_t fp)
+    : model(std::move(m)), task(t), perf(std::move(cluster)),
+      canon(std::move(canonText)), fingerprint(fp),
+      keyPrefix(memoKeyPrefix(perf, model, task))
+{
+}
 
 ConfigCache::ConfigCache(size_t capacity)
     : bodies_(capacity), triples_(capacity)
@@ -94,12 +103,6 @@ ConfigCache::lookup(const std::string &body)
             std::move(canon), tripleFp);
     }
 
-    // The engine key reads the triple's contents, not its address, so
-    // it holds for whichever equal-canon instance is kept below, and
-    // it can be built outside the lock.
-    std::string engineKey = EvalEngine::cacheKey(
-        {&triple->perf, &triple->model, &triple->task, task->plan});
-
     std::lock_guard<std::mutex> lock(mutex_);
     ++misses_;
     if (!shared) {
@@ -117,6 +120,12 @@ ConfigCache::lookup(const std::string &body)
     if (shared)
         ++tripleShares_;
 
+    // Keyed by the kept triple's prefix, so every memo entry of the
+    // triple shares it.
+    PlanRequest point{&triple->perf, &triple->model, &triple->task,
+                      task->plan};
+    point.keyPrefix = triple->keyPrefix;
+    MemoKey engineKey = EvalEngine::memoKey(point);
     evictions_ += static_cast<long>(bodies_.put(
         bodyHash, BodyEntry{body, triple, task->plan, engineKey}));
     return {std::move(triple), std::move(task->plan),
@@ -124,8 +133,7 @@ ConfigCache::lookup(const std::string &body)
 }
 
 bool
-ConfigCache::peekKey(const std::string &body,
-                     std::string &engineKey) const
+ConfigCache::peekKey(const std::string &body, MemoKey &engineKey) const
 {
     uint64_t bodyHash = fnv1a(body);
     std::lock_guard<std::mutex> lock(mutex_);

@@ -13,7 +13,9 @@
  *  1. body cache: request-body bytes -> fully parsed request
  *     (shared ParsedTriple + plan + precomputed engine memo key).
  *     A hit skips JSON parsing, config validation, PerfModel
- *     construction, and engine-key construction.
+ *     construction, and engine-key construction. The key holds the
+ *     triple's memo-key prefix by handle, built once per triple, so
+ *     every body and memo entry of a triple shares that one prefix.
  *  2. triple cache: canonical (model, system, task-spec) text ->
  *     shared ParsedTriple. Bodies that differ only in whitespace or
  *     plan still share one ParsedTriple — and because EvalEngine
@@ -39,6 +41,7 @@
 #include <mutex>
 #include <string>
 
+#include "core/memo_key.hh"
 #include "core/perf_model.hh"
 #include "parallel/strategy.hh"
 #include "task/task.hh"
@@ -63,13 +66,12 @@ struct ParsedTriple
                        ///< over (exact-compare collision guard).
     uint64_t fingerprint; ///< fnv1a(canon): the triple-cache key, and
                           ///< the service's circuit-breaker key.
+    /** memoKeyPrefix(perf, model, task): the head of every engine
+     *  key of this triple (CachedRequest::engineKey). */
+    std::shared_ptr<const MemoKeyPrefix> keyPrefix;
 
     ParsedTriple(ModelDesc m, TaskSpec t, ClusterSpec cluster,
-                 std::string canonText, uint64_t fp)
-        : model(std::move(m)), task(t), perf(std::move(cluster)),
-          canon(std::move(canonText)), fingerprint(fp)
-    {
-    }
+                 std::string canonText, uint64_t fp);
 
     ParsedTriple(const ParsedTriple &) = delete;
     ParsedTriple &operator=(const ParsedTriple &) = delete;
@@ -80,7 +82,7 @@ struct CachedRequest
 {
     std::shared_ptr<const ParsedTriple> triple;
     ParallelPlan plan;
-    std::string engineKey; ///< EvalEngine::cacheKey for (triple, plan).
+    MemoKey engineKey; ///< EvalEngine::memoKey for (triple, plan).
 };
 
 class ConfigCache
@@ -103,7 +105,7 @@ class ConfigCache
      * admission classifier (one hash + one map find on the event
      * loop); never parses.
      */
-    bool peekKey(const std::string &body, std::string &engineKey) const;
+    bool peekKey(const std::string &body, MemoKey &engineKey) const;
 
     struct Stats
     {
@@ -123,7 +125,7 @@ class ConfigCache
         std::string body; ///< Original bytes (collision guard).
         std::shared_ptr<const ParsedTriple> triple;
         ParallelPlan plan;
-        std::string engineKey;
+        MemoKey engineKey;
     };
 
     mutable std::mutex mutex_;

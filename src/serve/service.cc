@@ -516,7 +516,7 @@ EvalService::classify(const HttpRequest &request) const
     if (request.method == "GET")
         return RequestCost::Cheap;
     if (request.target == "/v1/evaluate") {
-        std::string key;
+        MemoKey key;
         if (configCache_.peekKey(request.body, key) &&
             engine_.isCached(key))
             return RequestCost::Cached;

@@ -1,15 +1,17 @@
 /**
  * @file
  * Small header-only LRU map, the bookkeeping half of the serving
- * layer's parsed-config caches and the EvalEngine memo. Not
- * thread-safe; callers hold their own mutex, which they need anyway
- * to make lookup-then-insert atomic.
+ * layer's parsed-config caches and the EvalEngine memo. @p Hash only
+ * buckets keys; lookups, overwrites and evictions go by Key equality.
+ * Not thread-safe; callers hold their own mutex, which they need
+ * anyway to make lookup-then-insert atomic.
  */
 
 #ifndef MADMAX_UTIL_LRU_CACHE_HH
 #define MADMAX_UTIL_LRU_CACHE_HH
 
 #include <cstddef>
+#include <functional>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -17,7 +19,8 @@
 namespace madmax
 {
 
-template <typename Key, typename Value> class LruCache
+template <typename Key, typename Value, typename Hash = std::hash<Key>>
+class LruCache
 {
   public:
     explicit LruCache(size_t capacity) : capacity_(capacity) {}
@@ -88,7 +91,8 @@ template <typename Key, typename Value> class LruCache
     /// Front = most recently used. Points at the map's own node keys,
     /// which stay put across rehashing, so each key is stored once.
     Order order_;
-    std::unordered_map<Key, std::pair<Value, typename Order::iterator>>
+    std::unordered_map<Key, std::pair<Value, typename Order::iterator>,
+                       Hash>
         map_;
 };
 

@@ -10,10 +10,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "../report_check.hh"
@@ -198,7 +200,7 @@ TEST(EvalEngine, PrunedBatchesMatchDirectEvaluationAcrossThreadCounts)
             const PerfReport &r = reports[i];
             testing::expectBitIdentical(r, direct[i]);
             EXPECT_FALSE(r.failed());
-            EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(reqs[i])));
+            EXPECT_TRUE(engine.isCached(EvalEngine::memoKey(reqs[i])));
             if (r.valid)
                 continue;
             ++oom;
@@ -291,10 +293,10 @@ TEST(EvalEngine, CanonicalKeyIgnoresAbsentClasses)
 
 TEST(EvalEngine, CacheKeyIsGroupPrefixPlusPlanSuffix)
 {
-    // evaluateAll assembles keys as <group prefix> + <plan suffix>,
-    // computing the prefix once per (model, desc, task) batch group.
-    // Two requests of one group must therefore agree on everything up
-    // to and including the final '|'; only the plan suffix differs.
+    // A key is its (model, desc, task) group's prefix and a plan code,
+    // and its text is the prefix text then the plan suffix. Two
+    // requests of one group must therefore agree on everything up to
+    // and including the final '|'; only the plan suffix differs.
     PerfModel model(hw_zoo::llmTrainingSystem());
     ModelDesc gpt3 = model_zoo::gpt3();
     TaskSpec task = TaskSpec::preTraining();
@@ -344,16 +346,19 @@ threeKeyedPlans()
 
 } // namespace
 
-TEST(EvalEngine, ContextPrefixKeysEqualCacheKeyAcrossTheZoo)
+namespace
 {
-    // A request that carries an EvalContext is keyed by the context's
-    // own prefix. Those keys must be cacheKey's, byte for byte: a
-    // later context-less batch of the same plans then hits every one.
+
+/** Calls @p fn(model, desc, task) for twelve zoo models (Table II's
+ *  ten, ViT-H and LLaMA-2-7B), each on its flat training system and on
+ *  that system's rail topology, pre-training and inference. */
+template <typename Fn>
+void
+forEachZooTriple(Fn &&fn)
+{
     std::vector<ModelDesc> zoo = model_zoo::tableIISuite();
     zoo.push_back(model_zoo::vit(model_zoo::VitSize::H, 4096));
     zoo.push_back(model_zoo::llama2_7b());
-    const std::vector<ParallelPlan> plans = threeKeyedPlans();
-    const long n = static_cast<long>(plans.size());
     for (const ModelDesc &desc : zoo) {
         ClusterSpec flat = desc.isRecommendation
             ? hw_zoo::dlrmTrainingSystem()
@@ -367,28 +372,144 @@ TEST(EvalEngine, ContextPrefixKeysEqualCacheKeyAcrossTheZoo)
                 SCOPED_TRACE(desc.name + " on " + cluster.name +
                              (cluster.topology ? " (topology), " : ", ") +
                              task.toString());
-                EvalContext ctx(model, desc, task);
-                std::vector<PlanRequest> reqs;
-                for (const ParallelPlan &plan : plans) {
-                    reqs.push_back(PlanRequest{&model, &desc, &task, plan});
-                    reqs.back().context = &ctx;
-                }
-                EvalEngine engine;
-                engine.evaluateAll(reqs);
-                EXPECT_EQ(engine.counters().cacheEntries,
-                          static_cast<size_t>(n));
-                for (PlanRequest &req : reqs) {
-                    EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(req)))
-                        << req.plan.toString();
-                    req.context = nullptr;
-                }
-                EvalStats stats;
-                engine.evaluateAll(reqs, &stats);
-                EXPECT_EQ(stats.cacheHits, n);
-                EXPECT_EQ(stats.evaluations, 0);
+                fn(model, desc, task);
             }
         }
     }
+}
+
+constexpr LayerClass kEveryClass[] = {
+    LayerClass::SparseEmbedding, LayerClass::DenseEmbedding,
+    LayerClass::BaseDense, LayerClass::Transformer, LayerClass::MoE};
+
+/** Every plan of the explorer's space for @p desc (the candidates of
+ *  each present class), with prefetch off and on. */
+std::vector<ParallelPlan>
+explorerPlans(const ModelDesc &desc)
+{
+    std::vector<ParallelPlan> plans(1);
+    for (LayerClass cls : kEveryClass) {
+        if (!desc.graph.hasClass(cls))
+            continue;
+        std::vector<ParallelPlan> next;
+        for (const ParallelPlan &plan : plans) {
+            for (HierStrategy hs : StrategyExplorer::candidates(cls)) {
+                next.push_back(plan);
+                next.back().set(cls, hs);
+            }
+        }
+        plans = std::move(next);
+    }
+    const size_t n = plans.size();
+    for (size_t i = 0; i < n; ++i) {
+        plans.push_back(plans[i]);
+        plans.back().fsdpPrefetch = true;
+    }
+    return plans;
+}
+
+} // namespace
+
+TEST(EvalEngine, ContextPrefixKeysEqualCacheKeyAcrossTheZoo)
+{
+    // A request that carries an EvalContext is keyed by the context's
+    // own prefix. Those keys must equal the keys of a freshly built
+    // prefix: a later context-less batch of the same plans then hits
+    // every one.
+    const std::vector<ParallelPlan> plans = threeKeyedPlans();
+    const long n = static_cast<long>(plans.size());
+    forEachZooTriple([&](const PerfModel &model, const ModelDesc &desc,
+                         const TaskSpec &task) {
+        EvalContext ctx(model, desc, task);
+        std::vector<PlanRequest> reqs;
+        for (const ParallelPlan &plan : plans) {
+            reqs.push_back(PlanRequest{&model, &desc, &task, plan});
+            reqs.back().context = &ctx;
+        }
+        EvalEngine engine;
+        engine.evaluateAll(reqs);
+        EXPECT_EQ(engine.counters().cacheEntries, static_cast<size_t>(n));
+        for (PlanRequest &req : reqs) {
+            req.context = nullptr;
+            EXPECT_TRUE(engine.isCached(EvalEngine::memoKey(req)))
+                << req.plan.toString();
+        }
+        EvalStats stats;
+        engine.evaluateAll(reqs, &stats);
+        EXPECT_EQ(stats.cacheHits, n);
+        EXPECT_EQ(stats.evaluations, 0);
+    });
+}
+
+TEST(EvalEngine, MemoKeyEqualityIsCacheKeyTextEquality)
+{
+    // Every explorer plan across the zoo, each next to a twin that
+    // also sets strategies for the model's absent classes. Two keys
+    // are equal exactly when their cacheKey texts are, and equal keys
+    // hash equal, whether they share a prefix handle or hold two
+    // equal prefixes. The text overload of tryCached finds what
+    // evaluateAll stored, and the memo holds the context's prefix by
+    // handle, never a copy.
+    std::set<std::string> prefixes;
+    forEachZooTriple([&](const PerfModel &model, const ModelDesc &desc,
+                         const TaskSpec &task) {
+        EvalContext ctx(model, desc, task);
+        std::vector<PlanRequest> reqs;
+        for (const ParallelPlan &plan : explorerPlans(desc)) {
+            ParallelPlan twin = plan;
+            for (LayerClass cls : kEveryClass)
+                if (!desc.graph.hasClass(cls))
+                    twin.set(cls, StrategyExplorer::candidates(cls).back());
+            for (const ParallelPlan &p : {plan, twin}) {
+                reqs.push_back(PlanRequest{&model, &desc, &task, p});
+                reqs.back().context = &ctx;
+            }
+        }
+        EvalEngineOptions eo;
+        eo.cacheCapacity = reqs.size();
+        EvalEngine engine(eo);
+        const std::vector<PerfReport> reports = engine.evaluateAll(reqs);
+        const size_t distinct = engine.counters().cacheEntries;
+        EXPECT_EQ(2 * distinct, reqs.size());
+        EXPECT_EQ(ctx.memoPrefix().use_count(),
+                  static_cast<long>(distinct) + 1);
+
+        const auto copy = memoKeyPrefix(model, desc, task);
+        ASSERT_NE(copy, ctx.memoPrefix());
+        EXPECT_TRUE(prefixes.insert(copy->text).second)
+            << "two triples share a prefix";
+        const MemoKeyHash hash;
+        std::map<std::string, MemoKey> keyOf;
+        std::unordered_map<MemoKey, std::string, MemoKeyHash> textOf;
+        for (size_t i = 0; i < reqs.size(); ++i) {
+            SCOPED_TRACE(reqs[i].plan.toString());
+            const std::string text = EvalEngine::cacheKey(reqs[i]);
+            const MemoKey key = EvalEngine::memoKey(reqs[i]);
+            PlanRequest viaCopy = reqs[i];
+            viaCopy.context = nullptr;
+            viaCopy.keyPrefix = copy;
+            const MemoKey other = EvalEngine::memoKey(viaCopy);
+            ASSERT_EQ(key.prefix, ctx.memoPrefix());
+            EXPECT_TRUE(key == other);
+            EXPECT_EQ(hash(key), hash(other));
+
+            auto [k, newText] = keyOf.emplace(text, key);
+            if (!newText) {
+                EXPECT_TRUE(k->second == other);
+                EXPECT_EQ(hash(k->second), hash(other));
+            }
+            auto [t, newKey] = textOf.emplace(other, text);
+            if (!newKey) {
+                EXPECT_EQ(t->second, text);
+            }
+
+            PerfReport out;
+            ASSERT_TRUE(engine.tryCached(text, reqs[i].plan, out));
+            testing::expectBitIdentical(out, reports[i]);
+        }
+        EXPECT_EQ(keyOf.size(), distinct);
+        EXPECT_EQ(textOf.size(), distinct);
+    });
 }
 
 TEST(EvalEngine, ConcurrentBatchesBuildOneContextPrefix)
@@ -423,10 +544,13 @@ TEST(EvalEngine, ConcurrentBatchesBuildOneContextPrefix)
 
     EXPECT_EQ(engine.counters().cacheEntries, reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
-        EXPECT_TRUE(engine.isCached(EvalEngine::cacheKey(reqs[i])));
+        PlanRequest contextless = reqs[i];
+        contextless.context = nullptr;
+        EXPECT_TRUE(engine.isCached(EvalEngine::memoKey(contextless)));
         expectReportsEqual(results[0][i], results[1][i]);
     }
-    EXPECT_EQ(ctx.keyPrefix(), memoKeyPrefix(model, desc, task));
+    EXPECT_EQ(ctx.memoPrefix()->text,
+              memoKeyPrefix(model, desc, task)->text);
 }
 
 TEST(EvalEngine, CacheKeySeparatesClustersOneUlpApart)
@@ -745,9 +869,9 @@ struct DlrmPoints
         return p;
     }
 
-    std::string key(const ParallelPlan &p) const
+    MemoKey key(const ParallelPlan &p) const
     {
-        return EvalEngine::cacheKey({&model, &dlrm, &task, p});
+        return EvalEngine::memoKey({&model, &dlrm, &task, p});
     }
 };
 

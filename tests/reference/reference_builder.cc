@@ -300,7 +300,7 @@ evaluate(const PerfModel &model, const ModelDesc &desc,
 
     LayerProcessor processor(model.cluster(), desc, opts.smModel);
     const TopologyCollectiveModel collectives(
-        model.cluster(), opts.latency, opts.allReduceAlgorithm);
+        model.cluster(), CollectiveLatency{}, opts.allReduceAlgorithm);
     const std::vector<TraceEvent> events = buildEvents(
         desc, task, plan, model.cluster(), processor, collectives);
     const Schedule sch = scheduleEvents(events, opts.backgroundCommChannel);

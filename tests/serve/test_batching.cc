@@ -565,8 +565,8 @@ TEST(Batching, LruCacheEvictsLeastRecentlyUsed)
     ASSERT_NE(cache.get(3), nullptr);
     EXPECT_EQ(cache.size(), 2u);
 
-    // Heap-allocated keys, as the engine memo uses: overwriting keeps
-    // one entry and refreshes recency; clear() empties both sides.
+    // Heap-allocated keys: overwriting keeps one entry and refreshes
+    // recency; clear() empties both sides.
     LruCache<std::string, int> named(2);
     const std::string longKey(300, 'k');
     EXPECT_EQ(named.put(longKey + "a", 1), 0u);
@@ -590,6 +590,54 @@ TEST(Batching, LruCacheEvictsLeastRecentlyUsed)
     EXPECT_EQ(named.put(longKey + "g", 7), 1u);
     EXPECT_EQ(named.peek(longKey + "e"), nullptr);
     EXPECT_EQ(named.size(), 2u);
+}
+
+TEST(Batching, LruCacheWithACollidingHashGoesByEquality)
+{
+    // Every key in one bucket: get, overwrite and eviction still find
+    // the entry by equality.
+    struct Constant
+    {
+        size_t operator()(int) const { return 7; }
+    };
+    LruCache<int, std::string, Constant> cache(2);
+    EXPECT_EQ(cache.put(1, "one"), 0u);
+    EXPECT_EQ(cache.put(2, "two"), 0u);
+    ASSERT_NE(cache.get(1), nullptr);
+    EXPECT_EQ(*cache.get(1), "one");
+    EXPECT_EQ(*cache.get(2), "two");
+    EXPECT_EQ(cache.put(1, "uno"), 0u); // Overwrite; 2 is now oldest.
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.put(3, "three"), 1u);
+    EXPECT_EQ(cache.peek(2), nullptr);
+    ASSERT_NE(cache.peek(1), nullptr);
+    EXPECT_EQ(*cache.peek(1), "uno");
+    ASSERT_NE(cache.peek(3), nullptr);
+    EXPECT_EQ(*cache.peek(3), "three");
+
+    // Memo keys whose prefix hashes are forced equal: a different
+    // prefix text never matches, an equal text on another handle does.
+    auto prefix = [](const char *text, uint64_t hash) {
+        auto p = std::make_shared<MemoKeyPrefix>(text);
+        p->hash = hash;
+        return std::shared_ptr<const MemoKeyPrefix>(std::move(p));
+    };
+    const auto a = prefix("a|", 42);
+    const auto b = prefix("b|", 42);
+    const auto aAgain = prefix("a|", 42);
+    const MemoKeyHash hash;
+    ASSERT_EQ(hash(MemoKey{a, 5}), hash(MemoKey{b, 5}));
+    EXPECT_FALSE((MemoKey{a, 5} == MemoKey{b, 5}));
+    LruCache<MemoKey, int, MemoKeyHash> memo(2);
+    EXPECT_EQ(memo.put(MemoKey{a, 5}, 1), 0u);
+    EXPECT_EQ(memo.get(MemoKey{b, 5}), nullptr);
+    EXPECT_EQ(memo.put(MemoKey{b, 5}, 2), 0u);
+    EXPECT_EQ(memo.size(), 2u);
+    ASSERT_NE(memo.peek(MemoKey{aAgain, 5}), nullptr);
+    EXPECT_EQ(*memo.peek(MemoKey{aAgain, 5}), 1);
+    EXPECT_EQ(memo.peek(MemoKey{a, 6}), nullptr);
+    ASSERT_NE(memo.get(MemoKey{b, 5}), nullptr);
+    EXPECT_EQ(*memo.get(MemoKey{b, 5}), 2);
 }
 
 } // namespace madmax

@@ -87,15 +87,16 @@ shippedBodyWith(const char *layerClass, const char *strategy)
     return body.dump(2);
 }
 
-/** The engine memo key @p requestBody resolves to. */
-std::string
+/** The engine memo key @p requestBody resolves to, with a prefix of
+ *  its own. */
+MemoKey
 engineKeyFor(const std::string &requestBody)
 {
     JsonValue body = JsonValue::parse(requestBody);
     ModelDesc model = loadModel(body.at("model"));
     PerfModel perf(loadCluster(body.at("system")));
     TaskConfig task = loadTask(body.at("task"));
-    return EvalEngine::cacheKey({&perf, &model, &task.task, task.plan});
+    return EvalEngine::memoKey({&perf, &model, &task.task, task.plan});
 }
 
 } // namespace
@@ -196,6 +197,40 @@ TEST(EvalService, StoredBytesAnswerOnlyTheirOwnPlan)
     EXPECT_EQ(c.lifetime.evaluations, 1);
     EXPECT_EQ(c.lifetime.cacheHits, 5);
     EXPECT_EQ(c.cacheEntries, 1u);
+}
+
+TEST(EvalService, PlanVariantsOfOneTripleShareItsKeyPrefix)
+{
+    // Two plans of one triple: both bodies' engine keys hold the
+    // triple's own prefix, and a repeat of either is a memo hit.
+    std::string a = shippedTripleBody();
+    std::string c = shippedBodyWith("base_dense", "(FSDP)");
+    ConfigCache cache(8);
+    CachedRequest ra = cache.lookup(a);
+    CachedRequest rc = cache.lookup(c);
+    ASSERT_EQ(ra.triple, rc.triple);
+    EXPECT_EQ(ra.engineKey.prefix, ra.triple->keyPrefix);
+    EXPECT_EQ(rc.engineKey.prefix, ra.triple->keyPrefix);
+    EXPECT_FALSE(ra.engineKey == rc.engineKey);
+    EXPECT_TRUE(ra.engineKey == engineKeyFor(a));
+    EXPECT_TRUE(rc.engineKey == engineKeyFor(c));
+
+    EvalService service;
+    for (int round = 0; round < 2; ++round) {
+        for (const std::string *body : {&a, &c})
+            ASSERT_EQ(service.handle(post("/v1/evaluate", *body)).status,
+                      200);
+    }
+    MemoKey ka;
+    MemoKey kc;
+    ASSERT_TRUE(service.configCache().peekKey(a, ka));
+    ASSERT_TRUE(service.configCache().peekKey(c, kc));
+    EXPECT_EQ(ka.prefix, kc.prefix);
+    // The prefix's only holders: the triple, two body-cache entries,
+    // two memo entries, and ka and kc. The memo keeps no copy.
+    EXPECT_EQ(ka.prefix.use_count(), 7);
+    EXPECT_EQ(service.engine().counters().lifetime.evaluations, 2);
+    EXPECT_EQ(service.dispatcher().stats().memoFastPath, 2);
 }
 
 TEST(EvalService, StoredBytesLeaveEveryCounterAsBefore)
