@@ -47,7 +47,6 @@ paper::fig08(std::ostream &os)
                 // SM utilization as a function of per-device layer
                 // FLOPs: saturates at 72% for multi-TFLOP blocks.
                 opts.smModel = SmUtilizationModel(0.72, 6e10);
-                opts.keepTimeline = false;
                 PerfModel madmax(cluster, opts);
                 PerfReport r =
                     madmax.evaluate(model, TaskSpec::preTraining(),

@@ -38,13 +38,14 @@ paper::fig10(std::ostream &os)
                 : hw_zoo::llmTrainingSystem();
             PerfModel madmax(cluster);
             StrategyExplorer explorer(madmax);
+            PerfModelOptions no_memory_limit;
+            no_memory_limit.ignoreMemory = true;
+            PerfModel madmax_u(cluster, no_memory_limit);
 
             PerfReport baseline = explorer.baseline(model, task);
             ExplorationResult best = explorer.best(model, task);
-            ExplorerOptions unconstrained;
-            unconstrained.ignoreMemory = true;
             ExplorationResult best_u =
-                explorer.best(model, task, unconstrained);
+                StrategyExplorer(madmax_u).best(model, task);
 
             double speedup =
                 best.report.throughput() / baseline.throughput();

@@ -26,7 +26,6 @@ paper::fig15(std::ostream &os)
 
     PerfModelOptions opts;
     opts.ignoreMemory = true; // Compare strategies uniformly.
-    opts.keepTimeline = false;
     PerfModel madmax(hw_zoo::llmTrainingSystem(), opts);
     TaskSpec task = TaskSpec::preTraining();
 

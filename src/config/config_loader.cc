@@ -140,11 +140,11 @@ loadZooModel(const JsonValue &json)
     // (the default matches the published 4096-token context).
     if (name == "llama2-7b") {
         return model_zoo::llama2_7b(
-            static_cast<long>(json.numberOr("context", 4096)));
+            json.longOr("context", 4096));
     }
     if (name == "llama2-13b") {
         return model_zoo::llama2_13b(
-            static_cast<long>(json.numberOr("context", 4096)));
+            json.longOr("context", 4096));
     }
     if (name == "llm-moe")
         return model_zoo::llmMoe();
@@ -181,10 +181,10 @@ loadDlrmModel(const JsonValue &json)
         const JsonValue &moe = json.at("moe");
         model_zoo::DlrmSpec::MoeTop top;
         if (moe.has("hidden"))
-            top.hidden = static_cast<long>(moe.at("hidden").asDouble());
+            top.hidden = moe.at("hidden").asLong();
         top.ffn = moe.at("ffn").asLong();
-        top.experts = static_cast<int>(moe.at("experts").asLong());
-        top.active = static_cast<int>(moe.at("active").asLong());
+        top.experts = moe.at("experts").asInt();
+        top.active = moe.at("active").asInt();
         s.moe = top;
     }
     if (json.has("top_mlp"))
@@ -212,18 +212,16 @@ loadLlmModel(const JsonValue &json)
 
     t.hidden = json.at("hidden").asLong();
     s.vocab = json.at("vocab").asLong();
-    s.tieFactor =
-        static_cast<int>(json.numberOr("embedding_tie_factor", 1));
+    s.tieFactor = json.intOr("embedding_tie_factor", 1);
     t.layers = json.at("layers").asLong();
     t.heads = json.at("heads").asLong();
-    t.kvHeads = static_cast<long>(json.numberOr("kv_heads", 0));
+    t.kvHeads = json.longOr("kv_heads", 0);
     t.ffn = json.at("ffn").asLong();
-    t.ffnMatrices = static_cast<int>(json.numberOr("ffn_matrices", 2));
+    t.ffnMatrices = json.intOr("ffn_matrices", 2);
     if (json.has("moe")) {
         const JsonValue &moe = json.at("moe");
         s.moe = model_zoo::LlmSpec::Moe{
-            static_cast<int>(moe.at("experts").asLong()),
-            static_cast<int>(moe.at("active").asLong())};
+            moe.at("experts").asInt(), moe.at("active").asInt()};
     }
     return model_zoo::buildLlm(s);
 }
@@ -255,17 +253,15 @@ loadCluster(const JsonValue &json)
     const bool heterogeneous = json.has("device_groups");
     if (!heterogeneous) {
         c.device = loadDevice(json.at("device"));
-        c.devicesPerNode =
-            static_cast<int>(json.at("devices_per_node").asLong());
-        c.numNodes = static_cast<int>(json.at("num_nodes").asLong());
+        c.devicesPerNode = json.at("devices_per_node").asInt();
+        c.numNodes = json.at("num_nodes").asInt();
     } else {
         for (const JsonValue &g : json.at("device_groups").asArray()) {
             DeviceGroup group;
             group.name = g.at("name").asString();
             group.device = loadDevice(g.at("device"));
-            group.devicesPerNode =
-                static_cast<int>(g.at("devices_per_node").asLong());
-            group.numNodes = static_cast<int>(g.at("num_nodes").asLong());
+            group.devicesPerNode = g.at("devices_per_node").asInt();
+            group.numNodes = g.at("num_nodes").asInt();
             group.intraFabric = parseFabric(
                 g.stringOr("intra_fabric", "nvlink"), "intra_fabric");
             c.groups.push_back(std::move(group));
@@ -288,9 +284,7 @@ loadCluster(const JsonValue &json)
         TopologySpec spec;
         if (topo.has("preset")) {
             std::string preset = lower(topo.at("preset").asString());
-            const int rail_nodes = static_cast<int>(
-                topo.has("rail_nodes") ? topo.at("rail_nodes").asLong()
-                                       : 4);
+            const int rail_nodes = topo.intOr("rail_nodes", 4);
             if (preset == "flat")
                 spec = hw_zoo::flatTopologyPreset(c);
             else if (preset == "dc-rail")
@@ -306,7 +300,7 @@ loadCluster(const JsonValue &json)
                 TopologyLevel level;
                 level.name =
                     lv.stringOr("name", strfmt("tier%zu", i));
-                level.fan = static_cast<int>(lv.at("fan").asLong());
+                level.fan = lv.at("fan").asInt();
                 // Bandwidth defaults to the flat effective rate of
                 // the matching scope so partial descriptions stay
                 // consistent with the device datasheet.
@@ -318,8 +312,7 @@ loadCluster(const JsonValue &json)
                 if (lv.has("latency_us"))
                     level.linkLatency =
                         lv.at("latency_us").asDouble() * 1e-6;
-                level.rails = static_cast<int>(
-                    lv.has("rails") ? lv.at("rails").asLong() : 1);
+                level.rails = lv.intOr("rails", 1);
                 level.sharers = lv.numberOr("sharers", 1.0);
                 spec.levels.push_back(std::move(level));
                 ++i;
@@ -373,15 +366,15 @@ loadTask(const JsonValue &json)
         } else if (phase == "prefill") {
             cfg.task = TaskSpec::prefill();
         } else if (phase == "decode") {
-            cfg.task = TaskSpec::decode(static_cast<long>(
-                json.numberOr("decode_kv_tokens", 0)));
+            cfg.task =
+                TaskSpec::decode(json.longOr("decode_kv_tokens", 0));
         } else {
             fatal("unknown inference phase: " + phase +
                   " (expected batch, prefill, or decode)");
         }
         if (cfg.task.usesKvCache()) {
-            cfg.task.kvCapacityTokens = static_cast<long>(
-                json.numberOr("kv_capacity_tokens", 0));
+            cfg.task.kvCapacityTokens =
+                json.longOr("kv_capacity_tokens", 0);
             cfg.task.kvBytesPerElement =
                 json.numberOr("kv_bytes_per_element", 2.0);
             if (cfg.task.kvCapacityTokens < 0) {
@@ -435,10 +428,8 @@ InferenceWorkload
 loadWorkload(const JsonValue &json)
 {
     InferenceWorkload w;
-    w.promptTokens =
-        static_cast<long>(json.numberOr("prompt_tokens", 0));
-    w.generateTokens =
-        static_cast<long>(json.numberOr("generate_tokens", 256));
+    w.promptTokens = json.longOr("prompt_tokens", 0);
+    w.generateTokens = json.longOr("generate_tokens", 256);
     w.kvBytesPerElement = json.numberOr("kv_bytes_per_element", 2.0);
     w.prefillGroup = json.stringOr("prefill_group", "");
     w.decodeGroup = json.stringOr("decode_group", "");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -303,11 +304,31 @@ escapeString(const std::string &in)
 std::string
 dumpNumber(double d)
 {
-    if (d == static_cast<double>(static_cast<long long>(d)) &&
-        std::abs(d) < 1e15) {
+    // Range first: casting a double outside long long is undefined.
+    if (std::abs(d) < 1e15 &&
+        d == static_cast<double>(static_cast<long long>(d))) {
         return strfmt("%lld", static_cast<long long>(d));
     }
     return strfmt("%.17g", d);
+}
+
+/**
+ * @p v as a signed integer of @p digits value bits, so in
+ * [-2^digits, 2^digits): both bounds are exact doubles, unlike
+ * LONG_MAX. The !(in-range) form also rejects NaN and infinities.
+ * @throws ConfigError
+ */
+long
+checkedInteger(double v, int digits)
+{
+    if (v != std::trunc(v))
+        fatal(strfmt("JSON number %.17g is not an integer", v));
+    const double limit = std::ldexp(1.0, digits);
+    if (!(v >= -limit && v < limit)) {
+        fatal(strfmt("JSON number %.17g is outside [-2^%d, 2^%d)", v,
+                     digits, digits));
+    }
+    return static_cast<long>(v);
 }
 
 } // namespace
@@ -373,7 +394,14 @@ JsonValue::asDouble() const
 long
 JsonValue::asLong() const
 {
-    return static_cast<long>(asDouble());
+    return checkedInteger(asDouble(), std::numeric_limits<long>::digits);
+}
+
+int
+JsonValue::asInt() const
+{
+    return static_cast<int>(
+        checkedInteger(asDouble(), std::numeric_limits<int>::digits));
 }
 
 const std::string &
@@ -420,6 +448,18 @@ double
 JsonValue::numberOr(const std::string &key, double fallback) const
 {
     return has(key) ? at(key).asDouble() : fallback;
+}
+
+long
+JsonValue::longOr(const std::string &key, long fallback) const
+{
+    return has(key) ? at(key).asLong() : fallback;
+}
+
+int
+JsonValue::intOr(const std::string &key, int fallback) const
+{
+    return has(key) ? at(key).asInt() : fallback;
 }
 
 bool

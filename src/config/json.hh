@@ -63,7 +63,15 @@ class JsonValue
     /** Typed accessors. @throws ConfigError on type mismatch. */
     bool asBool() const;
     double asDouble() const;
+
+    /**
+     * The number as an integer. @throws ConfigError unless it is
+     * integral and fits a long (asInt: an int); a bare cast would turn
+     * 2.5 into 2 and 2^32 + 16 into 16, and is undefined for 1e300.
+     */
     long asLong() const;
+    int asInt() const;
+
     const std::string &asString() const;
     const Array &asArray() const;
     const Object &asObject() const;
@@ -76,6 +84,8 @@ class JsonValue
 
     /** Object member with fallback when absent. */
     double numberOr(const std::string &key, double fallback) const;
+    long longOr(const std::string &key, long fallback) const;
+    int intOr(const std::string &key, int fallback) const;
     bool boolOr(const std::string &key, bool fallback) const;
     std::string stringOr(const std::string &key,
                          const std::string &fallback) const;

@@ -99,8 +99,6 @@ appendOptions(std::string &out, const PerfModelOptions &o)
     out += o.keepTimeline ? '1' : '0';
     out += std::to_string(static_cast<int>(o.allReduceAlgorithm));
     out += ',';
-    appendDouble(out, o.memory.reserveFraction);
-    out += o.memory.checkpointActivations ? '1' : '0';
     if (o.smModel) {
         appendDouble(out, o.smModel->maxUtil());
         appendDouble(out, o.smModel->halfSaturationFlops());
@@ -129,10 +127,10 @@ appendModel(std::string &out, const ModelDesc &m)
         h = mix64(h + 0x9e3779b97f4a7c15ull + v);
     };
     // Every per-layer, per-sample quantity the performance and memory
-    // models read: compute, lookup traffic, output/TP communication
-    // volume, and retained activations. Layers that trade width for
-    // depth can match on params + FLOPs alone, so those two are not
-    // enough.
+    // models read: compute, lookup traffic, and output/TP communication
+    // volume (the output is also the retained activation). Layers that
+    // trade width for depth can match on params + FLOPs alone, so those
+    // two are not enough.
     const double dtype_bytes = m.activationBytes();
     for (int i = 0; i < m.graph.numLayers(); ++i) {
         const Layer &layer = m.graph.layer(i);
@@ -143,7 +141,6 @@ appendModel(std::string &out, const ModelDesc &m)
         fold(bitsOf(layer.lookupBytesPerSample()));
         fold(bitsOf(layer.outputBytesPerSample(dtype_bytes)));
         fold(bitsOf(layer.tpCommBytesPerSample(dtype_bytes)));
-        fold(bitsOf(layer.activationMemoryBytesPerSample(dtype_bytes)));
     }
     appendHex(out, h);
 }
@@ -184,7 +181,7 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
                          const TaskSpec &task)
     : model_(&model), desc_(&desc), task_(&task),
       taskName_(task.toString()),
-      memoryTerms_(model.memoryModel().terms(desc)),
+      memoryTerms_(memory_model::terms(desc)),
       collectives_(model.cluster(), CollectiveLatency{},
                    model.options().allReduceAlgorithm)
 {
@@ -425,8 +422,8 @@ EvalContext::verdict(const ParallelPlan &plan) const
     report.globalBatchSize = desc_->globalBatchSize;
     report.contextLength = desc_->contextLength;
 
-    report.memory = model_->memoryModel().evaluate(memoryTerms_, *task_,
-                                                   plan, cluster());
+    report.memory =
+        memory_model::evaluate(memoryTerms_, *task_, plan, cluster());
     report.valid = report.memory.fits() || options().ignoreMemory;
     return report;
 }

@@ -15,7 +15,7 @@
  *  - specs are validated once (LayerProcessor / CommPlanner
  *    construction), not once per plan;
  *  - the memory footprint's per-layer inputs are read once into
- *    flat MemoryModel::Terms, so a plan's verdict prices arrays
+ *    flat memory_model::Terms, so a plan's verdict prices arrays
  *    instead of calling into every layer;
  *  - layers are grouped by shape (Layer::sameShape: everything but
  *    the name) and by *template* — shape plus the layer's producer
@@ -306,7 +306,7 @@ class EvalContext
     const ModelDesc *desc_;
     const TaskSpec *task_;
     std::string taskName_;
-    MemoryModel::Terms memoryTerms_;
+    memory_model::Terms memoryTerms_;
     TopologyCollectiveModel collectives_;
     std::vector<LayerCosts> costs_;
     std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.

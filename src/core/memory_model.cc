@@ -3,30 +3,24 @@
 #include <algorithm>
 
 #include "parallel/sharding.hh"
-#include "util/logging.hh"
 
 namespace madmax
 {
 
-MemoryModel::MemoryModel(MemoryModelOptions options)
-    : options_(options)
+namespace memory_model
 {
-    if (options_.reserveFraction < 0.0 || options_.reserveFraction >= 1.0)
-        fatal("MemoryModel: reserveFraction must be in [0, 1)");
-}
 
 MemoryFootprint
-MemoryModel::evaluate(const ModelDesc &desc, const TaskSpec &task,
-                      const ParallelPlan &plan,
-                      const ClusterSpec &cluster) const
+evaluate(const ModelDesc &desc, const TaskSpec &task,
+         const ParallelPlan &plan, const ClusterSpec &cluster)
 {
     desc.validate();
     cluster.validate();
     return evaluate(terms(desc), task, plan, cluster);
 }
 
-MemoryModel::Terms
-MemoryModel::terms(const ModelDesc &desc) const
+Terms
+terms(const ModelDesc &desc)
 {
     const ModelGraph &graph = desc.graph;
     const size_t n = static_cast<size_t>(graph.numLayers());
@@ -42,10 +36,7 @@ MemoryModel::terms(const ModelDesc &desc) const
         const double params = layer.paramCount();
         const double out = layer.outputBytesPerSample(act_elem_bytes);
         t.params.push_back(params);
-        t.retainedActs.push_back(
-            options_.checkpointActivations
-                ? out
-                : layer.activationMemoryBytesPerSample(act_elem_bytes));
+        t.retainedActs.push_back(out);
         t.classes.push_back(static_cast<uint8_t>(layer.layerClass()));
 
         // FSDP materializes the in-flight unit on top of its shard.
@@ -81,13 +72,12 @@ MemoryModel::terms(const ModelDesc &desc) const
 }
 
 MemoryFootprint
-MemoryModel::evaluate(const Terms &terms, const TaskSpec &task,
-                      const ParallelPlan &plan,
-                      const ClusterSpec &cluster) const
+evaluate(const Terms &terms, const TaskSpec &task, const ParallelPlan &plan,
+         const ClusterSpec &cluster)
 {
     MemoryFootprint fp;
     fp.usableCapacity =
-        cluster.device.hbmCapacity * (1.0 - options_.reserveFraction);
+        cluster.device.hbmCapacity * (1.0 - kReserveFraction);
 
     const double param_elem_bytes = terms.paramElemBytes;
     // Mixed-precision training keeps an fp32 master copy when params
@@ -171,4 +161,5 @@ MemoryModel::evaluate(const Terms &terms, const TaskSpec &task,
     return fp;
 }
 
+} // namespace memory_model
 } // namespace madmax

@@ -4,9 +4,9 @@
  * strategies are *valid* (the paper's OOM gray bars, Figs. 10-14):
  * parameters, gradients and optimizer states under the plan's
  * replication/sharding factors, retained activations for the device's
- * batch share, and FSDP's transiently-gathered layer. A configurable
- * fraction of HBM is reserved for the CUDA context, NCCL buffers and
- * allocator fragmentation.
+ * batch share, and FSDP's transiently-gathered layer. A fixed fraction
+ * of HBM is reserved for the CUDA context, NCCL buffers and allocator
+ * fragmentation.
  */
 
 #ifndef MADMAX_CORE_MEMORY_MODEL_HH
@@ -43,86 +43,62 @@ struct MemoryFootprint
     bool fits() const { return total() <= usableCapacity; }
 };
 
-/** Memory-model knobs. */
-struct MemoryModelOptions
+/** Per-device memory footprints for (model, task, plan) on a cluster. */
+namespace memory_model
 {
-    /**
-     * Fraction of HBM unavailable to the model (CUDA context, NCCL
-     * channels, caching-allocator fragmentation, workspace).
-     */
-    double reserveFraction = 0.30;
-
-    /**
-     * Store only layer-boundary activations and recompute the rest
-     * (standard for large-model training). When false the full
-     * intermediate activations are retained.
-     */
-    bool checkpointActivations = true;
-};
 
 /**
- * Evaluates per-device memory footprints for (model, task, plan) on a
- * cluster.
+ * Fraction of HBM unavailable to the model (CUDA context, NCCL
+ * channels, caching-allocator fragmentation, workspace).
  */
-class MemoryModel
+constexpr double kReserveFraction = 0.30;
+
+/**
+ * The plan-invariant inputs of a footprint, read off a model once and
+ * flattened in layer order, so pricing a plan walks arrays instead of
+ * making virtual calls on every layer. A sweep's EvalContext builds one
+ * and prices every plan from it.
+ */
+struct Terms
 {
-  public:
-    /**
-     * The plan-invariant inputs of a footprint, read off a model once
-     * and flattened in layer order, so pricing a plan walks arrays
-     * instead of making virtual calls on every layer. A sweep's
-     * EvalContext builds one and prices every plan from it.
-     *
-     * Terms hold the retained activations the building model's
-     * checkpointActivations selects, so only that MemoryModel (or one
-     * with the same options) may price them.
-     */
-    struct Terms
-    {
-        std::vector<double> params; ///< Layer::paramCount().
-        /** Activation bytes per sample kept for the backward pass:
-         *  the layer output under checkpointing, else every
-         *  intermediate. */
-        std::vector<double> retainedActs;
-        /** Parameters FSDP gathers at once: one expert's for an MoE
-         *  bank, the whole layer's otherwise. */
-        std::vector<double> transientParams;
-        std::vector<uint8_t> classes; ///< LayerClass.
-        /** kvBytesPerToken(1.0) of each attention layer, in order. */
-        std::vector<double> kvPerElement;
-        /** Sum of the two widest layer outputs, bytes per sample: the
-         *  inference working set. */
-        double workingSet = 0.0;
-        double paramElemBytes = 0.0;  ///< ModelDesc::paramBytes().
-        double globalBatchSize = 0.0; ///< ModelDesc::globalBatchSize.
-        double contextLength = 0.0;   ///< ModelDesc::contextLength.
-    };
-
-    explicit MemoryModel(MemoryModelOptions options = {});
-
-    /** Validate @p desc and @p cluster, then price @p plan from
-     *  terms(desc). */
-    MemoryFootprint evaluate(const ModelDesc &desc, const TaskSpec &task,
-                             const ParallelPlan &plan,
-                             const ClusterSpec &cluster) const;
-
-    /** Read @p desc's footprint inputs once (see Terms). */
-    Terms terms(const ModelDesc &desc) const;
-
-    /**
-     * Price @p plan from @p terms. The model and cluster behind them
-     * must already be validated; this is the one pricing loop every
-     * footprint goes through.
-     */
-    MemoryFootprint evaluate(const Terms &terms, const TaskSpec &task,
-                             const ParallelPlan &plan,
-                             const ClusterSpec &cluster) const;
-
-    const MemoryModelOptions &options() const { return options_; }
-
-  private:
-    MemoryModelOptions options_;
+    std::vector<double> params; ///< Layer::paramCount().
+    /** Activation bytes per sample kept for the backward pass: the
+     *  layer output, since activations are checkpointed at layer
+     *  boundaries and the rest recomputed. */
+    std::vector<double> retainedActs;
+    /** Parameters FSDP gathers at once: one expert's for an MoE bank,
+     *  the whole layer's otherwise. */
+    std::vector<double> transientParams;
+    std::vector<uint8_t> classes; ///< LayerClass.
+    /** kvBytesPerToken(1.0) of each attention layer, in order. */
+    std::vector<double> kvPerElement;
+    /** Sum of the two widest layer outputs, bytes per sample: the
+     *  inference working set. */
+    double workingSet = 0.0;
+    double paramElemBytes = 0.0;  ///< ModelDesc::paramBytes().
+    double globalBatchSize = 0.0; ///< ModelDesc::globalBatchSize.
+    double contextLength = 0.0;   ///< ModelDesc::contextLength.
 };
+
+/** Read @p desc's footprint inputs once (see Terms). */
+Terms terms(const ModelDesc &desc);
+
+/**
+ * Price @p plan from @p terms. The model and cluster behind them must
+ * already be validated; this is the one pricing loop every footprint
+ * goes through.
+ */
+MemoryFootprint evaluate(const Terms &terms, const TaskSpec &task,
+                         const ParallelPlan &plan,
+                         const ClusterSpec &cluster);
+
+/** Validate @p desc and @p cluster, then price @p plan from
+ *  terms(desc). */
+MemoryFootprint evaluate(const ModelDesc &desc, const TaskSpec &task,
+                         const ParallelPlan &plan,
+                         const ClusterSpec &cluster);
+
+} // namespace memory_model
 
 } // namespace madmax
 

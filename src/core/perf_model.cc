@@ -8,8 +8,7 @@ namespace madmax
 {
 
 PerfModel::PerfModel(ClusterSpec cluster, PerfModelOptions options)
-    : cluster_(std::move(cluster)), options_(std::move(options)),
-      memoryModel_(options_.memory)
+    : cluster_(std::move(cluster)), options_(std::move(options))
 {
     cluster_.validate();
     if (cluster_.isHeterogeneous()) {
@@ -36,7 +35,7 @@ PerfModel::verdict(const ModelDesc &desc, const TaskSpec &task,
     report.globalBatchSize = desc.globalBatchSize;
     report.contextLength = desc.contextLength;
 
-    report.memory = memoryModel_.evaluate(desc, task, plan, cluster_);
+    report.memory = memory_model::evaluate(desc, task, plan, cluster_);
     report.valid = report.memory.fits() || options_.ignoreMemory;
     return report;
 }

@@ -30,9 +30,6 @@ struct PerfModelOptions
     /** Batch-dependent SM utilization (Fig. 8); fixed factor if unset. */
     std::optional<SmUtilizationModel> smModel;
 
-    /** Memory-model configuration. */
-    MemoryModelOptions memory;
-
     /** AllReduce algorithm (ring / tree / NCCL-style auto). */
     AllReduceAlgorithm allReduceAlgorithm = AllReduceAlgorithm::Auto;
 
@@ -89,12 +86,10 @@ class PerfModel
 
     const ClusterSpec &cluster() const { return cluster_; }
     const PerfModelOptions &options() const { return options_; }
-    const MemoryModel &memoryModel() const { return memoryModel_; }
 
   private:
     ClusterSpec cluster_;
     PerfModelOptions options_;
-    MemoryModel memoryModel_;
 };
 
 } // namespace madmax

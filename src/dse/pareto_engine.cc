@@ -14,6 +14,9 @@ namespace madmax
 namespace
 {
 
+/** Rental $ per A100-equivalent device-hour (on-demand ballpark). */
+constexpr double kDollarsPerA100Hour = 4.1;
+
 JsonValue
 candidateJson(const ParetoCandidate &c,
               const std::vector<HardwarePoint> &hardware)
@@ -61,13 +64,12 @@ validFrontier(const std::vector<Candidate> &candidates,
 } // namespace
 
 ParetoObjectives
-scoreObjectives(const PerfReport &report, const HardwarePoint &hw,
-                const CostModelOptions &cost)
+scoreObjectives(const PerfReport &report, const HardwarePoint &hw)
 {
     ParetoObjectives obj;
     obj.throughput = report.valid ? report.throughput() : 0.0;
     double rate = hw.cluster.numDevices() * hw.a100PeakRatio *
-        cost.dollarsPerA100Hour;
+        kDollarsPerA100Hour;
     obj.perfPerTco = rate > 0.0 ? obj.throughput / rate : 0.0;
     obj.memHeadroomBytes =
         report.memory.usableCapacity - report.memory.total();
@@ -172,7 +174,7 @@ ParetoEngine::explore(const ModelDesc &desc, const TaskSpec &task,
     for (ParetoCandidate &c : out.candidates) {
         if (c.report.valid)
             c.objectives =
-                scoreObjectives(c.report, hw_[c.hwIndex], options.cost);
+                scoreObjectives(c.report, hw_[c.hwIndex]);
     }
 
     // Throughput-best valid candidate per hardware point (first visit
@@ -206,7 +208,7 @@ InferencePlacementFrontier
 exploreInferencePlacements(const ModelDesc &desc,
                            const InferenceWorkload &workload,
                            const ClusterSpec &cluster,
-                           const CostModelOptions &cost,
+                           const CostModelOptions &,
                            EvalEngine *engine)
 {
     cluster.validate();
@@ -253,8 +255,7 @@ exploreInferencePlacements(const ModelDesc &desc,
     double fleet_rate = 0.0;
     for (const ClusterSpec &island : islands) {
         fleet_rate += island.numDevices() *
-            makeHardwarePoint(island).a100PeakRatio *
-            cost.dollarsPerA100Hour;
+            makeHardwarePoint(island).a100PeakRatio * kDollarsPerA100Hour;
     }
 
     // One exhaustive sweep per phase over the islands that run it (only

@@ -44,16 +44,12 @@ struct HardwarePoint
 };
 
 /**
- * Cost-model knobs for the perf-per-TCO objective (docs/dse.md §cost
- * model). TCO is modeled as a rental rate: numDevices x a100PeakRatio
- * x dollarsPerA100Hour — capability-normalized so an H100 fleet is
- * priced proportionally to the silicon it packs, matching the paper's
- * A100-normalized GPU-hour resource axis.
+ * Placeholder for exploreInferencePlacements' cost argument, which
+ * existing callers pass as {}; the rate itself is a constant
+ * (docs/dse.md §cost model).
  */
 struct CostModelOptions
 {
-    /** Rental $ per A100-equivalent device-hour (on-demand ballpark). */
-    double dollarsPerA100Hour = 4.1;
 };
 
 /** The three maximized objectives of one candidate. */
@@ -82,8 +78,6 @@ struct ParetoOptions
 
     /** Seed / evaluation-budget knobs for the guided strategies. */
     SearchOptions search;
-
-    CostModelOptions cost;
 
     /**
      * Also evaluate the FSDP baseline plan on every hardware point
@@ -221,10 +215,15 @@ class ParetoEngine
     std::unique_ptr<EvalEngine> owned_; ///< Serial fallback.
 };
 
-/** Objectives for one evaluated candidate under @p cost. */
+/**
+ * Objectives for one evaluated candidate. TCO is modeled as a rental
+ * rate: numDevices x a100PeakRatio x kDollarsPerA100Hour (a constant
+ * in pareto_engine.cc) — capability-normalized so an H100 fleet is
+ * priced proportionally to the silicon it packs, matching the paper's
+ * A100-normalized GPU-hour resource axis (docs/dse.md §cost model).
+ */
 ParetoObjectives
-scoreObjectives(const PerfReport &report, const HardwarePoint &hw,
-                const CostModelOptions &cost);
+scoreObjectives(const PerfReport &report, const HardwarePoint &hw);
 
 /**
  * Search serving placements of @p workload for @p desc on @p cluster.
@@ -232,8 +231,9 @@ scoreObjectives(const PerfReport &report, const HardwarePoint &hw,
  * islands that run it (the space is small — the guided strategies are
  * not needed); colocated placements pick the single plan maximizing
  * the composed request rate, disaggregated ones pick each phase's best
- * plan independently. @p cost prices the whole fleet for perf-per-TCO;
- * a null @p engine means one private serial engine.
+ * plan independently. The whole fleet is priced for perf-per-TCO at
+ * scoreObjectives' rate; a null @p engine means one private serial
+ * engine.
  * @throws ConfigError on an invalid cluster or workload.
  */
 InferencePlacementFrontier

@@ -1,7 +1,6 @@
 #include "dse/strategy_explorer.hh"
 
 #include <algorithm>
-#include <optional>
 
 #include "util/logging.hh"
 
@@ -68,18 +67,8 @@ Exploration
 StrategyExplorer::explore(const ModelDesc &desc, const TaskSpec &task,
                           const ExplorerOptions &options) const
 {
-    // With ignoreMemory the search runs on a copy of the model that
-    // ignores memory; the copy costs a full cluster copy and
-    // re-validation, which the common constrained search must not pay.
-    std::optional<PerfModel> unconstrained;
-    if (options.ignoreMemory) {
-        PerfModelOptions o = model_.options();
-        o.ignoreMemory = true;
-        unconstrained.emplace(model_.cluster(), o);
-    }
-    SearchSpace space = makeSearchSpace(
-        {unconstrained ? &*unconstrained : &model_}, desc, task,
-        options.explorePrefetch);
+    SearchSpace space =
+        makeSearchSpace({&model_}, desc, task, options.explorePrefetch);
     // The full plan product in canonical enumeration order (a golden-
     // suite compatibility contract — see dse::enumeratePlans).
     SearchOutcome outcome = runSearch("exhaustive", space, engine());

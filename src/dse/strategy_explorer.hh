@@ -56,12 +56,6 @@ JsonValue toJson(const Exploration &exploration, size_t top);
 /** Exploration knobs. */
 struct ExplorerOptions
 {
-    /**
-     * Evaluate timing for OOM plans too (the "unconstrained by memory
-     * capacity" analysis — Fig. 10's orange bars).
-     */
-    bool ignoreMemory = false;
-
     /** Also explore FSDP-prefetch variants of FSDP-bearing plans. */
     bool explorePrefetch = false;
 };

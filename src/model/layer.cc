@@ -101,7 +101,7 @@ MlpLayer::outputBytesPerSample(double dtype_bytes) const
 }
 
 double
-MlpLayer::activationMemoryBytesPerSample(double dtype_bytes) const
+MlpLayer::tpCommBytesPerSample(double dtype_bytes) const
 {
     double elems = 0.0;
     for (size_t i = 1; i < dims_.size(); ++i)
@@ -304,15 +304,6 @@ AttentionLayer::outputBytesPerSample(double dtype_bytes) const
         static_cast<double>(contextLength_) * dtype_bytes;
 }
 
-double
-AttentionLayer::activationMemoryBytesPerSample(double dtype_bytes) const
-{
-    // Q, K, V, output, residual: ~5 h-wide tensors per token
-    // (flash-attention style; the ctx^2 score matrix is not retained).
-    return 5.0 * static_cast<double>(hidden_) *
-        static_cast<double>(contextLength_) * dtype_bytes;
-}
-
 std::unique_ptr<Layer>
 AttentionLayer::clone() const
 {
@@ -361,15 +352,6 @@ FeedForwardLayer::outputBytesPerSample(double dtype_bytes) const
 {
     return static_cast<double>(hidden_) *
         static_cast<double>(contextLength_) * dtype_bytes;
-}
-
-double
-FeedForwardLayer::activationMemoryBytesPerSample(double dtype_bytes) const
-{
-    // Input + ffn intermediate(s) + output per token.
-    double elems = static_cast<double>(hidden_) * 2.0 +
-        static_cast<double>(ffnDim_) * (numMatrices_ - 1);
-    return elems * static_cast<double>(contextLength_) * dtype_bytes;
 }
 
 std::unique_ptr<Layer>
@@ -435,16 +417,6 @@ MoeFeedForwardLayer::outputBytesPerSample(double dtype_bytes) const
 {
     return static_cast<double>(hidden_) *
         static_cast<double>(contextLength_) * dtype_bytes;
-}
-
-double
-MoeFeedForwardLayer::activationMemoryBytesPerSample(
-    double dtype_bytes) const
-{
-    double elems = static_cast<double>(hidden_) * 2.0 +
-        static_cast<double>(ffnDim_) * (numMatrices_ - 1) *
-        static_cast<double>(activeExperts_);
-    return elems * static_cast<double>(contextLength_) * dtype_bytes;
 }
 
 double

@@ -94,16 +94,6 @@ class Layer
     virtual double outputBytesPerSample(double dtype_bytes) const = 0;
 
     /**
-     * Activation bytes retained from forward to backward pass per
-     * sample (training memory model).
-     */
-    virtual double
-    activationMemoryBytesPerSample(double dtype_bytes) const
-    {
-        return outputBytesPerSample(dtype_bytes);
-    }
-
-    /**
      * Partial-sum bytes a TP group AllReduces per sample. Transformer
      * blocks use Megatron-style column/row splits and only reduce the
      * block output; naive multi-layer MLP stacks reduce at every
@@ -157,14 +147,9 @@ class MlpLayer : public Layer
     double paramCount() const override;
     double forwardFlopsPerSample() const override;
     double outputBytesPerSample(double dtype_bytes) const override;
-    double
-    activationMemoryBytesPerSample(double dtype_bytes) const override;
 
     /** Naive TP reduces partial sums at every layer boundary. */
-    double tpCommBytesPerSample(double dtype_bytes) const override
-    {
-        return activationMemoryBytesPerSample(dtype_bytes);
-    }
+    double tpCommBytesPerSample(double dtype_bytes) const override;
 
     std::unique_ptr<Layer> clone() const override;
 
@@ -283,8 +268,6 @@ class AttentionLayer : public Layer
     double paramCount() const override;
     double forwardFlopsPerSample() const override;
     double outputBytesPerSample(double dtype_bytes) const override;
-    double
-    activationMemoryBytesPerSample(double dtype_bytes) const override;
     std::unique_ptr<Layer> clone() const override;
 
     long hidden() const { return hidden_; }
@@ -330,8 +313,6 @@ class FeedForwardLayer : public Layer
     double paramCount() const override;
     double forwardFlopsPerSample() const override;
     double outputBytesPerSample(double dtype_bytes) const override;
-    double
-    activationMemoryBytesPerSample(double dtype_bytes) const override;
     std::unique_ptr<Layer> clone() const override;
 
     long hidden() const { return hidden_; }
@@ -365,8 +346,6 @@ class MoeFeedForwardLayer : public Layer
     double paramCount() const override;
     double forwardFlopsPerSample() const override;
     double outputBytesPerSample(double dtype_bytes) const override;
-    double
-    activationMemoryBytesPerSample(double dtype_bytes) const override;
     std::unique_ptr<Layer> clone() const override;
 
     int numExperts() const { return numExperts_; }

@@ -613,19 +613,16 @@ EvalService::handleExplore(const HttpRequest &request)
     ClusterSpec cluster = loadCluster(body.at("system"));
     TaskConfig task = loadTask(body.at("task"));
 
-    // The !(in-range) form also rejects NaN; an unchecked cast of an
-    // out-of-range double to size_t is undefined behavior.
-    double topRaw = body.numberOr("top", 5);
-    if (!(topRaw >= 0 && topRaw <= static_cast<double>(1L << 30)))
+    long top = body.longOr("top", 5);
+    if (top < 0 || top > (1L << 30))
         fatal("\"top\" must be in [0, 2^30]");
-    size_t top = static_cast<size_t>(topRaw);
 
-    PerfModel perf(cluster);
-    StrategyExplorer explorer(perf, &engine_);
-    ExplorerOptions opts;
+    PerfModelOptions opts;
     opts.ignoreMemory = body.boolOr("no_memory_limit", false);
-    return jsonResponse(
-        toJson(explorer.explore(model, task.task, opts), top));
+    PerfModel perf(cluster, opts);
+    StrategyExplorer explorer(perf, &engine_);
+    Exploration exploration = explorer.explore(model, task.task);
+    return jsonResponse(toJson(exploration, static_cast<size_t>(top)));
 }
 
 HttpResponse
@@ -700,12 +697,11 @@ EvalService::runPareto(const HttpRequest &request)
                       "integers");
             std::vector<int> counts;
             for (size_t i = 0; i < arr.size(); ++i) {
-                double n = arr.at(i).asDouble();
-                if (!(n >= 1 && n <= 65536) ||
-                    n != static_cast<long>(n))
+                int n = arr.at(i).asInt();
+                if (n < 1 || n > 65536)
                     fatal("\"node_counts\" entries must be integers "
                           "in [1, 65536]");
-                counts.push_back(static_cast<int>(n));
+                counts.push_back(n);
             }
             hw = nodeCountSweep(cluster, counts);
         } else {
@@ -718,23 +714,24 @@ EvalService::runPareto(const HttpRequest &request)
         if (catalog != "cloud")
             fatal("unknown catalog '" + catalog +
                   "' (supported: cloud)");
-        double nodes = body.numberOr("nodes", 16);
-        if (!(nodes >= 1 && nodes <= 4096))
+        int nodes = body.intOr("nodes", 16);
+        if (nodes < 1 || nodes > 4096)
             fatal("\"nodes\" must be in [1, 4096]");
-        hw = cloudHardwareCatalog(static_cast<int>(nodes));
+        hw = cloudHardwareCatalog(nodes);
     }
 
     ParetoOptions opts;
     opts.strategy = body.stringOr("strategy", "exhaustive");
-    double budget = body.numberOr("budget", 0);
-    if (!(budget >= 0 && budget <= static_cast<double>(1L << 30)))
+    opts.search.maxEvaluations = body.longOr("budget", 0);
+    if (opts.search.maxEvaluations < 0 ||
+        opts.search.maxEvaluations > (1L << 30))
         fatal("\"budget\" must be in [0, 2^30]");
-    opts.search.maxEvaluations = static_cast<long>(budget);
-    double seed = body.numberOr(
-        "seed", static_cast<double>(SearchOptions{}.seed));
-    if (!(seed >= 0 && seed <= 0x1p63))
-        fatal("\"seed\" must be a non-negative integer");
-    opts.search.seed = static_cast<uint64_t>(seed);
+    if (body.has("seed")) {
+        long seed = body.at("seed").asLong();
+        if (seed < 0)
+            fatal("\"seed\" must be a non-negative integer");
+        opts.search.seed = static_cast<uint64_t>(seed);
+    }
     opts.includeBaselines = body.boolOr("include_baselines", true);
 
     ParetoEngine pareto(std::move(hw), &engine_);

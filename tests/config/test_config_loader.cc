@@ -196,6 +196,40 @@ TEST(ConfigLoader, ClusterFromJson)
     EXPECT_DOUBLE_EQ(c.util.hbm, 0.80);
 }
 
+TEST(ConfigLoader, IntegerFieldsRejectFractionsAndOverflow)
+{
+    // Each field is read checked: a bare cast priced 2^32 + 16 nodes as
+    // 16, and 2.5 as 2.
+    auto cluster = [](const std::string &nodes) {
+        return JsonValue::parse(R"json({
+            "device": {"name": "A100", "peak_tflops_16": 312,
+                       "hbm_gib": 40, "hbm_gbps": 1600,
+                       "intra_node_gbps": 300, "inter_node_gbps": 25},
+            "devices_per_node": 8, "num_nodes": )json" + nodes + "}");
+    };
+    EXPECT_EQ(loadCluster(cluster("16")).numNodes, 16);
+    EXPECT_THROW(loadCluster(cluster("4294967312")), ConfigError);
+    EXPECT_THROW(loadCluster(cluster("2.5")), ConfigError);
+    EXPECT_THROW(loadCluster(cluster("1e300")), ConfigError);
+
+    EXPECT_THROW(loadModel(JsonValue::parse(R"json({
+        "type": "llm", "global_batch": 64, "context": 1024,
+        "vocab": 32000, "hidden": 1024, "layers": 2.5, "heads": 16,
+        "ffn": 4096})json")),
+                 ConfigError);
+    EXPECT_THROW(loadModel(JsonValue::parse(
+                     R"json({"type": "zoo", "name": "llama2-7b",
+                             "context": 512.5})json")),
+                 ConfigError);
+    EXPECT_THROW(loadTask(JsonValue::parse(
+                     R"json({"task": "decode",
+                             "decode_kv_tokens": 1e300})json")),
+                 ConfigError);
+    EXPECT_THROW(loadWorkload(JsonValue::parse(
+                     R"json({"generate_tokens": 2.5})json")),
+                 ConfigError);
+}
+
 TEST(ConfigLoader, ClusterRoundTripsThroughJson)
 {
     ClusterSpec original = hw_zoo::dlrmTrainingSystem();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "config/json.hh"
 #include "util/logging.hh"
 
@@ -90,6 +92,28 @@ TEST(Json, FallbackAccessors)
     EXPECT_EQ(v.stringOr("t", "zzz"), "zzz");
     EXPECT_EQ(v.boolOr("f", false), true);
     EXPECT_EQ(v.boolOr("g", false), false);
+}
+
+TEST(Json, IntegerReadsRejectFractionsAndOverflow)
+{
+    JsonValue v = JsonValue::parse(
+        R"({"n": 16, "half": 2.5, "big": 4294967312, "huge": 1e300,
+            "neg": -9223372036854775808, "two63": 9223372036854775808})");
+    EXPECT_EQ(v.at("n").asInt(), 16);
+    EXPECT_EQ(v.at("big").asLong(), 4294967312L);
+    EXPECT_EQ(v.at("neg").asLong(), std::numeric_limits<long>::min());
+    EXPECT_THROW(v.at("half").asLong(), ConfigError);
+    EXPECT_THROW(v.at("half").asInt(), ConfigError);
+    // 2^32 + 16 would wrap to 16 in an int.
+    EXPECT_THROW(v.at("big").asInt(), ConfigError);
+    EXPECT_THROW(v.at("huge").asLong(), ConfigError);
+    EXPECT_THROW(v.at("two63").asLong(), ConfigError);
+    EXPECT_THROW(v.at("neg").asInt(), ConfigError);
+    EXPECT_EQ(v.longOr("n", 7), 16);
+    EXPECT_EQ(v.intOr("absent", 7), 7);
+    EXPECT_THROW(v.intOr("half", 7), ConfigError);
+    // Out-of-range numbers still dump (no integer cast).
+    EXPECT_EQ(v.at("huge").dump(), "1.0000000000000001e+300");
 }
 
 TEST(Json, DumpRoundTrips)

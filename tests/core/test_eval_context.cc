@@ -89,7 +89,7 @@ TEST(EvalContext, VerdictMatchesPerfModelVerdict)
     // The context prices from terms read once at construction; the
     // one-off verdict reads them per call. Every model_zoo family
     // (MoE banks exercise the transient divisor, LLMs under decode
-    // the KV cache), each task kind, and both activation policies.
+    // the KV cache), and each task kind.
     struct ZooCase
     {
         const char *name;
@@ -130,18 +130,13 @@ TEST(EvalContext, VerdictMatchesPerfModelVerdict)
 
     for (const ZooCase &c : zoo) {
         ModelDesc desc = c.desc();
-        for (bool checkpoint : {true, false}) {
-            PerfModelOptions opts;
-            opts.memory.checkpointActivations = checkpoint;
-            PerfModel perf(c.cluster(), opts);
-            for (const TaskSpec &task : tasks) {
-                SCOPED_TRACE(std::string(c.name) + " " + task.toString() +
-                             (checkpoint ? " ckpt" : " full"));
-                EvalContext context(perf, desc, task);
-                for (const ParallelPlan &plan : plans) {
-                    expectBitIdentical(context.verdict(plan),
-                                       perf.verdict(desc, task, plan));
-                }
+        PerfModel perf(c.cluster());
+        for (const TaskSpec &task : tasks) {
+            SCOPED_TRACE(std::string(c.name) + " " + task.toString());
+            EvalContext context(perf, desc, task);
+            for (const ParallelPlan &plan : plans) {
+                expectBitIdentical(context.verdict(plan),
+                                   perf.verdict(desc, task, plan));
             }
         }
     }

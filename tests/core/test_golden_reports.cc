@@ -138,13 +138,12 @@ dumpReport(const PerfReport &r)
 std::string
 dumpExploration(const ModelDesc &desc, const TaskSpec &task,
                 const ClusterSpec &cluster, const ExplorerOptions &opts,
-                int jobs)
+                int jobs, PerfModelOptions po = {})
 {
     EvalEngineOptions eo;
     eo.jobs = jobs;
     EvalEngine engine(eo);
     // Timelines are opt-in; the goldens digest them, so opt in.
-    PerfModelOptions po;
     po.keepTimeline = true;
     PerfModel perf(cluster, po);
     StrategyExplorer explorer(perf, &engine);
@@ -181,11 +180,11 @@ TEST(GoldenReports, ExploreGpt3IgnoreMemory)
 {
     ModelDesc desc = model_zoo::gpt3();
     ClusterSpec cluster = hw_zoo::llmTrainingSystem();
-    ExplorerOptions opts;
-    opts.ignoreMemory = true;
+    PerfModelOptions po;
+    po.ignoreMemory = true;
     checkGolden("explore_gpt3_nomem.txt",
                 dumpExploration(desc, TaskSpec::preTraining(), cluster,
-                                opts, 1));
+                                ExplorerOptions{}, 1, po));
 }
 
 TEST(GoldenReports, ExploreGpt3Inference)

@@ -12,18 +12,11 @@ namespace madmax
 {
 
 using namespace units;
-
-TEST(MemoryModel, RejectsBadReserve)
-{
-    EXPECT_THROW(MemoryModel(MemoryModelOptions{1.0, true}), ConfigError);
-    EXPECT_THROW(MemoryModel(MemoryModelOptions{-0.1, true}),
-                 ConfigError);
-}
+using memory_model::evaluate;
 
 TEST(MemoryModel, UsableCapacityAppliesReserve)
 {
-    MemoryModel m(MemoryModelOptions{0.30, true});
-    MemoryFootprint fp = m.evaluate(
+    MemoryFootprint fp = evaluate(
         model_zoo::dlrmA(), TaskSpec::preTraining(),
         ParallelPlan::fsdpBaseline(), hw_zoo::dlrmTrainingSystem());
     EXPECT_NEAR(fp.usableCapacity, gib(40) * 0.70, 1.0);
@@ -32,8 +25,7 @@ TEST(MemoryModel, UsableCapacityAppliesReserve)
 TEST(MemoryModel, DlrmShardedTablesDominate)
 {
     // 793B fp32 params over 128 devices ~ 24.8 GB each.
-    MemoryModel m;
-    MemoryFootprint fp = m.evaluate(
+    MemoryFootprint fp = evaluate(
         model_zoo::dlrmA(), TaskSpec::preTraining(),
         ParallelPlan::fsdpBaseline(), hw_zoo::dlrmTrainingSystem());
     EXPECT_NEAR(fp.paramBytes / gb(1), 24.8, 0.6);
@@ -44,29 +36,27 @@ TEST(MemoryModel, DlrmDdpDenseOverflows40GB)
 {
     // Insight 1 / Fig. 11: replicating dense params + grads +
     // optimizer states on top of the table shards exceeds usable HBM.
-    MemoryModel m;
     ParallelPlan ddp;
     ddp.set(LayerClass::BaseDense, HierStrategy{Strategy::DDP});
     MemoryFootprint fp =
-        m.evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(), ddp,
-                   hw_zoo::dlrmTrainingSystem());
+        evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(), ddp,
+                 hw_zoo::dlrmTrainingSystem());
     EXPECT_FALSE(fp.fits());
     // The same plan fits for inference (Insight 5): params only.
     MemoryFootprint inf =
-        m.evaluate(model_zoo::dlrmA(), TaskSpec::inference(), ddp,
-                   hw_zoo::dlrmTrainingSystem());
+        evaluate(model_zoo::dlrmA(), TaskSpec::inference(), ddp,
+                 hw_zoo::dlrmTrainingSystem());
     EXPECT_TRUE(inf.fits());
 }
 
 TEST(MemoryModel, TpShardingRestoresFit)
 {
-    MemoryModel m;
     ParallelPlan tp_ddp;
     tp_ddp.set(LayerClass::BaseDense,
                HierStrategy{Strategy::TP, Strategy::DDP});
     MemoryFootprint fp =
-        m.evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(), tp_ddp,
-                   hw_zoo::dlrmTrainingSystem());
+        evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(), tp_ddp,
+                 hw_zoo::dlrmTrainingSystem());
     EXPECT_TRUE(fp.fits());
 }
 
@@ -74,17 +64,16 @@ TEST(MemoryModel, Gpt3IntraNodeShardingInsufficient)
 {
     // Insight 2: (TP, DDP) on GPT-3 OOMs — 1/8 of 175B params plus
     // optimizer state cannot fit in 80 GB.
-    MemoryModel m;
     ParallelPlan plan = ParallelPlan::fsdpBaseline();
     plan.set(LayerClass::Transformer,
              HierStrategy{Strategy::TP, Strategy::DDP});
     MemoryFootprint fp =
-        m.evaluate(model_zoo::gpt3(), TaskSpec::preTraining(), plan,
-                   hw_zoo::llmTrainingSystem());
+        evaluate(model_zoo::gpt3(), TaskSpec::preTraining(), plan,
+                 hw_zoo::llmTrainingSystem());
     EXPECT_FALSE(fp.fits());
 
     // Global FSDP fits comfortably.
-    MemoryFootprint fsdp = m.evaluate(
+    MemoryFootprint fsdp = evaluate(
         model_zoo::gpt3(), TaskSpec::preTraining(),
         ParallelPlan::fsdpBaseline(), hw_zoo::llmTrainingSystem());
     EXPECT_TRUE(fsdp.fits());
@@ -93,9 +82,8 @@ TEST(MemoryModel, Gpt3IntraNodeShardingInsufficient)
 TEST(MemoryModel, MixedPrecisionAddsMasterWeights)
 {
     // bf16 params get an fp32 master copy in the optimizer.
-    MemoryModel m;
     ModelDesc llm = model_zoo::llama65b();
-    MemoryFootprint train = m.evaluate(
+    MemoryFootprint train = evaluate(
         llm, TaskSpec::preTraining(), ParallelPlan::fsdpBaseline(),
         hw_zoo::llmTrainingSystem());
     // Optimizer (8 + 4 master) dwarfs bf16 params (2) at equal
@@ -105,9 +93,8 @@ TEST(MemoryModel, MixedPrecisionAddsMasterWeights)
 
 TEST(MemoryModel, FsdpTransientIsLargestGatheredLayer)
 {
-    MemoryModel m;
     ModelDesc llm = model_zoo::llama65b();
-    MemoryFootprint fp = m.evaluate(
+    MemoryFootprint fp = evaluate(
         llm, TaskSpec::preTraining(), ParallelPlan::fsdpBaseline(),
         hw_zoo::llmTrainingSystem());
     // Largest layer: SwiGLU FFN, 3 x 8192 x 22016 bf16 params.
@@ -115,29 +102,12 @@ TEST(MemoryModel, FsdpTransientIsLargestGatheredLayer)
     EXPECT_NEAR(fp.transientBytes, largest, largest * 0.01);
 }
 
-TEST(MemoryModel, ActivationCheckpointingShrinksFootprint)
-{
-    MemoryModelOptions full;
-    full.checkpointActivations = false;
-    MemoryModelOptions ckpt;
-    ckpt.checkpointActivations = true;
-    ModelDesc llm = model_zoo::gpt3();
-    MemoryFootprint f_full = MemoryModel(full).evaluate(
-        llm, TaskSpec::preTraining(), ParallelPlan::fsdpBaseline(),
-        hw_zoo::llmTrainingSystem());
-    MemoryFootprint f_ckpt = MemoryModel(ckpt).evaluate(
-        llm, TaskSpec::preTraining(), ParallelPlan::fsdpBaseline(),
-        hw_zoo::llmTrainingSystem());
-    EXPECT_GT(f_full.activationBytes, 3.0 * f_ckpt.activationBytes);
-}
-
 TEST(MemoryModel, InferenceUsesSmallWorkingSet)
 {
-    MemoryModel m;
-    MemoryFootprint train = m.evaluate(
+    MemoryFootprint train = evaluate(
         model_zoo::dlrmA(), TaskSpec::preTraining(),
         ParallelPlan::fsdpBaseline(), hw_zoo::dlrmTrainingSystem());
-    MemoryFootprint inf = m.evaluate(
+    MemoryFootprint inf = evaluate(
         model_zoo::dlrmA(), TaskSpec::inference(),
         ParallelPlan::fsdpBaseline(), hw_zoo::dlrmTrainingSystem());
     EXPECT_LT(inf.activationBytes, train.activationBytes);
@@ -148,15 +118,14 @@ TEST(MemoryModel, InferenceUsesSmallWorkingSet)
 TEST(MemoryModel, MoreCapacityUnlocksPlans)
 {
     // Fig. 19 mechanism: scaling HBM capacity turns OOM plans valid.
-    MemoryModel m;
     ParallelPlan ddp;
     ddp.set(LayerClass::BaseDense, HierStrategy{Strategy::DDP});
     ClusterSpec base = hw_zoo::dlrmTrainingSystem();
-    EXPECT_FALSE(m.evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(),
-                            ddp, base)
+    EXPECT_FALSE(evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(),
+                          ddp, base)
                      .fits());
-    EXPECT_TRUE(m.evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(),
-                           ddp, base.withHbmCapacityScale(10.0))
+    EXPECT_TRUE(evaluate(model_zoo::dlrmA(), TaskSpec::preTraining(),
+                         ddp, base.withHbmCapacityScale(10.0))
                     .fits());
 }
 
@@ -207,20 +176,19 @@ TEST(MemoryModel, MoreCapacityNeverTurnsAFittingPlanOom)
 
     const TaskSpec tasks[] = {TaskSpec::preTraining(),
                               TaskSpec::inference(), TaskSpec::decode()};
-    MemoryModel m;
     long fitting = 0, oom = 0;
     for (const ZooCase &c : zoo) {
-        const MemoryModel::Terms terms = m.terms(c.desc);
+        const memory_model::Terms terms = memory_model::terms(c.desc);
         for (const TaskSpec &task : tasks) {
             for (const ParallelPlan &plan : plans) {
                 SCOPED_TRACE(c.desc.name + " " + task.toString() + " " +
                              plan.toString());
                 const MemoryFootprint base =
-                    m.evaluate(terms, task, plan, c.cluster);
+                    evaluate(terms, task, plan, c.cluster);
                 (base.fits() ? fitting : oom) += 1;
                 MemoryFootprint prev = base;
                 for (double scale : {1.0, 1.5, 2.0, 4.0}) {
-                    const MemoryFootprint fp = m.evaluate(
+                    const MemoryFootprint fp = evaluate(
                         terms, task, plan,
                         c.cluster.withHbmCapacityScale(scale));
                     EXPECT_EQ(fp.paramBytes, base.paramBytes);
@@ -245,8 +213,7 @@ TEST(MemoryModel, MoreCapacityNeverTurnsAFittingPlanOom)
 
 TEST(MemoryModel, FootprintTotalSumsComponents)
 {
-    MemoryModel m;
-    MemoryFootprint fp = m.evaluate(
+    MemoryFootprint fp = evaluate(
         model_zoo::dlrmA(), TaskSpec::preTraining(),
         ParallelPlan::fsdpBaseline(), hw_zoo::dlrmTrainingSystem());
     EXPECT_NEAR(fp.total(),
@@ -257,7 +224,6 @@ TEST(MemoryModel, FootprintTotalSumsComponents)
 
 TEST(MemoryModel, KvCacheGrowsWithContextAndRidesTheBatchSplit)
 {
-    MemoryModel m;
     ModelDesc desc = model_zoo::llama2_7b(512);
     ClusterSpec cluster = hw_zoo::llmTrainingSystem().withNumNodes(2);
     ParallelPlan plan = ParallelPlan::fsdpBaseline();
@@ -265,13 +231,13 @@ TEST(MemoryModel, KvCacheGrowsWithContextAndRidesTheBatchSplit)
     // Batch-phase inference carries no cache: the legacy footprint is
     // untouched by the phase split.
     MemoryFootprint batch =
-        m.evaluate(desc, TaskSpec::inference(), plan, cluster);
+        evaluate(desc, TaskSpec::inference(), plan, cluster);
     EXPECT_DOUBLE_EQ(batch.kvCacheBytes, 0.0);
 
     // Prefill at the prompt length: 2 (K,V) x h x 2 B x 32 layers per
     // token, x 512 tokens, x the device's share of the batch.
     MemoryFootprint prefill =
-        m.evaluate(desc, TaskSpec::prefill(), plan, cluster);
+        evaluate(desc, TaskSpec::prefill(), plan, cluster);
     const double batch_share = 256.0 / cluster.numDevices();
     EXPECT_DOUBLE_EQ(prefill.kvCacheBytes,
                      2.0 * 4096 * 2.0 * 32 * 512 * batch_share);
@@ -282,7 +248,7 @@ TEST(MemoryModel, KvCacheGrowsWithContextAndRidesTheBatchSplit)
     // cache linearly past the context length.
     TaskSpec capped = TaskSpec::decode(512);
     capped.kvCapacityTokens = 1024;
-    MemoryFootprint decode = m.evaluate(desc, capped, plan, cluster);
+    MemoryFootprint decode = evaluate(desc, capped, plan, cluster);
     EXPECT_DOUBLE_EQ(decode.kvCacheBytes, 2.0 * prefill.kvCacheBytes);
     // total() includes the cache.
     EXPECT_GE(decode.total(), decode.kvCacheBytes);
@@ -290,7 +256,7 @@ TEST(MemoryModel, KvCacheGrowsWithContextAndRidesTheBatchSplit)
     // A 1-byte (fp8) cache halves it.
     TaskSpec fp8 = capped;
     fp8.kvBytesPerElement = 1.0;
-    EXPECT_DOUBLE_EQ(m.evaluate(desc, fp8, plan, cluster).kvCacheBytes,
+    EXPECT_DOUBLE_EQ(evaluate(desc, fp8, plan, cluster).kvCacheBytes,
                      decode.kvCacheBytes / 2.0);
 }
 
@@ -299,12 +265,10 @@ TEST(MemoryModel, GroupedQueryAttentionShrinksTheCache)
     // LLaMA2-70B uses 8 KV heads against 64 query heads: its per-token
     // cache must be 8x smaller than a full-KV model of the same
     // hidden size would carry.
-    MemoryModel m;
     ModelDesc desc = model_zoo::llama2_70b();
     ClusterSpec cluster = hw_zoo::llmTrainingSystem();
-    MemoryFootprint fp = m.evaluate(desc, TaskSpec::prefill(),
-                                    ParallelPlan::fsdpBaseline(),
-                                    cluster);
+    MemoryFootprint fp = evaluate(desc, TaskSpec::prefill(),
+                                  ParallelPlan::fsdpBaseline(), cluster);
     const auto &attn = static_cast<const AttentionLayer &>(
         desc.graph.layer(1));
     ASSERT_EQ(attn.kind(), LayerKind::Attention);

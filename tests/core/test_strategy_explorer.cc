@@ -109,14 +109,14 @@ TEST(StrategyExplorer, IgnoreMemoryUnlocksFasterPlans)
     // Fig. 10's orange bars: unconstrained exploration can only be
     // at least as fast as the constrained optimum.
     PerfModel model(hw_zoo::dlrmTrainingSystem());
-    StrategyExplorer explorer(model);
-    ExplorerOptions unconstrained;
-    unconstrained.ignoreMemory = true;
-    double best_c = explorer.best(model_zoo::dlrmA(),
-                                  TaskSpec::preTraining())
+    PerfModelOptions no_memory_limit;
+    no_memory_limit.ignoreMemory = true;
+    PerfModel unconstrained(hw_zoo::dlrmTrainingSystem(), no_memory_limit);
+    double best_c = StrategyExplorer(model)
+                        .best(model_zoo::dlrmA(), TaskSpec::preTraining())
                         .report.throughput();
-    double best_u = explorer.best(model_zoo::dlrmA(),
-                                  TaskSpec::preTraining(), unconstrained)
+    double best_u = StrategyExplorer(unconstrained)
+                        .best(model_zoo::dlrmA(), TaskSpec::preTraining())
                         .report.throughput();
     EXPECT_GE(best_u, best_c - 1e-6);
 }
@@ -133,13 +133,14 @@ TEST(StrategyExplorer, BestIsExploreArgmax)
         ClusterSpec cluster = m.isRecommendation
             ? hw_zoo::dlrmTrainingSystem()
             : hw_zoo::llmTrainingSystem();
-        PerfModel model(cluster);
         for (bool ignoreMemory : {false, true}) {
+            PerfModelOptions modelOpts;
+            modelOpts.ignoreMemory = ignoreMemory;
+            PerfModel model(cluster, modelOpts);
             for (bool explorePrefetch : {false, true}) {
                 SCOPED_TRACE(m.name + (ignoreMemory ? " ignoreMemory" : "") +
                              (explorePrefetch ? " explorePrefetch" : ""));
                 ExplorerOptions opts;
-                opts.ignoreMemory = ignoreMemory;
                 opts.explorePrefetch = explorePrefetch;
                 Exploration all = StrategyExplorer(model).explore(
                     m, TaskSpec::preTraining(), opts);
@@ -160,13 +161,10 @@ TEST(StrategyExplorer, BestIsExploreArgmax)
                 EXPECT_EQ(best.stats.cacheHits, all.stats.cacheHits);
                 EXPECT_EQ(best.stats.pruned, all.stats.pruned);
 
-                PerfModelOptions searchOpts;
-                searchOpts.ignoreMemory = ignoreMemory;
-                PerfModel searched(cluster, searchOpts);
                 EvalEngine engine;
                 SearchOutcome outcome = runSearch(
                     "exhaustive",
-                    makeSearchSpace({&searched}, m, TaskSpec::preTraining(),
+                    makeSearchSpace({&model}, m, TaskSpec::preTraining(),
                                     explorePrefetch),
                     engine);
                 const SearchCandidate *argmax =

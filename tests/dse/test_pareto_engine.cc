@@ -359,12 +359,11 @@ TEST(ParetoEngineTest, ScoreObjectivesUsesTheCostModel)
     report.memory.usableCapacity = 10.0;
     report.memory.paramBytes = 4.0;
 
-    CostModelOptions cost;
-    cost.dollarsPerA100Hour = 2.0;
-    ParetoObjectives obj = scoreObjectives(report, cfg.hw[0], cost);
+    ParetoObjectives obj = scoreObjectives(report, cfg.hw[0]);
     EXPECT_DOUBLE_EQ(obj.throughput, 2000.0);
+    // $4.1 per A100-equivalent device-hour.
     double rate = cfg.hw[0].cluster.numDevices() *
-        cfg.hw[0].a100PeakRatio * 2.0;
+        cfg.hw[0].a100PeakRatio * 4.1;
     EXPECT_DOUBLE_EQ(obj.perfPerTco, 2000.0 / rate);
     EXPECT_DOUBLE_EQ(obj.memHeadroomBytes, 6.0);
 }

@@ -18,9 +18,7 @@ TEST(MlpLayer, ParamsAndFlops)
     EXPECT_DOUBLE_EQ(mlp.forwardFlopsPerSample(), 96.0);
     // Output: 2 elements.
     EXPECT_DOUBLE_EQ(mlp.outputBytesPerSample(4.0), 8.0);
-    // Retained: 8 + 2 elements.
-    EXPECT_DOUBLE_EQ(mlp.activationMemoryBytesPerSample(4.0), 40.0);
-    // Naive TP reduces at every boundary.
+    // Naive TP reduces at every boundary: 8 + 2 elements.
     EXPECT_DOUBLE_EQ(mlp.tpCommBytesPerSample(4.0), 40.0);
 }
 

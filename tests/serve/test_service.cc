@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "config/config_loader.hh"
+#include "dse/strategy_explorer.hh"
 #include "serve/http_server.hh"
 #include "serve/service.hh"
 #include "serve_test_util.hh"
@@ -407,6 +408,39 @@ TEST(EvalService, ExploreRejectsOutOfRangeTop)
     body.set("top", 1e300);
     EXPECT_EQ(service.handle(post("/v1/explore", body.dump(2))).status,
               400);
+    body.set("top", 2.5);
+    EXPECT_EQ(service.handle(post("/v1/explore", body.dump(2))).status,
+              400);
+}
+
+TEST(EvalService, ExploreNoMemoryLimitSearchesAnUnconstrainedModel)
+{
+    // "no_memory_limit" explores with PerfModelOptions::ignoreMemory,
+    // as `madmax explore --no-memory-limit` does. The search's wall
+    // time is the one field that differs run to run.
+    auto withoutWallTime = [](JsonValue doc) {
+        doc.member("search").set("wall_seconds", 0.0);
+        return doc.dump(2) + "\n";
+    };
+    EvalService service;
+    JsonValue body = JsonValue::parse(shippedTripleBody());
+    HttpResponse constrained =
+        service.handle(post("/v1/explore", body.dump(2)));
+    body.set("no_memory_limit", true);
+    HttpResponse unconstrained =
+        service.handle(post("/v1/explore", body.dump(2)));
+    ASSERT_EQ(constrained.status, 200);
+    ASSERT_EQ(unconstrained.status, 200);
+
+    PerfModelOptions opts;
+    opts.ignoreMemory = true;
+    PerfModel perf(loadCluster(body.at("system")), opts);
+    Exploration expected = StrategyExplorer(perf).explore(
+        loadModel(body.at("model")), loadTask(body.at("task")).task);
+    const std::string got =
+        withoutWallTime(JsonValue::parse(unconstrained.body));
+    EXPECT_EQ(got, withoutWallTime(toJson(expected, 5)));
+    EXPECT_NE(got, withoutWallTime(JsonValue::parse(constrained.body)));
 }
 
 namespace
@@ -508,7 +542,15 @@ TEST(EvalService, ParetoRejectsBadInput)
         service.handle(post("/v1/pareto", badCounts.dump(2))).status,
         400);
 
-    EXPECT_EQ(service.stats().errors, 4);
+    // A bare cast searched a 2.5 budget as 2.
+    JsonValue fractionalBudget = paretoBody();
+    fractionalBudget.set("strategy", "genetic");
+    fractionalBudget.set("budget", 2.5);
+    EXPECT_EQ(service.handle(post("/v1/pareto", fractionalBudget.dump(2)))
+                  .status,
+              400);
+
+    EXPECT_EQ(service.stats().errors, 5);
 }
 
 TEST(EvalService, ParetoRequestsAreCountedInStats)

@@ -217,11 +217,11 @@ cmdExplore(const std::map<std::string, std::string> &flags)
         static_cast<int>(intFlag(flags, "jobs", 1, 0, 4096));
     EvalEngine engine(engine_opts);
 
-    PerfModel madmax(cluster);
-    StrategyExplorer explorer(madmax, &engine);
-    ExplorerOptions opts;
+    PerfModelOptions opts;
     opts.ignoreMemory = flags.count("no-memory-limit") > 0;
-    Exploration exploration = explorer.explore(model, task.task, opts);
+    PerfModel madmax(cluster, opts);
+    StrategyExplorer explorer(madmax, &engine);
+    Exploration exploration = explorer.explore(model, task.task);
 
     if (wantJson(flags)) {
         std::cout << toJson(exploration, top).dump(2) << "\n";
