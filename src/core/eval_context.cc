@@ -480,6 +480,12 @@ EvalContext::evaluate(const ParallelPlan &plan, PerfReport report) const
             std::move(end), report.iterationTime, report.iterationTime});
         tl->makespan = report.iterationTime;
     }
+#ifdef MADMAX_CHECK_REPORTS
+    const std::string broken =
+        reportInvariantViolation(report, options().ignoreMemory);
+    if (!broken.empty())
+        panic("EvalContext::evaluate: " + broken + " for " + plan.toString());
+#endif
     return report;
 }
 

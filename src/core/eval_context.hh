@@ -76,7 +76,6 @@
 
 #include "collective/collective.hh"
 #include "collective/topology_model.hh"
-#include "core/interval_sweep.hh"
 #include "core/memo_key.hh"
 #include "core/perf_model.hh"
 #include "core/segment_template.hh"
@@ -219,26 +218,45 @@ class EvalContext
     size_t collectiveTableSize() const;
 
     /**
-     * The buffers one evaluation schedules into (spliceSegments
-     * overwrites whatever it reads): what a node's dependencies
-     * resolve against, and the overlap accounting. No node is stored;
-     * a retained Timeline is written straight into the report.
+     * The buffers one evaluation schedules into. Each only grows: a
+     * splice writes its entries through raw pointers, counts them in
+     * locals, and reads only what it wrote, so entries a larger
+     * earlier splice left behind are never read. No node is stored; a
+     * retained Timeline is written straight into the report.
      * evaluate() keeps one per thread and reuses it across calls and
      * contexts.
      */
     struct Scratch
     {
-        std::vector<double> finish;  ///< Indexed by node id.
-        std::vector<int32_t> fwdOut; ///< Per layer: forward output id.
-        std::vector<int32_t> bwdOut; ///< Per layer: backward output id.
-        std::vector<int32_t> computeIds; ///< Per emission ordinal.
-        std::vector<Interval> cover; ///< Merged compute-busy intervals.
-        std::vector<Interval> queries; ///< Nonzero comm intervals.
-        std::vector<EventCategory> queryCategory; ///< Per query.
-        /** Query indices per comm channel (blocking, background), each
-         *  in node order and so ascending in start. */
-        std::array<std::vector<size_t>, 2> channelQueries;
-        std::vector<double> covered; ///< Per query: length under cover.
+        /** A scheduled node's finish, and its id (written for a
+         *  retained Timeline's dependency lists only). */
+        struct Placed
+        {
+            double finish;
+            int32_t id;
+        };
+        /** A merged compute-busy interval [lo, hi). */
+        struct Busy
+        {
+            double lo;
+            double hi;
+        };
+        /** A comm node's nonzero scheduled interval [lo, hi). */
+        struct CommQuery
+        {
+            double lo;
+            double hi;
+            EventCategory category;
+            uint32_t channel; ///< 0 blocking, 1 background.
+        };
+
+        std::vector<Placed> nodes; ///< Indexed by node id.
+        /** Per layer: its forward visible output at [layer], its
+         *  backward one at [numLayers + layer]. */
+        std::vector<Placed> outputs;
+        std::vector<Placed> computes; ///< Per emission ordinal.
+        std::vector<Busy> cover; ///< Ascending, disjoint.
+        std::vector<CommQuery> queries; ///< In node order.
     };
 
   private:

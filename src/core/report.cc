@@ -1,5 +1,8 @@
 #include "core/report.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/strfmt.hh"
 
 namespace madmax
@@ -25,6 +28,36 @@ categorySeconds(const CategoryTimes &times, EventCategory cat)
             return seconds;
     }
     return 0.0;
+}
+
+std::string
+reportInvariantViolation(const PerfReport &r, bool ignoreMemory)
+{
+    double serialized = 0.0;
+    for (const auto &entry : r.serializedBreakdown)
+        serialized += entry.second;
+    double exposed = 0.0;
+    for (const auto &entry : r.exposedBreakdown)
+        exposed += entry.second;
+    const double tol = 1e-9 * std::max(r.serializedTime, r.iterationTime);
+    const auto broken = [](const char *rule, double lhs, double rhs) {
+        return strfmt("%s fails: %.17g vs %.17g", rule, lhs, rhs);
+    };
+    if (!(r.exposedCommTime <= r.commTime + tol))
+        return broken("exposed <= comm", r.exposedCommTime, r.commTime);
+    if (!(r.commTime <= r.serializedTime))
+        return broken("comm <= serialized", r.commTime, r.serializedTime);
+    if (!(r.computeTime <= r.iterationTime))
+        return broken("compute <= iteration", r.computeTime, r.iterationTime);
+    if (!(std::fabs(serialized - r.serializedTime) <= tol))
+        return broken("serialized breakdown sum", serialized,
+                      r.serializedTime);
+    if (!(std::fabs(exposed - r.exposedCommTime) <= tol))
+        return broken("exposed breakdown sum", exposed, r.exposedCommTime);
+    if (r.valid != (r.memory.fits() || ignoreMemory))
+        return broken("valid == fits (or memory ignored)", r.valid,
+                      r.memory.fits());
+    return "";
 }
 
 double

@@ -121,6 +121,24 @@ struct PerfReport
 };
 
 /**
+ * The first internal invariant @p r breaks, described with its
+ * values, or "" when it keeps them all:
+ *  - exposed comm <= comm <= serialized time, and compute time <=
+ *    iteration time;
+ *  - each breakdown sums to its total;
+ *  - validity matches the memory verdict unless @p ignoreMemory.
+ * A breakdown adds its total's terms in another order, and an exposed
+ * term is a scheduled interval's length (finish - start) rather than
+ * the event's duration, so the exposed and the breakdown checks allow
+ * rounding: 1e-9 of the larger of the serialized and the iteration
+ * time. Trees built
+ * with MADMAX_ASAN run it on every report EvalContext::evaluate
+ * schedules.
+ */
+std::string reportInvariantViolation(const PerfReport &r,
+                                     bool ignoreMemory);
+
+/**
  * Machine-readable report rendering — the one JSON schema every
  * MAD-Max surface emits: `madmax_cli evaluate/explore --format json`
  * and the serving API's `/v1/evaluate` / `/v1/explore` responses all

@@ -230,193 +230,217 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
 constexpr size_t kNumCategories =
     static_cast<size_t>(EventCategory::Other) + 1;
 
+/** @p v's data, with @p v grown to at least @p n entries (it never
+ *  shrinks, so a thread's buffers settle at its largest splice). */
+template <typename T>
+T *
+atLeast(std::vector<T> &v, size_t n)
+{
+    if (v.size() < n)
+        v.resize(n);
+    return v.data();
+}
+
 /**
- * One splice in progress: the schedule of the nodes expanded so far.
- * Every node is placed as soon as it is expanded (its dependencies
- * are earlier nodes, so their finishes are known), and the busy sums,
- * the compute cover and the comm queries grow with it in node order.
- * With a retained Timeline, each node's ScheduledEvent is appended
- * right after it is placed.
+ * spliceSegments, compiled once per Timeline setting. Everything the
+ * schedule carries from node to node (channel cursors, busy sums,
+ * per-category sums, buffer fill counts) is a local, so the stores
+ * into the node buffers cannot alias it. Each layer's visible outputs
+ * and each compute event keep a copy of their Placed entry, so a
+ * symbolic dependency resolves with one load: through a per-segment
+ * table of four base pointers indexed by its kind, at its value. Only
+ * the kTimeline instantiation writes the ids a retained Timeline lists
+ * as dependencies.
  */
-class Splicer
-{
-  public:
-    Splicer(EvalContext::Scratch &s, bool backgroundChannel,
-            Timeline *timeline)
-        : s_(s), background_(backgroundChannel), timeline_(timeline)
-    {}
-
-    /**
-     * Expand layer @p layer's template segment from @p set after the
-     * nodes so far and schedule its nodes: resolve their symbolic
-     * dependencies against the output ids and compute ids of earlier
-     * emissions, and record the segment's own visible output and
-     * compute event.
-     */
-    void expand(const SegmentSet &set, const EvalContext::LayerCosts &lc,
-                int layer, size_t ordinal, bool backward);
-
-    /** The schedule's timings and both breakdowns, into @p report. */
-    void fillReport(PerfReport &report);
-
-  private:
-    /** Schedule node @p i once its dependencies' latest finish,
-     *  @p ready, is known; returns its start. */
-    double place(size_t i, const TemplateEvent &ev, double ready);
-
-    EvalContext::Scratch &s_;
-    bool background_;
-    Timeline *timeline_; ///< Null unless the Timeline is retained.
-    size_t nodePos_ = 0; ///< Nodes expanded so far.
-    /** Channel cursors: [0] compute, [1] blocking communication, [2]
-     *  the background channel non-blocking collectives (gradient
-     *  AllReduce / ReduceScatter) ride, as NCCL does, so they do not
-     *  head-of-line block later blocking collectives. */
-    double cursors_[3] = {0.0, 0.0, 0.0};
-    double computeBusy_ = 0.0;
-    double commBusy_ = 0.0;
-    double serialized_[kNumCategories] = {};
-    /** A category has a breakdown entry iff a node touched it, even
-     *  when the touches summed to zero. */
-    bool serializedTouched_[kNumCategories] = {};
-};
-
+template <bool kTimeline>
 void
-Splicer::expand(const SegmentSet &set, const EvalContext::LayerCosts &lc,
-                int layer, size_t ordinal, bool backward)
+splice(const PlanSegments &sets, const EvalContext::LayerCosts *costs,
+       size_t nl, bool withBackward, bool backgroundChannel,
+       EvalContext::Scratch &s, PerfReport &report, Timeline *timeline)
 {
-    // A local copy: the finish stores below could alias a
-    // reference's fields and force reloads.
-    const SegmentSet::Seg seg = set.segs[lc.templateId];
-    const int32_t base = static_cast<int32_t>(nodePos_);
-    const TemplateEvent *src = set.events.data() + seg.eventBegin;
-    const SymDep *sym = set.deps.data() + seg.depBegin;
-    const double *finish = s_.finish.data();
-    int32_t *fwd_out = s_.fwdOut.data();
-    int32_t *bwd_out = s_.bwdOut.data();
-    int32_t *compute_ids = s_.computeIds.data();
-    const int32_t l = static_cast<int32_t>(layer);
-    const int32_t ord = static_cast<int32_t>(ordinal);
-
-    for (uint32_t e = 0; e < seg.numEvents; ++e) {
-        const TemplateEvent &ev = src[e];
-        ScheduledEvent *out = nullptr;
-        if (timeline_ != nullptr) {
-            out = &timeline_->events.emplace_back();
-            out->event.deps.reserve(ev.depsCount);
+    // Each set knows what its class expands to; every node is a
+    // compute node (at most one cover entry) or a comm one (at most
+    // one query).
+    size_t total_nodes = 0;
+    for (size_t c = 0; c < kNumLayerClasses; ++c) {
+        for (const SegmentSet *set : {sets.fwd[c], sets.bwd[c]}) {
+            if (set != nullptr)
+                total_nodes += set->expandedEvents;
         }
-        // The node is ready once the latest of its dependencies
-        // finishes.
-        double ready = 0.0;
-        for (uint32_t k = 0; k < ev.depsCount; ++k, ++sym) {
-            const int32_t v = sym->value;
-            int32_t id = 0;
-            switch (sym->kind) {
-              case SymDep::Kind::Local: id = base + v; break;
-              case SymDep::Kind::FwdOut: id = fwd_out[l + v]; break;
-              case SymDep::Kind::BwdOut: id = bwd_out[l + v]; break;
-              case SymDep::Kind::ComputeAt: id = compute_ids[ord + v]; break;
+    }
+    const size_t emissions = withBackward ? 2 * nl : nl;
+    using Placed = EvalContext::Scratch::Placed;
+    Placed *const nodes = atLeast(s.nodes, total_nodes);
+    Placed *const outputs = atLeast(s.outputs, 2 * nl);
+    Placed *const computes = atLeast(s.computes, emissions);
+    auto *const cover = atLeast(s.cover, total_nodes);
+    auto *const queries = atLeast(s.queries, total_nodes);
+    if constexpr (kTimeline) // With room for the iteration-end barrier.
+        timeline->events.reserve(total_nodes + 1);
+
+    /* Channel cursors: compute, blocking communication, and the
+     * background channel non-blocking collectives (gradient AllReduce
+     * / ReduceScatter) ride, as NCCL does, so they do not head-of-line
+     * block later blocking collectives. */
+    double compute_cursor = 0.0;
+    double blocking_cursor = 0.0;
+    double background_cursor = 0.0;
+    double compute_busy = 0.0;
+    double comm_busy = 0.0;
+    double serialized[kNumCategories] = {};
+    /* A category has a breakdown entry iff a node touched it, even
+     * when the touches summed to zero. */
+    bool serialized_touched[kNumCategories] = {};
+    size_t num_cover = 0;
+    size_t num_queries = 0;
+    size_t node = 0; // Nodes expanded so far.
+
+    // Emission ordinal k: forward layers 0..N-1, then backward layers
+    // N-1..0.
+    for (size_t k = 0; k < emissions; ++k) {
+        const bool backward = k >= nl;
+        const size_t layer = backward ? 2 * nl - 1 - k : k;
+        const EvalContext::LayerCosts &lc = costs[layer];
+        const size_t cls = static_cast<size_t>(lc.cls);
+        const SegmentSet &set = backward ? *sets.bwd[cls] : *sets.fwd[cls];
+        const SegmentSet::Seg seg = set.segs[lc.templateId];
+        const TemplateEvent *const src = set.events.data() + seg.eventBegin;
+        const SymDep *sym = set.deps.data() + seg.depBegin;
+        Placed *const seg_nodes = nodes + node;
+        // Indexed by SymDep::Kind: Local, FwdOut, BwdOut, ComputeAt.
+        const Placed *const anchors[4] = {seg_nodes, outputs + layer,
+                                          outputs + nl + layer,
+                                          computes + k};
+
+        for (uint32_t e = 0; e < seg.numEvents; ++e) {
+            const TemplateEvent &ev = src[e];
+            ScheduledEvent *out = nullptr;
+            if constexpr (kTimeline) {
+                out = &timeline->events.emplace_back();
+                out->event.deps.reserve(ev.depsCount);
             }
-            ready = std::max(ready, finish[id]);
-            if (out != nullptr)
-                out->event.deps.push_back(id);
+            // The node is ready once the latest of its dependencies
+            // finishes.
+            double ready = 0.0;
+            for (uint32_t d = 0; d < ev.depsCount; ++d, ++sym) {
+                const Placed &dep =
+                    anchors[static_cast<size_t>(sym->kind)][sym->value];
+                ready = std::max(ready, dep.finish);
+                if constexpr (kTimeline)
+                    out->event.deps.push_back(dep.id);
+            }
+
+            // Place the node on its channel.
+            double start = 0.0;
+            double end = 0.0;
+            const size_t c = static_cast<size_t>(ev.category);
+            if (ev.duration > 0.0) {
+                serialized[c] += ev.duration;
+                serialized_touched[c] = true;
+            }
+            if (ev.stream == StreamKind::Compute) {
+                start = std::max(compute_cursor, ready);
+                end = start + ev.duration;
+                compute_cursor = end;
+                compute_busy += ev.duration;
+                // The compute stream runs in order, so its busy
+                // intervals arrive ascending and merge into the cover
+                // as they come.
+                if (end > start) {
+                    if (num_cover > 0 && start <= cover[num_cover - 1].hi)
+                        cover[num_cover - 1].hi =
+                            std::max(cover[num_cover - 1].hi, end);
+                    else
+                        cover[num_cover++] = {start, end};
+                }
+            } else {
+                const bool background = backgroundChannel && !ev.blocking;
+                start = std::max(background ? background_cursor
+                                            : blocking_cursor,
+                                 ready);
+                end = start + ev.duration;
+                if (background)
+                    background_cursor = end;
+                else
+                    blocking_cursor = end;
+                comm_busy += ev.duration;
+                if (end > start) {
+                    queries[num_queries++] = {start, end, ev.category,
+                                              background ? 1u : 0u};
+                }
+            }
+            seg_nodes[e].finish = end;
+            if constexpr (kTimeline)
+                seg_nodes[e].id = static_cast<int32_t>(node + e);
+
+            if constexpr (kTimeline) {
+                TraceEvent &te = out->event;
+                te.id = static_cast<int>(node + e);
+                te.name = *lc.name + suffixText(ev.suffix);
+                te.stream = ev.stream;
+                te.category = ev.category;
+                te.duration = ev.duration;
+                te.blocking = ev.blocking;
+                te.layerIdx = static_cast<int>(layer);
+                te.backward = backward;
+                te.algo = ev.algo;
+                out->start = start;
+                out->finish = end;
+            }
         }
-        const size_t i = nodePos_ + e;
-        const double start = place(i, ev, ready);
-        if (out != nullptr) {
-            TraceEvent &te = out->event;
-            te.id = static_cast<int>(i);
-            te.name = *lc.name;
-            te.name += suffixText(ev.suffix);
-            te.stream = ev.stream;
-            te.category = ev.category;
-            te.duration = ev.duration;
-            te.blocking = ev.blocking;
-            te.layerIdx = layer;
-            te.backward = backward;
-            te.algo = ev.algo;
-            out->start = start;
-            out->finish = finish[i];
-        }
+
+        outputs[(backward ? nl : 0) + layer] = seg_nodes[seg.outputLocal];
+        computes[k] = seg_nodes[seg.computeLocal];
+        node += seg.numEvents;
     }
 
-    (backward ? bwd_out : fwd_out)[layer] = base + seg.outputLocal;
-    compute_ids[ordinal] = base + seg.computeLocal;
-    nodePos_ += seg.numEvents;
-}
-
-inline double
-Splicer::place(size_t i, const TemplateEvent &ev, double ready)
-{
-    const bool is_compute = ev.stream == StreamKind::Compute;
-    const size_t chan = is_compute
-        ? 0
-        : (background_ && !ev.blocking ? 2 : 1);
-    const double start = std::max(cursors_[chan], ready);
-    const double finish = start + ev.duration;
-    cursors_[chan] = finish;
-    s_.finish[i] = finish;
-
-    const size_t c = static_cast<size_t>(ev.category);
-    if (ev.duration > 0.0) {
-        serialized_[c] += ev.duration;
-        serializedTouched_[c] = true;
-    }
-    if (is_compute) {
-        computeBusy_ += ev.duration;
-        // The compute stream runs in order, so its busy intervals
-        // arrive ascending and merge into the cover as they come.
-        std::vector<Interval> &cover = s_.cover;
-        if (finish > start) {
-            if (!cover.empty() && start <= cover.back().hi)
-                cover.back().hi = std::max(cover.back().hi, finish);
-            else
-                cover.push_back(Interval{start, finish});
-        }
-    } else {
-        commBusy_ += ev.duration;
-        if (finish > start) {
-            s_.channelQueries[chan - 1].push_back(s_.queries.size());
-            s_.queries.push_back(Interval{start, finish});
-            s_.queryCategory.push_back(ev.category);
-        }
-    }
-    return start;
-}
-
-void
-Splicer::fillReport(PerfReport &report)
-{
     // Each cursor ends at its channel's latest finish, so the makespan
     // (where the iteration-end barrier starts) is the max cursor.
-    report.iterationTime =
-        std::max(cursors_[0], std::max(cursors_[1], cursors_[2]));
-    report.serializedTime = computeBusy_ + commBusy_;
-    report.computeTime = computeBusy_;
-    report.commTime = commBusy_;
+    report.iterationTime = std::max(
+        compute_cursor, std::max(blocking_cursor, background_cursor));
+    report.serializedTime = compute_busy + comm_busy;
+    report.computeTime = compute_busy;
+    report.commTime = comm_busy;
 
-    // A channel's queries start in ascending order, as the sweep needs.
-    for (const std::vector<size_t> &chan : s_.channelQueries)
-        coveredLengthsInto(s_.cover, s_.queries, chan, s_.covered);
-
-    // The aggregate and the per-category exposed sums add the same
-    // terms in node order; both breakdowns land in enum order.
+    // Exposure. A query's coverage is the sum, in ascending cover
+    // order, of its intersections with the cover. A channel's queries
+    // start in ascending order, so each channel keeps a forward-only
+    // cursor into the cover. The aggregate and the per-category
+    // exposed sums add the same terms in node order.
+    size_t first_cover[2] = {0, 0};
     double exposed[kNumCategories] = {};
     bool exposed_touched[kNumCategories] = {};
     double total = 0.0;
-    for (size_t q = 0; q < s_.queries.size(); ++q) {
-        const double term =
-            (s_.queries[q].hi - s_.queries[q].lo) - s_.covered[q];
-        const size_t c = static_cast<size_t>(s_.queryCategory[q]);
+    for (size_t q = 0; q < num_queries; ++q) {
+        const auto &query = queries[q];
+        size_t j = first_cover[query.channel];
+        while (j < num_cover && cover[j].hi <= query.lo)
+            ++j;
+        first_cover[query.channel] = j;
+        double covered = 0.0;
+        for (; j < num_cover && cover[j].lo < query.hi; ++j) {
+            const double a = std::max(query.lo, cover[j].lo);
+            const double b = std::min(query.hi, cover[j].hi);
+            if (b > a)
+                covered += b - a;
+        }
+        const double term = (query.hi - query.lo) - covered;
+        const size_t c = static_cast<size_t>(query.category);
         total += term;
         exposed[c] += term;
         exposed_touched[c] = true;
     }
     report.exposedCommTime = total;
+
+    // Both breakdowns land in enum order, each sized exactly once.
+    report.serializedBreakdown.reserve(static_cast<size_t>(std::count(
+        serialized_touched, serialized_touched + kNumCategories, true)));
+    report.exposedBreakdown.reserve(static_cast<size_t>(std::count(
+        exposed_touched, exposed_touched + kNumCategories, true)));
     for (size_t c = 0; c < kNumCategories; ++c) {
         const EventCategory cat = static_cast<EventCategory>(c);
-        if (serializedTouched_[c])
-            report.serializedBreakdown.emplace_back(cat, serialized_[c]);
+        if (serialized_touched[c])
+            report.serializedBreakdown.emplace_back(cat, serialized[c]);
         if (exposed_touched[c])
             report.exposedBreakdown.emplace_back(cat, exposed[c]);
     }
@@ -473,44 +497,13 @@ spliceSegments(const PlanSegments &sets,
                Timeline *timeline)
 {
     const size_t nl = static_cast<size_t>(numLayers);
-
-    // Size the node buffers once, then fill through raw pointers.
-    // Each set knows what its class expands to.
-    size_t total_nodes = 0;
-    for (size_t c = 0; c < kNumLayerClasses; ++c) {
-        for (const SegmentSet *set : {sets.fwd[c], sets.bwd[c]}) {
-            if (set != nullptr)
-                total_nodes += set->expandedEvents;
-        }
+    if (timeline != nullptr) {
+        splice<true>(sets, costs, nl, withBackward, backgroundChannel, s,
+                     report, timeline);
+    } else {
+        splice<false>(sets, costs, nl, withBackward, backgroundChannel, s,
+                      report, nullptr);
     }
-    s.finish.resize(total_nodes);
-    if (timeline != nullptr) // With room for the iteration-end barrier.
-        timeline->events.reserve(total_nodes + 1);
-    s.fwdOut.assign(nl, -1);
-    s.bwdOut.assign(nl, -1);
-    // Indexed by emission ordinal; every slot is written before any
-    // dependency reads it, so no fill value is needed.
-    s.computeIds.resize(withBackward ? 2 * nl : nl);
-    s.cover.clear();
-    s.queries.clear();
-    s.queryCategory.clear();
-    for (std::vector<size_t> &chan : s.channelQueries)
-        chan.clear();
-
-    Splicer splicer(s, backgroundChannel, timeline);
-    for (size_t i = 0; i < nl; ++i) {
-        const EvalContext::LayerCosts &lc = costs[i];
-        splicer.expand(*sets.fwd[static_cast<size_t>(lc.cls)], lc,
-                       static_cast<int>(i), i, false);
-    }
-    if (withBackward) {
-        for (size_t i = nl; i-- > 0;) {
-            const EvalContext::LayerCosts &lc = costs[i];
-            splicer.expand(*sets.bwd[static_cast<size_t>(lc.cls)], lc,
-                           static_cast<int>(i), 2 * nl - 1 - i, true);
-        }
-    }
-    splicer.fillReport(report);
 }
 
 } // namespace madmax

@@ -22,11 +22,14 @@
  * caches the sets with its per-class strategy tables. spliceSegments
  * then expands any plan from those sets layer by layer, reading each
  * template event in place, and schedules every node as it expands it
- * (the §IV-C overlap scheduler), so the report's timings come out of
- * the same pass. Nothing per node is kept but its finish time; when a
- * caller retains the Timeline, the same pass appends each node's
- * ScheduledEvent, its label composed from the layer's name and the
- * template event's NameSuffix.
+ * (the §IV-C overlap scheduler), so the report's timings, and its
+ * exposed communication, come out of the same function. Nothing per
+ * node is kept but its finish time, and nothing per layer but the
+ * finish times of its visible outputs and compute events. The
+ * function is compiled twice from one source: without a Timeline, and
+ * with one, where the same pass also tracks node ids and appends each
+ * node's ScheduledEvent, its label composed from the layer's name and
+ * the template event's NameSuffix.
  */
 
 #ifndef MADMAX_CORE_STREAM_BUILDER_HH
@@ -67,12 +70,21 @@ void buildSegmentSet(
  * starts once its channel is free and its dependencies, all earlier
  * nodes, have finished. Compute runs on one in-order stream, blocking
  * collectives on another, and non-blocking ones on a background
- * channel when @p backgroundChannel (else on the blocking one). The
- * per-node buffers are sized once; every buffer is in @p s.
+ * channel when @p backgroundChannel (else on the blocking one). Every
+ * buffer is in @p s; each only grows, and a splice reads only the
+ * entries it wrote.
  *
  * Fills @p report's iteration, compute, comm, serialized and exposed
- * times and both breakdowns. Exposed comm is each comm interval's
- * length minus its coverage by the merged compute-busy intervals.
+ * times and both breakdowns (each sum adds its terms in node order).
+ * Exposed comm has one contract: a comm node's exposed time is its
+ * scheduled length minus its coverage by the cover, the merged
+ * compute-busy intervals (disjoint and ascending, since the compute
+ * stream runs in order). A coverage is the sum of the node's
+ * intersections with the cover in ascending cover order. A channel's
+ * nodes start in ascending order, so each channel keeps one
+ * forward-only cursor into the cover, and one walk over the comm
+ * nodes in node order measures them all.
+ *
  * When @p timeline is not null, each node's ScheduledEvent (id
  * = node index, label, resolved deps, start, finish) is appended to
  * it as the node is placed. The iteration-end barrier (every node's

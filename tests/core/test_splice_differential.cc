@@ -17,11 +17,14 @@
  *    class runs alternate or are singletons (LLM-MoE, DLRM-A-MoE,
  *    ViT) x {pre-training, inference}, and SpliceMixedShapes every
  *    plan of the mixed-shape stack on both cluster kinds, on one
- *    shared context and on a fresh context per plan, so every layer's
- *    template mapping — forward and reversed backward — is pinned;
+ *    shared context and on a fresh context per plan, each with
+ *    timelines on and off, so every layer's template mapping —
+ *    forward and reversed backward — is pinned in both of the
+ *    splice's instantiations;
  *  - DeltaEval runs long timeline-free walks (the default
- *    configuration), plus the cases where one thread's buffers move
- *    between contexts or an OOM verdict interrupts a walk;
+ *    configuration), plus, with timelines on and off, the cases where
+ *    one thread's buffers move between contexts (a larger splice's
+ *    leftovers included) or an OOM verdict interrupts a walk;
  *  - GuidedPooled checks that guided searches, whose batches ride the
  *    engine's thread pool, visit and report exactly what a serial
  *    engine does.
@@ -362,9 +365,10 @@ everyPlan(const PerfModel &perf, const ModelDesc &desc,
 
 /**
  * Every plan of @p desc, evaluated on one shared context (tables built
- * up across plans) and on a fresh context (only that plan's tables):
- * both reports, timelines included, must be bitwise equal to the
- * reference.
+ * up across plans) and on a fresh context (only that plan's tables),
+ * each with timelines retained and dropped (the splice's two
+ * instantiations): every report must be bitwise equal to the
+ * reference, whose timeline is dropped to compare with the second.
  */
 void
 checkEveryPlan(const ModelDesc &desc, const ClusterSpec &cluster,
@@ -373,11 +377,17 @@ checkEveryPlan(const ModelDesc &desc, const ClusterSpec &cluster,
     PerfModelOptions opts;
     opts.keepTimeline = true;
     PerfModel perf(cluster, opts);
+    PerfModelOptions notl_opts;
+    notl_opts.keepTimeline = false;
+    PerfModel perf_notl(cluster, notl_opts);
     EvalContext shared(perf, desc, task);
+    EvalContext shared_notl(perf_notl, desc, task);
 
     int scheduled = 0; // Plans that got past the memory verdict.
     for (const ParallelPlan &plan : everyPlan(perf, desc, task)) {
         const PerfReport want = referenceFor(perf, desc, task, plan);
+        PerfReport want_notl = want;
+        want_notl.timeline = Timeline{};
         const std::string what = plan.toString() +
                                  (plan.fsdpPrefetch ? " +prefetch" : "");
         const PerfReport got = shared.evaluate(plan);
@@ -388,6 +398,15 @@ checkEveryPlan(const ModelDesc &desc, const ClusterSpec &cluster,
         const PerfReport gotFresh = fresh.evaluate(plan);
         testing::expectReportInvariants(gotFresh, opts);
         expectBitIdentical(gotFresh, want, "fresh context " + what);
+
+        const PerfReport gotNotl = shared_notl.evaluate(plan);
+        testing::expectReportInvariants(gotNotl, notl_opts);
+        expectBitIdentical(gotNotl, want_notl,
+                           "shared timeline-free context " + what);
+        EvalContext fresh_notl(perf_notl, desc, task);
+        const PerfReport gotFreshNotl = fresh_notl.evaluate(plan);
+        expectBitIdentical(gotFreshNotl, want_notl,
+                           "fresh timeline-free context " + what);
         if (::testing::Test::HasFailure())
             break; // One mismatch is enough signal.
     }
@@ -489,6 +508,20 @@ TEST(DeltaEval, WalkBitwiseIdenticalMoeInference)
                         TaskSpec::inference(), 0x30e2, 500, false);
 }
 
+namespace
+{
+
+/** The splice's two instantiations: timelines retained, dropped. */
+constexpr bool kTimelineSettings[] = {true, false};
+
+std::string
+timelineLabel(bool keepTimeline)
+{
+    return keepTimeline ? " (timeline)" : " (timeline-free)";
+}
+
+} // namespace
+
 /**
  * A task switch (same model, other task — a different event-graph
  * shape) on one thread: the per-thread splice buffers sized for the
@@ -497,21 +530,29 @@ TEST(DeltaEval, WalkBitwiseIdenticalMoeInference)
  */
 TEST(DeltaEval, TaskSwitchRebindsStateAndStaysBitwise)
 {
-    ModelDesc desc = model_zoo::gpt3();
-    PerfModelOptions opts;
-    opts.keepTimeline = true;
-    PerfModel perf(hw_zoo::llmTrainingSystem(), opts);
-    TaskSpec pretrain = TaskSpec::preTraining();
-    TaskSpec inference = TaskSpec::inference();
-    EvalContext trainCtx(perf, desc, pretrain);
-    EvalContext inferCtx(perf, desc, inference);
+    for (bool keepTimeline : kTimelineSettings) {
+        ModelDesc desc = model_zoo::gpt3();
+        PerfModelOptions opts;
+        opts.keepTimeline = keepTimeline;
+        PerfModel perf(hw_zoo::llmTrainingSystem(), opts);
+        TaskSpec pretrain = TaskSpec::preTraining();
+        TaskSpec inference = TaskSpec::inference();
+        EvalContext trainCtx(perf, desc, pretrain);
+        EvalContext inferCtx(perf, desc, inference);
 
-    const ParallelPlan plan = ParallelPlan::fsdpBaseline();
-    const PerfReport wantTrain = referenceFor(perf, desc, pretrain, plan);
-    const PerfReport wantInfer = referenceFor(perf, desc, inference, plan);
-    expectBitIdentical(trainCtx.evaluate(plan), wantTrain, "train");
-    expectBitIdentical(inferCtx.evaluate(plan), wantInfer, "infer");
-    expectBitIdentical(trainCtx.evaluate(plan), wantTrain, "train again");
+        const ParallelPlan plan = ParallelPlan::fsdpBaseline();
+        const PerfReport wantTrain =
+            referenceFor(perf, desc, pretrain, plan);
+        const PerfReport wantInfer =
+            referenceFor(perf, desc, inference, plan);
+        const std::string label = timelineLabel(keepTimeline);
+        expectBitIdentical(trainCtx.evaluate(plan), wantTrain,
+                           "train" + label);
+        expectBitIdentical(inferCtx.evaluate(plan), wantInfer,
+                           "infer" + label);
+        expectBitIdentical(trainCtx.evaluate(plan), wantTrain,
+                           "train again" + label);
+    }
 }
 
 /**
@@ -521,24 +562,28 @@ TEST(DeltaEval, TaskSwitchRebindsStateAndStaysBitwise)
  */
 TEST(DeltaEval, ClassSetChangeRebindsStateAndStaysBitwise)
 {
-    PerfModelOptions opts;
-    opts.keepTimeline = true;
-    PerfModel perf(hw_zoo::dlrmTrainingSystem(), opts);
-    TaskSpec task = TaskSpec::preTraining();
+    for (bool keepTimeline : kTimelineSettings) {
+        PerfModelOptions opts;
+        opts.keepTimeline = keepTimeline;
+        PerfModel perf(hw_zoo::dlrmTrainingSystem(), opts);
+        TaskSpec task = TaskSpec::preTraining();
 
-    // DLRM-A has sparse embeddings + dense classes; the transformer
-    // variant adds the Transformer class — a different class set.
-    ModelDesc mlp = model_zoo::dlrmA();
-    ModelDesc trans = model_zoo::dlrmATransformer();
-    EvalContext mlpCtx(perf, mlp, task);
-    EvalContext transCtx(perf, trans, task);
+        // DLRM-A has sparse embeddings + dense classes; the transformer
+        // variant adds the Transformer class — a different class set.
+        ModelDesc mlp = model_zoo::dlrmA();
+        ModelDesc trans = model_zoo::dlrmATransformer();
+        EvalContext mlpCtx(perf, mlp, task);
+        EvalContext transCtx(perf, trans, task);
 
-    const ParallelPlan plan = ParallelPlan::fsdpBaseline();
-    expectBitIdentical(mlpCtx.evaluate(plan),
-                       referenceFor(perf, mlp, task, plan), "mlp");
-    expectBitIdentical(transCtx.evaluate(plan),
-                       referenceFor(perf, trans, task, plan),
-                       "class-set change");
+        const ParallelPlan plan = ParallelPlan::fsdpBaseline();
+        const std::string label = timelineLabel(keepTimeline);
+        expectBitIdentical(mlpCtx.evaluate(plan),
+                           referenceFor(perf, mlp, task, plan),
+                           "mlp" + label);
+        expectBitIdentical(transCtx.evaluate(plan),
+                           referenceFor(perf, trans, task, plan),
+                           "class-set change" + label);
+    }
 }
 
 /**
@@ -547,26 +592,78 @@ TEST(DeltaEval, ClassSetChangeRebindsStateAndStaysBitwise)
  */
 TEST(DeltaEval, OomShortCircuitMatchesFullAndPreservesState)
 {
-    ModelDesc desc = model_zoo::gpt3();
-    PerfModel perf(hw_zoo::llmTrainingSystem());
-    TaskSpec task = TaskSpec::preTraining();
-    EvalContext context(perf, desc, task);
+    for (bool keepTimeline : kTimelineSettings) {
+        ModelDesc desc = model_zoo::gpt3();
+        PerfModelOptions opts;
+        opts.keepTimeline = keepTimeline;
+        PerfModel perf(hw_zoo::llmTrainingSystem(), opts);
+        TaskSpec task = TaskSpec::preTraining();
+        EvalContext context(perf, desc, task);
 
-    // Fully replicated GPT-3 training state cannot fit one device.
-    ParallelPlan oom;
-    oom.set(LayerClass::Transformer, HierStrategy{Strategy::DDP});
-    oom.set(LayerClass::DenseEmbedding, HierStrategy{Strategy::DDP});
-    oom.set(LayerClass::BaseDense, HierStrategy{Strategy::DDP});
-    const ParallelPlan feasible = ParallelPlan::fsdpBaseline();
+        // Fully replicated GPT-3 training state cannot fit one device.
+        ParallelPlan oom;
+        oom.set(LayerClass::Transformer, HierStrategy{Strategy::DDP});
+        oom.set(LayerClass::DenseEmbedding, HierStrategy{Strategy::DDP});
+        oom.set(LayerClass::BaseDense, HierStrategy{Strategy::DDP});
+        const ParallelPlan feasible = ParallelPlan::fsdpBaseline();
 
-    context.evaluate(feasible);
-    const PerfReport gotOom = context.evaluate(oom);
-    ASSERT_FALSE(gotOom.valid);
-    expectBitIdentical(gotOom, referenceFor(perf, desc, task, oom),
-                       "OOM short-circuit");
-    expectBitIdentical(context.evaluate(feasible),
-                       referenceFor(perf, desc, task, feasible),
-                       "post-OOM resume");
+        const std::string label = timelineLabel(keepTimeline);
+        context.evaluate(feasible);
+        const PerfReport gotOom = context.evaluate(oom);
+        ASSERT_FALSE(gotOom.valid);
+        expectBitIdentical(gotOom, referenceFor(perf, desc, task, oom),
+                           "OOM short-circuit" + label);
+        expectBitIdentical(context.evaluate(feasible),
+                           referenceFor(perf, desc, task, feasible),
+                           "post-OOM resume" + label);
+    }
+}
+
+/**
+ * The splice's buffers only grow, so a smaller splice runs over a
+ * larger one's leftover entries, and a larger one over a smaller
+ * one's: GPT-3 pre-training, LLM-MoE inference, DLRM-A inference,
+ * GPT-3 pre-training again, on one thread. GPT-3's leftover compute
+ * intervals overlap LLM-MoE inference's comm intervals, so reading
+ * one past LLM-MoE's own count would change its exposed time. Each
+ * splice must read only what it wrote, so every report stays bitwise
+ * equal to the reference.
+ */
+TEST(DeltaEval, GrowOnlyBuffersNeverLeakAnEarlierSplice)
+{
+    for (bool keepTimeline : kTimelineSettings) {
+        PerfModelOptions opts;
+        opts.keepTimeline = keepTimeline;
+        PerfModel llm(hw_zoo::llmTrainingSystem(), opts);
+        PerfModel dlrm(hw_zoo::dlrmTrainingSystem(), opts);
+        const ModelDesc gpt3 = model_zoo::gpt3();
+        const ModelDesc moe = model_zoo::llmMoe();
+        const ModelDesc dlrmA = model_zoo::dlrmA();
+        const TaskSpec pretrain = TaskSpec::preTraining();
+        const TaskSpec inference = TaskSpec::inference();
+        EvalContext gpt3Train(llm, gpt3, pretrain);
+        EvalContext moeInfer(llm, moe, inference);
+        EvalContext dlrmInfer(dlrm, dlrmA, inference);
+
+        const ParallelPlan plan = ParallelPlan::fsdpBaseline();
+        const PerfReport wantGpt3 =
+            referenceFor(llm, gpt3, pretrain, plan);
+        const PerfReport wantMoe = referenceFor(llm, moe, inference, plan);
+        const PerfReport wantDlrm =
+            referenceFor(dlrm, dlrmA, inference, plan);
+        ASSERT_TRUE(wantGpt3.valid);
+        ASSERT_TRUE(wantMoe.valid);
+        ASSERT_TRUE(wantDlrm.valid);
+        const std::string label = timelineLabel(keepTimeline);
+        expectBitIdentical(gpt3Train.evaluate(plan), wantGpt3,
+                           "GPT-3 pre-training" + label);
+        expectBitIdentical(moeInfer.evaluate(plan), wantMoe,
+                           "LLM-MoE inference after GPT-3" + label);
+        expectBitIdentical(dlrmInfer.evaluate(plan), wantDlrm,
+                           "DLRM-A inference after LLM-MoE" + label);
+        expectBitIdentical(gpt3Train.evaluate(plan), wantGpt3,
+                           "GPT-3 pre-training again" + label);
+    }
 }
 
 // --- Guided searches on the engine pool -------------------------------

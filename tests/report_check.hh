@@ -12,8 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "core/perf_model.hh"
 #include "core/report.hh"
 
@@ -67,32 +65,13 @@ expectBitIdentical(const PerfReport &a, const PerfReport &b)
     EXPECT_EQ(a.timeline.makespan, b.timeline.makespan);
 }
 
-/**
- * Internal invariants of one report evaluated under @p options:
- * exposed comm <= comm <= serialized time, compute <= iteration time,
- * each breakdown summing to its total, and validity matching the
- * memory verdict unless memory is ignored.
- */
+/** Internal invariants of one report evaluated under @p options
+ *  (reportInvariantViolation, which sanitizer builds also run inside
+ *  every evaluation). */
 inline void
 expectReportInvariants(const PerfReport &r, const PerfModelOptions &options)
 {
-    // A breakdown adds its total's terms in another order, and an
-    // exposed term is a scheduled interval's length (finish - start)
-    // rather than the event's duration, so both differ from their
-    // totals by rounding only.
-    const double tol = 1e-9 * std::max(r.serializedTime, r.iterationTime);
-    EXPECT_LE(r.exposedCommTime, r.commTime + tol);
-    EXPECT_LE(r.commTime, r.serializedTime);
-    EXPECT_LE(r.computeTime, r.iterationTime);
-    double serialized = 0.0;
-    for (const auto &entry : r.serializedBreakdown)
-        serialized += entry.second;
-    double exposed = 0.0;
-    for (const auto &entry : r.exposedBreakdown)
-        exposed += entry.second;
-    EXPECT_NEAR(serialized, r.serializedTime, tol);
-    EXPECT_NEAR(exposed, r.exposedCommTime, tol);
-    EXPECT_EQ(r.valid, r.memory.fits() || options.ignoreMemory);
+    EXPECT_EQ(reportInvariantViolation(r, options.ignoreMemory), "");
 }
 
 } // namespace madmax::testing
