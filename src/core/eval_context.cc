@@ -145,23 +145,47 @@ appendModel(std::string &out, const ModelDesc &m)
     appendHex(out, h);
 }
 
+/** The memo-key prefix over @p modelText (appendModel's output) and
+ *  @p taskText (TaskSpec::toString()): the one assembly behind
+ *  memoKeyPrefix and EvalContext::memoPrefix. */
+std::shared_ptr<const MemoKeyPrefix>
+assemblePrefix(const PerfModel &model, const std::string &modelText,
+               const std::string &taskText)
+{
+    std::string key;
+    key.reserve(192 + modelText.size() + taskText.size());
+    appendCluster(key, model.cluster());
+    key += '|';
+    appendOptions(key, model.options());
+    key += '|';
+    key += modelText;
+    key += '|';
+    key += taskText;
+    key += '|';
+    return std::make_shared<const MemoKeyPrefix>(std::move(key));
+}
+
+/** @p sibling's layout, which must describe the very object
+ *  @p desc. */
+std::shared_ptr<const EvalContext::Layout>
+siblingLayout(const ModelDesc &desc, const EvalContext &sibling)
+{
+    if (&desc != &sibling.desc())
+        fatal("EvalContext: the sibling context was built for another "
+              "ModelDesc ('" + sibling.desc().name + "', not '" +
+              desc.name + "')");
+    return sibling.layout();
+}
+
 } // namespace
 
 std::shared_ptr<const MemoKeyPrefix>
 memoKeyPrefix(const PerfModel &model, const ModelDesc &desc,
               const TaskSpec &task)
 {
-    std::string key;
-    key.reserve(256);
-    appendCluster(key, model.cluster());
-    key += '|';
-    appendOptions(key, model.options());
-    key += '|';
-    appendModel(key, desc);
-    key += '|';
-    key += task.toString();
-    key += '|';
-    return std::make_shared<const MemoKeyPrefix>(std::move(key));
+    std::string model_text;
+    appendModel(model_text, desc);
+    return assemblePrefix(model, model_text, task.toString());
 }
 
 EventCategory
@@ -177,26 +201,17 @@ commCategoryOf(Collective kind)
     panic("commCategoryOf: unknown Collective");
 }
 
-EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
-                         const TaskSpec &task)
-    : model_(&model), desc_(&desc), task_(&task),
-      taskName_(task.toString()),
-      memoryTerms_(memory_model::terms(desc)),
-      collectives_(model.cluster(), CollectiveLatency{},
-                   model.options().allReduceAlgorithm)
+EvalContext::Layout::Layout(const ModelDesc &desc)
+    : desc_(&desc), memoryTerms_(memory_model::terms(desc))
 {
-    // LayerProcessor validates the cluster and the model once; every
-    // plan evaluated through this context reuses that validation.
-    LayerProcessor processor(cluster(), desc, options().smModel);
-
-    // Shapes: a layer's costs are a pure function of its shape, so
-    // only each shape's first layer is priced.
+    // Shapes: a layer's costs are a pure function of its shape, so a
+    // context prices only each shape's first layer.
     const ModelGraph &graph = desc.graph;
     const int num_layers = graph.numLayers();
-    costs_.resize(static_cast<size_t>(num_layers));
+    layers_.resize(static_cast<size_t>(num_layers));
     for (int i = 0; i < num_layers; ++i) {
         const Layer &layer = graph.layer(i);
-        LayerCosts &lc = costs_[static_cast<size_t>(i)];
+        LayerCosts &lc = layers_[static_cast<size_t>(i)];
         lc.cls = layer.layerClass();
         std::vector<int> &shapes =
             classes_[static_cast<size_t>(lc.cls)].shapeLayers;
@@ -206,15 +221,9 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
             ++shape;
         if (shape == shapes.size()) {
             shapes.push_back(i);
-            lc.fwdTime = processor.forwardTime(layer, task);
-            lc.bwdTime = processor.backwardTime(layer, task);
-            lc.category = processor.categoryOf(layer);
+            lc.category = LayerProcessor::categoryOf(layer);
         } else {
-            const LayerCosts &rep =
-                costs_[static_cast<size_t>(shapes[shape])];
-            lc.fwdTime = rep.fwdTime;
-            lc.bwdTime = rep.bwdTime;
-            lc.category = rep.category;
+            lc.category = layers_[static_cast<size_t>(shapes[shape])].category;
         }
         lc.shapeId = shape;
         lc.name = &layer.name();
@@ -245,14 +254,14 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
         }
     }
     for (size_t i = 0; i < n; ++i) {
-        costs_[i].consumers = consumerIds_.data() + begin[i];
-        costs_[i].numConsumers = begin[i + 1] - begin[i];
+        layers_[i].consumers = consumerIds_.data() + begin[i];
+        layers_[i].numConsumers = begin[i + 1] - begin[i];
     }
 
     // Templates: everything a layer's segments depend on besides its
     // shape, in relative form (see core/segment_template.hh).
     for (int i = 0; i < num_layers; ++i) {
-        LayerCosts &lc = costs_[static_cast<size_t>(i)];
+        LayerCosts &lc = layers_[static_cast<size_t>(i)];
         ClassLayout &cl = classes_[static_cast<size_t>(lc.cls)];
         uint32_t t = 0;
         while (t < cl.templateLayers.size() &&
@@ -268,10 +277,10 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
 }
 
 bool
-EvalContext::sameTemplate(int a, int b) const
+EvalContext::Layout::sameTemplate(int a, int b) const
 {
-    const LayerCosts &la = costs_[static_cast<size_t>(a)];
-    const LayerCosts &lb = costs_[static_cast<size_t>(b)];
+    const LayerCosts &la = layers_[static_cast<size_t>(a)];
+    const LayerCosts &lb = layers_[static_cast<size_t>(b)];
     if (la.shapeId != lb.shapeId || std::min(a, 2) != std::min(b, 2) ||
         la.numConsumers != lb.numConsumers)
         return false;
@@ -290,11 +299,61 @@ EvalContext::sameTemplate(int a, int b) const
     return true;
 }
 
+const std::string &
+EvalContext::Layout::keyText() const
+{
+    std::call_once(keyOnce_, [this] { appendModel(keyText_, *desc_); });
+    return keyText_;
+}
+
+EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
+                         const TaskSpec &task)
+    : EvalContext(model, task, std::make_shared<const Layout>(desc))
+{}
+
+EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
+                         const TaskSpec &task, const EvalContext &sibling)
+    : EvalContext(model, task, siblingLayout(desc, sibling))
+{}
+
+EvalContext::EvalContext(const PerfModel &model, const TaskSpec &task,
+                         std::shared_ptr<const Layout> layout)
+    : layout_(std::move(layout)), model_(&model), task_(&task),
+      taskName_(task.toString()),
+      collectives_(model.cluster(), CollectiveLatency{},
+                   model.options().allReduceAlgorithm)
+{
+    // LayerProcessor validates the cluster and the model once; every
+    // plan evaluated through this context reuses that validation.
+    LayerProcessor processor(cluster(), desc(), options().smModel);
+
+    // A layer's compute times are a pure function of its shape, so
+    // only each shape's first layer is priced.
+    for (size_t c = 0; c < kNumClasses; ++c) {
+        const std::vector<int> &shapes = layout_->classLayout(c).shapeLayers;
+        shapeTimes_[c].reserve(shapes.size());
+        for (int i : shapes) {
+            const Layer &rep = desc().graph.layer(i);
+            shapeTimes_[c].push_back(
+                ComputeTimes{processor.forwardTime(rep, task),
+                             processor.backwardTime(rep, task)});
+        }
+    }
+}
+
+const EvalContext::ComputeTimes &
+EvalContext::computeTimes(int idx) const
+{
+    const LayerCosts &lc = layerCosts(idx);
+    return shapeTimes_[static_cast<size_t>(lc.cls)][lc.shapeId];
+}
+
 const std::shared_ptr<const MemoKeyPrefix> &
 EvalContext::memoPrefix() const
 {
     std::call_once(memoPrefixOnce_, [this] {
-        memoPrefix_ = memoKeyPrefix(*model_, *desc_, *task_);
+        memoPrefix_ =
+            assemblePrefix(*model_, layout_->keyText(), taskName_);
     });
     return memoPrefix_;
 }
@@ -315,13 +374,38 @@ CollectiveEstimate
 EvalContext::collectiveEstimate(Collective kind, CommScope scope,
                                 double bytes) const
 {
-    auto key = std::make_tuple(static_cast<int>(kind),
-                               static_cast<int>(scope), bitsOf(bytes));
-    auto it = collectiveTable_.find(key);
-    if (it != collectiveTable_.end())
-        return it->second;
-    CollectiveEstimate est = collectives_.estimate(kind, scope, bytes);
-    collectiveTable_.emplace(key, est);
+    const uint64_t bits = bitsOf(bytes);
+    const uint32_t tag = 1 + (static_cast<uint32_t>(kind) << 8 |
+                              static_cast<uint32_t>(scope));
+    auto probe = [](const std::vector<CollectiveSlot> &table,
+                    uint64_t b, uint32_t t) {
+        const size_t mask = table.size() - 1;
+        size_t i = mix64(b ^ uint64_t{t} * 0x9e3779b97f4a7c15ull) & mask;
+        while (table[i].tag != 0 &&
+               (table[i].tag != t || table[i].bytes != b))
+            i = (i + 1) & mask;
+        return i;
+    };
+    if (!collectiveTable_.empty()) {
+        const CollectiveSlot &slot =
+            collectiveTable_[probe(collectiveTable_, bits, tag)];
+        if (slot.tag != 0)
+            return slot.estimate;
+    }
+    const CollectiveEstimate est = collectives_.estimate(kind, scope, bytes);
+    if (2 * (collectiveCount_ + 1) > collectiveTable_.size()) {
+        // Grow to keep the table at most half full.
+        std::vector<CollectiveSlot> grown(
+            std::max<size_t>(16, 2 * collectiveTable_.size()));
+        for (const CollectiveSlot &slot : collectiveTable_) {
+            if (slot.tag != 0)
+                grown[probe(grown, slot.bytes, slot.tag)] = slot;
+        }
+        collectiveTable_ = std::move(grown);
+    }
+    collectiveTable_[probe(collectiveTable_, bits, tag)] =
+        CollectiveSlot{bits, tag, est};
+    ++collectiveCount_;
     return est;
 }
 
@@ -329,7 +413,7 @@ size_t
 EvalContext::collectiveTableSize() const
 {
     std::lock_guard<std::mutex> lock(buildMutex_);
-    return collectiveTable_.size();
+    return collectiveCount_;
 }
 
 EvalContext::StrategyTable &
@@ -345,17 +429,19 @@ EvalContext::buildStrategyTable(std::atomic<StrategyTable *> &slot,
     // doing the same gets for this class's layers.
     ParallelPlan plan;
     plan.set(cls, hs);
-    CommPlanner planner(*desc_, *task_, plan, cluster());
+    CommPlanner planner(desc(), *task_, plan, cluster());
 
     // Same-shape layers plan identical collectives, so one
     // representative per shape stands for the whole class.
     const std::vector<int> &shapes =
-        classes_[static_cast<size_t>(cls)].shapeLayers;
+        layout_->classLayout(static_cast<size_t>(cls)).shapeLayers;
     auto table = std::make_unique<StrategyTable>();
     table->perShape.resize(shapes.size());
     for (size_t k = 0; k < shapes.size(); ++k) {
+        const std::vector<CommOp> ops = planner.planLayer(shapes[k]);
         std::vector<ResolvedCommOp> &resolved = table->perShape[k];
-        for (const CommOp &op : planner.planLayer(shapes[k])) {
+        resolved.reserve(ops.size());
+        for (const CommOp &op : ops) {
             CollectiveEstimate est =
                 collectiveEstimate(op.kind, op.scope, op.bytes);
             if (est.seconds <= 0.0)
@@ -389,13 +475,13 @@ EvalContext::segments(LayerClass cls, HierStrategy hs,
     if (!segs.ready.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(buildMutex_);
         if (!segs.ready.load(std::memory_order_acquire)) {
-            const ClassLayout &cl = classes_[static_cast<size_t>(cls)];
-            buildSegmentSet(*desc_, costs_, cl.templateLayers,
-                            cl.templateCounts, table.perShape, false,
-                            prefetch, segs.fwd);
+            const size_t c = static_cast<size_t>(cls);
+            const ClassLayout &cl = layout_->classLayout(c);
+            buildSegmentSet(desc(), layout_->layers(), cl, shapeTimes_[c],
+                            table.perShape, false, prefetch, segs.fwd);
             if (task_->needsBackward()) {
-                buildSegmentSet(*desc_, costs_, cl.templateLayers,
-                                cl.templateCounts, table.perShape, true,
+                buildSegmentSet(desc(), layout_->layers(), cl,
+                                shapeTimes_[c], table.perShape, true,
                                 prefetch, segs.bwd);
             }
             segs.ready.store(true, std::memory_order_release);
@@ -407,7 +493,7 @@ EvalContext::segments(LayerClass cls, HierStrategy hs,
 const std::vector<ResolvedCommOp> &
 EvalContext::plannedOps(int idx, HierStrategy hs) const
 {
-    const LayerCosts &lc = costs_[static_cast<size_t>(idx)];
+    const LayerCosts &lc = layerCosts(idx);
     return strategyTable(lc.cls, hs).perShape[lc.shapeId];
 }
 
@@ -415,15 +501,15 @@ PerfReport
 EvalContext::verdict(const ParallelPlan &plan) const
 {
     PerfReport report;
-    report.modelName = desc_->name;
+    report.modelName = desc().name;
     report.clusterName = cluster().name;
     report.taskName = taskName_;
     report.plan = plan;
-    report.globalBatchSize = desc_->globalBatchSize;
-    report.contextLength = desc_->contextLength;
+    report.globalBatchSize = desc().globalBatchSize;
+    report.contextLength = desc().contextLength;
 
-    report.memory =
-        memory_model::evaluate(memoryTerms_, *task_, plan, cluster());
+    report.memory = memory_model::evaluate(layout_->memoryTerms(), *task_,
+                                           plan, cluster());
     report.valid = report.memory.fits() || options().ignoreMemory;
     return report;
 }
@@ -446,7 +532,7 @@ EvalContext::evaluate(const ParallelPlan &plan, PerfReport report) const
     const bool backward = task_->needsBackward();
     PlanSegments sets;
     for (size_t c = 0; c < kNumClasses; ++c) {
-        if (classes_[c].templateLayers.empty())
+        if (layout_->classLayout(c).templateLayers.empty())
             continue;
         const LayerClass cls = static_cast<LayerClass>(c);
         const Segments &segs =
@@ -462,8 +548,9 @@ EvalContext::evaluate(const ParallelPlan &plan, PerfReport report) const
     // is harmless.
     static thread_local Scratch scratch;
     Timeline *tl = options().keepTimeline ? &report.timeline : nullptr;
-    spliceSegments(sets, costs_.data(), desc_->graph.numLayers(), backward,
-                   options().backgroundCommChannel, scratch, report, tl);
+    spliceSegments(sets, layout_->layers().data(), desc().graph.numLayers(),
+                   backward, options().backgroundCommChannel, scratch,
+                   report, tl);
 
     if (tl != nullptr) {
         // The iteration-end barrier: a zero-duration compute event

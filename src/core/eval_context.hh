@@ -10,28 +10,37 @@
  * re-validated the cluster and model, rebuilt LayerProcessor /
  * the collective model / CommPlanner, and re-derived per-layer compute
  * times and collective timings that do not depend on the plan at all.
- * EvalContext hoists all of that out of the per-plan hot path:
+ * EvalContext hoists all of that out of the per-plan hot path, in two
+ * parts. The Layout depends on the ModelDesc alone, so a search over
+ * several clusters builds it once and every hardware point's context
+ * shares it:
  *
- *  - specs are validated once (LayerProcessor / CommPlanner
- *    construction), not once per plan;
  *  - the memory footprint's per-layer inputs are read once into
  *    flat memory_model::Terms, so a plan's verdict prices arrays
  *    instead of calling into every layer;
  *  - layers are grouped by shape (Layer::sameShape: everything but
  *    the name) and by *template* — shape plus the layer's producer
  *    and consumer offsets and its emission ordinal clamped at 2 — with
- *    class-local ids computed once here, independent of strategy. A
- *    transformer class of any depth has two shapes (attention, FFN)
- *    and a handful of templates;
- *  - per-layer forward/backward compute times and breakdown
- *    categories are computed once per shape;
+ *    class-local ids, consumer lists and breakdown categories computed
+ *    once, independent of cluster, task and strategy. A transformer
+ *    class of any depth has two shapes (attention, FFN) and a handful
+ *    of templates;
+ *  - the model's field of the memo key (its name, sizes and a digest
+ *    of every layer) is built on first need and kept.
+ *
+ * The rest is per context, for one cluster and task:
+ *
+ *  - specs are validated once (LayerProcessor / CommPlanner
+ *    construction), not once per plan;
+ *  - forward/backward compute times are computed once per (class,
+ *    shape);
  *  - the collective calls a class needs under a given HierStrategy —
  *    including their modeled durations — are resolved once per
  *    (layer class, strategy) table, for one representative layer per
  *    shape, and shared by every plan that maps the class to that
- *    strategy, with a memoized collective-time table keyed on (kind,
- *    scope, bytes) deduplicating the underlying cost-model estimate
- *    calls;
+ *    strategy, with a flat hashed collective-time table keyed on
+ *    (kind, scope, bytes) deduplicating the underlying cost-model
+ *    estimate calls;
  *  - per-(class, strategy, prefetch) segment sets
  *    (core/segment_template.hh) hold one symbolic segment per
  *    template and are built on first use, so a plan's event graph is
@@ -43,22 +52,28 @@
  *    ModelDesc plus that suffix) is composed only when a Timeline is
  *    retained.
  *  - the EvalEngine memo key's plan-invariant prefix (the cluster,
- *    options, model graph and task serialized by memoKeyPrefix) is
- *    built on first need and kept, so a search that carries this
- *    context across its batches serializes the triple once, and every
- *    memo entry keyed through it shares the one prefix.
+ *    options, model and task serialized by memoKeyPrefix) is built on
+ *    first need and kept, so a search that carries this context
+ *    across its batches serializes the triple once, and every memo
+ *    entry keyed through it shares the one prefix.
  *
  * Thread safety: evaluate()/verdict()/plannedOps()/memoPrefix() are
  * safe to call concurrently. Per-(class, strategy) tables and their
  * segment sets are built lazily under a mutex on first use (a plan
  * touches exactly one table per present class) and are immutable once
- * published; the key prefix is built once under a once_flag; shape
- * and template ids are fixed at construction.
+ * published; the key prefix and the layout's key text are each built
+ * once under a once_flag; the rest of the layout is fixed at its
+ * construction, so sibling contexts on different threads read it
+ * without locks.
  *
  * Lifetime: the context borrows the PerfModel, ModelDesc, and
- * TaskSpec it was built from; all three must outlive it. The
- * EvalEngine builds one context per (model, desc, task) group of a
- * batch; PerfModel::evaluate builds a throwaway one per call.
+ * TaskSpec it was built from; all three must outlive it (the shared
+ * Layout borrows the ModelDesc too). A search run (RunContexts) builds
+ * its first hardware point's context standalone and every later one
+ * from a sibling; the EvalEngine builds one context per (model, desc,
+ * task) group of a batch, from a sibling when an earlier group of the
+ * batch has the same ModelDesc; PerfModel::evaluate builds a throwaway
+ * one per call.
  */
 
 #ifndef MADMAX_CORE_EVAL_CONTEXT_HH
@@ -67,11 +82,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "collective/collective.hh"
@@ -116,6 +129,91 @@ struct ResolvedCommOp
 class EvalContext
 {
   public:
+    /** Plan-invariant per-layer facts: label base, class, ids and
+     *  consumers. They depend on the ModelDesc alone (Layout). */
+    struct LayerCosts
+    {
+        EventCategory category = EventCategory::Other;
+        const std::string *name = nullptr; ///< &layer.name().
+        LayerClass cls = LayerClass::BaseDense; ///< layer.layerClass().
+        /** Class-local shape id: equal iff Layer::sameShape. Indexes
+         *  the class's per-shape compute times and collective
+         *  tables. */
+        uint32_t shapeId = 0;
+        /** Class-local template id: equal iff same shape, same
+         *  producer and consumer offsets, and same emission ordinal
+         *  clamped at 2. Indexes the class's segment sets. */
+        uint32_t templateId = 0;
+        /** Layers consuming this layer's output, ascending (points
+         *  into layout-owned storage). */
+        const int *consumers = nullptr;
+        uint32_t numConsumers = 0;
+    };
+
+    /** One class's representatives: the first layer of each shape
+     *  and of each template, in id order, and each template's layer
+     *  count. */
+    struct ClassLayout
+    {
+        std::vector<int> shapeLayers;
+        std::vector<int> templateLayers;
+        std::vector<uint32_t> templateCounts;
+    };
+
+    /** Forward and backward compute seconds per device of one
+     *  (class, shape); backward is 0 for inference. */
+    struct ComputeTimes
+    {
+        double fwd = 0.0;
+        double bwd = 0.0;
+    };
+
+    /**
+     * The part of a context that depends on the ModelDesc alone:
+     * per-layer ids and consumer lists, the per-class layout, the
+     * footprint terms, and the model's memo-key text. Every
+     * standalone context builds one, and its siblings share it.
+     * Immutable but for the key text, built once on first need.
+     * Borrows the ModelDesc.
+     */
+    class Layout
+    {
+      public:
+        explicit Layout(const ModelDesc &desc);
+
+        Layout(const Layout &) = delete;
+        Layout &operator=(const Layout &) = delete;
+
+        const ModelDesc &desc() const { return *desc_; }
+        const memory_model::Terms &memoryTerms() const
+        {
+            return memoryTerms_;
+        }
+        const std::vector<LayerCosts> &layers() const { return layers_; }
+        const ClassLayout &classLayout(size_t cls) const
+        {
+            return classes_[cls];
+        }
+        /** The model's field of the memo key, built on first call. */
+        const std::string &keyText() const;
+
+      private:
+        /** True when layers @p a and @p b (same class) share a
+         *  template: same shape, same producer and consumer offsets,
+         *  and the same emission ordinal clamped at 2. */
+        bool sameTemplate(int a, int b) const;
+
+        const ModelDesc *desc_;
+        memory_model::Terms memoryTerms_;
+        std::vector<LayerCosts> layers_;
+        std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.
+        /** Indexed by LayerClass; empty for absent classes. */
+        std::array<ClassLayout, kNumLayerClasses> classes_;
+
+        mutable std::once_flag keyOnce_;
+        mutable std::string keyText_; ///< Set once under keyOnce_.
+    };
+
     /**
      * Precompute the plan-invariant state for @p model x @p desc x
      * @p task. Validates both specs (the only validation any plan
@@ -124,14 +222,27 @@ class EvalContext
     EvalContext(const PerfModel &model, const ModelDesc &desc,
                 const TaskSpec &task);
 
+    /**
+     * The same, sharing @p sibling's Layout instead of building one:
+     * for another cluster or task over the very ModelDesc object
+     * @p sibling was built from. Reports are bit-identical to a
+     * standalone context's.
+     * @throws ConfigError (fatal) when @p desc is another object.
+     */
+    EvalContext(const PerfModel &model, const ModelDesc &desc,
+                const TaskSpec &task, const EvalContext &sibling);
+
     EvalContext(const EvalContext &) = delete;
     EvalContext &operator=(const EvalContext &) = delete;
 
     const PerfModel &model() const { return *model_; }
-    const ModelDesc &desc() const { return *desc_; }
+    const ModelDesc &desc() const { return layout_->desc(); }
     const TaskSpec &task() const { return *task_; }
     const ClusterSpec &cluster() const { return model_->cluster(); }
     const PerfModelOptions &options() const { return model_->options(); }
+
+    /** The ModelDesc-only part, shared with sibling contexts. */
+    const std::shared_ptr<const Layout> &layout() const { return layout_; }
 
     /** task().toString(), computed once. */
     const std::string &taskName() const { return taskName_; }
@@ -173,35 +284,17 @@ class EvalContext
 
     /**
      * Memory-only evaluation, identical to PerfModel::verdict, priced
-     * from the footprint terms read once at construction.
+     * from the layout's footprint terms.
      */
     PerfReport verdict(const ParallelPlan &plan) const;
 
-    /** Plan-invariant per-layer costs, label base, and ids. */
-    struct LayerCosts
-    {
-        double fwdTime = 0.0; ///< Forward compute seconds per device.
-        double bwdTime = 0.0; ///< Backward compute seconds (0 inference).
-        EventCategory category = EventCategory::Other;
-        const std::string *name = nullptr; ///< &layer.name().
-        LayerClass cls = LayerClass::BaseDense; ///< layer.layerClass().
-        /** Class-local shape id: equal iff Layer::sameShape. Indexes
-         *  the class's per-shape collective tables. */
-        uint32_t shapeId = 0;
-        /** Class-local template id: equal iff same shape, same
-         *  producer and consumer offsets, and same emission ordinal
-         *  clamped at 2. Indexes the class's segment sets. */
-        uint32_t templateId = 0;
-        /** Layers consuming this layer's output, ascending (points
-         *  into context-owned storage). */
-        const int *consumers = nullptr;
-        uint32_t numConsumers = 0;
-    };
-
     const LayerCosts &layerCosts(int idx) const
     {
-        return costs_[static_cast<size_t>(idx)];
+        return layout_->layers()[static_cast<size_t>(idx)];
     }
+
+    /** Layer @p idx's compute times (its shape's). */
+    const ComputeTimes &computeTimes(int idx) const;
 
     /**
      * The resolved collectives layer @p idx needs when its class runs
@@ -281,14 +374,12 @@ class EvalContext
         std::array<Segments, 2> segs; ///< Indexed by fsdpPrefetch.
     };
 
-    /** One class's representatives: the first layer of each shape
-     *  and of each template, in id order, and each template's layer
-     *  count. */
-    struct ClassLayout
+    /** One memoized collective estimate; tag 0 marks an empty slot. */
+    struct CollectiveSlot
     {
-        std::vector<int> shapeLayers;
-        std::vector<int> templateLayers;
-        std::vector<uint32_t> templateCounts;
+        uint64_t bytes = 0; ///< The payload's bit pattern.
+        uint32_t tag = 0;   ///< 1 + (kind, scope) packed.
+        CollectiveEstimate estimate;
     };
 
     static constexpr size_t kNumClasses = kNumLayerClasses;
@@ -296,10 +387,10 @@ class EvalContext
 
     static size_t encode(HierStrategy hs);
 
-    /** True when layers @p a and @p b (same class) share a template:
-     *  same shape, same producer and consumer offsets, and the same
-     *  emission ordinal clamped at 2. */
-    bool sameTemplate(int a, int b) const;
+    /** Both public constructors: the per-context state over
+     *  @p layout. */
+    EvalContext(const PerfModel &model, const TaskSpec &task,
+                std::shared_ptr<const Layout> layout);
 
     /** Build and publish the table for @p cls under @p hs into
      *  @p slot, unless another thread already did. */
@@ -320,16 +411,13 @@ class EvalContext
     CollectiveEstimate collectiveEstimate(Collective kind, CommScope scope,
                                           double bytes) const;
 
+    std::shared_ptr<const Layout> layout_;
     const PerfModel *model_;
-    const ModelDesc *desc_;
     const TaskSpec *task_;
     std::string taskName_;
-    memory_model::Terms memoryTerms_;
     TopologyCollectiveModel collectives_;
-    std::vector<LayerCosts> costs_;
-    std::vector<int> consumerIds_; ///< Backs LayerCosts::consumers.
-    /** Indexed by LayerClass; empty for absent classes. */
-    std::array<ClassLayout, kNumClasses> classes_;
+    /** Indexed by [LayerClass][shapeId]. */
+    std::array<std::vector<ComputeTimes>, kNumClasses> shapeTimes_;
 
     /** Indexed by [LayerClass][encode(hs)]; null until first use,
      *  then set once (release) under buildMutex_. A context touches a
@@ -346,9 +434,11 @@ class EvalContext
     /** Set once under memoPrefixOnce_. */
     mutable std::shared_ptr<const MemoKeyPrefix> memoPrefix_;
 
-    /** Keyed (kind, scope, bytes-bits); the context has one model. */
-    mutable std::map<std::tuple<int, int, uint64_t>, CollectiveEstimate>
-        collectiveTable_;
+    /** Open-addressed, linear-probed, power-of-two sized (empty until
+     *  the first estimate) and at most half full; guarded by
+     *  buildMutex_. */
+    mutable std::vector<CollectiveSlot> collectiveTable_;
+    mutable size_t collectiveCount_ = 0; ///< Occupied slots.
 };
 
 } // namespace madmax

@@ -170,7 +170,7 @@ LayerProcessor::backwardTime(const Layer &layer, const TaskSpec &task) const
 }
 
 EventCategory
-LayerProcessor::categoryOf(const Layer &layer) const
+LayerProcessor::categoryOf(const Layer &layer)
 {
     switch (layer.kind()) {
       case LayerKind::EmbeddingBag:

@@ -66,8 +66,9 @@ class LayerProcessor
      */
     double backwardTime(const Layer &layer, const TaskSpec &task) const;
 
-    /** Breakdown category for the layer's compute events. */
-    EventCategory categoryOf(const Layer &layer) const;
+    /** Breakdown category for the layer's compute events (a
+     *  function of the layer's kind alone). */
+    static EventCategory categoryOf(const Layer &layer);
 
     /** Per-device forward FLOPs of @p layer (batch-share adjusted). */
     double deviceForwardFlops(const Layer &layer) const;

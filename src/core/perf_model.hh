@@ -55,7 +55,7 @@ struct PerfModelOptions
  * EvalContext (core/eval_context.hh). Sweeps evaluating many plans
  * against one (model, task) should go through EvalEngine::evaluateAll
  * or hold an EvalContext directly: the plan-invariant work
- * (validation, per-layer compute times, resolved collectives) is then
+ * (validation, compute times, resolved collectives) is then
  * paid once instead of per plan.
  */
 class PerfModel

@@ -108,7 +108,7 @@ struct TemplateEvent
  * The template segments of one layer class for one pass direction
  * under one (HierStrategy, fsdpPrefetch) binding, packed into two flat
  * arenas: segment t is template t's (EvalContext::LayerCosts::
- * templateId).
+ * templateId, fixed by the context's shared EvalContext::Layout).
  */
 struct SegmentSet
 {

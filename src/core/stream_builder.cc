@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.hh"
+
 namespace madmax
 {
 
@@ -134,6 +136,8 @@ class TemplateEmitter
     bool backward_ = false;
 };
 
+constexpr size_t kMaxPreOps = 2;
+
 /**
  * Emit one layer's segment — its pre-phase collectives, its compute
  * event, and its post-phase collectives — deciding event order and
@@ -179,30 +183,37 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
             em.depFwdOut(s.idx);
     };
 
-    std::vector<int32_t> pre_ids;
+    // A layer has at most one pre-phase collective per strategy level
+    // (a parameter gather, an MoE dispatch or a gradient All2All), and
+    // CommPlanner plans at most two levels.
+    int32_t pre_ids[kMaxPreOps];
+    size_t num_pre = 0;
     for (const ResolvedCommOp &op : *s.ops) {
         if (op.phase != phase || op.position != CommPosition::Pre)
             continue;
+        if (num_pre == kMaxPreOps)
+            panic("emitLayerSegment: more pre-phase collectives than "
+                  "strategy levels");
         if (op.kind == Collective::AllGather)
             stageParamGatherDeps();
         else if (s.backward)
             stageGradDeps();
         else
             stageDataDeps();
-        pre_ids.push_back(em.addEvent(op.suffix,
-                                      StreamKind::Communication,
-                                      op.category, op.duration,
-                                      op.blocking, op.algo));
+        pre_ids[num_pre++] = em.addEvent(op.suffix,
+                                         StreamKind::Communication,
+                                         op.category, op.duration,
+                                         op.blocking, op.algo);
     }
 
     // The layer's compute block.
     if (s.backward) {
         stageGradDeps();
-        for (int32_t p : pre_ids)
-            em.depLocal(p);
+        for (size_t p = 0; p < num_pre; ++p)
+            em.depLocal(pre_ids[p]);
     } else {
-        for (int32_t p : pre_ids)
-            em.depLocal(p);
+        for (size_t p = 0; p < num_pre; ++p)
+            em.depLocal(pre_ids[p]);
         stageDataDeps();
     }
     int32_t cid = em.addEvent(s.backward ? NameSuffix::Backward
@@ -451,21 +462,43 @@ splice(const PlanSegments &sets, const EvalContext::LayerCosts *costs,
 void
 buildSegmentSet(
     const ModelDesc &desc,
-    const std::vector<EvalContext::LayerCosts> &costs,
-    const std::vector<int> &templateLayers,
-    const std::vector<uint32_t> &templateCounts,
+    const std::vector<EvalContext::LayerCosts> &layers,
+    const EvalContext::ClassLayout &cls,
+    const std::vector<EvalContext::ComputeTimes> &shapeTimes,
     const std::vector<std::vector<ResolvedCommOp>> &shapeOps,
     bool backwardPass, bool prefetch, SegmentSet &out)
 {
     const size_t num_layers = static_cast<size_t>(desc.graph.numLayers());
+    const Phase phase = backwardPass ? Phase::Backward : Phase::Forward;
+
+    // Size both arenas once. A segment has its phase's collectives
+    // plus the compute event. A pre-phase collective stages at most
+    // one dependency per edge (producer forward, consumer backward,
+    // at least one), the compute event as many plus one per pre-phase
+    // collective, a post-phase one a single dependency: at most
+    // events x (edges + 1) in all.
+    size_t num_events = 0;
+    size_t num_deps = 0;
+    for (int i : cls.templateLayers) {
+        const EvalContext::LayerCosts &lc = layers[static_cast<size_t>(i)];
+        size_t events = 1;
+        for (const ResolvedCommOp &op : shapeOps[lc.shapeId])
+            events += op.phase == phase ? 1 : 0;
+        const size_t edges = std::max<size_t>(
+            1, backwardPass ? lc.numConsumers : desc.graph.deps(i).size());
+        num_events += events;
+        num_deps += events * (edges + 1);
+    }
     out.events.clear();
     out.deps.clear();
     out.segs.clear();
-    out.segs.reserve(templateLayers.size());
+    out.events.reserve(num_events);
+    out.deps.reserve(num_deps);
+    out.segs.reserve(cls.templateLayers.size());
 
     TemplateEmitter em(out);
-    for (int i : templateLayers) {
-        const EvalContext::LayerCosts &lc = costs[static_cast<size_t>(i)];
+    for (int i : cls.templateLayers) {
+        const EvalContext::LayerCosts &lc = layers[static_cast<size_t>(i)];
         SegmentSpec spec;
         spec.graph = &desc.graph;
         spec.idx = i;
@@ -474,7 +507,8 @@ buildSegmentSet(
             : static_cast<size_t>(i);
         spec.consumers = lc.consumers;
         spec.numConsumers = lc.numConsumers;
-        spec.computeTime = backwardPass ? lc.bwdTime : lc.fwdTime;
+        spec.computeTime = backwardPass ? shapeTimes[lc.shapeId].bwd
+                                        : shapeTimes[lc.shapeId].fwd;
         spec.category = lc.category;
         spec.ops = &shapeOps[lc.shapeId];
         spec.prefetch = prefetch;
@@ -483,8 +517,8 @@ buildSegmentSet(
     }
 
     out.expandedEvents = 0;
-    for (size_t t = 0; t < templateCounts.size(); ++t) {
-        out.expandedEvents += size_t{templateCounts[t]} *
+    for (size_t t = 0; t < cls.templateCounts.size(); ++t) {
+        out.expandedEvents += size_t{cls.templateCounts[t]} *
             out.segs[t].numEvents;
     }
 }

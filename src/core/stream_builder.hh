@@ -47,17 +47,19 @@ namespace madmax
 /**
  * Generate one layer class's template segments for one pass direction
  * under one (ops table, prefetch) binding: segment t is emitted from
- * layer @p templateLayers[t] (the first layer with template id t),
- * with its collectives taken from @p shapeOps[costs[layer].shapeId]
+ * layer @p cls.templateLayers[t] (the first layer with template id t),
+ * with its compute time taken from @p shapeTimes[shapeId] and its
+ * collectives from @p shapeOps[shapeId] (shapeId = @p layers[layer]'s),
  * and every dependency stored relative to the layer, so the segment
- * splices for every layer sharing the template. @p templateCounts[t]
- * is how many layers use template t (sizes the expansion).
+ * splices for every layer sharing the template.
+ * @p cls.templateCounts[t] is how many layers use template t (sizes
+ * the expansion). The arenas are sized once, before emission.
  */
 void buildSegmentSet(
     const ModelDesc &desc,
-    const std::vector<EvalContext::LayerCosts> &costs,
-    const std::vector<int> &templateLayers,
-    const std::vector<uint32_t> &templateCounts,
+    const std::vector<EvalContext::LayerCosts> &layers,
+    const EvalContext::ClassLayout &cls,
+    const std::vector<EvalContext::ComputeTimes> &shapeTimes,
     const std::vector<std::vector<ResolvedCommOp>> &shapeOps,
     bool backwardPass, bool prefetch, SegmentSet &out);
 

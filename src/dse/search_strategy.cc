@@ -690,11 +690,18 @@ RunContexts::at(size_t hw)
     std::unique_ptr<EvalContext> &ctx = contexts_[hw];
     if (!ctx) {
         try {
-            ctx = std::make_unique<EvalContext>(
-                *space_.models[hw], *space_.desc, *space_.task);
+            // Every point shares the first built context's layout.
+            ctx = first_ ? std::make_unique<EvalContext>(
+                               *space_.models[hw], *space_.desc,
+                               *space_.task, *first_)
+                         : std::make_unique<EvalContext>(
+                               *space_.models[hw], *space_.desc,
+                               *space_.task);
         } catch (...) {
             return nullptr;
         }
+        if (!first_)
+            first_ = ctx.get();
     }
     return ctx.get();
 }
@@ -723,7 +730,12 @@ evaluateInto(const SearchSpace &space, EvalEngine &engine,
     std::vector<PerfReport> reports =
         engine.evaluateAll(requests, &stats);
     out.stats += stats;
-    out.evaluated.reserve(out.evaluated.size() + requests.size());
+    // Grow geometrically, with a first large batch sized exactly: an
+    // exact reserve per batch would move every earlier candidate on
+    // each of annealing's one-point batches.
+    const size_t need = out.evaluated.size() + requests.size();
+    if (need > out.evaluated.capacity())
+        out.evaluated.reserve(std::max(need, 2 * out.evaluated.capacity()));
     for (size_t i = 0; i < requests.size(); ++i) {
         out.evaluated.push_back(SearchCandidate{
             points[i].first, std::move(requests[i].plan),

@@ -125,9 +125,11 @@ struct SearchOutcome
  * point's first request and shared by every later batch. Guided
  * searches submit many small batches (annealing: one point per
  * proposal); without this, each batch would rebuild its context's
- * strategy tables and segment arenas. A caller that evaluates points
- * of its own before searching (the ParetoEngine's baseline sweep)
- * passes one instance to both, so each point's context is built once.
+ * strategy tables and segment arenas. The first context built is
+ * standalone and every later one its sibling, so the run builds the
+ * model's EvalContext::Layout once. A caller that evaluates points of
+ * its own before searching (the ParetoEngine's baseline sweep) passes
+ * one instance to both, so each point's context is built once.
  */
 class RunContexts
 {
@@ -143,6 +145,7 @@ class RunContexts
   private:
     const SearchSpace &space_;
     std::vector<std::unique_ptr<EvalContext>> contexts_;
+    const EvalContext *first_ = nullptr; ///< The layout's builder.
 };
 
 /**

@@ -42,6 +42,7 @@ CommPlanner::levels(HierStrategy hs, double param_bytes) const
         hs = HierStrategy{Strategy::FSDP};
 
     std::vector<Level> out;
+    out.reserve(2);
     if (hs.isGlobal()) {
         out.push_back(Level{hs.intra, CommScope::Global, n, param_bytes});
         return out;
@@ -197,8 +198,12 @@ CommPlanner::planLayer(int idx) const
     }
     const double a2a_bytes = payload_per_sample * batch / n;
 
+    const std::vector<Level> planned = levels(hs, param_bytes);
     std::vector<CommOp> out;
-    for (const Level &level : levels(hs, param_bytes)) {
+    // A level plans at most four collectives (an MoE bank's dispatch
+    // and combine, each way).
+    out.reserve(4 * planned.size());
+    for (const Level &level : planned) {
         planParamComms(out, idx, level, trainable);
         planActivationComms(out, idx, level, act_tensor_bytes);
         planShardedComms(out, idx, level, a2a_bytes, trainable, is_moe);

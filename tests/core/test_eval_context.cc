@@ -150,7 +150,7 @@ TEST(EvalContext, InferenceContextBuildsForwardOnly)
 
     EvalContext context(perf, desc, task);
     for (int i = 0; i < desc.graph.numLayers(); ++i)
-        EXPECT_EQ(context.layerCosts(i).bwdTime, 0.0);
+        EXPECT_EQ(context.computeTimes(i).bwd, 0.0);
 
     PerfReport report = context.evaluate(ParallelPlan::fsdpBaseline());
     expectBitIdentical(
@@ -382,8 +382,12 @@ TEST(EvalContext, TemplatesFollowShapeAndRelativePlace)
         const EvalContext::LayerCosts &lc = context.layerCosts(i);
         const EvalContext::LayerCosts &twin = context.layerCosts(i - 2);
         EXPECT_EQ(lc.shapeId, twin.shapeId) << "layer " << i;
-        EXPECT_EQ(lc.fwdTime, twin.fwdTime) << "layer " << i;
-        EXPECT_EQ(lc.bwdTime, twin.bwdTime) << "layer " << i;
+        EXPECT_EQ(context.computeTimes(i).fwd,
+                  context.computeTimes(i - 2).fwd)
+            << "layer " << i;
+        EXPECT_EQ(context.computeTimes(i).bwd,
+                  context.computeTimes(i - 2).bwd)
+            << "layer " << i;
         EXPECT_EQ(lc.templateId == twin.templateId, i != 3 && i != n - 1)
             << "layer " << i;
     }

@@ -388,8 +388,7 @@ checkEveryPlan(const ModelDesc &desc, const ClusterSpec &cluster,
         const PerfReport want = referenceFor(perf, desc, task, plan);
         PerfReport want_notl = want;
         want_notl.timeline = Timeline{};
-        const std::string what = plan.toString() +
-                                 (plan.fsdpPrefetch ? " +prefetch" : "");
+        const std::string what = plan.toString();
         const PerfReport got = shared.evaluate(plan);
         scheduled += got.valid ? 1 : 0;
         testing::expectReportInvariants(got, opts);
