@@ -165,18 +165,6 @@ assemblePrefix(const PerfModel &model, const std::string &modelText,
     return std::make_shared<const MemoKeyPrefix>(std::move(key));
 }
 
-/** @p sibling's layout, which must describe the very object
- *  @p desc. */
-std::shared_ptr<const EvalContext::Layout>
-siblingLayout(const ModelDesc &desc, const EvalContext &sibling)
-{
-    if (&desc != &sibling.desc())
-        fatal("EvalContext: the sibling context was built for another "
-              "ModelDesc ('" + sibling.desc().name + "', not '" +
-              desc.name + "')");
-    return sibling.layout();
-}
-
 } // namespace
 
 std::shared_ptr<const MemoKeyPrefix>
@@ -311,9 +299,8 @@ EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
     : EvalContext(model, task, std::make_shared<const Layout>(desc))
 {}
 
-EvalContext::EvalContext(const PerfModel &model, const ModelDesc &desc,
-                         const TaskSpec &task, const EvalContext &sibling)
-    : EvalContext(model, task, siblingLayout(desc, sibling))
+EvalContext::EvalContext(const PerfModel &model, const EvalContext &sibling)
+    : EvalContext(model, sibling.task(), sibling.layout())
 {}
 
 EvalContext::EvalContext(const PerfModel &model, const TaskSpec &task,
@@ -370,42 +357,24 @@ EvalContext::encode(HierStrategy hs)
         static_cast<size_t>(hs.inter);
 }
 
+size_t
+EvalContext::CollectiveKeyHash::operator()(const CollectiveKey &key) const
+{
+    return mix64(key.first ^ uint64_t{key.second} * 0x9e3779b97f4a7c15ull);
+}
+
 CollectiveEstimate
 EvalContext::collectiveEstimate(Collective kind, CommScope scope,
                                 double bytes) const
 {
-    const uint64_t bits = bitsOf(bytes);
-    const uint32_t tag = 1 + (static_cast<uint32_t>(kind) << 8 |
-                              static_cast<uint32_t>(scope));
-    auto probe = [](const std::vector<CollectiveSlot> &table,
-                    uint64_t b, uint32_t t) {
-        const size_t mask = table.size() - 1;
-        size_t i = mix64(b ^ uint64_t{t} * 0x9e3779b97f4a7c15ull) & mask;
-        while (table[i].tag != 0 &&
-               (table[i].tag != t || table[i].bytes != b))
-            i = (i + 1) & mask;
-        return i;
-    };
-    if (!collectiveTable_.empty()) {
-        const CollectiveSlot &slot =
-            collectiveTable_[probe(collectiveTable_, bits, tag)];
-        if (slot.tag != 0)
-            return slot.estimate;
-    }
+    const CollectiveKey key{bitsOf(bytes),
+                            static_cast<uint32_t>(kind) << 8 |
+                                static_cast<uint32_t>(scope)};
+    auto it = collectiveTable_.find(key);
+    if (it != collectiveTable_.end())
+        return it->second;
     const CollectiveEstimate est = collectives_.estimate(kind, scope, bytes);
-    if (2 * (collectiveCount_ + 1) > collectiveTable_.size()) {
-        // Grow to keep the table at most half full.
-        std::vector<CollectiveSlot> grown(
-            std::max<size_t>(16, 2 * collectiveTable_.size()));
-        for (const CollectiveSlot &slot : collectiveTable_) {
-            if (slot.tag != 0)
-                grown[probe(grown, slot.bytes, slot.tag)] = slot;
-        }
-        collectiveTable_ = std::move(grown);
-    }
-    collectiveTable_[probe(collectiveTable_, bits, tag)] =
-        CollectiveSlot{bits, tag, est};
-    ++collectiveCount_;
+    collectiveTable_.emplace(key, est);
     return est;
 }
 
@@ -413,7 +382,7 @@ size_t
 EvalContext::collectiveTableSize() const
 {
     std::lock_guard<std::mutex> lock(buildMutex_);
-    return collectiveCount_;
+    return collectiveTable_.size();
 }
 
 EvalContext::StrategyTable &

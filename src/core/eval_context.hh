@@ -38,9 +38,9 @@
  *    including their modeled durations — are resolved once per
  *    (layer class, strategy) table, for one representative layer per
  *    shape, and shared by every plan that maps the class to that
- *    strategy, with a flat hashed collective-time table keyed on
- *    (kind, scope, bytes) deduplicating the underlying cost-model
- *    estimate calls;
+ *    strategy, with a hashed collective-time table keyed on (kind,
+ *    scope, bytes) deduplicating the underlying cost-model estimate
+ *    calls;
  *  - per-(class, strategy, prefetch) segment sets
  *    (core/segment_template.hh) hold one symbolic segment per
  *    template and are built on first use, so a plan's event graph is
@@ -70,10 +70,9 @@
  * TaskSpec it was built from; all three must outlive it (the shared
  * Layout borrows the ModelDesc too). A search run (RunContexts) builds
  * its first hardware point's context standalone and every later one
- * from a sibling; the EvalEngine builds one context per (model, desc,
- * task) group of a batch, from a sibling when an earlier group of the
- * batch has the same ModelDesc; PerfModel::evaluate builds a throwaway
- * one per call.
+ * from a sibling; the EvalEngine builds one standalone context per
+ * (model, desc, task) group of a batch that brings none;
+ * PerfModel::evaluate builds a throwaway one per call.
  */
 
 #ifndef MADMAX_CORE_EVAL_CONTEXT_HH
@@ -85,6 +84,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "collective/collective.hh"
@@ -223,14 +224,11 @@ class EvalContext
                 const TaskSpec &task);
 
     /**
-     * The same, sharing @p sibling's Layout instead of building one:
-     * for another cluster or task over the very ModelDesc object
-     * @p sibling was built from. Reports are bit-identical to a
-     * standalone context's.
-     * @throws ConfigError (fatal) when @p desc is another object.
+     * The same for @p model's cluster over @p sibling's ModelDesc and
+     * TaskSpec, sharing @p sibling's Layout instead of building one.
+     * Reports are bit-identical to a standalone context's.
      */
-    EvalContext(const PerfModel &model, const ModelDesc &desc,
-                const TaskSpec &task, const EvalContext &sibling);
+    EvalContext(const PerfModel &model, const EvalContext &sibling);
 
     EvalContext(const EvalContext &) = delete;
     EvalContext &operator=(const EvalContext &) = delete;
@@ -374,12 +372,12 @@ class EvalContext
         std::array<Segments, 2> segs; ///< Indexed by fsdpPrefetch.
     };
 
-    /** One memoized collective estimate; tag 0 marks an empty slot. */
-    struct CollectiveSlot
+    /** A memoized collective estimate's key: the payload's bit
+     *  pattern and (kind, scope) packed. */
+    using CollectiveKey = std::pair<uint64_t, uint32_t>;
+    struct CollectiveKeyHash
     {
-        uint64_t bytes = 0; ///< The payload's bit pattern.
-        uint32_t tag = 0;   ///< 1 + (kind, scope) packed.
-        CollectiveEstimate estimate;
+        size_t operator()(const CollectiveKey &key) const;
     };
 
     static constexpr size_t kNumClasses = kNumLayerClasses;
@@ -434,11 +432,10 @@ class EvalContext
     /** Set once under memoPrefixOnce_. */
     mutable std::shared_ptr<const MemoKeyPrefix> memoPrefix_;
 
-    /** Open-addressed, linear-probed, power-of-two sized (empty until
-     *  the first estimate) and at most half full; guarded by
-     *  buildMutex_. */
-    mutable std::vector<CollectiveSlot> collectiveTable_;
-    mutable size_t collectiveCount_ = 0; ///< Occupied slots.
+    /** Guarded by buildMutex_. */
+    mutable std::unordered_map<CollectiveKey, CollectiveEstimate,
+                               CollectiveKeyHash>
+        collectiveTable_;
 };
 
 } // namespace madmax

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hh"
-
 namespace madmax
 {
 
@@ -136,8 +134,6 @@ class TemplateEmitter
     bool backward_ = false;
 };
 
-constexpr size_t kMaxPreOps = 2;
-
 /**
  * Emit one layer's segment — its pre-phase collectives, its compute
  * event, and its post-phase collectives — deciding event order and
@@ -183,37 +179,31 @@ emitLayerSegment(const SegmentSpec &s, TemplateEmitter &em)
             em.depFwdOut(s.idx);
     };
 
-    // A layer has at most one pre-phase collective per strategy level
-    // (a parameter gather, an MoE dispatch or a gradient All2All), and
-    // CommPlanner plans at most two levels.
-    int32_t pre_ids[kMaxPreOps];
-    size_t num_pre = 0;
+    // The pre-phase collectives open the segment, so their local ids
+    // are 0 .. num_pre - 1.
+    int32_t num_pre = 0;
     for (const ResolvedCommOp &op : *s.ops) {
         if (op.phase != phase || op.position != CommPosition::Pre)
             continue;
-        if (num_pre == kMaxPreOps)
-            panic("emitLayerSegment: more pre-phase collectives than "
-                  "strategy levels");
         if (op.kind == Collective::AllGather)
             stageParamGatherDeps();
         else if (s.backward)
             stageGradDeps();
         else
             stageDataDeps();
-        pre_ids[num_pre++] = em.addEvent(op.suffix,
-                                         StreamKind::Communication,
-                                         op.category, op.duration,
-                                         op.blocking, op.algo);
+        em.addEvent(op.suffix, StreamKind::Communication, op.category,
+                    op.duration, op.blocking, op.algo);
+        ++num_pre;
     }
 
     // The layer's compute block.
     if (s.backward) {
         stageGradDeps();
-        for (size_t p = 0; p < num_pre; ++p)
-            em.depLocal(pre_ids[p]);
+        for (int32_t p = 0; p < num_pre; ++p)
+            em.depLocal(p);
     } else {
-        for (size_t p = 0; p < num_pre; ++p)
-            em.depLocal(pre_ids[p]);
+        for (int32_t p = 0; p < num_pre; ++p)
+            em.depLocal(p);
         stageDataDeps();
     }
     int32_t cid = em.addEvent(s.backward ? NameSuffix::Backward

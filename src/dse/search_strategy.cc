@@ -692,8 +692,7 @@ RunContexts::at(size_t hw)
         try {
             // Every point shares the first built context's layout.
             ctx = first_ ? std::make_unique<EvalContext>(
-                               *space_.models[hw], *space_.desc,
-                               *space_.task, *first_)
+                               *space_.models[hw], *first_)
                          : std::make_unique<EvalContext>(
                                *space_.models[hw], *space_.desc,
                                *space_.task);

@@ -287,8 +287,7 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
     // EvalContext (validation, compute times, resolved collectives)
     // serves every plan of a group — a sweep's hundreds of plans
     // share a single context construction instead of paying it per
-    // evaluation — and groups of one ModelDesc share its
-    // EvalContext::Layout. A request that carries a key prefix or a
+    // evaluation. A request that carries a key prefix or a
     // context keys by that prefix, built once for its lifetime; the
     // rest of a group share one prefix built for this call.
     struct Group
@@ -368,19 +367,8 @@ EvalEngine::evaluateAll(const std::vector<PlanRequest> &requests,
             if (!group.ctx && req.context) {
                 group.ctx = req.context;
             } else if (!group.ctx) {
-                // Groups of one ModelDesc share its layout.
-                const EvalContext *sibling = nullptr;
-                for (const Group &g : groups) {
-                    if (g.ctx && &g.ctx->desc() == req.desc) {
-                        sibling = g.ctx;
-                        break;
-                    }
-                }
-                group.owned = sibling
-                    ? std::make_unique<EvalContext>(
-                          *req.model, *req.desc, *req.task, *sibling)
-                    : std::make_unique<EvalContext>(
-                          *req.model, *req.desc, *req.task);
+                group.owned = std::make_unique<EvalContext>(
+                    *req.model, *req.desc, *req.task);
                 group.ctx = group.owned.get();
             }
             if (!req.model->options().ignoreMemory) {

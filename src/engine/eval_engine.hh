@@ -21,9 +21,9 @@
  *     fitting plan carries that verdict into its evaluation;
  *  4. per-(model, desc, task) batch grouping: each group of a batch
  *     shares one EvalContext (validation, compute times, resolved
- *     collectives — see core/eval_context.hh; groups of one ModelDesc
- *     share its layout) and one canonical-key prefix, so a sweep's
- *     hundreds of plans pay the plan-invariant work once (a request's
+ *     collectives — see core/eval_context.hh) and one canonical-key
+ *     prefix, so a sweep's hundreds of plans pay the plan-invariant
+ *     work once instead of per evaluation (a request's
  *     own PlanRequest::context supplies both for as long as it lives,
  *     and PlanRequest::keyPrefix the prefix). Every memo entry of a
  *     group holds the group's one prefix by handle.

@@ -18,11 +18,12 @@
  *    searches at engine jobs 1 and 4 with and without RunContexts:
  *    equal visit lists and frontiers, and one layout per search;
  *  - LayoutSharingEngine.EngineBatchMatchesStandalone evaluates one
- *    batch over every hardware point, whose engine-built groups share
- *    one layout;
+ *    batch over every hardware point against standalone contexts;
  *  - LayoutSharingEngine.ConcurrentSiblingsMatchStandalone builds and
- *    uses siblings of one context on several threads at once;
- *  - LayoutSharingEngine.SiblingRejectsAnotherModelDesc.
+ *    uses siblings of one context on several threads at once.
+ *
+ * A sibling takes its ModelDesc and TaskSpec from the context it
+ * shares a layout with, so it cannot be built over another model.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +41,6 @@
 #include "engine/eval_engine.hh"
 #include "hw/hw_zoo.hh"
 #include "model/model_zoo.hh"
-#include "util/logging.hh"
 
 namespace madmax
 {
@@ -202,9 +202,11 @@ TEST_P(LayoutSharing, SiblingMatchesStandalone)
     const std::vector<ParallelPlan> plans = everyPlan(models[0], desc, task);
     for (size_t i = 0; i < models.size(); ++i) {
         SCOPED_TRACE(hw[i].name + " #" + std::to_string(i));
-        const EvalContext sibling(models[i], desc, task, first);
+        const EvalContext sibling(models[i], first);
         const EvalContext standalone(models[i], desc, task);
         ASSERT_EQ(sibling.layout().get(), first.layout().get());
+        ASSERT_EQ(&sibling.desc(), &desc);
+        ASSERT_EQ(&sibling.task(), &task);
         EXPECT_EQ(sibling.memoPrefix()->text, standalone.memoPrefix()->text);
         EXPECT_EQ(sibling.memoPrefix()->text,
                   memoKeyPrefix(models[i], desc, task)->text);
@@ -271,8 +273,8 @@ INSTANTIATE_TEST_SUITE_P(Zoo, LayoutSharing,
 
 TEST(LayoutSharingEngine, EngineBatchMatchesStandalone)
 {
-    // One batch over every hardware point: the engine builds the first
-    // group's context standalone and the rest from it.
+    // One batch over every hardware point: the engine builds one
+    // context per point's group.
     const ModelDesc desc = model_zoo::gpt3();
     const TaskSpec task = TaskSpec::preTraining();
     std::vector<PerfModel> models;
@@ -323,7 +325,7 @@ TEST(LayoutSharingEngine, ConcurrentSiblingsMatchStandalone)
     for (size_t t = 0; t < 4; ++t) {
         threads.emplace_back([&, t] {
             for (size_t i = t; i < models.size(); i += 4) {
-                const EvalContext sibling(models[i], desc, task, first);
+                const EvalContext sibling(models[i], first);
                 prefixes[i] = sibling.memoPrefix()->text;
                 for (const ParallelPlan &plan : plans)
                     got[i].push_back(sibling.evaluate(plan));
@@ -342,20 +344,6 @@ TEST(LayoutSharingEngine, ConcurrentSiblingsMatchStandalone)
             testing::expectBitIdentical(got[i][p],
                                         standalone.evaluate(plans[p]));
     }
-}
-
-TEST(LayoutSharingEngine, SiblingRejectsAnotherModelDesc)
-{
-    const ModelDesc desc = model_zoo::gpt3();
-    const ModelDesc copy = model_zoo::gpt3(); // Equal, but not the same.
-    const TaskSpec task = TaskSpec::preTraining();
-    const PerfModel perf(hw_zoo::llmTrainingSystem());
-    const EvalContext first(perf, desc, task);
-    const TaskSpec inference = TaskSpec::inference();
-    EXPECT_THROW({ EvalContext sibling(perf, copy, task, first); },
-                 ConfigError);
-    EXPECT_NO_THROW(
-        { EvalContext sibling(perf, desc, inference, first); });
 }
 
 } // namespace madmax
